@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race alloc-gate bench bench-sweep bench-kernel bench-commit bench-engine \
+.PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-kernel bench-commit bench-engine \
 	bench-scale bench-cc cc-smoke torture shard-torture shard-xval repro repro-full fuzz xval \
 	cover regen-golden regen-fuzz-corpus clean
 
@@ -21,12 +21,20 @@ test:
 race:
 	go test -race -timeout 60m ./...
 
-# Hot-path allocation gate (also part of `make test`): committed New-Order
-# and Payment transactions must heap-allocate nothing. Race-free leg only —
-# AllocsPerRun is unreliable under the race detector, so the test carries
-# a !race build tag.
+# Allocation gate (also part of `make test`): committed New-Order and
+# Payment transactions must heap-allocate nothing at one worker, and two
+# workers contending for one warehouse under half an allocation per
+# committed transaction. Race-free leg only — AllocsPerRun is unreliable
+# under the race detector, so the test carries a !race build tag.
 alloc-gate:
 	go test ./internal/engine/db/ -run TestHotPathAllocationFree -v
+
+# The engine benchmark (BENCHMARK.json) is a Go module of its own inside
+# internal/bench, so `go build ./... && go test ./...` at the root never
+# compiles it. Vet and test it against the engine's current public surface:
+# a root-module change that breaks what the benchmark calls fails here.
+bench-module:
+	cd internal/bench && go vet ./... && go test ./...
 
 # Engine<->model cross-validation: run the TPC-C mix on the real engine
 # with the buffer reference stream tapped, replay it through the LRU stack
@@ -91,15 +99,15 @@ bench-sweep:
 bench-kernel:
 	go run ./cmd/tpcc-repro -bench-kernel BENCH_kernel.json
 
-# Compare per-commit force vs leader/follower group commit at 1/2/4/8
-# workers and record throughput, commit-latency quantiles, and
-# forces-per-commit in BENCH_commit.json.
+# Compare one force per commit vs group commit at 1/2/4/8 workers on a log
+# device that costs 1 ms a force, and record throughput, commit-latency
+# quantiles, and forces per writing commit in BENCH_commit.json.
 bench-commit:
 	go run ./cmd/tpcc-engine -bench-commit BENCH_commit.json
 
 # Engine throughput-vs-workers benchmark: the same grouped-vs-ungrouped
-# grid with the whole warehouse buffer-resident, measuring the hot
-# execution path (txns/sec, allocs/txn) rather than pool churn; records
+# grid on a free device with the whole warehouse buffer-resident,
+# measuring the hot execution path (txns/sec, allocs/txn) rather than pool churn; records
 # BENCH_engine.json.
 bench-engine:
 	go run ./cmd/tpcc-engine -bench-engine BENCH_engine.json

@@ -1,13 +1,13 @@
 // Command tpcc-engine runs the executable TPC-C engine — the system the
 // paper models but never built — and reports measured per-relation buffer
 // miss rates, transaction counts, lock statistics, commit-latency
-// quantiles, and optionally a crash/recovery cycle. Group commit is on by
-// default: committing transactions enqueue as durability waiters and a
-// batch leader issues one log force for the whole batch, so forces per
-// commit drop below 1 under concurrency (disable with -group-commit=false
-// to reproduce the model's one-log-I/O-per-transaction accounting). With
-// -validate it runs the trace-driven buffer simulation at the same scale
-// and prints the miss rates side by side.
+// quantiles, and optionally a crash/recovery cycle. Commits release their
+// locks at pre-commit and then wait for the log; group commit is on by
+// default, so a force covers every record buffered while the previous one
+// was at the device and forces per commit drop below 1 under concurrency
+// (disable with -group-commit=false for the model's one log I/O per
+// committing writer). With -validate it runs the trace-driven buffer
+// simulation at the same scale and prints the miss rates side by side.
 //
 // Usage:
 //
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"tpccmodel/internal/cliutil"
@@ -49,17 +50,15 @@ func main() {
 		seed        = flag.Uint64("seed", 1993, "random seed")
 		crash       = flag.Bool("crash", false, "crash and recover after the run, verifying invariants")
 		validate    = flag.Bool("validate", false, "also run the trace-driven simulation and compare miss rates")
-		groupCommit = flag.Bool("group-commit", true, "batch commit forces (leader/follower group commit)")
-		gcBatch     = flag.Int("gc-max-batch", 64, "max commit/abort records per group-commit force")
-		gcHold      = flag.Duration("gc-max-hold", 200*time.Microsecond, "max time a batch leader waits for followers")
-		gcAdaptive  = flag.Bool("gc-adaptive", true, "scale the leader's hold to observed commit arrivals (a solo committer forces immediately)")
+		groupCommit = flag.Bool("group-commit", true, "share log forces: a force covers everything pre-committed while the previous one ran")
+		gcBatch     = flag.Int("gc-max-batch", 64, "wal.GroupConfig.MaxBatch; any value above 1 enables batching")
 		lockStripes = flag.Int("lock-stripes", 0, "lock-manager stripes, rounded up to a power of two (0 = default 64, 1 = single global table)")
 		bufParts    = flag.Int("buffer-partitions", 0, "buffer-pool partitions, rounded up to a power of two (0 = 1, the unified pool)")
 		benchCommit = flag.String("bench-commit", "", "instead of a single run, benchmark grouped vs ungrouped commit at 1/2/4/8 workers and write this JSON report")
 		benchEngine = flag.String("bench-engine", "", "instead of a single run, benchmark engine throughput and allocations at 1/2/4/8 workers (grouped and ungrouped) and write this JSON report")
 		benchScale  = flag.String("bench-scale", "", "instead of a single run, benchmark workers x {striped,global-lock} x {partitioned,unified-pool} and write this JSON report")
 		benchCC     = flag.String("bench-cc", "", "instead of a single run, benchmark 2pl vs mvcc vs ssi at 1/2/4/8 workers with per-type abort rates and write this JSON report")
-		commitSmoke = flag.Bool("commit-smoke", false, "CI smoke: reduced grouped-vs-ungrouped cells at 1/2/4/8 workers; exit 1 unless grouped throughput keeps up and batching engages")
+		commitSmoke = flag.Bool("commit-smoke", false, "CI smoke: reduced grouped-vs-ungrouped cells at 1/2/4/8 workers on a 1 ms log device; exit 1 unless ungrouped forces once per writing commit, grouped batches and keeps up, and read-only commits force nothing")
 		scaleSmoke  = flag.Bool("scale-smoke", false, "CI smoke: reduced striped-vs-global cells; exit 1 if striping costs >5% at 1 worker (multi-worker ratios are recorded, not gated)")
 		ccSmoke     = flag.Bool("cc-smoke", false, "CI smoke: write-skew certification plus reduced 2pl/mvcc/ssi cells; exit 1 unless single-worker state hashes match across modes and snapshot-mode throughput keeps up")
 		ccFlag      = flag.String("cc", "2pl", "concurrency control mode: 2pl (shared read locks), mvcc (snapshot reads, first-committer-wins) or ssi (mvcc plus serializability validation)")
@@ -88,7 +87,7 @@ func main() {
 		fatal(err)
 	}
 
-	gcfg := wal.GroupConfig{MaxBatch: *gcBatch, MaxHold: *gcHold, AdaptiveHold: *gcAdaptive}
+	gcfg := wal.GroupConfig{MaxBatch: *gcBatch}
 	group := wal.GroupConfig{}
 	if *groupCommit {
 		group = gcfg
@@ -176,11 +175,7 @@ func main() {
 
 	mode := "per-commit force"
 	if group.Enabled() {
-		hold := "fixed"
-		if group.AdaptiveHold {
-			hold = "adaptive"
-		}
-		mode = fmt.Sprintf("group commit (batch<=%d, hold<=%v %s)", group.MaxBatch, group.MaxHold, hold)
+		mode = "group commit"
 	}
 	fmt.Printf("# engine run: %d txns, %d workers, %d-page pool, %s, %v, %s\n",
 		*txns, *workers, *bufferPages, ccMode, st.Elapsed.Round(time.Millisecond), mode)
@@ -264,26 +259,48 @@ type commitCell struct {
 	Commits         int64   `json:"commits"`
 	Aborts          int64   `json:"aborts"`
 	LogForces       int64   `json:"log_forces"`
+	LogWaits        int64   `json:"log_waits"`
 	ForcesPerCommit float64 `json:"forces_per_commit"`
 	AllocsPerTxn    float64 `json:"allocs_per_txn"`
 	P50Micros       int64   `json:"p50_us"`
 	P95Micros       int64   `json:"p95_us"`
 	P99Micros       int64   `json:"p99_us"`
 	MeanMicros      int64   `json:"mean_us"`
+
+	acked int64 // acknowledged transactions, for the parity gate
 }
 
-// runCommitCell loads a fresh single-warehouse instance and measures one
-// (workers, grouped) cell of the commit-path benchmark. allocs_per_txn is
-// a process-wide mallocs delta over the measured run — it includes runner
-// bookkeeping and is an observability metric, not the alloc-free gate
-// (that lives in the db package's allocation test).
-func runCommitCell(seed uint64, txns, warmup, workers, pages int, group wal.GroupConfig) (commitCell, error) {
-	opts := db.Options{}
-	grouped := group.Enabled()
-	if grouped {
-		opts.GroupCommit = group
+// commitForceCost is what a log force costs in the commit-path cells. On
+// a free device there is nothing for group commit to amortise and nothing
+// for early lock release to overlap; time.Sleep cannot wait much less.
+const commitForceCost = time.Millisecond
+
+// sleepLog is a log device with a service time: every force sleeps for it
+// (once charging is switched on, so loading and warm-up stay free) and is
+// counted.
+type sleepLog struct {
+	cost   atomic.Int64 // nanoseconds
+	forces atomic.Int64
+}
+
+func (s *sleepLog) BeforeForce(int) error {
+	s.forces.Add(1)
+	if c := s.cost.Load(); c > 0 {
+		time.Sleep(time.Duration(c))
 	}
-	d, err := db.OpenWith(db.Config{Warehouses: 1, PageSize: 4096, BufferPages: pages}, opts)
+	return nil
+}
+
+// runCommitCell loads a fresh single-warehouse instance whose log force
+// costs forceCost and measures one (workers, grouped) cell.
+// forces_per_commit is forces over the commits that waited for one (the
+// writers); allocs_per_txn is a process-wide mallocs delta over the
+// measured run — it includes runner bookkeeping and is an observability
+// metric, not the allocation gate (that lives in the db package's test).
+func runCommitCell(seed uint64, txns, warmup, workers, pages int, group wal.GroupConfig, forceCost time.Duration) (commitCell, error) {
+	dev := &sleepLog{}
+	d, err := db.OpenWith(db.Config{Warehouses: 1, PageSize: 4096, BufferPages: pages},
+		db.Options{GroupCommit: group, LogHook: dev})
 	if err != nil {
 		return commitCell{}, err
 	}
@@ -301,6 +318,7 @@ func runCommitCell(seed uint64, txns, warmup, workers, pages int, group wal.Grou
 	runtime.GC()
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
+	dev.cost.Store(int64(forceCost))
 	st, err := db.RunConcurrentPolicy(d, seed+2, mix, txns, workers, db.DefaultRetryPolicy())
 	if err != nil {
 		return commitCell{}, err
@@ -308,18 +326,20 @@ func runCommitCell(seed uint64, txns, warmup, workers, pages int, group wal.Grou
 	runtime.ReadMemStats(&msAfter)
 	return commitCell{
 		Workers:         workers,
-		Grouped:         grouped,
+		Grouped:         group.Enabled(),
 		TxnsPerSec:      float64(txns) / st.Elapsed.Seconds(),
 		TpmC:            st.TpmC(),
 		Commits:         st.Commits,
 		Aborts:          st.Aborts,
 		LogForces:       st.LogForces,
+		LogWaits:        st.LogWaits,
 		ForcesPerCommit: st.ForcesPerCommit(),
 		AllocsPerTxn:    float64(msAfter.Mallocs-msBefore.Mallocs) / float64(txns),
 		P50Micros:       st.Latency.P50.Microseconds(),
 		P95Micros:       st.Latency.P95.Microseconds(),
 		P99Micros:       st.Latency.P99.Microseconds(),
 		MeanMicros:      st.Latency.Mean.Microseconds(),
+		acked:           st.Acknowledged(),
 	}, nil
 }
 
@@ -329,32 +349,26 @@ type benchReport struct {
 	Warehouses int          `json:"warehouses"`
 	Txns       int          `json:"txns_per_cell"`
 	MaxBatch   int          `json:"gc_max_batch"`
-	MaxHoldUS  int64        `json:"gc_max_hold_us"`
-	Adaptive   bool         `json:"gc_adaptive"`
+	ForceUS    int64        `json:"log_force_us"`
 	Cells      []commitCell `json:"cells"`
 }
 
 // runBenchGrid measures grouped vs ungrouped cells at 1/2/4/8 workers on
 // fresh instances and writes the JSON report extending the BENCH_*
 // trajectory.
-func runBenchGrid(tag, path string, seed uint64, txns, warmup, pages int, group wal.GroupConfig) error {
+func runBenchGrid(tag, path string, seed uint64, txns, warmup, pages int, group wal.GroupConfig, forceCost time.Duration) error {
 	rep := benchReport{
 		Hardware:   cliutil.HardwareInfo(),
 		Warehouses: 1,
 		Txns:       txns,
 		MaxBatch:   group.MaxBatch,
-		MaxHoldUS:  group.MaxHold.Microseconds(),
-		Adaptive:   group.AdaptiveHold,
+		ForceUS:    forceCost.Microseconds(),
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, grouped := range []bool{false, true} {
-			g := wal.GroupConfig{}
-			if grouped {
-				g = group
-			}
-			cell, err := runCommitCell(seed, txns, warmup, workers, pages, g)
+		for _, g := range []wal.GroupConfig{{}, group} {
+			cell, err := runCommitCell(seed, txns, warmup, workers, pages, g, forceCost)
 			if err != nil {
-				return fmt.Errorf("workers=%d grouped=%v: %w", workers, grouped, err)
+				return fmt.Errorf("workers=%d grouped=%v: %w", workers, g.Enabled(), err)
 			}
 			fmt.Fprintf(os.Stderr,
 				"%s: workers=%d grouped=%-5v tpmC=%-8.0f forces/commit=%.3f allocs/txn=%.1f p99=%dus\n",
@@ -371,26 +385,44 @@ func runBenchGrid(tag, path string, seed uint64, txns, warmup, pages int, group 
 }
 
 // runBenchCommit writes the commit-path report (BENCH_commit.json): the
-// grouped-vs-ungrouped grid at the pool size the commit benchmarks have
-// always used.
+// grouped-vs-ungrouped grid on a log device that costs commitForceCost a
+// force, at the pool size the commit benchmarks have always used.
 func runBenchCommit(path string, seed uint64, group wal.GroupConfig) error {
-	return runBenchGrid("bench-commit", path, seed, 8000, 500, 8192, group)
+	return runBenchGrid("bench-commit", path, seed, 4000, 500, 8192, group, commitForceCost)
 }
 
 // runBenchEngine writes the engine throughput report (BENCH_engine.json):
-// the same grid with the whole warehouse buffer-resident, so the cells
-// measure the hot execution path (and its allocs/txn) rather than pool
-// churn.
+// the same grid on a free device with the whole warehouse buffer-resident,
+// so the cells measure the hot execution path (and its allocs/txn) rather
+// than pool churn or the log.
 func runBenchEngine(path string, seed uint64, group wal.GroupConfig) error {
-	return runBenchGrid("bench-engine", path, seed, 10000, 1000, 32768, group)
+	return runBenchGrid("bench-engine", path, seed, 10000, 1000, 32768, group, 0)
+}
+
+// checkCommitCells applies the commit path's gates to one worker count's
+// ungrouped/grouped pair, live or checked in: without batching every
+// writing commit forces exactly once; with it, two or more workers share
+// forces; and sharing costs no throughput.
+func checkCommitCells(ungrouped, grouped commitCell) error {
+	workers := ungrouped.Workers
+	if ungrouped.ForcesPerCommit != 1 {
+		return fmt.Errorf("ungrouped forces per writing commit = %.4f at %d workers, want exactly 1",
+			ungrouped.ForcesPerCommit, workers)
+	}
+	if workers >= 2 && grouped.ForcesPerCommit >= 1 {
+		return fmt.Errorf("grouped forces per writing commit = %.4f at %d workers, want < 1",
+			grouped.ForcesPerCommit, workers)
+	}
+	if grouped.TpmC < 0.9*ungrouped.TpmC {
+		return fmt.Errorf("grouped tpmC %.0f < 0.9 x ungrouped %.0f at %d workers",
+			grouped.TpmC, ungrouped.TpmC, workers)
+	}
+	return nil
 }
 
 // checkBenchReport validates a checked-in BENCH_commit.json against the
-// CLI defaults and the batching thresholds, so the committed evidence
-// cannot drift from the code: its knobs must equal the gc-max-batch /
-// gc-max-hold flag defaults, grouped throughput must stay within 10% of
-// ungrouped at every worker count, and batching must engage (forces per
-// commit < 1) wherever two or more workers share the log.
+// CLI default and the gates the live smoke applies, so the committed
+// evidence cannot drift from the code.
 func checkBenchReport(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -405,13 +437,9 @@ func checkBenchReport(path string) error {
 		return fmt.Errorf("%s: gc_max_batch %s does not match the CLI default %s — regenerate with make bench-commit",
 			path, got, defBatch)
 	}
-	defHold, err := time.ParseDuration(flag.Lookup("gc-max-hold").DefValue)
-	if err != nil {
-		return err
-	}
-	if rep.MaxHoldUS != defHold.Microseconds() {
-		return fmt.Errorf("%s: gc_max_hold_us %d does not match the CLI default %v — regenerate with make bench-commit",
-			path, rep.MaxHoldUS, defHold)
+	if rep.ForceUS != commitForceCost.Microseconds() {
+		return fmt.Errorf("%s: log_force_us %d, want %d — regenerate with make bench-commit",
+			path, rep.ForceUS, commitForceCost.Microseconds())
 	}
 	byWorkers := map[int]map[bool]commitCell{}
 	for _, c := range rep.Cells {
@@ -425,67 +453,44 @@ func checkBenchReport(path string) error {
 		if !ok || len(pair) != 2 {
 			return fmt.Errorf("%s: missing grouped/ungrouped pair at %d workers", path, workers)
 		}
-		grouped, ungrouped := pair[true], pair[false]
-		if grouped.TpmC < 0.9*ungrouped.TpmC {
-			return fmt.Errorf("%s: grouped tpmC %.0f < 0.9 x ungrouped %.0f at %d workers",
-				path, grouped.TpmC, ungrouped.TpmC, workers)
-		}
-		if workers >= 2 && grouped.ForcesPerCommit >= 1 {
-			return fmt.Errorf("%s: grouped forces per commit %.4f at %d workers, want < 1",
-				path, grouped.ForcesPerCommit, workers)
+		if err := checkCommitCells(pair[false], pair[true]); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-// runCommitSmoke is the CI gate for the group-commit path. Live reduced
-// cells at 1/2/4/8 workers must show: ungrouped forcing exactly once per
-// record, grouped batching (forces per commit < 1) at 2+ workers, and
-// grouped throughput within 10% of ungrouped at every worker count — the
-// single-worker cell is exactly the configuration where a fixed leader
-// hold collapses throughput, so it is the regression gate for that bug.
-// The throughput comparison is the best of 3 paired ratios: short cells
-// on a shared CI core see ±20% scheduler noise — far more than the
-// regression this gate exists to catch (a collapsing hold loses 3-10x,
-// not 10%) — so each iteration runs ungrouped and grouped back-to-back
-// (adjacent runs see similar machine state, cancelling drift) and the
-// gate requires at least one of the three paired ratios to reach 0.9.
-// With benchFile set, the checked-in report is validated too.
+// runCommitSmoke is the CI gate for the commit path, on a log device that
+// costs commitForceCost a force. Reduced cells at 1/2/4/8 workers must
+// pass checkCommitCells and acknowledge every transaction in both modes;
+// and read-only transactions must neither write a log record
+// nor force when nothing is pending. Cells are device-bound, so one run
+// each tells the modes apart. With benchFile set, the checked-in report
+// is validated too.
 func runCommitSmoke(seed uint64, group wal.GroupConfig, benchFile string) error {
-	const txns, warmup, runs = 4000, 400, 3
+	const txns, warmup = 1000, 200
 	fmt.Printf("mode\tworkers\tforces_per_commit\ttpmc\tp99_us\n")
 	for _, workers := range []int{1, 2, 4, 8} {
-		var ungrouped, grouped commitCell
-		bestRatio := -1.0
-		for i := 0; i < runs; i++ {
-			u, err := runCommitCell(seed+uint64(i), txns, warmup, workers, 8192, wal.GroupConfig{})
-			if err != nil {
-				return err
-			}
-			g, err := runCommitCell(seed+uint64(i), txns, warmup, workers, 8192, group)
-			if err != nil {
-				return err
-			}
-			if u.ForcesPerCommit != 1 {
-				return fmt.Errorf("ungrouped forces per commit = %.4f at %d workers, want exactly 1",
-					u.ForcesPerCommit, workers)
-			}
-			if workers >= 2 && g.ForcesPerCommit >= 1 {
-				return fmt.Errorf("grouped forces per commit = %.4f at %d workers, want < 1",
-					g.ForcesPerCommit, workers)
-			}
-			if r := g.TpmC / u.TpmC; r > bestRatio {
-				bestRatio, ungrouped, grouped = r, u, g
-			}
+		u, err := runCommitCell(seed, txns, warmup, workers, 8192, wal.GroupConfig{}, commitForceCost)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("ungrouped\t%d\t%.4f\t%.0f\t%d\n", workers,
-			ungrouped.ForcesPerCommit, ungrouped.TpmC, ungrouped.P99Micros)
-		fmt.Printf("grouped\t%d\t%.4f\t%.0f\t%d\n", workers,
-			grouped.ForcesPerCommit, grouped.TpmC, grouped.P99Micros)
-		if bestRatio < 0.9 {
-			return fmt.Errorf("grouped tpmC %.0f < 0.9 x ungrouped %.0f at %d workers (best of %d paired runs)",
-				grouped.TpmC, ungrouped.TpmC, workers, runs)
+		g, err := runCommitCell(seed, txns, warmup, workers, 8192, group, commitForceCost)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("ungrouped\t%d\t%.4f\t%.0f\t%d\n", workers, u.ForcesPerCommit, u.TpmC, u.P99Micros)
+		fmt.Printf("grouped\t%d\t%.4f\t%.0f\t%d\n", workers, g.ForcesPerCommit, g.TpmC, g.P99Micros)
+		if err := checkCommitCells(u, g); err != nil {
+			return err
+		}
+		if u.acked != txns || g.acked != txns {
+			return fmt.Errorf("acknowledged %d ungrouped and %d grouped of %d transactions at %d workers",
+				u.acked, g.acked, txns, workers)
+		}
+	}
+	if err := checkReadOnlyCommits(seed, group); err != nil {
+		return err
 	}
 	if benchFile != "" {
 		if err := checkBenchReport(benchFile); err != nil {
@@ -494,6 +499,35 @@ func runCommitSmoke(seed uint64, group wal.GroupConfig, benchFile string) error 
 		fmt.Printf("bench-report\t%s\tok\n", benchFile)
 	}
 	fmt.Println("commit-smoke: ok")
+	return nil
+}
+
+// checkReadOnlyCommits runs Order-Status and Stock-Level alone, in every
+// concurrency-control mode: with no writer's record pending they must
+// commit without a log wait and without a force.
+func checkReadOnlyCommits(seed uint64, group wal.GroupConfig) error {
+	mix := tpcc.Mix{core.TxnOrderStatus: 0.5, core.TxnStockLevel: 0.5}
+	for _, cc := range []db.CCMode{db.CC2PL, db.CCMVCC, db.CCSSI} {
+		dev := &sleepLog{}
+		d, err := db.OpenWith(db.Config{Warehouses: 1, PageSize: 4096, BufferPages: 8192, CC: cc},
+			db.Options{GroupCommit: group, LogHook: dev})
+		if err != nil {
+			return err
+		}
+		if err := d.Load(seed); err != nil {
+			return err
+		}
+		dev.cost.Store(int64(commitForceCost))
+		st, err := db.RunConcurrentPolicy(d, seed+2, mix, 400, 2, db.DefaultRetryPolicy())
+		if err != nil {
+			return err
+		}
+		if st.Commits != 400 || st.LogWaits != 0 || dev.forces.Load() != 0 {
+			return fmt.Errorf("%s: %d read-only commits waited for the log %d times and forced it %d times, want 400, 0, 0",
+				cc, st.Commits, st.LogWaits, dev.forces.Load())
+		}
+		fmt.Printf("read-only\t%s\t%d commits\t0 forces\n", cc, st.Commits)
+	}
 	return nil
 }
 

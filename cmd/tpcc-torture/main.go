@@ -40,10 +40,8 @@ func main() {
 		writeErr    = flag.Float64("write-err", def.Faults.WriteErrProb, "transient write error probability")
 		forceErr    = flag.Float64("force-err", def.Faults.ForceErrProb, "log force error probability")
 		flip        = flag.Float64("flip", def.Faults.BitFlipProb, "silent bit-flip probability per page write")
-		groupCommit = flag.Bool("group-commit", true, "batch commit forces (leader/follower group commit)")
-		gcBatch     = flag.Int("gc-max-batch", 16, "max commit/abort records per group-commit force")
-		gcHold      = flag.Duration("gc-max-hold", 200*time.Microsecond, "max time a batch leader waits for followers")
-		gcAdaptive  = flag.Bool("gc-adaptive", true, "scale the leader's hold to observed commit arrivals (a solo committer forces immediately)")
+		groupCommit = flag.Bool("group-commit", true, "share log forces: a force covers everything pre-committed while the previous one ran")
+		gcBatch     = flag.Int("gc-max-batch", 16, "wal.GroupConfig.MaxBatch; any value above 1 enables batching")
 		verbose     = flag.Bool("v", false, "print per-schedule results")
 	)
 	flag.Parse()
@@ -78,7 +76,7 @@ func main() {
 	}
 	if *groupCommit {
 		cliutil.RequirePositive(tool, "gc-max-batch", int64(*gcBatch))
-		cfg.GroupCommit = wal.GroupConfig{MaxBatch: *gcBatch, MaxHold: *gcHold, AdaptiveHold: *gcAdaptive}
+		cfg.GroupCommit = wal.GroupConfig{MaxBatch: *gcBatch}
 	}
 
 	start := time.Now()

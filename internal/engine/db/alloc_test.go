@@ -7,16 +7,19 @@
 package db
 
 import (
+	"runtime"
 	"testing"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/lock"
+	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
 )
 
 // TestHotPathAllocationFree gates the engine hot path at zero heap
-// allocations per committed transaction in BOTH concurrency-control
-// modes: testing.AllocsPerRun must report exactly 0 for New-Order and
+// allocations per committed transaction in all three concurrency-control
+// modes, and the blocking path at a fraction of one (the contended cell,
+// below). testing.AllocsPerRun must report exactly 0 for New-Order and
 // for Payment (both the by-id and the by-name customer select) on the
 // non-group-commit path. Under mvcc that additionally covers snapshot
 // begin/commit, version-chain installation (per-chain arenas plus chain
@@ -38,6 +41,55 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}
 	for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {
 		t.Run(cc.String(), func(t *testing.T) { testHotPathAllocationFree(t, cc) })
+	}
+	t.Run("contended", testContendedPathAllocations)
+}
+
+// testContendedPathAllocations is the gate's contended cell: two workers
+// run the full mix against ONE warehouse under 2PL with batching on, so
+// they queue on the warehouse and district rows and on each other's log
+// force. Blocking must cost no allocation either — lock waits reuse pooled
+// request records, commits wait on the log's one condition variable — so
+// the whole run, the three transaction types the single-worker gate does
+// not cover and the runners' own bookkeeping included, stays under half an
+// allocation per committed transaction (it was 6.4 when every lock wait
+// allocated a request, a channel and two maps, and every grouped commit a
+// waiter and a channel).
+func testContendedPathAllocations(t *testing.T) {
+	d, err := OpenWith(Config{
+		Warehouses: 1, PageSize: 4096, BufferPages: 32768,
+		LockStripes: lock.DefaultStripes, BufferPartitions: 8,
+	}, Options{LogHook: yieldingLog{}, GroupCommit: wal.GroupConfig{MaxBatch: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Load(1); err != nil {
+		t.Fatal(err)
+	}
+	d.log.Grow(128 << 20)
+	const txns, workers = 6000, 2
+	run := func(seed uint64) RunStats {
+		st, err := RunConcurrentPolicy(d, seed, tpcc.DefaultMix(), txns, workers, DefaultRetryPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	run(11) // warm the pools: sessions, undo arenas, request records, index chunks
+	_, waits0, _ := d.LockCounts()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := run(12)
+	runtime.ReadMemStats(&after)
+	_, waits, _ := d.LockCounts()
+	if waits-waits0 < txns/100 {
+		t.Fatalf("only %d lock waits in %d transactions: the cell is not contended", waits-waits0, txns)
+	}
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(st.Commits)
+	t.Logf("%d commits, %d lock waits, %d retries, forces/commit %.2f, %.3f allocs/txn",
+		st.Commits, waits-waits0, st.Retries, st.ForcesPerCommit(), perTxn)
+	if perTxn >= 0.5 {
+		t.Errorf("%.3f allocs per committed transaction on the contended path, want < 0.5", perTxn)
 	}
 }
 

@@ -298,8 +298,8 @@ type Options struct {
 	Disk storage.DiskIO
 	// LogHook intercepts log forces; nil means a perfect log device.
 	LogHook wal.FaultHook
-	// GroupCommit configures WAL commit batching; the zero value keeps
-	// the seed behavior of one forced log write per commit/abort.
+	// GroupCommit switches WAL commit batching on; the zero value keeps
+	// one log force per committing writer.
 	GroupCommit wal.GroupConfig
 	// LockWaitTimeout bounds row-lock waits (0 = wait forever). Sharded
 	// execution must set it: cross-shard deadlock cycles are invisible to
@@ -409,9 +409,8 @@ func (d *DB) SetBufferTap(fn bufmgr.Tap) { d.buf.SetTap(fn) }
 // LockCounts exposes the lock manager's counters.
 func (d *DB) LockCounts() (acquired, waits, deadlocks int64) { return d.locks.Counts() }
 
-// LogForces returns the number of forced log writes issued for
-// commit/abort records: one per record with per-commit forcing, one per
-// batch under group commit.
+// LogForces returns the number of log forces committers issued: one per
+// waited-for record without batching, fewer as group commit shares them.
 func (d *DB) LogForces() int64 { return d.log.Forces() }
 
 // SetGroupCommit reconfigures WAL commit batching (zero value disables).
@@ -568,10 +567,6 @@ func (d *DB) Recover() error {
 	if err != nil {
 		return err
 	}
-	// Transactions open at the crash never deregistered; clear the log's
-	// active-committer count so the adaptive group-commit heuristic does
-	// not hold for ghosts.
-	d.log.ResetActive()
 	// Recovery rebuilt the heaps to committed state, so no version chain
 	// carries information any longer; ghost snapshots die with the crash.
 	if d.ccMVCC {

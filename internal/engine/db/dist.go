@@ -54,12 +54,9 @@ func (b *Branch) GID() uint64 { return b.gid }
 // edge graph; no global cycle detection), the same honesty caveat as the
 // per-shard snapshot cut.
 func (b *Branch) Prepare() error {
-	if b.t.d.ccSSI && !b.t.ssiChecked {
-		if err := b.t.d.mvcc.PreCommit(&b.t.mv); err != nil {
-			_ = b.t.rollbackWith(b.gid)
-			return ErrSSIAbort
-		}
-		b.t.ssiChecked = true
+	if err := b.t.validate(); err != nil {
+		_ = b.t.rollbackWith(b.gid)
+		return ErrSSIAbort
 	}
 	if _, err := b.t.d.log.Append(wal.Record{
 		Txn: uint64(b.t.id), Type: wal.RecPrepare, RID: b.gid,
@@ -96,7 +93,6 @@ func (b *Branch) Forsake() {
 		// recovery path resets the whole store anyway.
 		b.t.d.mvcc.Abort(&b.t.mv, nil)
 	}
-	b.t.end()
 	b.t.d.locks.ReleaseAll(b.t.id)
 }
 
@@ -221,7 +217,7 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 		}
 		d.commits.Add(1)
 	} else {
-		_, _ = d.log.Append(wal.Record{Txn: b.Txn, Type: wal.RecAbort, RID: gid})
+		_, _, _ = d.log.PreCommit(wal.Record{Txn: b.Txn, Type: wal.RecAbort, RID: gid})
 		d.aborts.Add(1)
 	}
 	d.locks.ReleaseAll(lock.TxnID(b.Txn))

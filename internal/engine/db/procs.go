@@ -190,10 +190,7 @@ func (s *Session) NewOrder(in NewOrderInput) (NewOrderResult, error) {
 	}
 
 	res.OID = oid
-	if err := t.commit(); err != nil {
-		return res, t.fail(err)
-	}
-	return res, nil
+	return res, t.commit()
 }
 
 // PaymentInput parameterizes the Payment transaction. The paying customer
@@ -301,10 +298,7 @@ func (s *Session) Payment(in PaymentInput) error {
 		return t.fail(err)
 	}
 
-	if err := t.commit(); err != nil {
-		return t.fail(err)
-	}
-	return nil
+	return t.commit()
 }
 
 // middleCustomerByName implements the benchmark's non-unique select: all
@@ -398,10 +392,7 @@ func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 		k, orid, ok := d.custOrderIdx.max(hi)
 		if !ok || k < lo {
 			// No order visible (cannot happen after a standard load).
-			if err := t.commit(); err != nil {
-				return res, t.fail(err)
-			}
-			return res, nil
+			return res, t.commit()
 		}
 		oid = int64(k & (1<<28 - 1))
 		okey := index.KeyWDO(in.W, in.D, oid)
@@ -439,10 +430,7 @@ func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 		res.Lines++
 	}
 
-	if err := t.commit(); err != nil {
-		return res, t.fail(err)
-	}
-	return res, nil
+	return res, t.commit()
 }
 
 // DeliveryInput parameterizes the Delivery transaction.
@@ -481,10 +469,7 @@ func (s *Session) Delivery(in DeliveryInput) (DeliveryResult, error) {
 			res.Skipped++
 		}
 	}
-	if err := t.commit(); err != nil {
-		return res, t.fail(err)
-	}
-	return res, nil
+	return res, t.commit()
 }
 
 func (d *DB) deliverDistrict(t *txn, in DeliveryInput, dist int64) (bool, error) {
@@ -674,7 +659,7 @@ func (s *Session) StockLevel(in StockLevelInput) (int, error) {
 		}
 	}
 	if err := t.commit(); err != nil {
-		return 0, t.fail(err)
+		return 0, err
 	}
 	return low, nil
 }

@@ -326,9 +326,11 @@ func (rn *Runner) backoff(attempt int) {
 	time.Sleep(jittered)
 }
 
-// retriable reports whether the failure is worth another attempt.
+// retriable reports whether the failure is worth another attempt. A commit
+// of unknown outcome never is: the transaction was not rolled back.
 func retriable(err error) bool {
-	return errors.Is(err, ErrAborted) || errors.Is(err, storage.ErrTransientIO)
+	return !errors.Is(err, ErrCommitUnknown) &&
+		(errors.Is(err, ErrAborted) || errors.Is(err, storage.ErrTransientIO))
 }
 
 // paymentAmountCents draws the Payment amount uniformly from the
@@ -523,10 +525,12 @@ type RunStats struct {
 	Crashed bool
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Commits, Aborts, and LogForces are the engine-counter deltas over
-	// the run; LogForces < Commits+Aborts means group commit amortized
-	// log I/O across transactions.
-	Commits, Aborts, LogForces int64
+	// Commits, Aborts, LogForces and LogWaits are the engine-counter
+	// deltas over the run. LogWaits counts the commits that waited for
+	// their record to be durable (read-only commits and aborts write
+	// nothing that needs forcing); LogForces < LogWaits means group commit
+	// amortized log I/O across transactions.
+	Commits, Aborts, LogForces, LogWaits int64
 	// Latency summarizes acknowledged-transaction response time across
 	// all workers.
 	Latency LatencyStats
@@ -553,12 +557,12 @@ func (s RunStats) TpmC() float64 {
 	return float64(s.Counts[core.TxnNewOrder]) / s.Elapsed.Minutes()
 }
 
-// ForcesPerCommit returns log forces per commit/abort record: exactly 1
-// with per-commit forcing, strictly below 1 when group commit batched
-// (0 when nothing committed).
+// ForcesPerCommit returns log forces per commit that waited for one:
+// exactly 1 with per-commit forcing, strictly below 1 when group commit
+// batched (0 when nothing committed).
 func (s RunStats) ForcesPerCommit() float64 {
-	if n := s.Commits + s.Aborts; n > 0 {
-		return float64(s.LogForces) / float64(n)
+	if s.LogWaits > 0 {
+		return float64(s.LogForces) / float64(s.LogWaits)
 	}
 	return 0
 }
@@ -581,7 +585,7 @@ func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, p
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	var crashed atomic.Bool
-	commits0, aborts0, forces0 := d.Commits(), d.Aborts(), d.LogForces()
+	commits0, aborts0, forces0, waits0 := d.Commits(), d.Aborts(), d.LogForces(), d.log.Waits()
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		rn := NewRunner(d, base.Uint64(), mix)
@@ -616,6 +620,7 @@ func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, p
 	st.Commits = d.Commits() - commits0
 	st.Aborts = d.Aborts() - aborts0
 	st.LogForces = d.LogForces() - forces0
+	st.LogWaits = d.log.Waits() - waits0
 	latHist := stats.NewHistogram(latBucketWidthMicros, latBuckets)
 	var latW stats.Welford
 	var typeHists [core.NumTxnTypes]*stats.Histogram

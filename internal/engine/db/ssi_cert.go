@@ -113,7 +113,7 @@ func WriteSkewWitness(cc CCMode) (bool, error) {
 			return false, nil
 		}
 		if err := tx.commit(); err != nil {
-			if ferr := tx.fail(err); errors.Is(ferr, ErrAborted) {
+			if errors.Is(err, ErrAborted) { // commit rolled the pivot back
 				return false, nil
 			}
 			return false, err

@@ -88,9 +88,6 @@ type txn struct {
 	undo []undoOp
 	// arena backs the before-images referenced by undo entries.
 	arena []byte
-	// ended guards the log's active-committer counter: begin registers
-	// the transaction, the first of commit/rollback/forsake deregisters.
-	ended bool
 
 	// buf and img are tuple-sized scratch: procs read and marshal
 	// through them instead of allocating per record. Sized for the
@@ -118,16 +115,12 @@ type txn struct {
 	ssiChecked bool
 }
 
-// reset prepares t for a new transaction, reusing its scratch, and
-// registers it with the log's active-committer counter (the adaptive
-// group-commit leader holds only while another registered transaction
-// could still arrive).
+// reset prepares t for a new transaction, reusing its scratch.
 func (t *txn) reset(d *DB) {
 	t.d = d
 	t.id = lock.TxnID(d.txnSeq.Add(1))
 	t.undo = t.undo[:0]
 	t.arena = t.arena[:0]
-	t.ended = false
 	if t.buf == nil {
 		t.buf = make([]byte, tpcc.TupleLen[core.Customer])
 		t.img = make([]byte, tpcc.TupleLen[core.Customer])
@@ -136,16 +129,6 @@ func (t *txn) reset(d *DB) {
 	if d.ccMVCC {
 		// Take the snapshot and pay down this slot's pruning debt.
 		d.mvcc.Begin(&t.mv, &t.retired)
-	}
-	d.log.TxnStart()
-}
-
-// end deregisters the transaction from the log's active-committer
-// counter, exactly once.
-func (t *txn) end() {
-	if !t.ended {
-		t.ended = true
-		t.d.log.TxnEnd()
 	}
 }
 
@@ -164,54 +147,89 @@ func (t *txn) lockRow(rel core.Relation, row uint64, mode lock.Mode) error {
 	return nil
 }
 
-// commit forces a commit record and releases locks. A force failure means
-// the commit never became durable: the caller must roll back and report
-// the transaction as failed (it was not acknowledged).
-func (t *txn) commit() error { return t.commitWith(0) }
+// ErrCommitUnknown wraps the error of a local commit whose log force failed
+// after pre-commit: the transaction's writes are published and its commit
+// record is buffered, so it has NOT been rolled back and must not be
+// retried; whether it survives is for crash recovery to say. It was not
+// acknowledged.
+var ErrCommitUnknown = errors.New("db: commit outcome unknown until recovery")
 
-// commitWith is commit carrying a global transaction id in the record's
-// RID field (0 for purely local transactions). For a distributed
-// transaction's home branch this forced record IS the global decision:
-// its durability makes the whole transaction committed, and recovery
-// rebuilds the coordinator's outcome map from it.
-func (t *txn) commitWith(gid uint64) error {
+// validate runs the SSI commit-time check once per transaction: a doomed
+// pivot aborts and retries instead of committing. The 2PC prepare point
+// runs it early (a prepared branch has voted yes and must stay able to
+// commit), so commit then finds ssiChecked set.
+func (t *txn) validate() error {
 	if t.d.ccSSI && !t.ssiChecked {
-		// SSI validation must precede the commit decision (the WAL
-		// append below, or the read-only fast path's acknowledgement): a
-		// doomed pivot aborts and retries instead of committing. The 2PC
-		// prepare point runs this check itself (ssiChecked).
 		if err := t.d.mvcc.PreCommit(&t.mv); err != nil {
 			return err
 		}
 		t.ssiChecked = true
 	}
-	if t.d.ccMVCC && gid == 0 && len(t.undo) == 0 {
-		// Snapshot-mode read-only commit: the transaction wrote nothing,
-		// so there is nothing to make durable — no commit record, no log
-		// force. Order-Status and Stock-Level never touch the WAL (and so
-		// never wait on a group-commit batch). 2PL keeps its per-commit
-		// record: the -commit-smoke gate pins forces/commit == 1 there.
-		t.end()
+	return nil
+}
+
+// publish makes a pre-committed transaction's writes visible and gives up
+// its locks. Under mvcc the commit timestamp is published and the chains
+// flipped BEFORE the row locks go: the next writer of any of these rows
+// must observe the new latest-commit timestamp for first-committer-wins
+// validation to be sound.
+func (t *txn) publish() {
+	if t.d.ccMVCC {
 		t.d.mvcc.Commit(&t.mv, &t.retired)
-		t.d.locks.ReleaseAll(t.id)
-		t.d.commits.Add(1)
-		return nil
+	}
+	t.d.locks.ReleaseAll(t.id)
+}
+
+// commit ends a local transaction with early lock release: pre-commit (the
+// commit record enters the log buffer), publish, release, and only then
+// wait for the record to be durable, so neither the row locks nor the log
+// mutex are held across the device's force. Until pre-commit a failure
+// rolls the transaction back and returns the cause (ErrAborted = retry);
+// after it the only failure is ErrCommitUnknown.
+//
+// A transaction that wrote nothing appends nothing, in every -cc mode. It
+// acknowledges once every commit record pre-committed before this point is
+// durable: whatever it read under its locks or in its snapshot was
+// pre-committed by then, so it cannot be acknowledged ahead of a writer it
+// read from.
+func (t *txn) commit() error {
+	if err := t.validate(); err != nil {
+		return t.fail(err)
+	}
+	var durable error
+	if len(t.undo) == 0 {
+		t.publish()
+		durable = t.d.log.WaitPreCommitted()
+	} else {
+		_, end, err := t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit})
+		if err != nil {
+			return t.fail(err)
+		}
+		t.publish()
+		durable = t.d.log.WaitDurable(end)
+	}
+	if durable != nil {
+		return fmt.Errorf("%w: %w", ErrCommitUnknown, durable)
+	}
+	t.d.commits.Add(1)
+	return nil
+}
+
+// commitWith commits a branch of a distributed transaction, carrying its
+// global id in the record's RID field. Force-then-release: a decision or a
+// participant's commit must be durable before anyone is told, and on the
+// home branch this record IS the global decision (recovery rebuilds the
+// coordinator's outcome map from it). A failed force leaves no record and
+// the branch open.
+func (t *txn) commitWith(gid uint64) error {
+	if err := t.validate(); err != nil {
+		return err
 	}
 	if _, err := t.d.log.Append(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit, RID: gid}); err != nil {
 		return err
 	}
-	t.end()
-	if gid != 0 {
-		t.d.setOutcome(gid, true)
-	}
-	if t.d.ccMVCC {
-		// Publish the commit timestamp and flip the chains BEFORE
-		// releasing row locks: the next writer of any of these rows must
-		// observe the new latest-commit timestamp for first-committer-
-		// wins validation to be sound.
-		t.d.mvcc.Commit(&t.mv, &t.retired)
-	}
-	t.d.locks.ReleaseAll(t.id)
+	t.d.setOutcome(gid, true)
+	t.publish()
 	t.d.commits.Add(1)
 	return nil
 }
@@ -220,9 +238,10 @@ func (t *txn) commitWith(gid uint64) error {
 func (t *txn) rollback() error { return t.rollbackWith(0) }
 
 // rollbackWith is rollback carrying a global transaction id (0 for local
-// transactions). Under presumed abort the durable abort record is an
-// optimization, not a requirement: a gid with no durable decision reads
-// as aborted anyway.
+// transactions). The abort record is buffered, never forced: recovery
+// treats a transaction without a commit record as aborted and restores its
+// before-images either way, and under presumed abort a gid with no durable
+// decision reads as aborted too.
 func (t *txn) rollbackWith(gid uint64) error {
 	var firstErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
@@ -230,10 +249,8 @@ func (t *txn) rollbackWith(gid uint64) error {
 			firstErr = err
 		}
 	}
-	// A failed abort force is benign: recovery treats the transaction as
-	// uncommitted either way and restores before-images.
-	_, _ = t.d.log.Append(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
-	t.end()
+	// A failed log refuses the record; that is as benign as losing it.
+	_, _, _ = t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
 	if gid != 0 {
 		t.d.setOutcome(gid, false)
 	}

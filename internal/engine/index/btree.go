@@ -243,13 +243,15 @@ func (t *BTree) unlink(n *node, path []*node) {
 		}
 	}
 	if len(path) == 0 {
-		// Empty root: reset to an empty leaf (or collapse a single-
-		// child internal root).
-		if !n.leaf && len(n.kids) == 1 {
-			t.root = n.kids[0]
-		} else if n.leaf {
+		// The root itself is empty, so the tree is. A leaf root stays; an
+		// internal root whose last child just cascaded up (a root left
+		// with one internal child is never collapsed past that child's own
+		// last leaf) has no kids to descend into and is replaced by an
+		// empty leaf.
+		if n.leaf {
 			n.prev, n.next = nil, nil
-			t.root = n
+		} else {
+			t.root = t.newNode(true)
 		}
 		return
 	}

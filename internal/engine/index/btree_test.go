@@ -304,3 +304,87 @@ func TestLargeSequentialInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainToEmptyResetsRoot empties a three-level tree in the order that
+// leaves the root an inner node whose last child cascades up: the right
+// inner node is cut down to one leaf while still a child, the left one is
+// emptied so the root collapses onto the right, then that leaf goes. The
+// tree must come out an empty leaf that every operation can use again.
+func TestDrainToEmptyResetsRoot(t *testing.T) {
+	tr := New()
+	for k := uint64(0); k < drainKeys; k++ {
+		tr.Set(k, k+1)
+	}
+	if tr.root.leaf || tr.root.kids[0].leaf {
+		t.Fatalf("%d keys built fewer than three levels", drainKeys)
+	}
+	for _, r := range drainOrder {
+		for k := r[0]; k < r[1]; k++ {
+			if err := tr.Delete(k); err != nil {
+				t.Fatalf("delete(%d): %v", k, err)
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("after deleting [%d,%d): %v", r[0], r[1], err)
+		}
+	}
+	if tr.Len() != 0 || !tr.root.leaf {
+		t.Fatalf("drained tree has %d keys, leaf root %v", tr.Len(), tr.root.leaf)
+	}
+	if _, _, ok := tr.Min(0); ok {
+		t.Error("Min found a key in an empty tree")
+	}
+	if _, _, ok := tr.Max(^uint64(0)); ok {
+		t.Error("Max found a key in an empty tree")
+	}
+	it := tr.Seek(5)
+	if _, _, ok := it.Next(); ok {
+		t.Error("Seek found a key in an empty tree")
+	}
+	if _, ok := tr.Get(5); ok {
+		t.Error("Get found a key in an empty tree")
+	}
+	if err := tr.Insert(5, 50); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tr.Get(5); !ok || v != 50 || tr.Len() != 1 {
+		t.Errorf("after reinsert Get(5) = %d,%v len %d", v, ok, tr.Len())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRandomDrainOrders empties three-level trees in seeded random orders,
+// validating the structure as the levels collapse.
+func TestRandomDrainOrders(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		tr := New()
+		keys := make([]uint64, drainKeys)
+		for i := range keys {
+			keys[i] = uint64(i)
+			tr.Set(keys[i], 1)
+		}
+		r := rng.New(seed)
+		for i := len(keys) - 1; i > 0; i-- {
+			j := int(r.Int63n(int64(i + 1)))
+			keys[i], keys[j] = keys[j], keys[i]
+		}
+		// Blocks of neighbouring keys, so whole leaves and inner nodes empty
+		// while others are still full.
+		for _, k := range keys {
+			base := k / 40 * 40
+			for d := uint64(0); d < 40; d++ {
+				_ = tr.Delete(base + d)
+			}
+			if k%97 == 0 {
+				if err := tr.Validate(); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		}
+		if _, _, ok := tr.Min(0); ok || tr.Len() != 0 {
+			t.Fatalf("seed %d: %d keys left", seed, tr.Len())
+		}
+	}
+}

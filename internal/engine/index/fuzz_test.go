@@ -7,7 +7,8 @@ import (
 
 // FuzzBTreeOps drives the tree with an arbitrary operation tape checked
 // against a map reference. Each 9-byte chunk is one operation: 1 opcode
-// byte + 8 key bytes.
+// byte + 8 key bytes. Keys fold into 4096 values: enough for a tape to
+// grow the tree to three levels (more than 64 leaves) and drain it again.
 func FuzzBTreeOps(f *testing.F) {
 	tape := make([]byte, 0, 9*64)
 	for i := 0; i < 64; i++ {
@@ -24,7 +25,7 @@ func FuzzBTreeOps(f *testing.F) {
 		ref := make(map[uint64]uint64)
 		for len(data) >= 9 {
 			op := data[0]
-			key := binary.LittleEndian.Uint64(data[1:9]) % 512
+			key := binary.LittleEndian.Uint64(data[1:9]) % 4096
 			data = data[9:]
 			switch op % 3 {
 			case 0:
@@ -50,6 +51,15 @@ func FuzzBTreeOps(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		// The read paths descend without Validate's checks: they must
+		// cope with whatever shape the tape left, an emptied tree included.
+		k, _, ok := tr.Min(0)
+		if _, _, okMax := tr.Max(^uint64(0)); ok != (len(ref) > 0) || okMax != ok {
+			t.Fatalf("min/max found=%v/%v with %d keys", ok, okMax, len(ref))
+		}
+		if _, inRef := ref[k]; ok && !inRef {
+			t.Fatalf("min returned %d, not a live key", k)
 		}
 	})
 }

@@ -21,6 +21,14 @@ const (
 	opGet
 )
 
+// drainKeys ascending inserts grow the tree to three levels; drainOrder is
+// the order of key ranges whose deletion empties the new root's last leaf
+// after the root has collapsed onto an inner node (see the seed below and
+// TestDrainToEmptyResetsRoot).
+const drainKeys = 2200
+
+var drainOrder = [][2]uint64{{1000, drainKeys - 20}, {0, 1000}, {drainKeys - 20, drainKeys}}
+
 // buildTape assembles a FuzzBTreeOps operation tape: 1 opcode byte + 8
 // little-endian key bytes per operation.
 func buildTape(f func(emit func(op byte, key uint64))) []byte {
@@ -36,8 +44,8 @@ func buildTape(f func(emit func(op byte, key uint64))) []byte {
 
 // btreeOpsSeeds aims each seed at a distinct structural stress: splits
 // from monotone insertion in both directions, merge pressure from a full
-// drain, steady-state churn, overwrite of live keys, and deletes against
-// an empty tree.
+// drain, steady-state churn, overwrite of live keys, deletes against an
+// empty tree, and a three-level tree drained to empty inner node last.
 func btreeOpsSeeds() map[string][]byte {
 	seeds := map[string]func(emit func(op byte, key uint64)){
 		"ascending-fill-then-drain": func(emit func(byte, uint64)) {
@@ -68,6 +76,25 @@ func btreeOpsSeeds() map[string][]byte {
 					emit(opGet, k)
 				}
 			}
+		},
+		// Ascending fill to three levels (the root splits at 66 leaves of
+		// 32 keys), then a drain that leaves the right inner node one leaf
+		// while it is still a child, empties the left one so that the
+		// right becomes the root, and finally empties that last leaf: the
+		// root is then an inner node with no children, which every descent
+		// indexed out of range before unlink learned to reset it.
+		"drain-three-levels-inner-last": func(emit func(byte, uint64)) {
+			for k := uint64(0); k < drainKeys; k++ {
+				emit(opSet, k)
+			}
+			for _, r := range drainOrder {
+				for k := r[0]; k < r[1]; k++ {
+					emit(opDelete, k)
+				}
+			}
+			emit(opGet, 7)
+			emit(opSet, 7)
+			emit(opGet, 7)
 		},
 		"delete-missing": func(emit func(byte, uint64)) {
 			for k := uint64(0); k < 64; k++ {

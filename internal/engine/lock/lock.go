@@ -21,10 +21,11 @@
 // that actually block — the uncontended grant path never takes it, so
 // detection cost scales with contention, not throughput.
 //
-// The uncontended grant path is allocation-free: granted locks are value
-// entries in a pooled per-key state, per-transaction held lists are pooled
-// slices, and the wait channel is only allocated when a request actually
-// blocks.
+// Neither path allocates in steady state. Granted locks are value entries
+// in a pooled per-key state and per-transaction held lists are pooled
+// slices; a request that blocks takes a pooled request record — its wake-up
+// channel and its wait-for edge list are reused — and cycle detection walks
+// the graph on scratch kept beside it.
 //
 // Concurrency contract: methods are safe for concurrent use across
 // transactions. Calls for the SAME TxnID (its Acquires and its final
@@ -98,11 +99,17 @@ type grant struct {
 }
 
 // request is one BLOCKED lock request; immediately granted requests never
-// materialize one.
+// materialize one. Records are pooled behind the detector mutex, which
+// every blocked request takes anyway: a transaction waits on at most one
+// lock at a time, so the pool never holds more than one per worker. ready
+// (capacity 1) carries exactly one outcome per wait and is empty again when
+// the waiter has received it; blockers backs the transaction's wait-for
+// edges while it waits.
 type request struct {
-	txn   TxnID
-	mode  Mode
-	ready chan error
+	txn      TxnID
+	mode     Mode
+	ready    chan error
+	blockers []TxnID
 }
 
 // lockState is the per-key lock table entry: the granted group followed by
@@ -184,8 +191,14 @@ type Manager struct {
 	// held while taking det, never the reverse.
 	det struct {
 		sync.Mutex
-		// waitFor[a] = set of txns a is waiting on (for cycle detection).
-		waitFor map[TxnID]map[TxnID]struct{}
+		// waitFor[a] lists the txns a is waiting on (for cycle detection);
+		// it aliases a's request record and may repeat a txn.
+		waitFor map[TxnID][]TxnID
+		// free pools request records; seen and stack are the cycle
+		// check's scratch.
+		free  []*request
+		seen  map[TxnID]struct{}
+		stack []TxnID
 	}
 
 	// cfgMu guards waitTimeout (set rarely, read per blocked wait).
@@ -223,7 +236,8 @@ func NewManagerStripes(stripes int) *Manager {
 		m.txns[i].held = make(map[TxnID]*txnLocks)
 		m.txns[i].waitKey = make(map[TxnID]Key)
 	}
-	m.det.waitFor = make(map[TxnID]map[TxnID]struct{})
+	m.det.waitFor = make(map[TxnID][]TxnID)
+	m.det.seen = make(map[TxnID]struct{})
 	return m
 }
 
@@ -427,24 +441,31 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	// order anywhere), so the edges and the enqueue are atomic with
 	// respect to other blockers of this stripe, and the graph itself is
 	// consistent across stripes because every mutation holds det.
-	blockers := make(map[TxnID]struct{})
+	m.det.Lock()
+	var req *request
+	if n := len(m.det.free); n > 0 {
+		req, m.det.free = m.det.free[n-1], m.det.free[:n-1]
+	} else {
+		req = &request{ready: make(chan error, 1)}
+	}
+	req.txn, req.mode, req.blockers = txn, mode, req.blockers[:0]
 	for _, g := range ls.granted {
 		if g.txn != txn {
-			blockers[g.txn] = struct{}{}
+			req.blockers = append(req.blockers, g.txn)
 		}
 	}
 	if !isUpgrade {
 		for _, r := range ls.waiters {
 			if r.txn != txn {
-				blockers[r.txn] = struct{}{}
+				req.blockers = append(req.blockers, r.txn)
 			}
 		}
 	}
-	m.det.Lock()
-	m.det.waitFor[txn] = blockers
+	m.det.waitFor[txn] = req.blockers
 	cycle := m.cycleFromLocked(txn)
 	if cycle {
 		delete(m.det.waitFor, txn)
+		m.det.free = append(m.det.free, req)
 	}
 	m.det.Unlock()
 	if cycle {
@@ -456,7 +477,6 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 		st.mu.Unlock()
 		return ErrDeadlock
 	}
-	req := &request{txn: txn, mode: mode, ready: make(chan error, 1)}
 	if isUpgrade {
 		// Insert the upgrade ahead of plain waiters.
 		ls.waiters = append(ls.waiters, nil)
@@ -480,20 +500,25 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 		case err = <-req.ready:
 			t.Stop()
 		case <-t.C:
-			err = m.expireWait(txn, key, req)
+			err = m.expireWait(key, req)
 		}
 	} else {
 		err = <-req.ready
 	}
+	// Granted, timed out or cancelled, the request has left the queue and
+	// its one outcome has been received: the wait's bookkeeping goes (a
+	// cancelling ReleaseAll has already dropped it; deleting is idempotent)
+	// and the record returns to the pool.
 	if err == nil {
 		m.noteHeld(txn, key, mode)
-		m.det.Lock()
-		delete(m.det.waitFor, txn)
-		m.det.Unlock()
-		ts.mu.Lock()
-		delete(ts.waitKey, txn)
-		ts.mu.Unlock()
 	}
+	m.det.Lock()
+	delete(m.det.waitFor, txn)
+	m.det.free = append(m.det.free, req)
+	m.det.Unlock()
+	ts.mu.Lock()
+	delete(ts.waitKey, txn)
+	ts.mu.Unlock()
 	return err
 }
 
@@ -502,7 +527,7 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 // req.ready while holding the stripe mutex, so under that mutex either the
 // request is still queued ungranted — remove it and fail with ErrTimeout —
 // or its outcome is already in the buffered channel and the timeout loses.
-func (m *Manager) expireWait(txn TxnID, key Key, req *request) error {
+func (m *Manager) expireWait(key Key, req *request) error {
 	st := m.stripeOf(key)
 	st.mu.Lock()
 	select {
@@ -525,43 +550,28 @@ func (m *Manager) expireWait(txn TxnID, key Key, req *request) error {
 		st.promote(key, ls)
 	}
 	st.mu.Unlock()
-
-	m.det.Lock()
-	delete(m.det.waitFor, txn)
-	m.det.Unlock()
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	delete(ts.waitKey, txn)
-	ts.mu.Unlock()
 	return ErrTimeout
 }
 
 // cycleFromLocked reports whether the wait-for graph has a cycle reachable
-// from start (DFS). Callers hold m.det.
+// from start: a depth-first walk on the detector's own scratch. Callers
+// hold m.det.
 func (m *Manager) cycleFromLocked(start TxnID) bool {
-	seen := make(map[TxnID]bool)
-	var dfs func(t TxnID) bool
-	dfs = func(t TxnID) bool {
-		if t == start && len(seen) > 0 {
-			return true
-		}
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		for next := range m.det.waitFor[t] {
-			if dfs(next) {
-				return true
-			}
-		}
-		return false
-	}
-	for next := range m.det.waitFor[start] {
-		if dfs(next) {
-			return true
+	clear(m.det.seen)
+	stack := append(m.det.stack[:0], m.det.waitFor[start]...)
+	cycle := false
+	for len(stack) > 0 && !cycle {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if t == start {
+			cycle = true
+		} else if _, seen := m.det.seen[t]; !seen {
+			m.det.seen[t] = struct{}{}
+			stack = append(stack, m.det.waitFor[t]...)
 		}
 	}
-	return false
+	m.det.stack = stack[:0]
+	return cycle
 }
 
 func removeGrant(ls *lockState, txn TxnID) {

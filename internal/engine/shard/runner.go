@@ -175,7 +175,8 @@ func (rn *Runner) backoff(attempt int) {
 }
 
 func retriable(err error) bool {
-	return errors.Is(err, db.ErrAborted) || errors.Is(err, storage.ErrTransientIO)
+	return !errors.Is(err, db.ErrCommitUnknown) &&
+		(errors.Is(err, db.ErrAborted) || errors.Is(err, storage.ErrTransientIO))
 }
 
 // runOne generates and executes one transaction. Dead-shard refusals

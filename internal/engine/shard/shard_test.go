@@ -8,6 +8,7 @@ import (
 	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/storage"
+	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/rng"
 	"tpccmodel/internal/tpcc"
 )
@@ -426,20 +427,28 @@ func TestRunCleanClusterMVCC(t *testing.T) {
 // TestShardTortureReduced runs a scaled-down campaign (the CI smoke
 // configuration drives the full default via make shard-torture).
 func TestShardTortureReduced(t *testing.T) {
-	cfg := DefaultTortureConfig()
-	cfg.Seeds = 1
-	cfg.Schedules = 4
-	cfg.Txns = 150
-	if testing.Short() {
-		cfg.Schedules = 2
-		cfg.Txns = 80
+	// Both commit modes: one force per committer, and forces shared. Local
+	// transactions release their locks before the force in either; 2PC
+	// votes and decisions stay force-then-release.
+	for name, group := range map[string]wal.GroupConfig{"per-commit": {}, "grouped": {MaxBatch: 64}} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultTortureConfig()
+			cfg.Seeds = 1
+			cfg.Schedules = 4
+			cfg.Txns = 150
+			cfg.GroupCommit = group
+			if testing.Short() {
+				cfg.Schedules = 2
+				cfg.Txns = 80
+			}
+			rep, err := Torture(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("torture violations:\n%v", rep.Violations)
+			}
+			t.Log(rep.Summary())
+		})
 	}
-	rep, err := Torture(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("torture violations:\n%v", rep.Violations)
-	}
-	t.Log(rep.Summary())
 }

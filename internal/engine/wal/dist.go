@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -46,20 +47,17 @@ type DistState struct {
 func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, error) {
 	var st RecoverStats
 	dist := DistState{Decisions: make(map[uint64]bool)}
-	recs, valid, scanErr := l.Scan()
-	if scanErr != nil {
-		st.TruncatedBytes = l.Size() - valid
-		st.TailCorrupt = errors.Is(scanErr, ErrCorrupt)
-		l.TruncateTo(valid)
-	}
 	committed := make(map[uint64]bool)
 	decided := make(map[uint64]bool)
 	prepared := make(map[uint64]uint64) // txn -> gid
 	var prepOrder []uint64
-	for _, r := range recs {
-		if r.Txn > dist.MaxTxn {
-			dist.MaxTxn = r.Txn
-		}
+
+	// Pass 1 walks the log where it lies, checksums included, to the first
+	// damaged record: outcomes, prepares and the valid prefix length. No
+	// transaction runs during recovery, so the buffer is read without the
+	// log mutex (an applier may call back into Force).
+	buf, truncated, scanErr := l.beginRecovery(func(r Record) {
+		dist.MaxTxn = max(dist.MaxTxn, r.Txn)
 		switch r.Type {
 		case RecCommit:
 			committed[r.Txn] = true
@@ -78,7 +76,9 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 			}
 			prepared[r.Txn] = r.RID
 		}
-	}
+	})
+	st.TruncatedBytes = truncated
+	st.TailCorrupt = errors.Is(scanErr, ErrCorrupt)
 
 	type rowKey struct {
 		table uint32
@@ -91,13 +91,21 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 	state := make(map[rowKey]rowState)
 	order := make([]rowKey, 0)
 	inDoubtRecs := make(map[uint64][]Record)
-	for _, r := range recs {
+	// Pass 2 walks the valid prefix again for the data records. Their
+	// images alias the log buffer; only an in-doubt branch's are copied,
+	// because they outlive recovery.
+	for rest := buf; len(rest) > 0; {
+		r, n, _ := parseRecord(rest) // pass 1 decoded this prefix
+		rest = rest[n:]
 		switch r.Type {
 		case RecCommit, RecAbort, RecPrepare:
 			continue
 		}
 		if _, prep := prepared[r.Txn]; prep && !decided[r.Txn] {
-			inDoubtRecs[r.Txn] = append(inDoubtRecs[r.Txn], r)
+			kept := r
+			kept.Before = bytes.Clone(r.Before)
+			kept.After = bytes.Clone(r.After)
+			inDoubtRecs[r.Txn] = append(inDoubtRecs[r.Txn], kept)
 		}
 		if _, ok := tables[r.Table]; !ok {
 			return st, dist, fmt.Errorf("wal: no applier for table %d", r.Table)

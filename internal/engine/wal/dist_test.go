@@ -57,7 +57,7 @@ func TestRecoverDistInDoubt(t *testing.T) {
 	mustAppend(t, l, Record{Txn: 3, Type: RecCommit, RID: 8})
 
 	tab := newMemTable()
-	st, dist, err := RecoverDist(l, map[uint32]Applier{0: tab})
+	st, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRecoverDistAbortDecision(t *testing.T) {
 	mustAppend(t, l, Record{Txn: 4, Type: RecPrepare, RID: 11})
 	mustAppend(t, l, Record{Txn: 4, Type: RecAbort, RID: 11})
 	tab := newMemTable()
-	_, dist, err := RecoverDist(l, map[uint32]Applier{0: tab})
+	_, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRecoverDistSurvivesPowerLoss(t *testing.T) {
 	l.data = l.data[:l.forcedLen] // lose the whole volatile tail
 
 	tab := newMemTable()
-	_, dist, err := RecoverDist(l, map[uint32]Applier{0: tab})
+	_, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func Fuzz2PCLog(f *testing.F) {
 		}
 
 		tab := newMemTable()
-		_, dist, err := RecoverDist(l, map[uint32]Applier{0: tab})
+		_, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 		if err != nil {
 			t.Fatalf("distributed recovery errored: %v", err)
 		}
@@ -156,7 +156,7 @@ func FuzzLogMutation(f *testing.F) {
 		forcedIntact := keep >= durable && !damagedForced
 
 		tab := newMemTable()
-		st, err := Recover(l, map[uint32]Applier{0: tab})
+		st, _, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 		if err != nil {
 			t.Fatalf("recovery errored on damaged log: %v", err)
 		}

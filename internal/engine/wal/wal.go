@@ -3,24 +3,53 @@
 // recovery by reconstructing each row's committed state in log order
 // against the durable page store.
 //
-// Durability boundary: commit and abort records *force* the log — bytes up
-// to and including them are durable and survive power loss. Records after
-// the force watermark live in the volatile log buffer; a crash may lose or
-// tear them (CrashTail models this). Every record carries a CRC32-C, so
-// recovery detects a torn or corrupted tail and truncates the log at the
-// first bad record instead of replaying garbage. The buffer manager calls
-// Force before stealing a dirty page, so any page image on disk is always
-// covered by durable log records (the WAL rule).
+// Durability boundary: the log is prefix-durable. One watermark splits the
+// buffer into the forced prefix, which survives power loss, and a volatile
+// tail a crash may lose or tear (CrashTail models this). Every record
+// carries a CRC32-C, so recovery detects a torn or corrupted tail and
+// truncates the log at the first bad record instead of replaying garbage.
+// The buffer manager calls Force before stealing a dirty page, so any page
+// image on disk is always covered by durable log records (the WAL rule).
 //
-// The throughput model charges one log-write I/O per transaction (the
-// "1 +" term in Table 4's initIO row); by default the engine's log
-// mirrors that: one forced write per commit. With group commit enabled
-// (SetGroupCommit), committing transactions enqueue as durability waiters
-// and a leader performs ONE force covering the whole batch, amortizing
-// the per-transaction log I/O the model charges — the lever Gray's TPC
-// retrospective credits for real systems beating the naive bound. The
-// acknowledgment rule is unchanged: Append returns only after the
-// caller's commit record is inside the forced prefix.
+// Commit is split in two. PreCommit puts a transaction's commit record in
+// the buffer without touching the device; the transaction then publishes
+// its writes and releases its locks (early lock release), and only then
+// calls WaitDurable, which returns once the watermark has passed its
+// record. Because the prefix is durable in order, a transaction that read
+// those writes appended its own record later and can be neither durable
+// nor acknowledged sooner; a transaction that wrote nothing appends
+// nothing and acknowledges through WaitPreCommitted, once every commit
+// record buffered before that point is durable. Abort records are
+// buffered and never waited for: recovery treats a transaction without a
+// commit record as aborted anyway.
+//
+// Forcing is one protocol: the watermark, a forcing flag and one condition
+// variable. A waiter that finds no force in flight leads one — it notes
+// how far to force, drops the mutex, calls the device, re-locks, advances
+// the watermark and wakes everyone; a waiter that finds one in flight
+// sleeps until it ends and looks again. Appends proceed during the device
+// wait, and with group commit enabled (SetGroupCommit) everything buffered
+// meanwhile rides the next force: batching with no queue, hold or timer,
+// amortizing the one log I/O per transaction the throughput model charges
+// (the "1 +" term in Table 4's initIO row) — the lever Gray's TPC
+// retrospective credits for real systems beating the naive bound. The zero
+// GroupConfig is that bound kept exact: every committer leads a force of
+// its own, up to its own record.
+//
+// Append, for commit, abort and prepare records, is force-then-release:
+// durable on return, for two-phase commit, whose votes and decisions must
+// be durable before anyone is told and must leave no trace if they are not.
+//
+// Failure contract. A transaction past PreCommit can no longer be rolled
+// back and retried, so the leader retries a transient device error
+// (storage.ErrTransientIO) in place, a bounded number of times, the bytes
+// staying in the buffer. If the error persists, or the device is dead
+// (storage.ErrCrashed), the log latches failed: every waiter and every
+// later PreCommit, forced Append, Force and WaitPreCommitted returns the
+// error until recovery clears it. The buffered record may still reach the
+// device with a surviving tail, so a transaction that was never
+// acknowledged may survive a crash — at most one per worker, and never
+// without the transactions it read from. An acknowledged one always does.
 package wal
 
 import (
@@ -28,11 +57,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/rng"
 )
 
@@ -131,24 +159,20 @@ func (r Record) encode(buf []byte) []byte {
 	return buf
 }
 
-// decodeRecord reads one record from buf, returning it and the remainder.
-// It fails with ErrTruncated when buf ends mid-record and ErrCorrupt when
-// the checksum does not match.
-func decodeRecord(buf []byte) (Record, []byte, error) {
+// parseRecord reads one record's header from buf and returns the record,
+// its images aliasing buf, and its encoded length. It fails with
+// ErrTruncated when buf ends mid-record; it does not verify the checksum.
+func parseRecord(buf []byte) (Record, int, error) {
 	if len(buf) < recHeader {
-		return Record{}, nil, fmt.Errorf("wal: record header cut at %d bytes: %w",
+		return Record{}, 0, fmt.Errorf("wal: record header cut at %d bytes: %w",
 			len(buf), ErrTruncated)
 	}
 	nb := int(binary.LittleEndian.Uint32(buf[33:37]))
 	na := int(binary.LittleEndian.Uint32(buf[37:41]))
 	total := recHeader + nb + na
 	if nb < 0 || na < 0 || total < recHeader || total > len(buf) {
-		return Record{}, nil, fmt.Errorf("wal: record body cut (%d of %d bytes): %w",
+		return Record{}, 0, fmt.Errorf("wal: record body cut (%d of %d bytes): %w",
 			len(buf), total, ErrTruncated)
-	}
-	want := binary.LittleEndian.Uint32(buf[0:4])
-	if crc32.Checksum(buf[4:total], castagnoli) != want {
-		return Record{}, nil, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
 	}
 	r := Record{
 		LSN:   LSN(binary.LittleEndian.Uint64(buf[4:12])),
@@ -157,100 +181,95 @@ func decodeRecord(buf []byte) (Record, []byte, error) {
 		Table: binary.LittleEndian.Uint32(buf[21:25]),
 		RID:   binary.LittleEndian.Uint64(buf[25:33]),
 	}
-	body := buf[recHeader:total]
 	if nb > 0 {
-		r.Before = append([]byte(nil), body[:nb]...)
+		r.Before = buf[recHeader : recHeader+nb : recHeader+nb]
 	}
 	if na > 0 {
-		r.After = append([]byte(nil), body[nb:nb+na]...)
+		r.After = buf[recHeader+nb : total : total]
+	}
+	return r, total, nil
+}
+
+// decodeRecord reads one record from buf, returning it and the remainder.
+// The record's images alias buf. It fails with ErrTruncated when buf ends
+// mid-record and ErrCorrupt when the checksum does not match.
+func decodeRecord(buf []byte) (Record, []byte, error) {
+	r, total, err := parseRecord(buf)
+	if err != nil {
+		return Record{}, nil, err
+	}
+	if crc32.Checksum(buf[4:total], castagnoli) != binary.LittleEndian.Uint32(buf[0:4]) {
+		return Record{}, nil, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
 	}
 	return r, buf[total:], nil
 }
 
 // FaultHook intercepts log-device operations; the fault package installs
-// one to fail or crash commit forces. A nil hook means a perfect device.
+// one to fail or crash forces, the benchmark one that charges a service
+// time. A nil hook means a perfect, free device.
 type FaultHook interface {
-	// BeforeForce runs before n buffered bytes become durable. Returning
-	// an error fails the force: the caller's record is not appended and
-	// the watermark does not advance.
+	// BeforeForce runs before the first n bytes of the log become durable
+	// (n is cumulative: the new durable-prefix length). It is called
+	// without the log mutex held, one call at a time. Returning an error
+	// fails the force: the watermark does not advance.
 	BeforeForce(n int) error
 }
 
-// GroupConfig configures commit batching. The zero value (and any
-// MaxBatch <= 1) degenerates to the seed behavior: every commit/abort
-// record is forced individually by its own appender.
+// GroupConfig switches commit batching on or off; Enabled is its one
+// meaning. Enabled, a force covers everything buffered when it starts, so
+// whatever was pre-committed during the previous force rides the next one.
+// The zero value is the paper's one-log-I/O-per-commit baseline: every
+// committer issues a force of its own, up to its own record.
 type GroupConfig struct {
-	// MaxBatch is the maximum number of commit/abort records covered by
-	// one force. <= 1 disables grouping.
+	// MaxBatch > 1 enables batching. The value bounds nothing any more: a
+	// batch is whatever accumulated during the previous force.
 	MaxBatch int
-	// MaxHold bounds how long a batch leader waits for followers before
-	// forcing a partial batch. 0 forces whatever is queued immediately.
+	// Deprecated: MaxHold is ignored. No leader holds for followers; the
+	// field remains only because internal/bench names it, and goes with
+	// the next benchmark change.
 	MaxHold time.Duration
-	// AdaptiveHold makes the leader's hold depend on observed commit
-	// traffic instead of always sleeping MaxHold: the leader skips the
-	// hold when it is the only active committer (or when the EWMA of
-	// commit-arrival intervals says no follower is likely within the
-	// window), and otherwise holds min(MaxHold, 2×EWMA). Requires the
-	// database layer to bracket transactions with TxnStart/TxnEnd.
-	// False preserves the fixed-hold behavior for A/B comparison.
+	// Deprecated: AdaptiveHold is ignored, like MaxHold.
 	AdaptiveHold bool
 }
 
-// Enabled reports whether the configuration actually batches.
+// Enabled reports whether the configuration batches.
 func (g GroupConfig) Enabled() bool { return g.MaxBatch > 1 }
 
-// DefaultGroupConfig is the batching configuration the CLIs use by
-// default: adaptive hold so a solo committer is never taxed MaxHold.
-func DefaultGroupConfig() GroupConfig {
-	return GroupConfig{MaxBatch: 64, MaxHold: 200 * time.Microsecond, AdaptiveHold: true}
-}
-
-// forceWaiter is one transaction blocked on commit durability. Its
-// record is held here — NOT in the log buffer — until a leader appends
-// and forces it, so an unforced commit record can never leak into the
-// durable prefix through a WAL-rule Force or a crash.
-type forceWaiter struct {
-	rec  Record
-	lsn  LSN
-	err  error
-	done chan struct{}
-}
+// maxForceRetries bounds how often one force retries a transient device
+// error in place before the log gives up and latches failed.
+const maxForceRetries = 8
 
 // Log is the engine's log device. The forced prefix survives crashes (the
 // log device is separate from the data disks, as the paper assumes); the
 // unforced tail is volatile buffer contents.
 type Log struct {
-	mu        sync.Mutex
-	data      []byte
-	next      LSN
-	forces    int64 // commit/abort forces (the model's per-txn log I/O)
-	syncs     int64 // WAL-rule forces issued by the buffer manager
+	mu     sync.Mutex
+	data   []byte
+	next   LSN
+	forces int64 // forces led by committers (the model's per-txn log I/O)
+	syncs  int64 // WAL-rule forces issued by the buffer manager
+	waits  int64 // records whose durability a committer waited for
+	hook   FaultHook
+	group  GroupConfig
+
+	// The durable prefix is data[:forcedLen]. At most one force is in
+	// flight (forcing); it runs without mu, and durable is broadcast when
+	// it ends. commitEnd is the end of the latest pre-committed commit
+	// record. failed latches the error of a force that could not be
+	// completed: from then on every commit fails until recovery.
 	forcedLen int
-	hook      FaultHook
-
-	// Group-commit state: queued durability waiters, whether a leader is
-	// draining them, and a capacity-1 signal that wakes a holding leader
-	// early when the queue reaches MaxBatch (or, under adaptive hold,
-	// when every active committer has arrived).
-	group     GroupConfig
-	queue     []*forceWaiter
-	leading   bool
-	batchFull chan struct{}
-
-	// Adaptive-hold state. active counts transactions between TxnStart
-	// and TxnEnd — committers that could still show up as followers.
-	// ewmaGap (nanoseconds, under mu) tracks the recent inter-arrival
-	// time of forced records; lastForced is the previous arrival. holds
-	// counts leader holds actually taken (observability for tests and
-	// the bench reports).
-	active     atomic.Int64
-	ewmaGap    float64
-	lastForced time.Time
-	holds      int64
+	forcing   bool
+	durable   *sync.Cond
+	commitEnd int
+	failed    error
 }
 
 // New creates an empty log.
-func New() *Log { return &Log{next: 1, batchFull: make(chan struct{}, 1)} }
+func New() *Log {
+	l := &Log{next: 1}
+	l.durable = sync.NewCond(&l.mu)
+	return l
+}
 
 // SetFaultHook installs a log-device fault hook (nil disables).
 func (l *Log) SetFaultHook(h FaultHook) {
@@ -273,31 +292,6 @@ func (l *Log) GroupCommit() GroupConfig {
 	return l.group
 }
 
-// TxnStart registers an active transaction. The database layer brackets
-// every transaction with TxnStart/TxnEnd so an adaptive batch leader can
-// tell whether any other committer could still arrive; the pair must
-// balance exactly once per transaction regardless of outcome.
-func (l *Log) TxnStart() { l.active.Add(1) }
-
-// TxnEnd unregisters an active transaction.
-func (l *Log) TxnEnd() { l.active.Add(-1) }
-
-// Active returns the number of registered in-flight transactions.
-func (l *Log) Active() int64 { return l.active.Load() }
-
-// ResetActive clears the active-transaction count. Crash recovery calls
-// it: transactions open at the crash died without TxnEnd and must not be
-// counted as potential committers afterwards.
-func (l *Log) ResetActive() { l.active.Store(0) }
-
-// Holds returns how many times a batch leader actually held for
-// followers (adaptive leaders that force immediately do not count).
-func (l *Log) Holds() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.holds
-}
-
 // Grow ensures the log buffer can absorb at least n more bytes without
 // reallocating — lets benchmarks and allocation-regression tests keep
 // amortized buffer doubling out of the measured loop.
@@ -311,248 +305,144 @@ func (l *Log) Grow(n int) {
 	}
 }
 
-// observeArrival folds one forced-record arrival into the inter-arrival
-// EWMA. Intervals are clamped to 8×MaxHold so an idle stretch does not
-// poison the estimate for minutes of traffic after it resumes. Called
-// with l.mu held.
-func (l *Log) observeArrival(now time.Time) {
-	if !l.lastForced.IsZero() {
-		gap := float64(now.Sub(l.lastForced))
-		if clamp := 8 * float64(l.group.MaxHold); l.group.MaxHold > 0 && gap > clamp {
-			gap = clamp
-		}
-		const alpha = 0.25
-		if l.ewmaGap == 0 {
-			l.ewmaGap = gap
-		} else {
-			l.ewmaGap += alpha * (gap - l.ewmaGap)
-		}
-	}
-	l.lastForced = now
-}
-
-// Append writes one record (assigning its LSN) and returns the LSN.
-// Commit, abort, and prepare records force the log before Append returns;
-// a force failure drops the record entirely and returns the error — the
-// commit (or prepare vote) was never acknowledged and must not become
-// durable later. With group commit enabled, the force may be performed by
-// another transaction's batch leader, but the durability guarantee at
-// return is identical.
-func (l *Log) Append(r Record) (LSN, error) {
-	l.mu.Lock()
-	if r.Type.forced() {
-		if l.group.Enabled() {
-			return l.appendGrouped(r) // releases l.mu
-		}
-		defer l.mu.Unlock()
-		r.LSN = l.next
-		encoded := r.encode(l.data)
-		if l.hook != nil {
-			if err := l.hook.BeforeForce(len(encoded)); err != nil {
-				return 0, fmt.Errorf("wal: force failed: %w", err)
-			}
-		}
-		l.data = encoded
-		l.next++
-		l.forces++
-		l.forcedLen = len(l.data)
-		return r.LSN, nil
-	}
-	defer l.mu.Unlock()
+// buffer encodes r at the end of the log buffer and returns its LSN and
+// end offset. Called with l.mu held.
+func (l *Log) buffer(r Record) (LSN, int) {
 	r.LSN = l.next
 	l.data = r.encode(l.data)
 	l.next++
-	return r.LSN, nil
+	return r.LSN, len(l.data)
 }
 
-// appendGrouped enqueues a durability waiter for a commit/abort record.
-// The first waiter to arrive while no leader is active becomes the
-// leader: it accumulates a batch (up to MaxBatch records, waiting at
-// most MaxHold), appends every queued record, performs ONE force
-// covering them all, and wakes the batch. Later arrivals are followers
-// and just block until their record is durable (or the batch force
-// failed). Called with l.mu held; releases it.
-func (l *Log) appendGrouped(r Record) (LSN, error) {
-	if l.group.AdaptiveHold {
-		l.observeArrival(time.Now())
-		// Solo fast path: no leader draining, nothing queued, and no
-		// other active committer that could join a batch — force inline
-		// exactly like the ungrouped path, with no waiter or channel.
-		if !l.leading && len(l.queue) == 0 && l.active.Load() <= 1 {
-			defer l.mu.Unlock()
-			r.LSN = l.next
-			encoded := r.encode(l.data)
-			if l.hook != nil {
-				if err := l.hook.BeforeForce(len(encoded)); err != nil {
-					return 0, fmt.Errorf("wal: force failed: %w", err)
-				}
-			}
-			l.data = encoded
-			l.next++
-			l.forces++
-			l.forcedLen = len(l.data)
-			return r.LSN, nil
+// Append writes one record (assigning its LSN) and returns the LSN. Data
+// records are only buffered. Commit, abort, and prepare records are
+// durable when Append returns — force-then-release, what a two-phase-commit
+// vote or decision needs — and a failed force leaves no trace of them: the
+// record is voided in the buffer, so no later force or crash can make an
+// unacknowledged vote or decision durable.
+func (l *Log) Append(r Record) (LSN, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !r.Type.forced() {
+		lsn, _ := l.buffer(r)
+		return lsn, nil
+	}
+	if l.failed != nil {
+		return 0, l.failed
+	}
+	lsn, end := l.buffer(r)
+	if err := l.waitDurable(end); err != nil {
+		// Nothing past the watermark is durable and a failed log forces
+		// nothing more, so the bytes can still be rewritten: as the abort
+		// of transaction 0, which no transaction is and recovery ignores.
+		void := Record{LSN: lsn, Type: RecAbort, Before: r.Before, After: r.After}
+		void.encode(l.data[:end-recHeader-len(r.Before)-len(r.After)])
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// PreCommit buffers a commit or abort record without forcing and returns
+// its LSN and end offset. After it the transaction may publish its writes
+// and release its locks; it acknowledges once WaitDurable(end) returns.
+// The log is prefix-durable, so a later transaction that read those writes
+// can never be durable, or acknowledged, ahead of this one.
+func (l *Log) PreCommit(r Record) (LSN, int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.failed != nil {
+		return 0, 0, l.failed
+	}
+	lsn, end := l.buffer(r)
+	if r.Type == RecCommit {
+		l.commitEnd = end
+	}
+	return lsn, int64(end), nil
+}
+
+// WaitDurable returns once the first end bytes of the log are durable,
+// forcing them unless another committer's force already covers them. An
+// error means the record is buffered but its durability is unknown until
+// recovery: the caller must not undo the transaction.
+func (l *Log) WaitDurable(end int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitDurable(int(end))
+}
+
+// WaitPreCommitted returns once every commit record pre-committed so far
+// is durable. A transaction that wrote nothing acknowledges through it:
+// whatever it read was pre-committed before it read it. It forces nothing
+// itself — each of those records has a committer in WaitDurable.
+func (l *Log) WaitPreCommitted() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for end := l.commitEnd; l.forcedLen < end; l.durable.Wait() {
+		if l.failed != nil {
+			return l.failed
 		}
 	}
-	w := &forceWaiter{rec: r, done: make(chan struct{})}
-	l.queue = append(l.queue, w)
-	if l.leading {
-		full := len(l.queue) >= l.group.MaxBatch
-		if l.group.AdaptiveHold && int64(len(l.queue)) >= l.active.Load() {
-			// Every registered committer has arrived; nobody is left
-			// for the leader to hold for.
-			full = true
-		}
-		if full {
-			select {
-			case l.batchFull <- struct{}{}:
-			default:
+	return nil
+}
+
+// waitDurable is WaitDurable with l.mu held. Whoever finds no force in
+// flight leads one; everyone else waits for it to end and looks again.
+// Without batching the caller always leads a force of its own, even when
+// a neighbour's has covered its record: one log I/O per commit.
+func (l *Log) waitDurable(end int) error {
+	l.waits++
+	own := !l.group.Enabled()
+	for own || l.forcedLen < end {
+		if l.failed != nil {
+			if l.forcedLen >= end {
+				return nil
 			}
+			return l.failed
 		}
+		if l.forcing {
+			l.durable.Wait()
+			continue
+		}
+		upto := len(l.data)
+		if own {
+			upto = max(end, l.forcedLen)
+		}
+		if err := l.lead(upto, &l.forces); err != nil {
+			return err
+		}
+		own = false
+	}
+	return nil
+}
+
+// lead forces data[:upto], counting the force in *count. It drops l.mu
+// around the device call, so appends proceed during the wait, and retries
+// a transient device error in place; any other error, or a transient one
+// that persists, latches the log failed. Called with l.mu held and no
+// force in flight.
+func (l *Log) lead(upto int, count *int64) error {
+	var err error
+	if hook := l.hook; hook != nil {
+		l.forcing = true
 		l.mu.Unlock()
-		<-w.done
-		return w.lsn, w.err
-	}
-	l.leading = true
-	l.lead()
-	l.leading = false
-	l.mu.Unlock()
-	return w.lsn, w.err
-}
-
-// lead drains the waiter queue in batches. Only the first batch holds
-// for followers: the leader's own record is in it, so its commit
-// latency is bounded by MaxHold plus one force. Batches that queued up
-// during a force are drained immediately afterwards, so the queue is
-// empty — and every waiter resolved — when lead returns. Called with
-// l.mu held; temporarily releases it while holding for followers.
-func (l *Log) lead() {
-	for first := true; len(l.queue) > 0; first = false {
-		hold := l.holdFor()
-		if first && hold > 0 && len(l.queue) < l.group.MaxBatch {
-			l.holds++
-			if l.group.AdaptiveHold {
-				l.yieldHold(hold)
-			} else {
-				select {
-				case <-l.batchFull: // drain a stale signal
-				default:
-				}
-				l.mu.Unlock()
-				t := time.NewTimer(hold)
-				select {
-				case <-l.batchFull:
-					t.Stop()
-				case <-t.C:
-				}
-				l.mu.Lock()
+		for try := 0; ; try++ {
+			err = hook.BeforeForce(upto)
+			if err == nil || try == maxForceRetries || !errors.Is(err, storage.ErrTransientIO) {
+				break
 			}
 		}
-		n := len(l.queue)
-		if max := l.group.MaxBatch; max > 1 && n > max {
-			n = max
-		}
-		batch := l.queue[:n:n]
-		l.queue = l.queue[n:]
-		l.forceBatch(batch)
-	}
-	l.queue = nil
-}
-
-// maxIdleYields bounds how many consecutive unproductive scheduler
-// yields an adaptive leader tolerates before forcing. A follower that is
-// runnable commits within a yield or two; one that never enqueues across
-// this many yields is almost certainly blocked — typically on a lock the
-// leader's own transaction holds, a wait that can only end after this
-// force — so continuing to wait is a self-inflicted convoy.
-const maxIdleYields = 8
-
-// yieldHold is the adaptive leader's hold: instead of a timer sleep
-// (whose real latency is kernel-timer granularity, often 5x the
-// microsecond budgets used here), the leader repeatedly yields the
-// processor so runnable committers can reach their enqueue, and stops as
-// soon as every active committer has arrived, the batch is full, the
-// budget is spent, or yields stop producing arrivals. On a loaded single
-// core the "hold" therefore costs only the useful work of the followers
-// it harvests. Called with l.mu held; releases and reacquires it around
-// each yield.
-func (l *Log) yieldHold(budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	idle := 0
-	for int64(len(l.queue)) < l.active.Load() && len(l.queue) < l.group.MaxBatch && idle < maxIdleYields {
-		prev := len(l.queue)
-		l.mu.Unlock()
-		runtime.Gosched()
 		l.mu.Lock()
-		if len(l.queue) > prev {
-			idle = 0
-		} else {
-			idle++
-		}
-		if !time.Now().Before(deadline) {
-			return
-		}
+		l.forcing = false
 	}
-}
-
-// holdFor decides how long the leader should wait for followers before
-// forcing. Fixed mode always returns MaxHold (the seed behavior).
-// Adaptive mode returns 0 — force immediately — when no other committer
-// is active (everyone registered is already queued) or when the recent
-// commit-arrival interval says no follower is likely inside the window;
-// otherwise it holds just long enough for the expected arrivals,
-// min(MaxHold, 2×EWMA). Called with l.mu held.
-func (l *Log) holdFor() time.Duration {
-	if !l.group.AdaptiveHold {
-		return l.group.MaxHold
+	if err != nil {
+		l.failed = fmt.Errorf("wal: log failed until recovery: force: %w", err)
+		err = l.failed
+	} else {
+		l.forcedLen = upto
+		*count++
 	}
-	others := l.active.Load() - int64(len(l.queue))
-	if others <= 0 {
-		return 0
-	}
-	if l.ewmaGap == 0 {
-		return l.group.MaxHold
-	}
-	if l.ewmaGap > float64(l.group.MaxHold) {
-		return 0
-	}
-	if hold := time.Duration(2 * l.ewmaGap); hold < l.group.MaxHold {
-		return hold
-	}
-	return l.group.MaxHold
-}
-
-// forceBatch appends every waiter's record and makes them durable with a
-// single force. On force failure the appended records are rolled back out
-// of the buffer — none of them was acknowledged, so none may become
-// durable later — and every waiter in the batch receives the error.
-// Called with l.mu held.
-func (l *Log) forceBatch(batch []*forceWaiter) {
-	start := len(l.data)
-	nextStart := l.next
-	for _, w := range batch {
-		w.rec.LSN = l.next
-		l.data = w.rec.encode(l.data)
-		l.next++
-	}
-	if l.hook != nil {
-		if err := l.hook.BeforeForce(len(l.data)); err != nil {
-			l.data = l.data[:start]
-			l.next = nextStart
-			err = fmt.Errorf("wal: force failed: %w", err)
-			for _, w := range batch {
-				w.err = err
-				close(w.done)
-			}
-			return
-		}
-	}
-	l.forcedLen = len(l.data)
-	l.forces++
-	for _, w := range batch {
-		w.lsn = w.rec.LSN
-		close(w.done)
-	}
+	l.durable.Broadcast()
+	return err
 }
 
 // Force makes the whole buffered log durable. The buffer manager calls it
@@ -561,25 +451,37 @@ func (l *Log) forceBatch(batch []*forceWaiter) {
 func (l *Log) Force() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.forcedLen == len(l.data) {
-		return nil
-	}
-	if l.hook != nil {
-		if err := l.hook.BeforeForce(len(l.data)); err != nil {
-			return fmt.Errorf("wal: force failed: %w", err)
+	for end := len(l.data); l.forcedLen < end; {
+		if l.failed != nil {
+			return l.failed
+		}
+		if l.forcing {
+			l.durable.Wait()
+			continue
+		}
+		if err := l.lead(len(l.data), &l.syncs); err != nil {
+			return err
 		}
 	}
-	l.forcedLen = len(l.data)
-	l.syncs++
 	return nil
 }
 
-// Forces returns the number of forced (commit/abort) log writes — the
-// model's one-log-I/O-per-transaction term.
+// Forces returns the number of log forces committers led — the model's
+// one-log-I/O-per-transaction term.
 func (l *Log) Forces() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.forces
+}
+
+// Waits returns the number of records a committer waited to see durable:
+// the local commits that wrote something, plus every prepare, decision and
+// forced abort. Forces/Waits is 1 without batching and falls below it as
+// forces are shared.
+func (l *Log) Waits() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waits
 }
 
 // Syncs returns the number of WAL-rule forces (page-steal protection).
@@ -625,8 +527,9 @@ func (l *Log) CrashTail(r *rng.RNG) {
 
 // Scan decodes records from the start of the log until the end or the
 // first truncated/corrupt record. It returns the records of the valid
-// prefix, the prefix length in bytes, and the decode error that stopped
-// the scan (nil when the whole log parsed).
+// prefix (over a private copy of the buffer, for tests; recovery walks the
+// log in place), the prefix length in bytes, and the decode error that
+// stopped the scan (nil when the whole log parsed).
 func (l *Log) Scan() ([]Record, int64, error) {
 	l.mu.Lock()
 	buf := append([]byte(nil), l.data...)
@@ -647,7 +550,7 @@ func (l *Log) Scan() ([]Record, int64, error) {
 }
 
 // Records decodes the whole log, failing if any record is damaged (strict
-// form, for tests; recovery uses Scan and truncates instead).
+// form, for tests; recovery truncates instead).
 func (l *Log) Records() ([]Record, error) {
 	recs, _, err := l.Scan()
 	if err != nil {
@@ -656,18 +559,33 @@ func (l *Log) Records() ([]Record, error) {
 	return recs, nil
 }
 
-// TruncateTo discards everything past the first n bytes (the valid prefix
-// Scan reported). Future appends continue from the truncation point.
-func (l *Log) TruncateTo(n int64) {
+// beginRecovery walks the log in place up to its first damaged record,
+// calling visit on each record (images aliasing the buffer), then cuts the
+// log back to that valid prefix. It returns the prefix, how many bytes were
+// cut, and the error that ended the walk (nil when the whole log parsed).
+// What recovery read back is on the device, so the whole prefix counts as
+// durable from here on, and a latched failure is cleared: the machine has
+// restarted.
+func (l *Log) beginRecovery(visit func(Record)) ([]byte, int64, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 || n > int64(len(l.data)) {
-		return
+	buf := l.data
+	l.mu.Unlock()
+	var scanErr error
+	valid := 0
+	for valid < len(buf) {
+		r, rest, err := decodeRecord(buf[valid:])
+		if err != nil {
+			scanErr = err
+			break
+		}
+		visit(r)
+		valid = len(buf) - len(rest)
 	}
-	l.data = l.data[:n]
-	if l.forcedLen > int(n) {
-		l.forcedLen = int(n)
-	}
+	l.mu.Lock()
+	l.data = l.data[:valid]
+	l.forcedLen, l.commitEnd, l.failed = valid, min(l.commitEnd, valid), nil
+	l.mu.Unlock()
+	return buf[:valid], int64(len(buf) - valid), scanErr
 }
 
 // Applier materializes a row's recovered state during recovery.

@@ -17,7 +17,7 @@ func ap(t *testing.T, l *Log, r Record) LSN {
 
 func mustRecover(t *testing.T, l *Log, tables map[uint32]Applier) RecoverStats {
 	t.Helper()
-	st, err := Recover(l, tables)
+	st, _, err := recoverChecked(t, l, tables) // against the copying oracle too
 	if err != nil {
 		t.Fatal(err)
 	}
