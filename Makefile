@@ -13,10 +13,15 @@ build:
 # The race leg carries an explicit -timeout: the engine/shard package
 # loads several 3-shard clusters and the race detector's ~10-20x
 # slowdown pushes it past go test's default 10m on a 1-core runner.
+# That leg is -short; the buffer manager and the page store, where page
+# I/O runs concurrently with everything else, get the race detector on
+# their full suites (gated-device and sleeping-device tests included;
+# seconds each).
 test:
 	go vet ./...
 	go test ./...
 	go test -race -short -timeout 30m ./internal/engine/...
+	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/
 
 race:
 	go test -race -timeout 60m ./...

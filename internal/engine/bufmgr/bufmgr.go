@@ -15,10 +15,53 @@
 // over its own share, so the aggregate is a partitioned-LRU policy: hit
 // ratios differ slightly from global LRU, and the reference-stream replay
 // (package xval) claims bit-identity only at P=1.
+//
+// # Frame life cycle
+//
+// The paper's throughput model sizes disk arms assuming independent I/Os
+// overlap, so no device call is made under a partition mutex. A frame is
+//
+//   - free: on the partition's freelist (or not yet carved);
+//   - reserved/reading: a miss took it, published it in the frame table
+//     with io == ioRead and the reader's pin, and dropped p.mu around
+//     store.Read. The miss is counted and tapped at publication. A second
+//     pin of the same page finds the frame, waits on the frame (not the
+//     partition) and, once the read has succeeded, counts as a HIT: one
+//     store.Read serves both, so at quiescence Misses == store reads. If
+//     the read fails the frame is unpublished and freed, the reader gets
+//     the error, and each waiter retries as a miss of its own;
+//   - resident: pinned, or unpinned and on the LRU list;
+//   - busy/writing: writeBack marked it busy and clean, dropped p.mu, took
+//     the content latch, ran the WAL-rule hook and store.Flush. The frame
+//     keeps its LRU position and may be pinned meanwhile (the pinner waits
+//     for the content latch, never for p.mu). A frame an evictor is
+//     writing is skipped by other evictors; one being written in place
+//     (cleaner, FlushAll) is still the LRU victim and an evictor waits on
+//     it. A failed write leaves the frame dirty where it was;
+//   - evicted: a clean unpinned LRU-tail frame leaves the table and
+//     returns to the freelist. A victim that was pinned during its
+//     write-back simply stays, clean, and the next victim is taken.
+//
+// Lock order: content latch, then p.mu (Unpin); p.mu is never held across
+// a device call, a log force or a content-latch wait. Crash and FlushAll
+// wait out frames whose I/O is in flight.
+//
+// # Clean-ahead
+//
+// Eviction writes a dirty victim before it can read, which puts a log
+// force and a page write on the reader's clock. When a miss finds its
+// partition full and a dirty frame among the cleanAhead frames at the LRU
+// tail, it starts that partition's cleaner goroutine (at most one). The
+// cleaner writes those frames back IN PLACE — neither LRU position nor
+// residency changes, so the hit/miss stream, Evicts and the xval replay
+// are those of plain LRU — and exits as soon as the run is clean or a
+// write fails. The foreground write-back remains the path a miss takes
+// when the cleaner has not got there.
 package bufmgr
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tpccmodel/internal/engine/storage"
@@ -30,12 +73,13 @@ import (
 // make a page resident at the MRU position without counting as an access,
 // so a replayed LRU simulation must see them to reproduce the pool state).
 // The tap runs under the partition lock, so calls are totally ordered PER
-// PARTITION and the callback must not re-enter the manager. With a single
-// partition and a single-threaded caller the call order is exactly the LRU
-// decision order, which is what makes the engine's measured hit/miss
-// stream bit-reproducible by a stack-distance replay (package xval) —
-// that guarantee is therefore only claimed at partitions = 1, and the
-// cross-validation gate pins that configuration.
+// PARTITION and the callback must not re-enter the manager. A miss is
+// reported when its frame is published, before the page is read. With a
+// single partition and a single-threaded caller the call order is exactly
+// the LRU decision order, which is what makes the engine's measured
+// hit/miss stream bit-reproducible by a stack-distance replay (package
+// xval) — that guarantee is therefore only claimed at partitions = 1, and
+// the cross-validation gate pins that configuration.
 type Tap func(id storage.PageID, cls int, alloc, hit bool)
 
 // Stats counts logical page accesses and physical misses.
@@ -65,11 +109,29 @@ func (s *Stats) add(o Stats) {
 	s.Flushes += o.Flushes
 }
 
+// ioState says whether a frame's page I/O is in flight with the partition
+// mutex dropped (see the package comment's frame life cycle).
+type ioState uint8
+
+const (
+	ioNone  ioState = iota
+	ioRead          // reserved: a miss is reading the page in; pins == 1, the reader's
+	ioClean         // busy: being written back in place (cleaner, FlushAll)
+	ioEvict         // busy: being written back by the evictor that will take it
+)
+
+// writing reports whether a write-back of f is in flight.
+func (f *frame) writing() bool { return f.io >= ioClean }
+
+// cleanAhead is the run of frames at the LRU tail the cleaner keeps clean.
+const cleanAhead = 16
+
 type frame struct {
 	id    storage.PageID
 	data  []byte
 	pins  int
 	dirty bool
+	io    ioState
 	// part is the owning partition; Unpin needs it to find the right
 	// mutex without rehashing the page id.
 	part *partition
@@ -83,19 +145,31 @@ type frame struct {
 	// same-row access, but two rows sharing a page (or its slot bitmap
 	// byte) may be touched concurrently.
 	contentMu sync.Mutex
+	// ioDone (on p.mu) is broadcast when io returns to ioNone: it wakes
+	// whoever waits for THIS frame — pins of the page being read, an
+	// evictor or FlushAll waiting for its write, Crash — and nobody else.
+	// Last, so the fields a hit touches share cache lines as they did
+	// before frames had one.
+	ioDone sync.Cond
 }
 
 // partition is one shard of the pool: a mutex, the frames whose pages hash
 // here, an intrusive LRU of its unpinned frames, a freelist, and this
-// partition's share of the counters. Eviction, write-back, and the
-// all-pinned wait are all partition-local.
+// partition's share of the counters. Eviction, write-back, the cleaner and
+// the no-victim wait are all partition-local.
 type partition struct {
 	mgr      *Manager
 	capacity int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu sync.Mutex
+	// cond is signalled when a victim or a free slot may have appeared: an
+	// unpin, a finished write-back, a failed read.
+	cond *sync.Cond
+	// frames holds every published frame: resident ones and those reserved
+	// for a read in flight. len(frames) never exceeds capacity.
 	frames map[storage.PageID]*frame
+	// cleaning is set while this partition's cleaner goroutine exists.
+	cleaning bool
 	// Intrusive LRU list of unpinned frames: lruHead = MRU, lruTail =
 	// eviction victim.
 	lruHead, lruTail *frame
@@ -122,7 +196,8 @@ type Manager struct {
 	// The shared hooks below are read under a partition mutex on every
 	// access; writers (the Set* methods) hold EVERY partition mutex, so
 	// no reader can observe a torn update and installs are race-free
-	// even mid-run.
+	// even mid-run. Code that drops the mutex around a call to one reads
+	// it into a local first.
 	//
 	// classOf assigns pages to accounting classes (e.g. one per
 	// relation); nil means everything lands in class 0.
@@ -221,6 +296,7 @@ func (p *partition) frameFor(id storage.PageID) *frame {
 		f.data = p.dataSlab[:ps:ps]
 		p.dataSlab = p.dataSlab[ps:]
 		f.part = p
+		f.ioDone.L = &p.mu
 	}
 	f.id = id
 	f.pins = 0
@@ -312,19 +388,159 @@ func (m *Manager) SetTap(fn Tap) {
 	m.tap = fn
 }
 
-// flushFrame writes one dirty frame back, honoring the WAL rule.
+// read publishes the reserved frame f for its page and fills it from the
+// store with p.mu dropped: other pins of the partition proceed, a pin of
+// the same page waits on f.ioDone. On failure the frame is unpublished and
+// freed; the woken waiters look the page up again. Callers hold p.mu and
+// f's only pin.
+func (p *partition) read(f *frame) error {
+	f.io = ioRead
+	p.frames[f.id] = f
+	p.mu.Unlock()
+
+	err := p.mgr.store.Read(f.id, f.data)
+
+	p.mu.Lock()
+	f.io = ioNone
+	f.ioDone.Broadcast()
+	if err != nil {
+		delete(p.frames, f.id)
+		p.freeFrame(f)
+		p.cond.Broadcast()
+	}
+	return err
+}
+
+// writeBack writes the dirty resident frame f to the store, honoring the
+// WAL rule, with p.mu dropped. The frame is marked busy (as ioClean or
+// ioEvict) and clean first: it stays where it is in the LRU list and may be
+// pinned meanwhile, nobody else writes or evicts it, and an unpin that
+// dirties it again during the write is not lost. The content latch is taken
+// BEFORE the log force so every change the written image carries has its
+// log record forced. A failed write leaves f dirty. Callers hold p.mu (held
+// again on return) and must re-examine the partition afterwards; f.io must
+// be ioNone.
+func (p *partition) writeBack(f *frame, as ioState) error {
+	preFlush := p.mgr.preFlush
+	f.io = as
+	f.dirty = false
+	p.mu.Unlock()
+
+	f.contentMu.Lock()
+	var err error
+	if preFlush != nil {
+		err = preFlush()
+	}
+	if err == nil {
+		err = p.mgr.store.Flush(f.id, f.data)
+	}
+	f.contentMu.Unlock()
+
+	p.mu.Lock()
+	f.io = ioNone
+	if err != nil {
+		f.dirty = true
+	} else {
+		p.stats.Flushes++
+	}
+	f.ioDone.Broadcast()
+	p.cond.Broadcast()
+	return err
+}
+
+// victim returns the least recently used unpinned frame that no other
+// evictor has spoken for, or nil. A frame being cleaned in place is still
+// the victim (its write is waited for), which is what keeps the eviction
+// order plain LRU whatever the cleaner does. Callers hold p.mu.
+func (p *partition) victim() *frame {
+	f := p.lruTail
+	for f != nil && f.io == ioEvict {
+		f = f.prev
+	}
+	return f
+}
+
+// dirtyAhead returns the first dirty frame, from the LRU tail, among the
+// cleanAhead next victims, or nil when that run is clean or being cleaned.
 // Callers hold p.mu.
-func (p *partition) flushFrame(f *frame) error {
-	if fn := p.mgr.preFlush; fn != nil {
-		if err := fn(); err != nil {
-			return err
+func (p *partition) dirtyAhead() *frame {
+	f := p.lruTail
+	for n := 0; f != nil && n < cleanAhead; n++ {
+		if f.dirty && f.io == ioNone {
+			return f
+		}
+		f = f.prev
+	}
+	return nil
+}
+
+// makeRoom takes one step towards a free slot in a full partition: it
+// evicts the victim if clean, writes it back if dirty (the next step finds
+// it clean, unless it was pinned meanwhile), or waits: for the victim's
+// cleaning to end, or for a victim when every frame is pinned or spoken for.
+// Callers hold p.mu, which any step may drop and retake, and loop on their
+// own condition.
+func (p *partition) makeRoom() error {
+	switch f := p.victim(); {
+	case f == nil:
+		p.cond.Wait()
+	case f.io == ioClean:
+		f.ioDone.Wait()
+	case f.dirty:
+		return p.writeBack(f, ioEvict)
+	default:
+		p.lruRemove(f)
+		delete(p.frames, f.id)
+		p.stats.Evicts++
+		p.freeFrame(f)
+	}
+	return nil
+}
+
+// cleanAheadOfMiss starts the partition's cleaner, unless it is running,
+// when a frame next in line for eviction is dirty. Only a miss calls it:
+// page allocation is what loading a database does, nothing but; there every
+// victim is dirty, nobody waits for a read, and a second goroutine trading
+// frames with the loader costs more than it saves. Callers hold p.mu.
+func (p *partition) cleanAheadOfMiss() {
+	if !p.cleaning && p.dirtyAhead() != nil {
+		p.cleaning = true
+		go p.clean()
+	}
+}
+
+// clean is the partition's cleaner goroutine: it writes the dirty frames of
+// the cleanAhead run back in place, tail first, and exits once the run is
+// clean. It also exits on a failed write, leaving the frame dirty: the miss
+// that needs the frame retries the write and reports the error.
+func (p *partition) clean() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for f := p.dirtyAhead(); f != nil; f = p.dirtyAhead() {
+		if p.writeBack(f, ioClean) != nil {
+			break
 		}
 	}
-	if err := p.mgr.store.Flush(f.id, f.data); err != nil {
-		return err
+	p.cleaning = false
+}
+
+// busyFrame returns a frame of p with I/O in flight, or nil. Every such
+// frame is published: a read's when it is reserved, a write's because it is
+// resident. Callers hold p.mu.
+func (p *partition) busyFrame() *frame {
+	for _, f := range p.frames {
+		if f.io != ioNone {
+			return f
+		}
 	}
-	p.stats.Flushes++
 	return nil
+}
+
+// drain waits until no frame of p has I/O in flight. Callers hold p.mu.
+func (p *partition) drain() {
+	for f := p.busyFrame(); f != nil; f = p.busyFrame() {
+		f.ioDone.Wait()
+	}
 }
 
 // Capacity returns the total frame count across partitions.
@@ -373,7 +589,8 @@ func (m *Manager) ResetStats() {
 
 // pin returns the frame for id with its pin count incremented, reading the
 // page in on a miss and evicting an unpinned LRU victim when the partition
-// is full. It blocks while every frame of the partition is pinned.
+// is full. It blocks while every frame of the partition is pinned or busy,
+// and while another pin's read of the same page is in flight.
 func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	p := m.partOf(id)
 	p.mu.Lock()
@@ -383,19 +600,33 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	if m.classOf != nil {
 		cls = m.classOf(id)
 	}
-	if f, ok := p.frames[id]; ok {
-		p.stats.Hits++
-		if p.classStats != nil {
-			p.classStats[cls].Hits++
+	// Every wait below drops p.mu, so each turn looks the page up again.
+	for {
+		if f, ok := p.frames[id]; ok {
+			if f.io == ioRead {
+				f.ioDone.Wait()
+				continue
+			}
+			p.stats.Hits++
+			if p.classStats != nil {
+				p.classStats[cls].Hits++
+			}
+			if m.tap != nil {
+				m.tap(id, cls, false, true)
+			}
+			if f.pins == 0 && f.inLRU {
+				p.lruRemove(f)
+			}
+			f.pins++
+			return f, nil
 		}
-		if m.tap != nil {
-			m.tap(id, cls, false, true)
+		if len(p.frames) < p.capacity {
+			break
 		}
-		if f.pins == 0 && f.inLRU {
-			p.lruRemove(f)
+		p.cleanAheadOfMiss()
+		if err := p.makeRoom(); err != nil {
+			return nil, err
 		}
-		f.pins++
-		return f, nil
 	}
 
 	p.stats.Misses++
@@ -405,30 +636,11 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	if m.tap != nil {
 		m.tap(id, cls, false, false)
 	}
-	for len(p.frames) >= p.capacity {
-		if f := p.lruTail; f != nil {
-			if f.dirty {
-				if err := p.flushFrame(f); err != nil {
-					return nil, err
-				}
-			}
-			p.lruRemove(f)
-			delete(p.frames, f.id)
-			p.stats.Evicts++
-			p.freeFrame(f)
-			continue
-		}
-		// All frames pinned: wait for an unpin.
-		p.cond.Wait()
-	}
-
 	f := p.frameFor(id)
 	f.pins = 1
-	if err := m.store.Read(id, f.data); err != nil {
-		p.freeFrame(f)
+	if err := p.read(f); err != nil {
 		return nil, err
 	}
-	p.frames[id] = f
 	return f, nil
 }
 
@@ -502,6 +714,11 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 	p := m.partOf(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for len(p.frames) >= p.capacity {
+		if err := p.makeRoom(); err != nil {
+			return 0, err
+		}
+	}
 	if m.tap != nil {
 		// The relation tag is attached by the caller after Allocate
 		// returns, so the class reported here is the default; replays
@@ -511,21 +728,6 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 			cls = m.classOf(id)
 		}
 		m.tap(id, cls, true, false)
-	}
-	for len(p.frames) >= p.capacity {
-		if f := p.lruTail; f != nil {
-			if f.dirty {
-				if err := p.flushFrame(f); err != nil {
-					return 0, err
-				}
-			}
-			p.lruRemove(f)
-			delete(p.frames, f.id)
-			p.stats.Evicts++
-			p.freeFrame(f)
-			continue
-		}
-		p.cond.Wait()
 	}
 	f := p.frameFor(id)
 	// A recycled frame still holds its previous page's bytes; a new page
@@ -538,34 +740,56 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 }
 
 // FlushAll writes every dirty resident page back to the store (a
-// checkpoint).
+// checkpoint), partition by partition in ascending page order, so two
+// checkpoints of the same state issue the same write sequence. Pins proceed
+// while it writes; a page some other write-back holds busy is waited for.
 func (m *Manager) FlushAll() error {
 	for _, p := range m.parts {
-		p.mu.Lock()
-		for _, f := range p.frames {
-			if f.dirty {
-				f.contentMu.Lock()
-				err := p.flushFrame(f)
-				f.contentMu.Unlock()
-				if err != nil {
-					p.mu.Unlock()
-					return err
-				}
-				f.dirty = false
-			}
+		if err := p.flushAll(); err != nil {
+			return err
 		}
-		p.mu.Unlock()
+	}
+	return nil
+}
+
+func (p *partition) flushAll() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var ids []storage.PageID
+	for id, f := range p.frames {
+		if f.dirty || f.writing() {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		// writeBack and the waits drop p.mu: look the page up each time.
+		f := p.frames[id]
+		for f != nil && f.writing() {
+			f.ioDone.Wait()
+			f = p.frames[id]
+		}
+		if f == nil || !f.dirty {
+			continue // evicted, hence written, or cleaned meanwhile
+		}
+		if err := p.writeBack(f, ioClean); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // Crash discards every resident frame without flushing, simulating a
 // failure: dirty pages are lost and only the store's durable images
-// survive. Pinned frames indicate a bug in the caller.
+// survive. Reads and write-backs in flight (a cleaner's included) are
+// waited out first. Pinned frames indicate a bug in the caller.
 func (m *Manager) Crash() error {
 	// All partitions locked: the crash is atomic across the pool.
 	m.lockAll()
 	defer m.unlockAll()
+	for _, p := range m.parts {
+		p.drain()
+	}
 	for _, p := range m.parts {
 		for _, f := range p.frames {
 			if f.pins > 0 {

@@ -54,16 +54,15 @@ type StoreStats struct {
 // the durable image; writes happen only through Flush (the buffer manager
 // owns the volatile images). All methods are safe for concurrent use.
 //
-// Page I/O takes the mutex SHARED: the device is internally synchronized,
-// the counters are atomics, and the physical-image scratch comes from a
-// pool, so reads and flushes of different pages proceed in parallel (the
-// partitioned buffer pool issues them from independent partition locks).
-// Only Allocate, which extends the page address space, is exclusive.
-// Concurrent Read/Flush of the SAME page are the caller's to serialize —
-// the buffer manager does, because a page lives in exactly one partition
-// and its miss-reads and write-backs run under that partition's mutex.
+// The Store holds no lock of its own: DiskIO implementations are
+// concurrency-safe by contract, the counters are atomics, and the
+// physical-image scratch comes from a pool, so reads, flushes and
+// allocations all proceed in parallel — a device that takes a millisecond
+// per call is never waited for by a call to another page. Concurrent
+// Read/Flush of the SAME page are the caller's to serialize — the buffer
+// manager does: a page has at most one frame, and a frame has at most one
+// read or write-back in flight (see bufmgr's frame life cycle).
 type Store struct {
-	mu       sync.RWMutex
 	disk     DiskIO
 	pageSize int
 	stats    struct {
@@ -75,7 +74,7 @@ type Store struct {
 	// physPool recycles physical-image scratch buffers for Read/Flush;
 	// without it every buffer-pool miss and write-back would
 	// heap-allocate a page-sized buffer. Pooled (not a single field)
-	// because page I/O runs shared-locked and concurrently.
+	// because page I/O runs concurrently.
 	physPool sync.Pool
 	// zeroPhys is the sealed all-zero image every Allocate writes; the
 	// image is identical for all pages, so it is built once.
@@ -140,11 +139,9 @@ func (s *Store) putScratch(b *[]byte) { s.physPool.Put(b) }
 
 // Allocate creates a new zeroed page and returns its ID. Both physical
 // copies are initialized with a valid checksum so the page is readable
-// immediately. Allocation extends the page address space, so it takes the
-// store lock exclusively.
+// immediately. The device hands out the id; nobody else can name the page
+// until Allocate returns it.
 func (s *Store) Allocate() (PageID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	id := s.disk.Allocate(s.physSize())
 	if err := s.disk.Write(id, AreaJournal, s.zeroPhys); err != nil {
 		return 0, fmt.Errorf("storage: init journal of page %d: %w", id, err)
@@ -165,8 +162,6 @@ func (s *Store) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: read buffer is %d bytes, want %d: %w",
 			len(buf), s.pageSize, ErrInvalidArgument)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	pb := s.scratch()
 	defer s.putScratch(pb)
 	phys := *pb
@@ -201,8 +196,6 @@ func (s *Store) Flush(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: flush buffer is %d bytes, want %d: %w",
 			len(buf), s.pageSize, ErrInvalidArgument)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	pb := s.scratch()
 	defer s.putScratch(pb)
 	phys := *pb

@@ -1,22 +1,27 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
 )
 
-// TestStoreConcurrentPageIO exercises the shared-lock page-I/O path: many
+// TestStoreConcurrentPageIO exercises the lock-free page-I/O path: many
 // goroutines read and flush disjoint pages while others allocate new pages
-// and poll the counters. Run under -race this checks the RWMutex + atomic
-// stats + pooled-scratch design; the per-page content check verifies that
-// concurrent flushes never bleed scratch buffers across pages.
+// concurrently with them and with each other, and one polls the counters.
+// Run under -race this checks the synchronized-device + atomic stats +
+// pooled-scratch design; the per-page content check verifies that
+// concurrent flushes never bleed scratch buffers across pages, and the
+// allocation check that concurrent Allocates hand out distinct, readable,
+// zeroed pages.
 func TestStoreConcurrentPageIO(t *testing.T) {
 	const (
-		pageSize = 512
-		pages    = 16
-		workers  = 8
-		rounds   = 200
+		pageSize   = 512
+		pages      = 16
+		workers    = 8
+		allocators = 3
+		rounds     = 200
 	)
 	s := mustStore(t, pageSize)
 	ids := make([]PageID, pages)
@@ -25,7 +30,7 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, workers+2)
+	errs := make(chan error, workers+allocators)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -55,23 +60,32 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 			}
 		}()
 	}
-	// Allocator and stats pollers run alongside the page I/O.
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, pageSize)
-		for r := 0; r < rounds; r++ {
-			id, err := s.Allocate()
-			if err != nil {
-				errs <- err
-				return
+	// Allocators and a stats poller run alongside the page I/O.
+	allocated := make([][]PageID, allocators)
+	for a := range allocated {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, pageSize)
+			for r := 0; r < rounds; r++ {
+				id, err := s.Allocate()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := s.Read(id, buf); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(buf, make([]byte, pageSize)) {
+					t.Errorf("fresh page %d is not zeroed", id)
+					return
+				}
+				allocated[a] = append(allocated[a], id)
 			}
-			if err := s.Read(id, buf); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
+		}()
+	}
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds*4; r++ {
@@ -87,6 +101,22 @@ func TestStoreConcurrentPageIO(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	seen := make(map[PageID]bool, pages+allocators*rounds)
+	for _, id := range ids {
+		seen[id] = true
+	}
+	for _, got := range allocated {
+		for _, id := range got {
+			if seen[id] {
+				t.Fatalf("page %d allocated twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if want := int64(pages + allocators*rounds); s.Pages() != want {
+		t.Fatalf("store has %d pages, want %d", s.Pages(), want)
 	}
 
 	st := s.Stats()
