@@ -13,10 +13,16 @@ build:
 # The race leg carries an explicit -timeout: the engine/shard package
 # loads several 3-shard clusters and the race detector's ~10-20x
 # slowdown pushes it past go test's default 10m on a 1-core runner.
-# That leg is -short; the buffer manager and the page store, where page
-# I/O runs concurrently with everything else, get the race detector on
-# their full suites (gated-device and sleeping-device tests included;
-# seconds each).
+# That leg is -short, which still covers the 2PC branch paths: the db
+# package's TestDist*, TestLocalBranchDifferential (local procedure vs
+# Begin/Prepare/Commit, all three -cc modes) and
+# TestBranchesRetireVersionChains run on small fixtures and are not
+# -short-skipped, and so do shard's TestHomeShardOtherWarehouseLine and
+# TestCrossShardDeadlockLiveness (two workers in a cross-shard lock cycle
+# only the wait timeout breaks). The buffer manager and the page store,
+# where page I/O runs concurrently with everything else, get the race
+# detector on their full suites (gated-device and sleeping-device tests
+# included; seconds each).
 test:
 	go vet ./...
 	go test ./...

@@ -21,8 +21,8 @@ import (
 func TestMVCCReadYourWritesAndSnapshotStability(t *testing.T) {
 	d := openTiny(t, CCMVCC)
 
-	reader := d.begin()
-	writer := d.begin()
+	reader := d.NewSession().begin()
+	writer := d.NewSession().begin()
 	if err := tinyWriteCustomer(writer, 0, func(c *CustomerRec) { c.BalanceCents += 100 }); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestMVCCReadYourWritesAndSnapshotStability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := d.begin()
+	fresh := d.NewSession().begin()
 	if rec, _ := tinyReadCustomer(t, fresh, 0); rec.BalanceCents != 100 {
 		t.Fatalf("fresh snapshot sees balance %d, want 100", rec.BalanceCents)
 	}
@@ -60,8 +60,8 @@ func TestMVCCReadYourWritesAndSnapshotStability(t *testing.T) {
 func TestMVCCLostUpdateImpossible(t *testing.T) {
 	d := openTiny(t, CCMVCC)
 
-	t1 := d.begin()
-	t2 := d.begin()
+	t1 := d.NewSession().begin()
+	t2 := d.NewSession().begin()
 	if rec, _ := tinyReadCustomer(t, t1, 0); rec.BalanceCents != 0 {
 		t.Fatalf("t1 starting balance %d, want 0", rec.BalanceCents)
 	}
@@ -92,14 +92,14 @@ func TestMVCCLostUpdateImpossible(t *testing.T) {
 	}
 
 	// The retry path: fresh snapshot, clean write.
-	t2r := d.begin()
+	t2r := d.NewSession().begin()
 	if err := tinyWriteCustomer(t2r, 0, func(c *CustomerRec) { c.BalanceCents += 100 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := t2r.commit(); err != nil {
 		t.Fatal(err)
 	}
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	if rec, _ := tinyReadCustomer(t, fin, 0); rec.BalanceCents != 200 {
 		t.Fatalf("final balance %d, want 200 (both increments)", rec.BalanceCents)
 	}
@@ -117,12 +117,12 @@ func TestMVCCDirtyWriteImpossible(t *testing.T) {
 	d.locks.SetWaitTimeout(2 * time.Millisecond)
 	defer d.locks.SetWaitTimeout(0)
 
-	t1 := d.begin()
+	t1 := d.NewSession().begin()
 	if err := tinyWriteCustomer(t1, 0, func(c *CustomerRec) { c.BalanceCents = 111 }); err != nil {
 		t.Fatal(err)
 	}
 
-	t2 := d.begin()
+	t2 := d.NewSession().begin()
 	err := tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
 	if !errors.Is(err, lock.ErrTimeout) {
 		t.Fatalf("overlapping write failed with %v, want lock.ErrTimeout", err)
@@ -134,7 +134,7 @@ func TestMVCCDirtyWriteImpossible(t *testing.T) {
 	if err := t1.commit(); err != nil {
 		t.Fatal(err)
 	}
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	if rec, _ := tinyReadCustomer(t, fin, 0); rec.BalanceCents != 111 {
 		t.Fatalf("final balance %d, want 111 (t1's write only)", rec.BalanceCents)
 	}
@@ -150,8 +150,8 @@ func TestMVCCDirtyWriteImpossible(t *testing.T) {
 func TestMVCCFirstCommitterWinsNextOID(t *testing.T) {
 	d := openTiny(t, CCMVCC)
 
-	t1 := d.begin()
-	t2 := d.begin()
+	t1 := d.NewSession().begin()
+	t2 := d.NewSession().begin()
 	d1, _ := tinyReadDistrict(t, t1, 0)
 	d2, _ := tinyReadDistrict(t, t2, 0)
 	if d1.NextOID != d2.NextOID {
@@ -173,7 +173,7 @@ func TestMVCCFirstCommitterWinsNextOID(t *testing.T) {
 		t.Fatalf("stale bump failed with %v, want ErrWriteConflict", err)
 	}
 
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	if rec, _ := tinyReadDistrict(t, fin, 0); rec.NextOID != d1.NextOID+1 {
 		t.Fatalf("next_o_id = %d, want %d (exactly one bump)", rec.NextOID, d1.NextOID+1)
 	}
@@ -192,7 +192,7 @@ func TestMVCCFirstCommitterWinsNextOID(t *testing.T) {
 func TestWriteSkew(t *testing.T) {
 	t.Run("mvcc-allows", func(t *testing.T) {
 		d := openTiny(t, CCMVCC)
-		seed := d.begin()
+		seed := d.NewSession().begin()
 		for _, dist := range []int64{0, 1} {
 			if err := tinyWriteCustomer(seed, dist, func(c *CustomerRec) { c.BalanceCents = 50 }); err != nil {
 				t.Fatal(err)
@@ -203,8 +203,8 @@ func TestWriteSkew(t *testing.T) {
 		}
 		conflicts0 := d.WriteConflicts()
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		// Each withdraws its whole row only if the other row still holds 50.
 		if rec, _ := tinyReadCustomer(t, t1, 1); rec.BalanceCents != 50 {
 			t.Fatalf("t1 guard read: %d, want 50", rec.BalanceCents)
@@ -227,7 +227,7 @@ func TestWriteSkew(t *testing.T) {
 		if n := d.WriteConflicts() - conflicts0; n != 0 {
 			t.Fatalf("disjoint write sets raised %d conflicts, want 0", n)
 		}
-		fin := d.begin()
+		fin := d.NewSession().begin()
 		r0, _ := tinyReadCustomer(t, fin, 0)
 		r1, _ := tinyReadCustomer(t, fin, 1)
 		if r0.BalanceCents != 0 || r1.BalanceCents != 0 {
@@ -240,7 +240,7 @@ func TestWriteSkew(t *testing.T) {
 
 	t.Run("ssi-forbids", func(t *testing.T) {
 		d := openTiny(t, CCSSI)
-		seed := d.begin()
+		seed := d.NewSession().begin()
 		for _, dist := range []int64{0, 1} {
 			if err := tinyWriteCustomer(seed, dist, func(c *CustomerRec) { c.BalanceCents = 50 }); err != nil {
 				t.Fatal(err)
@@ -251,8 +251,8 @@ func TestWriteSkew(t *testing.T) {
 		}
 		conflicts0 := d.WriteConflicts()
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		// Same schedule as mvcc-allows: guard reads cross the writes.
 		if rec, _ := tinyReadCustomer(t, t1, 1); rec.BalanceCents != 50 {
 			t.Fatalf("t1 guard read: %d, want 50", rec.BalanceCents)
@@ -290,14 +290,14 @@ func TestWriteSkew(t *testing.T) {
 
 		// The retry sees t1's withdrawal and its guard refuses — the
 		// serializable outcome.
-		t2r := d.begin()
+		t2r := d.NewSession().begin()
 		if rec, _ := tinyReadCustomer(t, t2r, 0); rec.BalanceCents == 50 {
 			t.Fatal("retry still sees pre-skew guard value")
 		}
 		if err := t2r.commit(); err != nil {
 			t.Fatal(err)
 		}
-		fin := d.begin()
+		fin := d.NewSession().begin()
 		r0, _ := tinyReadCustomer(t, fin, 0)
 		r1, _ := tinyReadCustomer(t, fin, 1)
 		if r0.BalanceCents != 0 || r1.BalanceCents != 50 {
@@ -313,8 +313,8 @@ func TestWriteSkew(t *testing.T) {
 		d.locks.SetWaitTimeout(2 * time.Millisecond)
 		defer d.locks.SetWaitTimeout(0)
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		// The guard reads take shared locks under 2PL...
 		tinyReadCustomer(t, t1, 1)
 		tinyReadCustomer(t, t2, 0)

@@ -27,7 +27,7 @@ func TestCCDifferentialTiny(t *testing.T) {
 		// Interleaved balance/YTD churn across every fixture district.
 		for round := int64(0); round < 5; round++ {
 			for dist := int64(0); dist < tinyDistricts; dist++ {
-				tx := d.begin()
+				tx := d.NewSession().begin()
 				amt := uint64(100*round + 10*dist + 1)
 				if err := writeWarehouse(tx, func(w *WarehouseRec) { w.YTDCents += amt }); err != nil {
 					t.Fatal(err)
@@ -47,7 +47,7 @@ func TestCCDifferentialTiny(t *testing.T) {
 				// Every third transaction aborts: rollback must restore the
 				// identical pre-images under both modes.
 				if (round+dist)%3 == 2 {
-					if err := tx.rollback(); err != nil {
+					if err := tx.rollbackWith(0); err != nil {
 						t.Fatal(err)
 					}
 					continue
@@ -58,7 +58,7 @@ func TestCCDifferentialTiny(t *testing.T) {
 			}
 			// A read-only transaction between rounds (exercises the mvcc
 			// WAL-skip commit path; a plain locked read under 2PL).
-			ro := d.begin()
+			ro := d.NewSession().begin()
 			tinyReadCustomer(t, ro, round%tinyDistricts)
 			if err := ro.commit(); err != nil {
 				t.Fatal(err)

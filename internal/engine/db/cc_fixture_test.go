@@ -5,7 +5,6 @@ import (
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
-	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/tpcc"
 )
@@ -29,19 +28,14 @@ func openTiny(t *testing.T, cc CCMode) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := d.begin()
+	tx := d.NewSession().begin()
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
 
 	ins := func(rel core.Relation, key uint64, g *guardedTree, n int) {
 		t.Helper()
-		if err := tx.lockRow(rel, key, lock.Exclusive); err != nil {
+		if _, err := tx.insertKeyed(rel, g, key, buf[:n]); err != nil {
 			t.Fatal(err)
 		}
-		rid, err := tx.insertRow(rel, key, buf[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx.setIdx(g, key, rid.Pack())
 	}
 
 	w := WarehouseRec{ID: 0}
@@ -91,25 +85,18 @@ func tinyReadCustomer(t *testing.T, tx *txn, dist int64) (CustomerRec, bool) {
 }
 
 // writeCustomer rewrites the fixture customer in dist under tx (current
-// read under the exclusive lock, then updateRow). Returns the engine
+// read under the exclusive lock, then store). Returns the engine
 // error unrolled — callers assert on conflicts.
 func tinyWriteCustomer(tx *txn, dist int64, mut func(*CustomerRec)) error {
-	key := custKey(dist)
-	if err := tx.lockRow(core.Customer, key, lock.Exclusive); err != nil {
-		return err
-	}
-	rid, _ := tx.d.customerIdx.get(key)
-	n := tpcc.TupleLen[core.Customer]
-	before := make([]byte, n)
-	after := make([]byte, n)
-	if err := tx.readRec(core.Customer, storage.UnpackRID(rid), before); err != nil {
+	r, err := tx.fetch(core.Customer, tx.d.customerIdx, custKey(dist))
+	if err != nil {
 		return err
 	}
 	var rec CustomerRec
-	rec.Unmarshal(before)
+	rec.Unmarshal(r.cur)
 	mut(&rec)
-	rec.Marshal(after)
-	return tx.updateRow(core.Customer, key, storage.UnpackRID(rid), before, after)
+	rec.Marshal(r.next)
+	return tx.store(r)
 }
 
 // readDistrict / writeDistrict mirror the customer helpers.
@@ -133,41 +120,28 @@ func tinyReadDistrict(t *testing.T, tx *txn, dist int64) (DistrictRec, bool) {
 }
 
 func tinyWriteDistrict(tx *txn, dist int64, mut func(*DistrictRec)) error {
-	key := distKey(dist)
-	if err := tx.lockRow(core.District, key, lock.Exclusive); err != nil {
-		return err
-	}
-	rid, _ := tx.d.districtIdx.get(key)
-	n := tpcc.TupleLen[core.District]
-	before := make([]byte, n)
-	after := make([]byte, n)
-	if err := tx.readRec(core.District, storage.UnpackRID(rid), before); err != nil {
+	r, err := tx.fetch(core.District, tx.d.districtIdx, distKey(dist))
+	if err != nil {
 		return err
 	}
 	var rec DistrictRec
-	rec.Unmarshal(before)
+	rec.Unmarshal(r.cur)
 	mut(&rec)
-	rec.Marshal(after)
-	return tx.updateRow(core.District, key, storage.UnpackRID(rid), before, after)
+	rec.Marshal(r.next)
+	return tx.store(r)
 }
 
 // writeWarehouse rewrites warehouse 0 under tx.
 func writeWarehouse(tx *txn, mut func(*WarehouseRec)) error {
-	if err := tx.lockRow(core.Warehouse, 0, lock.Exclusive); err != nil {
-		return err
-	}
-	rid, _ := tx.d.warehouseIdx.get(0)
-	n := tpcc.TupleLen[core.Warehouse]
-	before := make([]byte, n)
-	after := make([]byte, n)
-	if err := tx.readRec(core.Warehouse, storage.UnpackRID(rid), before); err != nil {
+	r, err := tx.fetch(core.Warehouse, tx.d.warehouseIdx, 0)
+	if err != nil {
 		return err
 	}
 	var rec WarehouseRec
-	rec.Unmarshal(before)
+	rec.Unmarshal(r.cur)
 	mut(&rec)
-	rec.Marshal(after)
-	return tx.updateRow(core.Warehouse, 0, storage.UnpackRID(rid), before, after)
+	rec.Marshal(r.next)
+	return tx.store(r)
 }
 
 // readWarehouse snap-reads warehouse 0 under tx.

@@ -40,11 +40,11 @@ func matrixReadCustomer(tx *txn, dist int64) (CustomerRec, error) {
 // probeDirtyRead: can a concurrent transaction observe an uncommitted
 // write?
 func probeDirtyRead(t *testing.T, d *DB) bool {
-	w := d.begin()
+	w := d.NewSession().begin()
 	if err := tinyWriteCustomer(w, 0, func(c *CustomerRec) { c.BalanceCents = 111 }); err != nil {
 		t.Fatal(err)
 	}
-	r := d.begin()
+	r := d.NewSession().begin()
 	rec, err := matrixReadCustomer(r, 0)
 	observed := err == nil && rec.BalanceCents == 111
 	if err != nil {
@@ -61,11 +61,11 @@ func probeDirtyRead(t *testing.T, d *DB) bool {
 // probeDirtyWrite: can a second writer replace a row whose update is
 // still uncommitted?
 func probeDirtyWrite(t *testing.T, d *DB) bool {
-	t1 := d.begin()
+	t1 := d.NewSession().begin()
 	if err := tinyWriteCustomer(t1, 0, func(c *CustomerRec) { c.BalanceCents = 111 }); err != nil {
 		t.Fatal(err)
 	}
-	t2 := d.begin()
+	t2 := d.NewSession().begin()
 	err := tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
 	observed := err == nil
 	if err != nil {
@@ -82,8 +82,8 @@ func probeDirtyWrite(t *testing.T, d *DB) bool {
 // probeLostUpdate: two read-modify-write increments under overlapping
 // snapshots — admitted when both commit but only one increment lands.
 func probeLostUpdate(t *testing.T, d *DB) bool {
-	t1 := d.begin()
-	t2 := d.begin()
+	t1 := d.NewSession().begin()
+	t2 := d.NewSession().begin()
 	commits := 0
 	step := func(tx *txn) {
 		if _, err := matrixReadCustomer(tx, 0); err != nil {
@@ -102,7 +102,7 @@ func probeLostUpdate(t *testing.T, d *DB) bool {
 	}
 	step(t1)
 	step(t2)
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	rec, err := matrixReadCustomer(fin, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func probeLostUpdate(t *testing.T, d *DB) bool {
 // probeWriteSkew: the TestWriteSkew schedule — crossing guard reads,
 // disjoint withdrawals. Admitted when both rows end up drained.
 func probeWriteSkew(t *testing.T, d *DB) bool {
-	seed := d.begin()
+	seed := d.NewSession().begin()
 	for _, dist := range []int64{0, 1} {
 		if err := tinyWriteCustomer(seed, dist, func(c *CustomerRec) { c.BalanceCents = 50 }); err != nil {
 			t.Fatal(err)
@@ -126,8 +126,8 @@ func probeWriteSkew(t *testing.T, d *DB) bool {
 		t.Fatal(err)
 	}
 
-	t1 := d.begin()
-	t2 := d.begin()
+	t1 := d.NewSession().begin()
+	t2 := d.NewSession().begin()
 	step := func(tx *txn, guard, victim int64) bool {
 		if _, err := matrixReadCustomer(tx, guard); err != nil {
 			tx.fail(err)
@@ -154,7 +154,7 @@ func probeWriteSkew(t *testing.T, d *DB) bool {
 		}
 	}
 
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	r0, err := matrixReadCustomer(fin, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func openCutPair(t *testing.T, cc CCMode) (home, part *DB) {
 // transaction on d.
 func snapStockQty(t *testing.T, d *DB, iid int64) (int32, *txn) {
 	t.Helper()
-	tx := d.begin()
+	tx := d.NewSession().begin()
 	rid, ok := d.stockIdx.get(index.KeyWI(0, iid))
 	if !ok {
 		t.Fatalf("no stock (0,%d)", iid)

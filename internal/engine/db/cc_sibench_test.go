@@ -50,7 +50,7 @@ func TestMVCCSIBenchStressor(t *testing.T) {
 				dist := r.Int63n(tinyDistricts)
 				committed := false
 				for try := 0; try < maxTriesPerTx && !committed; try++ {
-					tx := d.begin()
+					tx := d.NewSession().begin()
 					// Yield between snapshot and write so transactions
 					// overlap even at GOMAXPROCS=1 — otherwise each txn
 					// runs to commit unpreempted and FCW never fires. The
@@ -94,7 +94,7 @@ func TestMVCCSIBenchStressor(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tx := d.begin()
+		tx := d.NewSession().begin()
 		var firstW uint64
 		var firstD [tinyDistricts]uint64
 		for scan := 0; scan < readerScans; scan++ {
@@ -139,7 +139,7 @@ func TestMVCCSIBenchStressor(t *testing.T) {
 	}
 
 	// Quiesced: the current state must satisfy the invariant exactly.
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	w := readWarehouse(t, fin)
 	var sum uint64
 	for dist := int64(0); dist < tinyDistricts; dist++ {
@@ -166,9 +166,9 @@ func TestMVCCReadersDontBlockWriters(t *testing.T) {
 		d.locks.SetWaitTimeout(2 * time.Millisecond)
 		defer d.locks.SetWaitTimeout(0)
 
-		reader := d.begin()
+		reader := d.NewSession().begin()
 		tinyReadCustomer(t, reader, 0) // S lock under 2PL, lock-free under mvcc
-		writer := d.begin()
+		writer := d.NewSession().begin()
 		err := tinyWriteCustomer(writer, 0, func(c *CustomerRec) { c.BalanceCents = 7 })
 		if err != nil {
 			ferr := writer.fail(err)

@@ -45,20 +45,15 @@ const (
 func openSmallBank(t *testing.T, cc CCMode) *DB {
 	t.Helper()
 	d := openTiny(t, cc)
-	tx := d.begin()
+	tx := d.NewSession().begin()
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
 	for dist := int64(0); dist < tinyDistricts; dist++ {
 		cr := CustomerRec{DID: uint32(dist), CreditLimit: 50000}
 		cr.Marshal(buf)
 		key := index.KeyWDC(0, dist, sbSavings)
-		if err := tx.lockRow(core.Customer, key, lock.Exclusive); err != nil {
+		if _, err := tx.insertKeyed(core.Customer, d.customerIdx, key, buf); err != nil {
 			t.Fatal(err)
 		}
-		rid, err := tx.insertRow(core.Customer, key, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx.setIdx(d.customerIdx, key, rid.Pack())
 	}
 	if err := tx.commit(); err != nil {
 		t.Fatal(err)
@@ -85,22 +80,15 @@ func sbBalanceOf(tx *txn, acct, which int64) (int64, error) {
 
 // sbMut locks and read-modify-writes one balance.
 func sbMut(tx *txn, acct, which int64, mut func(*int64)) error {
-	key := index.KeyWDC(0, acct, which)
-	if err := tx.lockRow(core.Customer, key, lock.Exclusive); err != nil {
-		return err
-	}
-	rid, _ := tx.d.customerIdx.get(key)
-	n := tpcc.TupleLen[core.Customer]
-	before := make([]byte, n)
-	after := make([]byte, n)
-	if err := tx.readRec(core.Customer, storage.UnpackRID(rid), before); err != nil {
+	r, err := tx.fetch(core.Customer, tx.d.customerIdx, index.KeyWDC(0, acct, which))
+	if err != nil {
 		return err
 	}
 	var rec CustomerRec
-	rec.Unmarshal(before)
+	rec.Unmarshal(r.cur)
 	mut(&rec.BalanceCents)
-	rec.Marshal(after)
-	return tx.updateRow(core.Customer, key, storage.UnpackRID(rid), before, after)
+	rec.Marshal(r.next)
+	return tx.store(r)
 }
 
 // The procedures. Each returns the signed delta it applied to the total
@@ -159,7 +147,7 @@ func sbAmalgamate(tx *txn, a, b int64) error {
 // sbSeed commits sav(a)=100 with every other balance zero.
 func sbSeed(t *testing.T, d *DB) {
 	t.Helper()
-	tx := d.begin()
+	tx := d.NewSession().begin()
 	if err := sbMut(tx, 0, sbSavings, func(b *int64) { *b = 100 }); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +159,7 @@ func sbSeed(t *testing.T, d *DB) {
 // sbState reads (sav(a), chk(a), chk(b)) in a fresh snapshot.
 func sbState(t *testing.T, d *DB) (sav, chkA, chkB int64) {
 	t.Helper()
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	var err error
 	if sav, err = sbBalanceOf(fin, 0, sbSavings); err != nil {
 		t.Fatal(err)
@@ -199,8 +187,8 @@ func TestSmallBankSkew(t *testing.T) {
 		d := openSmallBank(t, CCMVCC)
 		sbSeed(t, d)
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		delta, err := sbWriteCheck(t1, 0, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -229,8 +217,8 @@ func TestSmallBankSkew(t *testing.T) {
 		sbSeed(t, d)
 		aborts0 := d.SSIAborts()
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		// Guard reads first, so the writes cross live SIREAD marks.
 		if _, err := sbBalanceOf(t1, 0, sbSavings); err != nil {
 			t.Fatal(err)
@@ -265,7 +253,7 @@ func TestSmallBankSkew(t *testing.T) {
 
 		// Clean retry: the fresh snapshot sees the overdrawn account and
 		// Amalgamate refuses — the WriteCheck-first serial outcome.
-		t2r := d.begin()
+		t2r := d.NewSession().begin()
 		if err := sbAmalgamate(t2r, 0, 1); err != nil {
 			t.Fatalf("retry: %v", err)
 		}
@@ -284,8 +272,8 @@ func TestSmallBankSkew(t *testing.T) {
 		d.locks.SetWaitTimeout(2 * time.Millisecond)
 		defer d.locks.SetWaitTimeout(0)
 
-		t1 := d.begin()
-		t2 := d.begin()
+		t1 := d.NewSession().begin()
+		t2 := d.NewSession().begin()
 		// Both guard reads take shared locks...
 		if _, err := sbBalanceOf(t1, 0, sbSavings); err != nil {
 			t.Fatal(err)
@@ -326,7 +314,7 @@ func TestSmallBankSSIConservation(t *testing.T) {
 	d.locks.SetWaitTimeout(5 * time.Millisecond)
 	defer d.locks.SetWaitTimeout(0)
 
-	seed := d.begin()
+	seed := d.NewSession().begin()
 	for a := int64(0); a < accounts; a++ {
 		if err := sbMut(seed, a, sbSavings, func(b *int64) { *b = 1000 }); err != nil {
 			t.Fatal(err)
@@ -360,7 +348,7 @@ func TestSmallBankSSIConservation(t *testing.T) {
 						t.Errorf("worker %d op %d: no commit after %d tries", w, op, maxTries)
 						return
 					}
-					tx := d.begin()
+					tx := d.NewSession().begin()
 					var delta int64
 					var err error
 					switch kind {
@@ -394,7 +382,7 @@ func TestSmallBankSSIConservation(t *testing.T) {
 	}
 
 	var total int64
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	for a := int64(0); a < accounts; a++ {
 		for _, which := range []int64{sbChecking, sbSavings} {
 			bal, err := sbBalanceOf(fin, a, which)

@@ -6,9 +6,7 @@ import (
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/lock"
-	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/engine/wal"
-	"tpccmodel/internal/tpcc"
 )
 
 // This file is the engine's two-phase-commit surface. A distributed
@@ -28,13 +26,41 @@ import (
 //     decision at the coordinator means abort — so abort paths never
 //     require logging, only commit decisions do.
 
-// Branch is one open branch of a distributed transaction: a transaction
-// that has executed its operations but not yet committed, exposed so a
-// coordinator can drive prepare/commit/abort across shards.
+// Branch is one open branch of a distributed transaction: a local
+// procedure body (or its share of one) run on a pooled Session and left
+// open, so a coordinator can drive prepare/commit/abort across shards. It
+// holds the session until it ends — Commit succeeds, Abort, Forsake, or a
+// failed Prepare — and must not be used afterwards.
 type Branch struct {
-	t        *txn
-	gid      uint64
-	prepared bool
+	s   *Session // nil once the branch has ended
+	gid uint64
+}
+
+// beginBranch starts a branch on a pooled session: like any transaction's,
+// its txn value's scratch and (under mvcc) retire ring are recycled only
+// by the next transaction that begins on the same value.
+func (d *DB) beginBranch(gid uint64) *Branch {
+	s := d.getSession()
+	s.begin()
+	return &Branch{s: s, gid: gid}
+}
+
+// opened ends a …Begin entry point whose body returned err. On failure the
+// branch is rolled back (ErrAborted = retry) and its session handed back:
+// an error from Begin leaves nothing to finish.
+func (b *Branch) opened(err error) (*Branch, error) {
+	if err != nil {
+		err = b.s.t.fail(err)
+		b.end()
+		return nil, err
+	}
+	return b, nil
+}
+
+// end hands the branch's session back to the pool.
+func (b *Branch) end() {
+	b.s.d.putSession(b.s)
+	b.s = nil
 }
 
 // GID returns the branch's global transaction id.
@@ -54,30 +80,41 @@ func (b *Branch) GID() uint64 { return b.gid }
 // edge graph; no global cycle detection), the same honesty caveat as the
 // per-shard snapshot cut.
 func (b *Branch) Prepare() error {
-	if err := b.t.validate(); err != nil {
-		_ = b.t.rollbackWith(b.gid)
-		return ErrSSIAbort
+	t := &b.s.t
+	err := t.validate()
+	if err != nil {
+		err = ErrSSIAbort
+	} else {
+		_, err = t.d.log.Append(wal.Record{Txn: uint64(t.id), Type: wal.RecPrepare, RID: b.gid})
 	}
-	if _, err := b.t.d.log.Append(wal.Record{
-		Txn: uint64(b.t.id), Type: wal.RecPrepare, RID: b.gid,
-	}); err != nil {
-		_ = b.t.rollbackWith(b.gid)
-		return err
+	if err != nil {
+		_ = t.rollbackWith(b.gid)
+		b.end()
 	}
-	b.prepared = true
-	return nil
+	return err
 }
 
 // Commit forces the branch's commit record (carrying the gid) and
 // releases its locks. On the home branch this record is the global
 // decision. A failed force leaves the branch open — locks held, undo
-// intact — so the caller may retry, abort, or (device dead) Forsake.
-func (b *Branch) Commit() error { return b.t.commitWith(b.gid) }
+// intact, session kept — so the caller may retry, abort, or (device dead)
+// Forsake.
+func (b *Branch) Commit() error {
+	if err := b.s.t.commitWith(b.gid); err != nil {
+		return err
+	}
+	b.end()
+	return nil
+}
 
 // Abort rolls the branch back: undo in reverse, an abort record carrying
 // the gid (best-effort — presumed abort needs no durable decision), and
 // lock release.
-func (b *Branch) Abort() error { return b.t.rollbackWith(b.gid) }
+func (b *Branch) Abort() error {
+	err := b.s.t.rollbackWith(b.gid)
+	b.end()
+	return err
+}
 
 // Forsake abandons the branch without logging or undo: locks are
 // released and the in-memory undo list is dropped. Only valid when the
@@ -86,14 +123,16 @@ func (b *Branch) Abort() error { return b.t.rollbackWith(b.gid) }
 // will restore a correct state. On a live device Forsake would corrupt:
 // other transactions could overwrite rows recovery later re-applies.
 func (b *Branch) Forsake() {
-	b.t.undo = b.t.undo[:0]
-	if b.t.d.ccMVCC {
+	t := &b.s.t
+	t.undo = t.undo[:0]
+	if t.d.ccMVCC {
 		// Drop the chain state too (pop versions, clear writer marks,
 		// deregister the snapshot); nil retire ring — the dead device's
 		// recovery path resets the whole store anyway.
-		b.t.d.mvcc.Abort(&b.t.mv, nil)
+		t.d.mvcc.Abort(&t.mv, nil)
 	}
-	b.t.d.locks.ReleaseAll(b.t.id)
+	t.d.locks.ReleaseAll(t.id)
+	b.end()
 }
 
 // setOutcome records a gid decision in the coordinator's outcome map.
@@ -234,195 +273,30 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 }
 
 // NewOrderHomeBegin executes the home-shard share of a distributed
-// New-Order and returns the open branch for the coordinator to finish.
-// Items flagged Remote are supplied by another shard: their stock update
-// happens in that shard's participant branch, while the item read (Item
-// is replicated on every shard) and the order-line insert — whose
-// SupplyWID column records the GLOBAL supplier warehouse id — stay home.
-// An error means the branch already rolled back (ErrAborted = retry).
+// New-Order — the New-Order body minus the stock step of every line
+// flagged Remote, which RemoteStockBegin runs on the supplier's shard —
+// and returns the open branch for the coordinator to finish. An error
+// means the branch already rolled back (ErrAborted = retry).
 func (d *DB) NewOrderHomeBegin(gid uint64, in NewOrderInput) (*Branch, NewOrderResult, error) {
-	t := d.begin()
-	var res NewOrderResult
-
-	var wrec WarehouseRec
-	wrid, ok := d.warehouseIdx.get(uint64(in.W))
-	if !ok {
-		return nil, res, t.fail(fmt.Errorf("db: no warehouse %d", in.W))
-	}
-	buf := t.buf
-	if _, err := t.snapRead(core.Warehouse, uint64(in.W), storage.UnpackRID(wrid), buf[:tpcc.TupleLen[core.Warehouse]]); err != nil {
-		return nil, res, t.fail(err)
-	}
-	wrec.Unmarshal(buf[:tpcc.TupleLen[core.Warehouse]])
-
-	dkey := index.KeyWD(in.W, in.D)
-	if err := t.lockRow(core.District, dkey, lock.Exclusive); err != nil {
-		return nil, res, t.fail(err)
-	}
-	drid, ok := d.districtIdx.get(dkey)
-	if !ok {
-		return nil, res, t.fail(fmt.Errorf("db: no district (%d,%d)", in.W, in.D))
-	}
-	dlen := tpcc.TupleLen[core.District]
-	if err := t.readRec(core.District, storage.UnpackRID(drid), buf[:dlen]); err != nil {
-		return nil, res, t.fail(err)
-	}
-	var drec DistrictRec
-	drec.Unmarshal(buf[:dlen])
-	oid := int64(drec.NextOID)
-	drec.NextOID++
-	drec.Marshal(t.img[:dlen])
-	if err := t.updateRow(core.District, dkey, storage.UnpackRID(drid), buf[:dlen], t.img[:dlen]); err != nil {
-		return nil, res, t.fail(err)
-	}
-
-	ckey := index.KeyWDC(in.W, in.D, in.C)
-	crid, ok := d.customerIdx.get(ckey)
-	if !ok {
-		return nil, res, t.fail(fmt.Errorf("db: no customer (%d,%d,%d)", in.W, in.D, in.C))
-	}
-	if _, err := t.snapRead(core.Customer, ckey, storage.UnpackRID(crid), buf[:tpcc.TupleLen[core.Customer]]); err != nil {
-		return nil, res, t.fail(err)
-	}
-
-	allLocal := uint8(1)
-	for _, it := range in.Items {
-		if it.Remote {
-			allLocal = 0
-		}
-	}
-	okey := index.KeyWDO(in.W, in.D, oid)
-	if err := t.lockRow(core.Order, okey, lock.Exclusive); err != nil {
-		return nil, res, t.fail(err)
-	}
-	orec := OrderRec{
-		OID: uint32(oid), CID: uint32(in.C), WID: uint16(in.W), DID: uint8(in.D),
-		OLCount: uint8(len(in.Items)), AllLocal: allLocal, EntryTick: d.nextTick(),
-	}
-	olen := tpcc.TupleLen[core.Order]
-	orec.Marshal(buf[:olen])
-	orid, err := t.insertRow(core.Order, okey, buf[:olen])
-	if err != nil {
-		return nil, res, t.fail(err)
-	}
-	t.setIdx(d.orderIdx, okey, orid.Pack())
-	t.setIdx(d.custOrderIdx, index.KeyWDCO(in.W, in.D, in.C, oid), orid.Pack())
-
-	if err := t.lockRow(core.NewOrder, okey, lock.Exclusive); err != nil {
-		return nil, res, t.fail(err)
-	}
-	norec := NewOrderRec{OID: uint32(oid), WID: uint16(in.W), DID: uint8(in.D)}
-	nolen := tpcc.TupleLen[core.NewOrder]
-	norec.Marshal(buf[:nolen])
-	norid, err := t.insertRow(core.NewOrder, okey, buf[:nolen])
-	if err != nil {
-		return nil, res, t.fail(err)
-	}
-	t.setIdx(d.newOrderIdx, okey, norid.Pack())
-
-	ilen := tpcc.TupleLen[core.Item]
-	slen := tpcc.TupleLen[core.Stock]
-	ollen := tpcc.TupleLen[core.OrderLine]
-	for n, it := range in.Items {
-		irid, ok := d.itemIdx.get(uint64(it.IID))
-		if !ok {
-			return nil, res, t.fail(fmt.Errorf("db: no item %d", it.IID))
-		}
-		if _, err := t.snapRead(core.Item, uint64(it.IID), storage.UnpackRID(irid), buf[:ilen]); err != nil {
-			return nil, res, t.fail(err)
-		}
-		var irec ItemRec
-		irec.Unmarshal(buf[:ilen])
-
-		if !it.Remote {
-			skey := index.KeyWI(it.SupplyW, it.IID)
-			if err := t.lockRow(core.Stock, skey, lock.Exclusive); err != nil {
-				return nil, res, t.fail(err)
-			}
-			srid, ok := d.stockIdx.get(skey)
-			if !ok {
-				return nil, res, t.fail(fmt.Errorf("db: no stock (%d,%d)", it.SupplyW, it.IID))
-			}
-			if err := t.readRec(core.Stock, storage.UnpackRID(srid), buf[:slen]); err != nil {
-				return nil, res, t.fail(err)
-			}
-			var srec StockRec
-			srec.Unmarshal(buf[:slen])
-			applyStockOrder(&srec, it.Qty, false)
-			srec.Marshal(t.img[:slen])
-			if err := t.updateRow(core.Stock, skey, storage.UnpackRID(srid), buf[:slen], t.img[:slen]); err != nil {
-				return nil, res, t.fail(err)
-			}
-		} else {
-			res.RemoteLines++
-		}
-
-		amount := uint32(it.Qty) * irec.PriceCents
-		olkey := index.KeyWDOL(in.W, in.D, oid, int64(n))
-		if err := t.lockRow(core.OrderLine, olkey, lock.Exclusive); err != nil {
-			return nil, res, t.fail(err)
-		}
-		olrec := OrderLineRec{
-			OID: uint32(oid), IID: uint32(it.IID), SupplyWID: uint16(it.SupplyW),
-			WID: uint16(in.W), DID: uint8(in.D), Number: uint8(n),
-			Quantity: uint8(it.Qty), AmountCents: amount,
-		}
-		olrec.Marshal(buf[:ollen])
-		olrid, err := t.insertRow(core.OrderLine, olkey, buf[:ollen])
-		if err != nil {
-			return nil, res, t.fail(err)
-		}
-		t.setIdx(d.olIdx, olkey, olrid.Pack())
-		res.TotalCents += uint64(amount)
-	}
-
-	res.OID = oid
-	return &Branch{t: t, gid: gid}, res, nil
-}
-
-// applyStockOrder applies the New-Order stock mutation rules in place.
-func applyStockOrder(s *StockRec, qty int64, remote bool) {
-	s.Quantity -= int32(qty)
-	if s.Quantity < 10 {
-		s.Quantity += 91
-	}
-	s.YTD += uint64(qty)
-	s.OrderCount++
-	if remote {
-		s.RemoteCnt++
-	}
+	b := d.beginBranch(gid)
+	res, err := b.s.t.newOrder(in)
+	b, err = b.opened(err)
+	return b, res, err
 }
 
 // RemoteStockBegin executes a participant's share of a distributed
-// New-Order: the stock read+update for the items this shard supplies.
-// Each item's SupplyW must be a warehouse LOCAL to this instance; every
-// update counts as remote (s_remote_cnt). The order-line rows live on the
-// home shard. An error means the branch already rolled back.
+// New-Order: the stock step for the items this shard supplies. Each item's
+// SupplyW must be a warehouse LOCAL to this instance; every update counts
+// as remote (s_remote_cnt). The order-line rows live on the home shard.
+// An error means the branch already rolled back.
 func (d *DB) RemoteStockBegin(gid uint64, items []OrderItem) (*Branch, error) {
-	t := d.begin()
-	slen := tpcc.TupleLen[core.Stock]
-	buf := t.buf
+	b := d.beginBranch(gid)
 	for _, it := range items {
-		skey := index.KeyWI(it.SupplyW, it.IID)
-		if err := t.lockRow(core.Stock, skey, lock.Exclusive); err != nil {
-			return nil, t.fail(err)
-		}
-		srid, ok := d.stockIdx.get(skey)
-		if !ok {
-			return nil, t.fail(fmt.Errorf("db: no stock (%d,%d)", it.SupplyW, it.IID))
-		}
-		if err := t.readRec(core.Stock, storage.UnpackRID(srid), buf[:slen]); err != nil {
-			return nil, t.fail(err)
-		}
-		var srec StockRec
-		srec.Unmarshal(buf[:slen])
-		applyStockOrder(&srec, it.Qty, true)
-		srec.Marshal(t.img[:slen])
-		if err := t.updateRow(core.Stock, skey, storage.UnpackRID(srid), buf[:slen], t.img[:slen]); err != nil {
-			return nil, t.fail(err)
+		if err := b.s.t.orderStock(it, true); err != nil {
+			return b.opened(err)
 		}
 	}
-	return &Branch{t: t, gid: gid}, nil
+	return b.opened(nil)
 }
 
 // PaymentHomeBegin executes the home-shard share of a remote Payment:
@@ -430,100 +304,22 @@ func (d *DB) RemoteStockBegin(gid uint64, items []OrderItem) (*Branch, error) {
 // customer update happens on the customer's shard (RemotePaymentBegin);
 // custW/custD/custC are GLOBAL coordinates recorded in the history row.
 func (d *DB) PaymentHomeBegin(gid uint64, in PaymentInput, custW, custD, custC int64) (*Branch, error) {
-	t := d.begin()
-	buf := t.buf
-
-	wlen := tpcc.TupleLen[core.Warehouse]
-	if err := t.lockRow(core.Warehouse, uint64(in.W), lock.Exclusive); err != nil {
-		return nil, t.fail(err)
+	b := d.beginBranch(gid)
+	err := b.s.t.payHome(in)
+	if err == nil {
+		err = b.s.t.payHistory(in, custW, custD, custC)
 	}
-	wrid, ok := d.warehouseIdx.get(uint64(in.W))
-	if !ok {
-		return nil, t.fail(fmt.Errorf("db: no warehouse %d", in.W))
-	}
-	if err := t.readRec(core.Warehouse, storage.UnpackRID(wrid), buf[:wlen]); err != nil {
-		return nil, t.fail(err)
-	}
-	var wrec WarehouseRec
-	wrec.Unmarshal(buf[:wlen])
-	wrec.YTDCents += uint64(in.AmountCents)
-	wrec.Marshal(t.img[:wlen])
-	if err := t.updateRow(core.Warehouse, uint64(in.W), storage.UnpackRID(wrid), buf[:wlen], t.img[:wlen]); err != nil {
-		return nil, t.fail(err)
-	}
-
-	dlen := tpcc.TupleLen[core.District]
-	dkey := index.KeyWD(in.W, in.D)
-	if err := t.lockRow(core.District, dkey, lock.Exclusive); err != nil {
-		return nil, t.fail(err)
-	}
-	drid, ok := d.districtIdx.get(dkey)
-	if !ok {
-		return nil, t.fail(fmt.Errorf("db: no district (%d,%d)", in.W, in.D))
-	}
-	if err := t.readRec(core.District, storage.UnpackRID(drid), buf[:dlen]); err != nil {
-		return nil, t.fail(err)
-	}
-	var drec DistrictRec
-	drec.Unmarshal(buf[:dlen])
-	drec.YTDCents += uint64(in.AmountCents)
-	drec.Marshal(t.img[:dlen])
-	if err := t.updateRow(core.District, dkey, storage.UnpackRID(drid), buf[:dlen], t.img[:dlen]); err != nil {
-		return nil, t.fail(err)
-	}
-
-	hlen := tpcc.TupleLen[core.History]
-	hrec := HistoryRec{
-		CID: uint32(custC), CWID: uint16(custW), CDID: uint8(custD),
-		DID: uint8(in.D), WID: uint16(in.W),
-		AmountCents: in.AmountCents, Tick: d.nextTick(),
-	}
-	hrec.Marshal(buf[:hlen])
-	if _, err := t.insertRec(core.History, buf[:hlen]); err != nil {
-		return nil, t.fail(err)
-	}
-	return &Branch{t: t, gid: gid}, nil
+	return b.opened(err)
 }
 
 // RemotePaymentBegin executes the customer's-shard share of a remote
-// Payment: select the customer (by id or by last-name ordinal, LOCAL
-// warehouse/district coordinates) and apply the balance/ytd/payment-count
-// update. It returns the resolved customer id — so the coordinator can
-// record it in the home shard's history row — and the number of customer
-// tuples the selection touched (1 by id, the name-group size by name),
-// the Appendix A remote-call measurement.
+// Payment: payCustomer in LOCAL warehouse/district coordinates. It
+// returns the resolved customer id — so the coordinator can record it in
+// the home shard's history row — and the number of customer tuples the
+// selection touched.
 func (d *DB) RemotePaymentBegin(gid uint64, w, dist int64, byName bool, c, nameOrd int64, amountCents uint32) (*Branch, int64, int, error) {
-	t := d.begin()
-	buf := t.buf
-
-	cid, selected := c, 1
-	if byName {
-		var err error
-		cid, selected, err = t.middleCustomerByName(w, dist, nameOrd, buf)
-		if err != nil {
-			return nil, 0, 0, t.fail(err)
-		}
-	}
-	clen := tpcc.TupleLen[core.Customer]
-	ckey := index.KeyWDC(w, dist, cid)
-	if err := t.lockRow(core.Customer, ckey, lock.Exclusive); err != nil {
-		return nil, 0, 0, t.fail(err)
-	}
-	crid, ok := d.customerIdx.get(ckey)
-	if !ok {
-		return nil, 0, 0, t.fail(fmt.Errorf("db: no customer (%d,%d,%d)", w, dist, cid))
-	}
-	if err := t.readRec(core.Customer, storage.UnpackRID(crid), buf[:clen]); err != nil {
-		return nil, 0, 0, t.fail(err)
-	}
-	var crec CustomerRec
-	crec.Unmarshal(buf[:clen])
-	crec.BalanceCents -= int64(amountCents)
-	crec.YTDPayCents += uint64(amountCents)
-	crec.PaymentCount++
-	crec.Marshal(t.img[:clen])
-	if err := t.updateRow(core.Customer, ckey, storage.UnpackRID(crid), buf[:clen], t.img[:clen]); err != nil {
-		return nil, 0, 0, t.fail(err)
-	}
-	return &Branch{t: t, gid: gid}, cid, selected, nil
+	b := d.beginBranch(gid)
+	cid, selected, err := b.s.t.payCustomer(w, dist, byName, c, nameOrd, amountCents)
+	b, err = b.opened(err)
+	return b, cid, selected, err
 }

@@ -321,3 +321,70 @@ func TestForsakeLeavesDurableStateAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDistHomeBranchOtherWarehouseLine: with more than one warehouse per
+// instance, a line another warehouse OF THE HOME INSTANCE supplies reaches
+// the home branch without the Remote flag. It is still a remote line by
+// clause 2.4.2.2 — s_remote_cnt moves and the order is not all-local —
+// exactly as DB.NewOrder treats it.
+func TestDistHomeBranchOtherWarehouseLine(t *testing.T) {
+	d, err := OpenWith(Config{Warehouses: 2, PageSize: 4096, BufferPages: 4096},
+		Options{LockWaitTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Load(1); err != nil {
+		t.Fatal(err)
+	}
+	allLocal := func(oid int64) uint8 {
+		t.Helper()
+		rid, ok := d.orderIdx.get(index.KeyWDO(0, 0, oid))
+		if !ok {
+			t.Fatalf("no order (0,0,%d)", oid)
+		}
+		buf := make([]byte, tpcc.TupleLen[core.Order])
+		if err := d.heaps[core.Order].Read(storage.UnpackRID(rid), buf); err != nil {
+			t.Fatal(err)
+		}
+		var rec OrderRec
+		rec.Unmarshal(buf)
+		return rec.AllLocal
+	}
+
+	home0, other0 := readStock(t, d, 0, 7), readStock(t, d, 1, 8)
+	hb, res, err := d.NewOrderHomeBegin(0x60001, NewOrderInput{W: 0, D: 0, C: 0, Items: []OrderItem{
+		{IID: 7, SupplyW: 0, Qty: 3},
+		{IID: 8, SupplyW: 1, Qty: 2},                // warehouse 1 of this instance
+		{IID: 42, SupplyW: 9, Qty: 5, Remote: true}, // another shard's warehouse
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readStock(t, d, 1, 8); got.RemoteCnt != other0.RemoteCnt+1 || got.YTD != other0.YTD+2 {
+		t.Fatalf("other-warehouse stock: s_ytd %d -> %d, s_remote_cnt %d -> %d, want +2 and +1",
+			other0.YTD, got.YTD, other0.RemoteCnt, got.RemoteCnt)
+	}
+	if got := readStock(t, d, 0, 7); got.RemoteCnt != home0.RemoteCnt {
+		t.Fatalf("home-warehouse stock counted remote: %d -> %d", home0.RemoteCnt, got.RemoteCnt)
+	}
+	if res.RemoteLines != 2 {
+		t.Fatalf("RemoteLines = %d, want 2", res.RemoteLines)
+	}
+
+	// No cross-shard line at all: the order is still not all-local.
+	hb, res, err = d.NewOrderHomeBegin(0x60002, NewOrderInput{W: 0, D: 0, C: 1, Items: []OrderItem{
+		{IID: 9, SupplyW: 1, Qty: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if allLocal(res.OID) != 0 {
+		t.Fatal("order with an other-warehouse line marked all-local")
+	}
+}

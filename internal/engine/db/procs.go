@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
@@ -13,7 +14,9 @@ import (
 // OrderItem is one requested line of a New-Order transaction. Remote
 // marks lines supplied by a warehouse on another shard: SupplyW then
 // holds a GLOBAL warehouse id (it may numerically collide with a local
-// id, so remoteness must come from this flag, never from SupplyW != W).
+// id, so for such a line SupplyW is never compared with W), and the line's
+// stock step belongs to that shard's RemoteStockBegin, not to this
+// instance. A line without the flag names a warehouse of this instance.
 type OrderItem struct {
 	IID     int64
 	SupplyW int64
@@ -38,159 +41,143 @@ type NewOrderResult struct {
 // read+update district (allocating the order id), read customer, insert
 // order and new-order, and per item read item, read+update stock, insert
 // order-line. Returns ErrAborted on deadlock; the caller retries.
-//
-// The body works entirely through the session transaction's scratch
-// buffers: reads and marshals go through t.buf, after-images through
-// t.img, and updateRec/insertRec copy what they keep, so a committed
-// execution allocates nothing.
 func (s *Session) NewOrder(in NewOrderInput) (NewOrderResult, error) {
-	d := s.d
 	t := s.begin()
+	res, err := t.newOrder(in)
+	return res, t.finish(err)
+}
+
+// newOrder is the New-Order body, shared by the local procedure and the
+// home branch of a distributed one (NewOrderHomeBegin). The two differ
+// only in their input: a line flagged Remote has its stock step run on the
+// supplier's instance (RemoteStockBegin) and skipped here; its item read
+// (Item is replicated everywhere) and its order-line, which records the
+// supplier id as given, stay home.
+//
+// The body works through the transaction's scratch: reads and marshals go
+// through t.buf, after-images through t.img, and store/insertRec copy what
+// they keep, so a committed execution allocates nothing.
+func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
+	d := t.d
 	var res NewOrderResult
 
 	// 1. Select warehouse (snapshot read: the warehouse row is not
 	// written by New-Order, so mvcc takes no lock here).
-	var wrec WarehouseRec
-	wrid, ok := d.warehouseIdx.get(uint64(in.W))
-	if !ok {
-		return res, t.fail(fmt.Errorf("db: no warehouse %d", in.W))
+	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W)); err != nil {
+		return res, err
 	}
-	buf := t.buf
-	if _, err := t.snapRead(core.Warehouse, uint64(in.W), storage.UnpackRID(wrid), buf[:tpcc.TupleLen[core.Warehouse]]); err != nil {
-		return res, t.fail(err)
-	}
-	wrec.Unmarshal(buf[:tpcc.TupleLen[core.Warehouse]])
 
-	// 2-3. Select and update district: allocate the order id. Written
-	// rows keep their exclusive lock and CURRENT read in both modes;
-	// under mvcc the update validates first committer wins instead.
-	dkey := index.KeyWD(in.W, in.D)
-	if err := t.lockRow(core.District, dkey, lock.Exclusive); err != nil {
-		return res, t.fail(err)
-	}
-	drid, ok := d.districtIdx.get(dkey)
-	if !ok {
-		return res, t.fail(fmt.Errorf("db: no district (%d,%d)", in.W, in.D))
-	}
-	dlen := tpcc.TupleLen[core.District]
-	if err := t.readRec(core.District, storage.UnpackRID(drid), buf[:dlen]); err != nil {
-		return res, t.fail(err)
+	// 2-3. Select and update district: allocate the order id.
+	dr, err := t.fetch(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	if err != nil {
+		return res, err
 	}
 	var drec DistrictRec
-	drec.Unmarshal(buf[:dlen])
+	drec.Unmarshal(dr.cur)
 	oid := int64(drec.NextOID)
 	drec.NextOID++
-	drec.Marshal(t.img[:dlen])
-	if err := t.updateRow(core.District, dkey, storage.UnpackRID(drid), buf[:dlen], t.img[:dlen]); err != nil {
-		return res, t.fail(err)
+	drec.Marshal(dr.next)
+	if err := t.store(dr); err != nil {
+		return res, err
 	}
 
 	// 4. Select customer.
-	ckey := index.KeyWDC(in.W, in.D, in.C)
-	crid, ok := d.customerIdx.get(ckey)
-	if !ok {
-		return res, t.fail(fmt.Errorf("db: no customer (%d,%d,%d)", in.W, in.D, in.C))
-	}
-	if _, err := t.snapRead(core.Customer, ckey, storage.UnpackRID(crid), buf[:tpcc.TupleLen[core.Customer]]); err != nil {
-		return res, t.fail(err)
+	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C)); err != nil {
+		return res, err
 	}
 
-	// 5. Insert order.
-	allLocal := uint8(1)
+	// 5. Insert order. A line is remote (clause 2.4.2.2) when another
+	// warehouse supplies it, on this instance or on another.
 	for _, it := range in.Items {
-		if it.SupplyW != in.W {
-			allLocal = 0
+		if it.Remote || it.SupplyW != in.W {
+			res.RemoteLines++
 		}
 	}
 	okey := index.KeyWDO(in.W, in.D, oid)
-	if err := t.lockRow(core.Order, okey, lock.Exclusive); err != nil {
-		return res, t.fail(err)
-	}
 	orec := OrderRec{
 		OID: uint32(oid), CID: uint32(in.C), WID: uint16(in.W), DID: uint8(in.D),
-		OLCount: uint8(len(in.Items)), AllLocal: allLocal, EntryTick: d.nextTick(),
+		OLCount: uint8(len(in.Items)), EntryTick: d.nextTick(),
 	}
+	if res.RemoteLines == 0 {
+		orec.AllLocal = 1
+	}
+	buf := t.buf
 	olen := tpcc.TupleLen[core.Order]
 	orec.Marshal(buf[:olen])
-	orid, err := t.insertRow(core.Order, okey, buf[:olen])
+	orid, err := t.insertKeyed(core.Order, d.orderIdx, okey, buf[:olen])
 	if err != nil {
-		return res, t.fail(err)
+		return res, err
 	}
-	t.setIdx(d.orderIdx, okey, orid.Pack())
 	t.setIdx(d.custOrderIdx, index.KeyWDCO(in.W, in.D, in.C, oid), orid.Pack())
 
 	// 6. Insert new-order.
-	if err := t.lockRow(core.NewOrder, okey, lock.Exclusive); err != nil {
-		return res, t.fail(err)
-	}
 	norec := NewOrderRec{OID: uint32(oid), WID: uint16(in.W), DID: uint8(in.D)}
 	nolen := tpcc.TupleLen[core.NewOrder]
 	norec.Marshal(buf[:nolen])
-	norid, err := t.insertRow(core.NewOrder, okey, buf[:nolen])
-	if err != nil {
-		return res, t.fail(err)
+	if _, err := t.insertKeyed(core.NewOrder, d.newOrderIdx, okey, buf[:nolen]); err != nil {
+		return res, err
 	}
-	t.setIdx(d.newOrderIdx, okey, norid.Pack())
 
 	// 7. Per item: select item, select+update stock, insert order-line.
-	ilen := tpcc.TupleLen[core.Item]
-	slen := tpcc.TupleLen[core.Stock]
 	ollen := tpcc.TupleLen[core.OrderLine]
 	for n, it := range in.Items {
-		irid, ok := d.itemIdx.get(uint64(it.IID))
-		if !ok {
-			return res, t.fail(fmt.Errorf("db: no item %d", it.IID))
-		}
-		if _, err := t.snapRead(core.Item, uint64(it.IID), storage.UnpackRID(irid), buf[:ilen]); err != nil {
-			return res, t.fail(err)
+		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID))
+		if err != nil {
+			return res, err
 		}
 		var irec ItemRec
-		irec.Unmarshal(buf[:ilen])
+		irec.Unmarshal(cur)
 
-		skey := index.KeyWI(it.SupplyW, it.IID)
-		if err := t.lockRow(core.Stock, skey, lock.Exclusive); err != nil {
-			return res, t.fail(err)
-		}
-		srid, ok := d.stockIdx.get(skey)
-		if !ok {
-			return res, t.fail(fmt.Errorf("db: no stock (%d,%d)", it.SupplyW, it.IID))
-		}
-		if err := t.readRec(core.Stock, storage.UnpackRID(srid), buf[:slen]); err != nil {
-			return res, t.fail(err)
-		}
-		var srec StockRec
-		srec.Unmarshal(buf[:slen])
-		remote := it.SupplyW != in.W
-		applyStockOrder(&srec, it.Qty, remote)
-		if remote {
-			res.RemoteLines++
-		}
-		srec.Marshal(t.img[:slen])
-		if err := t.updateRow(core.Stock, skey, storage.UnpackRID(srid), buf[:slen], t.img[:slen]); err != nil {
-			return res, t.fail(err)
+		if !it.Remote {
+			if err := t.orderStock(it, it.SupplyW != in.W); err != nil {
+				return res, err
+			}
 		}
 
 		amount := uint32(it.Qty) * irec.PriceCents
 		olkey := index.KeyWDOL(in.W, in.D, oid, int64(n))
-		if err := t.lockRow(core.OrderLine, olkey, lock.Exclusive); err != nil {
-			return res, t.fail(err)
-		}
 		olrec := OrderLineRec{
 			OID: uint32(oid), IID: uint32(it.IID), SupplyWID: uint16(it.SupplyW),
 			WID: uint16(in.W), DID: uint8(in.D), Number: uint8(n),
 			Quantity: uint8(it.Qty), AmountCents: amount,
 		}
 		olrec.Marshal(buf[:ollen])
-		olrid, err := t.insertRow(core.OrderLine, olkey, buf[:ollen])
-		if err != nil {
-			return res, t.fail(err)
+		if _, err := t.insertKeyed(core.OrderLine, d.olIdx, olkey, buf[:ollen]); err != nil {
+			return res, err
 		}
-		t.setIdx(d.olIdx, olkey, olrid.Pack())
 		res.TotalCents += uint64(amount)
 	}
 
 	res.OID = oid
-	return res, t.commit()
+	return res, nil
+}
+
+// orderStock is New-Order's per-line stock step: select and update the
+// supplier's stock row, which must live on this instance. remote says the
+// supplier is not the order's home warehouse (s_remote_cnt).
+func (t *txn) orderStock(it OrderItem, remote bool) error {
+	sr, err := t.fetch(core.Stock, t.d.stockIdx, index.KeyWI(it.SupplyW, it.IID))
+	if err != nil {
+		return err
+	}
+	var srec StockRec
+	srec.Unmarshal(sr.cur)
+	applyStockOrder(&srec, it.Qty, remote)
+	srec.Marshal(sr.next)
+	return t.store(sr)
+}
+
+// applyStockOrder applies the New-Order stock mutation rules in place.
+func applyStockOrder(s *StockRec, qty int64, remote bool) {
+	s.Quantity -= int32(qty)
+	if s.Quantity < 10 {
+		s.Quantity += 91
+	}
+	s.YTD += uint64(qty)
+	s.OrderCount++
+	if remote {
+		s.RemoteCnt++
+	}
 }
 
 // PaymentInput parameterizes the Payment transaction. The paying customer
@@ -205,112 +192,101 @@ type PaymentInput struct {
 	AmountCents uint32
 }
 
-// Payment executes the Payment transaction.
+// Payment executes the Payment transaction: warehouse, district, customer,
+// history. A distributed Payment is the same steps on two instances:
+// payHome and payHistory at the paying warehouse (PaymentHomeBegin),
+// payCustomer at the customer's (RemotePaymentBegin).
 func (s *Session) Payment(in PaymentInput) error {
-	d := s.d
 	t := s.begin()
-	buf := t.buf
+	err := t.payHome(in)
+	var cid int64
+	if err == nil {
+		cid, _, err = t.payCustomer(in.CW, in.CD, in.ByName, in.C, in.NameOrd, in.AmountCents)
+	}
+	if err == nil {
+		err = t.payHistory(in, in.CW, in.CD, cid)
+	}
+	return t.finish(err)
+}
 
-	// 1+4. Select and update warehouse.
-	wlen := tpcc.TupleLen[core.Warehouse]
-	if err := t.lockRow(core.Warehouse, uint64(in.W), lock.Exclusive); err != nil {
-		return t.fail(err)
-	}
-	wrid, ok := d.warehouseIdx.get(uint64(in.W))
-	if !ok {
-		return t.fail(fmt.Errorf("db: no warehouse %d", in.W))
-	}
-	if err := t.readRec(core.Warehouse, storage.UnpackRID(wrid), buf[:wlen]); err != nil {
-		return t.fail(err)
+// payHome selects and updates the paying warehouse and district (YTD).
+func (t *txn) payHome(in PaymentInput) error {
+	wr, err := t.fetch(core.Warehouse, t.d.warehouseIdx, uint64(in.W))
+	if err != nil {
+		return err
 	}
 	var wrec WarehouseRec
-	wrec.Unmarshal(buf[:wlen])
+	wrec.Unmarshal(wr.cur)
 	wrec.YTDCents += uint64(in.AmountCents)
-	wrec.Marshal(t.img[:wlen])
-	if err := t.updateRow(core.Warehouse, uint64(in.W), storage.UnpackRID(wrid), buf[:wlen], t.img[:wlen]); err != nil {
-		return t.fail(err)
+	wrec.Marshal(wr.next)
+	if err := t.store(wr); err != nil {
+		return err
 	}
 
-	// 2+5. Select and update district.
-	dlen := tpcc.TupleLen[core.District]
-	dkey := index.KeyWD(in.W, in.D)
-	if err := t.lockRow(core.District, dkey, lock.Exclusive); err != nil {
-		return t.fail(err)
-	}
-	drid, ok := d.districtIdx.get(dkey)
-	if !ok {
-		return t.fail(fmt.Errorf("db: no district (%d,%d)", in.W, in.D))
-	}
-	if err := t.readRec(core.District, storage.UnpackRID(drid), buf[:dlen]); err != nil {
-		return t.fail(err)
+	dr, err := t.fetch(core.District, t.d.districtIdx, index.KeyWD(in.W, in.D))
+	if err != nil {
+		return err
 	}
 	var drec DistrictRec
-	drec.Unmarshal(buf[:dlen])
+	drec.Unmarshal(dr.cur)
 	drec.YTDCents += uint64(in.AmountCents)
-	drec.Marshal(t.img[:dlen])
-	if err := t.updateRow(core.District, dkey, storage.UnpackRID(drid), buf[:dlen], t.img[:dlen]); err != nil {
-		return t.fail(err)
-	}
+	drec.Marshal(dr.next)
+	return t.store(dr)
+}
 
-	// 3. Select customer (by id, or non-unique select by name).
-	cid := in.C
-	if in.ByName {
+// payCustomer selects the paying customer of (w, dist) — by id c, or by
+// last-name ordinal — and applies the balance, ytd and payment-count
+// update. It returns the resolved customer id and how many customer tuples
+// the selection touched (1 by id, the name group by name: RC_cust).
+func (t *txn) payCustomer(w, dist int64, byName bool, c, nameOrd int64, amountCents uint32) (int64, int, error) {
+	cid, selected := c, 1
+	if byName {
 		var err error
-		cid, _, err = t.middleCustomerByName(in.CW, in.CD, in.NameOrd, buf)
+		cid, selected, err = t.middleCustomerByName(w, dist, nameOrd)
 		if err != nil {
-			return t.fail(err)
+			return 0, 0, err
 		}
 	}
-
-	// 6. Update customer.
-	clen := tpcc.TupleLen[core.Customer]
-	ckey := index.KeyWDC(in.CW, in.CD, cid)
-	if err := t.lockRow(core.Customer, ckey, lock.Exclusive); err != nil {
-		return t.fail(err)
-	}
-	crid, ok := d.customerIdx.get(ckey)
-	if !ok {
-		return t.fail(fmt.Errorf("db: no customer (%d,%d,%d)", in.CW, in.CD, cid))
-	}
-	if err := t.readRec(core.Customer, storage.UnpackRID(crid), buf[:clen]); err != nil {
-		return t.fail(err)
+	cr, err := t.fetch(core.Customer, t.d.customerIdx, index.KeyWDC(w, dist, cid))
+	if err != nil {
+		return 0, 0, err
 	}
 	var crec CustomerRec
-	crec.Unmarshal(buf[:clen])
-	crec.BalanceCents -= int64(in.AmountCents)
-	crec.YTDPayCents += uint64(in.AmountCents)
+	crec.Unmarshal(cr.cur)
+	crec.BalanceCents -= int64(amountCents)
+	crec.YTDPayCents += uint64(amountCents)
 	crec.PaymentCount++
-	crec.Marshal(t.img[:clen])
-	if err := t.updateRow(core.Customer, ckey, storage.UnpackRID(crid), buf[:clen], t.img[:clen]); err != nil {
-		return t.fail(err)
+	crec.Marshal(cr.next)
+	if err := t.store(cr); err != nil {
+		return 0, 0, err
 	}
+	return cid, selected, nil
+}
 
-	// 7. Insert history (no index; no lock needed — the row is invisible
-	// to every other transaction).
-	hlen := tpcc.TupleLen[core.History]
+// payHistory inserts the history row (no index, and no lock: the row is
+// invisible to every other transaction). custW/custD/custC are recorded as
+// given — GLOBAL coordinates when the customer lives on another instance.
+func (t *txn) payHistory(in PaymentInput, custW, custD, custC int64) error {
 	hrec := HistoryRec{
-		CID: uint32(cid), CWID: uint16(in.CW), CDID: uint8(in.CD),
+		CID: uint32(custC), CWID: uint16(custW), CDID: uint8(custD),
 		DID: uint8(in.D), WID: uint16(in.W),
-		AmountCents: in.AmountCents, Tick: d.nextTick(),
+		AmountCents: in.AmountCents, Tick: t.d.nextTick(),
 	}
-	hrec.Marshal(buf[:hlen])
-	if _, err := t.insertRec(core.History, buf[:hlen]); err != nil {
-		return t.fail(err)
-	}
-
-	return t.commit()
+	rec := t.buf[:tpcc.TupleLen[core.History]]
+	hrec.Marshal(rec)
+	_, err := t.insertRec(core.History, rec)
+	return err
 }
 
 // middleCustomerByName implements the benchmark's non-unique select: all
 // customers of (w, d) sharing the last name are read (under S locks with
 // 2PL, snapshot reads with mvcc; customers are never inserted or deleted,
-// so the name group is the same set either way) and
-// the middle one by customer id is returned, along with how many tuples
-// the select touched (the Appendix A RC_cust remote-call measurement).
-// The hit list lives in the transaction's scratch and is ordered with an
-// insertion sort (sort.Slice would allocate its reflect-based swapper;
-// name groups average ~3 customers, so the O(n²) sort is also faster).
-func (t *txn) middleCustomerByName(w, d, nameOrd int64, buf []byte) (int64, int, error) {
+// so the name group is the same set either way) and the middle one by
+// customer id is returned, along with how many tuples the select touched
+// (the Appendix A RC_cust remote-call measurement). The hit list lives in
+// the transaction's scratch; the name index yields it in customer-id order
+// (index.KeyWDNC).
+func (t *txn) middleCustomerByName(w, d, nameOrd int64) (int64, int, error) {
 	lo, hi := index.RangeWDNC(w, d, nameOrd)
 	t.hits = t.hits[:0]
 	t.d.custNameIdx.ascendRange(lo, hi, func(k, v uint64) bool {
@@ -321,18 +297,9 @@ func (t *txn) middleCustomerByName(w, d, nameOrd int64, buf []byte) (int64, int,
 	if len(hits) == 0 {
 		return 0, 0, fmt.Errorf("db: no customer named %d in (%d,%d)", nameOrd, w, d)
 	}
-	for i := 1; i < len(hits); i++ {
-		h := hits[i]
-		j := i - 1
-		for j >= 0 && hits[j].cid > h.cid {
-			hits[j+1] = hits[j]
-			j--
-		}
-		hits[j+1] = h
-	}
-	clen := tpcc.TupleLen[core.Customer]
+	rec := t.buf[:tpcc.TupleLen[core.Customer]]
 	for _, h := range hits {
-		if _, err := t.snapRead(core.Customer, index.KeyWDC(w, d, h.cid), storage.UnpackRID(h.rid), buf[:clen]); err != nil {
+		if _, err := t.snapRead(core.Customer, index.KeyWDC(w, d, h.cid), storage.UnpackRID(h.rid), rec); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -356,28 +323,24 @@ type OrderStatusResult struct {
 
 // OrderStatus executes the read-only Order-Status transaction.
 func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
-	d := s.d
 	t := s.begin()
+	res, err := t.orderStatus(in)
+	return res, t.finish(err)
+}
+
+func (t *txn) orderStatus(in OrderStatusInput) (OrderStatusResult, error) {
+	d := t.d
 	var res OrderStatusResult
-	buf := t.buf
 
 	cid := in.C
 	if in.ByName {
 		var err error
-		cid, _, err = t.middleCustomerByName(in.W, in.D, in.NameOrd, buf)
+		cid, _, err = t.middleCustomerByName(in.W, in.D, in.NameOrd)
 		if err != nil {
-			return res, t.fail(err)
+			return res, err
 		}
-	} else {
-		clen := tpcc.TupleLen[core.Customer]
-		ckey := index.KeyWDC(in.W, in.D, cid)
-		crid, ok := d.customerIdx.get(ckey)
-		if !ok {
-			return res, t.fail(fmt.Errorf("db: no customer (%d,%d,%d)", in.W, in.D, cid))
-		}
-		if _, err := t.snapRead(core.Customer, ckey, storage.UnpackRID(crid), buf[:clen]); err != nil {
-			return res, t.fail(err)
-		}
+	} else if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, cid)); err != nil {
+		return res, err
 	}
 	res.CID = cid
 
@@ -386,51 +349,46 @@ func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 	// may see the index entry of an order committed after it began; under
 	// 2PL the newest entry is always live and the loop runs once).
 	lo, hi := index.RangeWDCO(in.W, in.D, cid)
-	olenOrd := tpcc.TupleLen[core.Order]
+	ordBuf := t.buf[:tpcc.TupleLen[core.Order]]
 	var oid int64
 	for {
 		k, orid, ok := d.custOrderIdx.max(hi)
 		if !ok || k < lo {
 			// No order visible (cannot happen after a standard load).
-			return res, t.commit()
+			return res, nil
 		}
 		oid = int64(k & (1<<28 - 1))
 		okey := index.KeyWDO(in.W, in.D, oid)
-		live, err := t.snapRead(core.Order, okey, storage.UnpackRID(orid), buf[:olenOrd])
+		live, err := t.snapRead(core.Order, okey, storage.UnpackRID(orid), ordBuf)
 		if err != nil {
-			return res, t.fail(err)
+			return res, err
 		}
 		if live {
 			break
 		}
 		hi = k - 1
 	}
-	var orec OrderRec
-	orec.Unmarshal(buf[:olenOrd])
 	res.OID = oid
 
 	// Each order line of the last order (the order is visible, so its
 	// lines — committed atomically with it — are visible too).
-	ollen := tpcc.TupleLen[core.OrderLine]
+	olBuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
-	t.rids = t.rids[:0]
+	t.refs = t.refs[:0]
 	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
-		t.rids = append(t.rids, v)
+		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
-	for i, rid := range t.rids {
-		olkey := index.KeyWDOL(in.W, in.D, oid, int64(i))
-		live, err := t.snapRead(core.OrderLine, olkey, storage.UnpackRID(rid), buf[:ollen])
+	for _, ref := range t.refs {
+		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olBuf)
 		if err != nil {
-			return res, t.fail(err)
+			return res, err
 		}
-		if !live {
-			continue
+		if live {
+			res.Lines++
 		}
-		res.Lines++
 	}
-
-	return res, t.commit()
+	return res, nil
 }
 
 // DeliveryInput parameterizes the Delivery transaction.
@@ -454,12 +412,10 @@ type DeliveryResult struct {
 // row moved since begin); correctness still comes from validation at the
 // write.
 func (s *Session) Delivery(in DeliveryInput) (DeliveryResult, error) {
-	d := s.d
 	t := s.begin()
 	var res DeliveryResult
-
 	for dist := int64(0); dist < tpcc.DistrictsPerWarehouse; dist++ {
-		delivered, err := d.deliverDistrict(t, in, dist)
+		delivered, err := t.deliverDistrict(in, dist)
 		if err != nil {
 			return res, t.fail(err)
 		}
@@ -472,8 +428,8 @@ func (s *Session) Delivery(in DeliveryInput) (DeliveryResult, error) {
 	return res, t.commit()
 }
 
-func (d *DB) deliverDistrict(t *txn, in DeliveryInput, dist int64) (bool, error) {
-	buf := t.buf
+func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
+	d := t.d
 	lo, hi := index.RangeWDO(in.W, dist)
 	for {
 		// Select(Min(order-id)) from New-Order via the index.
@@ -490,11 +446,11 @@ func (d *DB) deliverDistrict(t *txn, in DeliveryInput, dist int64) (bool, error)
 			continue
 		}
 
-		nolen := tpcc.TupleLen[core.NewOrder]
-		if err := t.readRec(core.NewOrder, storage.UnpackRID(norid), buf[:nolen]); err != nil {
+		norec := t.buf[:tpcc.TupleLen[core.NewOrder]]
+		if err := t.readRec(core.NewOrder, storage.UnpackRID(norid), norec); err != nil {
 			return false, err
 		}
-		if err := t.deleteRow(core.NewOrder, k, storage.UnpackRID(norid), buf[:nolen]); err != nil {
+		if err := t.deleteRow(core.NewOrder, k, storage.UnpackRID(norid), norec); err != nil {
 			return false, err
 		}
 		if err := t.delIdx(d.newOrderIdx, k, norid); err != nil {
@@ -502,73 +458,47 @@ func (d *DB) deliverDistrict(t *txn, in DeliveryInput, dist int64) (bool, error)
 		}
 
 		// Select + update the order (stamp the carrier).
-		olenOrd := tpcc.TupleLen[core.Order]
-		orid, ok := d.orderIdx.get(k)
-		if !ok {
-			return false, fmt.Errorf("db: new-order %d without order", oid)
-		}
-		if err := t.lockRow(core.Order, k, lock.Exclusive); err != nil {
-			return false, err
-		}
-		if err := t.readRec(core.Order, storage.UnpackRID(orid), buf[:olenOrd]); err != nil {
+		ord, err := t.fetch(core.Order, d.orderIdx, k)
+		if err != nil {
 			return false, err
 		}
 		var orec OrderRec
-		orec.Unmarshal(buf[:olenOrd])
+		orec.Unmarshal(ord.cur)
 		orec.CarrierID = in.Carrier
-		orec.Marshal(t.img[:olenOrd])
-		if err := t.updateRow(core.Order, k, storage.UnpackRID(orid), buf[:olenOrd], t.img[:olenOrd]); err != nil {
+		orec.Marshal(ord.next)
+		if err := t.store(ord); err != nil {
 			return false, err
 		}
 
 		// Select + update each order line (stamp delivery, sum amounts).
-		ollen := tpcc.TupleLen[core.OrderLine]
 		tick := d.nextTick()
 		var total uint64
 		for l := int64(0); l < int64(orec.OLCount); l++ {
-			olkey := index.KeyWDOL(in.W, dist, oid, l)
-			olrid, ok := d.olIdx.get(olkey)
-			if !ok {
-				return false, fmt.Errorf("db: order %d missing line %d", oid, l)
-			}
-			if err := t.lockRow(core.OrderLine, olkey, lock.Exclusive); err != nil {
-				return false, err
-			}
-			if err := t.readRec(core.OrderLine, storage.UnpackRID(olrid), buf[:ollen]); err != nil {
+			olr, err := t.fetch(core.OrderLine, d.olIdx, index.KeyWDOL(in.W, dist, oid, l))
+			if err != nil {
 				return false, err
 			}
 			var olrec OrderLineRec
-			olrec.Unmarshal(buf[:ollen])
+			olrec.Unmarshal(olr.cur)
 			olrec.DeliveryTick = tick
 			total += uint64(olrec.AmountCents)
-			olrec.Marshal(t.img[:ollen])
-			if err := t.updateRow(core.OrderLine, olkey, storage.UnpackRID(olrid), buf[:ollen], t.img[:ollen]); err != nil {
+			olrec.Marshal(olr.next)
+			if err := t.store(olr); err != nil {
 				return false, err
 			}
 		}
 
 		// Select + update the customer (credit the balance).
-		clen := tpcc.TupleLen[core.Customer]
-		ckey := index.KeyWDC(in.W, dist, int64(orec.CID))
-		if err := t.lockRow(core.Customer, ckey, lock.Exclusive); err != nil {
-			return false, err
-		}
-		crid, ok := d.customerIdx.get(ckey)
-		if !ok {
-			return false, fmt.Errorf("db: order %d names unknown customer %d", oid, orec.CID)
-		}
-		if err := t.readRec(core.Customer, storage.UnpackRID(crid), buf[:clen]); err != nil {
+		cr, err := t.fetch(core.Customer, d.customerIdx, index.KeyWDC(in.W, dist, int64(orec.CID)))
+		if err != nil {
 			return false, err
 		}
 		var crec CustomerRec
-		crec.Unmarshal(buf[:clen])
+		crec.Unmarshal(cr.cur)
 		crec.BalanceCents += int64(total)
 		crec.DeliveryCount++
-		crec.Marshal(t.img[:clen])
-		if err := t.updateRow(core.Customer, ckey, storage.UnpackRID(crid), buf[:clen], t.img[:clen]); err != nil {
-			return false, err
-		}
-		return true, nil
+		crec.Marshal(cr.next)
+		return true, t.store(cr)
 	}
 }
 
@@ -582,33 +512,30 @@ type StockLevelInput struct {
 // order lines of the district's last 20 orders whose stock quantity at the
 // home warehouse is below the threshold. Returns the count.
 func (s *Session) StockLevel(in StockLevelInput) (int, error) {
-	d := s.d
 	t := s.begin()
-	buf := t.buf
+	low, err := t.stockLevel(in)
+	return low, t.finish(err)
+}
+
+func (t *txn) stockLevel(in StockLevelInput) (int, error) {
+	d := t.d
 
 	// First select: the district's next order id. Under mvcc the whole
 	// join below is consistent by construction: if the snapshot's
 	// district shows NextOID = n, every order below n committed at or
 	// before the snapshot, together with its order lines.
-	dlen := tpcc.TupleLen[core.District]
-	dkey := index.KeyWD(in.W, in.D)
-	drid, ok := d.districtIdx.get(dkey)
-	if !ok {
-		return 0, t.fail(fmt.Errorf("db: no district (%d,%d)", in.W, in.D))
-	}
-	if _, err := t.snapRead(core.District, dkey, storage.UnpackRID(drid), buf[:dlen]); err != nil {
-		return 0, t.fail(err)
+	cur, err := t.snap(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	if err != nil {
+		return 0, err
 	}
 	var drec DistrictRec
-	drec.Unmarshal(buf[:dlen])
+	drec.Unmarshal(cur)
 
 	// Join: order lines of orders [next-20, next) against stock.
 	loOID := int64(drec.NextOID) - tpcc.StockLevelOrders
 	if loOID < 0 {
 		loOID = 0
 	}
-	ollen := tpcc.TupleLen[core.OrderLine]
-	slen := tpcc.TupleLen[core.Stock]
 	lo := index.KeyWDOL(in.W, in.D, loOID, 0)
 	hi := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-1, 255)
 	t.refs = t.refs[:0]
@@ -620,11 +547,11 @@ func (s *Session) StockLevel(in StockLevelInput) (int, error) {
 	// covers at most 20 orders × 10 lines, and the slice is reusable
 	// transaction scratch while a map would allocate per transaction.
 	t.seen = t.seen[:0]
-	low := 0
+	olbuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
 	for _, ref := range t.refs {
-		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), buf[:ollen])
+		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olbuf)
 		if err != nil {
-			return 0, t.fail(err)
+			return 0, err
 		}
 		if !live {
 			// An index entry for an order line committed after the
@@ -632,34 +559,17 @@ func (s *Session) StockLevel(in StockLevelInput) (int, error) {
 			continue
 		}
 		var olrec OrderLineRec
-		olrec.Unmarshal(buf[:ollen])
+		olrec.Unmarshal(olbuf)
 
-		skey := index.KeyWI(in.W, int64(olrec.IID))
-		srid, ok := d.stockIdx.get(skey)
-		if !ok {
-			return 0, t.fail(fmt.Errorf("db: no stock (%d,%d)", in.W, olrec.IID))
-		}
-		if _, err := t.snapRead(core.Stock, skey, storage.UnpackRID(srid), buf[:slen]); err != nil {
-			return 0, t.fail(err)
+		cur, err := t.snap(core.Stock, d.stockIdx, index.KeyWI(in.W, int64(olrec.IID)))
+		if err != nil {
+			return 0, err
 		}
 		var srec StockRec
-		srec.Unmarshal(buf[:slen])
-		if srec.Quantity < in.Threshold {
-			seen := false
-			for _, id := range t.seen {
-				if id == srec.IID {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				t.seen = append(t.seen, srec.IID)
-				low++
-			}
+		srec.Unmarshal(cur)
+		if srec.Quantity < in.Threshold && !slices.Contains(t.seen, srec.IID) {
+			t.seen = append(t.seen, srec.IID)
 		}
 	}
-	if err := t.commit(); err != nil {
-		return 0, err
-	}
-	return low, nil
+	return len(t.seen), nil
 }

@@ -2,13 +2,10 @@ package db
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
-	"tpccmodel/internal/engine/lock"
-	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/tpcc"
 )
 
@@ -31,60 +28,43 @@ func WriteSkewWitness(cc CCMode) (bool, error) {
 
 	// Two customer rows at balance 50, hand-inserted (no full load).
 	n := tpcc.TupleLen[core.Customer]
-	seed := d.begin()
+	seed := d.NewSession().begin()
 	buf := make([]byte, n)
 	for dist := int64(0); dist < 2; dist++ {
 		cr := CustomerRec{DID: uint32(dist), BalanceCents: 50}
 		cr.Marshal(buf)
 		key := index.KeyWDC(0, dist, 0)
-		if err := seed.lockRow(core.Customer, key, lock.Exclusive); err != nil {
+		if _, err := seed.insertKeyed(core.Customer, d.customerIdx, key, buf); err != nil {
 			return false, seed.fail(err)
 		}
-		rid, err := seed.insertRow(core.Customer, key, buf)
-		if err != nil {
-			return false, seed.fail(err)
-		}
-		seed.setIdx(d.customerIdx, key, rid.Pack())
 	}
 	if err := seed.commit(); err != nil {
 		return false, err
 	}
 
 	readBal := func(tx *txn, dist int64) (int64, error) {
-		key := index.KeyWDC(0, dist, 0)
-		rid, ok := d.customerIdx.get(key)
-		if !ok {
-			return 0, fmt.Errorf("db: witness row %d missing", dist)
-		}
-		rbuf := make([]byte, n)
-		live, err := tx.snapRead(core.Customer, key, storage.UnpackRID(rid), rbuf)
-		if err != nil || !live {
+		cur, err := tx.snap(core.Customer, d.customerIdx, index.KeyWDC(0, dist, 0))
+		if err != nil {
 			return 0, err
 		}
 		var rec CustomerRec
-		rec.Unmarshal(rbuf)
+		rec.Unmarshal(cur)
 		return rec.BalanceCents, nil
 	}
 	drain := func(tx *txn, dist int64) error {
-		key := index.KeyWDC(0, dist, 0)
-		if err := tx.lockRow(core.Customer, key, lock.Exclusive); err != nil {
-			return err
-		}
-		rid, _ := d.customerIdx.get(key)
-		before := make([]byte, n)
-		after := make([]byte, n)
-		if err := tx.readRec(core.Customer, storage.UnpackRID(rid), before); err != nil {
+		r, err := tx.fetch(core.Customer, d.customerIdx, index.KeyWDC(0, dist, 0))
+		if err != nil {
 			return err
 		}
 		var rec CustomerRec
-		rec.Unmarshal(before)
+		rec.Unmarshal(r.cur)
 		rec.BalanceCents = 0
-		rec.Marshal(after)
-		return tx.updateRow(core.Customer, key, storage.UnpackRID(rid), before, after)
+		rec.Marshal(r.next)
+		return tx.store(r)
 	}
 
-	t1 := d.begin()
-	t2 := d.begin()
+	t1 := d.NewSession().begin()
+	t2 := d.NewSession().begin()
 	step := func(tx *txn, guard, victim int64) (bool, error) {
 		if _, err := readBal(tx, guard); err != nil {
 			if ferr := tx.fail(err); errors.Is(ferr, ErrAborted) {
@@ -127,7 +107,7 @@ func WriteSkewWitness(cc CCMode) (bool, error) {
 		return false, err
 	}
 
-	fin := d.begin()
+	fin := d.NewSession().begin()
 	b0, err := readBal(fin, 0)
 	if err != nil {
 		return false, err

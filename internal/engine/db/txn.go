@@ -79,7 +79,7 @@ type olref struct {
 // A txn also owns the per-transaction scratch memory that keeps the
 // execute path allocation-free: undo entries and their before-images
 // (arena), the tuple read/marshal buffers (buf/img), and the range-scan
-// collectors (hits/rids/refs/seen). Sessions reuse one txn value across
+// collectors (hits/refs/seen). Sessions reuse one txn value across
 // transactions, so after warm-up a committed NewOrder or Payment
 // performs zero heap allocations (enforced by alloc_test.go).
 type txn struct {
@@ -95,17 +95,18 @@ type txn struct {
 	buf []byte
 	img []byte
 
-	// hits, rids, refs, and seen are range-scan scratch for
+	// hits, refs, and seen are range-scan scratch for
 	// middleCustomerByName, OrderStatus, and StockLevel.
 	hits []custHit
-	rids []uint64
 	refs []olref
 	seen []uint32
 
 	// mv is the transaction's MVCC state (snapshot, written chains) and
 	// retired the deferred-prune ring of its committed chains; both are
-	// inert under CC2PL. They live here, not on the Session, so the
-	// distributed Begin paths (which allocate bare txns) stay correct.
+	// inert under CC2PL. A ring is drained only by the next Begin on the
+	// same txn value, so every transaction — 2PC branches included — runs
+	// on a Session that is reused; chains committed by a txn value that is
+	// thrown away afterwards would never be pruned.
 	mv      mvcc.Txn
 	retired mvcc.RetireSet
 
@@ -132,19 +133,9 @@ func (t *txn) reset(d *DB) {
 	}
 }
 
-func (d *DB) begin() *txn {
-	t := &txn{}
-	t.reset(d)
-	return t
-}
-
-// lockRow acquires a row lock, translating deadlock into rollback.
+// lockRow acquires a row lock (lock.ErrDeadlock/ErrTimeout = roll back).
 func (t *txn) lockRow(rel core.Relation, row uint64, mode lock.Mode) error {
-	err := t.d.locks.Acquire(t.id, lock.Key{Table: uint32(rel), Row: row}, mode)
-	if err != nil {
-		return err
-	}
-	return nil
+	return t.d.locks.Acquire(t.id, lock.Key{Table: uint32(rel), Row: row}, mode)
 }
 
 // ErrCommitUnknown wraps the error of a local commit whose log force failed
@@ -234,12 +225,10 @@ func (t *txn) commitWith(gid uint64) error {
 	return nil
 }
 
-// rollback applies the undo list in reverse, logs an abort, and releases.
-func (t *txn) rollback() error { return t.rollbackWith(0) }
-
-// rollbackWith is rollback carrying a global transaction id (0 for local
-// transactions). The abort record is buffered, never forced: recovery
-// treats a transaction without a commit record as aborted and restores its
+// rollbackWith applies the undo list in reverse, logs an abort carrying
+// the global transaction id (0 for local transactions), and releases.
+// The abort record is buffered, never forced: recovery treats a
+// transaction without a commit record as aborted and restores its
 // before-images either way, and under presumed abort a gid with no durable
 // decision reads as aborted too.
 func (t *txn) rollbackWith(gid uint64) error {
@@ -295,10 +284,19 @@ func (t *txn) saveImage(img []byte) int {
 	return off
 }
 
+// finish ends a local transaction whose body returned err: roll back and
+// classify on failure, commit otherwise.
+func (t *txn) finish(err error) error {
+	if err != nil {
+		return t.fail(err)
+	}
+	return t.commit()
+}
+
 // fail rolls back and wraps the cause; deadlocks surface as ErrAborted,
 // first-committer-wins losses as ErrWriteConflict (itself an ErrAborted).
 func (t *txn) fail(cause error) error {
-	if rbErr := t.rollback(); rbErr != nil {
+	if rbErr := t.rollbackWith(0); rbErr != nil {
 		return rbErr
 	}
 	if errors.Is(cause, mvcc.ErrConflict) {
@@ -318,27 +316,10 @@ func (t *txn) readRec(rel core.Relation, rid storage.RID, out []byte) error {
 	return t.d.heaps[rel].Read(rid, out)
 }
 
-// updateRec overwrites the record at rid, logging the after-image and
-// queueing an undo that restores the before-image. Both images are
-// copied before returning (the log encodes them immediately, the undo
-// saves before into the arena), so callers may pass reused scratch.
-func (t *txn) updateRec(rel core.Relation, rid storage.RID, before, after []byte) error {
-	if _, err := t.d.log.Append(wal.Record{
-		Txn: uint64(t.id), Type: wal.RecUpdate, Table: uint32(rel),
-		RID: rid.Pack(), Before: before, After: after,
-	}); err != nil {
-		return err
-	}
-	if err := t.d.heaps[rel].Update(rid, after); err != nil {
-		return err
-	}
-	off := t.saveImage(before)
-	t.undo = append(t.undo, undoOp{kind: undoUpdate, rel: rel, rid: rid, off: off, n: len(before)})
-	return nil
-}
-
 // insertRec inserts a record, logging it and queueing deletion as undo.
 // rec is copied by both the heap and the log, so it may be reused scratch.
+// Rows other transactions can reach go through insertKeyed; only History,
+// which has no key and no index, is inserted bare.
 func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 	rid, err := t.d.heaps[rel].Insert(rec)
 	if err != nil {
@@ -352,23 +333,6 @@ func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 	}
 	t.undo = append(t.undo, undoOp{kind: undoInsert, rel: rel, rid: rid})
 	return rid, nil
-}
-
-// deleteRec removes the record at rid, queueing reinsertion as undo.
-// before is copied, so it may be reused scratch.
-func (t *txn) deleteRec(rel core.Relation, rid storage.RID, before []byte) error {
-	if _, err := t.d.log.Append(wal.Record{
-		Txn: uint64(t.id), Type: wal.RecDelete, Table: uint32(rel),
-		RID: rid.Pack(), Before: before,
-	}); err != nil {
-		return err
-	}
-	if err := t.d.heaps[rel].Delete(rid); err != nil {
-		return err
-	}
-	off := t.saveImage(before)
-	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, off: off, n: len(before)})
-	return nil
 }
 
 // snapRead reads the version of the row visible to this transaction into
@@ -399,6 +363,74 @@ func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byt
 	return t.d.mvcc.Read(&t.mv, mvcc.Key{Table: uint32(rel), Row: row}, live, out), nil
 }
 
+// snap is the keyed snapshot read: probe the relation's primary index g
+// and read the version of the row this transaction may see into t.buf
+// (valid until the next read). Range scans, which hold a RID, use snapRead.
+func (t *txn) snap(rel core.Relation, g *guardedTree, key uint64) ([]byte, error) {
+	rid, ok := g.get(key)
+	if !ok {
+		return nil, fmt.Errorf("db: no %s row %#x", rel, key)
+	}
+	out := t.buf[:tpcc.TupleLen[rel]]
+	_, err := t.snapRead(rel, key, storage.UnpackRID(rid), out)
+	return out, err
+}
+
+// row is one record fetched for update. cur (in t.buf) is its current
+// image, next (in t.img) is where the caller marshals the new one; both
+// are transaction scratch, so one fetched row is open at a time.
+type row struct {
+	rel  core.Relation
+	key  uint64
+	rid  storage.RID
+	cur  []byte
+	next []byte
+}
+
+// fetch and store are the two halves of every row update. fetch takes the
+// row's exclusive lock by its logical key, probes the relation's primary
+// index g, and reads the CURRENT record — written rows are read under
+// their lock in every -cc mode; under mvcc the store validates first
+// committer wins instead. The caller unmarshals r.cur, changes the typed
+// record, marshals it into r.next, and calls store.
+func (t *txn) fetch(rel core.Relation, g *guardedTree, key uint64) (row, error) {
+	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
+		return row{}, err
+	}
+	rid, ok := g.get(key)
+	if !ok {
+		return row{}, fmt.Errorf("db: no %s row %#x", rel, key)
+	}
+	n := tpcc.TupleLen[rel]
+	r := row{rel: rel, key: key, rid: storage.UnpackRID(rid), cur: t.buf[:n], next: t.img[:n]}
+	if err := t.readRec(rel, r.rid, r.cur); err != nil {
+		return row{}, err
+	}
+	return r, nil
+}
+
+// store writes r.next over the fetched row: first-committer-wins
+// validation and versioning under mvcc, the log record, the heap update,
+// and an undo entry restoring r.cur. Both images are copied (log encoding,
+// undo arena) before it returns, so every row can share the one scratch.
+func (t *txn) store(r row) error {
+	if err := t.mvWrite(r.rel, r.key, r.cur); err != nil {
+		return err
+	}
+	if _, err := t.d.log.Append(wal.Record{
+		Txn: uint64(t.id), Type: wal.RecUpdate, Table: uint32(r.rel),
+		RID: r.rid.Pack(), Before: r.cur, After: r.next,
+	}); err != nil {
+		return err
+	}
+	if err := t.d.heaps[r.rel].Update(r.rid, r.next); err != nil {
+		return err
+	}
+	off := t.saveImage(r.cur)
+	t.undo = append(t.undo, undoOp{kind: undoUpdate, rel: r.rel, rid: r.rid, off: off, n: len(r.cur)})
+	return nil
+}
+
 // mvWrite validates and versions a row about to be overwritten (before is
 // its current image; nil for an insert). No-op under 2PL. The caller must
 // already hold the row's exclusive lock and must perform the heap
@@ -411,32 +443,44 @@ func (t *txn) mvWrite(rel core.Relation, row uint64, before []byte) error {
 	return t.d.mvcc.Write(&t.mv, mvcc.Key{Table: uint32(rel), Row: row}, before)
 }
 
-// updateRow is updateRec plus first-committer-wins validation and
-// before-image versioning under mvcc. row is the logical row key (the
-// same key the exclusive lock was taken on).
-func (t *txn) updateRow(rel core.Relation, row uint64, rid storage.RID, before, after []byte) error {
-	if err := t.mvWrite(rel, row, before); err != nil {
-		return err
-	}
-	return t.updateRec(rel, rid, before, after)
-}
-
-// insertRow is insertRec plus versioning: the chain records that the row
-// was absent before this transaction, so older snapshots skip it.
-func (t *txn) insertRow(rel core.Relation, row uint64, rec []byte) (storage.RID, error) {
-	if err := t.mvWrite(rel, row, nil); err != nil {
+// insertKeyed inserts a row that has a logical key: exclusive lock on the
+// key, a version-chain entry saying the row was absent before this
+// transaction (older snapshots skip it), insertRec, and the entry in the
+// relation's primary index g.
+func (t *txn) insertKeyed(rel core.Relation, g *guardedTree, key uint64, rec []byte) (storage.RID, error) {
+	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
 		return storage.RID{}, err
 	}
-	return t.insertRec(rel, rec)
+	if err := t.mvWrite(rel, key, nil); err != nil {
+		return storage.RID{}, err
+	}
+	rid, err := t.insertRec(rel, rec)
+	if err != nil {
+		return storage.RID{}, err
+	}
+	t.setIdx(g, key, rid.Pack())
+	return rid, nil
 }
 
-// deleteRow is deleteRec plus versioning: older snapshots keep seeing the
-// before image after the heap slot is gone.
+// deleteRow removes the record at rid, versioning it first (older
+// snapshots keep seeing before after the heap slot is gone) and queueing
+// reinsertion as undo. before is copied, so it may be reused scratch.
 func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before []byte) error {
 	if err := t.mvWrite(rel, row, before); err != nil {
 		return err
 	}
-	return t.deleteRec(rel, rid, before)
+	if _, err := t.d.log.Append(wal.Record{
+		Txn: uint64(t.id), Type: wal.RecDelete, Table: uint32(rel),
+		RID: rid.Pack(), Before: before,
+	}); err != nil {
+		return err
+	}
+	if err := t.d.heaps[rel].Delete(rid); err != nil {
+		return err
+	}
+	off := t.saveImage(before)
+	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, off: off, n: len(before)})
+	return nil
 }
 
 // setIdx adds an index entry with undo.

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/db"
@@ -135,6 +137,142 @@ func TestCrossShardNewOrder(t *testing.T) {
 	if st := c.Shard(2).Stats(); st.LocalCommits != 1 || st.DistCommits != 0 {
 		t.Fatalf("local fast path miscounted: %+v", st)
 	}
+	if err := c.CheckAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHomeShardOtherWarehouseLine: with two warehouses per shard, a line
+// supplied by the home shard's OTHER warehouse runs in the home branch of
+// a distributed New-Order, and is still a remote line (clause 2.4.2.2):
+// its s_remote_cnt moves, as it does when the whole order is shard-local.
+func TestHomeShardOtherWarehouseLine(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.WarehousesPerShard = 2
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iid = 8
+	// Global warehouses 0,1 live on shard 0 and 2,3 on shard 1. The second
+	// order has no cross-shard line and takes the local fast path.
+	for _, items := range [][]db.OrderItem{
+		{{IID: 7, SupplyW: 0, Qty: 2}, {IID: iid, SupplyW: 1, Qty: 3}, {IID: 5, SupplyW: 2, Qty: 4}},
+		{{IID: 7, SupplyW: 0, Qty: 2}, {IID: iid, SupplyW: 1, Qty: 3}},
+	} {
+		before := stockRow(t, c.Shard(0).DB, 1, iid)
+		if _, err := c.ExecNewOrder(db.NewOrderInput{W: 0, D: 0, C: 0, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+		after := stockRow(t, c.Shard(0).DB, 1, iid)
+		if after.YTD != before.YTD+3 || after.RemoteCnt != before.RemoteCnt+1 {
+			t.Fatalf("%d-line order: other-warehouse stock s_ytd %d -> %d, s_remote_cnt %d -> %d, want +3 and +1",
+				len(items), before.YTD, after.YTD, before.RemoteCnt, after.RemoteCnt)
+		}
+	}
+	if st := c.Shard(0).Stats(); st.DistCommits != 1 || st.LocalCommits != 1 {
+		t.Fatalf("shard 0 commits: dist %d local %d, want 1 and 1", st.DistCommits, st.LocalCommits)
+	}
+}
+
+// TestCrossShardDeadlockLiveness: two workers issue New-Orders that take
+// the two shards' stock rows in opposite orders — worker w's participant
+// branch locks the other shard's row first, then its home branch wants the
+// row the other worker's participant holds — a cycle neither shard's
+// deadlock detector can see. Only the lock wait timeout breaks it, and the
+// runner's default retry policy must then get every transaction
+// acknowledged within its attempt budget. Each round is made to deadlock:
+// a gate branch holds each home warehouse row until both workers have
+// taken their remote row and parked behind it.
+func TestCrossShardDeadlockLiveness(t *testing.T) {
+	c := openCluster(t, 2)
+	base, err := measureCluster(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 6
+	deadline := time.Now().Add(time.Minute)
+	items := [2]int64{11, 12} // worker w's own stock row is (warehouse w, items[w])
+	aborts, worst := 0, 0
+	for round := 0; round < rounds; round++ {
+		var gates [2]*db.Branch
+		var parked [2]int64
+		for s := range gates {
+			d := c.Shard(s).DB
+			if gates[s], err = d.PaymentHomeBegin(c.nextGID(s), db.PaymentInput{AmountCents: 1}, 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			_, parked[s], _ = d.LockCounts()
+		}
+		var wg sync.WaitGroup
+		var attempts [2]int
+		var errs [2]error
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rn := NewRunner(c, uint64(2*round+w), tpcc.DefaultMix())
+				in := db.NewOrderInput{W: int64(w), D: int64(round), C: int64(w), Items: []db.OrderItem{
+					{IID: items[w], SupplyW: int64(w), Qty: int64(1 + round)},
+					{IID: items[1-w], SupplyW: int64(1 - w), Qty: int64(2 + w)},
+				}}
+				for attempts[w] = 1; ; attempts[w]++ {
+					if _, errs[w] = c.ExecNewOrder(in); errs[w] == nil || !retriable(errs[w]) ||
+						attempts[w] >= rn.Policy.MaxAttempts || time.Now().After(deadline) {
+						return
+					}
+					rn.backoff(attempts[w])
+				}
+			}(w)
+		}
+		for s := range gates {
+			for {
+				if _, waits, _ := c.Shard(s).DB.LockCounts(); waits > parked[s] {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: worker %d never reached its home shard", round, s)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		// Open the gates a fifth of the timeout apart, so the two waits of
+		// the cycle do not expire at the same instant: a tie aborts both
+		// workers and restarts them in step, which the policy's jitter
+		// (at most 5 ms) takes most of its attempt budget to break.
+		for s, g := range gates {
+			if s > 0 {
+				time.Sleep(c.Config().LockWaitTimeout / 5)
+			}
+			if err := g.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d worker %d: not acknowledged after %d attempts: %v", round, w, attempts[w], err)
+			}
+			aborts += attempts[w] - 1
+			worst = max(worst, attempts[w])
+		}
+	}
+
+	// 2PL on a fault-free device aborts only deadlock victims and expired
+	// waits, and no shard saw a deadlock: every abort was a timeout.
+	if aborts == 0 {
+		t.Fatal("no transaction was ever aborted: the cross-shard cycle never formed")
+	}
+	for s := 0; s < 2; s++ {
+		if _, _, deadlocks := c.Shard(s).DB.LockCounts(); deadlocks != 0 {
+			t.Fatalf("shard %d detected %d local deadlocks; the cycle should be invisible to it", s, deadlocks)
+		}
+	}
+	t.Logf("%d rounds: %d lock-wait-timeout aborts, at most %d attempts for one transaction", rounds, aborts, worst)
+	if n := c.Quiesce(0); n > 0 {
+		t.Fatalf("%d participant commits pending on a healthy cluster", n)
+	}
+	checkAtomicity(t, c, base)
 	if err := c.CheckAll(); err != nil {
 		t.Fatal(err)
 	}

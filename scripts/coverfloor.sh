@@ -16,7 +16,7 @@ tpccmodel/internal/sim	88.0
 tpccmodel/internal/engine/bufmgr	75.0
 tpccmodel/internal/engine/shard	75.0
 tpccmodel/internal/engine/mvcc	90.0
-tpccmodel/internal/engine/db	78.0
+tpccmodel/internal/engine/db	84.8
 "
 
 pkgs=$(echo "$floors" | awk 'NF {print $1}' | sed 's|^tpccmodel|.|')
