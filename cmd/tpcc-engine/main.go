@@ -180,11 +180,9 @@ func main() {
 	fmt.Printf("# engine run: %d txns, %d workers, %d-page pool, %s, %v, %s\n",
 		*txns, *workers, *bufferPages, ccMode, st.Elapsed.Round(time.Millisecond), mode)
 	fmt.Printf("txns_per_sec\t%.0f\n", float64(*txns)/st.Elapsed.Seconds())
-	fmt.Printf("tpmC\t%.0f\n", st.TpmC())
+	st.WriteTable(os.Stdout)
 	fmt.Printf("commits\t%d\naborts\t%d\nlog_forces\t%d\n", st.Commits, st.Aborts, st.LogForces)
 	fmt.Printf("forces_per_commit\t%.4f\n", st.ForcesPerCommit())
-	fmt.Printf("latency_p50\t%v\nlatency_p95\t%v\nlatency_p99\t%v\nlatency_max\t%v\n",
-		st.Latency.P50, st.Latency.P95, st.Latency.P99, st.Latency.Max)
 	acq, waits, deadlocks := d.LockCounts()
 	fmt.Printf("locks_acquired\t%d\nlock_waits\t%d\ndeadlocks\t%d\n", acq, waits, deadlocks)
 	if ccMode != db.CC2PL {

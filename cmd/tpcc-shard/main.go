@@ -5,8 +5,10 @@
 //
 // Modes:
 //
-//	(default)  drive a benchmark run and print per-shard statistics plus
-//	           the measured Appendix A cross-shard rates
+//	(default)  drive a benchmark run with the engine's one TPC-C terminal
+//	           (db.Runner, as tpcc-engine does) and print its tpmC /
+//	           latency / per-type abort table, per-shard statistics and
+//	           the Appendix A cross-shard rates measured at the router
 //	-xval      run the Appendix A validation gate: measured remote-call
 //	           rates must match model.DistConfig.Expect() within Z
 //	           standard errors (exit 1 on disagreement)
@@ -128,6 +130,7 @@ func runBench(shards, wh, txns, workers int, seed uint64, remoteStock, remotePay
 	fmt.Printf("cluster: %d shards x %d warehouses, %d txns acked in %v (%.0f txn/s), %d retries, %d sheds\n",
 		shards, wh, acked, st.Elapsed.Round(time.Millisecond),
 		float64(acked)/st.Elapsed.Seconds(), st.Retries, st.Sheds)
+	st.WriteTable(os.Stdout)
 	fmt.Println("shard\tlocal\tdist\tparticipant\taborts\tsheds")
 	for _, s := range c.Shards() {
 		ss := s.Stats()
@@ -135,7 +138,7 @@ func runBench(shards, wh, txns, workers int, seed uint64, remoteStock, remotePay
 			ss.LocalCommits, ss.DistCommits, ss.ParticipantCommits,
 			ss.DistAborts, ss.Sheds+ss.DownSheds)
 	}
-	m := st.Xval
+	m := c.Xval()
 	fmt.Printf("measured: E[R_s]=%.4f RC_stock=%.4f L_stock=%.4f U_stock=%.4f RC_cust=%.4f U_cust=%.4f\n",
 		m.ERs, m.RCStock, m.LStock, m.UStock, m.RCCust, m.UCust)
 }

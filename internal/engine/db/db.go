@@ -284,10 +284,14 @@ type DB struct {
 	outcomes map[uint64]bool
 	inDoubt  []wal.InDoubtTxn
 
-	// sessions pools execution contexts for the DB-level procedure
-	// methods, so callers without their own Session still run on
-	// recycled scratch.
-	sessions sync.Pool
+	// sessions is the free list of execution contexts behind the DB-level
+	// procedure methods and the 2PC branches, so callers without their own
+	// Session still run on recycled scratch. A list, not a sync.Pool: a
+	// session that is dropped takes its mvcc retire ring with it and the
+	// chains in it are never pruned. It grows to the peak number of
+	// sessions in use at once.
+	sessMu   sync.Mutex
+	sessions []*Session
 }
 
 // Options customizes the engine's I/O substrate; the zero value gives a

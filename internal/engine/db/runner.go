@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -49,19 +50,60 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// Runner generates benchmark transaction inputs with the paper's
-// distributions and executes them against a DB, retrying deadlock victims
-// and transient I/O faults per its RetryPolicy. Counters are atomic, so
-// Counts/Retries/Sheds may be read while the runner is executing on
-// another goroutine.
+// System is what a Runner drives: the five procedures over warehouse ids
+// 0..Warehouses()-1, and the one input draw that depends on where the
+// system keeps its warehouses. A *Session (one engine instance) is one
+// System; the shard package's cluster router is the other. A procedure
+// whose failure wraps ErrUnavailable is shed at once, not retried.
+type System interface {
+	Warehouses() int
+	// RemoteWarehouse draws, from r, the supplying warehouse of a remote
+	// order line or the warehouse of a remote customer for a transaction
+	// whose home warehouse is home.
+	RemoteWarehouse(r *rng.RNG, home int64) int64
+	NewOrder(NewOrderInput) (NewOrderResult, error)
+	Payment(PaymentInput) error
+	OrderStatus(OrderStatusInput) (OrderStatusResult, error)
+	Delivery(DeliveryInput) (DeliveryResult, error)
+	StockLevel(StockLevelInput) (int, error)
+}
+
+// ErrUnavailable reports that a node the transaction needs is down. No
+// retry can help until the node is recovered, so a Runner sheds the
+// transaction on the first such failure.
+var ErrUnavailable = errors.New("db: a node the transaction needs is unavailable")
+
+// Warehouses returns the instance's warehouse count.
+func (s *Session) Warehouses() int { return s.d.cfg.Warehouses }
+
+// RemoteWarehouse draws uniformly over the warehouses other than home
+// (clauses 2.4.1.5 and 2.5.1.2); with one warehouse there is no other and
+// nothing is drawn.
+func (s *Session) RemoteWarehouse(r *rng.RNG, home int64) int64 {
+	w := int64(s.d.cfg.Warehouses)
+	if w == 1 {
+		return home
+	}
+	v := r.Int63n(w - 1)
+	if v >= home {
+		v++
+	}
+	return v
+}
+
+// Runner is the TPC-C terminal: it generates transaction inputs with the
+// paper's distributions and executes them against a System, retrying
+// deadlock victims and transient I/O faults per its RetryPolicy. Counters
+// are atomic, so Counts/Retries/Sheds may be read while the runner is
+// executing on another goroutine.
 type Runner struct {
-	d       *DB
-	sess    *Session
-	r       *rng.RNG
-	custGen *nurand.Gen
-	itemGen *nurand.Gen
-	nameGen *nurand.Gen
-	mix     tpcc.Mix
+	sys        System
+	warehouses int64
+	r          *rng.RNG
+	custGen    *nurand.Gen
+	itemGen    *nurand.Gen
+	nameGen    *nurand.Gen
+	mix        tpcc.Mix
 
 	// args holds the precomputed input for the current transaction. The
 	// inputs are generated once, before the attempt loop, into fixed
@@ -118,12 +160,18 @@ const (
 	latBuckets           = 50000
 )
 
-// NewRunner creates a runner over d with the given seed and mix.
+// NewRunner creates a runner over d, on a session of its own, with the
+// given seed and mix.
 func NewRunner(d *DB, seed uint64, mix tpcc.Mix) *Runner {
+	return NewRunnerOn(d.NewSession(), seed, mix)
+}
+
+// NewRunnerOn creates a runner that drives sys.
+func NewRunnerOn(sys System, seed uint64, mix tpcc.Mix) *Runner {
 	r := rng.New(seed)
 	rn := &Runner{
-		d:                 d,
-		sess:              d.NewSession(),
+		sys:               sys,
+		warehouses:        int64(sys.Warehouses()),
 		r:                 r,
 		custGen:           nurand.NewGen(nurand.CustomerID, r),
 		itemGen:           nurand.NewGen(nurand.ItemID, r),
@@ -140,14 +188,16 @@ func NewRunner(d *DB, seed uint64, mix tpcc.Mix) *Runner {
 	return rn
 }
 
-// Counts returns per-type executed (acknowledged) transaction counts.
-func (rn *Runner) Counts() [core.NumTxnTypes]int64 {
-	var out [core.NumTxnTypes]int64
+// loadCounts snapshots one of the runner's per-type atomic counters.
+func loadCounts(a *[core.NumTxnTypes]atomic.Int64) (out [core.NumTxnTypes]int64) {
 	for i := range out {
-		out[i] = rn.counts[i].Load()
+		out[i] = a[i].Load()
 	}
 	return out
 }
+
+// Counts returns per-type executed (acknowledged) transaction counts.
+func (rn *Runner) Counts() [core.NumTxnTypes]int64 { return loadCounts(&rn.counts) }
 
 // Retries returns the number of retries performed (deadlock victims plus
 // transient I/O failures).
@@ -156,39 +206,22 @@ func (rn *Runner) Retries() int64 { return rn.retries.Load() }
 // Aborts returns per-type failed-attempt counts: every retriable failure
 // the runner observed, whether it was retried or shed. Each one is an
 // engine-level rollback.
-func (rn *Runner) Aborts() [core.NumTxnTypes]int64 {
-	var out [core.NumTxnTypes]int64
-	for i := range out {
-		out[i] = rn.aborts[i].Load()
-	}
-	return out
-}
+func (rn *Runner) Aborts() [core.NumTxnTypes]int64 { return loadCounts(&rn.aborts) }
 
 // Conflicts returns per-type snapshot write-write conflict counts — the
 // subset of Aborts caused by first-committer-wins validation. Always zero
 // under 2PL.
-func (rn *Runner) Conflicts() [core.NumTxnTypes]int64 {
-	var out [core.NumTxnTypes]int64
-	for i := range out {
-		out[i] = rn.conflicts[i].Load()
-	}
-	return out
-}
+func (rn *Runner) Conflicts() [core.NumTxnTypes]int64 { return loadCounts(&rn.conflicts) }
 
 // SSIAborts returns per-type dangerous-structure abort counts — the
 // subset of Aborts caused by SSI validation. Always zero outside CCSSI.
 // TPC-C is serializable under plain SI, so on this workload every one of
 // these is a false positive of the conservative two-flag tracking.
-func (rn *Runner) SSIAborts() [core.NumTxnTypes]int64 {
-	var out [core.NumTxnTypes]int64
-	for i := range out {
-		out[i] = rn.ssiAborts[i].Load()
-	}
-	return out
-}
+func (rn *Runner) SSIAborts() [core.NumTxnTypes]int64 { return loadCounts(&rn.ssiAborts) }
 
-// Sheds returns the number of transactions dropped after exhausting their
-// retry attempts.
+// Sheds returns the number of transactions dropped: after exhausting their
+// retry attempts, or at once because a node they needed was down
+// (ErrUnavailable).
 func (rn *Runner) Sheds() int64 { return rn.sheds.Load() }
 
 // LatencyStats summarizes acknowledged-transaction response time: the
@@ -274,19 +307,7 @@ func (rn *Runner) pickType() core.TxnType {
 	return core.TxnStockLevel
 }
 
-func (rn *Runner) warehouse() int64 { return rn.r.Int63n(int64(rn.d.cfg.Warehouses)) }
-
-func (rn *Runner) remoteWarehouse(home int64) int64 {
-	w := int64(rn.d.cfg.Warehouses)
-	if w == 1 {
-		return home
-	}
-	v := rn.r.Int63n(w - 1)
-	if v >= home {
-		v++
-	}
-	return v
-}
+func (rn *Runner) warehouse() int64 { return rn.r.Int63n(rn.warehouses) }
 
 // backoffDelay returns the pre-jitter delay for the given attempt
 // (1-based): BaseDelay doubled attempt-1 times, capped at MaxDelay when
@@ -341,8 +362,8 @@ func paymentAmountCents(r *rng.RNG) uint32 {
 
 // RunOne generates and executes one transaction, retrying deadlock aborts
 // and transient I/O errors per the policy. It returns the executed type.
-// A transaction that exhausts its attempts is shed (counted, nil error)
-// unless the consecutive-shed budget is blown. A simulated crash
+// A transaction that exhausts its attempts, or fails with ErrUnavailable,
+// is shed (counted, nil error) unless the consecutive-shed budget is blown. A simulated crash
 // (storage.ErrCrashed) is returned as-is: the worker must stop.
 func (rn *Runner) RunOne() (core.TxnType, error) {
 	return rn.runOne(context.Background())
@@ -361,7 +382,7 @@ func (rn *Runner) prepareArgs(typ core.TxnType) {
 		for i := 0; i < tpcc.ItemsPerOrder; i++ {
 			it := OrderItem{IID: rn.itemGen.Next() - 1, SupplyW: in.W, Qty: 1 + rn.r.Int63n(10)}
 			if rn.r.Bernoulli(rn.RemoteStockProb) {
-				it.SupplyW = rn.remoteWarehouse(in.W)
+				it.SupplyW = rn.sys.RemoteWarehouse(rn.r, in.W)
 			}
 			in.Items = append(in.Items, it)
 		}
@@ -374,7 +395,7 @@ func (rn *Runner) prepareArgs(typ core.TxnType) {
 		}
 		in.CW, in.CD = in.W, rn.r.Int63n(tpcc.DistrictsPerWarehouse)
 		if rn.r.Bernoulli(rn.RemotePaymentProb) {
-			in.CW = rn.remoteWarehouse(in.W)
+			in.CW = rn.sys.RemoteWarehouse(rn.r, in.W)
 		}
 		if rn.r.Bernoulli(tpcc.PayByNameProb) {
 			in.ByName = true
@@ -404,22 +425,22 @@ func (rn *Runner) prepareArgs(typ core.TxnType) {
 	}
 }
 
-// execute runs the prepared transaction on the runner's session.
+// execute runs the prepared transaction on the runner's system.
 func (rn *Runner) execute(typ core.TxnType) error {
 	switch typ {
 	case core.TxnNewOrder:
-		_, err := rn.sess.NewOrder(rn.args.newOrder)
+		_, err := rn.sys.NewOrder(rn.args.newOrder)
 		return err
 	case core.TxnPayment:
-		return rn.sess.Payment(rn.args.payment)
+		return rn.sys.Payment(rn.args.payment)
 	case core.TxnOrderStatus:
-		_, err := rn.sess.OrderStatus(rn.args.orderStatus)
+		_, err := rn.sys.OrderStatus(rn.args.orderStatus)
 		return err
 	case core.TxnDelivery:
-		_, err := rn.sess.Delivery(rn.args.delivery)
+		_, err := rn.sys.Delivery(rn.args.delivery)
 		return err
 	case core.TxnStockLevel:
-		_, err := rn.sess.StockLevel(rn.args.stockLevel)
+		_, err := rn.sys.StockLevel(rn.args.stockLevel)
 		return err
 	default:
 		return fmt.Errorf("db: unknown transaction type %d", typ)
@@ -446,16 +467,19 @@ func (rn *Runner) runOne(ctx context.Context) (core.TxnType, error) {
 		if errors.Is(err, storage.ErrCrashed) {
 			return typ, err
 		}
-		if !retriable(err) {
-			return typ, fmt.Errorf("db: %s failed: %w", typ, err)
+		down := errors.Is(err, ErrUnavailable)
+		if !down {
+			if !retriable(err) {
+				return typ, fmt.Errorf("db: %s failed: %w", typ, err)
+			}
+			rn.aborts[typ].Add(1)
+			if errors.Is(err, ErrWriteConflict) {
+				rn.conflicts[typ].Add(1)
+			} else if errors.Is(err, ErrSSIAbort) {
+				rn.ssiAborts[typ].Add(1)
+			}
 		}
-		rn.aborts[typ].Add(1)
-		if errors.Is(err, ErrWriteConflict) {
-			rn.conflicts[typ].Add(1)
-		} else if errors.Is(err, ErrSSIAbort) {
-			rn.ssiAborts[typ].Add(1)
-		}
-		if attempt >= maxAttempts {
+		if down || attempt >= maxAttempts {
 			// Shed: drop this transaction, keep the worker alive.
 			rn.sheds.Add(1)
 			rn.consecutiveSheds++
@@ -567,30 +591,57 @@ func (s RunStats) ForcesPerCommit() float64 {
 	return 0
 }
 
+// WriteTable prints the run's throughput, response time and per-type
+// outcome as tab-separated lines: the one table every command that drives
+// a Runner prints, whatever system it drove.
+func (s RunStats) WriteTable(w io.Writer) {
+	l := s.Latency
+	fmt.Fprintf(w, "tpmC\t%.0f\n", s.TpmC())
+	fmt.Fprintf(w, "latency_p50\t%v\nlatency_p95\t%v\nlatency_p99\t%v\nlatency_max\t%v\n", l.P50, l.P95, l.P99, l.Max)
+	fmt.Fprintf(w, "type\tacked\taborts\tabort_rate\tp50\tp95\tp99\n")
+	for typ, ts := range s.PerType {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%v\t%v\t%v\n",
+			core.TxnType(typ), ts.Acked, ts.Aborts, ts.AbortRate(), ts.P50, ts.P95, ts.P99)
+	}
+}
+
 // RunConcurrentPolicy executes up to total transactions across workers
 // goroutines (each a Runner with an independent derived seed and the
-// given policy) and aggregates their counters. A simulated crash stops
-// the affected workers and is reported via RunStats.Crashed, not as an
-// error; any other failure cancels the sibling workers promptly and is
-// returned (first failure wins).
+// given policy) and aggregates their counters; see RunWorkers for how
+// failures surface.
 func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, policy RetryPolicy) (RunStats, error) {
-	if workers < 1 {
-		workers = 1
+	base := rng.New(seed)
+	runners := make([]*Runner, max(workers, 1))
+	for w := range runners {
+		runners[w] = NewRunner(d, base.Uint64(), mix)
+		runners[w].Policy = policy
 	}
+	commits0, aborts0, forces0, waits0 := d.Commits(), d.Aborts(), d.LogForces(), d.log.Waits()
+	st, err := RunWorkers(runners, total)
+	st.Commits = d.Commits() - commits0
+	st.Aborts = d.Aborts() - aborts0
+	st.LogForces = d.LogForces() - forces0
+	st.LogWaits = d.log.Waits() - waits0
+	return st, err
+}
+
+// RunWorkers executes up to total transactions across the given runners,
+// one goroutine each, and merges their counters and latency histograms
+// into a RunStats (the engine-counter deltas are the caller's to fill: they
+// belong to one DB). A simulated crash stops the affected workers and is
+// reported via RunStats.Crashed, not as an error; any other failure
+// cancels the sibling workers promptly and is returned (first failure
+// wins).
+func RunWorkers(runners []*Runner, total int) (RunStats, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	workers := len(runners)
 	per := total / workers
-	base := rng.New(seed)
-	runners := make([]*Runner, workers)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	var crashed atomic.Bool
-	commits0, aborts0, forces0, waits0 := d.Commits(), d.Aborts(), d.LogForces(), d.log.Waits()
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		rn := NewRunner(d, base.Uint64(), mix)
-		rn.Policy = policy
-		runners[w] = rn
+	for w, rn := range runners {
 		n := per
 		if w == workers-1 {
 			n = total - per*(workers-1)
@@ -617,10 +668,6 @@ func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, p
 	var st RunStats
 	st.Elapsed = time.Since(start)
 	st.Crashed = crashed.Load()
-	st.Commits = d.Commits() - commits0
-	st.Aborts = d.Aborts() - aborts0
-	st.LogForces = d.LogForces() - forces0
-	st.LogWaits = d.log.Waits() - waits0
 	latHist := stats.NewHistogram(latBucketWidthMicros, latBuckets)
 	var latW stats.Welford
 	var typeHists [core.NumTxnTypes]*stats.Histogram

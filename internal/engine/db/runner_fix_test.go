@@ -82,7 +82,41 @@ func TestBackoffDelaySequence(t *testing.T) {
 		}
 		prev = d
 	}
+
+	// Driven end to end through a System whose procedures always abort,
+	// with more attempts than the doubling has bits (attempt 49 is where a
+	// shifted 50 µs goes negative): every attempt backs off within the cap
+	// and the transaction is shed, not a panic. The cluster runs on this
+	// same loop (shard.TestClusterBackoffSheds drives it through a
+	// cluster).
+	rn = NewRunnerOn(alwaysAborts{}, 7, tpcc.DefaultMix())
+	rn.Policy = RetryPolicy{MaxAttempts: 64, BaseDelay: base, MaxDelay: 200 * time.Microsecond}
+	typ, err := rn.RunOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rn.Sheds() != 1 || rn.Retries() != 63 || rn.Aborts()[typ] != 64 {
+		t.Fatalf("always-aborting system: sheds %d retries %d aborts %d, want 1, 63 and 64",
+			rn.Sheds(), rn.Retries(), rn.Aborts()[typ])
+	}
 }
+
+// alwaysAborts is a System on which every procedure is a deadlock victim.
+type alwaysAborts struct{}
+
+func (alwaysAborts) Warehouses() int                              { return 1 }
+func (alwaysAborts) RemoteWarehouse(_ *rng.RNG, home int64) int64 { return home }
+func (alwaysAborts) NewOrder(NewOrderInput) (NewOrderResult, error) {
+	return NewOrderResult{}, ErrAborted
+}
+func (alwaysAborts) Payment(PaymentInput) error { return ErrAborted }
+func (alwaysAborts) OrderStatus(OrderStatusInput) (OrderStatusResult, error) {
+	return OrderStatusResult{}, ErrAborted
+}
+func (alwaysAborts) Delivery(DeliveryInput) (DeliveryResult, error) {
+	return DeliveryResult{}, ErrAborted
+}
+func (alwaysAborts) StockLevel(StockLevelInput) (int, error) { return 0, ErrAborted }
 
 // oneShotFailDisk delegates to an inner DiskIO but fails exactly one read
 // with a permanent (non-retriable) error after `after` reads.

@@ -8,7 +8,7 @@ package db
 // own (the Runner holds one per worker).
 //
 // The DB-level procedure methods remain for callers without a worker
-// structure; they borrow a Session from a pool.
+// structure; they borrow a Session from the DB's free list.
 type Session struct {
 	d *DB
 	t txn
@@ -24,13 +24,21 @@ func (s *Session) begin() *txn {
 }
 
 func (d *DB) getSession() *Session {
-	if s, ok := d.sessions.Get().(*Session); ok {
+	d.sessMu.Lock()
+	defer d.sessMu.Unlock()
+	if n := len(d.sessions); n > 0 {
+		s := d.sessions[n-1]
+		d.sessions = d.sessions[:n-1]
 		return s
 	}
 	return d.NewSession()
 }
 
-func (d *DB) putSession(s *Session) { d.sessions.Put(s) }
+func (d *DB) putSession(s *Session) {
+	d.sessMu.Lock()
+	d.sessions = append(d.sessions, s)
+	d.sessMu.Unlock()
+}
 
 // NewOrder executes the New-Order transaction on a pooled session.
 func (d *DB) NewOrder(in NewOrderInput) (NewOrderResult, error) {

@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"tpccmodel/internal/rng"
 )
 
 // Mode is a lock mode.
@@ -309,7 +311,8 @@ func (m *Manager) Timeouts() int64 {
 	return n
 }
 
-// SetWaitTimeout bounds every lock wait; 0 (the default) waits forever.
+// SetWaitTimeout bounds every lock wait at d plus a per-wait jitter of up
+// to d/4 (see waitJitter); 0 (the default) waits forever.
 // Expired waits fail with ErrTimeout, which transaction layers handle as
 // a deadlock abort. Distributed execution requires a bound: cross-engine
 // wait cycles never appear in any single wait-for graph.
@@ -495,7 +498,7 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 
 	var err error
 	if timeout := m.getWaitTimeout(); timeout > 0 {
-		t := time.NewTimer(timeout)
+		t := time.NewTimer(timeout + waitJitter(timeout, txn, key))
 		select {
 		case err = <-req.ready:
 			t.Stop()
@@ -520,6 +523,17 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	delete(ts.waitKey, txn)
 	ts.mu.Unlock()
 	return err
+}
+
+// waitJitter lengthens a bounded wait by up to a quarter of the timeout, a
+// fixed function of who waits for what. The timeout stands in for deadlock
+// detection across lock managers; the two waits of such a cycle tend to
+// begin together, and with one common deadline they would expire together,
+// both transactions would abort, and their retries would meet again in
+// step. Spread out, the first to expire releases the other.
+func waitJitter(timeout time.Duration, txn TxnID, key Key) time.Duration {
+	h := rng.Substream(uint64(txn), uint64(key.Table)<<56^key.Row)
+	return time.Duration(h % uint64(timeout/4+1))
 }
 
 // expireWait removes a timed-out waiter from the queue. It races against

@@ -118,3 +118,40 @@ func TestUpgradeTimeoutKeepsSharedGrant(t *testing.T) {
 	}
 	m.ReleaseAll(3)
 }
+
+// TestWaitJitter: the jitter is a fixed function of (transaction, key),
+// never negative, never more than a quarter of the timeout, and it tells
+// apart the waits a cross-manager cycle is made of — same transaction id
+// on neighbouring rows, neighbouring ids on one row — by much more than a
+// lock release takes to travel.
+func TestWaitJitter(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	var lo, hi time.Duration = timeout, 0
+	for id := TxnID(1); id <= 2000; id++ {
+		j := waitJitter(timeout, id, Key{Table: 3, Row: uint64(id % 7)})
+		if j != waitJitter(timeout, id, Key{Table: 3, Row: uint64(id % 7)}) {
+			t.Fatalf("txn %d: jitter is not a function of its arguments", id)
+		}
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	if lo < 0 || hi > timeout/4 || hi-lo < timeout/5 {
+		t.Fatalf("jitter spans [%v, %v], want most of [0, %v]", lo, hi, timeout/4)
+	}
+	near := 0
+	for id := TxnID(1); id <= 1000; id++ {
+		a := waitJitter(timeout, id, Key{Table: 3, Row: 11})
+		for _, b := range []time.Duration{
+			waitJitter(timeout, id, Key{Table: 3, Row: 12}),
+			waitJitter(timeout, id+1, Key{Table: 3, Row: 11}),
+		} {
+			if d := a - b; d > -timeout/100 && d < timeout/100 {
+				near++
+			}
+		}
+	}
+	// Independent uniform draws over timeout/4 land within timeout/100 of
+	// each other 8 % of the time.
+	if near > 2000*12/100 {
+		t.Fatalf("%d of 2000 neighbouring waits got deadlines within %v of each other", near, timeout/100)
+	}
+}

@@ -2,9 +2,10 @@
 // db.DB instance per warehouse group (a "node" in the paper's Section
 // 5.3 sense), a deterministic router that classifies transactions
 // local/remote per the benchmark mix, and a two-phase-commit coordinator
-// layered on each shard's WAL. The measured cross-shard traffic is
-// cross-validated against the Appendix A model (model.DistConfig) by
-// package xval.
+// layered on each shard's WAL. The load comes from the engine's one TPC-C
+// terminal, db.Runner, which drives the router as a db.System. The
+// cross-shard traffic the router measures is cross-validated against the
+// Appendix A model (model.DistConfig) by package xval.
 package shard
 
 import (
@@ -22,10 +23,11 @@ import (
 	"tpccmodel/internal/tpcc"
 )
 
-// ErrShardDown reports that a shard this transaction needs is dead.
-// Transactions failing with it are shed (counted, not retried): local
-// traffic on the surviving shards keeps committing.
-var ErrShardDown = errors.New("shard: required shard is down")
+// ErrShardDown reports that a shard this transaction needs is dead. It is
+// the cluster's db.ErrUnavailable: the terminal sheds a transaction failing
+// with it (counted, not retried), and local traffic on the surviving
+// shards keeps committing.
+var ErrShardDown = fmt.Errorf("shard: required shard is down: %w", db.ErrUnavailable)
 
 // ErrCoordinatorDown reports the transaction's own home shard died
 // mid-flight; under presumed abort the transaction is globally aborted
@@ -177,7 +179,10 @@ type Cluster struct {
 	killHook atomic.Pointer[func(p KillPoint, gid uint64)]
 
 	pendMu  sync.Mutex
-	pending []pendingCommit
+	pending []part
+
+	// xval is where the router counts Appendix A (see XvalCounters).
+	xval XvalCounters
 }
 
 // Open builds the cluster: every shard gets its own device, injector,

@@ -175,15 +175,33 @@ func TestHomeShardOtherWarehouseLine(t *testing.T) {
 	}
 }
 
+// scripted is a terminal whose every New-Order is the one given, so a
+// db.Runner's own attempt loop, backoff and shed run on a crafted input.
+type scripted struct {
+	terminal
+	in db.NewOrderInput
+}
+
+func (s scripted) NewOrder(db.NewOrderInput) (db.NewOrderResult, error) {
+	return s.ExecNewOrder(s.in)
+}
+
+// allNewOrder is the mix that makes a Runner issue nothing else.
+var allNewOrder = tpcc.Mix{core.TxnNewOrder: 1}
+
 // TestCrossShardDeadlockLiveness: two workers issue New-Orders that take
 // the two shards' stock rows in opposite orders — worker w's participant
 // branch locks the other shard's row first, then its home branch wants the
 // row the other worker's participant holds — a cycle neither shard's
 // deadlock detector can see. Only the lock wait timeout breaks it, and the
-// runner's default retry policy must then get every transaction
-// acknowledged within its attempt budget. Each round is made to deadlock:
-// a gate branch holds each home warehouse row until both workers have
-// taken their remote row and parked behind it.
+// terminal's default retry policy must then get every transaction
+// acknowledged within two attempts: the wait that expires first loses one
+// attempt and releases the other. Each round is made to deadlock: a gate
+// branch holds each home warehouse row until both workers have taken their
+// remote row and parked behind it, and both gates open at the same instant,
+// so the two waits of the cycle begin together; the lock manager's
+// per-wait jitter is what keeps them from expiring together, aborting
+// both workers and restarting them in step.
 func TestCrossShardDeadlockLiveness(t *testing.T) {
 	c := openCluster(t, 2)
 	base, err := measureCluster(c)
@@ -205,25 +223,19 @@ func TestCrossShardDeadlockLiveness(t *testing.T) {
 			_, parked[s], _ = d.LockCounts()
 		}
 		var wg sync.WaitGroup
-		var attempts [2]int
+		var rns [2]*db.Runner
 		var errs [2]error
-		for w := 0; w < 2; w++ {
+		for w := range rns {
+			in := db.NewOrderInput{W: int64(w), D: int64(round), C: int64(w), Items: []db.OrderItem{
+				{IID: items[w], SupplyW: int64(w), Qty: int64(1 + round)},
+				{IID: items[1-w], SupplyW: int64(1 - w), Qty: int64(2 + w)},
+			}}
+			rns[w] = db.NewRunnerOn(scripted{terminal{c}, in}, uint64(2*round+w), allNewOrder)
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				rn := NewRunner(c, uint64(2*round+w), tpcc.DefaultMix())
-				in := db.NewOrderInput{W: int64(w), D: int64(round), C: int64(w), Items: []db.OrderItem{
-					{IID: items[w], SupplyW: int64(w), Qty: int64(1 + round)},
-					{IID: items[1-w], SupplyW: int64(1 - w), Qty: int64(2 + w)},
-				}}
-				for attempts[w] = 1; ; attempts[w]++ {
-					if _, errs[w] = c.ExecNewOrder(in); errs[w] == nil || !retriable(errs[w]) ||
-						attempts[w] >= rn.Policy.MaxAttempts || time.Now().After(deadline) {
-						return
-					}
-					rn.backoff(attempts[w])
-				}
-			}(w)
+				_, errs[w] = rns[w].RunOne()
+			}()
 		}
 		for s := range gates {
 			for {
@@ -236,25 +248,19 @@ func TestCrossShardDeadlockLiveness(t *testing.T) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
-		// Open the gates a fifth of the timeout apart, so the two waits of
-		// the cycle do not expire at the same instant: a tie aborts both
-		// workers and restarts them in step, which the policy's jitter
-		// (at most 5 ms) takes most of its attempt budget to break.
-		for s, g := range gates {
-			if s > 0 {
-				time.Sleep(c.Config().LockWaitTimeout / 5)
-			}
+		for _, g := range gates {
 			if err := g.Abort(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		wg.Wait()
-		for w, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d worker %d: not acknowledged after %d attempts: %v", round, w, attempts[w], err)
+		for w, rn := range rns {
+			attempts := int(rn.Retries()) + 1
+			if errs[w] != nil || rn.Sheds() != 0 {
+				t.Fatalf("round %d worker %d: not acknowledged after %d attempts: %v", round, w, attempts, errs[w])
 			}
-			aborts += attempts[w] - 1
-			worst = max(worst, attempts[w])
+			aborts += attempts - 1
+			worst = max(worst, attempts)
 		}
 	}
 
@@ -269,6 +275,9 @@ func TestCrossShardDeadlockLiveness(t *testing.T) {
 		}
 	}
 	t.Logf("%d rounds: %d lock-wait-timeout aborts, at most %d attempts for one transaction", rounds, aborts, worst)
+	if worst > 2 {
+		t.Fatalf("a transaction took %d attempts: the two waits of a cycle expired together and the workers retried in step", worst)
+	}
 	if n := c.Quiesce(0); n > 0 {
 		t.Fatalf("%d participant commits pending on a healthy cluster", n)
 	}
@@ -284,14 +293,14 @@ func TestCrossShardPayment(t *testing.T) {
 	c0 := customerRow(t, c.Shard(1).DB, 0, 2, cid)
 
 	// Home warehouse 0, customer resident on shard 1 (global warehouse 1).
-	calls, err := c.ExecPayment(db.PaymentInput{
+	if err := c.ExecPayment(db.PaymentInput{
 		W: 0, D: 1, CW: 1, CD: 2, ByName: false, C: cid, AmountCents: 500,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 { // one selected tuple + one write-back
-		t.Fatalf("remote customer calls = %d, want 2", calls)
+	// One selected tuple + one write-back, counted at the router.
+	if m := c.Xval(); m.Payments != 1 || m.UCust != 1 || m.RCCust != 2 {
+		t.Fatalf("Appendix A after one remote Payment by id: %+v, want 1 payment, U_cust 1, RC_cust 2", m)
 	}
 	c1 := customerRow(t, c.Shard(1).DB, 0, 2, cid)
 	if c1.YTDPayCents != c0.YTDPayCents+500 || c1.PaymentCount != c0.PaymentCount+1 {
@@ -300,7 +309,7 @@ func TestCrossShardPayment(t *testing.T) {
 	// The home history row carries the GLOBAL customer coordinates.
 	found := false
 	hlen := tpcc.TupleLen[core.History]
-	err = c.Shard(0).DB.Heap(core.History).Scan(func(_ storage.RID, b []byte) bool {
+	err := c.Shard(0).DB.Heap(core.History).Scan(func(_ storage.RID, b []byte) bool {
 		var h db.HistoryRec
 		h.Unmarshal(b[:hlen])
 		if h.CWID == 1 && h.CDID == 2 && h.CID == cid && h.AmountCents == 500 {
@@ -464,7 +473,7 @@ func TestGracefulDegradation(t *testing.T) {
 		t.Fatalf("dead home: err = %v, want ErrShardDown", err)
 	}
 	// Remote customer on the dead shard.
-	if _, err := c.ExecPayment(db.PaymentInput{W: 0, D: 0, CW: 2, CD: 0, C: 0,
+	if err := c.ExecPayment(db.PaymentInput{W: 0, D: 0, CW: 2, CD: 0, C: 0,
 		AmountCents: 100}); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("dead customer shard: err = %v, want ErrShardDown", err)
 	}
@@ -515,7 +524,7 @@ func TestRunCleanCluster(t *testing.T) {
 	if st.Sheds != 0 {
 		t.Fatalf("sheds = %d on a healthy cluster", st.Sheds)
 	}
-	if st.Xval.NewOrders > 20 && st.Xval.ERs == 0 {
+	if m := c.Xval(); m.NewOrders > 20 && m.ERs == 0 {
 		t.Fatal("no remote stock lines measured at 25% remote probability")
 	}
 	checkAtomicity(t, c, base)
@@ -588,5 +597,153 @@ func TestShardTortureReduced(t *testing.T) {
 			}
 			t.Log(rep.Summary())
 		})
+	}
+}
+
+// recount is the Appendix A derivation the deleted shard runner made from
+// the inputs it generated — a second ShardOf pass over every order line, a
+// set of remote sites per order — kept here as the oracle for the counters
+// the router now records from its own item split. groups holds the size of
+// every last-name group, which is what a by-name select touches.
+type recount struct {
+	terminal
+	x      *XvalCounters
+	groups map[[4]int64]int64 // (shard, local warehouse, district, name ordinal)
+}
+
+func (r recount) NewOrder(in db.NewOrderInput) (db.NewOrderResult, error) {
+	home := r.ShardOf(in.W)
+	var remoteLines int64
+	sites := make(map[int]struct{})
+	for _, it := range in.Items {
+		if s := r.ShardOf(it.SupplyW); s != home {
+			remoteLines++
+			sites[s] = struct{}{}
+		}
+	}
+	res, err := r.ExecNewOrder(in)
+	if err == nil {
+		r.x.NewOrders.Add(1)
+		r.x.RemoteLines.Add(remoteLines)
+		r.x.RemoteSites.Add(int64(len(sites)))
+		if remoteLines == 0 {
+			r.x.AllLocal.Add(1)
+		}
+	}
+	return res, err
+}
+
+func (r recount) Payment(in db.PaymentInput) error {
+	err := r.ExecPayment(in)
+	if err == nil {
+		r.x.Payments.Add(1)
+		if cs := r.ShardOf(in.CW); cs != r.ShardOf(in.W) {
+			selected := int64(1)
+			if in.ByName {
+				selected = r.groups[[4]int64{int64(cs), r.LocalW(in.CW), in.CD, in.NameOrd}]
+			}
+			r.x.RemotePayments.Add(1)
+			r.x.RemoteCustCalls.Add(selected + 1)
+		}
+	}
+	return err
+}
+
+// TestClusterRunStats: a cluster run goes through the engine's one
+// terminal and its fan-out, so it reports what a single-instance run
+// reports — per-type acked, aborts and latency quantiles — and every
+// acknowledgement is one the router counted on some shard. The Appendix A
+// counters the router keeps equal a recount from the generated inputs.
+func TestClusterRunStats(t *testing.T) {
+	c := openCluster(t, 3)
+	oracle := recount{terminal: terminal{c}, x: new(XvalCounters), groups: make(map[[4]int64]int64)}
+	for _, s := range c.Shards() {
+		err := s.DB.Heap(core.Customer).Scan(func(_ storage.RID, b []byte) bool {
+			var r db.CustomerRec
+			r.Unmarshal(b[:tpcc.TupleLen[core.Customer]])
+			oracle.groups[[4]int64{int64(s.ID), int64(r.WID), int64(r.DID), int64(r.NameOrd)}]++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = 600
+	st, err := run(oracle, 7, tpcc.DefaultMix(), total, 4, db.DefaultRetryPolicy(), 0.25, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Quiesce(0); n > 0 {
+		t.Fatalf("%d participant commits pending on a healthy cluster", n)
+	}
+
+	if got := st.Acknowledged(); got != total || st.Sheds != 0 {
+		t.Fatalf("acknowledged %d of %d, %d sheds on a healthy cluster", got, total, st.Sheds)
+	}
+	routed := statsTotal(c, func(s Stats) int64 { return s.LocalCommits + s.DistCommits })
+	if routed != st.Acknowledged() {
+		t.Fatalf("terminal acknowledged %d, shards count %d local + coordinated commits", st.Acknowledged(), routed)
+	}
+	var aborts int64
+	for typ, ts := range st.PerType {
+		if ts.Acked != st.Counts[typ] || ts.Acked == 0 {
+			t.Fatalf("%s: per-type acked %d, counts %d, want equal and > 0", core.TxnType(typ), ts.Acked, st.Counts[typ])
+		}
+		if ts.P50 <= 0 || ts.P50 > ts.P95 || ts.P95 > ts.P99 {
+			t.Fatalf("%s: latency quantiles p50 %v p95 %v p99 %v", core.TxnType(typ), ts.P50, ts.P95, ts.P99)
+		}
+		aborts += ts.Aborts
+	}
+	// With nothing shed, every failed attempt was retried.
+	if aborts != st.Retries {
+		t.Fatalf("per-type aborts sum to %d, retries %d", aborts, st.Retries)
+	}
+	if st.Latency.N != total || st.TpmC() <= 0 {
+		t.Fatalf("latency over %d transactions, tpmC %.0f", st.Latency.N, st.TpmC())
+	}
+
+	got, want := c.Xval(), oracle.x.Measured()
+	if got != want {
+		t.Fatalf("Appendix A at the router:\n got %+v\nwant %+v (recount from the inputs)", got, want)
+	}
+	if got.ERs == 0 || got.UCust == 0 || got.RCCust <= 2*got.UCust {
+		t.Fatalf("no cross-shard traffic measured at 25%%/50%% remote probability: %+v", got)
+	}
+}
+
+// TestClusterBackoffSheds: a transaction that aborts on every attempt —
+// here a New-Order behind a warehouse row that is never released, so each
+// attempt is a lock wait timeout — backs off under the terminal's policy
+// and is shed when its attempts run out, however many there are. The
+// cluster's own copy of the backoff computed BaseDelay << (attempt-1): at
+// the default 50 µs that is negative from attempt 49, skipped the MaxDelay
+// cap and panicked drawing the jitter.
+func TestClusterBackoffSheds(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.LockWaitTimeout = time.Millisecond
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, err := c.Shard(0).DB.PaymentHomeBegin(c.nextGID(0), db.PaymentInput{AmountCents: 1}, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := db.NewOrderInput{W: 0, D: 0, C: 0, Items: []db.OrderItem{{IID: 3, SupplyW: 0, Qty: 1}}}
+	rn := db.NewRunnerOn(scripted{terminal{c}, in}, 1, allNewOrder)
+	rn.Policy.MaxAttempts = 64
+	rn.Policy.MaxDelay = time.Millisecond
+	if _, err := rn.RunOne(); err != nil {
+		t.Fatal(err)
+	}
+	if rn.Sheds() != 1 || rn.Retries() != 63 || rn.Aborts()[core.TxnNewOrder] != 64 {
+		t.Fatalf("sheds %d retries %d aborts %d, want 1, 63 and 64",
+			rn.Sheds(), rn.Retries(), rn.Aborts()[core.TxnNewOrder])
+	}
+	if err := gate.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rn.RunOne(); err != nil || rn.Counts()[core.TxnNewOrder] != 1 {
+		t.Fatalf("after the row is released: err %v, acked %d", err, rn.Counts()[core.TxnNewOrder])
 	}
 }

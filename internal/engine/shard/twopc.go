@@ -3,13 +3,17 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/storage"
 )
+
+// This file is the router: the five procedures over GLOBAL warehouse ids.
+// A transaction that touches one shard runs there as the local procedure;
+// one that touches several opens a branch per shard and hands them to the
+// one two-phase-commit skeleton, decide.
 
 // nextGID allocates a global transaction id. The coordinator shard id
 // (plus one, so gid 0 keeps meaning "purely local") rides in the top 16
@@ -35,39 +39,52 @@ func forceBackoff(attempt int) {
 // commitRetries bounds in-protocol retries of transient force failures.
 const commitRetries = 10
 
-// pendingCommit is a participant branch whose global decision is commit
-// but whose own commit record could not be forced within the retry
-// budget on a live device. The branch keeps its locks; ResolvePending
-// retries it. (A dead device is different: the branch is forsaken and
-// recovery settles it from the durable log.)
-type pendingCommit struct {
+// part is one participant of a distributed transaction: its shard, the
+// order lines it supplies (New-Order only, shard-local warehouse ids) and,
+// once begun, its branch; a nil branch has not begun or has ended. The
+// cluster's pending list holds parts whose global decision is commit but
+// whose own commit record could not be forced within the retry budget on
+// a live device: the branch keeps its locks and ResolvePending retries it.
+type part struct {
 	shard int
+	items []db.OrderItem
 	b     *db.Branch
 }
 
-// commitParticipant drives one prepared participant branch to its
-// commit, retrying transient force failures. A crashed device forsakes
-// the branch — its prepare record is durable and the coordinator's
-// decision is durable, so recovery resolves it to the same commit.
-func (c *Cluster) commitParticipant(id int, b *db.Branch) {
-	s := c.shards[id]
+// settle tries once to commit a participant branch whose global decision
+// is commit. It returns nil when the branch has ended: committed, or — the
+// device is dead — forsaken, which is as good: its prepare record and the
+// coordinator's decision are durable, so recovery resolves it to the same
+// commit. Any other failure leaves the branch open, locks held.
+func (c *Cluster) settle(p part) error {
+	s := c.shards[p.shard]
+	err := p.b.Commit()
+	switch {
+	case err == nil:
+		s.participantCommits.Add(1)
+	case errors.Is(err, storage.ErrCrashed):
+		p.b.Forsake()
+		s.forsaken.Add(1)
+		s.down.Store(true)
+	default:
+		return err
+	}
+	return nil
+}
+
+// commitParticipant drives one prepared participant branch to its commit,
+// retrying transient force failures. On a live device whose force keeps
+// failing the branch is parked with its locks held rather than losing a
+// decided commit.
+func (c *Cluster) commitParticipant(p part) {
 	for attempt := 1; ; attempt++ {
-		err := b.Commit()
+		err := c.settle(p)
 		if err == nil {
-			s.participantCommits.Add(1)
-			return
-		}
-		if errors.Is(err, storage.ErrCrashed) {
-			b.Forsake()
-			s.forsaken.Add(1)
-			s.down.Store(true)
 			return
 		}
 		if !errors.Is(err, storage.ErrTransientIO) || attempt >= commitRetries {
-			// Live device, force keeps failing: park the branch with its
-			// locks held rather than losing a decided commit.
 			c.pendMu.Lock()
-			c.pending = append(c.pending, pendingCommit{shard: id, b: b})
+			c.pending = append(c.pending, p)
 			c.pendMu.Unlock()
 			return
 		}
@@ -75,28 +92,19 @@ func (c *Cluster) commitParticipant(id int, b *db.Branch) {
 	}
 }
 
-// ResolvePending retries parked participant commits (see pendingCommit)
-// and returns how many remain parked. Run it after fault pressure
-// subsides and before verifying cluster invariants.
+// ResolvePending retries parked participant commits (see part) and
+// returns how many remain parked. Run it after fault pressure subsides
+// and before verifying cluster invariants.
 func (c *Cluster) ResolvePending() int {
 	c.pendMu.Lock()
 	work := c.pending
 	c.pending = nil
 	c.pendMu.Unlock()
-	var still []pendingCommit
+	var still []part
 	for _, p := range work {
-		s := c.shards[p.shard]
-		if err := p.b.Commit(); err != nil {
-			if errors.Is(err, storage.ErrCrashed) {
-				p.b.Forsake()
-				s.forsaken.Add(1)
-				s.down.Store(true)
-				continue
-			}
+		if c.settle(p) != nil {
 			still = append(still, p)
-			continue
 		}
-		s.participantCommits.Add(1)
 	}
 	c.pendMu.Lock()
 	c.pending = append(c.pending, still...)
@@ -108,29 +116,26 @@ func (c *Cluster) ResolvePending() int {
 // abandon aborts every open branch after a failure. Branches on dead
 // devices are forsaken (no undo writes against a dead disk; the durable
 // log owns their fate), live ones roll back normally.
-func (c *Cluster) abandon(branches map[int]*db.Branch) {
-	ids := make([]int, 0, len(branches))
-	for id := range branches {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		b := branches[id]
-		if c.shards[id].Down() {
-			b.Forsake()
-			c.shards[id].forsaken.Add(1)
-			continue
-		}
-		if err := b.Abort(); err != nil && errors.Is(err, storage.ErrCrashed) {
-			c.markDownOnCrash(id, err)
+func (c *Cluster) abandon(open []part) {
+	for _, p := range open {
+		switch {
+		case p.b == nil: // never begun, or ended by its own failed prepare
+		case c.shards[p.shard].Down():
+			p.b.Forsake()
+			c.shards[p.shard].forsaken.Add(1)
+		default:
+			if err := p.b.Abort(); err != nil {
+				c.markDownOnCrash(p.shard, err)
+			}
 		}
 	}
 }
 
-// classifyBeginErr maps a branch-begin failure to the runner contract:
-// a crashed shard becomes typed ErrShardDown (shed), everything else
-// passes through (ErrAborted and transient I/O are retriable).
-func (c *Cluster) classifyBeginErr(id int, err error) error {
+// classifyErr maps a procedure or branch failure on shard id to the
+// terminal's contract: a crashed shard becomes typed ErrShardDown (shed),
+// everything else passes through (ErrAborted and transient I/O are
+// retriable).
+func (c *Cluster) classifyErr(id int, err error) error {
 	if errors.Is(err, storage.ErrCrashed) {
 		c.markDownOnCrash(id, err)
 		c.shards[id].sheds.Add(1)
@@ -139,121 +144,67 @@ func (c *Cluster) classifyBeginErr(id int, err error) error {
 	return err
 }
 
-// ExecNewOrder executes a New-Order whose warehouse ids (W and every
-// SupplyW) are GLOBAL. Items supplied by the home shard run in the home
-// branch; items supplied by other shards become participant branches
-// (one per shard) committed with two-phase commit. The home branch's
-// forced commit record is the global decision (presumed abort).
-func (c *Cluster) ExecNewOrder(in db.NewOrderInput) (db.NewOrderResult, error) {
-	var res db.NewOrderResult
-	home := c.ShardOf(in.W)
-	hs := c.shards[home]
+// giveUp ends a distributed transaction that cannot commit: the branches
+// still open are abandoned and the failure, which came from shard id, is
+// classified for the terminal.
+func (c *Cluster) giveUp(hs *Shard, open []part, id int, err error) error {
+	c.abandon(open)
+	hs.distAborts.Add(1)
+	return c.classifyErr(id, err)
+}
+
+// homeUp returns the home shard of global warehouse w, or the typed,
+// counted refusal when that shard is dead.
+func (c *Cluster) homeUp(w int64) (*Shard, error) {
+	hs := c.shards[c.ShardOf(w)]
 	if hs.Down() {
 		hs.downSheds.Add(1)
-		return res, fmt.Errorf("home shard %d: %w", home, ErrShardDown)
+		return nil, fmt.Errorf("home shard %d: %w", hs.ID, ErrShardDown)
 	}
+	return hs, nil
+}
 
-	// Split items: home-shard items get LOCAL supply ids; remote items
-	// keep their GLOBAL id on the home order line (the benchmark records
-	// the real supplier) and are grouped per participant with LOCAL ids.
-	localIn := db.NewOrderInput{W: c.LocalW(in.W), D: in.D, C: in.C}
-	remote := make(map[int][]db.OrderItem)
-	for _, it := range in.Items {
-		ps := c.ShardOf(it.SupplyW)
-		if ps == home {
-			localIn.Items = append(localIn.Items,
-				db.OrderItem{IID: it.IID, SupplyW: c.LocalW(it.SupplyW), Qty: it.Qty})
-			continue
-		}
-		localIn.Items = append(localIn.Items,
-			db.OrderItem{IID: it.IID, SupplyW: it.SupplyW, Qty: it.Qty, Remote: true})
-		remote[ps] = append(remote[ps],
-			db.OrderItem{IID: it.IID, SupplyW: c.LocalW(it.SupplyW), Qty: it.Qty})
-	}
-
-	// Fast path: single-shard transactions skip the protocol entirely.
-	if len(remote) == 0 {
-		res, err := hs.DB.NewOrder(localIn)
-		if err != nil {
-			return res, c.classifyBeginErr(home, err)
-		}
-		hs.localCommits.Add(1)
-		return res, nil
-	}
-
-	// Graceful degradation: refuse (typed, counted) rather than block
-	// when a required participant is already known dead.
-	parts := make([]int, 0, len(remote))
-	for id := range remote {
-		parts = append(parts, id)
-	}
-	sort.Ints(parts)
-	for _, id := range parts {
-		if c.shards[id].Down() {
-			hs.sheds.Add(1)
-			return res, fmt.Errorf("participant shard %d: %w", id, ErrShardDown)
-		}
-	}
-
-	gid := c.nextGID(home)
-	open := make(map[int]*db.Branch)
-
-	// Begin participant branches in shard order, then the home branch.
-	pbs := make(map[int]*db.Branch, len(parts))
-	for _, id := range parts {
-		pb, err := c.shards[id].DB.RemoteStockBegin(gid, remote[id])
-		if err != nil {
-			c.abandon(open)
-			hs.distAborts.Add(1)
-			return res, c.classifyBeginErr(id, err)
-		}
-		pbs[id] = pb
-		open[id] = pb
-	}
-	hb, hres, err := hs.DB.NewOrderHomeBegin(gid, localIn)
+// ranLocal accounts for a single-shard procedure that returned err on hs.
+func (c *Cluster) ranLocal(hs *Shard, err error) error {
 	if err != nil {
-		c.abandon(open)
-		hs.distAborts.Add(1)
-		return res, c.classifyBeginErr(home, err)
+		return c.classifyErr(hs.ID, err)
 	}
-	open[home] = hb
+	hs.localCommits.Add(1)
+	return nil
+}
 
-	// Phase 1: prepare every participant.
-	for i, id := range parts {
-		if err := pbs[id].Prepare(); err != nil {
-			delete(open, id) // a failed prepare already rolled back
-			c.abandon(open)
-			hs.distAborts.Add(1)
-			return res, c.classifyBeginErr(id, err)
+// decide is the protocol from "every branch is open" on, presumed abort:
+// prepare the participants in shard order; force the home branch's commit
+// record, which is the global decision; commit each participant. Any
+// failure before the decision abandons whatever is still open. The kill
+// hooks mark the protocol's in-doubt windows for the torture campaign.
+func (c *Cluster) decide(gid uint64, hs *Shard, hb *db.Branch, parts []part) error {
+	for i := range parts {
+		if err := parts[i].b.Prepare(); err != nil {
+			parts[i].b = nil // a failed prepare already rolled back
+			return c.giveUp(hs, append(parts, part{shard: hs.ID, b: hb}), parts[i].shard, err)
 		}
 		if i == 0 {
 			c.fireHook(fault.KillMidPrepare, gid)
 		}
 	}
 	c.fireHook(fault.KillAfterPrepare, gid)
-
-	// Phase 2: the home commit is the decision.
-	if err := c.commitHome(home, hb); err != nil {
-		delete(open, home)
-		c.abandon(open)
-		hs.distAborts.Add(1)
-		return res, err
+	if err := c.commitHome(hs, hb); err != nil {
+		return c.giveUp(hs, parts, hs.ID, err)
 	}
-	delete(open, home)
 	c.fireHook(fault.KillBeforeParticipantCommit, gid)
-	for _, id := range parts {
-		c.commitParticipant(id, pbs[id])
+	for _, p := range parts {
+		c.commitParticipant(p)
 	}
 	hs.distCommits.Add(1)
-	return hres, nil
+	return nil
 }
 
 // commitHome forces the home branch's commit record — the global
 // decision — retrying transient failures. A crashed home device means
 // the decision never became durable: presumed abort, surfaced as
-// ErrCoordinatorDown.
-func (c *Cluster) commitHome(home int, hb *db.Branch) error {
-	hs := c.shards[home]
+// ErrCoordinatorDown. Either way the home branch has ended on return.
+func (c *Cluster) commitHome(hs *Shard, hb *db.Branch) error {
 	for attempt := 1; ; attempt++ {
 		err := hb.Commit()
 		if err == nil {
@@ -263,92 +214,186 @@ func (c *Cluster) commitHome(home int, hb *db.Branch) error {
 			hb.Forsake()
 			hs.forsaken.Add(1)
 			hs.down.Store(true)
-			return fmt.Errorf("home shard %d: %w", home, ErrCoordinatorDown)
+			return fmt.Errorf("home shard %d: %w", hs.ID, ErrCoordinatorDown)
 		}
 		if attempt >= commitRetries {
 			// Live device, decision not durable: globally abort.
 			if aerr := hb.Abort(); aerr != nil {
-				c.markDownOnCrash(home, aerr)
+				c.markDownOnCrash(hs.ID, aerr)
 			}
-			return fmt.Errorf("home shard %d: decision force failed: %w", home, err)
+			return fmt.Errorf("home shard %d: decision force failed: %w", hs.ID, err)
 		}
 		forceBackoff(attempt)
 	}
 }
 
+// ExecNewOrder executes a New-Order whose warehouse ids (W and every
+// SupplyW) are GLOBAL. Items supplied by the home shard run in the home
+// branch; items supplied by other shards become participant branches,
+// one per shard. The item split made here is also where Appendix A is
+// counted: lines and distinct shards beyond the home shard, on ack.
+func (c *Cluster) ExecNewOrder(in db.NewOrderInput) (db.NewOrderResult, error) {
+	hs, err := c.homeUp(in.W)
+	if err != nil {
+		return db.NewOrderResult{}, err
+	}
+	// Home-shard items get LOCAL supply ids; remote items keep their
+	// GLOBAL id on the home order line (the benchmark records the real
+	// supplier) and are grouped per participant, in shard order, with
+	// LOCAL ids.
+	homeIn := db.NewOrderInput{W: c.LocalW(in.W), D: in.D, C: in.C, Items: make([]db.OrderItem, len(in.Items))}
+	var parts []part
+	var remoteLines int64
+	for i, it := range in.Items {
+		ps := c.ShardOf(it.SupplyW)
+		local := db.OrderItem{IID: it.IID, SupplyW: c.LocalW(it.SupplyW), Qty: it.Qty}
+		if ps == hs.ID {
+			homeIn.Items[i] = local
+			continue
+		}
+		it.Remote = true
+		homeIn.Items[i] = it
+		remoteLines++
+		k := 0
+		for k < len(parts) && parts[k].shard < ps {
+			k++
+		}
+		if k == len(parts) || parts[k].shard != ps {
+			parts = append(parts, part{})
+			copy(parts[k+1:], parts[k:])
+			parts[k] = part{shard: ps}
+		}
+		parts[k].items = append(parts[k].items, local)
+	}
+
+	var res db.NewOrderResult
+	if len(parts) == 0 {
+		// Single-shard transactions skip the protocol entirely.
+		res, err = hs.DB.NewOrder(homeIn)
+		err = c.ranLocal(hs, err)
+	} else {
+		res, err = c.openNewOrder(hs, homeIn, parts)
+	}
+	if err != nil {
+		return db.NewOrderResult{}, err
+	}
+	c.xval.NewOrders.Add(1)
+	c.xval.RemoteLines.Add(remoteLines)
+	c.xval.RemoteSites.Add(int64(len(parts)))
+	if len(parts) == 0 {
+		c.xval.AllLocal.Add(1)
+	}
+	return res, nil
+}
+
+// openNewOrder opens the participant branches in shard order, then the
+// home branch, and runs the protocol over them.
+func (c *Cluster) openNewOrder(hs *Shard, in db.NewOrderInput, parts []part) (db.NewOrderResult, error) {
+	// Graceful degradation: refuse (typed, counted) rather than block
+	// when a required participant is already known dead.
+	for _, p := range parts {
+		if c.shards[p.shard].Down() {
+			hs.sheds.Add(1)
+			return db.NewOrderResult{}, fmt.Errorf("participant shard %d: %w", p.shard, ErrShardDown)
+		}
+	}
+	gid := c.nextGID(hs.ID)
+	for i := range parts {
+		p := &parts[i]
+		var err error
+		if p.b, err = c.shards[p.shard].DB.RemoteStockBegin(gid, p.items); err != nil {
+			return db.NewOrderResult{}, c.giveUp(hs, parts, p.shard, err)
+		}
+	}
+	hb, res, err := hs.DB.NewOrderHomeBegin(gid, in)
+	if err != nil {
+		return res, c.giveUp(hs, parts, hs.ID, err)
+	}
+	return res, c.decide(gid, hs, hb, parts)
+}
+
 // ExecPayment executes a Payment whose W and CW are GLOBAL warehouse
 // ids. A customer on another shard runs as a participant branch there
 // (resolving by-name selection remotely); the home branch books the
-// warehouse/district YTD and the history row with the resolved id.
-// Returns the number of remote customer tuples touched (selects plus
-// the write-back) for the Appendix A RC_cust measurement; 0 for local.
-func (c *Cluster) ExecPayment(in db.PaymentInput) (int, error) {
-	home := c.ShardOf(in.W)
-	cshard := c.ShardOf(in.CW)
-	hs := c.shards[home]
-	if hs.Down() {
-		hs.downSheds.Add(1)
-		return 0, fmt.Errorf("home shard %d: %w", home, ErrShardDown)
+// warehouse/district YTD and the history row with the resolved id. On ack
+// a remote-shard customer is counted for Appendix A with the customer
+// tuples it touched: the selects plus the write-back.
+func (c *Cluster) ExecPayment(in db.PaymentInput) error {
+	hs, err := c.homeUp(in.W)
+	if err != nil {
+		return err
 	}
-
-	if cshard == home {
-		localIn := in
-		localIn.W = c.LocalW(in.W)
-		localIn.CW = c.LocalW(in.CW)
-		if err := hs.DB.Payment(localIn); err != nil {
-			return 0, c.classifyBeginErr(home, err)
+	cshard := c.ShardOf(in.CW)
+	homeIn := in
+	homeIn.W = c.LocalW(in.W)
+	if cshard == hs.ID {
+		homeIn.CW = c.LocalW(in.CW)
+		if err := c.ranLocal(hs, hs.DB.Payment(homeIn)); err != nil {
+			return err
 		}
-		hs.localCommits.Add(1)
-		return 0, nil
+		c.xval.Payments.Add(1)
+		return nil
 	}
 
 	cs := c.shards[cshard]
 	if cs.Down() {
 		hs.sheds.Add(1)
-		return 0, fmt.Errorf("customer shard %d: %w", cshard, ErrShardDown)
+		return fmt.Errorf("customer shard %d: %w", cshard, ErrShardDown)
 	}
-
-	gid := c.nextGID(home)
-	open := make(map[int]*db.Branch)
-
+	gid := c.nextGID(hs.ID)
 	// The customer branch goes first: by-name payments only learn the
 	// customer id from the remote shard's name index.
 	pb, cid, selected, err := cs.DB.RemotePaymentBegin(gid,
 		c.LocalW(in.CW), in.CD, in.ByName, in.C, in.NameOrd, in.AmountCents)
 	if err != nil {
-		hs.distAborts.Add(1)
-		return 0, c.classifyBeginErr(cshard, err)
+		return c.giveUp(hs, nil, cshard, err)
 	}
-	open[cshard] = pb
-
-	localIn := in
-	localIn.W = c.LocalW(in.W)
-	hb, err := hs.DB.PaymentHomeBegin(gid, localIn, in.CW, in.CD, cid)
+	parts := []part{{shard: cshard, b: pb}}
+	hb, err := hs.DB.PaymentHomeBegin(gid, homeIn, in.CW, in.CD, cid)
 	if err != nil {
-		c.abandon(open)
-		hs.distAborts.Add(1)
-		return 0, c.classifyBeginErr(home, err)
+		return c.giveUp(hs, parts, hs.ID, err)
 	}
-	open[home] = hb
-
-	if err := pb.Prepare(); err != nil {
-		delete(open, cshard)
-		c.abandon(open)
-		hs.distAborts.Add(1)
-		return 0, c.classifyBeginErr(cshard, err)
+	if err := c.decide(gid, hs, hb, parts); err != nil {
+		return err
 	}
-	c.fireHook(fault.KillMidPrepare, gid)
-	c.fireHook(fault.KillAfterPrepare, gid)
+	c.xval.Payments.Add(1)
+	c.xval.RemotePayments.Add(1)
+	c.xval.RemoteCustCalls.Add(int64(selected + 1))
+	return nil
+}
 
-	if err := c.commitHome(home, hb); err != nil {
-		delete(open, home)
-		c.abandon(open)
-		hs.distAborts.Add(1)
+// ExecOrderStatus, ExecDelivery and ExecStockLevel run the single-warehouse
+// procedures on the home shard of their GLOBAL warehouse id, under the
+// same dead-shard contract as the other two: a typed refusal when the
+// shard is down, and a crash mid-procedure turned into the same refusal.
+func (c *Cluster) ExecOrderStatus(in db.OrderStatusInput) (db.OrderStatusResult, error) {
+	hs, err := c.homeUp(in.W)
+	if err != nil {
+		return db.OrderStatusResult{}, err
+	}
+	in.W = c.LocalW(in.W)
+	res, err := hs.DB.OrderStatus(in)
+	return res, c.ranLocal(hs, err)
+}
+
+// ExecDelivery: see ExecOrderStatus.
+func (c *Cluster) ExecDelivery(in db.DeliveryInput) (db.DeliveryResult, error) {
+	hs, err := c.homeUp(in.W)
+	if err != nil {
+		return db.DeliveryResult{}, err
+	}
+	in.W = c.LocalW(in.W)
+	res, err := hs.DB.Delivery(in)
+	return res, c.ranLocal(hs, err)
+}
+
+// ExecStockLevel: see ExecOrderStatus.
+func (c *Cluster) ExecStockLevel(in db.StockLevelInput) (int, error) {
+	hs, err := c.homeUp(in.W)
+	if err != nil {
 		return 0, err
 	}
-	delete(open, home)
-	c.fireHook(fault.KillBeforeParticipantCommit, gid)
-	c.commitParticipant(cshard, pb)
-	hs.distCommits.Add(1)
-	return selected + 1, nil
+	in.W = c.LocalW(in.W)
+	res, err := hs.DB.StockLevel(in)
+	return res, c.ranLocal(hs, err)
 }

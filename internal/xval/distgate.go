@@ -93,7 +93,7 @@ type DistResult struct {
 	Model    model.DistConfig
 	Expect   model.Expectations
 	Measured shard.Measured
-	Stats    shard.RunStats
+	Stats    db.RunStats
 	Rows     []DistRow
 	Elapsed  time.Duration
 }
@@ -202,7 +202,7 @@ func RunDistGate(cfg DistGateConfig) (*DistResult, error) {
 		mc.RemotePaymentProb = tpcc.RemotePaymentProb
 	}
 	e := mc.Expect()
-	m := st.Xval
+	m := c.Xval()
 
 	res := &DistResult{
 		Config: cfg, Model: mc, Expect: e, Measured: m, Stats: st,

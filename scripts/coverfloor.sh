@@ -14,7 +14,7 @@ floors="
 tpccmodel/internal/buffer	85.0
 tpccmodel/internal/sim	88.0
 tpccmodel/internal/engine/bufmgr	75.0
-tpccmodel/internal/engine/shard	75.0
+tpccmodel/internal/engine/shard	83.0
 tpccmodel/internal/engine/mvcc	90.0
 tpccmodel/internal/engine/db	84.8
 "
