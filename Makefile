@@ -72,11 +72,15 @@ regen-fuzz-corpus:
 	go test ./internal/engine/index/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 	go test ./internal/engine/mvcc/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 
-# Seeded crash-torture campaign over the storage engine: 5 seeds x 10
-# crash schedules with transient I/O errors, bit flips, torn writes, and
-# power loss; fails on any lost commit, consistency or checksum violation.
+# Seeded crash-torture campaign over the storage engine, once under each
+# concurrency-control mode: 3 seeds x 6 crash schedules with transient I/O
+# errors, bit flips, torn writes, and power loss; fails on any lost commit,
+# consistency or checksum violation. Doubles as the CI step; the full
+# campaign is `go run ./cmd/tpcc-torture -cc <mode>` (5 seeds x 10).
 torture:
-	go run ./cmd/tpcc-torture -v
+	for cc in 2pl mvcc ssi; do \
+		go run ./cmd/tpcc-torture -cc $$cc -seeds 3 -schedules 6 -v || exit 1; \
+	done
 
 # Shard-kill torture over the warehouse-sharded cluster: kills at 2PC
 # protocol points (mid-prepare, post-prepare, pre-participant-commit,

@@ -10,6 +10,7 @@
 //
 //	tpcc-torture -seeds 5 -schedules 10 -txns 400 -workers 4
 //	tpcc-torture -seeds 2 -schedules 5 -flip 0.01 -v
+//	tpcc-torture -cc ssi -seeds 2 -schedules 5
 //
 // The process exits 1 if any schedule violated an invariant.
 package main
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"tpccmodel/internal/cliutil"
+	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/wal"
 )
@@ -40,6 +42,7 @@ func main() {
 		writeErr    = flag.Float64("write-err", def.Faults.WriteErrProb, "transient write error probability")
 		forceErr    = flag.Float64("force-err", def.Faults.ForceErrProb, "log force error probability")
 		flip        = flag.Float64("flip", def.Faults.BitFlipProb, "silent bit-flip probability per page write")
+		ccFlag      = flag.String("cc", "2pl", "concurrency control mode: 2pl, mvcc or ssi")
 		groupCommit = flag.Bool("group-commit", true, "share log forces: a force covers everything pre-committed while the previous one ran")
 		gcBatch     = flag.Int("gc-max-batch", 16, "wal.GroupConfig.MaxBatch; any value above 1 enables batching")
 		verbose     = flag.Bool("v", false, "print per-schedule results")
@@ -59,7 +62,13 @@ func main() {
 	cliutil.RequireProb(tool, "force-err", *forceErr)
 	cliutil.RequireProb(tool, "flip", *flip)
 
+	ccMode, err := db.ParseCCMode(*ccFlag)
+	if err != nil {
+		cliutil.Fail(tool, err.Error())
+	}
+
 	cfg := def
+	cfg.CC = ccMode
 	cfg.Seeds = *seeds
 	cfg.Schedules = *schedules
 	cfg.Txns = *txns
@@ -96,9 +105,10 @@ func main() {
 			if s.MidRunCrash {
 				kind = "mid-run"
 			}
-			fmt.Printf("seed=%d schedule=%d crash=%s acked=%d retries=%d sheds=%d log-truncated=%dB violations=%d\n",
+			fmt.Printf("seed=%d schedule=%d crash=%s acked=%d retries=%d sheds=%d log-scanned=%drec/%dB log-truncated=%dB rows-applied=%d violations=%d\n",
 				s.Seed, s.Schedule, kind, s.Acked, s.Retries, s.Sheds,
-				s.TruncatedBytes, len(s.Violations))
+				s.Recovery.Records, s.Recovery.Bytes, s.Recovery.TruncatedBytes,
+				s.Recovery.Applied, len(s.Violations))
 		}
 	}
 	fmt.Println(rep.Summary())

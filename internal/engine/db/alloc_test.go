@@ -30,10 +30,10 @@ import (
 // generator, so the gate covers exactly what the benchmark loop executes:
 // Session scratch, typed undo + arena, index descent, buffer-pool hits,
 // and WAL appends. Amortized infrastructure growth (heap-file page slabs,
-// B-tree node chunks, WAL buffer doubling) is kept out of the measurement
-// by sizing the buffer pool to hold the whole 1-warehouse dataset,
-// pre-growing the log, and warming up first; residual growth events land
-// well under one allocation per run, which AllocsPerRun's integer average
+// B-tree node chunks, a log segment per 64 KiB logged) is kept out of
+// the measurement by sizing the buffer pool to hold the whole 1-warehouse
+// dataset and warming up first; residual growth events land well under
+// one allocation per run, which AllocsPerRun's integer average
 // reports as 0 — any per-transaction allocation reports as >= 1.
 func TestHotPathAllocationFree(t *testing.T) {
 	if testing.Short() {
@@ -66,7 +66,6 @@ func testContendedPathAllocations(t *testing.T) {
 	if err := d.Load(1); err != nil {
 		t.Fatal(err)
 	}
-	d.log.Grow(128 << 20)
 	const txns, workers = 6000, 2
 	run := func(seed uint64) RunStats {
 		st, err := RunConcurrentPolicy(d, seed, tpcc.DefaultMix(), txns, workers, DefaultRetryPolicy())
@@ -110,7 +109,6 @@ func testHotPathAllocationFree(t *testing.T, cc CCMode) {
 	if err := d.Load(1); err != nil {
 		t.Fatal(err)
 	}
-	d.log.Grow(64 << 20)
 
 	// One Session and one prepared input per gate, reused across runs:
 	// AllocsPerRun must observe steady-state execution, not input setup.

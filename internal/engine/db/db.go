@@ -531,41 +531,60 @@ func (d *DB) VerifyPages() (storage.VerifyResult, error) {
 	return d.store.Verify(ids)
 }
 
-// heapApplier adapts a HeapFile to wal.Applier: a nil image deletes the
-// row if present, anything else is written in place.
-type heapApplier struct{ h *storage.HeapFile }
+// heapApplier adapts a HeapFile to wal.Applier: rows are read into the
+// applier's one scratch buffer, a nil image deletes the row if present, and
+// anything else is written in place.
+type heapApplier struct {
+	h   *storage.HeapFile
+	row []byte
+}
 
-func (a heapApplier) Apply(rid uint64, image []byte) error {
+// appliers returns one applier per relation, keyed as log records are.
+func (d *DB) appliers() map[uint32]wal.Applier {
+	out := make(map[uint32]wal.Applier, core.NumRelations)
+	for _, rel := range core.Relations() {
+		h := d.heaps[rel]
+		out[uint32(rel)] = &heapApplier{h: h, row: make([]byte, h.RecordLen())}
+	}
+	return out
+}
+
+func (a *heapApplier) Read(rid uint64) ([]byte, error) {
+	if err := a.h.Read(storage.UnpackRID(rid), a.row); err != nil {
+		if errors.Is(err, storage.ErrNoRecord) {
+			return nil, nil
+		}
+		return nil, err // real I/O failure, not an absent row
+	}
+	return a.row, nil
+}
+
+func (a *heapApplier) Apply(rid uint64, image []byte) error {
 	r := storage.UnpackRID(rid)
 	if image != nil {
 		return a.h.InsertAt(r, image)
 	}
-	out := make([]byte, a.h.RecordLen())
-	if err := a.h.Read(r, out); err != nil {
-		if errors.Is(err, storage.ErrNoRecord) {
-			return nil // already absent: idempotent
-		}
-		return err // real I/O failure, not an absent row
+	if err := a.h.Delete(r); err != nil && !errors.Is(err, storage.ErrNoRecord) {
+		return err
 	}
-	return a.h.Delete(r)
+	return nil // already absent: idempotent
 }
 
 // Recover restores a consistent committed state after Crash: heaps are
 // reattached over the durable pages, the log is replayed, and all indexes
 // are rebuilt from the heaps. Distributed bookkeeping is restored too:
 // durable gid decisions reload the coordinator outcome map, prepared
-// branches with no decision become in-doubt (rolled back to before-images
-// per presumed abort, exclusive row locks re-acquired so other
-// transactions cannot overwrite rows a commit decision may re-apply), and
+// branches with no decision become in-doubt (rolled back per presumed
+// abort, exclusive row locks re-acquired so other transactions cannot
+// overwrite rows a commit decision may re-apply), and
 // the transaction-id sequence restarts past every logged id.
 func (d *DB) Recover() error {
-	appliers := make(map[uint32]wal.Applier, core.NumRelations)
 	for _, rel := range core.Relations() {
 		if err := d.heaps[rel].AttachPages(d.heaps[rel].PageIDs()); err != nil {
 			return err
 		}
-		appliers[uint32(rel)] = heapApplier{h: d.heaps[rel]}
 	}
+	appliers := d.appliers()
 	st, dist, err := wal.RecoverDist(d.log, appliers)
 	d.lastRecovery = st
 	if err != nil {
@@ -591,7 +610,7 @@ func (d *DB) Recover() error {
 	if err := d.RebuildIndexes(); err != nil {
 		return err
 	}
-	return d.relockInDoubt(dist.InDoubt)
+	return d.relockInDoubt(appliers, dist.InDoubt)
 }
 
 // RebuildIndexes reconstructs every index from the heap contents.

@@ -21,7 +21,7 @@ import (
 //   - a participant commit/abort record also carries the gid, closing the
 //     branch;
 //   - a recovering participant finds prepared-but-undecided branches,
-//     rolls their rows back to before-images, re-locks them exclusively,
+//     rolls their rows back, re-locks them exclusively,
 //     and asks the coordinator's outcome map (GIDOutcome). No durable
 //     decision at the coordinator means abort — so abort paths never
 //     require logging, only commit decisions do.
@@ -164,14 +164,22 @@ func (d *DB) InDoubt() []wal.InDoubtTxn {
 }
 
 // lockKeyFor derives the logical row-lock key a log record's row maps to.
-// Only the relations participant branches write need translating.
-func lockKeyFor(r wal.Record) (lock.Key, error) {
+// An update record carries a span, not the key columns, so the key is read
+// off the row itself: recovery has rolled it back, and no update changes a
+// key. Only the relations participant branches write need translating.
+func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, error) {
 	img := r.Before
-	if img == nil {
+	switch r.Type {
+	case wal.RecInsert:
 		img = r.After
+	case wal.RecUpdate:
+		var err error
+		if img, err = a.Read(r.RID); err != nil {
+			return lock.Key{}, err
+		}
 	}
 	if img == nil {
-		return lock.Key{}, fmt.Errorf("db: record %s table %d has no image", r.Type, r.Table)
+		return lock.Key{}, fmt.Errorf("db: record %s table %d rid %d has no row", r.Type, r.Table, r.RID)
 	}
 	switch core.Relation(r.Table) {
 	case core.Stock:
@@ -192,10 +200,10 @@ func lockKeyFor(r wal.Record) (lock.Key, error) {
 // rows, so post-recovery traffic cannot write rows whose final state is
 // still undecided. Runs on the quiesced recovery path: all locks are free
 // and acquisition cannot block.
-func (d *DB) relockInDoubt(branches []wal.InDoubtTxn) error {
+func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []wal.InDoubtTxn) error {
 	for _, b := range branches {
 		for _, r := range b.Records {
-			key, err := lockKeyFor(r)
+			key, err := lockKeyFor(appliers[r.Table], r)
 			if err != nil {
 				return err
 			}
@@ -212,8 +220,8 @@ func (d *DB) relockInDoubt(branches []wal.InDoubtTxn) error {
 // the decision record is forced first, so a crash mid-resolution either
 // leaves the branch in-doubt (decision not durable, resolution re-runs)
 // or recovers it as a normally committed transaction (decision durable,
-// after-images re-applied by recovery itself). Abort is the presumed
-// path: rows already hold before-images, so only locks need releasing.
+// its records redone by recovery itself). Abort is the presumed path: the
+// rows are already rolled back, so only locks need releasing.
 func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 	d.distMu.Lock()
 	idx := -1
@@ -237,9 +245,9 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 			return err
 		}
 		rebuild := false
+		appliers := d.appliers()
 		for _, r := range b.Records {
-			h := d.heaps[r.Table]
-			if err := (heapApplier{h: h}).Apply(r.RID, r.After); err != nil {
+			if err := wal.Redo(appliers[r.Table], r); err != nil {
 				return fmt.Errorf("db: re-applying gid %d: %w", gid, err)
 			}
 			if r.Type != wal.RecUpdate {

@@ -228,8 +228,8 @@ func (t *txn) commitWith(gid uint64) error {
 // rollbackWith applies the undo list in reverse, logs an abort carrying
 // the global transaction id (0 for local transactions), and releases.
 // The abort record is buffered, never forced: recovery treats a
-// transaction without a commit record as aborted and restores its
-// before-images either way, and under presumed abort a gid with no durable
+// transaction without a commit record as aborted and undoes its
+// records either way, and under presumed abort a gid with no durable
 // decision reads as aborted too.
 func (t *txn) rollbackWith(gid uint64) error {
 	var firstErr error

@@ -38,6 +38,10 @@ type TortureConfig struct {
 	Policy db.RetryPolicy
 	// Mix is the transaction mix (DefaultMix when zero).
 	Mix tpcc.Mix
+	// CC is the concurrency-control mode every database in the campaign
+	// runs under (zero = 2PL). Recovery and the invariants are the same in
+	// all three; what differs is which histories reach the log.
+	CC db.CCMode
 	// GroupCommit configures WAL commit batching for every database in
 	// the campaign (zero value = one force per commit, the seed path).
 	// The durability invariants checked per schedule are identical in
@@ -79,8 +83,9 @@ type ScheduleResult struct {
 	Acked int64
 	// Retries/Sheds are the retry policy's counters for the schedule.
 	Retries, Sheds int64
-	// TruncatedBytes is the damaged log tail recovery discarded.
-	TruncatedBytes int64
+	// Recovery is what the schedule's crash recovery read, applied and
+	// discarded.
+	Recovery wal.RecoverStats
 	// Violations lists every invariant this schedule broke (empty = pass).
 	Violations []string
 }
@@ -112,14 +117,14 @@ func (r *Report) Summary() string {
 		acked += s.Acked
 		retries += s.Retries
 		sheds += s.Sheds
-		trunc += s.TruncatedBytes
+		trunc += s.Recovery.TruncatedBytes
 	}
 	return fmt.Sprintf(
-		"torture: %d seeds x %d schedules (%d mid-run crashes), %d acked txns, "+
+		"torture: cc=%s, %d seeds x %d schedules (%d mid-run crashes), %d acked txns, "+
 			"%d retries, %d sheds; faults: %d read, %d write, %d force errs, "+
 			"%d bit flips, %d torn, %d dropped writes; %d log bytes truncated; "+
 			"checksums: %d detected, %d repaired (%d directed probes); violations: %d",
-		r.Config.Seeds, r.Config.Schedules, r.MidRunCrashes, acked,
+		r.Config.CC, r.Config.Seeds, r.Config.Schedules, r.MidRunCrashes, acked,
 		retries, sheds,
 		r.Faults.ReadErrs, r.Faults.WriteErrs, r.Faults.ForceErrs,
 		r.Faults.BitFlips, r.Faults.TornWrites, r.Faults.DroppedWrites,
@@ -170,6 +175,7 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		Warehouses:  cfg.Warehouses,
 		PageSize:    cfg.PageSize,
 		BufferPages: cfg.BufferPages,
+		CC:          cfg.CC,
 	}, db.Options{Disk: inj, LogHook: inj, GroupCommit: cfg.GroupCommit})
 	if err != nil {
 		return err
@@ -237,7 +243,7 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 			violate("recovery failed: %v", err)
 			return fmt.Errorf("unrecoverable: %v", res.Violations)
 		}
-		res.TruncatedBytes = d.RecoveryStats().TruncatedBytes
+		res.Recovery = d.RecoveryStats()
 
 		// Verification: page integrity, TPC-C consistency, durability.
 		vr, err := d.VerifyPages()

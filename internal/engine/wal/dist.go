@@ -8,10 +8,10 @@ import (
 
 // InDoubtTxn is a prepared-but-undecided transaction branch found during
 // recovery: its prepare record is durable, but no commit or abort record
-// follows. Under presumed abort the branch's row images have been rolled
-// back to their before-images; Records retains the branch's data records
-// (in LSN order) so the commit layer can re-apply the after-images if the
-// coordinator's decision turns out to be commit.
+// follows. Under presumed abort the branch's rows have been rolled back;
+// Records retains the branch's data records (in LSN order, updates as
+// spans) so the commit layer can Redo them if the coordinator's decision
+// turns out to be commit.
 type InDoubtTxn struct {
 	// Txn is the branch's local transaction id.
 	Txn uint64
@@ -39,11 +39,86 @@ type DistState struct {
 	MaxTxn uint64
 }
 
+// rowKey addresses one row of one table.
+type rowKey struct {
+	table uint32
+	rid   uint64
+}
+
+// rowFold is one row's state while recovery folds its records.
+type rowFold struct {
+	rowKey
+	// image is the row so far, nil when absent. It is meaningful once
+	// known; until then the row is whatever the durable page holds, not yet
+	// read. own says image is recovery's copy, free to be patched in place,
+	// and not bytes of the log.
+	image      []byte
+	known, own bool
+	// run is the row's pending loser run: the records of transactions
+	// without a commit record since the last winner's record on the row.
+	run []Record
+}
+
+// set makes image, bytes of the log, the row.
+func (f *rowFold) set(image []byte) { f.image, f.known, f.own = image, true, false }
+
+// patch writes span over the row at off. A row not known yet is first read
+// from the durable table through a, an image that still aliases the log is
+// first copied, and an absent row is left absent.
+func (f *rowFold) patch(a Applier, off uint32, span []byte) error {
+	if !f.own {
+		if !f.known {
+			row, err := a.Read(f.rid)
+			if err != nil {
+				return err
+			}
+			f.image = row
+		}
+		f.image, f.known, f.own = bytes.Clone(f.image), true, true
+	}
+	if f.image == nil {
+		return nil
+	}
+	return patch(f.image, off, span)
+}
+
+// redo applies a winner's record.
+func (f *rowFold) redo(a Applier, r Record) error {
+	switch r.Type {
+	case RecInsert:
+		f.set(r.After)
+	case RecDelete:
+		f.set(nil)
+	default:
+		return f.patch(a, r.Off, r.After)
+	}
+	return nil
+}
+
+// undoRun takes the pending loser run back off the row, newest record
+// first.
+func (f *rowFold) undoRun(a Applier) error {
+	for i := len(f.run) - 1; i >= 0; i-- {
+		switch r := f.run[i]; r.Type {
+		case RecInsert:
+			f.set(nil)
+		case RecDelete:
+			f.set(r.Before)
+		default:
+			if err := f.patch(a, r.Off, r.Before); err != nil {
+				return err
+			}
+		}
+	}
+	f.run = f.run[:0]
+	return nil
+}
+
 // RecoverDist is Recover plus two-phase-commit bookkeeping: alongside the
 // per-row committed state it reports in-doubt transactions (prepared, no
-// decision) and the durable gid decision map. In-doubt rows are restored
-// to their BEFORE-images — presumed abort — and their records are retained
-// so a later commit decision can be re-applied idempotently.
+// decision) and the durable gid decision map. In-doubt branches are losers
+// like any other — presumed abort — and their records are retained so a
+// later commit decision can be re-applied.
 func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, error) {
 	var st RecoverStats
 	dist := DistState{Decisions: make(map[uint64]bool)}
@@ -54,9 +129,10 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 
 	// Pass 1 walks the log where it lies, checksums included, to the first
 	// damaged record: outcomes, prepares and the valid prefix length. No
-	// transaction runs during recovery, so the buffer is read without the
-	// log mutex (an applier may call back into Force).
-	buf, truncated, scanErr := l.beginRecovery(func(r Record) {
+	// transaction runs during recovery, so the log is read without its
+	// mutex (an applier may call back into Force).
+	valid, truncated, scanErr := l.beginRecovery(func(r Record) {
+		st.Records++
 		dist.MaxTxn = max(dist.MaxTxn, r.Txn)
 		switch r.Type {
 		case RecCommit:
@@ -77,26 +153,22 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 			prepared[r.Txn] = r.RID
 		}
 	})
+	st.Bytes = int64(valid)
 	st.TruncatedBytes = truncated
 	st.TailCorrupt = errors.Is(scanErr, ErrCorrupt)
 
-	type rowKey struct {
-		table uint32
-		rid   uint64
-	}
-	type rowState struct {
-		image []byte
-		known bool
-	}
-	state := make(map[rowKey]rowState)
-	order := make([]rowKey, 0)
+	// Pass 2 walks the valid prefix again and folds the data records into
+	// their rows, kept in the order the log first touches them. Images and
+	// spans alias the log; only an in-doubt branch's are copied, because
+	// they outlive recovery.
+	index := make(map[rowKey]int32)
+	var rows []rowFold
 	inDoubtRecs := make(map[uint64][]Record)
-	// Pass 2 walks the valid prefix again for the data records. Their
-	// images alias the log buffer; only an in-doubt branch's are copied,
-	// because they outlive recovery.
-	for rest := buf; len(rest) > 0; {
-		r, n, _ := parseRecord(rest) // pass 1 decoded this prefix
-		rest = rest[n:]
+	fail := func(f *rowFold, err error) (RecoverStats, DistState, error) {
+		return st, dist, fmt.Errorf("wal: apply table %d rid %d: %w", f.table, f.rid, err)
+	}
+	for c := (cursor{segs: l.segs, end: valid}); c.off < c.end; {
+		r, _ := c.next(false) // pass 1 decoded this prefix
 		switch r.Type {
 		case RecCommit, RecAbort, RecPrepare:
 			continue
@@ -107,27 +179,40 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 			kept.After = bytes.Clone(r.After)
 			inDoubtRecs[r.Txn] = append(inDoubtRecs[r.Txn], kept)
 		}
-		if _, ok := tables[r.Table]; !ok {
+		a, ok := tables[r.Table]
+		if !ok {
 			return st, dist, fmt.Errorf("wal: no applier for table %d", r.Table)
 		}
 		key := rowKey{table: r.Table, rid: r.RID}
-		cur, seen := state[key]
+		i, seen := index[key]
 		if !seen {
-			order = append(order, key)
+			i = int32(len(rows))
+			index[key] = i
+			rows = append(rows, rowFold{rowKey: key})
 		}
-		if committed[r.Txn] {
-			state[key] = rowState{image: r.After, known: true}
+		f := &rows[i]
+		if !committed[r.Txn] {
+			st.SkippedUncommitted++
+			f.run = append(f.run, r)
 			continue
 		}
-		st.SkippedUncommitted++
-		if !cur.known {
-			state[key] = rowState{image: r.Before, known: true}
+		err := f.undoRun(a)
+		if err == nil {
+			err = f.redo(a, r)
+		}
+		if err != nil {
+			return fail(f, err)
 		}
 	}
-	for _, key := range order {
-		if err := tables[key.table].Apply(key.rid, state[key].image); err != nil {
-			return st, dist, fmt.Errorf("wal: apply table %d rid %d: %w",
-				key.table, key.rid, err)
+	for i := range rows {
+		f := &rows[i]
+		a := tables[f.table]
+		err := f.undoRun(a)
+		if err == nil {
+			err = a.Apply(f.rid, f.image)
+		}
+		if err != nil {
+			return fail(f, err)
 		}
 		st.Applied++
 	}

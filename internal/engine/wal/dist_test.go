@@ -125,9 +125,10 @@ func TestRecoverDistSurvivesPowerLoss(t *testing.T) {
 	mustAppend(t, l, Record{Txn: 2, Type: RecPrepare, RID: 99})
 	// Volatile tail: an unforced data record of another transaction.
 	mustAppend(t, l, Record{Txn: 5, Type: RecInsert, Table: 0, RID: 3, After: []byte{3}})
-	l.data = l.data[:l.forcedLen] // lose the whole volatile tail
+	cut(l, l.forcedLen) // lose the whole volatile tail
 
 	tab := newMemTable()
+	tab.rows[1] = []byte{2} // the prepare forced the log, so the page may be out
 	_, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +137,6 @@ func TestRecoverDistSurvivesPowerLoss(t *testing.T) {
 		t.Fatalf("in-doubt lost with the tail: %+v", dist.InDoubt)
 	}
 	if got := tab.rows[1]; got[0] != 1 {
-		t.Errorf("before-image not restored: %v", got)
+		t.Errorf("before-span not restored: %v", got)
 	}
 }

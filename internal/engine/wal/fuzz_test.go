@@ -5,18 +5,50 @@ import (
 	"testing"
 )
 
+// decodeRecord reads one record from the front of buf, returning it and the
+// remainder. The record's byte strings alias buf. It fails with ErrTruncated
+// when buf ends mid-record and ErrCorrupt when the checksum does not match.
+func decodeRecord(buf []byte) (Record, []byte, error) {
+	total, err := recordLen(buf, len(buf))
+	if err != nil {
+		return Record{}, nil, err
+	}
+	r, err := parseRecord(buf[:total:total], true)
+	if err != nil {
+		return Record{}, nil, err
+	}
+	return r, buf[total:], nil
+}
+
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must
 // either return a record or an error, never panic, and re-encoding a
-// successfully decoded record must round-trip.
+// successfully decoded record must round-trip. The same bytes, halved into
+// a before- and an after-image, then go through the span encoding: writing
+// the logged before-span over the after-image must reproduce the
+// before-image, and the after-span over the before-image the after-image.
 func FuzzDecodeRecord(f *testing.F) {
 	l := New()
 	l.Append(Record{Txn: 1, Type: RecUpdate, Table: 3, RID: 77,
-		Before: []byte{1, 2}, After: []byte{3, 4, 5}})
+		Before: []byte{1, 2, 9}, After: []byte{3, 4, 9}})
 	l.Append(Record{Txn: 2, Type: RecCommit})
-	f.Add(l.data)
+	f.Add(flat(l))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		half := len(data) / 2
+		before, after := data[:half:half], data[half:2*half]
+		sp := Record{Type: RecUpdate, Before: before, After: after}
+		if err := sp.span(); err != nil {
+			t.Fatalf("images of one length refused: %v", err)
+		}
+		sp, _, err := decodeRecord(encoded(sp))
+		if err != nil {
+			t.Fatalf("span record does not decode: %v", err)
+		}
+		if !bytes.Equal(withSpan(after, sp.Off, sp.Before), before) || !bytes.Equal(withSpan(before, sp.Off, sp.After), after) {
+			t.Fatalf("span %d+%x/%x does not carry %x to %x and back", sp.Off, sp.Before, sp.After, before, after)
+		}
+
 		rec, rest, err := decodeRecord(data)
 		if err != nil {
 			return
@@ -25,13 +57,12 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatal("remainder longer than input")
 		}
 		// Round-trip the decoded record.
-		enc := rec.encode(nil)
-		rec2, _, err := decodeRecord(enc)
+		rec2, _, err := decodeRecord(encoded(rec))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if rec2.Txn != rec.Txn || rec2.Type != rec.Type || rec2.Table != rec.Table ||
-			rec2.RID != rec.RID || !bytes.Equal(rec2.Before, rec.Before) ||
+			rec2.RID != rec.RID || rec2.Off != rec.Off || !bytes.Equal(rec2.Before, rec.Before) ||
 			!bytes.Equal(rec2.After, rec.After) {
 			t.Fatal("round-trip mismatch")
 		}
@@ -49,10 +80,10 @@ func Fuzz2PCLog(f *testing.F) {
 	f.Add(uint64(2), uint64(1<<63), true, true, uint16(0))
 	f.Add(uint64(9), uint64(0), true, false, uint16(0))
 	f.Add(uint64(2), uint64(7), true, true, uint16(20))
-	f.Fuzz(func(t *testing.T, txn, gid uint64, decide, commit bool, cut uint16) {
+	f.Fuzz(func(t *testing.T, txn, gid uint64, decide, commit bool, drop uint16) {
 		// Encode/decode round-trip of the prepare record itself.
 		prep := Record{LSN: 1, Txn: txn, Type: RecPrepare, RID: gid}
-		dec, rest, err := decodeRecord(prep.encode(nil))
+		dec, rest, err := decodeRecord(encoded(prep))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("prepare decode failed: %v (rest %d)", err, len(rest))
 		}
@@ -76,15 +107,9 @@ func Fuzz2PCLog(f *testing.F) {
 			}
 			app(Record{Txn: txn, Type: typ, RID: gid})
 		}
-		intact := int(cut) == 0
-		if int(cut) > len(l.data) {
-			cut = uint16(len(l.data))
-		}
-		keep := len(l.data) - int(cut)
-		l.data = l.data[:keep]
-		if l.forcedLen > keep {
-			l.forcedLen = keep
-		}
+		intact := drop == 0
+		keep := max(l.size-int(drop), 0)
+		cut(l, keep)
 
 		tab := newMemTable()
 		_, dist, err := recoverChecked(t, l, map[uint32]Applier{0: tab})
@@ -123,7 +148,7 @@ func FuzzLogMutation(f *testing.F) {
 	f.Add(3, byte(0x80), uint16(0))
 	f.Add(100, byte(0xFF), uint16(5))
 	f.Add(-7, byte(1), uint16(1000))
-	f.Fuzz(func(t *testing.T, off int, mask byte, cut uint16) {
+	f.Fuzz(func(t *testing.T, off int, mask byte, drop uint16) {
 		l := New()
 		app := func(r Record) {
 			if _, err := l.Append(r); err != nil {
@@ -137,18 +162,12 @@ func FuzzLogMutation(f *testing.F) {
 		app(Record{Txn: 2, Type: RecInsert, Table: 0, RID: 9, After: []byte{7}})
 		durable := int(l.DurableSize())
 
-		if int(cut) > len(l.data) {
-			cut = uint16(len(l.data))
-		}
-		keep := len(l.data) - int(cut)
-		l.data = l.data[:keep]
-		if l.forcedLen > keep {
-			l.forcedLen = keep
-		}
+		keep := max(l.size-int(drop), 0)
+		cut(l, keep)
 		damagedForced := false
-		if len(l.data) > 0 && mask != 0 {
-			o := ((off % len(l.data)) + len(l.data)) % len(l.data)
-			l.data[o] ^= mask
+		if l.size > 0 && mask != 0 {
+			o := ((off % l.size) + l.size) % l.size
+			flip(l, o, mask)
 			// A flip past the forced watermark only damages the
 			// volatile tail, which recovery may discard freely.
 			damagedForced = o < durable

@@ -35,7 +35,7 @@ func seedLog(t testing.TB) *Log {
 // valid multi-record log, a cut mid-record, a payload bitflip the CRC must
 // catch, and a mangled header.
 func decodeRecordSeeds(t testing.TB) map[string][]byte {
-	valid := append([]byte(nil), seedLog(t).data...)
+	valid := flat(seedLog(t))
 	truncated := append([]byte(nil), valid[:len(valid)/2]...)
 	bitflip := append([]byte(nil), valid...)
 	bitflip[len(bitflip)/3] ^= 0x40

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -335,20 +336,47 @@ func TestDeadDeviceLatchesAtOnce(t *testing.T) {
 	}
 }
 
+// fillTo appends one insert record sized so that the log ends at offset n.
+func fillTo(t *testing.T, l *Log, n int) {
+	t.Helper()
+	ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 2, RID: 1, After: make([]byte, n-int(l.Size())-recHeader)})
+	if int(l.Size()) != n {
+		t.Fatalf("filled to %d, want %d", l.Size(), n)
+	}
+}
+
 // TestFailedForcedAppendLeavesNoTrace is force-then-release's failure
 // contract, which two-phase commit leans on: a vote or decision whose
 // force failed must never turn up durable. The record was buffered while
 // other transactions went on appending behind it, so it is voided where it
 // lies: the log still parses, and recovery finds no decision and no
-// prepared branch.
+// prepared branch. Where it lies is the offset noted when it was buffered,
+// not one worked back from the caller's images: a record carrying two
+// images is logged as the few bytes that differ, and a record may straddle
+// a segment boundary.
 func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 	const gid = 0x1_0000_0000_0007
-	for _, typ := range []RecType{RecCommit, RecPrepare} {
+	before := make([]byte, 64)
+	after := append(make([]byte, 61), 7, 7, 7)
+	for _, tc := range []struct {
+		name  string
+		rec   Record
+		start int // log offset the forced record is buffered at, 0 for wherever
+	}{
+		{name: "commit", rec: Record{Txn: 5, Type: RecCommit, RID: gid}},
+		{name: "prepare", rec: Record{Txn: 5, Type: RecPrepare, RID: gid}},
+		{name: "commit carrying images that differ in three bytes", rec: Record{Txn: 5, Type: RecCommit, RID: gid, Before: before, After: after}},
+		{name: "prepare straddling a segment boundary", rec: Record{Txn: 5, Type: RecPrepare, RID: gid}, start: segSize - 20},
+	} {
+		typ := tc.rec.Type
 		l := New()
 		hook := newGatedHook()
 		l.SetFaultHook(hook)
 		l.SetGroupCommit(GroupConfig{MaxBatch: 64})
 		ap(t, l, Record{Txn: 5, Type: RecUpdate, Table: 1, RID: 9, Before: []byte{1}, After: []byte{2}})
+		if tc.start > 0 {
+			fillTo(t, l, tc.start-recHeader) // the local commit record follows
+		}
 
 		// A local commit is at the device when the decision arrives, so the
 		// decision waits behind it — and the device then dies.
@@ -358,45 +386,104 @@ func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 		<-hook.arrived
 		forced := make(chan error, 1)
 		go func() {
-			_, err := l.Append(Record{Txn: 5, Type: typ, RID: gid})
+			_, err := l.Append(tc.rec)
 			forced <- err
 		}()
 		for l.Size() == end { // until the forced record is buffered
 			time.Sleep(50 * time.Microsecond)
 		}
+		if tc.start > 0 && (end != int64(tc.start) || l.Size() <= segSize) {
+			t.Fatalf("%s: forced record buffered at [%d,%d)", tc.name, end, l.Size())
+		}
 		ap(t, l, Record{Txn: 6, Type: RecUpdate, Table: 1, RID: 10, Before: []byte{3}, After: []byte{4}})
 		l.SetFaultHook(hookFunc(func(int) error { return fmt.Errorf("dead: %w", storage.ErrCrashed) }))
 		hook.release <- struct{}{}
 		if err := <-local; err != nil {
-			t.Fatalf("%s: the force already at the device failed: %v", typ, err)
+			t.Fatalf("%s: the force already at the device failed: %v", tc.name, err)
 		}
 		if err := <-forced; !errors.Is(err, storage.ErrCrashed) {
-			t.Fatalf("%s: forced append = %v, want ErrCrashed", typ, err)
+			t.Fatalf("%s: forced append = %v, want ErrCrashed", tc.name, err)
 		}
 
 		recs, err := l.Records()
 		if err != nil {
-			t.Fatalf("%s: log does not parse after the void: %v", typ, err)
+			t.Fatalf("%s: log does not parse after the void: %v", tc.name, err)
 		}
 		for _, r := range recs {
 			if r.Type == typ && r.Txn == 5 {
-				t.Errorf("%s: unacknowledged record survived in the buffer", typ)
+				t.Errorf("%s: unacknowledged record survived in the buffer", tc.name)
 			}
 		}
 		if recs[len(recs)-1].Txn != 6 {
-			t.Errorf("%s: the record appended behind the voided one moved", typ)
+			t.Errorf("%s: the record appended behind the voided one moved", tc.name)
 		}
 		tab := newMemTable()
-		_, dist, err := RecoverDist(l, map[uint32]Applier{1: tab})
+		tab.rows[9], tab.rows[10] = []byte{2}, []byte{4}
+		_, dist, err := RecoverDist(l, map[uint32]Applier{1: tab, 2: newMemTable()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := dist.Decisions[gid]; ok || len(dist.InDoubt) != 0 {
-			t.Errorf("%s: recovery found decisions %v, in-doubt %v", typ, dist.Decisions, dist.InDoubt)
+			t.Errorf("%s: recovery found decisions %v, in-doubt %v", tc.name, dist.Decisions, dist.InDoubt)
 		}
 		if got := tab.rows[9]; len(got) != 1 || got[0] != 1 {
-			t.Errorf("%s: row 9 = %v, want the before-image", typ, got)
+			t.Errorf("%s: row 9 = %v, want the before-byte", tc.name, got)
 		}
+	}
+}
+
+// TestCrashTailTearsAcrossSegments: records are laid end to end over the
+// segments, so an unforced record may straddle a boundary, and power loss
+// must be able to keep any prefix of it and tear any byte of that prefix,
+// in either segment. Whatever happens the log parses up to the damage, the
+// forced prefix survives, and a straddling record that survives whole reads
+// back as it was written.
+func TestCrashTailTearsAcrossSegments(t *testing.T) {
+	before := make([]byte, 300)
+	after := make([]byte, 300)
+	for i := range after {
+		after[i] = byte(i + 1)
+	}
+	var keptPast, keptShort, whole int
+	for seed := uint64(1); seed <= 200; seed++ {
+		l := New()
+		fillTo(t, l, segSize-100-recHeader)
+		ap(t, l, commitRec(1))
+		forced := l.DurableSize()
+		ap(t, l, Record{Txn: 2, Type: RecUpdate, Table: 1, RID: 5, Before: before, After: after})
+		if forced != segSize-100 || l.Size() != forced+recHeader+600 {
+			t.Fatalf("straddling record at [%d,%d)", forced, l.Size())
+		}
+		preCommit(t, l, commitRec(2))
+		l.CrashTail(rng.New(seed))
+		if l.Size() > segSize {
+			keptPast++
+		} else {
+			keptShort++
+		}
+		recs, valid, _ := l.Scan()
+		if valid < forced || len(recs) < 2 || recs[1].Type != RecCommit {
+			t.Fatalf("seed %d: forced prefix lost: %d valid bytes, %d records", seed, valid, len(recs))
+		}
+		if len(recs) > 2 {
+			whole++
+			if r := recs[2]; r.Off != 0 || !bytes.Equal(r.Before, before) || !bytes.Equal(r.After, after) {
+				t.Fatalf("seed %d: straddling record read back as %d+%x/%x", seed, r.Off, r.Before, r.After)
+			}
+		}
+		// The page may hold the update only if its record reached the log.
+		tab := newMemTable()
+		tab.rows[5] = [][]byte{before, after}[len(recs)/3]
+		if _, err := Recover(l, map[uint32]Applier{1: tab, 2: newMemTable()}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if want := [][]byte{before, after}[len(recs)/4]; !bytes.Equal(tab.rows[5], want) {
+			t.Fatalf("seed %d: %d records survived, row 5 recovered as %x", seed, len(recs), tab.rows[5])
+		}
+	}
+	if keptPast == 0 || keptShort == 0 || whole == 0 || whole == 200 {
+		t.Errorf("tails kept past the boundary %d times, short of it %d, the straddling record whole %d: every case must occur",
+			keptPast, keptShort, whole)
 	}
 }
 

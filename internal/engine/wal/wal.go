@@ -1,7 +1,59 @@
 // Package wal implements the engine's write-ahead log: physiological
-// records carrying full before/after images, commit/abort records, and
-// recovery by reconstructing each row's committed state in log order
-// against the durable page store.
+// records that say what changed in a row, commit/abort/prepare records, and
+// recovery that folds each row's records, in log order, over the row the
+// durable page store still holds.
+//
+// Record format. A record is a 45-byte header (crc32c | lsn | txn | type |
+// table | rid | off | blen | alen) and two byte strings. An insert carries
+// the row's full after-image, a delete its full before-image. An update
+// carries the changed byte span: callers hand Append the full before- and
+// after-image (Record.Before/After, Off 0), the log trims the prefix and
+// suffix the two share, and what is written — and what a reader gets back —
+// is the offset of the first byte that differs and the before and after
+// bytes from there to the last byte that differs. A New-Order's Stock
+// update logs bytes 8–28 of 306 twice instead of 306 twice. An update never
+// changes a row's length; Append refuses one that would.
+//
+// Layout. The log is one byte stream addressed by a cumulative logical
+// offset (Size, DurableSize, the end PreCommit returns and the n handed to
+// FaultHook.BeforeForce are all such offsets). It is held in segments of
+// segSize bytes, offset o living at byte o%segSize of segment o/segSize, so
+// the log grows by allocating a segment and never copies itself. Records are
+// laid end to end over the stream and may straddle a segment boundary; a
+// reader gets such a record as a private copy, every other one in place.
+//
+// Recovery (RecoverDist). Pass 1 walks the stream, checksums included, to
+// the first damaged record, learns which transactions committed, and cuts
+// the log there. Pass 2 folds the data records of every row the valid
+// prefix touches, in LSN order:
+//
+//   - a record of a committed transaction (a winner) is redone: an insert
+//     sets the row to its image, a delete makes it absent, an update writes
+//     its after-span over the row;
+//   - records of transactions without a commit record (losers: aborted,
+//     in flight at the crash, prepared and undecided, or pre-committed with
+//     the commit record lost) are collected while they are consecutive on
+//     the row, and such a maximal run is undone newest-first — a delete puts
+//     its image back, an insert makes the row absent, an update writes its
+//     before-span — when a winner's record on the row follows it or the log
+//     ends.
+//
+// The fold starts from the durable row, read through the Applier the first
+// time a span has to be written over it, and its result is applied once per
+// row. This is exact under the engine's steal/no-force buffer policy, byte
+// by byte: a byte no record covers was never changed, so the durable page
+// has it right; a byte whose last covering record is a winner's gets that
+// record's after-byte whatever state the page was flushed in; and a byte
+// last covered by a loser run gets the before-byte of the run's oldest
+// record, which — rows being exclusively locked until pre-commit, run-time
+// aborts restoring what they changed, and the log being prefix-durable — is
+// the last committed value. A span is not an image, so "the first
+// before-image wins" is not enough: one transaction updating a row twice,
+// two early-released transactions whose commit records were both lost, and a
+// run-time abort later overwritten by a commit all put more than one loser
+// span on a row, and only undoing them newest-first restores every byte.
+// An update that finds the row absent is skipped: a later record of the
+// fold deletes or re-creates the row.
 //
 // Durability boundary: the log is prefix-durable. One watermark splits the
 // buffer into the forced prefix, which survives power loss, and a volatile
@@ -53,10 +105,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -117,91 +171,137 @@ var (
 // LSN is a log sequence number (1-based; 0 means "none").
 type LSN uint64
 
-// Record is one log entry. Table/RID address the record. After is the
-// full after-image (nil for Delete: the row is absent afterwards); Before
-// is the full before-image (nil for Insert: the row was absent before).
-// Before-images make recovery correct under a *steal* buffer policy — the
-// engine's buffer manager may flush a dirty page of an uncommitted
-// transaction on eviction, so recovery must be able to restore the
-// pre-transaction value.
+// Record is one log entry. Table/RID address the row. An insert carries the
+// row's full image in After, a delete in Before. An update is handed to
+// Append with both full images and Off 0; the log keeps, and every reader of
+// the log gets back, only the span that changed: Off is the offset in the
+// row of the first byte that differs, Before and After the old and new bytes
+// from there to the last byte that differs. Before-spans make recovery
+// correct under a *steal* buffer policy — the buffer manager may flush a
+// dirty page of an uncommitted transaction on eviction, so recovery must be
+// able to restore the pre-transaction bytes.
 type Record struct {
 	LSN    LSN
 	Txn    uint64
 	Type   RecType
 	Table  uint32
 	RID    uint64 // packed storage.RID
+	Off    uint32
 	Before []byte
 	After  []byte
 }
 
-// Header layout: crc32c | lsn | txn | type | table | rid | blen | alen.
-// The CRC covers everything after itself, including both images.
-const recHeader = 4 + 8 + 8 + 1 + 4 + 8 + 4 + 4
+// Header layout: crc32c | lsn | txn | type | table | rid | off | blen | alen.
+// The CRC covers everything after itself, including both byte strings.
+const recHeader = 4 + 8 + 8 + 1 + 4 + 8 + 4 + 4 + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encode appends the serialized record to buf.
-func (r Record) encode(buf []byte) []byte {
-	start := len(buf)
-	var tmp [recHeader]byte
-	binary.LittleEndian.PutUint64(tmp[4:12], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(tmp[12:20], r.Txn)
-	tmp[20] = byte(r.Type)
-	binary.LittleEndian.PutUint32(tmp[21:25], r.Table)
-	binary.LittleEndian.PutUint64(tmp[25:33], r.RID)
-	binary.LittleEndian.PutUint32(tmp[33:37], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(tmp[37:41], uint32(len(r.After)))
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, r.Before...)
-	buf = append(buf, r.After...)
-	crc := crc32.Checksum(buf[start+4:], castagnoli)
-	binary.LittleEndian.PutUint32(buf[start:start+4], crc)
-	return buf
+// span narrows a record that carries both a before- and an after-image to
+// the bytes that differ, comparing a word at a time. It runs before the log
+// mutex is taken. A record already narrowed is left as it is.
+func (r *Record) span() error {
+	if r.Before == nil || r.After == nil {
+		return nil
+	}
+	b, a := r.Before, r.After
+	if len(b) != len(a) {
+		return fmt.Errorf("wal: %s of table %d rid %d changes the row's length from %d to %d bytes",
+			r.Type, r.Table, r.RID, len(b), len(a))
+	}
+	lo, hi := 0, len(b)
+	for ; lo+8 <= hi; lo += 8 {
+		if x := binary.LittleEndian.Uint64(b[lo:]) ^ binary.LittleEndian.Uint64(a[lo:]); x != 0 {
+			lo += bits.TrailingZeros64(x) / 8
+			break
+		}
+	}
+	for lo < hi && b[lo] == a[lo] {
+		lo++
+	}
+	for ; hi-8 >= lo; hi -= 8 {
+		if x := binary.LittleEndian.Uint64(b[hi-8:]) ^ binary.LittleEndian.Uint64(a[hi-8:]); x != 0 {
+			hi -= bits.LeadingZeros64(x) / 8
+			break
+		}
+	}
+	for hi > lo && b[hi-1] == a[hi-1] {
+		hi--
+	}
+	r.Off += uint32(lo)
+	r.Before, r.After = b[lo:hi:hi], a[lo:hi:hi]
+	return nil
 }
 
-// parseRecord reads one record's header from buf and returns the record,
-// its images aliasing buf, and its encoded length. It fails with
-// ErrTruncated when buf ends mid-record; it does not verify the checksum.
-func parseRecord(buf []byte) (Record, int, error) {
-	if len(buf) < recHeader {
-		return Record{}, 0, fmt.Errorf("wal: record header cut at %d bytes: %w",
-			len(buf), ErrTruncated)
+// patch writes span over row at off: an after-span redoes an update, a
+// before-span undoes it.
+func patch(row []byte, off uint32, span []byte) error {
+	if int(off)+len(span) > len(row) {
+		return fmt.Errorf("wal: span [%d,%d) outside the %d-byte row", off, int(off)+len(span), len(row))
 	}
-	nb := int(binary.LittleEndian.Uint32(buf[33:37]))
-	na := int(binary.LittleEndian.Uint32(buf[37:41]))
+	copy(row[off:], span)
+	return nil
+}
+
+// header returns r's encoded header with the checksum still to be filled
+// in; r's two byte strings follow it in the log as they are.
+func (r *Record) header() (hdr [recHeader]byte) {
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(r.LSN))
+	binary.LittleEndian.PutUint64(hdr[12:20], r.Txn)
+	hdr[20] = byte(r.Type)
+	binary.LittleEndian.PutUint32(hdr[21:25], r.Table)
+	binary.LittleEndian.PutUint64(hdr[25:33], r.RID)
+	binary.LittleEndian.PutUint32(hdr[33:37], r.Off)
+	binary.LittleEndian.PutUint32(hdr[37:41], uint32(len(r.Before)))
+	binary.LittleEndian.PutUint32(hdr[41:45], uint32(len(r.After)))
+	return hdr
+}
+
+// recordLen reads the encoded length of the record whose header starts buf,
+// avail being the number of log bytes from there to the end of the log. It
+// fails with ErrTruncated when the log ends mid-record.
+func recordLen(buf []byte, avail int) (int, error) {
+	if avail < recHeader {
+		return 0, fmt.Errorf("wal: record header cut at %d bytes: %w", avail, ErrTruncated)
+	}
+	nb := int(binary.LittleEndian.Uint32(buf[37:41]))
+	na := int(binary.LittleEndian.Uint32(buf[41:45]))
 	total := recHeader + nb + na
-	if nb < 0 || na < 0 || total < recHeader || total > len(buf) {
-		return Record{}, 0, fmt.Errorf("wal: record body cut (%d of %d bytes): %w",
-			len(buf), total, ErrTruncated)
+	if nb < 0 || na < 0 || total < recHeader || total > avail {
+		return 0, fmt.Errorf("wal: record body cut (%d of %d bytes): %w", avail, total, ErrTruncated)
+	}
+	return total, nil
+}
+
+// parseRecord decodes raw, exactly one encoded record; the record's byte
+// strings alias raw. With verify set it checks the checksum, and that a
+// record carrying both strings carries them at one length, and fails with
+// ErrCorrupt otherwise.
+func parseRecord(raw []byte, verify bool) (Record, error) {
+	nb := int(binary.LittleEndian.Uint32(raw[37:41]))
+	if verify {
+		if crc32.Checksum(raw[4:], castagnoli) != binary.LittleEndian.Uint32(raw[0:4]) {
+			return Record{}, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
+		}
+		if na := len(raw) - recHeader - nb; nb != 0 && na != 0 && nb != na {
+			return Record{}, fmt.Errorf("wal: spans of %d and %d bytes: %w", nb, na, ErrCorrupt)
+		}
 	}
 	r := Record{
-		LSN:   LSN(binary.LittleEndian.Uint64(buf[4:12])),
-		Txn:   binary.LittleEndian.Uint64(buf[12:20]),
-		Type:  RecType(buf[20]),
-		Table: binary.LittleEndian.Uint32(buf[21:25]),
-		RID:   binary.LittleEndian.Uint64(buf[25:33]),
+		LSN:   LSN(binary.LittleEndian.Uint64(raw[4:12])),
+		Txn:   binary.LittleEndian.Uint64(raw[12:20]),
+		Type:  RecType(raw[20]),
+		Table: binary.LittleEndian.Uint32(raw[21:25]),
+		RID:   binary.LittleEndian.Uint64(raw[25:33]),
+		Off:   binary.LittleEndian.Uint32(raw[33:37]),
 	}
 	if nb > 0 {
-		r.Before = buf[recHeader : recHeader+nb : recHeader+nb]
+		r.Before = raw[recHeader : recHeader+nb : recHeader+nb]
 	}
-	if na > 0 {
-		r.After = buf[recHeader+nb : total : total]
+	if recHeader+nb < len(raw) {
+		r.After = raw[recHeader+nb:]
 	}
-	return r, total, nil
-}
-
-// decodeRecord reads one record from buf, returning it and the remainder.
-// The record's images alias buf. It fails with ErrTruncated when buf ends
-// mid-record and ErrCorrupt when the checksum does not match.
-func decodeRecord(buf []byte) (Record, []byte, error) {
-	r, total, err := parseRecord(buf)
-	if err != nil {
-		return Record{}, nil, err
-	}
-	if crc32.Checksum(buf[4:total], castagnoli) != binary.LittleEndian.Uint32(buf[0:4]) {
-		return Record{}, nil, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
-	}
-	return r, buf[total:], nil
+	return r, nil
 }
 
 // FaultHook intercepts log-device operations; the fault package installs
@@ -239,12 +339,21 @@ func (g GroupConfig) Enabled() bool { return g.MaxBatch > 1 }
 // error in place before the log gives up and latches failed.
 const maxForceRetries = 8
 
+// segSize is the number of log bytes a segment holds. The log allocates one
+// segment per segSize bytes appended (some fifty default-mix transactions)
+// and never moves a byte it has written. A log of a few records costs one
+// segment, and tests and fuzzers build thousands of those.
+const segSize = 1 << 16
+
 // Log is the engine's log device. The forced prefix survives crashes (the
 // log device is separate from the data disks, as the paper assumes); the
 // unforced tail is volatile buffer contents.
 type Log struct {
-	mu     sync.Mutex
-	data   []byte
+	mu sync.Mutex
+	// The log is the byte stream [0, size); byte o of it is
+	// segs[o/segSize][o%segSize].
+	segs   [][]byte
+	size   int
 	next   LSN
 	forces int64 // forces led by committers (the model's per-txn log I/O)
 	syncs  int64 // WAL-rule forces issued by the buffer manager
@@ -252,7 +361,7 @@ type Log struct {
 	hook   FaultHook
 	group  GroupConfig
 
-	// The durable prefix is data[:forcedLen]. At most one force is in
+	// The durable prefix is [0, forcedLen). At most one force is in
 	// flight (forcing); it runs without mu, and durable is broadcast when
 	// it ends. commitEnd is the end of the latest pre-committed commit
 	// record. failed latches the error of a force that could not be
@@ -292,26 +401,53 @@ func (l *Log) GroupCommit() GroupConfig {
 	return l.group
 }
 
-// Grow ensures the log buffer can absorb at least n more bytes without
-// reallocating — lets benchmarks and allocation-regression tests keep
-// amortized buffer doubling out of the measured loop.
-func (l *Log) Grow(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cap(l.data)-len(l.data) < n {
-		grown := make([]byte, len(l.data), len(l.data)+n)
-		copy(grown, l.data)
-		l.data = grown
+// write copies p into the log at logical offset off, across however many
+// segments it reaches into, allocating those the log does not have yet, and
+// returns the offset past it. Called with l.mu held.
+func (l *Log) write(off int, p []byte) int {
+	for len(p) > 0 {
+		if off/segSize == len(l.segs) {
+			l.segs = append(l.segs, make([]byte, segSize))
+		}
+		n := copy(l.segs[off/segSize][off%segSize:], p)
+		p, off = p[n:], off+n
 	}
+	return off
 }
 
-// buffer encodes r at the end of the log buffer and returns its LSN and
-// end offset. Called with l.mu held.
-func (l *Log) buffer(r Record) (LSN, int) {
+// put encodes r at logical offset start and returns the offset past it. The
+// checksum is taken over the bytes where they lie, a segment at a time.
+// Called with l.mu held.
+func (l *Log) put(start int, r *Record) int {
+	hdr := r.header()
+	end := l.write(l.write(l.write(start, hdr[:]), r.Before), r.After)
+	var crc uint32
+	for off := start + 4; off < end; {
+		seg := l.segs[off/segSize][off%segSize:]
+		seg = seg[:min(len(seg), end-off)]
+		crc = crc32.Update(crc, castagnoli, seg)
+		off += len(seg)
+	}
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc)
+	l.write(start, sum[:])
+	return end
+}
+
+// truncate cuts the log back to its first n bytes.
+func (l *Log) truncate(n int) {
+	l.size = n
+	l.segs = l.segs[:(n+segSize-1)/segSize]
+}
+
+// buffer encodes r at the end of the log and returns its LSN and the logical
+// offsets at which it starts and ends. Called with l.mu held.
+func (l *Log) buffer(r *Record) (LSN, int, int) {
 	r.LSN = l.next
-	l.data = r.encode(l.data)
+	start := l.size
+	l.size = l.put(start, r)
 	l.next++
-	return r.LSN, len(l.data)
+	return r.LSN, start, l.size
 }
 
 // Append writes one record (assigning its LSN) and returns the LSN. Data
@@ -321,22 +457,25 @@ func (l *Log) buffer(r Record) (LSN, int) {
 // record is voided in the buffer, so no later force or crash can make an
 // unacknowledged vote or decision durable.
 func (l *Log) Append(r Record) (LSN, error) {
+	if err := r.span(); err != nil {
+		return 0, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !r.Type.forced() {
-		lsn, _ := l.buffer(r)
+		lsn, _, _ := l.buffer(&r)
 		return lsn, nil
 	}
 	if l.failed != nil {
 		return 0, l.failed
 	}
-	lsn, end := l.buffer(r)
+	lsn, start, end := l.buffer(&r)
 	if err := l.waitDurable(end); err != nil {
 		// Nothing past the watermark is durable and a failed log forces
-		// nothing more, so the bytes can still be rewritten: as the abort
-		// of transaction 0, which no transaction is and recovery ignores.
-		void := Record{LSN: lsn, Type: RecAbort, Before: r.Before, After: r.After}
-		void.encode(l.data[:end-recHeader-len(r.Before)-len(r.After)])
+		// nothing more, so the bytes can still be rewritten where they were
+		// buffered: as the abort of transaction 0, which no transaction is
+		// and recovery ignores, at the same length.
+		l.put(start, &Record{LSN: lsn, Type: RecAbort, Off: r.Off, Before: r.Before, After: r.After})
 		return 0, err
 	}
 	return lsn, nil
@@ -348,12 +487,15 @@ func (l *Log) Append(r Record) (LSN, error) {
 // The log is prefix-durable, so a later transaction that read those writes
 // can never be durable, or acknowledged, ahead of this one.
 func (l *Log) PreCommit(r Record) (LSN, int64, error) {
+	if err := r.span(); err != nil {
+		return 0, 0, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
 		return 0, 0, l.failed
 	}
-	lsn, end := l.buffer(r)
+	lsn, _, end := l.buffer(&r)
 	if r.Type == RecCommit {
 		l.commitEnd = end
 	}
@@ -403,7 +545,7 @@ func (l *Log) waitDurable(end int) error {
 			l.durable.Wait()
 			continue
 		}
-		upto := len(l.data)
+		upto := l.size
 		if own {
 			upto = max(end, l.forcedLen)
 		}
@@ -415,11 +557,11 @@ func (l *Log) waitDurable(end int) error {
 	return nil
 }
 
-// lead forces data[:upto], counting the force in *count. It drops l.mu
-// around the device call, so appends proceed during the wait, and retries
-// a transient device error in place; any other error, or a transient one
-// that persists, latches the log failed. Called with l.mu held and no
-// force in flight.
+// lead forces the log up to offset upto, counting the force in *count. It
+// drops l.mu around the device call, so appends proceed during the wait,
+// and retries a transient device error in place; any other error, or a
+// transient one that persists, latches the log failed. Called with l.mu
+// held and no force in flight.
 func (l *Log) lead(upto int, count *int64) error {
 	var err error
 	if hook := l.hook; hook != nil {
@@ -446,12 +588,12 @@ func (l *Log) lead(upto int, count *int64) error {
 }
 
 // Force makes the whole buffered log durable. The buffer manager calls it
-// before flushing a dirty page (the WAL rule), so before-images of stolen
+// before flushing a dirty page (the WAL rule), so before-spans of stolen
 // pages always survive a crash.
 func (l *Log) Force() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for end := len(l.data); l.forcedLen < end; {
+	for end := l.size; l.forcedLen < end; {
 		if l.failed != nil {
 			return l.failed
 		}
@@ -459,7 +601,7 @@ func (l *Log) Force() error {
 			l.durable.Wait()
 			continue
 		}
-		if err := l.lead(len(l.data), &l.syncs); err != nil {
+		if err := l.lead(l.size, &l.syncs); err != nil {
 			return err
 		}
 	}
@@ -495,7 +637,7 @@ func (l *Log) Syncs() int64 {
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int64(len(l.data))
+	return int64(l.size)
 }
 
 // DurableSize returns the forced (crash-surviving) prefix length.
@@ -512,41 +654,77 @@ func (l *Log) DurableSize() int64 {
 func (l *Log) CrashTail(r *rng.RNG) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := len(l.data) - l.forcedLen
+	tail := l.size - l.forcedLen
 	if tail <= 0 {
 		return
 	}
 	keep := l.forcedLen + int(r.Int63n(int64(tail)+1))
 	if keep > l.forcedLen && r.Bernoulli(0.5) {
 		off := l.forcedLen + int(r.Int63n(int64(keep-l.forcedLen)))
-		l.data[off] ^= byte(1) << uint(r.Int63n(8))
+		l.segs[off/segSize][off%segSize] ^= byte(1) << uint(r.Int63n(8))
 	}
-	l.data = l.data[:keep]
+	l.truncate(keep)
 	l.forcedLen = keep
+}
+
+// cursor walks a log's records where they lie, from off to end.
+type cursor struct {
+	segs     [][]byte
+	off, end int
+}
+
+// bytes returns the n log bytes at the cursor: in place when one segment
+// holds them, as a private copy when they straddle a boundary.
+func (c *cursor) bytes(n int) []byte {
+	pos := c.off % segSize
+	if pos+n <= segSize {
+		return c.segs[c.off/segSize][pos : pos+n : pos+n]
+	}
+	out := make([]byte, 0, n)
+	for off := c.off; len(out) < n; off = c.off + len(out) {
+		seg := c.segs[off/segSize][off%segSize:]
+		out = append(out, seg[:min(len(seg), n-len(out))]...)
+	}
+	return out
+}
+
+// next decodes the record at the cursor and steps past it; the caller has
+// checked that the cursor is short of end. The record's byte strings alias
+// what bytes returned. It fails with ErrTruncated when the log ends
+// mid-record and, with verify set, ErrCorrupt when the record is damaged.
+func (c *cursor) next(verify bool) (Record, error) {
+	avail := c.end - c.off
+	total, err := recordLen(c.bytes(min(avail, recHeader)), avail)
+	if err != nil {
+		return Record{}, err
+	}
+	r, err := parseRecord(c.bytes(total), verify)
+	if err != nil {
+		return Record{}, err
+	}
+	c.off += total
+	return r, nil
 }
 
 // Scan decodes records from the start of the log until the end or the
 // first truncated/corrupt record. It returns the records of the valid
-// prefix (over a private copy of the buffer, for tests; recovery walks the
+// prefix (their byte strings private copies, for tests; recovery reads the
 // log in place), the prefix length in bytes, and the decode error that
 // stopped the scan (nil when the whole log parsed).
 func (l *Log) Scan() ([]Record, int64, error) {
 	l.mu.Lock()
-	buf := append([]byte(nil), l.data...)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	c := cursor{segs: l.segs, end: l.size}
 	var out []Record
-	valid := 0
-	rest := buf
-	for len(rest) > 0 {
-		r, next, err := decodeRecord(rest)
+	for c.off < c.end {
+		r, err := c.next(true)
 		if err != nil {
-			return out, int64(valid), err
+			return out, int64(c.off), err
 		}
+		r.Before, r.After = bytes.Clone(r.Before), bytes.Clone(r.After)
 		out = append(out, r)
-		valid = len(buf) - len(next)
-		rest = next
 	}
-	return out, int64(valid), nil
+	return out, int64(c.off), nil
 }
 
 // Records decodes the whole log, failing if any record is damaged (strict
@@ -560,70 +738,76 @@ func (l *Log) Records() ([]Record, error) {
 }
 
 // beginRecovery walks the log in place up to its first damaged record,
-// calling visit on each record (images aliasing the buffer), then cuts the
-// log back to that valid prefix. It returns the prefix, how many bytes were
-// cut, and the error that ended the walk (nil when the whole log parsed).
-// What recovery read back is on the device, so the whole prefix counts as
-// durable from here on, and a latched failure is cleared: the machine has
-// restarted.
-func (l *Log) beginRecovery(visit func(Record)) ([]byte, int64, error) {
+// calling visit on each record (byte strings aliasing the log), then cuts
+// the log back to that valid prefix. It returns the prefix length, how many
+// bytes were cut, and the error that ended the walk (nil when the whole log
+// parsed). What recovery read back is on the device, so the whole prefix
+// counts as durable from here on, and a latched failure is cleared: the
+// machine has restarted.
+func (l *Log) beginRecovery(visit func(Record)) (int, int64, error) {
 	l.mu.Lock()
-	buf := l.data
+	c := cursor{segs: l.segs, end: l.size}
 	l.mu.Unlock()
 	var scanErr error
-	valid := 0
-	for valid < len(buf) {
-		r, rest, err := decodeRecord(buf[valid:])
+	for c.off < c.end {
+		r, err := c.next(true)
 		if err != nil {
 			scanErr = err
 			break
 		}
 		visit(r)
-		valid = len(buf) - len(rest)
 	}
+	valid := c.off
 	l.mu.Lock()
-	l.data = l.data[:valid]
+	l.truncate(valid)
 	l.forcedLen, l.commitEnd, l.failed = valid, min(l.commitEnd, valid), nil
 	l.mu.Unlock()
-	return buf[:valid], int64(len(buf) - valid), scanErr
+	return valid, int64(c.end - valid), scanErr
 }
 
-// Applier materializes a row's recovered state during recovery.
+// Applier is one table as recovery sees it: the rows the durable pages
+// hold, read and rewritten by record id.
 type Applier interface {
+	// Read returns the row at rid as the table holds it now, nil when there
+	// is none. The slice is the applier's own scratch, valid until its next
+	// call.
+	Read(rid uint64) ([]byte, error)
 	// Apply makes image the row's content at rid; a nil image means the
 	// row must be absent. Implementations must be idempotent and
 	// tolerant of the durable page already holding the target state.
 	Apply(rid uint64, image []byte) error
 }
 
+// Redo writes one data record of a transaction now known to have committed
+// over the table as it stands: an in-doubt branch's record, once the
+// coordinator's commit decision arrives. The branch's rows have been locked
+// since recovery rolled them back, so an update's after-span lands on the
+// row its before-span came from.
+func Redo(a Applier, r Record) error {
+	f := rowFold{rowKey: rowKey{table: r.Table, rid: r.RID}}
+	if err := f.redo(a, r); err != nil {
+		return err
+	}
+	return a.Apply(r.RID, f.image)
+}
+
 // RecoverStats reports what recovery did.
 type RecoverStats struct {
+	Records            int64 // records in the valid prefix
+	Bytes              int64 // length of the valid prefix
 	Applied            int64 // rows materialized
 	SkippedUncommitted int64 // records of uncommitted/aborted transactions
 	TruncatedBytes     int64 // log bytes discarded past the valid prefix
 	TailCorrupt        bool  // truncation was due to a checksum mismatch
 }
 
-// Recover reconstructs the committed state per row and applies it through
-// the per-table appliers. The log is first scanned up to the first
-// damaged record; everything past that point is discarded (it can only be
-// unacknowledged tail — commits force the log, so an acknowledged commit
-// is always inside the valid prefix). For every (table, rid) the valid
-// prefix touches, walking records in LSN order:
-//
-//   - a record of a COMMITTED transaction sets the row's state to its
-//     after-image (nil for a delete);
-//   - a record of an uncommitted, aborted, or in-doubt (prepared but
-//     undecided) transaction establishes the row's state as its
-//     BEFORE-image, but only if no state is known yet (strict 2PL
-//     guarantees a later committed write supersedes it, and an earlier
-//     committed write already equals that before-image).
-//
-// This is exact under the engine's steal/no-force buffer policy: a dirty
-// uncommitted page flushed before the crash is rolled back by the
-// before-image, and an unflushed committed change is re-applied by the
-// after-image. RecoverDist additionally surfaces in-doubt transactions so
-// the two-phase-commit layer can resolve them.
+// Recover restores every row the log touches to its committed state and
+// applies it through the per-table appliers, by the fold the package comment
+// describes. The log is first scanned up to the first damaged record;
+// everything past that point is discarded (it can only be unacknowledged
+// tail — an acknowledged commit's record was forced, so it is always inside
+// the valid prefix). RecoverDist additionally surfaces in-doubt transactions
+// so the two-phase-commit layer can resolve them.
 func Recover(l *Log, tables map[uint32]Applier) (RecoverStats, error) {
 	st, _, err := RecoverDist(l, tables)
 	return st, err
