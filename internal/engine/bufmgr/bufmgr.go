@@ -30,14 +30,18 @@
 //     store.Read serves both, so at quiescence Misses == store reads. If
 //     the read fails the frame is unpublished and freed, the reader gets
 //     the error, and each waiter retries as a miss of its own;
-//   - resident: pinned, or unpinned and on the LRU list;
+//   - resident: pinned, or unpinned and on the LRU list. An Unpin (or
+//     With) that dirties the page notes in the frame, BEFORE it lets go of
+//     the content latch, how long the log is (logEnd; see the WAL rule
+//     below);
 //   - busy/writing: writeBack marked it busy and clean, dropped p.mu, took
-//     the content latch, ran the WAL-rule hook and store.Flush. The frame
-//     keeps its LRU position and may be pinned meanwhile (the pinner waits
-//     for the content latch, never for p.mu). A frame an evictor is
-//     writing is skipped by other evictors; one being written in place
-//     (cleaner, FlushAll) is still the LRU victim and an evictor waits on
-//     it. A failed write leaves the frame dirty where it was;
+//     the content latch, forced the log up to the frame's logEnd as it
+//     reads under that latch, and ran store.Flush. The frame keeps its LRU
+//     position and may be pinned meanwhile (the pinner waits for the
+//     content latch, never for p.mu). A frame an evictor is writing is
+//     skipped by other evictors; one being written in place (cleaner,
+//     FlushAll) is still the LRU victim and an evictor waits on it. A
+//     failed force or write leaves the frame dirty where it was;
 //   - evicted: a clean unpinned LRU-tail frame leaves the table and
 //     returns to the freelist. A victim that was pinned during its
 //     write-back simply stays, clean, and the next victim is taken.
@@ -46,17 +50,33 @@
 // a device call, a log force or a content-latch wait. Crash and FlushAll
 // wait out frames whose I/O is in flight.
 //
+// # The WAL rule
+//
+// No page image reaches the store before the log records of the changes it
+// carries are durable. Writers log first and dirty second: the record is
+// appended before the Unpin that marks the page dirty, so the log's size at
+// that Unpin is past the record. The frame keeps the latest such size in
+// logEnd — in memory only, reset when the frame is reused, never on the page
+// — and writeBack asks the log to be durable that far and no further
+// (Log.ForceTo). logEnd is written and read under the CONTENT LATCH, not
+// p.mu: a pinner may change the page between writeBack's mark-busy and its
+// latch, and the latch is what makes the image written and the offset forced
+// one pair — whoever holds it sees either both the change and its offset or
+// neither. A frame at the LRU tail was last dirtied long before the log's
+// durable point, so for the cleaner and the evictor the rule is normally
+// free: a mutex and a comparison, no log I/O.
+//
 // # Clean-ahead
 //
-// Eviction writes a dirty victim before it can read, which puts a log
-// force and a page write on the reader's clock. When a miss finds its
-// partition full and a dirty frame among the cleanAhead frames at the LRU
-// tail, it starts that partition's cleaner goroutine (at most one). The
-// cleaner writes those frames back IN PLACE — neither LRU position nor
-// residency changes, so the hit/miss stream, Evicts and the xval replay
-// are those of plain LRU — and exits as soon as the run is clean or a
-// write fails. The foreground write-back remains the path a miss takes
-// when the cleaner has not got there.
+// Eviction writes a dirty victim before it can read, which puts a page
+// write on the reader's clock. When a miss finds its partition full and a
+// dirty frame among the cleanAhead frames at the LRU tail, it starts that
+// partition's cleaner goroutine (at most one). The cleaner writes those
+// frames back IN PLACE — neither LRU position nor residency changes, so the
+// hit/miss stream, Evicts and the xval replay are those of plain LRU — and
+// exits as soon as the run is clean or a write fails. The foreground
+// write-back remains the path a miss takes when the cleaner has not got
+// there.
 package bufmgr
 
 import (
@@ -132,6 +152,10 @@ type frame struct {
 	pins  int
 	dirty bool
 	io    ioState
+	// logEnd is the log's size at the latest unpin that dirtied the page:
+	// the log must be durable that far before data may be written back.
+	// Guarded by contentMu, not p.mu (see the package comment's WAL rule).
+	logEnd int64
 	// part is the owning partition; Unpin needs it to find the right
 	// mutex without rehashing the page id.
 	part *partition
@@ -202,13 +226,26 @@ type Manager struct {
 	// classOf assigns pages to accounting classes (e.g. one per
 	// relation); nil means everything lands in class 0.
 	classOf func(storage.PageID) int
-	// preFlush runs before any dirty page is written back (the WAL
-	// rule): the database installs the log's Force here so before-images
-	// of stolen pages are durable before the page image can reach disk.
-	preFlush func() error
 	// tap, when non-nil, observes every access and allocation in
 	// per-partition decision order (see Tap).
 	tap Tap
+
+	// log is the write-ahead log the WAL rule is kept against; nil means
+	// there is none and pages are written back as they are. Unlike the
+	// hooks above it is read under a frame's content latch, with no
+	// partition mutex: SetLog runs before the first access.
+	log Log
+}
+
+// Log is what the buffer manager needs of the write-ahead log to keep the
+// WAL rule (see the package comment); *wal.Log implements it.
+type Log interface {
+	// Size returns the log's length in bytes. It is called on every unpin
+	// that dirties a page, with the page's content latch held, and must
+	// not block.
+	Size() int64
+	// ForceTo returns once the first off bytes of the log are durable.
+	ForceTo(off int64) error
 }
 
 // New creates a buffer manager with capacity frames over store as one
@@ -301,6 +338,7 @@ func (p *partition) frameFor(id storage.PageID) *frame {
 	f.id = id
 	f.pins = 0
 	f.dirty = false
+	f.logEnd = 0
 	f.inLRU = false
 	f.prev, f.next = nil, nil
 	return f
@@ -368,12 +406,12 @@ func (m *Manager) SetClassifier(classes int, fn func(storage.PageID) int) {
 	}
 }
 
-// SetPreFlush installs a hook that must succeed before any dirty page is
-// written back to the store (nil disables). Used to enforce the WAL rule.
-func (m *Manager) SetPreFlush(fn func() error) {
+// SetLog installs the write-ahead log the WAL rule is kept against; it must
+// be called before the first access.
+func (m *Manager) SetLog(l Log) {
 	m.lockAll()
 	defer m.unlockAll()
-	m.preFlush = fn
+	m.log = l
 }
 
 // SetTap installs a reference-stream tap (nil disables). Install it before
@@ -416,20 +454,20 @@ func (p *partition) read(f *frame) error {
 // ioEvict) and clean first: it stays where it is in the LRU list and may be
 // pinned meanwhile, nobody else writes or evicts it, and an unpin that
 // dirties it again during the write is not lost. The content latch is taken
-// BEFORE the log force so every change the written image carries has its
-// log record forced. A failed write leaves f dirty. Callers hold p.mu (held
-// again on return) and must re-examine the partition afterwards; f.io must
-// be ioNone.
+// BEFORE f.logEnd is read and the log forced that far, so every change the
+// written image carries — one slipped in since the frame was marked busy
+// included — has its log record forced. A failed force or write leaves f
+// dirty. Callers hold p.mu (held again on return) and must re-examine the
+// partition afterwards; f.io must be ioNone.
 func (p *partition) writeBack(f *frame, as ioState) error {
-	preFlush := p.mgr.preFlush
 	f.io = as
 	f.dirty = false
 	p.mu.Unlock()
 
 	f.contentMu.Lock()
 	var err error
-	if preFlush != nil {
-		err = preFlush()
+	if log := p.mgr.log; log != nil {
+		err = log.ForceTo(f.logEnd)
 	}
 	if err == nil {
 		err = p.mgr.store.Flush(f.id, f.data)
@@ -644,6 +682,16 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	return f, nil
 }
 
+// noteLog records in f how long the log is, for the WAL rule. The caller
+// holds f's content latch, has changed the page and is about to unpin it
+// dirty; it appended its log record before it got here, so the log is durable
+// past that record once it is durable this far.
+func (m *Manager) noteLog(f *frame) {
+	if m.log != nil {
+		f.logEnd = m.log.Size()
+	}
+}
+
 // unpin releases one pin, recording dirtiness.
 func (m *Manager) unpin(f *frame, dirty bool) {
 	p := f.part
@@ -680,6 +728,9 @@ func (m *Manager) Pin(id storage.PageID) (storage.Pinned, error) {
 // Unpin releases a page returned by Pin, marking it dirty when dirty.
 func (m *Manager) Unpin(p storage.Pinned, dirty bool) {
 	f := p.Token.(*frame)
+	if dirty {
+		m.noteLog(f)
+	}
 	f.contentMu.Unlock()
 	m.unpin(f, dirty)
 }
@@ -696,6 +747,9 @@ func (m *Manager) With(id storage.PageID, dirty bool, fn func(page []byte)) erro
 	// frame's content mutex so same-page accesses don't race.
 	f.contentMu.Lock()
 	fn(f.data)
+	if dirty {
+		m.noteLog(f)
+	}
 	f.contentMu.Unlock()
 	m.unpin(f, dirty)
 	return nil

@@ -19,7 +19,8 @@ import (
 // already written, exactly where a real write would be sleeping.
 type gatedDisk struct {
 	*storage.MemDisk
-	delay time.Duration // slept per data-area I/O (0 = none)
+	delay   time.Duration           // slept per data-area I/O (0 = none)
+	onWrite func(id storage.PageID) // called as a data-area write arrives (nil = none)
 
 	mu       sync.Mutex
 	gates    map[gateKey]*gate
@@ -80,6 +81,9 @@ func (d *gatedDisk) enter(k gateKey) error {
 	d.mu.Unlock()
 	if d.delay > 0 {
 		time.Sleep(d.delay)
+	}
+	if k.write && d.onWrite != nil {
+		d.onWrite(k.id)
 	}
 	if g == nil {
 		return nil
@@ -687,5 +691,220 @@ func TestOverlapStress(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fakeLog is the write-ahead log as the buffer manager sees it: a size the
+// test sets, a durable length a real force advances to that size, and a
+// record of what ForceTo was asked for.
+type fakeLog struct {
+	size atomic.Int64
+
+	mu      sync.Mutex
+	durable int64
+	asked   []int64 // every ForceTo argument, in call order
+	forces  int     // calls that found their offset past the durable length
+	fail    error   // returned by such calls while non-nil
+}
+
+func (l *fakeLog) Size() int64 { return l.size.Load() }
+
+func (l *fakeLog) ForceTo(off int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.asked = append(l.asked, off)
+	if off <= l.durable {
+		return nil
+	}
+	if l.fail != nil {
+		return l.fail
+	}
+	l.forces++
+	l.durable = l.size.Load()
+	return nil
+}
+
+// commit stands for a committer's force: everything appended so far is
+// durable.
+func (l *fakeLog) commit() {
+	l.mu.Lock()
+	l.durable = l.size.Load()
+	l.mu.Unlock()
+}
+
+func (l *fakeLog) state() (durable int64, asked []int64, forces int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable, slices.Clone(l.asked), l.forces
+}
+
+// logged dirties page id (byte 1 = v) the way a logging writer does: the
+// record is appended first — the log grows to size — and the page is
+// unpinned dirty after.
+func logged(t *testing.T, m *Manager, l *fakeLog, id storage.PageID, v byte, size int64) {
+	t.Helper()
+	l.size.Store(size)
+	touch(t, m, id, v)
+}
+
+// TestColdDirtyVictimForcesNothing: the victim was last dirtied before the
+// log's durable point, so its write-back asks for an offset the log already
+// has and no force happens; a clean unpin does not move the offset.
+func TestColdDirtyVictimForcesNothing(t *testing.T) {
+	m, d, ids := gatedPool(t, 2, 1, 3)
+	l := &fakeLog{}
+	m.SetLog(l)
+	x, y, z := ids[0], ids[1], ids[2]
+	logged(t, m, l, x, 7, 100)
+	l.commit()
+	l.size.Store(250) // other writers' records, nothing to do with X
+	touch(t, m, y, 0)
+	touch(t, m, x, 0) // a read of X: its offset stays 100
+	touch(t, m, y, 0)
+	touch(t, m, z, 0) // evicts X
+	if frameOf(m, x) != nil || d.writesOf(x) != 1 {
+		t.Fatalf("X resident or written %d times, want evicted after one write", d.writesOf(x))
+	}
+	if durable, asked, forces := l.state(); forces != 0 || !slices.Equal(asked, []int64{100}) || durable != 100 {
+		t.Errorf("asked %v, %d forces, durable %d: want one ForceTo(100) and no force", asked, forces, durable)
+	}
+}
+
+// TestWriteBackForcesOffsetOfSlippedInChange: a pinner changes the victim
+// after writeBack has marked it busy and before writeBack gets the content
+// latch. The image written carries that change, so the offset forced must be
+// the pinner's, not the one the frame had when it was picked.
+func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
+	m, d, ids := gatedPool(t, 2, 1, 3)
+	l := &fakeLog{}
+	m.SetLog(l)
+	x, y, z := ids[0], ids[1], ids[2]
+	logged(t, m, l, x, 7, 100)
+	touch(t, m, y, 0)
+
+	d.onWrite = func(id storage.PageID) {
+		if durable, _, _ := l.state(); id == x && durable < 300 {
+			t.Errorf("X reached the device with the log durable to %d, its change logged up to 300", durable)
+		}
+	}
+	fx := frameOf(m, x)
+	fx.contentMu.Lock() // where the pinner's latch will be: writeBack queues behind it
+	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
+	p := m.parts[0]
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		p.mu.Lock()
+		busy := fx.io == ioEvict
+		p.mu.Unlock()
+		if busy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the evictor never picked X")
+		}
+	}
+	if _, asked, _ := l.state(); len(asked) != 0 {
+		t.Fatalf("ForceTo(%v) before the content latch was taken", asked)
+	}
+	// The rest of the pinner's Pin ... Unpin(dirty), its record logged between.
+	if f, err := m.pin(x); err != nil || f != fx {
+		t.Fatalf("pin of X: %v, %v", f, err)
+	}
+	fx.data[1] = 9
+	l.size.Store(300)
+	m.noteLog(fx)
+	fx.contentMu.Unlock()
+	m.unpin(fx, true)
+
+	if err := wait(t, miss, "the miss on Z"); err != nil {
+		t.Fatal(err)
+	}
+	// X came out of the write dirty again (the pinner's unpin followed the
+	// mark-clean), so the cleaner may write it a second time.
+	awaitCleanerExit(t, p)
+	if _, asked, forces := l.state(); forces != 1 || len(asked) == 0 || slices.Min(asked) != 300 {
+		t.Errorf("asked %v, %d forces: want ForceTo(300) and nothing less, one force", asked, forces)
+	}
+	buf := make([]byte, pageSize)
+	if err := m.store.Read(x, buf); err != nil || buf[1] != 9 {
+		t.Errorf("X's durable image: byte %d, err %v, want the pinner's 9", buf[1], err)
+	}
+	if frameOf(m, x) == nil || frameOf(m, y) != nil {
+		t.Error("want X resident (pinned during its write) and Y evicted in its place")
+	}
+}
+
+// TestFailedForceLeavesVictimDirty: a WAL-rule force that fails is a
+// write-back that fails — nothing reaches the device, the miss gets the
+// error, the victim stays dirty at the LRU tail — and the retry goes through.
+func TestFailedForceLeavesVictimDirty(t *testing.T) {
+	m, d, ids := gatedPool(t, 2, 1, 3)
+	boom := errors.New("injected force failure")
+	l := &fakeLog{fail: boom}
+	m.SetLog(l)
+	x, y, z := ids[0], ids[1], ids[2]
+	logged(t, m, l, x, 9, 100)
+	touch(t, m, y, 0)
+
+	if err := m.With(z, false, func([]byte) {}); !errors.Is(err, boom) {
+		t.Fatalf("miss got %v, want the injected failure", err)
+	}
+	awaitCleanerExit(t, m.parts[0])
+	f := frameOf(m, x)
+	if f == nil || !f.dirty || !f.inLRU || m.parts[0].lruTail != f || f.io != ioNone {
+		t.Fatalf("X after a failed force: %+v, want dirty at the LRU tail", f)
+	}
+	if d.writesOf(x) != 0 || frameOf(m, z) != nil || m.Resident() != 2 {
+		t.Errorf("X written %d times, resident %d: a failed force must change nothing", d.writesOf(x), m.Resident())
+	}
+	l.mu.Lock()
+	l.fail = nil
+	l.mu.Unlock()
+	touch(t, m, z, 0)
+	if frameOf(m, x) != nil || d.writesOf(x) != 1 {
+		t.Errorf("retry did not write and evict X (writes %d)", d.writesOf(x))
+	}
+}
+
+// TestEveryWriteBackKeepsTheWALRule: eviction, the cleaner and FlushAll are
+// one path — whichever writes a page first forces the log to that page's own
+// offset, and pages nobody dirtied are not the log's business.
+func TestEveryWriteBackKeepsTheWALRule(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 6)
+	l := &fakeLog{}
+	m.SetLog(l)
+	offset := map[storage.PageID]int64{}
+	d.onWrite = func(id storage.PageID) {
+		if durable, _, _ := l.state(); durable < offset[id] {
+			t.Errorf("page %d reached the device with the log durable to %d of the %d it needs", id, durable, offset[id])
+		}
+	}
+	for i, id := range ids[:4] {
+		offset[id] = int64(10 * (i + 1))
+		logged(t, m, l, id, byte(i+1), offset[id])
+	}
+	// A miss on a full pool of dirty frames: the evictor writes the LRU
+	// tail, the cleaner the frames behind it, between them all four.
+	touch(t, m, ids[4], 0)
+	awaitCleanerExit(t, m.parts[0])
+	_, asked, _ := l.state()
+	slices.Sort(asked)
+	if !slices.Equal(asked, []int64{10, 20, 30, 40}) {
+		t.Errorf("evictor and cleaner asked for %v, want each frame's own offset once", asked)
+	}
+
+	// A checkpoint writes in page order, not in the order of dirtying: the
+	// earlier page carries the later offset, and forcing for it covers both.
+	offset[ids[4]], offset[ids[2]] = 50, 60
+	logged(t, m, l, ids[4], 5, 50)
+	logged(t, m, l, ids[2], 6, 60)
+	l.size.Store(70)
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, asked, forces := l.state(); !slices.Equal(asked[4:], []int64{60, 50}) || forces != 2 {
+		t.Errorf("FlushAll asked for %v, %d forces in all: want [60 50] and one force per phase", asked[4:], forces)
+	}
+	if seq := d.writeSequence(); len(seq) != 6 || !slices.Equal(seq[4:], []storage.PageID{ids[2], ids[4]}) {
+		t.Errorf("write sequence %v, want four write-backs and then the checkpoint's two", seq)
 	}
 }

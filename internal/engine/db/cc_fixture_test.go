@@ -24,7 +24,14 @@ const tinyDistricts = 8
 // (YTD 0, NextOID 1), customer 0 and stock row for item d in each.
 func openTiny(t *testing.T, cc CCMode) *DB {
 	t.Helper()
-	d, err := Open(Config{Warehouses: 1, PageSize: 4096, BufferPages: 256, CC: cc})
+	return openTinyOn(t, cc, 256, nil)
+}
+
+// openTinyOn is openTiny with a pool of the given number of frames over the
+// given device (nil = a private MemDisk).
+func openTinyOn(t *testing.T, cc CCMode, bufferPages int, disk storage.DiskIO) *DB {
+	t.Helper()
+	d, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: bufferPages, CC: cc}, Options{Disk: disk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,15 +361,19 @@ func TestSmallBankSSIConservation(t *testing.T) {
 					case 3:
 						err = sbAmalgamate(tx, a, b)
 					}
+					// A failed commit has rolled back already; failing it
+					// again would undo twice, the second time without locks.
 					if err == nil {
 						err = tx.commit()
+					} else {
+						err = tx.fail(err)
 					}
 					if err == nil {
 						committedDelta.Add(delta)
 						break
 					}
-					if ferr := tx.fail(err); !errors.Is(ferr, ErrAborted) {
-						t.Errorf("worker %d: non-retryable %v", w, ferr)
+					if !errors.Is(err, ErrAborted) {
+						t.Errorf("worker %d: non-retryable %v", w, err)
 						return
 					}
 				}

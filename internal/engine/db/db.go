@@ -357,7 +357,7 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	d.buf = bufmgr.NewPartitioned(d.store, cfg.BufferPages, partitions)
 	// The WAL rule: no dirty page reaches the store before the log
 	// records covering it are durable.
-	d.buf.SetPreFlush(d.log.Force)
+	d.buf.SetLog(d.log)
 	d.buf.SetClassifier(int(core.NumRelations), func(id storage.PageID) int {
 		return int(d.pageRel.get(id))
 	})

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -300,5 +301,133 @@ func TestRecoveryAfterConcurrentLoad(t *testing.T) {
 	}
 	if d.Commits() < commits+50 {
 		t.Errorf("commits = %d, want >= %d", d.Commits(), commits+50)
+	}
+}
+
+// TestRollbackRetriesTransientRead: an undo step has to pin its row's page,
+// the page may have been evicted since the update, and the read that brings
+// it back may hit a transient device error. A rollback cannot be rolled back
+// and retried from outside, and giving up leaves the row changed with its
+// lock released, so the step is retried in place: the row comes back and the
+// rollback reports nothing.
+func TestRollbackRetriesTransientRead(t *testing.T) {
+	for _, cc := range []CCMode{CC2PL, CCMVCC} {
+		// Reads come from whoever pins, and only this goroutine does.
+		failNext, failed := storage.InvalidPage, 0
+		disk := &hookedDisk{MemDisk: storage.NewMemDisk()}
+		disk.onRead = func(id storage.PageID) error {
+			if id != failNext {
+				return nil
+			}
+			failNext = storage.InvalidPage
+			failed++
+			return fmt.Errorf("injected: %w", storage.ErrTransientIO)
+		}
+		d := openTinyOn(t, cc, walRulePool, disk)
+		check := d.NewSession().begin()
+		before, _ := tinyReadCustomer(t, check, 3)
+		if err := check.commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx := d.NewSession().begin()
+		if err := tinyWriteCustomer(tx, 3, func(c *CustomerRec) { c.BalanceCents = 777 }); err != nil {
+			t.Fatal(err)
+		}
+		packed, _ := d.customerIdx.get(custKey(3))
+		page := storage.UnpackRID(packed).Page
+		touched := 0 // a pool's worth of other pages evicts this one
+		pushOut(t, d, page, func() bool { touched++; return touched > walRulePool })
+		failNext = page
+		if err := tx.rollbackWith(0); err != nil {
+			t.Fatalf("%v: rollback: %v", cc, err)
+		}
+		if failed != 1 {
+			t.Fatalf("%v: the undo's page read failed %d times, want 1: the fault was not exercised", cc, failed)
+		}
+		check = d.NewSession().begin()
+		after, live := tinyReadCustomer(t, check, 3)
+		if !live || after != before {
+			t.Errorf("%v: customer after rollback %+v, want %+v", cc, after, before)
+		}
+		if err := check.commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUncommittedDeleteKeepsItsSlot: while the transaction that deleted a row
+// is open, no insert may take the row's heap slot — the deleter's rollback
+// puts the row back at its old RID and would overwrite the newcomer, whose
+// own commit or rollback then works on the wrong row (a Delivery chosen as
+// deadlock victim after deleting a new-order row, beside a New-Order
+// inserting one: "new-order: no record" some transactions later). Once the
+// deleter has ended the slot is the next one handed out, as it always was.
+func TestUncommittedDeleteKeepsItsSlot(t *testing.T) {
+	for _, cc := range []CCMode{CC2PL, CCMVCC} {
+		d := openTiny(t, cc)
+		insert := func(tx *txn, item int64) storage.RID {
+			t.Helper()
+			buf := make([]byte, tpcc.TupleLen[core.Stock])
+			(&StockRec{IID: uint32(item), Quantity: 1}).Marshal(buf)
+			rid, err := tx.insertKeyed(core.Stock, d.stockIdx, index.KeyWI(0, item), buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rid
+		}
+		del := func(tx *txn, item int64) storage.RID {
+			t.Helper()
+			key := index.KeyWI(0, item)
+			r, err := tx.fetch(core.Stock, d.stockIdx, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.deleteRow(core.Stock, key, r.rid, r.cur); err != nil {
+				t.Fatal(err)
+			}
+			return r.rid
+		}
+		item := func(rid storage.RID) uint32 {
+			t.Helper()
+			buf := make([]byte, tpcc.TupleLen[core.Stock])
+			if err := d.heaps[core.Stock].Read(rid, buf); err != nil {
+				t.Fatalf("%v: row at %v: %v", cc, rid, err)
+			}
+			var s StockRec
+			s.Unmarshal(buf)
+			return s.IID
+		}
+
+		a := d.NewSession().begin()
+		freed := del(a, 5)
+		b := d.NewSession().begin()
+		if got := insert(b, 99); got == freed {
+			t.Fatalf("%v: an insert took slot %v while its delete was uncommitted", cc, freed)
+		}
+		if err := a.rollbackWith(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.commit(); err != nil {
+			t.Fatal(err)
+		}
+		packed, _ := d.stockIdx.get(index.KeyWI(0, 99))
+		if item(freed) != 5 || item(storage.UnpackRID(packed)) != 99 {
+			t.Errorf("%v: after the deleter's rollback slot %v holds item %d and the insert's slot item %d, want 5 and 99",
+				cc, freed, item(freed), item(storage.UnpackRID(packed)))
+		}
+
+		c := d.NewSession().begin()
+		freed = del(c, 6)
+		if err := c.commit(); err != nil {
+			t.Fatal(err)
+		}
+		e := d.NewSession().begin()
+		if got := insert(e, 100); got != freed {
+			t.Errorf("%v: insert after a committed delete went to %v, want the freed slot %v", cc, got, freed)
+		}
+		if err := e.commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

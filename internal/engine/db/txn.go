@@ -110,6 +110,9 @@ type txn struct {
 	mv      mvcc.Txn
 	retired mvcc.RetireSet
 
+	// holds counts this transaction's deletes: heap slots held until it ends.
+	holds int
+
 	// ssiChecked records that SSI validation already ran (at the 2PC
 	// prepare point), so commitWith must not re-validate: a prepared
 	// branch has voted yes and MUST be able to commit.
@@ -127,6 +130,7 @@ func (t *txn) reset(d *DB) {
 		t.img = make([]byte, tpcc.TupleLen[core.Customer])
 	}
 	t.ssiChecked = false
+	t.holds = 0
 	if d.ccMVCC {
 		// Take the snapshot and pay down this slot's pruning debt.
 		d.mvcc.Begin(&t.mv, &t.retired)
@@ -168,6 +172,7 @@ func (t *txn) publish() {
 	if t.d.ccMVCC {
 		t.d.mvcc.Commit(&t.mv, &t.retired)
 	}
+	t.unhold()
 	t.d.locks.ReleaseAll(t.id)
 }
 
@@ -225,19 +230,36 @@ func (t *txn) commitWith(gid uint64) error {
 	return nil
 }
 
+// maxUndoRetries bounds how often a rollback retries one undo step that hit
+// a transient I/O error before it gives the step up.
+const maxUndoRetries = 8
+
 // rollbackWith applies the undo list in reverse, logs an abort carrying
 // the global transaction id (0 for local transactions), and releases.
 // The abort record is buffered, never forced: recovery treats a
 // transaction without a commit record as aborted and undoes its
 // records either way, and under presumed abort a gid with no durable
 // decision reads as aborted too.
+//
+// An undo step pins its row's page, which may have been evicted since and
+// whose read (or the write-back that makes room for it) may fail. A rollback
+// cannot itself be rolled back and retried, and a step given up leaves the
+// row changed with its lock about to be released, so a transient device error
+// (storage.ErrTransientIO) is retried in place, a bounded number of times, as
+// the log does for a force. A failed step is safe to repeat: the heap
+// operations fail at the pin, before they touch the page.
 func (t *txn) rollbackWith(gid uint64) error {
 	var firstErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		if err := t.applyUndo(&t.undo[i]); err != nil && firstErr == nil {
+		err := t.applyUndo(&t.undo[i])
+		for try := 0; try < maxUndoRetries && errors.Is(err, storage.ErrTransientIO); try++ {
+			err = t.applyUndo(&t.undo[i])
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	t.unhold()
 	// A failed log refuses the record; that is as benign as losing it.
 	_, _, _ = t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
 	if gid != 0 {
@@ -320,15 +342,24 @@ func (t *txn) readRec(rel core.Relation, rid storage.RID, out []byte) error {
 // rec is copied by both the heap and the log, so it may be reused scratch.
 // Rows other transactions can reach go through insertKeyed; only History,
 // which has no key and no index, is inserted bare.
+//
+// The heap picks the RID, so the row is on its page before the record can be
+// written; the page stays pinned and latched until the record is in the log,
+// and the unpin that dirties it comes after — log, then dirty, like store and
+// deleteRow, which is what lets the buffer manager force the log only as far
+// as the frame's last dirtying unpin saw it (bufmgr's WAL rule).
 func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
-	rid, err := t.d.heaps[rel].Insert(rec)
+	h := t.d.heaps[rel]
+	rid, page, err := h.InsertPinned(rec)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	if _, err := t.d.log.Append(wal.Record{
+	_, err = t.d.log.Append(wal.Record{
 		Txn: uint64(t.id), Type: wal.RecInsert, Table: uint32(rel),
 		RID: rid.Pack(), After: rec,
-	}); err != nil {
+	})
+	h.Release(page)
+	if err != nil {
 		return storage.RID{}, err
 	}
 	t.undo = append(t.undo, undoOp{kind: undoInsert, rel: rel, rid: rid})
@@ -464,7 +495,9 @@ func (t *txn) insertKeyed(rel core.Relation, g *guardedTree, key uint64, rec []b
 
 // deleteRow removes the record at rid, versioning it first (older
 // snapshots keep seeing before after the heap slot is gone) and queueing
-// reinsertion as undo. before is copied, so it may be reused scratch.
+// reinsertion as undo. before is copied, so it may be reused scratch. The
+// emptied slot stays out of other transactions' inserts until this one ends
+// (unhold): its rollback needs the slot back.
 func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before []byte) error {
 	if err := t.mvWrite(rel, row, before); err != nil {
 		return err
@@ -475,12 +508,25 @@ func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before [
 	}); err != nil {
 		return err
 	}
-	if err := t.d.heaps[rel].Delete(rid); err != nil {
+	if err := t.d.heaps[rel].DeleteHeld(rid); err != nil {
 		return err
 	}
 	off := t.saveImage(before)
 	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, off: off, n: len(before)})
+	t.holds++
 	return nil
+}
+
+// unhold lets go of the heap slots this transaction's deletes emptied, now
+// that it has ended: committed, the slots are free; rolled back, their rows
+// are back in them.
+func (t *txn) unhold() {
+	for i := 0; t.holds > 0; i++ {
+		if op := &t.undo[i]; op.kind == undoDelete {
+			t.d.heaps[op.rel].Unhold(op.rid)
+			t.holds--
+		}
+	}
 }
 
 // setIdx adds an index entry with undo.

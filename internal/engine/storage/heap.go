@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -103,11 +104,26 @@ type HeapFile struct {
 	pageSize int
 
 	mu sync.Mutex
-	// pages lists the file's pages in allocation order; freePages are
-	// indexes into pages with at least one free slot.
+	// pages lists the file's pages in allocation order and pageIdx maps
+	// each back to its index there; freePages are indexes into pages with
+	// at least one free slot.
 	pages     []PageID
+	pageIdx   map[PageID]int
 	freePages []int
 	liveCount int64
+	// held is the set of slots emptied by DeleteHeld and not yet let go by
+	// Unhold: their rows were deleted by transactions that are still open,
+	// and a rollback puts such a row back where it was, so Insert must not
+	// hand the slot to anyone else meanwhile. In memory only: recovery rolls
+	// every open transaction back before anyone inserts (AttachPages drops
+	// the set).
+	held map[RID]struct{}
+}
+
+// addPage appends pid to the file's page list. Callers hold h.mu.
+func (h *HeapFile) addPage(pid PageID) {
+	h.pageIdx[pid] = len(h.pages)
+	h.pages = append(h.pages, pid)
 }
 
 // NewHeapFile creates an empty heap file of recLen-byte records.
@@ -119,6 +135,8 @@ func NewHeapFile(name string, pager Pager, pageSize, recLen int) (*HeapFile, err
 	return &HeapFile{
 		name: name, pager: pager, recLen: recLen,
 		slots: slots, pageSize: pageSize,
+		pageIdx: make(map[PageID]int),
+		held:    make(map[RID]struct{}),
 	}, nil
 }
 
@@ -162,8 +180,23 @@ func (h *HeapFile) formatPage(page []byte) {
 
 // Insert stores rec (len must equal RecordLen) and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
+	rid, p, err := h.InsertPinned(rec)
+	if err != nil {
+		return RID{}, err
+	}
+	h.Release(p)
+	return rid, nil
+}
+
+// InsertPinned is Insert that returns with the row's page still pinned and
+// latched, the row already on it. A logging caller appends the insert's log
+// record and only then calls Release, so the unpin that marks the page dirty
+// follows the append, as it does for an update and a delete: the page cannot
+// be written back carrying a row whose record the log does not hold yet.
+// Until Release nobody else reads or writes the page.
+func (h *HeapFile) InsertPinned(rec []byte) (RID, Pinned, error) {
 	if len(rec) != h.recLen {
-		return RID{}, fmt.Errorf("storage: %s: record is %d bytes, want %d: %w", h.name, len(rec), h.recLen, ErrInvalidArgument)
+		return RID{}, Pinned{}, fmt.Errorf("storage: %s: record is %d bytes, want %d: %w", h.name, len(rec), h.recLen, ErrInvalidArgument)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -172,50 +205,54 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		pid := h.pages[idx]
 		p, err := h.pager.Pin(pid)
 		if err != nil {
-			return RID{}, err
+			return RID{}, Pinned{}, err
 		}
-		slot := -1
 		for s := 0; s < h.slots; s++ {
-			if !bitmapGet(p.Data, s) {
-				bitmapSet(p.Data, s, true)
-				off := slotOffset(h.slots, h.recLen, s)
-				copy(p.Data[off:off+h.recLen], rec)
-				slot = s
-				break
+			if bitmapGet(p.Data, s) {
+				continue
 			}
-		}
-		h.pager.Unpin(p, slot >= 0)
-		if slot >= 0 {
+			if _, held := h.held[RID{Page: pid, Slot: uint16(s)}]; held {
+				continue
+			}
+			h.put(p.Data, s, rec)
 			// Check whether the page is now full by slot count:
 			// conservatively drop it from the free list when the
 			// last slot was taken.
-			if slot == h.slots-1 {
+			if s == h.slots-1 {
 				h.freePages = h.freePages[:len(h.freePages)-1]
 			}
 			h.liveCount++
-			return RID{Page: pid, Slot: uint16(slot)}, nil
+			return RID{Page: pid, Slot: uint16(s)}, p, nil
 		}
+		h.pager.Unpin(p, false)
 		h.freePages = h.freePages[:len(h.freePages)-1]
 	}
 	pid, err := h.pager.Allocate()
 	if err != nil {
-		return RID{}, err
+		return RID{}, Pinned{}, err
 	}
-	err = h.pager.With(pid, true, func(page []byte) {
-		h.formatPage(page)
-		bitmapSet(page, 0, true)
-		off := slotOffset(h.slots, h.recLen, 0)
-		copy(page[off:off+h.recLen], rec)
-	})
+	p, err := h.pager.Pin(pid)
 	if err != nil {
-		return RID{}, err
+		return RID{}, Pinned{}, err
 	}
-	h.pages = append(h.pages, pid)
+	h.formatPage(p.Data)
+	h.put(p.Data, 0, rec)
+	h.addPage(pid)
 	if h.slots > 1 {
 		h.freePages = append(h.freePages, len(h.pages)-1)
 	}
 	h.liveCount++
-	return RID{Page: pid, Slot: 0}, nil
+	return RID{Page: pid, Slot: 0}, p, nil
+}
+
+// Release unpins the page InsertPinned returned, marking it dirty.
+func (h *HeapFile) Release(p Pinned) { h.pager.Unpin(p, true) }
+
+// put marks slot live on page and copies rec into it.
+func (h *HeapFile) put(page []byte, slot int, rec []byte) {
+	bitmapSet(page, slot, true)
+	off := slotOffset(h.slots, h.recLen, slot)
+	copy(page[off:off+h.recLen], rec)
 }
 
 // InsertAt places rec at a specific RID, formatting and extending the file
@@ -229,8 +266,8 @@ func (h *HeapFile) InsertAt(rid RID, rec []byte) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.knownPageLocked(rid.Page) {
-		h.pages = append(h.pages, rid.Page)
+	if _, known := h.pageIdx[rid.Page]; !known {
+		h.addPage(rid.Page)
 		h.freePages = append(h.freePages, len(h.pages)-1)
 		if err := h.pager.With(rid.Page, true, func(page []byte) {
 			if binary.LittleEndian.Uint16(page[0:2]) == 0 {
@@ -243,9 +280,7 @@ func (h *HeapFile) InsertAt(rid RID, rec []byte) error {
 	var wasLive bool
 	err := h.pager.With(rid.Page, true, func(page []byte) {
 		wasLive = bitmapGet(page, int(rid.Slot))
-		bitmapSet(page, int(rid.Slot), true)
-		off := slotOffset(h.slots, h.recLen, int(rid.Slot))
-		copy(page[off:off+h.recLen], rec)
+		h.put(page, int(rid.Slot), rec)
 	})
 	if err != nil {
 		return err
@@ -264,9 +299,12 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.pages = append([]PageID(nil), ids...)
+	h.pageIdx = make(map[PageID]int, len(ids))
+	clear(h.held)
 	h.freePages = h.freePages[:0]
 	h.liveCount = 0
 	for i, pid := range h.pages {
+		h.pageIdx[pid] = i
 		var live int
 		err := h.pager.With(pid, false, func(page []byte) {
 			for s := 0; s < h.slots; s++ {
@@ -284,15 +322,6 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 		}
 	}
 	return nil
-}
-
-func (h *HeapFile) knownPageLocked(pid PageID) bool {
-	for _, p := range h.pages {
-		if p == pid {
-			return true
-		}
-	}
-	return false
 }
 
 // Read copies the record at rid into out (len RecordLen).
@@ -339,8 +368,21 @@ func (h *HeapFile) Update(rid RID, rec []byte) error {
 	return nil
 }
 
-// Delete removes the record at rid.
+// Delete removes the record at rid and frees its slot for reuse.
 func (h *HeapFile) Delete(rid RID) error {
+	if err := h.DeleteHeld(rid); err != nil {
+		return err
+	}
+	h.Unhold(rid)
+	return nil
+}
+
+// DeleteHeld removes the record at rid but keeps its slot out of Insert's
+// reach until Unhold(rid). A transaction deleting a row uses it and lets the
+// slot go when it ends: were the slot reusable at once, another
+// transaction's insert could land in it, and the deleter's rollback, which
+// puts the row back at its old RID, would overwrite that insert.
+func (h *HeapFile) DeleteHeld(rid RID) error {
 	p, err := h.pager.Pin(rid.Page)
 	if err != nil {
 		return err
@@ -356,24 +398,21 @@ func (h *HeapFile) Delete(rid RID) error {
 	}
 	h.mu.Lock()
 	h.liveCount--
-	// Make the page eligible for inserts again.
-	for i, p := range h.pages {
-		if p == rid.Page {
-			found := false
-			for _, f := range h.freePages {
-				if f == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				h.freePages = append(h.freePages, i)
-			}
-			break
-		}
-	}
+	h.held[rid] = struct{}{}
 	h.mu.Unlock()
 	return nil
+}
+
+// Unhold lets go of a slot DeleteHeld emptied — whether the row is gone for
+// good or a rollback has put it back — and makes its page eligible for
+// inserts again.
+func (h *HeapFile) Unhold(rid RID) {
+	h.mu.Lock()
+	delete(h.held, rid)
+	if i, ok := h.pageIdx[rid.Page]; ok && !slices.Contains(h.freePages, i) {
+		h.freePages = append(h.freePages, i)
+	}
+	h.mu.Unlock()
 }
 
 // Scan calls fn for every live record in page order; returning false stops

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +215,56 @@ func TestHeapFillsPagesDensely(t *testing.T) {
 	}
 	if h.PageCount() != 3 {
 		t.Errorf("insert after delete allocated page %d", rid.Page)
+	}
+}
+
+// TestDeleteHeldKeepsSlotFromInsert: a slot emptied by DeleteHeld is not
+// handed out until Unhold, and is the next one handed out after it — Delete
+// is the two together.
+func TestDeleteHeldKeepsSlotFromInsert(t *testing.T) {
+	s := mustStore(t, 4096)
+	h, err := NewHeapFile("t", newDirectPager(s), 4096, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	for i := 0; i < 5; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte(i + 1)}, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := h.DeleteHeld(rids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if h.Live() != 4 {
+		t.Errorf("live = %d after DeleteHeld, want 4", h.Live())
+	}
+	other, err := h.Insert(bytes.Repeat([]byte{9}, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == rids[1] {
+		t.Fatalf("Insert reused the held slot %v", other)
+	}
+	// The deleter rolls back: the row returns to its slot, intact beside
+	// the insert, and letting go of the slot frees nothing.
+	if err := h.InsertAt(rids[1], bytes.Repeat([]byte{2}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	h.Unhold(rids[1])
+	got := make([]byte, 100)
+	if err := h.Read(other, got); err != nil || got[0] != 9 {
+		t.Errorf("the insert after a rolled-back delete: %v, byte %d", err, got[0])
+	}
+	// The deleter commits: the slot is the next one handed out.
+	if err := h.DeleteHeld(rids[3]); err != nil {
+		t.Fatal(err)
+	}
+	h.Unhold(rids[3])
+	if rid, err := h.Insert(bytes.Repeat([]byte{7}, 100)); err != nil || rid != rids[3] {
+		t.Errorf("Insert after Unhold = %v, %v, want the freed slot %v", rid, err, rids[3])
 	}
 }
 
@@ -455,6 +506,46 @@ func TestStoreReportsDoubleCorruption(t *testing.T) {
 	var ce *CorruptPageError
 	if !errors.As(err, &ce) || ce.ID != id {
 		t.Errorf("corrupt page error = %v, want page %d", err, id)
+	}
+}
+
+// flakyJournal fails the next journal-area read with a transient error.
+type flakyJournal struct {
+	*MemDisk
+	fail bool
+}
+
+func (d *flakyJournal) Read(id PageID, area Area, buf []byte) error {
+	if area == AreaJournal && d.fail {
+		d.fail = false
+		return fmt.Errorf("injected: %w", ErrTransientIO)
+	}
+	return d.MemDisk.Read(id, area, buf)
+}
+
+// TestJournalReadErrorIsNotCorruption: the primary copy fails its checksum
+// and the read of the mirror hits a device error. That is a failed read the
+// caller may retry — the mirror is intact — not a page corrupt on both
+// copies, which nobody would retry.
+func TestJournalReadErrorIsNotCorruption(t *testing.T) {
+	disk := &flakyJournal{MemDisk: NewMemDisk()}
+	s, err := NewStoreOn(disk, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustAlloc(t, s)
+	img := bytes.Repeat([]byte{0x5A}, 512)
+	if err := s.Flush(id, img); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(t, disk.MemDisk, id, AreaData, 512+4, 1000)
+	disk.fail = true
+	got := make([]byte, 512)
+	if err := s.Read(id, got); !errors.Is(err, ErrTransientIO) || errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("read with a failing mirror = %v, want the transient error", err)
+	}
+	if err := s.Read(id, got); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("retry = %v, want the repaired image", err)
 	}
 }
 

@@ -174,8 +174,12 @@ func (s *Store) Read(id PageID, buf []byte) error {
 		return nil
 	}
 	s.stats.detected.Add(1)
-	jerr := s.disk.Read(id, AreaJournal, phys)
-	if jerr != nil || !checkOK(phys) {
+	// A device error on the mirror is a failed read like any other (a
+	// transient one is the caller's to retry), not proof of corruption.
+	if err := s.disk.Read(id, AreaJournal, phys); err != nil {
+		return fmt.Errorf("storage: read journal of page %d: %w", id, err)
+	}
+	if !checkOK(phys) {
 		return &CorruptPageError{ID: id}
 	}
 	// The mirror survived: serve it and repair the primary copy. A failed

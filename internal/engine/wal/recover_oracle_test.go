@@ -46,7 +46,8 @@ func cloneLog(l *Log) *Log {
 	for _, seg := range l.segs {
 		c.segs = append(c.segs, bytes.Clone(seg))
 	}
-	c.size, c.forcedLen, c.next = l.size, l.forcedLen, l.next
+	c.truncate(l.size)
+	c.forcedLen, c.next = l.forcedLen, l.next
 	return c
 }
 

@@ -60,8 +60,16 @@
 // tail a crash may lose or tear (CrashTail models this). Every record
 // carries a CRC32-C, so recovery detects a torn or corrupted tail and
 // truncates the log at the first bad record instead of replaying garbage.
-// The buffer manager calls Force before stealing a dirty page, so any page
-// image on disk is always covered by durable log records (the WAL rule).
+//
+// The WAL rule. A writer appends a row's record before it dirties the row's
+// page, and the buffer manager notes, on every dirtying unpin, how long the
+// log is (Size, one atomic load, no mutex). Before it writes the page back it
+// calls ForceTo with the latest such note, so any page image on disk is
+// covered by durable log records. ForceTo returns at once when the offset is
+// inside the durable prefix — the usual case: the page about to be written is
+// the pool's least recently used, last changed long before the log's durable
+// point — and otherwise forces exactly as a committer does, everything
+// buffered, so the n handed to BeforeForce never decreases.
 //
 // Commit is split in two. PreCommit puts a transaction's commit record in
 // the buffer without touching the device; the transaction then publishes
@@ -97,11 +105,12 @@
 // (storage.ErrTransientIO) in place, a bounded number of times, the bytes
 // staying in the buffer. If the error persists, or the device is dead
 // (storage.ErrCrashed), the log latches failed: every waiter and every
-// later PreCommit, forced Append, Force and WaitPreCommitted returns the
-// error until recovery clears it. The buffered record may still reach the
-// device with a surviving tail, so a transaction that was never
-// acknowledged may survive a crash — at most one per worker, and never
-// without the transactions it read from. An acknowledged one always does.
+// later PreCommit, forced Append, WaitPreCommitted and ForceTo of an offset
+// not yet durable returns the error until recovery clears it. The buffered
+// record may still reach the device with a surviving tail, so a transaction
+// that was never acknowledged may survive a crash — at most one per worker,
+// and never without the transactions it read from. An acknowledged one
+// always does.
 package wal
 
 import (
@@ -112,6 +121,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tpccmodel/internal/engine/storage"
@@ -352,8 +362,13 @@ type Log struct {
 	mu sync.Mutex
 	// The log is the byte stream [0, size); byte o of it is
 	// segs[o/segSize][o%segSize].
-	segs   [][]byte
-	size   int
+	segs [][]byte
+	size int
+	// published is size again, for readers that must not take mu: the
+	// buffer manager reads it on every unpin that dirties a page. buffer and
+	// truncate, the two places size changes, keep it in step.
+	published atomic.Int64
+
 	next   LSN
 	forces int64 // forces led by committers (the model's per-txn log I/O)
 	syncs  int64 // WAL-rule forces issued by the buffer manager
@@ -437,6 +452,7 @@ func (l *Log) put(start int, r *Record) int {
 // truncate cuts the log back to its first n bytes.
 func (l *Log) truncate(n int) {
 	l.size = n
+	l.published.Store(int64(n))
 	l.segs = l.segs[:(n+segSize-1)/segSize]
 }
 
@@ -446,6 +462,7 @@ func (l *Log) buffer(r *Record) (LSN, int, int) {
 	r.LSN = l.next
 	start := l.size
 	l.size = l.put(start, r)
+	l.published.Store(int64(l.size))
 	l.next++
 	return r.LSN, start, l.size
 }
@@ -587,13 +604,19 @@ func (l *Log) lead(upto int, count *int64) error {
 	return err
 }
 
-// Force makes the whole buffered log durable. The buffer manager calls it
-// before flushing a dirty page (the WAL rule), so before-spans of stolen
-// pages always survive a crash.
-func (l *Log) Force() error {
+// ForceTo makes the first off bytes of the log durable: the WAL rule, called
+// by the buffer manager before it writes back a page last dirtied when the
+// log was off bytes long. An offset inside the durable prefix costs nothing —
+// no device call, and no error even from a log latched failed, because what
+// the page needs is on the device already. Otherwise the caller waits out the
+// force in flight or leads one, of everything buffered, counted in Syncs. An
+// off past the end of the log (one noted before a crash cut the tail) means
+// the whole log.
+func (l *Log) ForceTo(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for end := l.size; l.forcedLen < end; {
+	// Every wait drops l.mu and the log may be cut meanwhile: clamp each turn.
+	for int64(l.forcedLen) < min(off, int64(l.size)) {
 		if l.failed != nil {
 			return l.failed
 		}
@@ -607,6 +630,9 @@ func (l *Log) Force() error {
 	}
 	return nil
 }
+
+// Force makes the whole buffered log durable.
+func (l *Log) Force() error { return l.ForceTo(l.Size()) }
 
 // Forces returns the number of log forces committers led — the model's
 // one-log-I/O-per-transaction term.
@@ -626,19 +652,16 @@ func (l *Log) Waits() int64 {
 	return l.waits
 }
 
-// Syncs returns the number of WAL-rule forces (page-steal protection).
+// Syncs returns the number of forces ForceTo led: WAL-rule forces, of log the
+// page being written back needed and no committer had forced yet.
 func (l *Log) Syncs() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncs
 }
 
-// Size returns the log size in bytes.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int64(l.size)
-}
+// Size returns the log size in bytes. It takes no lock.
+func (l *Log) Size() int64 { return l.published.Load() }
 
 // DurableSize returns the forced (crash-surviving) prefix length.
 func (l *Log) DurableSize() int64 {
