@@ -20,16 +20,19 @@ build:
 # -short-skipped, and so do shard's TestHomeShardOtherWarehouseLine and
 # TestCrossShardDeadlockLiveness (two workers in a cross-shard lock cycle
 # only the wait timeout breaks). The buffer manager and the page store,
-# where page I/O runs concurrently with everything else, and the log, whose
-# force protocol has three entry points racing each other (committers,
-# read-only acknowledgements, the buffer manager's ForceTo) and whose size
-# is read without its mutex, get the race detector on their full suites
+# where page I/O — demand misses, read-aheads, write-backs — runs
+# concurrently with everything else, the log, whose force protocol has
+# three entry points racing each other (committers, read-only
+# acknowledgements, the buffer manager's ForceTo) and whose size is read
+# without its mutex, and the lock manager, the index and the version store,
+# whose suites are small, get the race detector on their full suites
 # (gated-device and sleeping-device tests included; seconds each).
 test:
 	go vet ./...
 	go test ./...
 	go test -race -short -timeout 30m ./internal/engine/...
-	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/ ./internal/engine/wal/
+	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/ ./internal/engine/wal/ \
+		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/
 
 race:
 	go test -race -timeout 60m ./...

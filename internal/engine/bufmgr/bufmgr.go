@@ -30,6 +30,19 @@
 //     store.Read serves both, so at quiescence Misses == store reads. If
 //     the read fails the frame is unpublished and freed, the reader gets
 //     the error, and each waiter retries as a miss of its own;
+//   - read ahead: Prefetch reserved it the same way, for a page no one has
+//     pinned yet, and published it with io == ioRead, NO pin and `ahead`
+//     set, at the MRU end of the LRU list; a goroutine of its own runs
+//     store.Read. The reservation is the page's miss: counted and tapped
+//     (ReadAhead) at publication, so Misses == store reads still holds. An
+//     evictor passes the frame over while its read is in flight. The first
+//     pin — waiting out the read if need be, as for another pin's miss —
+//     CLAIMS it: counted nowhere, tapped as a Claim, moved to MRU like any
+//     pin, so the counters and the logical reference stream are those of
+//     the same pins without read-ahead. A frame nobody claims is an LRU
+//     frame like any other and ages out; it cost one counted miss. A failed
+//     read-ahead is invisible: the frame is unpublished and freed, and the
+//     pin that wanted the page reads it as its own miss;
 //   - resident: pinned, or unpinned and on the LRU list. An Unpin (or
 //     With) that dirties the page notes in the frame, BEFORE it lets go of
 //     the content latch, how long the log is (logEnd; see the WAL rule
@@ -47,8 +60,9 @@
 //     write-back simply stays, clean, and the next victim is taken.
 //
 // Lock order: content latch, then p.mu (Unpin); p.mu is never held across
-// a device call, a log force or a content-latch wait. Crash and FlushAll
-// wait out frames whose I/O is in flight.
+// a device call, a log force or a content-latch wait (Peek, under p.mu, only
+// tries the latch). Crash and FlushAll wait out frames whose I/O is in
+// flight, read-aheads included.
 //
 // # The WAL rule
 //
@@ -64,7 +78,9 @@
 // one pair — whoever holds it sees either both the change and its offset or
 // neither. A frame at the LRU tail was last dirtied long before the log's
 // durable point, so for the cleaner and the evictor the rule is normally
-// free: a mutex and a comparison, no log I/O.
+// free: a mutex and a comparison, no log I/O. A read-ahead only reads, so
+// the rule has nothing to say about it: its frame is clean until a pinner
+// dirties it through Unpin like any other.
 //
 // # Clean-ahead
 //
@@ -83,26 +99,49 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tpccmodel/internal/engine/storage"
 )
 
-// Tap observes the buffer manager's reference stream: it is called once
-// per logical access (pin) with the page, its accounting class, and the
-// hit/miss outcome, and once per page allocation (alloc = true; allocations
-// make a page resident at the MRU position without counting as an access,
-// so a replayed LRU simulation must see them to reproduce the pool state).
-// The tap runs under the partition lock, so calls are totally ordered PER
-// PARTITION and the callback must not re-enter the manager. A miss is
-// reported when its frame is published, before the page is read. With a
-// single partition and a single-threaded caller the call order is exactly
-// the LRU decision order, which is what makes the engine's measured
-// hit/miss stream bit-reproducible by a stack-distance replay (package
-// xval) — that guarantee is therefore only claimed at partitions = 1, and
-// the cross-validation gate pins that configuration.
-type Tap func(id storage.PageID, cls int, alloc, hit bool)
+// Event is what one Tap call reports.
+type Event uint8
 
-// Stats counts logical page accesses and physical misses.
+const (
+	// Hit: a pin found the page resident. Counted as a hit.
+	Hit Event = iota
+	// Miss: a pin reserved a frame and reads the page in. Counted as a miss.
+	Miss
+	// Alloc: a page was created resident at the MRU position. Not an access
+	// and not counted, but a replayed LRU must see it to reproduce the pool.
+	Alloc
+	// ReadAhead: Prefetch reserved a frame and reads the page in. It is the
+	// page's miss, taken ahead of its use, and counted as one.
+	ReadAhead
+	// Claim: the first pin of a read-ahead frame. It is the logical access
+	// whose miss the ReadAhead already counted, so it is counted nowhere; it
+	// moves the frame to MRU like any pin.
+	Claim
+)
+
+// Tap observes the buffer manager's reference stream: it is called once
+// per pin (Hit, Miss or Claim), per read-ahead reservation and per page
+// allocation, with the page and its accounting class. The tap runs under
+// the partition lock, so calls are totally ordered PER PARTITION and the
+// callback must not re-enter the manager. A miss or read-ahead is reported
+// when its frame is published, before the page is read. With a single
+// partition and a single-threaded caller the call order is exactly the LRU
+// decision order, which is what makes the engine's measured hit/miss
+// stream bit-reproducible by a stack-distance replay (package xval) — that
+// guarantee is therefore only claimed at partitions = 1, and the
+// cross-validation gate pins that configuration. Dropping the ReadAhead
+// events and reading each Claim as an access gives the logical stream: the
+// pins in the order the transactions made them, whatever was read ahead.
+type Tap func(id storage.PageID, cls int, ev Event)
+
+// Stats counts logical page accesses and physical misses. A read-ahead is
+// counted as the miss of the access that claims it, and the claim in
+// neither field.
 type Stats struct {
 	Hits    int64
 	Misses  int64
@@ -135,7 +174,7 @@ type ioState uint8
 
 const (
 	ioNone  ioState = iota
-	ioRead          // reserved: a miss is reading the page in; pins == 1, the reader's
+	ioRead          // reserved: a miss (pins == 1, the reader's) or a read-ahead (pins == 0) is reading the page in
 	ioClean         // busy: being written back in place (cleaner, FlushAll)
 	ioEvict         // busy: being written back by the evictor that will take it
 )
@@ -152,6 +191,8 @@ type frame struct {
 	pins  int
 	dirty bool
 	io    ioState
+	// ahead marks a read-ahead frame no pin has claimed yet (on p.mu).
+	ahead bool
 	// logEnd is the log's size at the latest unpin that dirtied the page:
 	// the log must be durable that far before data may be written back.
 	// Guarded by contentMu, not p.mu (see the package comment's WAL rule).
@@ -172,9 +213,12 @@ type frame struct {
 	// ioDone (on p.mu) is broadcast when io returns to ioNone: it wakes
 	// whoever waits for THIS frame — pins of the page being read, an
 	// evictor or FlushAll waiting for its write, Crash — and nobody else.
-	// Last, so the fields a hit touches share cache lines as they did
-	// before frames had one.
+	// Last, with readAhead, so the fields a hit touches share cache lines
+	// as they did before frames had them.
 	ioDone sync.Cond
+	// readAhead is f.fill, bound once when the frame is carved: a go
+	// statement on it allocates nothing, one on the method would.
+	readAhead func()
 }
 
 // partition is one shard of the pool: a mutex, the frames whose pages hash
@@ -235,6 +279,9 @@ type Manager struct {
 	// hooks above it is read under a frame's content latch, with no
 	// partition mutex: SetLog runs before the first access.
 	log Log
+
+	// evicted is set by the first eviction and never cleared (see Evicted).
+	evicted atomic.Bool
 }
 
 // Log is what the buffer manager needs of the write-ahead log to keep the
@@ -333,11 +380,13 @@ func (p *partition) frameFor(id storage.PageID) *frame {
 		f.data = p.dataSlab[:ps:ps]
 		p.dataSlab = p.dataSlab[ps:]
 		f.part = p
+		f.readAhead = f.fill
 		f.ioDone.L = &p.mu
 	}
 	f.id = id
 	f.pins = 0
 	f.dirty = false
+	f.ahead = false
 	f.logEnd = 0
 	f.inLRU = false
 	f.prev, f.next = nil, nil
@@ -426,27 +475,88 @@ func (m *Manager) SetTap(fn Tap) {
 	m.tap = fn
 }
 
-// read publishes the reserved frame f for its page and fills it from the
-// store with p.mu dropped: other pins of the partition proceed, a pin of
-// the same page waits on f.ioDone. On failure the frame is unpublished and
-// freed; the woken waiters look the page up again. Callers hold p.mu and
-// f's only pin.
-func (p *partition) read(f *frame) error {
+// reserve looks page id up for a pin (wait) or a read-ahead (!wait). It
+// returns the page's published frame — for a pin, once no read of it is in
+// flight — or nil once the partition has room for a new frame, making that
+// room as a miss does. Callers hold p.mu, which any step may drop and
+// retake.
+func (p *partition) reserve(id storage.PageID, wait bool) (*frame, error) {
+	for {
+		if f, ok := p.frames[id]; ok {
+			if wait && f.io == ioRead {
+				f.ioDone.Wait()
+				continue
+			}
+			return f, nil
+		}
+		if len(p.frames) < p.capacity {
+			return nil, nil
+		}
+		p.cleanAheadOfMiss()
+		if err := p.makeRoom(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// publish takes a frame for page id, counted and tapped as ev (Miss or
+// ReadAhead), and publishes it with its read in flight: a pin of the page
+// now waits on f.ioDone. Callers hold p.mu and have reserved room.
+func (p *partition) publish(id storage.PageID, ev Event) *frame {
+	p.note(id, ev)
+	f := p.frameFor(id)
 	f.io = ioRead
-	p.frames[f.id] = f
-	p.mu.Unlock()
+	p.frames[id] = f
+	return f
+}
 
-	err := p.mgr.store.Read(f.id, f.data)
-
-	p.mu.Lock()
+// readDone ends f's read: on failure the frame is unpublished and freed,
+// and whoever waits on it looks the page up again. Callers hold p.mu.
+func (p *partition) readDone(f *frame, err error) {
 	f.io = ioNone
 	f.ioDone.Broadcast()
 	if err != nil {
+		if f.inLRU {
+			p.lruRemove(f)
+		}
 		delete(p.frames, f.id)
 		p.freeFrame(f)
-		p.cond.Broadcast()
 	}
-	return err
+	// A free slot (failure) or an unpinned read-ahead frame, which victim
+	// skipped while it was reading, may be what a reservation waits for.
+	p.cond.Broadcast()
+}
+
+// fill reads the frame Prefetch published, off the caller's goroutine.
+func (f *frame) fill() {
+	p := f.part
+	err := p.mgr.store.Read(f.id, f.data)
+	p.mu.Lock()
+	p.readDone(f, err)
+	p.mu.Unlock()
+}
+
+// note counts and taps one reference-stream event for page id other than a
+// hit, which pin counts itself. Callers hold p.mu.
+func (p *partition) note(id storage.PageID, ev Event) {
+	m := p.mgr
+	if m.tap == nil && (ev == Alloc || ev == Claim) {
+		return // counted nowhere, and nobody to tell
+	}
+	cls := 0
+	if m.classOf != nil {
+		cls = m.classOf(id)
+	}
+	switch ev {
+	case Miss, ReadAhead:
+		p.stats.Misses++
+		if p.classStats != nil {
+			p.classStats[cls].Misses++
+		}
+	}
+	if m.tap != nil {
+		m.tap(id, cls, ev)
+	}
 }
 
 // writeBack writes the dirty resident frame f to the store, honoring the
@@ -487,12 +597,13 @@ func (p *partition) writeBack(f *frame, as ioState) error {
 }
 
 // victim returns the least recently used unpinned frame that no other
-// evictor has spoken for, or nil. A frame being cleaned in place is still
-// the victim (its write is waited for), which is what keeps the eviction
-// order plain LRU whatever the cleaner does. Callers hold p.mu.
+// evictor has spoken for and no read-ahead is still filling, or nil. A frame
+// being cleaned in place is still the victim (its write is waited for),
+// which is what keeps the eviction order plain LRU whatever the cleaner
+// does. Callers hold p.mu.
 func (p *partition) victim() *frame {
 	f := p.lruTail
-	for f != nil && f.io == ioEvict {
+	for f != nil && (f.io == ioEvict || f.io == ioRead) {
 		f = f.prev
 	}
 	return f
@@ -531,6 +642,9 @@ func (p *partition) makeRoom() error {
 		delete(p.frames, f.id)
 		p.stats.Evicts++
 		p.freeFrame(f)
+		if !p.mgr.evicted.Load() {
+			p.mgr.evicted.Store(true)
+		}
 	}
 	return nil
 }
@@ -634,53 +748,109 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	cls := 0
-	if m.classOf != nil {
-		cls = m.classOf(id)
-	}
-	// Every wait below drops p.mu, so each turn looks the page up again.
-	for {
-		if f, ok := p.frames[id]; ok {
-			if f.io == ioRead {
-				f.ioDone.Wait()
-				continue
-			}
-			p.stats.Hits++
-			if p.classStats != nil {
-				p.classStats[cls].Hits++
-			}
-			if m.tap != nil {
-				m.tap(id, cls, false, true)
-			}
-			if f.pins == 0 && f.inLRU {
-				p.lruRemove(f)
-			}
-			f.pins++
-			return f, nil
-		}
-		if len(p.frames) < p.capacity {
-			break
-		}
-		p.cleanAheadOfMiss()
-		if err := p.makeRoom(); err != nil {
+	// A hit, the common case, costs one lookup before it is counted.
+	f, ok := p.frames[id]
+	if !ok || f.io == ioRead {
+		var err error
+		if f, err = p.reserve(id, true); err != nil {
 			return nil, err
 		}
+		if f == nil {
+			return p.readIn(id)
+		}
 	}
+	if f.ahead {
+		f.ahead = false
+		p.note(id, Claim)
+	} else {
+		// note(id, Hit), written out: this is the path every access takes.
+		cls := 0
+		if m.classOf != nil {
+			cls = m.classOf(id)
+		}
+		p.stats.Hits++
+		if p.classStats != nil {
+			p.classStats[cls].Hits++
+		}
+		if m.tap != nil {
+			m.tap(id, cls, Hit)
+		}
+	}
+	if f.pins == 0 && f.inLRU {
+		p.lruRemove(f)
+	}
+	f.pins++
+	return f, nil
+}
 
-	p.stats.Misses++
-	if p.classStats != nil {
-		p.classStats[cls].Misses++
-	}
-	if m.tap != nil {
-		m.tap(id, cls, false, false)
-	}
-	f := p.frameFor(id)
+// readIn is a pin's miss: it publishes a frame for page id, pinned, and
+// reads the page into it with p.mu dropped. Callers hold p.mu and have
+// reserved room.
+func (p *partition) readIn(id storage.PageID) (*frame, error) {
+	f := p.publish(id, Miss)
 	f.pins = 1
-	if err := p.read(f); err != nil {
+	p.mu.Unlock()
+	err := p.mgr.store.Read(id, f.data)
+	p.mu.Lock()
+	p.readDone(f, err)
+	if err != nil {
 		return nil, err
 	}
 	return f, nil
 }
+
+// Prefetch starts reading the listed pages that are not resident and returns
+// without waiting for any of them. Each such page gets a frame reserved the
+// way a miss reserves one (eviction and write-back of a victim included),
+// counted and tapped as a ReadAhead, published at the MRU position with its
+// read in flight, and filled on a goroutine of its own; a pin of the page
+// waits on that read as it waits on another pin's miss, and the first one
+// claims the frame (see Claim). A page already resident or being read costs
+// a map probe and nothing else: no count, no tap, no LRU move. A failed
+// read-ahead is invisible: its frame is unpublished and freed, and the pin
+// that wanted the page reads it as its own miss and gets its own error. ids
+// is not retained. A reading goroutine holds a reserved frame, so there are
+// never more of them than frames; each ends with its read, and Crash waits
+// for it.
+func (m *Manager) Prefetch(ids []storage.PageID) {
+	for _, id := range ids {
+		p := m.partOf(id)
+		p.mu.Lock()
+		if f, err := p.reserve(id, false); f == nil && err == nil {
+			f = p.publish(id, ReadAhead)
+			f.ahead = true
+			p.lruPush(f)
+			go f.readAhead()
+		}
+		p.mu.Unlock()
+	}
+}
+
+// Peek copies the bytes of page id at off into out when the page is
+// resident — once a read of it in flight is done — and nobody holds its
+// content latch; otherwise it reports false. It is a hint for planning
+// read-ahead, never an access: nothing is counted, tapped, pinned or moved.
+func (m *Manager) Peek(id storage.PageID, off int, out []byte) bool {
+	p := m.partOf(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	for ok && f.io == ioRead {
+		f.ioDone.Wait()
+		f, ok = p.frames[id]
+	}
+	// TryLock: the content latch is taken before p.mu everywhere else.
+	if !ok || !f.contentMu.TryLock() {
+		return false
+	}
+	copy(out, f.data[off:])
+	f.contentMu.Unlock()
+	return true
+}
+
+// Evicted reports whether the pool has ever had to evict a page: whether the
+// data it is asked for does not fit, which is when reading ahead pays.
+func (m *Manager) Evicted() bool { return m.evicted.Load() }
 
 // noteLog records in f how long the log is, for the WAL rule. The caller
 // holds f's content latch, has changed the page and is about to unpin it
@@ -773,16 +943,10 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 			return 0, err
 		}
 	}
-	if m.tap != nil {
-		// The relation tag is attached by the caller after Allocate
-		// returns, so the class reported here is the default; replays
-		// only need the page identity of uncounted events.
-		cls := 0
-		if m.classOf != nil {
-			cls = m.classOf(id)
-		}
-		m.tap(id, cls, true, false)
-	}
+	// The relation tag is attached by the caller after Allocate returns, so
+	// the class tapped here is the default; replays only need the page
+	// identity of uncounted events.
+	p.note(id, Alloc)
 	f := p.frameFor(id)
 	// A recycled frame still holds its previous page's bytes; a new page
 	// must start zeroed, matching its durable image.

@@ -12,20 +12,21 @@ import (
 	"tpccmodel/internal/rng"
 )
 
-// tapRecorder captures the manager's reference stream: page, engine
-// verdict, and whether the event was an allocation.
+// tapEvent is one event of the manager's reference stream.
 type tapEvent struct {
-	page  storage.PageID
-	alloc bool
-	hit   bool
+	page storage.PageID
+	ev   Event
 }
+
+// counted reports whether the event is a counted access (a hit or a miss).
+func (e tapEvent) counted() bool { return e.ev != Alloc && e.ev != Claim }
 
 func recordingManager(t *testing.T, capacity int) (*Manager, *[]tapEvent) {
 	t.Helper()
 	m := New(mustStore(t, 256), capacity)
 	events := &[]tapEvent{}
-	m.SetTap(func(id storage.PageID, cls int, alloc, hit bool) {
-		*events = append(*events, tapEvent{page: id, alloc: alloc, hit: hit})
+	m.SetTap(func(id storage.PageID, cls int, ev Event) {
+		*events = append(*events, tapEvent{page: id, ev: ev})
 	})
 	return m, events
 }
@@ -49,8 +50,9 @@ func preallocate(t *testing.T, m *Manager, n int) []storage.PageID {
 // oracles — the stack-distance simulator (hit iff distance <= capacity,
 // LRU's inclusion property) and the direct LRU policy — and fails on the
 // first access where either disagrees with the engine's own verdict.
-// Allocations touch both oracles without being judged, mirroring the
-// engine's uncounted-MRU-insert semantics.
+// Allocations and claims touch both oracles without being judged, mirroring
+// the engine's uncounted-MRU-insert semantics; a read-ahead is judged as the
+// miss it is counted as.
 func checkAgainstOracles(t *testing.T, events []tapEvent, capacity int64) {
 	t.Helper()
 	stack := buffer.NewStackSim()
@@ -58,17 +60,18 @@ func checkAgainstOracles(t *testing.T, events []tapEvent, capacity int64) {
 	for i, e := range events {
 		d := stack.Access(core.PageID(e.page))
 		lruHit := lru.Access(core.PageID(e.page))
-		if e.alloc {
+		if !e.counted() {
 			continue
 		}
+		hit := e.ev == Hit
 		stackHit := d != buffer.ColdDistance && d <= capacity
-		if e.hit != stackHit {
+		if hit != stackHit {
 			t.Fatalf("access %d (page %d): engine hit=%v, stack-distance oracle hit=%v (distance %d)",
-				i, e.page, e.hit, stackHit, d)
+				i, e.page, hit, stackHit, d)
 		}
-		if e.hit != lruHit {
+		if hit != lruHit {
 			t.Fatalf("access %d (page %d): engine hit=%v, LRU policy oracle hit=%v",
-				i, e.page, e.hit, lruHit)
+				i, e.page, hit, lruHit)
 		}
 	}
 }
@@ -150,7 +153,7 @@ func TestLRUDifferentialAdversarial(t *testing.T) {
 			st := m.Stats()
 			var taps int64
 			for _, e := range *events {
-				if !e.alloc {
+				if e.counted() {
 					taps++
 				}
 			}
@@ -215,7 +218,7 @@ func TestTapConcurrentSmoke(t *testing.T) {
 	st := m.Stats()
 	var taps int64
 	for _, e := range *events {
-		if !e.alloc {
+		if e.counted() {
 			taps++
 		}
 	}
@@ -236,7 +239,7 @@ func TestSetTapDisable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range *events {
-		if !e.alloc {
+		if e.ev != Alloc {
 			t.Fatalf("tap recorded an access after being disabled: %+v", e)
 		}
 	}

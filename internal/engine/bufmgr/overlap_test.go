@@ -908,3 +908,409 @@ func TestEveryWriteBackKeepsTheWALRule(t *testing.T) {
 		t.Errorf("write sequence %v, want four write-backs and then the checkpoint's two", seq)
 	}
 }
+
+// tapEvents records the events the manager taps, in order.
+type tapEvents struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func tapInto(m *Manager) *tapEvents {
+	r := &tapEvents{}
+	m.SetTap(func(_ storage.PageID, _ int, ev Event) {
+		r.mu.Lock()
+		r.evs = append(r.evs, ev)
+		r.mu.Unlock()
+	})
+	return r
+}
+
+func (r *tapEvents) get() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.evs)
+}
+
+// awaitRead returns once page id has no read in flight.
+func awaitRead(t *testing.T, m *Manager, id storage.PageID) {
+	t.Helper()
+	p := m.partOf(id)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		p.mu.Lock()
+		f := p.frames[id]
+		busy := f != nil && f.io == ioRead
+		p.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the read of page %d never finished", id)
+		}
+	}
+}
+
+// TestPrefetchReturnsBeforeTheRead: Prefetch reserves the frame, counts and
+// taps the read-ahead, and returns while the read is held at the device.
+func TestPrefetchReturnsBeforeTheRead(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 1)
+	taps := tapInto(m)
+	a := ids[0]
+	g := d.gateRead(a)
+	done := async(func() error { m.Prefetch([]storage.PageID{a}); return nil })
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	wait(t, done, "Prefetch to return with the read held")
+	if f := frameOf(m, a); f == nil || f.io != ioRead || f.pins != 0 || !f.ahead {
+		t.Fatalf("A's frame during its read-ahead: %+v, want reserved, reading, unpinned", f)
+	}
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats %+v, want the read-ahead counted as the one miss", st)
+	}
+	if evs := taps.get(); !slices.Equal(evs, []Event{ReadAhead}) {
+		t.Errorf("tapped %v, want one ReadAhead", evs)
+	}
+	g.release <- nil
+	awaitRead(t, m, a)
+}
+
+// TestTwoReadAheadsMakeOneRead: a page whose read-ahead is in flight, asked
+// for again in the same call and in another, is read once.
+func TestTwoReadAheadsMakeOneRead(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 1)
+	a := ids[0]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a, a})
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	m.Prefetch([]storage.PageID{a})
+	g.release <- nil
+	awaitRead(t, m, a)
+	m.Prefetch([]storage.PageID{a})
+	if n := d.readsOf(a); n != 1 {
+		t.Errorf("A read %d times, want 1", n)
+	}
+	if st := m.Stats(); st.Misses != 1 {
+		t.Errorf("stats %+v, want one miss", st)
+	}
+}
+
+// TestClaimWaitsAndCountsNothing: a pin of a page whose read-ahead is in
+// flight waits for the read, sees its bytes and is counted nowhere — the
+// read-ahead was the page's miss; the next pin is a hit.
+func TestClaimWaitsAndCountsNothing(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 1)
+	taps := tapInto(m)
+	a := ids[0]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a})
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	claim := async(func() error {
+		return m.With(a, false, func(p []byte) {
+			if p[0] != 1 {
+				t.Errorf("page A carries %d", p[0])
+			}
+		})
+	})
+	if !blocked(claim) {
+		t.Fatal("a pin of a page being read ahead returned before the read did")
+	}
+	g.release <- nil
+	if err := wait(t, claim, "the claim of A"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats after the claim %+v, want the read-ahead's miss alone", st)
+	}
+	if f := frameOf(m, a); f == nil || f.ahead || m.parts[0].lruHead != f {
+		t.Errorf("A after its claim: %+v, want claimed, at MRU", f)
+	}
+	touch(t, m, a, 0)
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats after a second pin %+v, want 1 miss and 1 hit", st)
+	}
+	if evs := taps.get(); !slices.Equal(evs, []Event{ReadAhead, Claim, Hit}) {
+		t.Errorf("tapped %v, want ReadAhead, Claim, Hit", evs)
+	}
+	if n := d.readsOf(a); n != 1 {
+		t.Errorf("A read %d times, want 1", n)
+	}
+}
+
+// TestPrefetchOfResidentPageIsInvisible: a resident page costs Prefetch a
+// map probe: no count, no tap, no LRU move, no read.
+func TestPrefetchOfResidentPageIsInvisible(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 2)
+	a, b := ids[0], ids[1]
+	touch(t, m, a, 0)
+	touch(t, m, b, 0)
+	taps := tapInto(m)
+	before := m.Stats()
+	m.Prefetch([]storage.PageID{a})
+	p := m.parts[0]
+	if p.lruTail != frameOf(m, a) || p.lruHead != frameOf(m, b) {
+		t.Error("Prefetch moved a resident page")
+	}
+	if st := m.Stats(); st != before {
+		t.Errorf("stats %+v after Prefetch of a resident page, want %+v", st, before)
+	}
+	if evs := taps.get(); len(evs) != 0 {
+		t.Errorf("tapped %v for a resident page", evs)
+	}
+	if n := d.readsOf(a); n != 1 {
+		t.Errorf("A read %d times, want 1", n)
+	}
+}
+
+// TestReadAheadInFlightIsNeverVictim: the frame of a read-ahead is unpinned
+// and on the LRU list from its reservation, but while its read is in flight
+// an evictor passes it over, and a reservation that finds nothing else
+// waits for the read to end.
+func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
+	m, d, ids := gatedPool(t, 2, 1, 4)
+	a, b, c, e := ids[0], ids[1], ids[2], ids[3]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a}) // the LRU tail from here on
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	touch(t, m, b, 0)
+	touch(t, m, c, 0) // evicts B, not A
+	if frameOf(m, b) != nil || frameOf(m, a) == nil {
+		t.Fatal("the evictor took the frame being read ahead, or kept B")
+	}
+	fc, err := m.pin(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss := async(func() error { return m.With(e, false, func([]byte) {}) })
+	if !blocked(miss) {
+		t.Fatal("a miss evicted a frame whose read-ahead was in flight")
+	}
+	g.release <- nil
+	if err := wait(t, miss, "the miss on E"); err != nil {
+		t.Fatal(err)
+	}
+	m.unpin(fc, false)
+	if frameOf(m, a) != nil || frameOf(m, e) == nil {
+		t.Error("want A, read and unclaimed, evicted for E")
+	}
+}
+
+// TestUnclaimedReadAheadAgesOut: a read-ahead no pin claims stays where its
+// reservation put it and is evicted in LRU order like any other frame.
+func TestUnclaimedReadAheadAgesOut(t *testing.T) {
+	m, d, ids := gatedPool(t, 2, 1, 3)
+	a, b, c := ids[0], ids[1], ids[2]
+	m.Prefetch([]storage.PageID{a})
+	awaitRead(t, m, a)
+	touch(t, m, b, 0)
+	touch(t, m, c, 0)
+	if frameOf(m, a) != nil || frameOf(m, b) == nil {
+		t.Error("want the unclaimed read-ahead of A evicted before B")
+	}
+	if st := m.Stats(); st.Misses != 3 || st.Hits != 0 || st.Evicts != 1 {
+		t.Errorf("stats %+v, want 3 misses (one read-ahead) and 1 evict", st)
+	}
+	if n := d.readsOf(a); n != 1 {
+		t.Errorf("A read %d times, want 1", n)
+	}
+}
+
+// carvedPool is a gatedPool whose frames have all been carved and freed, so
+// freeFrames counts the whole pool and a leak check is exact.
+func carvedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.PageID) {
+	t.Helper()
+	m, d, ids := gatedPool(t, capacity, 1, n)
+	for _, id := range ids[:capacity] {
+		touch(t, m, id, 0)
+	}
+	if err := m.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	m.ResetStats()
+	return m, d, ids
+}
+
+// noLeak fails unless every frame of the single partition is resident and
+// unpinned, or free.
+func noLeak(t *testing.T, m *Manager, capacity int) {
+	t.Helper()
+	p := m.parts[0]
+	p.mu.Lock()
+	for _, f := range p.frames {
+		if f.pins != 0 {
+			t.Errorf("page %d left pinned %d times", f.id, f.pins)
+		}
+	}
+	p.mu.Unlock()
+	if res, free := m.Resident(), freeFrames(p); res+free != capacity {
+		t.Errorf("resident %d + free %d != capacity %d: a frame leaked", res, free, capacity)
+	}
+}
+
+// TestFailedReadAheadIsInvisible: a read-ahead whose read fails unpublishes
+// and frees its frame with no pin left behind; the pin that wants the page
+// later reads it as its own miss.
+func TestFailedReadAheadIsInvisible(t *testing.T) {
+	const capacity = 4
+	m, d, ids := carvedPool(t, capacity, capacity+1)
+	a := ids[capacity]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a})
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	g.release <- errors.New("injected read failure")
+	awaitRead(t, m, a)
+	if frameOf(m, a) != nil || m.Resident() != 0 {
+		t.Fatal("a failed read-ahead left its frame published")
+	}
+	noLeak(t, m, capacity)
+	touch(t, m, a, 0)
+	if st := m.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("stats %+v, want the read-ahead's miss and the pin's own", st)
+	}
+	noLeak(t, m, capacity)
+}
+
+// TestPinWaitingOnFailedReadAheadRetries: a pin waiting on a read-ahead that
+// fails looks the page up again, reads it itself and reports what the device
+// says to its own read.
+func TestPinWaitingOnFailedReadAheadRetries(t *testing.T) {
+	const capacity = 4
+	m, d, ids := carvedPool(t, capacity, capacity+1)
+	a := ids[capacity]
+	boom := errors.New("injected read failure")
+	first := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a})
+	wait(t, first.arrived, "the read-ahead of A to reach the device")
+	pin := async(func() error { return m.With(a, false, func([]byte) {}) })
+	if !blocked(pin) {
+		t.Fatal("the pin returned while the read-ahead was in flight")
+	}
+	retry := d.gateRead(a)
+	first.release <- boom
+	wait(t, retry.arrived, "the pin's own read of A to reach the device")
+	retry.release <- boom
+	if err := wait(t, pin, "the pin of A"); !errors.Is(err, boom) {
+		t.Fatalf("pin got %v, want the device's error", err)
+	}
+	if n := d.readsOf(a); n != 2 {
+		t.Errorf("A read %d times, want 2 (the read-ahead and the pin's own)", n)
+	}
+	if frameOf(m, a) != nil {
+		t.Error("A published after two failed reads")
+	}
+	noLeak(t, m, capacity)
+}
+
+// TestCrashDrainsReadAhead: Crash waits out a read-ahead in flight, then
+// finds its frame unpinned and discards it.
+func TestCrashDrainsReadAhead(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 1)
+	a := ids[0]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a})
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	crash := async(m.Crash)
+	if !blocked(crash) {
+		t.Fatal("Crash returned with a read-ahead in flight")
+	}
+	g.release <- nil
+	if err := wait(t, crash, "Crash"); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	if got := m.Resident(); got != 0 {
+		t.Errorf("resident = %d after Crash", got)
+	}
+}
+
+// TestPeekIsNoAccess: Peek of a resident page copies its bytes and leaves the
+// counters, the tap and the LRU order as they were; Peek of a page that is
+// not resident reports false and reads nothing.
+func TestPeekIsNoAccess(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 3)
+	a, b, c := ids[0], ids[1], ids[2]
+	touch(t, m, a, 0)
+	touch(t, m, b, 0)
+	taps := tapInto(m)
+	before := m.Stats()
+	out := make([]byte, 1)
+	if !m.Peek(a, 0, out) || out[0] != 1 {
+		t.Errorf("Peek of resident A: got %v, want its first byte 1", out)
+	}
+	if p := m.parts[0]; p.lruTail != frameOf(m, a) || p.lruHead != frameOf(m, b) {
+		t.Error("Peek moved a resident page")
+	}
+	if m.Peek(c, 0, out) {
+		t.Error("Peek of C, not resident, reported true")
+	}
+	if n := d.readsOf(c); n != 0 {
+		t.Errorf("Peek read C %d times", n)
+	}
+	if st := m.Stats(); st != before {
+		t.Errorf("stats %+v after Peek, want %+v", st, before)
+	}
+	if evs := taps.get(); len(evs) != 0 {
+		t.Errorf("Peek tapped %v", evs)
+	}
+}
+
+// TestPeekWaitsOutReadAhead: Peek of a page whose read-ahead is in flight
+// returns the page's bytes once the read is done, and leaves the frame
+// unclaimed: the first pin is still the claim.
+func TestPeekWaitsOutReadAhead(t *testing.T) {
+	m, d, ids := gatedPool(t, 4, 1, 1)
+	taps := tapInto(m)
+	a := ids[0]
+	g := d.gateRead(a)
+	m.Prefetch([]storage.PageID{a})
+	wait(t, g.arrived, "the read-ahead of A to reach the device")
+	out := make([]byte, 1)
+	peek := async(func() error {
+		if !m.Peek(a, 0, out) {
+			return errors.New("Peek of A reported false")
+		}
+		return nil
+	})
+	if !blocked(peek) {
+		t.Fatal("Peek returned while the read-ahead of A was in flight")
+	}
+	g.release <- nil
+	if err := wait(t, peek, "Peek of A"); err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 1 {
+		t.Errorf("Peek of A copied %d, want 1", out[0])
+	}
+	if f := frameOf(m, a); f == nil || !f.ahead || f.pins != 0 {
+		t.Errorf("A after Peek: %+v, want read ahead, unclaimed, unpinned", f)
+	}
+	touch(t, m, a, 0)
+	if evs := taps.get(); !slices.Equal(evs, []Event{ReadAhead, Claim}) {
+		t.Errorf("tapped %v, want ReadAhead then the pin's Claim", evs)
+	}
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats %+v, want the read-ahead's miss alone", st)
+	}
+}
+
+// TestPeekOfLatchedPageReportsFalse: Peek holds the partition mutex, which
+// a content-latch holder may need to unpin, so it never waits for the latch:
+// a page pinned through Pin reports false at once, and true once unpinned.
+func TestPeekOfLatchedPageReportsFalse(t *testing.T) {
+	m, _, ids := gatedPool(t, 4, 1, 1)
+	a := ids[0]
+	pg, err := m.Pin(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 1)
+	peek := async(func() error {
+		if m.Peek(a, 0, out) {
+			return errors.New("Peek of latched A reported true")
+		}
+		return nil
+	})
+	if err := wait(t, peek, "Peek of latched A"); err != nil {
+		t.Error(err)
+	}
+	m.Unpin(pg, false)
+	if !m.Peek(a, 0, out) || out[0] != 1 {
+		t.Errorf("Peek of A once unlatched: got %v, want its first byte 1", out)
+	}
+}

@@ -197,6 +197,10 @@ func (p relPager) Pin(id storage.PageID) (storage.Pinned, error) { return p.buf.
 
 func (p relPager) Unpin(pg storage.Pinned, dirty bool) { p.buf.Unpin(pg, dirty) }
 
+func (p relPager) Peek(id storage.PageID, off int, out []byte) bool {
+	return p.buf.Peek(id, off, out)
+}
+
 func (p relPager) Allocate() (storage.PageID, error) {
 	id, err := p.buf.Allocate()
 	if err != nil {

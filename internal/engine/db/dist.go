@@ -299,6 +299,7 @@ func (d *DB) NewOrderHomeBegin(gid uint64, in NewOrderInput) (*Branch, NewOrderR
 // An error means the branch already rolled back.
 func (d *DB) RemoteStockBegin(gid uint64, items []OrderItem) (*Branch, error) {
 	b := d.beginBranch(gid)
+	b.s.t.planStock(items)
 	for _, it := range items {
 		if err := b.s.t.orderStock(it, true); err != nil {
 			return b.opened(err)
@@ -327,6 +328,7 @@ func (d *DB) PaymentHomeBegin(gid uint64, in PaymentInput, custW, custD, custC i
 // selection touched.
 func (d *DB) RemotePaymentBegin(gid uint64, w, dist int64, byName bool, c, nameOrd int64, amountCents uint32) (*Branch, int64, int, error) {
 	b := d.beginBranch(gid)
+	b.s.t.planPayment(w, dist, byName, c, nameOrd)
 	cid, selected, err := b.s.t.payCustomer(w, dist, byName, c, nameOrd, amountCents)
 	b, err = b.opened(err)
 	return b, cid, selected, err

@@ -60,6 +60,7 @@ func (s *Session) NewOrder(in NewOrderInput) (NewOrderResult, error) {
 func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	d := t.d
 	var res NewOrderResult
+	t.planNewOrder(in)
 
 	// 1. Select warehouse (snapshot read: the warehouse row is not
 	// written by New-Order, so mvcc takes no lock here).
@@ -198,6 +199,7 @@ type PaymentInput struct {
 // payCustomer at the customer's (RemotePaymentBegin).
 func (s *Session) Payment(in PaymentInput) error {
 	t := s.begin()
+	t.planPayment(in.CW, in.CD, in.ByName, in.C, in.NameOrd)
 	err := t.payHome(in)
 	var cid int64
 	if err == nil {
@@ -287,13 +289,7 @@ func (t *txn) payHistory(in PaymentInput, custW, custD, custC int64) error {
 // the transaction's scratch; the name index yields it in customer-id order
 // (index.KeyWDNC).
 func (t *txn) middleCustomerByName(w, d, nameOrd int64) (int64, int, error) {
-	lo, hi := index.RangeWDNC(w, d, nameOrd)
-	t.hits = t.hits[:0]
-	t.d.custNameIdx.ascendRange(lo, hi, func(k, v uint64) bool {
-		t.hits = append(t.hits, custHit{cid: int64(k & 0xffff), rid: v})
-		return true
-	})
-	hits := t.hits
+	hits := t.nameGroup(w, d, nameOrd)
 	if len(hits) == 0 {
 		return 0, 0, fmt.Errorf("db: no customer named %d in (%d,%d)", nameOrd, w, d)
 	}
@@ -304,6 +300,18 @@ func (t *txn) middleCustomerByName(w, d, nameOrd int64) (int64, int, error) {
 		}
 	}
 	return hits[len(hits)/2].cid, len(hits), nil
+}
+
+// nameGroup collects the customers of (w, d) with last-name ordinal nameOrd
+// into t.hits, in customer-id order.
+func (t *txn) nameGroup(w, d, nameOrd int64) []custHit {
+	lo, hi := index.RangeWDNC(w, d, nameOrd)
+	t.hits = t.hits[:0]
+	t.d.custNameIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+		t.hits = append(t.hits, custHit{cid: int64(k & 0xffff), rid: v})
+		return true
+	})
+	return t.hits
 }
 
 // OrderStatusInput parameterizes the Order-Status transaction.
@@ -331,6 +339,7 @@ func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 func (t *txn) orderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 	d := t.d
 	var res OrderStatusResult
+	t.planOrderStatus(in)
 
 	cid := in.C
 	if in.ByName {
@@ -414,6 +423,7 @@ type DeliveryResult struct {
 func (s *Session) Delivery(in DeliveryInput) (DeliveryResult, error) {
 	t := s.begin()
 	var res DeliveryResult
+	t.planDelivery(in.W)
 	for dist := int64(0); dist < tpcc.DistrictsPerWarehouse; dist++ {
 		delivered, err := t.deliverDistrict(in, dist)
 		if err != nil {

@@ -118,18 +118,25 @@ func (alwaysAborts) Delivery(DeliveryInput) (DeliveryResult, error) {
 }
 func (alwaysAborts) StockLevel(StockLevelInput) (int, error) { return 0, ErrAborted }
 
-// oneShotFailDisk delegates to an inner DiskIO but fails exactly one read
-// with a permanent (non-retriable) error after `after` reads.
+// oneShotFailDisk delegates to an inner DiskIO until its `after`-th read;
+// the page that read asked for then fails every read with a permanent
+// (non-retriable) error. One failed read would not do: if it is a
+// read-ahead's, nobody sees it, and the pin that wanted the page reads it
+// again.
 type oneShotFailDisk struct {
 	storage.DiskIO
 	after int64
 	reads atomic.Int64
+	bad   atomic.Int64 // failing page id + 1; 0 = none yet
 }
 
 var errPermanent = errors.New("permanent device failure")
 
 func (d *oneShotFailDisk) Read(id storage.PageID, area storage.Area, buf []byte) error {
 	if d.reads.Add(1) == d.after {
+		d.bad.Store(int64(id) + 1)
+	}
+	if d.bad.Load() == int64(id)+1 {
 		return errPermanent
 	}
 	return d.DiskIO.Read(id, area, buf)

@@ -96,10 +96,12 @@ type txn struct {
 	img []byte
 
 	// hits, refs, and seen are range-scan scratch for
-	// middleCustomerByName, OrderStatus, and StockLevel.
-	hits []custHit
-	refs []olref
-	seen []uint32
+	// middleCustomerByName, OrderStatus, and StockLevel; pages collects a
+	// read-ahead plan (plan.go).
+	hits  []custHit
+	refs  []olref
+	seen  []uint32
+	pages []storage.PageID
 
 	// mv is the transaction's MVCC state (snapshot, written chains) and
 	// retired the deferred-prune ring of its committed chains; both are

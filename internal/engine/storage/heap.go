@@ -346,6 +346,24 @@ func (h *HeapFile) Read(rid RID, out []byte) error {
 	return nil
 }
 
+// Peeker is implemented by a Pager that can show a resident page's bytes
+// without an access (bufmgr.Manager.Peek).
+type Peeker interface {
+	Peek(id PageID, off int, out []byte) bool
+}
+
+// Peek copies the slot at rid into out (len RecordLen) when the pager can
+// show its page without reading it, and reports whether it did. The slot is
+// not checked for a live record and the page is not pinned: the bytes are a
+// hint, good for deciding what to read ahead and for nothing else.
+func (h *HeapFile) Peek(rid RID, out []byte) bool {
+	pk, ok := h.pager.(Peeker)
+	if !ok || len(out) != h.recLen || int(rid.Slot) >= h.slots {
+		return false
+	}
+	return pk.Peek(rid.Page, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
+}
+
 // Update overwrites the record at rid.
 func (h *HeapFile) Update(rid RID, rec []byte) error {
 	if len(rec) != h.recLen {

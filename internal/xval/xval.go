@@ -59,19 +59,28 @@ const (
 	flagAlloc = 1 << 0
 	// flagHit records the engine's own hit/miss verdict for the access.
 	flagHit = 1 << 1
+	// flagReadAhead marks a read-ahead reservation: an access that missed,
+	// counted by the engine, ahead of the logical access that claims it.
+	flagReadAhead = 1 << 2
+	// flagClaim marks the first pin of a read-ahead frame: the logical
+	// access, counted nowhere by the engine.
+	flagClaim = 1 << 3
 )
+
+// eventFlags maps a tapped event to its stream flags.
+var eventFlags = [...]uint8{
+	bufmgr.Hit:       flagHit,
+	bufmgr.Miss:      0,
+	bufmgr.Alloc:     flagAlloc,
+	bufmgr.ReadAhead: flagReadAhead,
+	bufmgr.Claim:     flagClaim,
+}
 
 // Tap returns the bufmgr.Tap that appends to the stream. Install it via
 // db.SetBufferTap before Load so the stream covers the whole pool history.
 func (s *Stream) Tap() bufmgr.Tap {
-	return func(id storage.PageID, cls int, alloc, hit bool) {
-		var f uint8
-		if alloc {
-			f |= flagAlloc
-		}
-		if hit {
-			f |= flagHit
-		}
+	return func(id storage.PageID, cls int, ev bufmgr.Event) {
+		f := eventFlags[ev]
 		s.pages = append(s.pages, uint64(id))
 		s.rels = append(s.rels, uint8(cls))
 		s.flags = append(s.flags, f)
@@ -86,12 +95,16 @@ func (s *Stream) Mark() { s.mark = len(s.pages) }
 // Len returns the number of recorded events (accesses plus allocations).
 func (s *Stream) Len() int { return len(s.pages) }
 
-// MeasuredAccesses returns the number of counted accesses: non-allocation
-// events at or after the mark.
+// uncounted marks the events the engine counts as no access: they touch the
+// replayed LRU stack and nothing else.
+const uncounted = flagAlloc | flagClaim
+
+// MeasuredAccesses returns the number of counted accesses — hits, misses
+// and read-aheads, as the engine counts them — at or after the mark.
 func (s *Stream) MeasuredAccesses() int64 {
 	var n int64
 	for i := s.mark; i < len(s.flags); i++ {
-		if s.flags[i]&flagAlloc == 0 {
+		if s.flags[i]&uncounted == 0 {
 			n++
 		}
 	}
@@ -167,14 +180,16 @@ type ReplayResult struct {
 // simulation at the given capacity: an access hits iff its stack distance
 // is at most the capacity (LRU's inclusion property), and allocations
 // touch the stack without being counted — exactly the engine's Allocate
-// semantics. It returns per-relation measured counts plus the first
-// divergence from the engine's recorded verdicts, if any.
+// semantics. A read-ahead is scored as the access that missed it is for the
+// engine, and the claim that later pins its frame as an uncounted touch,
+// like an allocation. It returns per-relation measured counts plus the
+// first divergence from the engine's recorded verdicts, if any.
 func (s *Stream) Replay(capacityPages int64) ReplayResult {
 	var res ReplayResult
 	dense := buffer.NewDenseStackSim(s.universe())
 	for i, p := range s.pages {
 		d := dense.Access(int64(p))
-		if s.flags[i]&flagAlloc != 0 {
+		if s.flags[i]&uncounted != 0 {
 			continue
 		}
 		hit := d != buffer.ColdDistance && d <= capacityPages
@@ -213,7 +228,10 @@ func (s *Stream) Replay(capacityPages int64) ReplayResult {
 // pages a transaction touches does not depend on what the buffer evicted —
 // so one engine run at one buffer size yields the engine's exact miss
 // curve at EVERY buffer size, comparable point by point against the
-// synthetic simulation's curves. All curves are finalized.
+// synthetic simulation's curves. All curves are finalized. The curves are
+// of the LOGICAL stream: read-ahead reservations are skipped and each claim
+// counts as the access it is, where the transaction made it, so reading
+// ahead changes no curve.
 func (s *Stream) Curves() (perRel [core.NumRelations]*buffer.MissCurve, overall *buffer.MissCurve) {
 	for rel := range perRel {
 		perRel[rel] = &buffer.MissCurve{}
@@ -221,6 +239,9 @@ func (s *Stream) Curves() (perRel [core.NumRelations]*buffer.MissCurve, overall 
 	overall = &buffer.MissCurve{}
 	dense := buffer.NewDenseStackSim(s.universe())
 	for i, p := range s.pages {
+		if s.flags[i]&flagReadAhead != 0 {
+			continue
+		}
 		d := dense.Access(int64(p))
 		if s.flags[i]&flagAlloc != 0 || i < s.mark {
 			continue
@@ -328,8 +349,8 @@ type ExactRow struct {
 
 // Row is one three-way comparison cell: a modeled relation at a capacity.
 type Row struct {
-	Relation      string  `json:"relation"`
-	CapacityPages int64   `json:"capacity_pages"`
+	Relation      string `json:"relation"`
+	CapacityPages int64  `json:"capacity_pages"`
 	// EngineMiss is the replayed engine-stream miss rate (bit-identical
 	// to what the engine would measure at this capacity), SimMiss the
 	// synthetic trace-driven rate, AnalyticMiss the per-call-adjusted

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"tpccmodel/internal/core"
+	"tpccmodel/internal/engine/bufmgr"
 	"tpccmodel/internal/engine/storage"
 )
 
 // record appends one event to a hand-built stream through the real tap.
-func record(s *Stream, page uint64, rel core.Relation, alloc, hit bool) {
-	s.Tap()(storage.PageID(page), int(rel), alloc, hit)
+func record(s *Stream, page uint64, rel core.Relation, ev bufmgr.Event) {
+	s.Tap()(storage.PageID(page), int(rel), ev)
 }
 
 func TestReplayDivergenceReporting(t *testing.T) {
@@ -21,9 +22,9 @@ func TestReplayDivergenceReporting(t *testing.T) {
 	// LRU miss that we falsely record as an engine hit. The replay must
 	// flag exactly that access, with its stack distance.
 	var s Stream
-	record(&s, 0, core.Stock, false, false)
-	record(&s, 1, core.Stock, false, false)
-	record(&s, 0, core.Customer, false, true) // lie: engine says hit
+	record(&s, 0, core.Stock, bufmgr.Miss)
+	record(&s, 1, core.Stock, bufmgr.Miss)
+	record(&s, 0, core.Customer, bufmgr.Hit) // lie: engine says hit
 	rep := s.Replay(1)
 	if rep.Divergences != 1 || rep.First == nil {
 		t.Fatalf("want exactly one divergence, got %d (first=%v)", rep.Divergences, rep.First)
@@ -49,8 +50,8 @@ func TestReplayAllocationsAreUncountedTouches(t *testing.T) {
 	// following access must be a hit at any capacity >= 1, and only that
 	// access may appear in the counts.
 	var s Stream
-	record(&s, 0, core.Order, true, false)
-	record(&s, 0, core.Order, false, true)
+	record(&s, 0, core.Order, bufmgr.Alloc)
+	record(&s, 0, core.Order, bufmgr.Hit)
 	rep := s.Replay(1)
 	if rep.First != nil {
 		t.Fatalf("unexpected divergence: %v", rep.First)
@@ -63,15 +64,51 @@ func TestReplayAllocationsAreUncountedTouches(t *testing.T) {
 	}
 }
 
+// TestReadAheadKeepsTheLogicalStream: page 2 is read ahead before the
+// accesses of pages 0 and 1 and claimed after them. Replay scores the
+// read-ahead as the engine's miss and the claim as an uncounted touch;
+// Curves skip the read-ahead and count the claim where it stands, so they
+// equal the curves of the same pins with no read-ahead at all.
+func TestReadAheadKeepsTheLogicalStream(t *testing.T) {
+	var ahead, plain Stream
+	record(&ahead, 2, core.Stock, bufmgr.ReadAhead)
+	for _, s := range []*Stream{&ahead, &plain} {
+		record(s, 0, core.Stock, bufmgr.Miss)
+		record(s, 1, core.Stock, bufmgr.Miss)
+	}
+	record(&ahead, 2, core.Stock, bufmgr.Claim)
+	record(&plain, 2, core.Stock, bufmgr.Miss)
+	record(&ahead, 2, core.Stock, bufmgr.Hit)
+	record(&plain, 2, core.Stock, bufmgr.Hit)
+
+	rep := ahead.Replay(3)
+	if rep.First != nil {
+		t.Fatalf("unexpected divergence: %v", rep.First)
+	}
+	if rep.Total != (Counts{Hits: 1, Misses: 3}) || ahead.MeasuredAccesses() != 4 {
+		t.Fatalf("counts %+v over %d accesses, want 1 hit and 3 misses over 4", rep.Total, ahead.MeasuredAccesses())
+	}
+	got, _ := ahead.Curves()
+	want, _ := plain.Curves()
+	for _, c := range []int64{1, 2, 3} {
+		if g, w := got[core.Stock].MissRate(c), want[core.Stock].MissRate(c); g != w {
+			t.Errorf("capacity %d: miss rate %v with the read-ahead, %v without", c, g, w)
+		}
+	}
+	if got[core.Stock].Accesses() != 4 {
+		t.Errorf("curve counted %d accesses, want the 4 pins", got[core.Stock].Accesses())
+	}
+}
+
 func TestReplayMarkSplitsWarmupFromMeasurement(t *testing.T) {
 	// Pre-mark events warm the stack but are not counted: page 0 touched
 	// before the mark makes the post-mark access a hit, yet the counts
 	// hold only the measured window.
 	var s Stream
-	record(&s, 0, core.Item, false, false)
-	record(&s, 1, core.Item, false, false)
+	record(&s, 0, core.Item, bufmgr.Miss)
+	record(&s, 1, core.Item, bufmgr.Miss)
 	s.Mark()
-	record(&s, 0, core.Item, false, true)
+	record(&s, 0, core.Item, bufmgr.Hit)
 	rep := s.Replay(4)
 	if rep.First != nil {
 		t.Fatalf("unexpected divergence: %v", rep.First)
@@ -206,7 +243,13 @@ func TestReplayMatchesMissCurveInclusion(t *testing.T) {
 	// A small synthetic stream with reuse, allocation, and growth.
 	pages := []uint64{0, 1, 2, 0, 3, 1, 4, 2, 0, 5, 3, 0, 1}
 	for i, p := range pages {
-		record(&s, p, core.Stock, i == 6, i > 0 && p <= 2)
+		ev := bufmgr.Miss
+		if i == 6 {
+			ev = bufmgr.Alloc
+		} else if i > 0 && p <= 2 {
+			ev = bufmgr.Hit
+		}
+		record(&s, p, core.Stock, ev)
 	}
 	for _, cap := range []int64{1, 2, 3, 8} {
 		rep := s.Replay(cap)
