@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-kernel bench-commit bench-engine \
+.PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-commit bench-engine \
 	bench-scale bench-cc cc-smoke torture shard-torture shard-xval repro repro-full fuzz xval \
 	cover regen-golden regen-fuzz-corpus clean
 
@@ -113,12 +113,6 @@ bench:
 bench-sweep:
 	go run ./cmd/tpcc-repro -bench-sweep BENCH_sweep.json
 
-# Time the stack-distance kernel (seed map-based vs dense pre-mapped) on one
-# reduced-scale cell and record output-equivalence plus speedup in
-# BENCH_kernel.json.
-bench-kernel:
-	go run ./cmd/tpcc-repro -bench-kernel BENCH_kernel.json
-
 # Compare one force per commit vs group commit at 1/2/4/8 workers on a log
 # device that costs 1 ms a force, and record throughput, commit-latency
 # quantiles, and forces per writing commit in BENCH_commit.json.
@@ -152,7 +146,9 @@ bench-cc:
 cc-smoke:
 	go run ./cmd/tpcc-engine -cc-smoke -bench-file BENCH_cc.json
 
-# Reduced-scale reproduction of every table and figure (seconds).
+# Reduced-scale reproduction of every table and figure (seconds). One
+# experiment alone: go run ./cmd/tpcc-repro -out DIR fig5 (the name is the
+# TSV stem it writes).
 repro:
 	go run ./cmd/tpcc-repro -scale reduced -out results-reduced
 

@@ -1,18 +1,24 @@
-// Command tpcc-repro regenerates the paper's complete evaluation — every
-// table and figure — in one process, sharing the expensive buffer
-// simulations across figures, and writes one TSV per experiment into an
-// output directory.
+// Command tpcc-repro regenerates the paper's evaluation — every table and
+// figure, or only the ones named — in one process, sharing the expensive
+// buffer simulations across figures, and writes one TSV per experiment into
+// an output directory.
 //
 // Experiments are computed by a worker pool (-workers) and written in a
-// fixed order afterwards, so the emitted files are byte-identical for any
-// worker count. With -bench-sweep it instead times the replacement-policy
-// ablation grid at 1/2/4/8 workers and writes a JSON report.
+// fixed order afterwards, so each emitted file is byte-identical for any
+// worker count and any selection. With -bench-sweep it instead times the
+// replacement-policy ablation grid at 1/2/4/8 workers and writes a JSON
+// report.
 //
 // Usage:
 //
+//	tpcc-repro [flags] [experiment ...]
 //	tpcc-repro -scale full -out results/        # paper scale (minutes)
 //	tpcc-repro -scale reduced -out results-reduced/
+//	tpcc-repro -out figs fig5 table4            # only fig5.tsv and table4.tsv
 //	tpcc-repro -bench-sweep BENCH_sweep.json
+//
+// An experiment name is the stem of the TSV it writes (fig10 also writes
+// fig10-minima.tsv); no names means every experiment.
 package main
 
 import (
@@ -20,48 +26,196 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"tpccmodel/internal/cliutil"
-	"tpccmodel/internal/core"
 	"tpccmodel/internal/experiments"
 	"tpccmodel/internal/model"
 	"tpccmodel/internal/parallel"
 	"tpccmodel/internal/sim"
-	"tpccmodel/internal/workload"
 )
 
-// namedSeries pairs an output file stem with its computed series. A job may
-// produce several (fig10 also yields its minima summary).
-type namedSeries struct {
-	name string
-	s    experiments.Series
-}
-
+// job computes one experiment. Each series it returns is written to
+// <series name>.tsv; the first one's name is the job's (fig10 also yields
+// its minima summary).
 type job struct {
-	label string
-	run   func() ([]namedSeries, error)
+	name string
+	// warm, when set, computes shared state that run reads — the study's
+	// two buffer simulations — before the pool starts any job, so the jobs
+	// needing it do not queue behind it. It is memoized, so jobs share one.
+	warm func() error
+	run  func() ([]experiments.Series, error)
 }
 
-func one(name string, s experiments.Series, err error) ([]namedSeries, error) {
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+func one(s experiments.Series, err error) ([]experiments.Series, error) {
+	return []experiments.Series{s}, err
+}
+
+// jobTable lists every experiment at the given scale, in output order.
+func jobTable(opts experiments.Options) []job {
+	sys := model.DefaultSystemParams()
+	cost := model.DefaultCostModel()
+	st := experiments.NewStudy(opts)
+
+	ablOpts := opts
+	// The direct simulation re-runs per policy per packing; cap its cost at
+	// any scale.
+	if ablOpts.BatchTxns > 20000 {
+		ablOpts.Batches, ablOpts.BatchTxns, ablOpts.WarmupTxns = 5, 20000, 20000
 	}
-	return []namedSeries{{name, s}}, nil
+	pageOpts := ablOpts
+	pageOpts.BufferMB = []float64{13, 26, 52, 104}
+	nodes := []int{1, 2, 5, 10, 20, 30}
+	curves := func() error { return st.Prefetch(sim.PackSequential, sim.PackOptimized) }
+
+	return []job{
+		{"table1", nil, func() ([]experiments.Series, error) {
+			return one(experiments.Table1(opts.Warehouses, opts.PageSize), nil)
+		}},
+		{"fig3", nil, func() ([]experiments.Series, error) { return one(experiments.Fig3(10), nil) }},
+		{"fig4", nil, func() ([]experiments.Series, error) { return one(experiments.Fig4(10), nil) }},
+		{"fig5", nil, func() ([]experiments.Series, error) { return one(experiments.Fig5(200), nil) }},
+		{"fig6", nil, func() ([]experiments.Series, error) { return one(experiments.Fig6(1), nil) }},
+		{"fig7", nil, func() ([]experiments.Series, error) { return one(experiments.Fig7(200), nil) }},
+		{"skew-headlines", nil, func() ([]experiments.Series, error) { return one(experiments.SkewHeadlines(), nil) }},
+		{"tables6-7", nil, func() ([]experiments.Series, error) {
+			return one(experiments.Tables6and7([]int{2, 5, 10, 20, 30}), nil)
+		}},
+		{"table3", nil, func() ([]experiments.Series, error) { return one(experiments.Table3(opts)) }},
+		{"fig8", curves, func() ([]experiments.Series, error) { return one(experiments.Fig8(st)) }},
+		{"analytic-vs-sim", curves, func() ([]experiments.Series, error) { return one(experiments.AnalyticVsSimulated(st)) }},
+		{"fig9", curves, func() ([]experiments.Series, error) { return one(experiments.Fig9(st, sys)) }},
+		{"fig10", curves, func() ([]experiments.Series, error) {
+			fig10, err := experiments.Fig10(st, sys, cost)
+			return []experiments.Series{fig10, experiments.Fig10Minima(fig10)}, err
+		}},
+		{"table4", curves, func() ([]experiments.Series, error) { return one(experiments.Table4(st, sys, 52)) }},
+		{"fig11", curves, func() ([]experiments.Series, error) { return one(experiments.Fig11(st, sys, 102, nodes)) }},
+		{"fig12", curves, func() ([]experiments.Series, error) {
+			return one(experiments.Fig12(st, sys, 102, nodes, []float64{0.01, 0.05, 0.1, 0.5, 1.0}))
+		}},
+		{"policy-ablation", nil, func() ([]experiments.Series, error) {
+			return one(experiments.PolicyAblation(ablOpts, 52, []string{"lru", "fifo", "clock", "lfu", "2q", "slru"}))
+		}},
+		{"optimality-gap", nil, func() ([]experiments.Series, error) {
+			return one(experiments.OptimalityGap(ablOpts, []float64{13, 26, 52, 104}, 20000))
+		}},
+		{"mix-sensitivity", nil, func() ([]experiments.Series, error) { return one(experiments.MixSensitivity(ablOpts, 52)) }},
+		{"response-validation", curves, func() ([]experiments.Series, error) {
+			return one(experiments.ResponseValidation(st, sys, len(opts.BufferMB)/2, 8, []float64{0.2, 0.4, 0.6, 0.8, 0.9}))
+		}},
+		{"page-size", nil, func() ([]experiments.Series, error) { return one(experiments.PageSizeStudy(pageOpts)) }},
+		{"appendix-a-validation", nil, func() ([]experiments.Series, error) {
+			return one(experiments.AppendixAValidation(opts.Warehouses, 3, 300_000, opts.Seed))
+		}},
+	}
+}
+
+// selectJobs returns the named jobs in table order, or the whole table when
+// no name is given. An unknown or repeated name is an error that lists the
+// valid names.
+func selectJobs(table []job, names []string) ([]job, error) {
+	if len(names) == 0 {
+		return table, nil
+	}
+	index := make(map[string]int, len(table))
+	for i, j := range table {
+		index[j.name] = i
+	}
+	chosen := make([]bool, len(table))
+	for _, n := range names {
+		i, ok := index[n]
+		if !ok || chosen[i] {
+			problem := "unknown"
+			if ok {
+				problem = "repeated"
+			}
+			return nil, fmt.Errorf("%s experiment %q (valid: %s)", problem, n, strings.Join(jobNames(table), " "))
+		}
+		chosen[i] = true
+	}
+	var sel []job
+	for i, j := range table {
+		if chosen[i] {
+			sel = append(sel, j)
+		}
+	}
+	return sel, nil
+}
+
+func jobNames(table []job) []string {
+	names := make([]string, len(table))
+	for i, j := range table {
+		names[i] = j.name
+	}
+	return names
+}
+
+// reproduce computes jobs on up to workers goroutines and writes their TSVs
+// into outDir in job order. Results land by job index, so neither the
+// worker count nor completion order can affect them.
+func reproduce(jobs []job, workers int, outDir string, log io.Writer) error {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	start := time.Now()
+	for _, j := range jobs {
+		if j.warm != nil {
+			if err := j.warm(); err != nil {
+				return fmt.Errorf("%s: %w", j.name, err)
+			}
+		}
+	}
+	prog := parallel.NewProgress("experiments", len(jobs), log)
+	results, err := parallel.Map(workers, len(jobs), func(i int) ([]experiments.Series, error) {
+		out, err := jobs[i].run()
+		prog.Done()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", jobs[i].name, err)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, res := range results {
+		for _, s := range res {
+			path := filepath.Join(outDir, s.Name+".tsv")
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			if err := s.WriteTSV(f); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(log, "wrote %s\n", path)
+		}
+	}
+	fmt.Fprintf(log, "%d experiments complete in %v\n", len(jobs), time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func main() {
 	var (
-		scale        = flag.String("scale", "reduced", "full (paper: 20 warehouses, 30x100K txns) or reduced")
-		outDir       = flag.String("out", "results", "output directory for TSV files")
-		skipAblation = flag.Bool("skip-ablation", false, "skip the slow replacement-policy ablation")
-		workers      = flag.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
-		benchSweep   = flag.String("bench-sweep", "", "instead of reproducing the paper, benchmark the ablation sweep at 1/2/4/8 workers and write this JSON report")
-		benchKernel  = flag.String("bench-kernel", "", "instead of reproducing the paper, benchmark the stack-distance kernel (seed vs dense pre-mapped) and write this JSON report")
+		scale      = flag.String("scale", "reduced", "full (paper: 20 warehouses, 30x100K txns) or reduced")
+		outDir     = flag.String("out", "results", "output directory for TSV files")
+		workers    = flag.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
+		benchSweep = flag.String("bench-sweep", "", "instead of reproducing the paper, benchmark the ablation sweep at 1/2/4/8 workers and write this JSON report")
 	)
 	cpuprofile, memprofile := cliutil.ProfileFlags()
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: tpcc-repro [flags] [experiment ...]\n\nexperiments (default all): %s\n\nflags:\n",
+			strings.Join(jobNames(jobTable(experiments.Reduced())), " "))
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	const tool = "tpcc-repro"
@@ -70,13 +224,10 @@ func main() {
 	defer stopProfiles()
 
 	if *benchSweep != "" {
-		if err := runBenchSweep(*benchSweep); err != nil {
-			fatal(err)
+		if flag.NArg() > 0 {
+			cliutil.Fail(tool, "-bench-sweep takes no experiment names")
 		}
-		return
-	}
-	if *benchKernel != "" {
-		if err := runBenchKernel(*benchKernel); err != nil {
+		if err := runBenchSweep(*benchSweep); err != nil {
 			fatal(err)
 		}
 		return
@@ -92,149 +243,15 @@ func main() {
 		cliutil.Fail(tool, "unknown scale %q (want full or reduced)", *scale)
 	}
 	opts.Workers = w
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
-	}
-
-	sys := model.DefaultSystemParams()
-	cost := model.DefaultCostModel()
-	st := experiments.NewStudy(opts)
-
-	ablOpts := opts
-	// The direct simulation re-runs per policy per packing; cap its cost at
-	// any scale.
-	if ablOpts.BatchTxns > 20000 {
-		ablOpts.Batches, ablOpts.BatchTxns, ablOpts.WarmupTxns = 5, 20000, 20000
-	}
-
-	jobs := []job{
-		{"table1", func() ([]namedSeries, error) {
-			return one("table1", experiments.Table1(opts.Warehouses, opts.PageSize), nil)
-		}},
-		{"fig3", func() ([]namedSeries, error) { return one("fig3", experiments.Fig3(10), nil) }},
-		{"fig4", func() ([]namedSeries, error) { return one("fig4", experiments.Fig4(10), nil) }},
-		{"fig5", func() ([]namedSeries, error) { return one("fig5", experiments.Fig5(200), nil) }},
-		{"fig6", func() ([]namedSeries, error) { return one("fig6", experiments.Fig6(1), nil) }},
-		{"fig7", func() ([]namedSeries, error) { return one("fig7", experiments.Fig7(200), nil) }},
-		{"skew-headlines", func() ([]namedSeries, error) {
-			return one("skew-headlines", experiments.SkewHeadlines(), nil)
-		}},
-		{"tables6-7", func() ([]namedSeries, error) {
-			return one("tables6-7", experiments.Tables6and7([]int{2, 5, 10, 20, 30}), nil)
-		}},
-		{"table3", func() ([]namedSeries, error) {
-			s, err := experiments.Table3(opts)
-			return one("table3", s, err)
-		}},
-		{"fig8", func() ([]namedSeries, error) {
-			s, err := experiments.Fig8(st)
-			return one("fig8", s, err)
-		}},
-		{"analytic-vs-sim", func() ([]namedSeries, error) {
-			s, err := experiments.AnalyticVsSimulated(st)
-			return one("analytic-vs-sim", s, err)
-		}},
-		{"fig9", func() ([]namedSeries, error) {
-			s, err := experiments.Fig9(st, sys)
-			return one("fig9", s, err)
-		}},
-		{"fig10", func() ([]namedSeries, error) {
-			fig10, err := experiments.Fig10(st, sys, cost)
-			if err != nil {
-				return nil, fmt.Errorf("fig10: %w", err)
-			}
-			return []namedSeries{
-				{"fig10", fig10},
-				{"fig10-minima", experiments.Fig10Minima(fig10)},
-			}, nil
-		}},
-		{"table4", func() ([]namedSeries, error) {
-			s, err := experiments.Table4(st, sys, 52)
-			return one("table4", s, err)
-		}},
-		{"fig11", func() ([]namedSeries, error) {
-			s, err := experiments.Fig11(st, sys, 102, []int{1, 2, 5, 10, 20, 30})
-			return one("fig11", s, err)
-		}},
-		{"fig12", func() ([]namedSeries, error) {
-			s, err := experiments.Fig12(st, sys, 102, []int{1, 2, 5, 10, 20, 30},
-				[]float64{0.01, 0.05, 0.1, 0.5, 1.0})
-			return one("fig12", s, err)
-		}},
-	}
-	if !*skipAblation {
-		jobs = append(jobs,
-			job{"policy-ablation", func() ([]namedSeries, error) {
-				s, err := experiments.PolicyAblation(ablOpts, 52,
-					[]string{"lru", "fifo", "clock", "lfu", "2q", "slru"})
-				return one("policy-ablation", s, err)
-			}},
-			job{"optimality-gap", func() ([]namedSeries, error) {
-				s, err := experiments.OptimalityGap(ablOpts, []float64{13, 26, 52, 104}, 20000)
-				return one("optimality-gap", s, err)
-			}},
-			job{"mix-sensitivity", func() ([]namedSeries, error) {
-				s, err := experiments.MixSensitivity(ablOpts, 52)
-				return one("mix-sensitivity", s, err)
-			}},
-			job{"response-validation", func() ([]namedSeries, error) {
-				s, err := experiments.ResponseValidation(st, sys, len(opts.BufferMB)/2, 8,
-					[]float64{0.2, 0.4, 0.6, 0.8, 0.9})
-				return one("response-validation", s, err)
-			}},
-			job{"page-size", func() ([]namedSeries, error) {
-				pageOpts := ablOpts
-				pageOpts.BufferMB = []float64{13, 26, 52, 104}
-				s, err := experiments.PageSizeStudy(pageOpts)
-				return one("page-size", s, err)
-			}},
-			job{"appendix-a-validation", func() ([]namedSeries, error) {
-				s, err := experiments.AppendixAValidation(opts.Warehouses, 3, 300_000, opts.Seed)
-				return one("appendix-a-validation", s, err)
-			}},
-		)
-	}
-
-	// Phase 1: warm the shared curves once so concurrent jobs don't stack up
-	// behind the two big buffer simulations.
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "[%s] buffer simulations (%d warehouses, %d x %d txns, 2 packings, %d workers)...\n",
-		time.Now().Format("15:04:05"), opts.Warehouses, opts.Batches, opts.BatchTxns, w)
-	if err := st.Prefetch(sim.PackSequential, sim.PackOptimized); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "  curves ready in %v\n", time.Since(start).Round(time.Millisecond))
-
-	// Phase 2: compute every experiment on the pool. Results land by job
-	// index; worker count and completion order cannot affect them.
-	prog := parallel.NewProgress("experiments", len(jobs), os.Stderr)
-	results, err := parallel.Map(w, len(jobs), func(i int) ([]namedSeries, error) {
-		out, err := jobs[i].run()
-		prog.Done()
-		return out, err
-	})
+	jobs, err := selectJobs(jobTable(opts), flag.Args())
 	if err != nil {
+		cliutil.Fail(tool, "%v", err)
+	}
+	fmt.Fprintf(os.Stderr, "[%s] %d experiments (%d warehouses, %d x %d txns, %d workers)...\n",
+		time.Now().Format("15:04:05"), len(jobs), opts.Warehouses, opts.Batches, opts.BatchTxns, w)
+	if err := reproduce(jobs, w, *outDir, os.Stderr); err != nil {
 		fatal(err)
 	}
-
-	// Phase 3: write TSVs in the fixed job order.
-	for _, res := range results {
-		for _, ns := range res {
-			path := filepath.Join(*outDir, ns.name+".tsv")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := ns.s.WriteTSV(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "all experiments complete in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 // runBenchSweep times the replacement-policy ablation grid (6 policies x 2
@@ -307,158 +324,6 @@ func runBenchSweep(path string) error {
 		report.Runs = append(report.Runs, r)
 		fmt.Fprintf(os.Stderr, "bench-sweep: workers=%d %.3fs speedup=%.2fx identical=%v\n",
 			w, r.Seconds, r.Speedup, r.Identical)
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// renderCurveResult serializes every observable of a CurveResult so two
-// kernels' outputs can be compared byte for byte.
-func renderCurveResult(res *sim.CurveResult) []byte {
-	var buf bytes.Buffer
-	for rel := core.Relation(0); rel < core.NumRelations; rel++ {
-		fmt.Fprintf(&buf, "rel %d acc %d\n", rel, res.RelAccesses(rel))
-		for _, c := range res.Caps {
-			fmt.Fprintf(&buf, "%.17g\n", res.MissRate(rel, c))
-		}
-		for i := range res.Caps {
-			if iv, err := res.MissRateCI(rel, i); err == nil {
-				fmt.Fprintf(&buf, "%.17g %.17g\n", iv.Mean, iv.HalfWidth)
-			}
-		}
-	}
-	for _, c := range res.Caps {
-		fmt.Fprintf(&buf, "%.17g\n", res.Overall.MissRate(c))
-	}
-	for t := core.TxnType(0); t < core.NumTxnTypes; t++ {
-		fmt.Fprintf(&buf, "txn %d n %d\n", t, res.TxnCount(t))
-		for i := range res.Caps {
-			fmt.Fprintf(&buf, "%.17g\n", res.TxnIOs(t, i))
-		}
-	}
-	return buf.Bytes()
-}
-
-// runBenchKernel times one reduced-scale stack-distance simulation cell
-// through the seed kernel (map-based StackSim, per-access tuple-to-page
-// mapping, binary-searched capacity buckets) and the dense kernel
-// (pre-mapped flat page ordinals, DenseStackSim, O(1) capacity lookup),
-// checks their outputs are identical, and writes a JSON report in the same
-// honest-timing format as -bench-sweep. The trace is recorded untimed; the
-// one-off MapPages translation is timed separately since a sweep amortizes
-// it across all cells sharing a (packing, page size).
-func runBenchKernel(path string) error {
-	opts := experiments.Reduced()
-	wl := workload.DefaultConfig(opts.Warehouses, opts.Seed)
-	wl.DB.PageSize = opts.PageSize
-	caps := make([]int64, len(opts.BufferMB))
-	for i, mb := range opts.BufferMB {
-		caps[i] = sim.PagesForBytes(int64(mb*(1<<20)), opts.PageSize)
-	}
-	cc := sim.CurveConfig{
-		Workload:        wl,
-		Packing:         sim.PackSequential,
-		CapacitiesPages: caps,
-		WarmupTxns:      opts.WarmupTxns,
-		Batches:         opts.Batches,
-		BatchTxns:       opts.BatchTxns,
-		Level:           opts.Level,
-	}
-	txns := cc.WarmupTxns + int64(cc.Batches)*cc.BatchTxns
-
-	fmt.Fprintf(os.Stderr, "bench-kernel: recording %d-transaction trace (untimed)...\n", txns)
-	tr, err := sim.RecordTrace(wl, txns)
-	if err != nil {
-		return err
-	}
-
-	mapStart := time.Now()
-	mt, err := tr.MapPages(sim.BuildMappers(wl.DB, cc.Packing, wl.Seed), wl.DB)
-	if err != nil {
-		return err
-	}
-	mapSeconds := time.Since(mapStart).Seconds()
-
-	type kernelRun struct {
-		Kernel    string  `json:"kernel"`
-		Seconds   float64 `json:"seconds"`
-		Speedup   float64 `json:"speedup_vs_seed"`
-		Identical bool    `json:"output_identical_to_seed"`
-	}
-	report := struct {
-		cliutil.Hardware
-		Scale           string      `json:"scale"`
-		Warehouses      int         `json:"warehouses"`
-		Transactions    int64       `json:"transactions"`
-		Accesses        int64       `json:"accesses"`
-		Capacities      int         `json:"capacities"`
-		PageUniverse    int64       `json:"page_universe"`
-		MapPagesSeconds float64     `json:"map_pages_seconds"`
-		Runs            []kernelRun `json:"runs"`
-	}{
-		Hardware:        cliutil.HardwareInfo(),
-		Scale:           "reduced",
-		Warehouses:      opts.Warehouses,
-		Transactions:    txns,
-		Accesses:        tr.Accesses(),
-		Capacities:      len(caps),
-		PageUniverse:    mt.Universe(),
-		MapPagesSeconds: mapSeconds,
-	}
-
-	kernels := []struct {
-		name string
-		cfg  sim.CurveConfig
-	}{
-		{"seed: map StackSim + per-access mapping + sort.Search", func() sim.CurveConfig { c := cc; c.Trace = tr; return c }()},
-		{"dense: pre-mapped ordinals + DenseStackSim + O(1) lookup", func() sim.CurveConfig { c := cc; c.Mapped = mt; return c }()},
-	}
-	const reps = 3
-	var seedSeconds float64
-	var seedOut []byte
-	for i, k := range kernels {
-		if _, err := sim.RunCurve(k.cfg); err != nil { // untimed warmup
-			return err
-		}
-		best := 0.0
-		var out []byte
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			res, err := sim.RunCurve(k.cfg)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(start).Seconds()
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-			out = renderCurveResult(res)
-		}
-		kr := kernelRun{Kernel: k.name, Seconds: best}
-		if i == 0 {
-			seedSeconds, seedOut = best, out
-			kr.Speedup, kr.Identical = 1, true
-		} else {
-			kr.Speedup = seedSeconds / best
-			kr.Identical = bytes.Equal(out, seedOut)
-		}
-		report.Runs = append(report.Runs, kr)
-		fmt.Fprintf(os.Stderr, "bench-kernel: %s: best of %d = %.3fs speedup=%.2fx identical=%v\n",
-			k.name, reps, kr.Seconds, kr.Speedup, kr.Identical)
 	}
 
 	f, err := os.Create(path)

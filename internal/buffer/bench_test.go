@@ -26,31 +26,17 @@ func benchStream(n int, universe int64) []int64 {
 	return out
 }
 
-// BenchmarkStackSim is the micro benchmark of the per-access hot path: the
-// map-based oracle versus the dense-table kernel on an identical stream.
-// BENCH_kernel.json records the measured ratio on the target machine.
-func BenchmarkStackSim(b *testing.B) {
+// BenchmarkDenseStackSim is the micro benchmark of the per-access hot
+// path: stack distance plus MissCurve accumulation on a skewed stream.
+func BenchmarkDenseStackSim(b *testing.B) {
 	const universe = 50_000
 	stream := benchStream(1<<18, universe)
-
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewStackSim()
-			var m MissCurve
-			for _, ord := range stream {
-				m.Add(s.Access(pid(ord)))
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewDenseStackSim(universe)
+		var m MissCurve
+		for _, ord := range stream {
+			m.Add(s.Access(ord))
 		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewDenseStackSim(universe)
-			var m MissCurve
-			for _, ord := range stream {
-				m.Add(s.Access(ord))
-			}
-		}
-	})
+	}
 }

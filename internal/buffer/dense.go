@@ -1,10 +1,20 @@
 package buffer
 
-// DenseStackSim computes LRU stack distances like StackSim but over a dense
-// page-ordinal space: pages are identified by contiguous int64 ordinals (see
-// sim's flat page-ordinal mapping), so the per-access last-access lookup is
-// a flat slice index instead of a map probe, and timestamp compaction is a
-// counting pass instead of a map-iterate-plus-sort. The per-access path
+// DenseStackSim computes the LRU stack distance of every access in a single
+// pass. The stack distance is the 1-based position of the page in the LRU
+// stack at the moment of access — equivalently, the number of distinct
+// pages referenced since the previous reference to the same page, inclusive.
+// By LRU's inclusion property, an access hits in a pool of capacity C iff
+// its stack distance is at most C, so one pass yields the exact miss rate
+// for every capacity simultaneously (the paper's Figure 8 sweeps buffer
+// sizes; we get all of them from one simulation).
+//
+// The implementation is the classic Fenwick-tree-over-timestamps algorithm:
+// a bit is set at the last-access time of every distinct page; the distance
+// of an access is one plus the number of set bits after the page's previous
+// access time. Pages are identified by contiguous int64 ordinals (see sim's
+// flat page-ordinal mapping), so the last-access lookup is a flat slice
+// index and timestamp compaction is a counting pass. The per-access path
 // performs no allocation and no hashing; its cost is the two Fenwick-tree
 // walks, O(log distinct) each.
 //
@@ -12,9 +22,9 @@ package buffer
 // relations gain pages as transactions insert tuples); Access extends the
 // last-access table on demand with amortized-O(1) doubling.
 //
-// The map-based StackSim is retained as the differential-testing oracle:
-// the two implementations must agree access for access on any stream
-// related by an ordinal bijection (see dense_test.go and the fuzz target).
+// Its oracles live in the tests: a map-based simulator keyed by PageID that
+// must agree access for access on any stream related by an ordinal
+// bijection (dense_test.go and the fuzz target), and the direct LRU list.
 type DenseStackSim struct {
 	last     []int64 // last[ord] = last access timestamp (1-based), 0 = never seen
 	tree     []int64 // Fenwick tree over timestamps
@@ -62,9 +72,9 @@ func (s *DenseStackSim) sum(i int64) int64 {
 
 // compact renumbers the live timestamps 1..distinct preserving order, in one
 // counting pass over the ordinal table — O(universe), no map iteration, no
-// sort (the map-based StackSim pays O(distinct log distinct) here). It runs
-// when the timestamp space fills; the tree is resized so at least half the
-// new space is free, keeping the amortized cost per access constant.
+// sort. It runs when the timestamp space fills; the tree is resized so at
+// least half the new space is free, keeping the amortized cost per access
+// constant.
 func (s *DenseStackSim) compact() {
 	// occ[t] = ord+1 for the page whose last access is timestamp t.
 	// Timestamps are unique per page, so this is a perfect bucket sort.
@@ -102,8 +112,7 @@ func (s *DenseStackSim) grow(ord int64) {
 }
 
 // Access records a reference to the page with the given ordinal and returns
-// its LRU stack distance, or ColdDistance for a first reference. Distances
-// agree exactly with StackSim.Access on the corresponding PageID stream.
+// its LRU stack distance, or ColdDistance for a first reference.
 func (s *DenseStackSim) Access(ord int64) int64 {
 	if ord < 0 {
 		panic("buffer: page ordinal must be non-negative")

@@ -5,7 +5,7 @@
 // by LRU and measures per-relation miss rates as a function of pool size.
 // LRU's inclusion property means one pass that records each access's stack
 // distance yields the exact miss rate for every pool size simultaneously;
-// StackSim implements that with a Fenwick tree over access timestamps.
+// DenseStackSim implements that with a Fenwick tree over access timestamps.
 //
 // The paper hypothesizes that "more sophisticated replacement policies
 // could result in an even larger difference between optimized packing of

@@ -80,7 +80,7 @@ func Workers(tool string, v int) int {
 
 // ProfileFlags registers the standard -cpuprofile/-memprofile flags; call
 // before flag.Parse. Kernel regressions in the hot simulation loops are
-// then diagnosable with `go tool pprof` against any of the sweep binaries.
+// then diagnosable with `go tool pprof` against tpcc-repro.
 func ProfileFlags() (cpuprofile, memprofile *string) {
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -47,18 +47,18 @@ func preallocate(t *testing.T, m *Manager, n int) []storage.PageID {
 }
 
 // checkAgainstOracles replays the tapped stream through two independent
-// oracles — the stack-distance simulator (hit iff distance <= capacity,
-// LRU's inclusion property) and the direct LRU policy — and fails on the
-// first access where either disagrees with the engine's own verdict.
-// Allocations and claims touch both oracles without being judged, mirroring
-// the engine's uncounted-MRU-insert semantics; a read-ahead is judged as the
-// miss it is counted as.
+// oracles — the stack-distance simulator over page ids as ordinals (hit iff
+// distance <= capacity, LRU's inclusion property) and the direct LRU policy
+// — and fails on the first access where either disagrees with the engine's
+// own verdict. Allocations and claims touch both oracles without being
+// judged, mirroring the engine's uncounted-MRU-insert semantics; a
+// read-ahead is judged as the miss it is counted as.
 func checkAgainstOracles(t *testing.T, events []tapEvent, capacity int64) {
 	t.Helper()
-	stack := buffer.NewStackSim()
+	stack := buffer.NewDenseStackSim(0)
 	lru := buffer.NewLRU(capacity)
 	for i, e := range events {
-		d := stack.Access(core.PageID(e.page))
+		d := stack.Access(int64(e.page))
 		lruHit := lru.Access(core.PageID(e.page))
 		if !e.counted() {
 			continue

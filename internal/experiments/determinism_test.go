@@ -11,8 +11,7 @@ import (
 	"tpccmodel/internal/model"
 )
 
-// regenGolden rewrites the checked-in golden TSVs from a serial dense-
-// kernel render: `go test ./internal/experiments/ -run Corpus -regen-golden`
+// regenGolden rewrites the checked-in golden TSVs from a serial render: `go test ./internal/experiments/ -run Corpus -regen-golden`
 // (or `make regen-golden`). Regenerate ONLY when an intentional behaviour
 // change alters the canonical sweep output, and say why in the commit.
 var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden TSVs")
@@ -29,14 +28,11 @@ func goldenPath(name string) string {
 }
 
 // renderAll runs the worker-count-sensitive experiments at the given worker
-// count and renders each resulting series to its own TSV byte stream. With
-// noPremap the curve simulations run on the seed kernel instead of the
-// dense pre-mapped kernel.
-func renderAll(t testing.TB, workers int, noPremap bool) map[string][]byte {
+// count and renders each resulting series to its own TSV byte stream.
+func renderAll(t testing.TB, workers int) map[string][]byte {
 	t.Helper()
 	opts := tinyOptions()
 	opts.Workers = workers
-	opts.noPremap = noPremap
 	st := NewStudy(opts)
 	sys := model.DefaultSystemParams()
 	cost := model.DefaultCostModel()
@@ -90,14 +86,14 @@ func compareToGolden(t *testing.T, label string, got map[string][]byte) {
 }
 
 // TestGoldenCorpus pins the canonical tiny-scale sweep TSVs: a serial
-// dense-kernel render must reproduce the checked-in files byte for byte on
+// render must reproduce the checked-in files byte for byte on
 // any machine (the determinism contract includes the platform). With
 // -regen-golden it rewrites the corpus instead.
 func TestGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full tiny-scale sweeps")
 	}
-	got := renderAll(t, 1, false)
+	got := renderAll(t, 1)
 	if *regenGolden {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
 			t.Fatal(err)
@@ -123,19 +119,8 @@ func TestGoldenDeterminismAcrossWorkerCounts(t *testing.T) {
 		t.Skip("runs full tiny-scale sweeps")
 	}
 	for _, workers := range []int{2, 8} {
-		compareToGolden(t, fmt.Sprintf("workers=%d", workers), renderAll(t, workers, false))
+		compareToGolden(t, fmt.Sprintf("workers=%d", workers), renderAll(t, workers))
 	}
-}
-
-// TestGoldenPremappedVsSeedKernel is the kernel-equivalence contract: the
-// seed kernel (per-access mapping, map-based stack simulator) must emit
-// the same golden bytes as the dense pre-mapped kernel (production). The
-// dense kernel is an optimization, never a behaviour change.
-func TestGoldenPremappedVsSeedKernel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full tiny-scale sweeps")
-	}
-	compareToGolden(t, "seed-kernel", renderAll(t, 1, true))
 }
 
 // BenchmarkSweep times the replacement-policy ablation grid serially and at

@@ -87,11 +87,6 @@ type Options struct {
 	// emitted results — every task derives its randomness from the root
 	// seed and results are collected by task index.
 	Workers int
-	// noPremap forces the curve simulations onto the seed kernel (per-
-	// access tuple-to-page mapping, map-based stack simulator) instead of
-	// the dense pre-mapped kernel. Test-only: the golden determinism test
-	// uses it to pin the two kernels' outputs byte-identical.
-	noPremap bool
 }
 
 // FullScale returns the paper's configuration: 20 warehouses, 30 batches
@@ -158,18 +153,9 @@ func (o Options) trace() (*sim.Trace, error) {
 	return sim.SharedTraces.Get(o.workload(), o.WarmupTxns+int64(o.Batches)*o.BatchTxns)
 }
 
-// mapped returns the memoized pre-mapped form of the reference trace for
-// one packing strategy: the tuple-to-page translation is performed once per
-// (trace, packing, page size) and shared by every sweep cell, which then
-// replays flat page ordinals through the dense kernel.
-func (o Options) mapped(p sim.Packing) (*sim.MappedTrace, error) {
-	return sim.SharedTraces.GetMapped(o.workload(), o.WarmupTxns+int64(o.Batches)*o.BatchTxns, p)
-}
-
-// curve runs one stack-distance simulation cell, choosing the dense
-// pre-mapped kernel unless noPremap pins the seed kernel.
+// curve runs one stack-distance simulation cell over the shared trace.
 func (o Options) curve(p sim.Packing) (*sim.CurveResult, error) {
-	cfg := sim.CurveConfig{
+	return sim.RunCurve(sim.CurveConfig{
 		Workload:        o.workload(),
 		Packing:         p,
 		CapacitiesPages: o.capacities(),
@@ -177,21 +163,7 @@ func (o Options) curve(p sim.Packing) (*sim.CurveResult, error) {
 		Batches:         o.Batches,
 		BatchTxns:       o.BatchTxns,
 		Level:           o.Level,
-	}
-	if o.noPremap {
-		tr, err := o.trace()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Trace = tr
-	} else {
-		mt, err := o.mapped(p)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mapped = mt
-	}
-	return sim.RunCurve(cfg)
+	})
 }
 
 // Study caches the expensive buffer-simulation results per packing

@@ -7,18 +7,17 @@ import (
 	"tpccmodel/internal/workload"
 )
 
-// benchCurve is the macro-benchmark fixture: one recorded trace plus its
-// pre-mapped form, shared across iterations so the benchmarks time the
-// kernel, not trace recording.
+// benchCurve is the macro-benchmark fixture: one curve configuration and
+// its recorded trace, shared across iterations so the benchmarks time the
+// kernel and the translation, not trace recording.
 var benchCurve struct {
 	once sync.Once
 	cc   CurveConfig
 	tr   *Trace
-	mt   *MappedTrace
 	err  error
 }
 
-func benchSetup(b *testing.B) (CurveConfig, *Trace, *MappedTrace) {
+func benchSetup(b *testing.B) (CurveConfig, *Trace) {
 	b.Helper()
 	benchCurve.once.Do(func() {
 		cfg := workload.DefaultConfig(2, 1993)
@@ -31,59 +30,36 @@ func benchSetup(b *testing.B) (CurveConfig, *Trace, *MappedTrace) {
 			BatchTxns:       6_000,
 			Level:           0.90,
 		}
-		tr, err := RecordTrace(cfg, cc.WarmupTxns+int64(cc.Batches)*cc.BatchTxns)
-		if err != nil {
-			benchCurve.err = err
-			return
-		}
-		mappers := BuildMappers(cfg.DB, cc.Packing, cfg.Seed)
-		mt, err := tr.MapPages(mappers, cfg.DB)
-		if err != nil {
-			benchCurve.err = err
-			return
-		}
-		benchCurve.cc, benchCurve.tr, benchCurve.mt = cc, tr, mt
+		benchCurve.cc = cc
+		benchCurve.tr, benchCurve.err = SharedTraces.Get(cfg, cc.txns())
 	})
 	if benchCurve.err != nil {
 		b.Fatal(benchCurve.err)
 	}
-	return benchCurve.cc, benchCurve.tr, benchCurve.mt
+	return benchCurve.cc, benchCurve.tr
 }
 
-// BenchmarkRunCurve times one full stack-distance simulation cell through
-// both kernels: the seed kernel (map-based StackSim, per-access mapper and
-// PageID calls, binary-searched capacity buckets) and the dense kernel
-// (pre-mapped flat ordinals, DenseStackSim, O(1) capacity lookup).
-// `make bench-kernel` records the measured ratio in BENCH_kernel.json.
+// BenchmarkRunCurve times one full stack-distance simulation cell. The
+// untimed first run maps the shared trace, so the loop times the dense
+// kernel alone.
 func BenchmarkRunCurve(b *testing.B) {
-	cc, tr, mt := benchSetup(b)
-
-	b.Run("seed-kernel", func(b *testing.B) {
-		b.ReportAllocs()
-		cfg := cc
-		cfg.Trace = tr
-		for i := 0; i < b.N; i++ {
-			if _, err := RunCurve(cfg); err != nil {
-				b.Fatal(err)
-			}
+	cc, _ := benchSetup(b)
+	if _, err := RunCurve(cc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCurve(cc); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("dense-premapped", func(b *testing.B) {
-		b.ReportAllocs()
-		cfg := cc
-		cfg.Mapped = mt
-		for i := 0; i < b.N; i++ {
-			if _, err := RunCurve(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMapPages times the one-off translation a sweep amortizes across
 // its cells, for scale against BenchmarkRunCurve.
 func BenchmarkMapPages(b *testing.B) {
-	cc, tr, _ := benchSetup(b)
+	cc, tr := benchSetup(b)
 	mappers := BuildMappers(cc.Workload.DB, cc.Packing, cc.Workload.Seed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -28,7 +28,9 @@ type Config struct {
 	// Level is the confidence level (paper: 0.90).
 	Level float64
 	// Trace, when non-nil, is replayed instead of running the workload
-	// generator (see CurveConfig.Trace).
+	// generator. It must hold at least WarmupTxns + Batches*BatchTxns
+	// transactions of the configured workload; sweep drivers record it once
+	// (see TraceCache) and share it across grid cells.
 	Trace *Trace
 }
 
@@ -50,6 +52,27 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: trace holds %d transactions, need %d", c.Trace.Txns(), want)
 	}
 	return nil
+}
+
+// txnSource yields successive transactions: either a live workload
+// generator or a positional replay of a shared recorded trace.
+type txnSource func(t *workload.Txn)
+
+// newTxnSource builds the stream for a run: replaying tr when non-nil,
+// generating from cfg otherwise.
+func newTxnSource(cfg workload.Config, tr *Trace) (txnSource, error) {
+	if tr != nil {
+		var idx int64
+		return func(t *workload.Txn) {
+			tr.Replay(idx, t)
+			idx++
+		}, nil
+	}
+	gen, err := workload.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return gen.Next, nil
 }
 
 // RelStats reports one relation's buffer behaviour.

@@ -56,8 +56,8 @@ func (o *ordinalMapper) ordinal(rel core.Relation, page int64) int64 {
 func (o *ordinalMapper) universe() int64 { return o.next }
 
 // MappedTrace is a recorded reference stream with the tuple-to-page packing
-// already applied: access k touches flat page ordinal Pages()[k] of
-// relation tr.Rels()[k]. It is immutable and safe for concurrent replay.
+// already applied: access k touches flat page ordinal pages[k] of
+// relation trace.rels[k]. It is immutable and safe for concurrent replay.
 type MappedTrace struct {
 	trace *Trace
 	// pages holds flat page ordinals as int32: the TPC-C page universe of
@@ -65,21 +65,8 @@ type MappedTrace struct {
 	// append-only relations gain over the run) sits far below 2^31;
 	// MapPages checks anyway.
 	pages    []int32
-	universe int64
+	universe int64 // every ordinal in pages lies in [0, universe)
 }
-
-// Trace returns the underlying tuple trace (transaction types and bounds).
-func (mt *MappedTrace) Trace() *Trace { return mt.trace }
-
-// Txns returns the number of recorded transactions.
-func (mt *MappedTrace) Txns() int64 { return mt.trace.Txns() }
-
-// Accesses returns the number of recorded page accesses.
-func (mt *MappedTrace) Accesses() int64 { return int64(len(mt.pages)) }
-
-// Universe returns the size of the flat page-ordinal space: every ordinal
-// in the trace lies in [0, Universe()).
-func (mt *MappedTrace) Universe() int64 { return mt.universe }
 
 // MapPages translates the trace's tuple ordinals to flat page ordinals for
 // one packing (the per-relation mappers) and page size (db). The result

@@ -144,19 +144,11 @@ type CurveConfig struct {
 	BatchTxns int64
 	// Level is the confidence level (paper: 0.90).
 	Level float64
-	// Trace, when non-nil, is replayed instead of running the workload
-	// generator. It must hold at least WarmupTxns + Batches*BatchTxns
-	// transactions of the configured workload; sweep drivers record it
-	// once (see TraceCache) and share it across grid cells.
-	Trace *Trace
-	// Mapped, when non-nil, replays a pre-mapped trace (tuple-to-page
-	// translation already applied; see Trace.MapPages) through the dense
-	// allocation- and hash-free kernel. It takes precedence over Trace,
-	// and Packing is ignored — the mapping already encodes it. Results are
-	// identical to the Trace path bit for bit; the mapped engine is just
-	// faster.
-	Mapped *MappedTrace
 }
+
+// txns returns how many transactions a run consumes: warmup plus
+// measurement.
+func (c CurveConfig) txns() int64 { return c.WarmupTxns + int64(c.Batches)*c.BatchTxns }
 
 // Validate checks the configuration.
 func (c CurveConfig) Validate() error {
@@ -171,42 +163,16 @@ func (c CurveConfig) Validate() error {
 			return fmt.Errorf("sim: capacities must be positive, got %d", cap)
 		}
 	}
+	if c.WarmupTxns < 0 {
+		return fmt.Errorf("sim: warmup must be non-negative, got %d", c.WarmupTxns)
+	}
 	if c.Batches < 2 || c.BatchTxns <= 0 {
 		return fmt.Errorf("sim: need >= 2 batches of positive size")
 	}
 	if c.Level <= 0 || c.Level >= 1 {
 		return fmt.Errorf("sim: confidence level %v out of (0,1)", c.Level)
 	}
-	want := c.WarmupTxns + int64(c.Batches)*c.BatchTxns
-	if c.Mapped != nil {
-		if c.Mapped.Txns() < want {
-			return fmt.Errorf("sim: mapped trace holds %d transactions, need %d", c.Mapped.Txns(), want)
-		}
-	} else if c.Trace != nil && c.Trace.Txns() < want {
-		return fmt.Errorf("sim: trace holds %d transactions, need %d", c.Trace.Txns(), want)
-	}
 	return nil
-}
-
-// txnSource yields successive transactions: either a live workload
-// generator or a positional replay of a shared recorded trace.
-type txnSource func(t *workload.Txn)
-
-// newTxnSource builds the stream for a run: replaying tr when non-nil,
-// generating from cfg otherwise.
-func newTxnSource(cfg workload.Config, tr *Trace) (txnSource, error) {
-	if tr != nil {
-		var idx int64
-		return func(t *workload.Txn) {
-			tr.Replay(idx, t)
-			idx++
-		}, nil
-	}
-	gen, err := workload.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return gen.Next, nil
 }
 
 // CurveResult holds the outputs of RunCurve.
@@ -299,21 +265,20 @@ func (r *CurveResult) RelAccesses(rel core.Relation) int64 {
 	return n
 }
 
-// RunCurve runs the single-pass stack-distance simulation. Two replay
-// engines produce bit-identical results:
-//
-//   - the seed kernel (Trace or live generator): map-based StackSim,
-//     per-access tuple-to-page mapping, binary-searched capacity buckets.
-//     Retained as the benchmark baseline and differential-testing oracle.
-//   - the dense kernel (Mapped): pre-translated flat page ordinals fed to
-//     DenseStackSim, an O(1) distance-to-capacity lookup table, and
-//     per-relation-only accumulation with Overall merged at the end. The
-//     per-access path allocates nothing and hashes nothing.
+// RunCurve runs the single-pass stack-distance simulation. The reference
+// stream is recorded once per (workload, length) and translated to flat
+// page ordinals once per (packing, page size) in SharedTraces, which keeps
+// both for the life of the process so every later run over the same stream
+// replays them; the kernel then feeds the ordinals to DenseStackSim.
 //
 // All returned curves are finalized: MissRate reads are O(1) and safe for
 // concurrent use by the sweep drivers.
 func RunCurve(cfg CurveConfig) (*CurveResult, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	mt, err := SharedTraces.GetMapped(cfg.Workload, cfg.txns(), cfg.Packing)
+	if err != nil {
 		return nil, err
 	}
 	caps := append([]int64(nil), cfg.CapacitiesPages...)
@@ -335,15 +300,7 @@ func RunCurve(cfg CurveConfig) (*CurveResult, error) {
 		}
 	}
 
-	var err error
-	if cfg.Mapped != nil {
-		err = runCurveMapped(cfg, res, caps)
-	} else {
-		err = runCurveSeed(cfg, res, caps)
-	}
-	if err != nil {
-		return nil, err
-	}
+	runDense(cfg, mt, res, caps)
 
 	for rel := range res.Curves {
 		res.Curves[rel].Finalize()
@@ -354,8 +311,7 @@ func RunCurve(cfg CurveConfig) (*CurveResult, error) {
 
 // addBatchMeans folds one batch's hitFrom counters into the per-capacity
 // batch-means accumulators: hits at caps[i] = sum of hitFrom[0..i]
-// (distance <= caps[i]). Shared by both engines so the floating-point
-// arithmetic is literally the same code.
+// (distance <= caps[i]).
 func (r *CurveResult) addBatchMeans(batchAcc *[core.NumRelations]int64, batchHitFrom [][core.NumRelations]int64) {
 	var cum [core.NumRelations]int64
 	for i := 0; i < len(r.Caps); i++ {
@@ -382,86 +338,21 @@ func (r *CurveResult) foldTxnRelHits(txnRelHitFrom [][core.NumTxnTypes][core.Num
 	}
 }
 
-// runCurveSeed is the original per-access kernel: tuple stream (generated
-// or replayed), mapper call and PageID construction per access, map-based
-// stack simulator, binary search per hit. Deliberately untouched by the
-// dense-kernel optimization so it can serve as its oracle and baseline.
-func runCurveSeed(cfg CurveConfig, res *CurveResult, caps []int64) error {
-	next, err := newTxnSource(cfg.Workload, cfg.Trace)
-	if err != nil {
-		return err
-	}
-	mappers := BuildMappers(cfg.Workload.DB, cfg.Packing, cfg.Workload.Seed)
-	ncap := len(caps)
-
-	stack := buffer.NewStackSim()
-	var txn workload.Txn
-
-	// hitFrom[idx] counts accesses whose smallest sufficient capacity is
-	// caps[idx]; suffix sums convert to hits at each capacity.
-	capIndex := func(d int64) int {
-		// First capacity >= d.
-		return sort.Search(ncap, func(i int) bool { return caps[i] >= d })
-	}
-
-	for i := int64(0); i < cfg.WarmupTxns; i++ {
-		next(&txn)
-		for _, a := range txn.Accesses {
-			stack.Access(core.MakePageID(a.Rel, mappers[a.Rel].Page(a.Tuple)))
-		}
-	}
-
-	var batchAcc [core.NumRelations]int64
-	batchHitFrom := make([][core.NumRelations]int64, ncap+1)
-	txnRelHitFrom := make([][core.NumTxnTypes][core.NumRelations]int64, ncap+1)
-
-	for b := 0; b < cfg.Batches; b++ {
-		for rel := range batchAcc {
-			batchAcc[rel] = 0
-		}
-		for i := range batchHitFrom {
-			batchHitFrom[i] = [core.NumRelations]int64{}
-		}
-		for i := int64(0); i < cfg.BatchTxns; i++ {
-			next(&txn)
-			res.txnCounts[txn.Type]++
-			for _, a := range txn.Accesses {
-				page := core.MakePageID(a.Rel, mappers[a.Rel].Page(a.Tuple))
-				d := stack.Access(page)
-				res.Curves[a.Rel].Add(d)
-				res.Overall.Add(d)
-				batchAcc[a.Rel]++
-				res.txnRelAcc[txn.Type][a.Rel]++
-				if d != buffer.ColdDistance {
-					idx := capIndex(d)
-					if idx < ncap {
-						batchHitFrom[idx][a.Rel]++
-						txnRelHitFrom[idx][txn.Type][a.Rel]++
-					}
-				}
-			}
-		}
-		res.addBatchMeans(&batchAcc, batchHitFrom)
-	}
-	res.foldTxnRelHits(txnRelHitFrom)
-	return nil
-}
-
-// runCurveMapped is the dense kernel: it replays pre-translated flat page
-// ordinals (Trace.MapPages) through DenseStackSim. Per access it performs
-// one slice load for the ordinal, the two Fenwick walks, one table lookup
-// for the capacity bucket, and one per-relation MissCurve.Add — no map
-// probe, no PageID construction, no binary search, no transaction-struct
-// rebuild, no second Add for the overall curve (Overall is merged from the
-// per-relation curves afterwards, which yields identical counts).
-func runCurveMapped(cfg CurveConfig, res *CurveResult, caps []int64) error {
-	mt := cfg.Mapped
+// runDense replays pre-translated flat page ordinals (Trace.MapPages)
+// through DenseStackSim. Per access it performs one slice load for the
+// ordinal, the two Fenwick walks, one table lookup for the capacity bucket,
+// and one per-relation MissCurve.Add — no map probe, no PageID
+// construction, no binary search, no transaction-struct rebuild, no second
+// Add for the overall curve (Overall is merged from the per-relation curves
+// afterwards, which yields identical counts). The per-access path allocates
+// nothing.
+func runDense(cfg CurveConfig, mt *MappedTrace, res *CurveResult, caps []int64) {
 	tr := mt.trace
 	ncap := len(caps)
 
 	// O(1) distance-to-capacity-index lookup: lut[d] is the index of the
 	// smallest capacity >= d for d in [1, maxCap]; larger distances miss
-	// everywhere. Matches sort.Search on the sorted caps by construction.
+	// everywhere.
 	maxCap := caps[ncap-1]
 	lut := make([]int32, maxCap+1)
 	idx := int32(0)
@@ -485,9 +376,11 @@ func runCurveMapped(cfg CurveConfig, res *CurveResult, caps []int64) error {
 		}
 	}
 
+	// hitFrom[idx] counts accesses whose smallest sufficient capacity is
+	// caps[idx]; prefix sums convert to hits at each capacity.
 	var batchAcc [core.NumRelations]int64
-	batchHitFrom := make([][core.NumRelations]int64, ncap+1)
-	txnRelHitFrom := make([][core.NumTxnTypes][core.NumRelations]int64, ncap+1)
+	batchHitFrom := make([][core.NumRelations]int64, ncap)
+	txnRelHitFrom := make([][core.NumTxnTypes][core.NumRelations]int64, ncap)
 
 	txnIdx := cfg.WarmupTxns
 	for b := 0; b < cfg.Batches; b++ {
@@ -521,5 +414,4 @@ func runCurveMapped(cfg CurveConfig, res *CurveResult, caps []int64) error {
 	for rel := range res.Curves {
 		res.Overall.Merge(res.Curves[rel])
 	}
-	return nil
 }

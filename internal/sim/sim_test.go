@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -62,6 +63,11 @@ func TestCurveConfigValidate(t *testing.T) {
 	bad.CapacitiesPages = []int64{0}
 	if err := bad.Validate(); err == nil {
 		t.Error("zero capacity should fail")
+	}
+	bad = good
+	bad.WarmupTxns = -1
+	if err := bad.Validate(); err == nil {
+		t.Error("negative warmup should fail")
 	}
 	bad = good
 	bad.Batches = 1
@@ -217,36 +223,65 @@ func TestRecencyLocality(t *testing.T) {
 	}
 }
 
+// TestRunDirectMatchesCurveAtCapacity is the stack-distance kernel's
+// oracle: a direct LRU list (no stack distances, no page ordinals, the
+// tuple stream mapped per access) must see exactly the misses RunCurve
+// derives from distances, by LRU's inclusion property, for every packing,
+// both page sizes, every evaluation capacity and every relation.
 func TestRunDirectMatchesCurveAtCapacity(t *testing.T) {
-	// The direct LRU simulation and the stack-distance curve must agree
-	// (same generator seed => identical streams; inclusion property =>
-	// identical hit predicate).
-	const pages = 2048
-	wl := workload.DefaultConfig(1, 77)
-	direct, err := Run(Config{
-		Workload: wl, Packing: PackSequential, Policy: "lru",
-		BufferPages: pages, WarmupTxns: 1000, Batches: 4, BatchTxns: 1500, Level: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := RunCurve(CurveConfig{
-		Workload: wl, Packing: PackSequential,
-		CapacitiesPages: []int64{pages},
-		WarmupTxns:      1000, Batches: 4, BatchTxns: 1500, Level: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rel := range []core.Relation{core.Stock, core.Customer, core.Item, core.OrderLine} {
-		d := direct.PerRelation[rel].MissRate()
-		c := curve.MissRate(rel, pages)
-		if math.Abs(d-c) > 1e-12 {
-			t.Errorf("%s: direct %v != curve %v", rel, d, c)
+	caps := []int64{64, 512, 2048, 8192}
+	for _, pageSize := range []int{4096, 8192} {
+		for _, p := range []Packing{PackSequential, PackOptimized, PackShuffled} {
+			wl := workload.DefaultConfig(1, 77)
+			wl.DB.PageSize = pageSize
+			curve, err := RunCurve(CurveConfig{
+				Workload: wl, Packing: p, CapacitiesPages: caps,
+				WarmupTxns: 1000, Batches: 4, BatchTxns: 1500, Level: 0.9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pages := range caps {
+				label := fmt.Sprintf("%s/%dB/%d pages", p, pageSize, pages)
+				direct, err := Run(Config{
+					Workload: wl, Packing: p, Policy: "lru", BufferPages: pages,
+					WarmupTxns: 1000, Batches: 4, BatchTxns: 1500, Level: 0.9,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var overallMisses int64
+				for rel := core.Relation(0); rel < core.NumRelations; rel++ {
+					want := direct.PerRelation[rel]
+					var misses int64
+					for typ := range curve.txnRelAcc {
+						misses += curve.txnRelAcc[typ][rel] - curve.txnRelHits[typ][rel][i]
+					}
+					overallMisses += misses
+					if acc := curve.RelAccesses(rel); acc != want.Accesses || misses != want.Misses {
+						t.Fatalf("%s %s: curve %d misses of %d, direct LRU %d of %d",
+							label, rel, misses, acc, want.Misses, want.Accesses)
+					}
+					if want.Accesses == 0 {
+						continue
+					}
+					ci, err := curve.MissRateCI(rel, i)
+					if err != nil {
+						t.Fatalf("%s %s: %v", label, rel, err)
+					}
+					if math.Abs(ci.Mean-want.CI.Mean) > 1e-12 || math.Abs(ci.HalfWidth-want.CI.HalfWidth) > 1e-12 {
+						t.Fatalf("%s %s: curve CI %+v, direct LRU CI %+v", label, rel, ci, want.CI)
+					}
+				}
+				if curve.Overall.Accesses() != direct.Overall.Accesses || overallMisses != direct.Overall.Misses {
+					t.Fatalf("%s overall: curve %d misses of %d, direct LRU %d of %d", label,
+						overallMisses, curve.Overall.Accesses(), direct.Overall.Misses, direct.Overall.Accesses)
+				}
+				if d, c := direct.Overall.MissRate(), curve.Overall.MissRate(pages); math.Abs(d-c) > 1e-12 {
+					t.Fatalf("%s overall: curve miss rate %v, direct LRU %v", label, c, d)
+				}
+			}
 		}
-	}
-	if math.Abs(direct.Overall.MissRate()-curve.Overall.MissRate(pages)) > 1e-12 {
-		t.Error("overall miss rates disagree")
 	}
 }
 

@@ -67,48 +67,6 @@ func TestTraceReplayRandomOrder(t *testing.T) {
 	}
 }
 
-// TestRunCurveWithTraceMatchesGenerated: a curve run fed a recorded trace
-// must produce identical results to one that generates the stream itself —
-// the core guarantee that lets sweep cells share one recording.
-func TestRunCurveWithTraceMatchesGenerated(t *testing.T) {
-	base := smallCurveConfig(1, PackSequential)
-	base.WarmupTxns, base.Batches, base.BatchTxns = 500, 3, 500
-
-	direct, err := RunCurve(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	traced := base
-	tr, err := RecordTrace(base.Workload, base.WarmupTxns+int64(base.Batches)*base.BatchTxns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced.Trace = tr
-	replayed, err := RunCurve(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, replayed) {
-		t.Error("trace-fed curve differs from generator-fed curve")
-	}
-}
-
-// TestCurveConfigRejectsShortTrace: a trace shorter than warmup+measured
-// transactions must fail validation instead of panicking mid-run.
-func TestCurveConfigRejectsShortTrace(t *testing.T) {
-	cfg := smallCurveConfig(1, PackSequential)
-	cfg.WarmupTxns, cfg.Batches, cfg.BatchTxns = 500, 3, 500
-	tr, err := RecordTrace(cfg.Workload, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trace = tr
-	if _, err := RunCurve(cfg); err == nil {
-		t.Error("short trace accepted")
-	}
-}
-
 // TestTraceCacheMemoizes: same key returns the same *Trace; concurrent
 // requests record exactly once; different page sizes share (the stream is
 // page-size independent) while different seeds or lengths do not.
