@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
 .PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-commit bench-engine \
-	bench-scale bench-cc cc-smoke torture shard-torture shard-xval repro repro-full fuzz xval \
+	bench-cc cc-smoke torture shard-torture shard-xval repro repro-full fuzz xval \
 	cover regen-golden regen-fuzz-corpus clean
 
 all: build test
@@ -125,12 +125,6 @@ bench-commit:
 # BENCH_engine.json.
 bench-engine:
 	go run ./cmd/tpcc-engine -bench-engine BENCH_engine.json
-
-# Multi-core scalability grid: workers x {striped, global-mutex lock
-# manager} x {partitioned, unified buffer pool}, with hardware metadata so
-# the recorded curve carries its core count; records BENCH_scale.json.
-bench-scale:
-	go run ./cmd/tpcc-engine -bench-scale BENCH_scale.json
 
 # Concurrency-control grid: {2pl, mvcc, ssi} x 1/2/4/8 workers with per-type
 # abort rates, write-conflict counts, and latency quantiles; records

@@ -70,6 +70,12 @@ type ccReport struct {
 	Cells      []ccCell `json:"cells"`
 }
 
+// lockWaits returns the lock manager's wait and deadlock counts so far.
+func lockWaits(d *db.DB) (waits, deadlocks int64) {
+	_, w, dl := d.LockCounts()
+	return w, dl
+}
+
 // runCCCell loads a fresh single-warehouse instance in the given cc mode
 // and measures one cell. The state hash is taken after the run so
 // same-seed single-worker cells across modes can be compared for the

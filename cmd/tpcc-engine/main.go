@@ -51,18 +51,13 @@ func main() {
 		crash       = flag.Bool("crash", false, "crash and recover after the run, verifying invariants")
 		validate    = flag.Bool("validate", false, "also run the trace-driven simulation and compare miss rates")
 		groupCommit = flag.Bool("group-commit", true, "share log forces: a force covers everything pre-committed while the previous one ran")
-		gcBatch     = flag.Int("gc-max-batch", 64, "wal.GroupConfig.MaxBatch; any value above 1 enables batching")
-		lockStripes = flag.Int("lock-stripes", 0, "lock-manager stripes, rounded up to a power of two (0 = default 64, 1 = single global table)")
-		bufParts    = flag.Int("buffer-partitions", 0, "buffer-pool partitions, rounded up to a power of two (0 = 1, the unified pool)")
 		benchCommit = flag.String("bench-commit", "", "instead of a single run, benchmark grouped vs ungrouped commit at 1/2/4/8 workers and write this JSON report")
 		benchEngine = flag.String("bench-engine", "", "instead of a single run, benchmark engine throughput and allocations at 1/2/4/8 workers (grouped and ungrouped) and write this JSON report")
-		benchScale  = flag.String("bench-scale", "", "instead of a single run, benchmark workers x {striped,global-lock} x {partitioned,unified-pool} and write this JSON report")
 		benchCC     = flag.String("bench-cc", "", "instead of a single run, benchmark 2pl vs mvcc vs ssi at 1/2/4/8 workers with per-type abort rates and write this JSON report")
 		commitSmoke = flag.Bool("commit-smoke", false, "CI smoke: reduced grouped-vs-ungrouped cells at 1/2/4/8 workers on a 1 ms log device; exit 1 unless ungrouped forces once per writing commit, grouped batches and keeps up, and read-only commits force nothing")
-		scaleSmoke  = flag.Bool("scale-smoke", false, "CI smoke: reduced striped-vs-global cells; exit 1 if striping costs >5% at 1 worker (multi-worker ratios are recorded, not gated)")
 		ccSmoke     = flag.Bool("cc-smoke", false, "CI smoke: write-skew certification plus reduced 2pl/mvcc/ssi cells; exit 1 unless single-worker state hashes match across modes and snapshot-mode throughput keeps up")
 		ccFlag      = flag.String("cc", "2pl", "concurrency control mode: 2pl (shared read locks), mvcc (snapshot reads, first-committer-wins) or ssi (mvcc plus serializability validation)")
-		benchFile   = flag.String("bench-file", "", "with -commit-smoke / -scale-smoke: also check this checked-in BENCH_*.json against the CLI defaults and thresholds")
+		benchFile   = flag.String("bench-file", "", "with -commit-smoke / -cc-smoke: also check this checked-in BENCH_*.json against the CLI defaults and thresholds")
 	)
 	cpuProf, memProf := cliutil.ProfileFlags()
 	mutexProf, blockProf := cliutil.ContentionProfileFlags()
@@ -74,9 +69,6 @@ func main() {
 	cliutil.RequirePositive(tool, "txns", int64(*txns))
 	cliutil.RequireNonNegative(tool, "warmup", int64(*warmup))
 	cliutil.RequirePositive(tool, "workers", int64(*workers))
-	cliutil.RequirePositive(tool, "gc-max-batch", int64(*gcBatch))
-	cliutil.RequireNonNegative(tool, "lock-stripes", int64(*lockStripes))
-	cliutil.RequireNonNegative(tool, "buffer-partitions", int64(*bufParts))
 
 	stopProf := cliutil.StartProfiles(tool, *cpuProf, *memProf)
 	stopContention := cliutil.StartContentionProfiles(tool, *mutexProf, *blockProf)
@@ -87,7 +79,7 @@ func main() {
 		fatal(err)
 	}
 
-	gcfg := wal.GroupConfig{MaxBatch: *gcBatch}
+	gcfg := wal.GroupConfig{MaxBatch: groupMaxBatch}
 	group := wal.GroupConfig{}
 	if *groupCommit {
 		group = gcfg
@@ -102,13 +94,6 @@ func main() {
 	}
 	if *benchEngine != "" {
 		if err := runBenchEngine(*benchEngine, *seed, gcfg); err != nil {
-			fatal(err)
-		}
-		stop()
-		return
-	}
-	if *benchScale != "" {
-		if err := runBenchScale(*benchScale, *seed, gcfg); err != nil {
 			fatal(err)
 		}
 		stop()
@@ -135,17 +120,9 @@ func main() {
 		stop()
 		return
 	}
-	if *scaleSmoke {
-		if err := runScaleSmoke(*seed, gcfg, *benchFile); err != nil {
-			fatal(err)
-		}
-		stop()
-		return
-	}
 
 	d, err := db.OpenWith(db.Config{
-		Warehouses: *warehouses, PageSize: 4096, BufferPages: *bufferPages,
-		LockStripes: *lockStripes, BufferPartitions: *bufParts, CC: ccMode,
+		Warehouses: *warehouses, PageSize: 4096, BufferPages: *bufferPages, CC: ccMode,
 	}, db.Options{GroupCommit: group})
 	if err != nil {
 		fatal(err)
@@ -247,6 +224,11 @@ func main() {
 	}
 	stop()
 }
+
+// groupMaxBatch is the wal.GroupConfig.MaxBatch of every grouped run. Any
+// value above 1 only switches batching on; it bounds nothing.
+// BENCH_commit.json records it as gc_max_batch.
+const groupMaxBatch = 64
 
 // commitCell is one grouped-vs-ungrouped benchmark measurement.
 type commitCell struct {
@@ -418,8 +400,8 @@ func checkCommitCells(ungrouped, grouped commitCell) error {
 	return nil
 }
 
-// checkBenchReport validates a checked-in BENCH_commit.json against the
-// CLI default and the gates the live smoke applies, so the committed
+// checkBenchReport validates a checked-in BENCH_commit.json against
+// groupMaxBatch and the gates the live smoke applies, so the committed
 // evidence cannot drift from the code.
 func checkBenchReport(path string) error {
 	buf, err := os.ReadFile(path)
@@ -430,10 +412,9 @@ func checkBenchReport(path string) error {
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	defBatch := flag.Lookup("gc-max-batch").DefValue
-	if got := fmt.Sprint(rep.MaxBatch); got != defBatch {
-		return fmt.Errorf("%s: gc_max_batch %s does not match the CLI default %s — regenerate with make bench-commit",
-			path, got, defBatch)
+	if rep.MaxBatch != groupMaxBatch {
+		return fmt.Errorf("%s: gc_max_batch %d does not match the binary's %d — regenerate with make bench-commit",
+			path, rep.MaxBatch, groupMaxBatch)
 	}
 	if rep.ForceUS != commitForceCost.Microseconds() {
 		return fmt.Errorf("%s: log_force_us %d, want %d — regenerate with make bench-commit",

@@ -91,7 +91,7 @@ func ProfileFlags() (cpuprofile, memprofile *string) {
 // call before flag.Parse. These make lock contention directly observable:
 // the mutex profile attributes delay to the mutexes that caused it, the
 // block profile to the blocked call sites (channel waits included), so a
-// striping or partitioning change can be judged by where the contention
+// change to a latch or a lock layout can be judged by where the contention
 // went rather than by throughput alone.
 func ContentionProfileFlags() (mutexprofile, blockprofile *string) {
 	mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")

@@ -146,10 +146,10 @@ func (d *gatedDisk) writeSequence() []storage.PageID {
 
 const pageSize = 256
 
-// gatedPool builds a P-partition pool of the given capacity over a gated
-// disk holding n pages; page i's durable image starts with byte i+1. No
+// gatedPool builds a pool of the given capacity over a gated disk holding n
+// pages; page i's durable image starts with byte i+1. No
 // page is resident.
-func gatedPool(t *testing.T, capacity, partitions, n int) (*Manager, *gatedDisk, []storage.PageID) {
+func gatedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.PageID) {
 	t.Helper()
 	d := newGatedDisk()
 	s, err := storage.NewStoreOn(d, pageSize)
@@ -171,7 +171,7 @@ func gatedPool(t *testing.T, capacity, partitions, n int) (*Manager, *gatedDisk,
 	clear(d.writes)
 	d.writeLog = nil
 	d.mu.Unlock()
-	return NewPartitioned(s, capacity, partitions), d, ids
+	return New(s, capacity), d, ids
 }
 
 // touch pins and unpins page id, dirtying it (byte 1 = v) when v != 0.
@@ -221,14 +221,14 @@ func blocked(ch <-chan error) bool {
 	}
 }
 
-// awaitCleanerExit returns once p has no cleaner goroutine, so that what
+// awaitCleanerExit returns once m has no cleaner goroutine, so that what
 // follows is the foreground path's doing alone.
-func awaitCleanerExit(t *testing.T, p *partition) {
+func awaitCleanerExit(t *testing.T, m *Manager) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		p.mu.Lock()
-		cleaning := p.cleaning
-		p.mu.Unlock()
+		m.mu.Lock()
+		cleaning := m.cleaning
+		m.mu.Unlock()
 		if !cleaning {
 			return
 		}
@@ -240,28 +240,27 @@ func awaitCleanerExit(t *testing.T, p *partition) {
 
 // frameOf returns page id's frame, or nil.
 func frameOf(m *Manager, id storage.PageID) *frame {
-	p := m.partOf(id)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.frames[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.frames[id]
 }
 
-// freeFrames counts the partition's unused frames. Only meaningful for a
+// freeFrames counts the pool's unused frames. Only meaningful for a
 // capacity of at most one chunk, once the chunk has been carved.
-func freeFrames(p *partition) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.frameChunk)
-	for f := p.freeFrames; f != nil; f = f.next {
+func freeFrames(m *Manager) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := len(m.frameChunk)
+	for f := m.freeFrames; f != nil; f = f.next {
 		n++
 	}
 	return n
 }
 
 // TestHitProceedsDuringGatedRead: a hit on page B returns while a read of
-// page A, in the same partition, is held at the device.
+// page A is held at the device.
 func TestHitProceedsDuringGatedRead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 2)
+	m, d, ids := gatedPool(t, 4, 2)
 	a, b := ids[0], ids[1]
 	touch(t, m, b, 0)
 
@@ -295,7 +294,7 @@ func TestHitProceedsDuringGatedRead(t *testing.T) {
 // store read between them, and both see its bytes. Whether the second pin
 // arrives during the read (waits on the frame) or after it, it is a hit.
 func TestConcurrentPinsShareOneRead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	a := ids[0]
 	g := d.gateRead(a)
 	see := func() error {
@@ -329,7 +328,7 @@ func TestConcurrentPinsShareOneRead(t *testing.T) {
 // while its write-back is held at the device; it must stay resident, now
 // clean, and the evictor must take the next victim instead.
 func TestVictimPinnedDuringWriteBackStays(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	x, y, z := ids[0], ids[1], ids[2]
 	touch(t, m, x, 7) // LRU tail, dirty
 	touch(t, m, y, 0) // next, clean
@@ -378,7 +377,7 @@ func TestVictimPinnedDuringWriteBackStays(t *testing.T) {
 // a miss of its own, and no frame leaks.
 func TestFailedReadUnpublishesFrame(t *testing.T) {
 	const capacity = 4
-	m, d, ids := gatedPool(t, capacity, 1, capacity+1)
+	m, d, ids := gatedPool(t, capacity, capacity+1)
 	// Carve every frame and free them again, so the freelist is the whole
 	// pool and the leak check below is exact.
 	for _, id := range ids[:capacity] {
@@ -417,7 +416,7 @@ func TestFailedReadUnpublishesFrame(t *testing.T) {
 	if st := m.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("stats %+v, want 2 misses", st)
 	}
-	if res, free := m.Resident(), freeFrames(m.parts[0]); res != 1 || res+free != capacity {
+	if res, free := m.Resident(), freeFrames(m); res != 1 || res+free != capacity {
 		t.Errorf("resident %d + free %d != capacity %d: a frame leaked", res, free, capacity)
 	}
 }
@@ -426,7 +425,7 @@ func TestFailedReadUnpublishesFrame(t *testing.T) {
 // that needed the frame and leaves the victim dirty, resident and still the
 // LRU tail; the retry writes it and goes through.
 func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	x, y, z := ids[0], ids[1], ids[2]
 	touch(t, m, x, 9)
 	touch(t, m, y, 0)
@@ -435,13 +434,13 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	g := d.gateWrite(x)
 	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
 	wait(t, g.arrived, "the write-back of X to reach the device")
-	awaitCleanerExit(t, m.parts[0]) // it found X spoken for and Y clean
+	awaitCleanerExit(t, m) // it found X spoken for and Y clean
 	g.release <- boom
 	if err := wait(t, miss, "the miss on Z"); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
 	f := frameOf(m, x)
-	if f == nil || !f.dirty || !f.inLRU || m.parts[0].lruTail != f || f.io != ioNone {
+	if f == nil || !f.dirty || !f.inLRU || m.lruTail != f || f.io != ioNone {
 		t.Fatalf("X after a failed write-back: %+v, want dirty at the LRU tail", f)
 	}
 	if frameOf(m, z) != nil || m.Resident() != 2 {
@@ -459,7 +458,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 // held at the device.
 func cleanerAndMissInFlight(t *testing.T) (m *Manager, d *gatedDisk, b storage.PageID, readZ, writeB *gate, miss <-chan error) {
 	t.Helper()
-	m, d, ids := gatedPool(t, 4, 1, 5)
+	m, d, ids := gatedPool(t, 4, 5)
 	touch(t, m, ids[0], 0)
 	touch(t, m, ids[1], 5)
 	touch(t, m, ids[2], 0)
@@ -534,9 +533,8 @@ func TestCleanerWritesInPlace(t *testing.T) {
 	if err := m.FlushAll(); err != nil { // waits for the cleaner's write, writes nothing
 		t.Fatal(err)
 	}
-	p := m.parts[0]
 	f := frameOf(m, b)
-	if f == nil || f.dirty || p.lruTail != f {
+	if f == nil || f.dirty || m.lruTail != f {
 		t.Fatalf("B after cleaning: %+v, want clean at the LRU tail", f)
 	}
 	if st := m.Stats(); st.Evicts != 1 || st.Flushes != 1 {
@@ -544,11 +542,11 @@ func TestCleanerWritesInPlace(t *testing.T) {
 	}
 }
 
-// TestPinHitDuringCheckpointWrite: a checkpoint holds no partition mutex
+// TestPinHitDuringCheckpointWrite: a checkpoint holds no pool mutex
 // across its writes, so a hit on a clean page goes through while one of
 // them is held at the device.
 func TestPinHitDuringCheckpointWrite(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 2)
+	m, d, ids := gatedPool(t, 4, 2)
 	dirty, clean := ids[0], ids[1]
 	touch(t, m, dirty, 3)
 	touch(t, m, clean, 0)
@@ -567,28 +565,26 @@ func TestPinHitDuringCheckpointWrite(t *testing.T) {
 }
 
 // TestCheckpointWriteOrderRepeats: two checkpoints of the same pool state
-// issue the same write sequence — ascending page order per partition — so
-// a seeded "crash at the N-th write" lands on the same page every time.
+// issue the same write sequence — ascending page order — so a seeded "crash
+// at the N-th write" lands on the same page every time.
 func TestCheckpointWriteOrderRepeats(t *testing.T) {
-	for _, parts := range []int{1, 4} {
-		var seqs [2][]storage.PageID
-		for run := range seqs {
-			m, d, ids := gatedPool(t, 256, parts, 48)
-			r := rng.New(5)
-			for i := 0; i < 200; i++ {
-				touch(t, m, ids[r.Int63n(int64(len(ids)))], byte(1+i%200))
-			}
-			if err := m.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			seqs[run] = d.writeSequence()
+	var seqs [2][]storage.PageID
+	for run := range seqs {
+		m, d, ids := gatedPool(t, 256, 48)
+		r := rng.New(5)
+		for i := 0; i < 200; i++ {
+			touch(t, m, ids[r.Int63n(int64(len(ids)))], byte(1+i%200))
 		}
-		if len(seqs[0]) == 0 || !slices.Equal(seqs[0], seqs[1]) {
-			t.Errorf("P=%d: checkpoint write sequences differ:\n%v\n%v", parts, seqs[0], seqs[1])
+		if err := m.FlushAll(); err != nil {
+			t.Fatal(err)
 		}
-		if parts == 1 && !slices.IsSorted(seqs[0]) {
-			t.Errorf("P=1: checkpoint did not write in ascending page order: %v", seqs[0])
-		}
+		seqs[run] = d.writeSequence()
+	}
+	if len(seqs[0]) == 0 || !slices.Equal(seqs[0], seqs[1]) {
+		t.Errorf("checkpoint write sequences differ:\n%v\n%v", seqs[0], seqs[1])
+	}
+	if !slices.IsSorted(seqs[0]) {
+		t.Errorf("checkpoint did not write in ascending page order: %v", seqs[0])
 	}
 }
 
@@ -604,91 +600,89 @@ func TestOverlapStress(t *testing.T) {
 		capacity = 16
 		rounds   = 120
 	)
-	for _, parts := range []int{1, 4} {
-		m, d, ids := gatedPool(t, capacity, parts, pages)
-		d.delay = time.Millisecond
-		var stop atomic.Bool
-		var bg sync.WaitGroup
-		bg.Add(2)
-		go func() { // Resident never exceeds Capacity, reserved frames included.
-			defer bg.Done()
-			for !stop.Load() {
-				if got := m.Resident(); got > capacity {
-					t.Errorf("P=%d: resident %d exceeds capacity %d", parts, got, capacity)
-					return
-				}
-				time.Sleep(200 * time.Microsecond)
+	m, d, ids := gatedPool(t, capacity, pages)
+	d.delay = time.Millisecond
+	var stop atomic.Bool
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // Resident never exceeds Capacity, reserved frames included.
+		defer bg.Done()
+		for !stop.Load() {
+			if got := m.Resident(); got > capacity {
+				t.Errorf("resident %d exceeds capacity %d", got, capacity)
+				return
 			}
-		}()
-		go func() {
-			defer bg.Done()
-			for !stop.Load() {
-				if err := m.FlushAll(); err != nil {
-					t.Errorf("P=%d: FlushAll: %v", parts, err)
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for !stop.Load() {
+			if err := m.FlushAll(); err != nil {
+				t.Errorf("FlushAll: %v", err)
+				return
 			}
-		}()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
 
-		var counts [workers][pages]byte
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r := rng.New(uint64(w) + 1)
-				for i := 0; i < rounds; i++ {
-					n := int(r.Int63n(pages))
-					write := r.Bernoulli(0.5)
-					err := m.With(ids[n], write, func(p []byte) {
-						if p[0] != byte(n+1) {
-							t.Errorf("page %d carries content of page %d", n, int(p[0])-1)
-						}
-						if p[8+w] != counts[w][n] {
-							t.Errorf("P=%d: worker %d's count on page %d is %d, want %d", parts, w, n, p[8+w], counts[w][n])
-						}
-						if write {
-							p[8+w]++
-						}
-					})
-					if err != nil {
-						t.Errorf("P=%d: %v", parts, err)
-						return
+	var counts [workers][pages]byte
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(uint64(w) + 1)
+			for i := 0; i < rounds; i++ {
+				n := int(r.Int63n(pages))
+				write := r.Bernoulli(0.5)
+				err := m.With(ids[n], write, func(p []byte) {
+					if p[0] != byte(n+1) {
+						t.Errorf("page %d carries content of page %d", n, int(p[0])-1)
+					}
+					if p[8+w] != counts[w][n] {
+						t.Errorf("worker %d's count on page %d is %d, want %d", w, n, p[8+w], counts[w][n])
 					}
 					if write {
-						counts[w][n]++
+						p[8+w]++
 					}
+				})
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		stop.Store(true)
-		bg.Wait()
+				if write {
+					counts[w][n]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	bg.Wait()
 
-		if err := m.FlushAll(); err != nil {
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Accesses() != workers*rounds {
+		t.Errorf("%d accesses counted, want %d", st.Accesses(), workers*rounds)
+	}
+	if reads, _ := m.store.IOCounts(); st.Misses != reads {
+		t.Errorf("%d misses but %d store reads", st.Misses, reads)
+	}
+	if n := d.maxInFlight(); n < 2 {
+		t.Errorf("at most %d page I/O in flight at once: nothing overlapped", n)
+	}
+	// The durable images carry every count once the pool is flushed.
+	buf := make([]byte, pageSize)
+	for n, id := range ids {
+		if err := m.store.Read(id, buf); err != nil {
 			t.Fatal(err)
 		}
-		st := m.Stats()
-		if st.Accesses() != workers*rounds {
-			t.Errorf("P=%d: %d accesses counted, want %d", parts, st.Accesses(), workers*rounds)
-		}
-		if reads, _ := m.store.IOCounts(); st.Misses != reads {
-			t.Errorf("P=%d: %d misses but %d store reads", parts, st.Misses, reads)
-		}
-		if n := d.maxInFlight(); n < 2 {
-			t.Errorf("P=%d: at most %d page I/O in flight at once: nothing overlapped", parts, n)
-		}
-		// The durable images carry every count once the pool is flushed.
-		buf := make([]byte, pageSize)
-		for n, id := range ids {
-			if err := m.store.Read(id, buf); err != nil {
-				t.Fatal(err)
-			}
-			for w := range counts {
-				if buf[8+w] != counts[w][n] {
-					t.Errorf("P=%d: durable count of worker %d on page %d is %d, want %d", parts, w, n, buf[8+w], counts[w][n])
-				}
+		for w := range counts {
+			if buf[8+w] != counts[w][n] {
+				t.Errorf("durable count of worker %d on page %d is %d, want %d", w, n, buf[8+w], counts[w][n])
 			}
 		}
 	}
@@ -751,7 +745,7 @@ func logged(t *testing.T, m *Manager, l *fakeLog, id storage.PageID, v byte, siz
 // log's durable point, so its write-back asks for an offset the log already
 // has and no force happens; a clean unpin does not move the offset.
 func TestColdDirtyVictimForcesNothing(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	l := &fakeLog{}
 	m.SetLog(l)
 	x, y, z := ids[0], ids[1], ids[2]
@@ -775,7 +769,7 @@ func TestColdDirtyVictimForcesNothing(t *testing.T) {
 // latch. The image written carries that change, so the offset forced must be
 // the pinner's, not the one the frame had when it was picked.
 func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	l := &fakeLog{}
 	m.SetLog(l)
 	x, y, z := ids[0], ids[1], ids[2]
@@ -790,11 +784,10 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 	fx := frameOf(m, x)
 	fx.contentMu.Lock() // where the pinner's latch will be: writeBack queues behind it
 	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
-	p := m.parts[0]
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		p.mu.Lock()
+		m.mu.Lock()
 		busy := fx.io == ioEvict
-		p.mu.Unlock()
+		m.mu.Unlock()
 		if busy {
 			break
 		}
@@ -820,7 +813,7 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 	}
 	// X came out of the write dirty again (the pinner's unpin followed the
 	// mark-clean), so the cleaner may write it a second time.
-	awaitCleanerExit(t, p)
+	awaitCleanerExit(t, m)
 	if _, asked, forces := l.state(); forces != 1 || len(asked) == 0 || slices.Min(asked) != 300 {
 		t.Errorf("asked %v, %d forces: want ForceTo(300) and nothing less, one force", asked, forces)
 	}
@@ -837,7 +830,7 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 // write-back that fails — nothing reaches the device, the miss gets the
 // error, the victim stays dirty at the LRU tail — and the retry goes through.
 func TestFailedForceLeavesVictimDirty(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	boom := errors.New("injected force failure")
 	l := &fakeLog{fail: boom}
 	m.SetLog(l)
@@ -848,9 +841,9 @@ func TestFailedForceLeavesVictimDirty(t *testing.T) {
 	if err := m.With(z, false, func([]byte) {}); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
-	awaitCleanerExit(t, m.parts[0])
+	awaitCleanerExit(t, m)
 	f := frameOf(m, x)
-	if f == nil || !f.dirty || !f.inLRU || m.parts[0].lruTail != f || f.io != ioNone {
+	if f == nil || !f.dirty || !f.inLRU || m.lruTail != f || f.io != ioNone {
 		t.Fatalf("X after a failed force: %+v, want dirty at the LRU tail", f)
 	}
 	if d.writesOf(x) != 0 || frameOf(m, z) != nil || m.Resident() != 2 {
@@ -869,7 +862,7 @@ func TestFailedForceLeavesVictimDirty(t *testing.T) {
 // one path — whichever writes a page first forces the log to that page's own
 // offset, and pages nobody dirtied are not the log's business.
 func TestEveryWriteBackKeepsTheWALRule(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 6)
+	m, d, ids := gatedPool(t, 4, 6)
 	l := &fakeLog{}
 	m.SetLog(l)
 	offset := map[storage.PageID]int64{}
@@ -885,7 +878,7 @@ func TestEveryWriteBackKeepsTheWALRule(t *testing.T) {
 	// A miss on a full pool of dirty frames: the evictor writes the LRU
 	// tail, the cleaner the frames behind it, between them all four.
 	touch(t, m, ids[4], 0)
-	awaitCleanerExit(t, m.parts[0])
+	awaitCleanerExit(t, m)
 	_, asked, _ := l.state()
 	slices.Sort(asked)
 	if !slices.Equal(asked, []int64{10, 20, 30, 40}) {
@@ -934,12 +927,11 @@ func (r *tapEvents) get() []Event {
 // awaitRead returns once page id has no read in flight.
 func awaitRead(t *testing.T, m *Manager, id storage.PageID) {
 	t.Helper()
-	p := m.partOf(id)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		p.mu.Lock()
-		f := p.frames[id]
+		m.mu.Lock()
+		f := m.frames[id]
 		busy := f != nil && f.io == ioRead
-		p.mu.Unlock()
+		m.mu.Unlock()
 		if !busy {
 			return
 		}
@@ -952,7 +944,7 @@ func awaitRead(t *testing.T, m *Manager, id storage.PageID) {
 // TestPrefetchReturnsBeforeTheRead: Prefetch reserves the frame, counts and
 // taps the read-ahead, and returns while the read is held at the device.
 func TestPrefetchReturnsBeforeTheRead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	taps := tapInto(m)
 	a := ids[0]
 	g := d.gateRead(a)
@@ -975,7 +967,7 @@ func TestPrefetchReturnsBeforeTheRead(t *testing.T) {
 // TestTwoReadAheadsMakeOneRead: a page whose read-ahead is in flight, asked
 // for again in the same call and in another, is read once.
 func TestTwoReadAheadsMakeOneRead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	a := ids[0]
 	g := d.gateRead(a)
 	m.Prefetch([]storage.PageID{a, a})
@@ -996,7 +988,7 @@ func TestTwoReadAheadsMakeOneRead(t *testing.T) {
 // flight waits for the read, sees its bytes and is counted nowhere — the
 // read-ahead was the page's miss; the next pin is a hit.
 func TestClaimWaitsAndCountsNothing(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	taps := tapInto(m)
 	a := ids[0]
 	g := d.gateRead(a)
@@ -1019,7 +1011,7 @@ func TestClaimWaitsAndCountsNothing(t *testing.T) {
 	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("stats after the claim %+v, want the read-ahead's miss alone", st)
 	}
-	if f := frameOf(m, a); f == nil || f.ahead || m.parts[0].lruHead != f {
+	if f := frameOf(m, a); f == nil || f.ahead || m.lruHead != f {
 		t.Errorf("A after its claim: %+v, want claimed, at MRU", f)
 	}
 	touch(t, m, a, 0)
@@ -1037,15 +1029,14 @@ func TestClaimWaitsAndCountsNothing(t *testing.T) {
 // TestPrefetchOfResidentPageIsInvisible: a resident page costs Prefetch a
 // map probe: no count, no tap, no LRU move, no read.
 func TestPrefetchOfResidentPageIsInvisible(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 2)
+	m, d, ids := gatedPool(t, 4, 2)
 	a, b := ids[0], ids[1]
 	touch(t, m, a, 0)
 	touch(t, m, b, 0)
 	taps := tapInto(m)
 	before := m.Stats()
 	m.Prefetch([]storage.PageID{a})
-	p := m.parts[0]
-	if p.lruTail != frameOf(m, a) || p.lruHead != frameOf(m, b) {
+	if m.lruTail != frameOf(m, a) || m.lruHead != frameOf(m, b) {
 		t.Error("Prefetch moved a resident page")
 	}
 	if st := m.Stats(); st != before {
@@ -1064,7 +1055,7 @@ func TestPrefetchOfResidentPageIsInvisible(t *testing.T) {
 // an evictor passes it over, and a reservation that finds nothing else
 // waits for the read to end.
 func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 4)
+	m, d, ids := gatedPool(t, 2, 4)
 	a, b, c, e := ids[0], ids[1], ids[2], ids[3]
 	g := d.gateRead(a)
 	m.Prefetch([]storage.PageID{a}) // the LRU tail from here on
@@ -1095,7 +1086,7 @@ func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
 // TestUnclaimedReadAheadAgesOut: a read-ahead no pin claims stays where its
 // reservation put it and is evicted in LRU order like any other frame.
 func TestUnclaimedReadAheadAgesOut(t *testing.T) {
-	m, d, ids := gatedPool(t, 2, 1, 3)
+	m, d, ids := gatedPool(t, 2, 3)
 	a, b, c := ids[0], ids[1], ids[2]
 	m.Prefetch([]storage.PageID{a})
 	awaitRead(t, m, a)
@@ -1116,7 +1107,7 @@ func TestUnclaimedReadAheadAgesOut(t *testing.T) {
 // freeFrames counts the whole pool and a leak check is exact.
 func carvedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.PageID) {
 	t.Helper()
-	m, d, ids := gatedPool(t, capacity, 1, n)
+	m, d, ids := gatedPool(t, capacity, n)
 	for _, id := range ids[:capacity] {
 		touch(t, m, id, 0)
 	}
@@ -1127,19 +1118,17 @@ func carvedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.
 	return m, d, ids
 }
 
-// noLeak fails unless every frame of the single partition is resident and
-// unpinned, or free.
+// noLeak fails unless every frame is resident and unpinned, or free.
 func noLeak(t *testing.T, m *Manager, capacity int) {
 	t.Helper()
-	p := m.parts[0]
-	p.mu.Lock()
-	for _, f := range p.frames {
+	m.mu.Lock()
+	for _, f := range m.frames {
 		if f.pins != 0 {
 			t.Errorf("page %d left pinned %d times", f.id, f.pins)
 		}
 	}
-	p.mu.Unlock()
-	if res, free := m.Resident(), freeFrames(p); res+free != capacity {
+	m.mu.Unlock()
+	if res, free := m.Resident(), freeFrames(m); res+free != capacity {
 		t.Errorf("resident %d + free %d != capacity %d: a frame leaked", res, free, capacity)
 	}
 }
@@ -1201,7 +1190,7 @@ func TestPinWaitingOnFailedReadAheadRetries(t *testing.T) {
 // TestCrashDrainsReadAhead: Crash waits out a read-ahead in flight, then
 // finds its frame unpinned and discards it.
 func TestCrashDrainsReadAhead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	a := ids[0]
 	g := d.gateRead(a)
 	m.Prefetch([]storage.PageID{a})
@@ -1223,7 +1212,7 @@ func TestCrashDrainsReadAhead(t *testing.T) {
 // counters, the tap and the LRU order as they were; Peek of a page that is
 // not resident reports false and reads nothing.
 func TestPeekIsNoAccess(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 3)
+	m, d, ids := gatedPool(t, 4, 3)
 	a, b, c := ids[0], ids[1], ids[2]
 	touch(t, m, a, 0)
 	touch(t, m, b, 0)
@@ -1233,7 +1222,7 @@ func TestPeekIsNoAccess(t *testing.T) {
 	if !m.Peek(a, 0, out) || out[0] != 1 {
 		t.Errorf("Peek of resident A: got %v, want its first byte 1", out)
 	}
-	if p := m.parts[0]; p.lruTail != frameOf(m, a) || p.lruHead != frameOf(m, b) {
+	if m.lruTail != frameOf(m, a) || m.lruHead != frameOf(m, b) {
 		t.Error("Peek moved a resident page")
 	}
 	if m.Peek(c, 0, out) {
@@ -1254,7 +1243,7 @@ func TestPeekIsNoAccess(t *testing.T) {
 // returns the page's bytes once the read is done, and leaves the frame
 // unclaimed: the first pin is still the claim.
 func TestPeekWaitsOutReadAhead(t *testing.T) {
-	m, d, ids := gatedPool(t, 4, 1, 1)
+	m, d, ids := gatedPool(t, 4, 1)
 	taps := tapInto(m)
 	a := ids[0]
 	g := d.gateRead(a)
@@ -1289,11 +1278,11 @@ func TestPeekWaitsOutReadAhead(t *testing.T) {
 	}
 }
 
-// TestPeekOfLatchedPageReportsFalse: Peek holds the partition mutex, which
+// TestPeekOfLatchedPageReportsFalse: Peek holds the manager's mutex, which
 // a content-latch holder may need to unpin, so it never waits for the latch:
 // a page pinned through Pin reports false at once, and true once unpinned.
 func TestPeekOfLatchedPageReportsFalse(t *testing.T) {
-	m, _, ids := gatedPool(t, 4, 1, 1)
+	m, _, ids := gatedPool(t, 4, 1)
 	a := ids[0]
 	pg, err := m.Pin(a)
 	if err != nil {

@@ -8,117 +8,13 @@ import (
 	"tpccmodel/internal/rng"
 )
 
-func TestPartitionRounding(t *testing.T) {
-	s := mustStore(t, 256)
-	for _, tc := range []struct{ ask, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8},
-	} {
-		m := NewPartitioned(s, 64, tc.ask)
-		if got := m.Partitions(); got != tc.want {
-			t.Errorf("NewPartitioned(.., %d) = %d partitions, want %d", tc.ask, got, tc.want)
-		}
-	}
-	// New is the unified pool.
-	if got := New(s, 64).Partitions(); got != 1 {
-		t.Errorf("New() = %d partitions, want 1", got)
-	}
-}
-
-func TestPartitionsExceedingCapacityPanics(t *testing.T) {
-	s := mustStore(t, 256)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("partitions > capacity must panic (a partition needs at least one frame)")
-		}
-	}()
-	NewPartitioned(s, 4, 8)
-}
-
-// TestPartitionedCapacitySplit checks the whole capacity is usable: with C
-// frames over P partitions every frame must be obtainable even when C is
-// not a multiple of P.
-func TestPartitionedCapacitySplit(t *testing.T) {
-	s := mustStore(t, 256)
-	m := NewPartitioned(s, 11, 4) // 3+3+3+2
-	if m.Capacity() != 11 {
-		t.Fatalf("capacity = %d, want 11", m.Capacity())
-	}
-	total := 0
-	for _, p := range m.parts {
-		if p.capacity < 2 || p.capacity > 3 {
-			t.Errorf("partition capacity %d outside the 2-3 split", p.capacity)
-		}
-		total += p.capacity
-	}
-	if total != 11 {
-		t.Fatalf("partition capacities sum to %d, want 11", total)
-	}
-}
-
-// TestPartitionedStatsAggregate drives a P=4 pool through enough traffic
-// to land pages in every partition, then checks the aggregated counters
-// against a shadow count kept by the test.
-func TestPartitionedStatsAggregate(t *testing.T) {
-	s := mustStore(t, 256)
-	m := NewPartitioned(s, 8, 4)
-	var ids []storage.PageID
-	for i := 0; i < 32; i++ {
-		id, err := m.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	seen := map[*partition]bool{}
-	for _, id := range ids {
-		seen[m.partOf(id)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("32 sequential pages landed in %d of 4 partitions — hash is not spreading", len(seen))
-	}
-	var accesses int64
-	r := rng.New(3)
-	for i := 0; i < 500; i++ {
-		id := ids[r.Int63n(int64(len(ids)))]
-		if err := m.With(id, i%3 == 0, func(p []byte) { p[1] = byte(i) }); err != nil {
-			t.Fatal(err)
-		}
-		accesses++
-	}
-	st := m.Stats()
-	if st.Accesses() != accesses {
-		t.Errorf("aggregated accesses = %d, want %d", st.Accesses(), accesses)
-	}
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Errorf("a 32-page working set over 8 frames should both hit and miss: %+v", st)
-	}
-	if got := m.Resident(); got > m.Capacity() {
-		t.Errorf("resident %d exceeds capacity %d", got, m.Capacity())
-	}
-	m.ResetStats()
-	if st = m.Stats(); st.Accesses() != 0 {
-		t.Errorf("ResetStats left %+v", st)
-	}
-	if err := m.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// After FlushAll every durable image must carry the last committed
-	// byte, partition by partition.
-	buf := make([]byte, 256)
-	for _, id := range ids {
-		if err := s.Read(id, buf); err != nil {
-			t.Fatalf("page %d after FlushAll: %v", id, err)
-		}
-	}
-}
-
-// TestPartitionedConcurrentStress hammers a small partitioned pool from
-// many goroutines (hits, misses, evictions, dirty write-backs, allocation)
-// and then checks that per-page content survived. Run under -race this is
-// the partitioned pool's data-race gate.
+// TestPartitionedConcurrentStress hammers a small pool from many goroutines
+// (hits, misses, evictions, dirty write-backs, allocation) and then checks
+// that per-page content survived. Run under -race this is the pool's
+// data-race gate.
 func TestPartitionedConcurrentStress(t *testing.T) {
 	s := mustStore(t, 256)
-	m := NewPartitioned(s, 16, 8)
+	m := New(s, 16)
 	const pages = 64
 	var ids []storage.PageID
 	for i := 0; i < pages; i++ {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"tpccmodel/internal/core"
-	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
 )
@@ -58,7 +57,6 @@ func TestHotPathAllocationFree(t *testing.T) {
 func testContendedPathAllocations(t *testing.T) {
 	d, err := OpenWith(Config{
 		Warehouses: 1, PageSize: 4096, BufferPages: 32768,
-		LockStripes: lock.DefaultStripes, BufferPartitions: 8,
 	}, Options{LogHook: yieldingLog{}, GroupCommit: wal.GroupConfig{MaxBatch: 64}})
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +92,9 @@ func testContendedPathAllocations(t *testing.T) {
 
 func testHotPathAllocationFree(t *testing.T, cc CCMode) {
 	// 32768 x 4 KiB covers the ~15k-page 1-warehouse dataset plus insert
-	// growth; with room to spare the measurement sees no evictions. The
-	// gate runs with lock striping and pool partitioning explicitly on:
-	// sharding the structures must not reintroduce per-transaction
-	// allocations (each stripe and partition carries its own free pools).
+	// growth; with room to spare the measurement sees no evictions.
 	d, err := Open(Config{
-		Warehouses: 1, PageSize: 4096, BufferPages: 32768,
-		LockStripes: lock.DefaultStripes, BufferPartitions: 8,
-		CC: cc,
+		Warehouses: 1, PageSize: 4096, BufferPages: 32768, CC: cc,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -76,15 +76,6 @@ type Config struct {
 	PageSize int
 	// BufferPages is the buffer-pool capacity in pages.
 	BufferPages int
-	// LockStripes is the lock-manager stripe count (rounded up to a power
-	// of two). 0 means lock.DefaultStripes; 1 recovers the single-table
-	// manager for differential testing.
-	LockStripes int
-	// BufferPartitions is the buffer-pool partition count (rounded up to a
-	// power of two, must not exceed BufferPages). 0 means 1 — the unified
-	// pool, which is the only configuration with a totally ordered
-	// reference stream (see xval).
-	BufferPartitions int
 	// CC selects the concurrency-control protocol; the zero value is
 	// CC2PL (the seed behavior).
 	CC CCMode
@@ -106,25 +97,8 @@ func (c Config) Validate() error {
 	if c.BufferPages <= 0 {
 		return fmt.Errorf("db: buffer pages must be positive")
 	}
-	if c.LockStripes < 0 {
-		return fmt.Errorf("db: lock stripes must be non-negative")
-	}
-	if c.BufferPartitions < 0 {
-		return fmt.Errorf("db: buffer partitions must be non-negative")
-	}
 	if c.CC > CCSSI {
 		return fmt.Errorf("db: unknown concurrency-control mode %d", c.CC)
-	}
-	// Partition counts round up to a power of two; the rounded count must
-	// still leave every partition at least one frame.
-	for p := 1; c.BufferPartitions > 0; p <<= 1 {
-		if p >= c.BufferPartitions {
-			if p > c.BufferPages {
-				return fmt.Errorf("db: %d buffer partitions (rounded from %d) exceed %d buffer pages",
-					p, c.BufferPartitions, c.BufferPages)
-			}
-			break
-		}
 	}
 	return nil
 }
@@ -332,19 +306,11 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	stripes := cfg.LockStripes
-	if stripes == 0 {
-		stripes = lock.DefaultStripes
-	}
-	partitions := cfg.BufferPartitions
-	if partitions == 0 {
-		partitions = 1
-	}
 	d := &DB{
 		cfg:   cfg,
 		store: store,
 		log:   wal.New(),
-		locks: lock.NewManagerStripes(stripes),
+		locks: lock.NewManager(),
 	}
 	switch cfg.CC {
 	case CCMVCC:
@@ -358,7 +324,7 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	d.log.SetFaultHook(opts.LogHook)
 	d.log.SetGroupCommit(opts.GroupCommit)
 	d.locks.SetWaitTimeout(opts.LockWaitTimeout)
-	d.buf = bufmgr.NewPartitioned(d.store, cfg.BufferPages, partitions)
+	d.buf = bufmgr.New(d.store, cfg.BufferPages)
 	// The WAL rule: no dirty page reaches the store before the log
 	// records covering it are durable.
 	d.buf.SetLog(d.log)

@@ -150,7 +150,7 @@ func (d *meetingDisk) Read(id storage.PageID, area storage.Area, buf []byte) err
 	return d.MemDisk.Read(id, area, buf)
 }
 
-// TestMissPathOverlaps: two workers missing in one buffer partition must
+// TestMissPathOverlaps: two workers missing in the buffer pool must
 // get their page reads to the device at the same time. The check is a count
 // of reads in flight, not a timing.
 func TestMissPathOverlaps(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // stateHash is the test-side wrapper over DB.StateHash (the committed
-// state digest shared with the -cc and partition differential gates).
+// state digest the -cc differential gates compare).
 func stateHash(t *testing.T, d *DB) uint64 {
 	t.Helper()
 	h, err := d.StateHash()
@@ -17,57 +17,15 @@ func stateHash(t *testing.T, d *DB) uint64 {
 	return h
 }
 
-// TestPartitionedPoolStateEquivalence runs the same seeded single-worker
-// workload against pools partitioned 1/2/8 ways, with a pool small enough
-// that every configuration evicts constantly. Partitioning changes WHICH
-// pages are resident (each partition runs its own LRU) but must never
-// change committed state: the final database must hash identically, and
-// C1-C4 must hold, at every P.
-func TestPartitionedPoolStateEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a loaded warehouse")
-	}
-	hashes := map[int]uint64{}
-	for _, parts := range []int{1, 2, 8} {
-		d, err := Open(Config{
-			Warehouses: 1, PageSize: 4096, BufferPages: 256,
-			BufferPartitions: parts,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Load(11); err != nil {
-			t.Fatal(err)
-		}
-		if err := RunConcurrent(d, 99, tpcc.DefaultMix(), 1200, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.CheckConsistency(); err != nil {
-			t.Fatalf("partitions=%d: %v", parts, err)
-		}
-		st := d.BufferStats()
-		if st.Misses == 0 {
-			t.Fatalf("partitions=%d: no evict pressure — pool too large for the test to mean anything", parts)
-		}
-		hashes[parts] = stateHash(t, d)
-	}
-	if hashes[1] != hashes[2] || hashes[1] != hashes[8] {
-		t.Fatalf("final state diverges across partition counts: P1=%016x P2=%016x P8=%016x",
-			hashes[1], hashes[2], hashes[8])
-	}
-}
-
-// TestPartitionedPoolConcurrent drives a P=8 pool with 4 workers — the
-// configuration the partitioning exists for — and checks consistency.
-// Under -race this exercises cross-partition pin/unpin/evict traffic.
+// TestPartitionedPoolConcurrent drives the default configuration, whose
+// pool holds about a quarter of a warehouse, with 4 workers and checks
+// consistency. Under -race this exercises
+// concurrent pin/unpin/evict traffic on the one LRU.
 func TestPartitionedPoolConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a loaded warehouse")
 	}
-	d, err := Open(Config{
-		Warehouses: 1, PageSize: 4096, BufferPages: 512,
-		BufferPartitions: 8,
-	})
+	d, err := Open(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,27 +37,5 @@ func TestPartitionedPoolConcurrent(t *testing.T) {
 	}
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestConfigValidatePartitions pins the config guard rails: partition
-// counts round up to powers of two before the capacity check.
-func TestConfigValidatePartitions(t *testing.T) {
-	base := Config{Warehouses: 1, PageSize: 4096, BufferPages: 8}
-	ok := base
-	ok.BufferPartitions = 8
-	if err := ok.Validate(); err != nil {
-		t.Errorf("8 partitions over 8 pages should validate: %v", err)
-	}
-	bad := base
-	bad.BufferPartitions = 5 // rounds to 8, but so does 6 over 6 pages:
-	bad.BufferPages = 6      // 5 -> 8 > 6 must be rejected before bufmgr panics
-	if err := bad.Validate(); err == nil {
-		t.Error("rounded partition count exceeding the pool must be rejected")
-	}
-	neg := base
-	neg.BufferPartitions = -1
-	if err := neg.Validate(); err == nil {
-		t.Error("negative partitions must be rejected")
 	}
 }

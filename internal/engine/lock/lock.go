@@ -10,9 +10,9 @@
 // with added processors, so the lock space is STRIPED: keys hash into
 // independent stripes, each with its own mutex, lock table, and free
 // pools. Uncontended grants on different keys in different stripes never
-// touch a shared mutex or cache line. NewManagerStripes(1) degenerates to
-// the original single-table manager and is kept as the differential
-// baseline (see striped_test.go).
+// touch a shared mutex or cache line. One stripe degenerates to the
+// original single-table manager and is kept as the differential baseline
+// (see striped_test.go).
 //
 // Deadlock detection is the one structurally global concern: a wait cycle
 // can span stripes (txn A blocked in stripe 1 on a lock whose holder is
@@ -209,20 +209,12 @@ type Manager struct {
 }
 
 // NewManager creates an empty lock manager with DefaultStripes stripes.
-func NewManager() *Manager { return NewManagerStripes(DefaultStripes) }
+func NewManager() *Manager { return newManagerStripes(DefaultStripes) }
 
-// NewManagerStripes creates an empty lock manager with the given stripe
-// count, rounded up to a power of two; values < 1 mean DefaultStripes.
-// Stripes = 1 reproduces the seed single-table manager exactly and is the
-// baseline configuration of the scalability benchmark.
-func NewManagerStripes(stripes int) *Manager {
-	if stripes < 1 {
-		stripes = DefaultStripes
-	}
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
+// newManagerStripes creates an empty lock manager with n stripes, a power of
+// two. One stripe reproduces the seed single-table manager exactly and is
+// the differential oracle of the striped one.
+func newManagerStripes(n int) *Manager {
 	m := &Manager{
 		stripes: make([]stripe, n),
 		mask:    uint64(n - 1),
@@ -242,9 +234,6 @@ func NewManagerStripes(stripes int) *Manager {
 	m.det.seen = make(map[TxnID]struct{})
 	return m
 }
-
-// Stripes returns the stripe count (always a power of two).
-func (m *Manager) Stripes() int { return len(m.stripes) }
 
 // stripeOf hashes a key to its stripe. Fibonacci multiplicative hashing on
 // the mixed row/table bits: row keys are near-sequential per table, so the

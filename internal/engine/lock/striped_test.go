@@ -221,8 +221,8 @@ func runLockSchedule(m *Manager, seed uint64, steps int) []string {
 // stripe-independent, so the logs must be equal line for line.
 func TestStripedDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 1993, 77} {
-		single := runLockSchedule(NewManagerStripes(1), seed, 400)
-		striped := runLockSchedule(NewManagerStripes(64), seed, 400)
+		single := runLockSchedule(newManagerStripes(1), seed, 400)
+		striped := runLockSchedule(NewManager(), seed, 400)
 		if len(single) != len(striped) {
 			t.Fatalf("seed %d: log lengths differ: %d vs %d", seed, len(single), len(striped))
 		}
@@ -254,7 +254,7 @@ func differentStripeRows(m *Manager, table uint32, n int) []uint64 {
 // it must see the cross-stripe wait-for graph. Run with -race this also
 // exercises the stripe->detector lock nesting under concurrency.
 func TestCrossStripeDeadlock(t *testing.T) {
-	m := NewManagerStripes(64)
+	m := NewManager()
 	rows := differentStripeRows(m, 1, 3)
 	keys := []Key{
 		{Table: 1, Row: rows[0]},

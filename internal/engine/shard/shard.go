@@ -43,10 +43,6 @@ type Config struct {
 	// PageSize and BufferPages size each shard's instance.
 	PageSize    int
 	BufferPages int
-	// LockStripes and BufferPartitions are passed through to each shard's
-	// db.Config (0 keeps that layer's default).
-	LockStripes      int
-	BufferPartitions int
 	// CC selects each shard's concurrency-control mode (zero value is
 	// 2PL). Snapshot scope is per shard: cross-shard branches run 2PC
 	// over whatever mode each participant uses locally.
@@ -197,12 +193,10 @@ func Open(cfg Config) (*Cluster, error) {
 		inj := fault.New(disk, cfg.Seed+uint64(i)*7919)
 		inj.SetConfig(cfg.Faults)
 		d, err := db.OpenWith(db.Config{
-			Warehouses:       cfg.WarehousesPerShard,
-			PageSize:         cfg.PageSize,
-			BufferPages:      cfg.BufferPages,
-			LockStripes:      cfg.LockStripes,
-			BufferPartitions: cfg.BufferPartitions,
-			CC:               cfg.CC,
+			Warehouses:  cfg.WarehousesPerShard,
+			PageSize:    cfg.PageSize,
+			BufferPages: cfg.BufferPages,
+			CC:          cfg.CC,
 		}, db.Options{
 			Disk:            inj,
 			LogHook:         inj,

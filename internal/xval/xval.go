@@ -420,15 +420,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Engine run, single-threaded: load, warm up, then measure with the
-	// buffer counters and the stream mark aligned. BufferPartitions is
-	// pinned at 1: the Tap reference stream is totally ordered only within
-	// a partition, and Replay's LRU bit-identity claim needs the global
-	// order — the unified pool is the gated configuration.
+	// buffer counters and the stream mark aligned. The pool is one LRU
+	// whose Tap stream is totally ordered, so Replay's bit-identity claim
+	// holds against it as it runs.
 	d, err := db.Open(db.Config{
-		Warehouses:       cfg.Warehouses,
-		PageSize:         cfg.PageSize,
-		BufferPages:      cfg.BufferPages,
-		BufferPartitions: 1,
+		Warehouses:  cfg.Warehouses,
+		PageSize:    cfg.PageSize,
+		BufferPages: cfg.BufferPages,
 	})
 	if err != nil {
 		return nil, err
