@@ -57,7 +57,7 @@ bench-module:
 # simulation (must match the engine bit for bit), and compare both against
 # the synthetic simulation and Che's closed form. Exits 1 on disagreement.
 xval:
-	go run ./cmd/tpcc-xval -out results-xval
+	go run ./cmd/tpcc-check -out results-xval xval
 
 # Per-package statement-coverage floors (internal/buffer, internal/sim,
 # internal/engine/bufmgr); leaves the merged profile in coverage.out.
@@ -81,11 +81,9 @@ regen-fuzz-corpus:
 # concurrency-control mode: 3 seeds x 6 crash schedules with transient I/O
 # errors, bit flips, torn writes, and power loss; fails on any lost commit,
 # consistency or checksum violation. Doubles as the CI step; the full
-# campaign is `go run ./cmd/tpcc-torture -cc <mode>` (5 seeds x 10).
+# campaign is `go run ./cmd/tpcc-check -seeds 5 -schedules 10 torture`.
 torture:
-	for cc in 2pl mvcc ssi; do \
-		go run ./cmd/tpcc-torture -cc $$cc -seeds 3 -schedules 6 -v || exit 1; \
-	done
+	go run ./cmd/tpcc-check -v torture
 
 # Shard-kill torture over the warehouse-sharded cluster: kills at 2PC
 # protocol points (mid-prepare, post-prepare, pre-participant-commit,
@@ -95,7 +93,7 @@ torture:
 # campaign doubles as the CI smoke step; the -race leg reruns the
 # in-process reduced campaign under the race detector.
 shard-torture:
-	go run ./cmd/tpcc-shard -torture -seeds 2 -schedules 4 -txns 200 -workers 4 -v
+	go run ./cmd/tpcc-check -v shard-torture
 	go test -race -short -run TestShardTortureReduced ./internal/engine/shard/
 
 # Appendix A cross-shard validation gate: drive a real 3-shard cluster
@@ -103,7 +101,7 @@ shard-torture:
 # rates against model.DistConfig.Expect() (Tables 6/7). Exits 1 on
 # disagreement.
 shard-xval:
-	go run ./cmd/tpcc-shard -xval -shards 3 -txns 4000 -remote-stock 0.1 -remote-pay 0.3
+	go run ./cmd/tpcc-check shard-xval
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -1,0 +1,261 @@
+// Command tpcc-check runs the gates that check the engine against the
+// model and against its own invariants, each at the one configuration CI
+// runs it at, and exits 1 as soon as one fails:
+//
+//	xval           the engine's buffer reference stream replayed through the
+//	               LRU stack simulation (hit/miss counts must match bit for
+//	               bit), then engine vs synthetic simulation vs Che's closed
+//	               form within documented tolerances (internal/xval)
+//	shard-xval     Appendix A: a 3-shard cluster's remote-call rates, counted
+//	               at the router, vs model.DistConfig.Expect() within 5
+//	               standard errors
+//	torture        crash torture of one engine instance — transient I/O
+//	               errors, bit flips, torn writes, power loss, recovery —
+//	               under 2pl, mvcc and ssi in turn
+//	shard-torture  shard kills at every 2PC window of a 3-shard cluster,
+//	               cluster-wide power loss, recovery and in-doubt resolution
+//
+// Usage:
+//
+//	tpcc-check [flags] [gate ...]
+//	tpcc-check                                      # every gate, in CI order
+//	tpcc-check -out results-xval xval               # also writes xval.tsv and xval.json
+//	tpcc-check -seeds 5 -schedules 10 -v torture    # the full crash campaign
+//	tpcc-check -seeds 3 -schedules 6 -txns 2000 shard-torture
+//
+// -seeds, -schedules and -txns size the two torture campaigns; left at 0,
+// each runs its CI size (torture 3 x 6 x 400, shard-torture 2 x 4 x 200).
+// An unknown or repeated gate name exits 2 and lists the valid names.
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"time"
+
+	"tpccmodel/internal/cliutil"
+	"tpccmodel/internal/engine/db"
+	"tpccmodel/internal/engine/fault"
+	"tpccmodel/internal/engine/shard"
+	"tpccmodel/internal/engine/wal"
+	"tpccmodel/internal/xval"
+)
+
+const tool = "tpcc-check"
+
+// options are the flags every gate sees, plus where it writes.
+type options struct {
+	out                    string
+	verbose                bool
+	seeds, schedules, txns uint
+	stdout, stderr         io.Writer
+}
+
+// size returns a campaign size flag when it is set and the gate's CI
+// size ci otherwise.
+func size(flagged uint, ci int) int {
+	if flagged > 0 {
+		return int(flagged)
+	}
+	return ci
+}
+
+// gate is one named check; run returns an error when it fails.
+type gate struct {
+	name string
+	run  func(options) error
+}
+
+// gates lists every gate in CI order.
+func gates() []gate {
+	return []gate{
+		{"xval", runXval},
+		{"shard-xval", runShardXval},
+		{"torture", runTorture},
+		{"shard-torture", runShardTorture},
+	}
+}
+
+func gateNames(table []gate) []string {
+	names := make([]string, len(table))
+	for i, g := range table {
+		names[i] = g.name
+	}
+	return names
+}
+
+func main() { os.Exit(run(gates(), os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the selected gates of table in table order and
+// returns the exit status: 0 when every gate passed, 1 when one failed
+// (the gates after it do not run), 2 for a bad invocation.
+func run(table []gate, args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.out, "out", "", "xval: directory for xval.tsv and xval.json (empty = TSV on stdout)")
+	fs.BoolVar(&o.verbose, "v", false, "torture gates: print one line per schedule")
+	fs.UintVar(&o.seeds, "seeds", 0, "torture gates: independent seeds (0 = the gate's CI size)")
+	fs.UintVar(&o.schedules, "schedules", 0, "torture gates: crash or kill schedules per seed (0 = the gate's CI size)")
+	fs.UintVar(&o.txns, "txns", 0, "torture gates: transactions attempted per schedule (0 = the gate's CI size)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s [flags] [gate ...]\n\ngates (default all, in this order): %s\n\nflags:\n",
+			tool, strings.Join(gateNames(table), " "))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sel, err := cliutil.Select(table, fs.Args(), "gate", func(g gate) string { return g.name })
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+		return 2
+	}
+	for _, g := range sel {
+		start := time.Now()
+		if err := g.run(o); err != nil {
+			fmt.Fprintf(stderr, "%s: %s: FAIL: %v\n", tool, g.name, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "%s: %s: ok in %v\n", tool, g.name, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// runXval is the engine ↔ model gate at xval.DefaultConfig: exact replay
+// plus both tolerances.
+func runXval(o options) error {
+	res, err := xval.Run(xval.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(o.stderr, "xval: %d measured accesses\n", res.MeasuredAccesses)
+	if o.out == "" {
+		if err := res.WriteTSV(o.stdout); err != nil {
+			return err
+		}
+	} else {
+		if err := writeXvalReports(o.out, res); err != nil {
+			return err
+		}
+		fmt.Fprintf(o.stderr, "xval: wrote %s and %s\n",
+			filepath.Join(o.out, "xval.tsv"), filepath.Join(o.out, "xval.json"))
+	}
+	return res.Err()
+}
+
+func writeXvalReports(dir string, res *xval.Result) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, r := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{{"xval.tsv", res.WriteTSV}, {"xval.json", res.WriteJSON}} {
+		f, err := os.Create(filepath.Join(dir, r.name))
+		if err != nil {
+			return err
+		}
+		if err := r.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runShardXval is the Appendix A gate at xval.DefaultDistGateConfig:
+// 3 shards, 4000 transactions, remote probabilities raised to 0.1 (stock)
+// and 0.3 (payment) for statistical power.
+func runShardXval(o options) error {
+	res, err := xval.RunDistGate(xval.DefaultDistGateConfig())
+	if err != nil {
+		return err
+	}
+	if err := res.WriteTSV(o.stdout); err != nil {
+		return err
+	}
+	return res.Err()
+}
+
+// runTorture runs the single-instance crash campaign once under each
+// concurrency-control mode, with group commit on.
+func runTorture(o options) error {
+	for _, cc := range []db.CCMode{db.CC2PL, db.CCMVCC, db.CCSSI} {
+		cfg := fault.DefaultTortureConfig()
+		cfg.CC = cc
+		cfg.Seeds = size(o.seeds, 3)
+		cfg.Schedules = size(o.schedules, 6)
+		cfg.Txns = size(o.txns, cfg.Txns)
+		// Any MaxBatch above 1 switches batching on; the value bounds nothing.
+		cfg.GroupCommit = wal.GroupConfig{MaxBatch: 16}
+		start := time.Now()
+		rep, err := fault.Torture(cfg)
+		if err != nil {
+			if rep != nil {
+				printViolations(o.stderr, rep.Violations)
+			}
+			return err
+		}
+		if o.verbose {
+			for _, s := range rep.Schedules {
+				kind := "quiescent"
+				if s.MidRunCrash {
+					kind = "mid-run"
+				}
+				fmt.Fprintf(o.stdout, "seed=%d schedule=%d crash=%s acked=%d retries=%d sheds=%d log-scanned=%drec/%dB log-truncated=%dB rows-applied=%d violations=%d\n",
+					s.Seed, s.Schedule, kind, s.Acked, s.Retries, s.Sheds,
+					s.Recovery.Records, s.Recovery.Bytes, s.Recovery.TruncatedBytes,
+					s.Recovery.Applied, len(s.Violations))
+			}
+		}
+		fmt.Fprintln(o.stdout, rep.Summary())
+		fmt.Fprintf(o.stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+		if !rep.OK() {
+			printViolations(o.stderr, rep.Violations)
+			return fmt.Errorf("cc=%s: %d invariant violations", cc, len(rep.Violations))
+		}
+	}
+	return nil
+}
+
+// runShardTorture runs the shard-kill campaign on shard.DefaultTortureConfig's
+// 3-shard cluster, at CI's 2 seeds x 4 schedules x 200 transactions.
+func runShardTorture(o options) error {
+	cfg := shard.DefaultTortureConfig()
+	cfg.Seeds = size(o.seeds, 2)
+	cfg.Schedules = size(o.schedules, 4)
+	cfg.Txns = size(o.txns, 200)
+	start := time.Now()
+	rep, err := shard.Torture(cfg)
+	if err != nil {
+		return err
+	}
+	if o.verbose {
+		for _, s := range rep.Schedules {
+			fmt.Fprintf(o.stdout, "seed=%d schedule=%d kill=%s@shard%d(coord=%v) fired=%v acked=%d sheds=%d in-doubt=%d violations=%d\n",
+				s.Seed, s.Schedule, s.Plan.Point, s.Plan.Victim, s.Plan.CoordinatorVictim,
+				s.Fired, s.Acked, s.Sheds, s.InDoubt, len(s.Violations))
+		}
+	}
+	fmt.Fprintln(o.stdout, rep.Summary())
+	fmt.Fprintf(o.stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+	if !rep.OK() {
+		printViolations(o.stderr, rep.Violations)
+		return fmt.Errorf("%d invariant violations", len(rep.Violations))
+	}
+	return nil
+}
+
+func printViolations(w io.Writer, violations []string) {
+	for _, v := range violations {
+		fmt.Fprintln(w, "violation:", v)
+	}
+}

@@ -181,16 +181,82 @@ func runBenchCC(path string, seed uint64, group wal.GroupConfig) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// checkCCReport validates a checked-in BENCH_cc.json: all three modes
-// present at every worker count, single-worker state hashes identical
-// across modes (the differential identity, recorded evidence),
-// read-only transaction types free of write conflicts under the
-// snapshot modes, ssi abort accounting internally consistent
-// (zero at 1 worker — no concurrency, no edges — and the recorded
-// false-positive rate matching the counts), and mvcc/ssi tpmC within
-// 10% of 2PL at 1 worker — neither versioning nor SIREAD bookkeeping
-// may tax the uncontended path. Multi-worker ratios are evidence, not
-// gates.
+// bestPair returns the paired run whose snapshot-mode tpmC is the largest
+// fraction of its 2pl partner's, and that fraction.
+func bestPair(pess, snap []ccCell) (best int, ratio float64) {
+	ratio = -1
+	for i := range snap {
+		if r := snap[i].TpmC / pess[i].TpmC; r > ratio {
+			best, ratio = i, r
+		}
+	}
+	return best, ratio
+}
+
+// checkCCCells applies the concurrency-control gates to one worker
+// count's paired same-seed runs, 2pl (pess[i]) against one snapshot mode
+// (snap[i]), live or checked in. In every run: read-only types show no
+// write conflicts (nothing written, nothing to conflict on); mvcc, which
+// certifies nothing, reports no ssi abort in total or for any type; the
+// recorded ssi false-positive rate matches the counts; and at one worker
+// no ssi abort fires (no concurrency, no edges) and the state hash equals
+// 2pl's (the modes committed the same history — the hash IS the oracle
+// comparison). Over the runs: at one worker the best snapshot/2pl tpmC
+// ratio is at least 0.9, so neither versioning nor SIREAD bookkeeping
+// taxes the uncontended path (best of the pairs, to cancel scheduler
+// drift on a shared core). Multi-worker ratios are evidence, not gates.
+//
+// Read-only types are NOT required to be free of ssi aborts under ssi: a
+// reader that lands under a version created by an already-committed pivot
+// cannot break the dangerous structure by aborting the pivot, so it yields
+// instead.
+func checkCCCells(pess, snap []ccCell) error {
+	mode, workers := snap[0].CC, snap[0].Workers
+	for i, m := range snap {
+		at := fmt.Sprintf("under %s at %d workers (run %d of %d)", mode, workers, i+1, len(snap))
+		for _, typ := range []core.TxnType{core.TxnOrderStatus, core.TxnStockLevel} {
+			if n := m.PerType[typ.String()].Conflicts; n != 0 {
+				return fmt.Errorf("read-only %s shows %d write conflicts %s", typ, n, at)
+			}
+		}
+		if mode == db.CCMVCC.String() {
+			if m.SSIAborts != 0 {
+				return fmt.Errorf("%d ssi aborts %s", m.SSIAborts, at)
+			}
+			for _, typ := range core.TxnTypes() {
+				if n := m.PerType[typ.String()].SSIAborts; n != 0 {
+					return fmt.Errorf("%s reports %d ssi aborts %s", typ, n, at)
+				}
+			}
+		}
+		wantFP := 0.0
+		if m.SSIAborts > 0 {
+			wantFP = float64(m.SSIAborts) / float64(m.Commits+m.SSIAborts)
+		}
+		if diff := m.FalsePositives - wantFP; diff > 1e-9 || diff < -1e-9 {
+			return fmt.Errorf("ssi false-positive rate %.6f inconsistent with counts (want %.6f) %s",
+				m.FalsePositives, wantFP, at)
+		}
+		if workers == 1 {
+			if m.SSIAborts != 0 {
+				return fmt.Errorf("%d ssi aborts %s — no concurrency, no edges", m.SSIAborts, at)
+			}
+			if pess[i].StateHash != m.StateHash {
+				return fmt.Errorf("state hashes diverge %s: 2pl=%s %s=%s — the modes committed different histories",
+					at, pess[i].StateHash, mode, m.StateHash)
+			}
+		}
+	}
+	if best, ratio := bestPair(pess, snap); workers == 1 && ratio < 0.9 {
+		return fmt.Errorf("%s tpmC %.0f < 0.9 x 2pl %.0f at 1 worker (best of %d paired runs)",
+			mode, snap[best].TpmC, pess[best].TpmC, len(snap))
+	}
+	return nil
+}
+
+// checkCCReport validates a checked-in BENCH_cc.json: hardware metadata
+// present, all three modes at every worker count, and each mode's cells
+// passing checkCCCells against 2pl's.
 func checkCCReport(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -221,68 +287,22 @@ func checkCCReport(path string) error {
 			if !ok {
 				return fmt.Errorf("%s: missing %s cell at %d workers", path, mode, workers)
 			}
-			// Read-only types must be conflict-free (nothing written,
-			// nothing to conflict on). They are NOT required to be free
-			// of ssi aborts: a reader that lands under a version created
-			// by an already-committed pivot cannot break the dangerous
-			// structure by aborting the pivot, so it yields instead.
-			for _, typ := range []core.TxnType{core.TxnOrderStatus, core.TxnStockLevel} {
-				tc := mv.PerType[typ.String()]
-				if tc.Conflicts != 0 {
-					return fmt.Errorf("%s: read-only %s shows %d write conflicts under %s at %d workers",
-						path, typ, tc.Conflicts, mode, workers)
-				}
-				if mode != "ssi" && tc.SSIAborts != 0 {
-					return fmt.Errorf("%s: %s cell at %d workers reports per-type ssi aborts under %s",
-						path, typ, workers, mode)
-				}
-			}
-			if mode != "ssi" && mv.SSIAborts != 0 {
-				return fmt.Errorf("%s: %s cell at %d workers reports %d ssi aborts", path, mode, workers, mv.SSIAborts)
-			}
-			if mode == "ssi" {
-				wantFP := 0.0
-				if mv.SSIAborts > 0 {
-					wantFP = float64(mv.SSIAborts) / float64(mv.Commits+mv.SSIAborts)
-				}
-				if diff := mv.FalsePositives - wantFP; diff > 1e-9 || diff < -1e-9 {
-					return fmt.Errorf("%s: ssi false-positive rate %.6f inconsistent with counts (want %.6f) at %d workers",
-						path, mv.FalsePositives, wantFP, workers)
-				}
-			}
-			if workers == 1 {
-				if mode == "ssi" && mv.SSIAborts != 0 {
-					return fmt.Errorf("%s: single-worker ssi run reports %d ssi aborts — no concurrency, no edges",
-						path, mv.SSIAborts)
-				}
-				if pess.StateHash != mv.StateHash {
-					return fmt.Errorf("%s: single-worker state hashes diverge: 2pl=%s %s=%s — the modes committed different histories",
-						path, pess.StateHash, mode, mv.StateHash)
-				}
-				if mv.TpmC < 0.9*pess.TpmC {
-					return fmt.Errorf("%s: %s tpmC %.0f < 0.9 x 2pl %.0f at 1 worker",
-						path, mode, mv.TpmC, pess.TpmC)
-				}
+			if err := checkCCCells([]ccCell{pess}, []ccCell{mv}); err != nil {
+				return fmt.Errorf("%s: %w", path, err)
 			}
 		}
 	}
 	return nil
 }
 
-// runCCSmoke is the CI gate for the snapshot CC paths. Live gates at 1
-// worker, for mvcc and ssi each paired against the same-seed 2PL run:
-// the differential identity (the single-worker schedule must land on
-// byte-identical state — the state hash IS the oracle comparison),
-// throughput (within 10% of 2PL, best of 3 paired runs to cancel
-// scheduler drift on a shared core), and zero ssi aborts (one worker
-// means no concurrency, so any dangerous-structure abort is a detector
-// bug). Before the grid, the write-skew certification runs: the
-// WriteSkewWitness schedule must be ADMITTED under mvcc and REFUSED
-// under 2pl and ssi — the anomaly flipping to forbidden is the point of
-// the ssi mode. Multi-worker cells are printed for the record but not
-// throughput-gated: on a 1-core runner added workers measure context
-// switching. Read-only conflict-freedom is gated at every worker count.
-// With benchFile set, the checked-in BENCH_cc.json is validated too.
+// runCCSmoke is the CI gate for the snapshot CC paths. First the
+// write-skew certification: the WriteSkewWitness schedule must be
+// ADMITTED under mvcc and REFUSED under 2pl and ssi — the anomaly flipping
+// to forbidden is the point of the ssi mode. Then, at 1/2/4/8 workers,
+// three same-seed runs of 2pl, mvcc and ssi each, with each snapshot
+// mode's runs held to checkCCCells against 2pl's and the best pair
+// printed. With benchFile set, the checked-in BENCH_cc.json is validated
+// too.
 func runCCSmoke(seed uint64, group wal.GroupConfig, benchFile string) error {
 	const txns, warmup, runs = 4000, 400, 3
 	for _, wc := range []struct {
@@ -301,53 +321,29 @@ func runCCSmoke(seed uint64, group wal.GroupConfig, benchFile string) error {
 	fmt.Printf("cc\tworkers\ttpmc\tconflicts\tssi_aborts\tlock_waits\tratio\n")
 	snapModes := []db.CCMode{db.CCMVCC, db.CCSSI}
 	for _, workers := range []int{1, 2, 4, 8} {
-		bestRatio := map[db.CCMode]float64{db.CCMVCC: -1, db.CCSSI: -1}
-		best := map[db.CCMode]ccCell{}
-		bestPess := map[db.CCMode]ccCell{}
+		var pess []ccCell
+		snap := map[db.CCMode][]ccCell{}
 		for i := 0; i < runs; i++ {
 			p, err := runCCCell(seed+uint64(i), txns, warmup, workers, db.CC2PL, group)
 			if err != nil {
 				return err
 			}
+			pess = append(pess, p)
 			for _, cc := range snapModes {
 				m, err := runCCCell(seed+uint64(i), txns, warmup, workers, cc, group)
 				if err != nil {
 					return err
 				}
-				if workers == 1 {
-					if p.StateHash != m.StateHash {
-						return fmt.Errorf("single-worker state hashes diverge at seed %d: 2pl=%s %s=%s",
-							seed+uint64(i), p.StateHash, cc, m.StateHash)
-					}
-					if m.SSIAborts != 0 {
-						return fmt.Errorf("single-worker %s run hit %d ssi aborts at seed %d",
-							cc, m.SSIAborts, seed+uint64(i))
-					}
-				}
-				// Read-only types stay conflict-free in every mode. Their
-				// ssi aborts are NOT gated to zero: a reader under a
-				// committed pivot's version must yield (the pivot can no
-				// longer be the victim).
-				for _, typ := range []core.TxnType{core.TxnOrderStatus, core.TxnStockLevel} {
-					tc := m.PerType[typ.String()]
-					if tc.Conflicts != 0 {
-						return fmt.Errorf("read-only %s hit %d write conflicts under %s at %d workers",
-							typ, tc.Conflicts, cc, workers)
-					}
-				}
-				if r := m.TpmC / p.TpmC; r > bestRatio[cc] {
-					bestRatio[cc], best[cc], bestPess[cc] = r, m, p
-				}
+				snap[cc] = append(snap[cc], m)
 			}
 		}
-		pess := bestPess[db.CCMVCC]
-		fmt.Printf("2pl\t%d\t%.0f\t%d\t%d\t%d\t\n", workers, pess.TpmC, pess.WriteConflicts, pess.SSIAborts, pess.LockWaits)
 		for _, cc := range snapModes {
-			m := best[cc]
-			fmt.Printf("%s\t%d\t%.0f\t%d\t%d\t%d\t%.3f\n", cc, workers, m.TpmC, m.WriteConflicts, m.SSIAborts, m.LockWaits, bestRatio[cc])
-			if workers == 1 && bestRatio[cc] < 0.9 {
-				return fmt.Errorf("%s tpmC %.0f < 0.9 x 2pl %.0f at 1 worker (best of %d paired runs)",
-					cc, m.TpmC, bestPess[cc].TpmC, runs)
+			best, ratio := bestPair(pess, snap[cc])
+			p, m := pess[best], snap[cc][best]
+			fmt.Printf("2pl\t%d\t%.0f\t%d\t%d\t%d\t\n", workers, p.TpmC, p.WriteConflicts, p.SSIAborts, p.LockWaits)
+			fmt.Printf("%s\t%d\t%.0f\t%d\t%d\t%d\t%.3f\n", cc, workers, m.TpmC, m.WriteConflicts, m.SSIAborts, m.LockWaits, ratio)
+			if err := checkCCCells(pess, snap[cc]); err != nil {
+				return err
 			}
 		}
 	}

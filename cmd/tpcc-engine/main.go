@@ -6,14 +6,17 @@
 // default, so a force covers every record buffered while the previous one
 // was at the device and forces per commit drop below 1 under concurrency
 // (disable with -group-commit=false for the model's one log I/O per
-// committing writer). With -validate it runs the trace-driven buffer
-// simulation at the same scale and prints the miss rates side by side.
+// committing writer). With -shards N > 1 it runs the engine as a
+// warehouse-sharded cluster instead: N instances of -warehouses
+// warehouses each under presumed-abort two-phase commit, driven by the
+// same terminal, then prints per-shard commit counts and the Appendix A
+// remote-call rates measured at the router.
 //
 // Usage:
 //
 //	tpcc-engine -warehouses 1 -buffer-pages 8192 -txns 20000 -workers 4
 //	tpcc-engine -txns 5000 -crash
-//	tpcc-engine -txns 20000 -validate
+//	tpcc-engine -shards 4 -warmup 0 -txns 5000
 //	tpcc-engine -bench-commit BENCH_commit.json
 //	tpcc-engine -commit-smoke
 //	tpcc-engine -cc mvcc -txns 20000 -workers 4
@@ -34,22 +37,21 @@ import (
 	"tpccmodel/internal/cliutil"
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/db"
+	"tpccmodel/internal/engine/shard"
 	"tpccmodel/internal/engine/wal"
-	"tpccmodel/internal/sim"
 	"tpccmodel/internal/tpcc"
-	"tpccmodel/internal/workload"
 )
 
 func main() {
 	var (
-		warehouses  = flag.Int("warehouses", 1, "warehouse count")
-		bufferPages = flag.Int("buffer-pages", 8192, "buffer pool capacity in 4K pages")
+		warehouses  = flag.Int("warehouses", 1, "warehouse count (per shard with -shards)")
+		bufferPages = flag.Int("buffer-pages", 8192, "buffer pool capacity in 4K pages (per shard with -shards)")
+		shards      = flag.Int("shards", 1, "run a warehouse-sharded cluster of this many nodes (> 1 needs -warmup 0 and no -crash)")
 		txns        = flag.Int("txns", 10000, "transactions to execute")
 		warmup      = flag.Int("warmup", 1000, "warmup transactions before measuring")
 		workers     = flag.Int("workers", 4, "concurrent workers")
 		seed        = flag.Uint64("seed", 1993, "random seed")
 		crash       = flag.Bool("crash", false, "crash and recover after the run, verifying invariants")
-		validate    = flag.Bool("validate", false, "also run the trace-driven simulation and compare miss rates")
 		groupCommit = flag.Bool("group-commit", true, "share log forces: a force covers everything pre-committed while the previous one ran")
 		benchCommit = flag.String("bench-commit", "", "instead of a single run, benchmark grouped vs ungrouped commit at 1/2/4/8 workers and write this JSON report")
 		benchEngine = flag.String("bench-engine", "", "instead of a single run, benchmark engine throughput and allocations at 1/2/4/8 workers (grouped and ungrouped) and write this JSON report")
@@ -69,6 +71,13 @@ func main() {
 	cliutil.RequirePositive(tool, "txns", int64(*txns))
 	cliutil.RequireNonNegative(tool, "warmup", int64(*warmup))
 	cliutil.RequirePositive(tool, "workers", int64(*workers))
+	cliutil.RequirePositive(tool, "shards", int64(*shards))
+	if *shards > 1 && *crash {
+		cliutil.Fail(tool, "-crash runs on one node: drop it or use -shards 1")
+	}
+	if *shards > 1 && *warmup > 0 {
+		cliutil.Fail(tool, "-shards %d needs -warmup 0: the per-shard and Appendix A counters count from the load", *shards)
+	}
 
 	stopProf := cliutil.StartProfiles(tool, *cpuProf, *memProf)
 	stopContention := cliutil.StartContentionProfiles(tool, *mutexProf, *blockProf)
@@ -121,6 +130,21 @@ func main() {
 		return
 	}
 
+	mix := tpcc.DefaultMix()
+	if *shards > 1 {
+		cfg := shard.DefaultConfig(*shards)
+		cfg.WarehousesPerShard = *warehouses
+		cfg.BufferPages = *bufferPages
+		cfg.Seed = *seed
+		cfg.CC = ccMode
+		cfg.GroupCommit = group
+		if err := runCluster(cfg, mix, *txns, *workers); err != nil {
+			fatal(err)
+		}
+		stop()
+		return
+	}
+
 	d, err := db.OpenWith(db.Config{
 		Warehouses: *warehouses, PageSize: 4096, BufferPages: *bufferPages, CC: ccMode,
 	}, db.Options{GroupCommit: group})
@@ -137,7 +161,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "loaded in %v\n", time.Since(start).Round(time.Millisecond))
 
-	mix := tpcc.DefaultMix()
 	if *warmup > 0 {
 		if err := db.RunConcurrent(d, *seed+1, mix, *warmup, *workers); err != nil {
 			fatal(err)
@@ -176,28 +199,6 @@ func main() {
 		fmt.Printf("%s\t%d\t%.4f\n", rel, s.Accesses(), s.MissRate())
 	}
 
-	if *validate {
-		fmt.Fprintf(os.Stderr, "running trace-driven simulation for comparison...\n")
-		res, err := sim.RunCurve(sim.CurveConfig{
-			Workload:        workload.DefaultConfig(*warehouses, *seed+2),
-			Packing:         sim.PackSequential,
-			CapacitiesPages: []int64{int64(*bufferPages)},
-			WarmupTxns:      int64(*warmup),
-			Batches:         2,
-			BatchTxns:       int64(*txns) / 2,
-			Level:           0.9,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n# engine vs trace-driven simulation at %d pages\n", *bufferPages)
-		fmt.Printf("relation\tengine_miss\tsim_miss\n")
-		for _, rel := range []core.Relation{core.Customer, core.Stock, core.Item, core.OrderLine} {
-			fmt.Printf("%s\t%.4f\t%.4f\n", rel, stats[rel].MissRate(),
-				res.MissRate(rel, int64(*bufferPages)))
-		}
-	}
-
 	if *crash {
 		fmt.Fprintf(os.Stderr, "simulating crash + recovery...\n")
 		before := d.Heap(core.Order).Live()
@@ -223,6 +224,46 @@ func main() {
 		fmt.Printf("post_recovery_txns\t100\tok\n")
 	}
 	stop()
+}
+
+// runCluster opens a warehouse-sharded cluster and drives it with the
+// single-instance terminal (shard.Run: db.Runner over the cluster's router)
+// at the benchmark's 1 % / 15 % remote probabilities, printing the same
+// RunStats table a single-instance run prints, then each shard's local,
+// distributed and participant commits (local plus distributed, summed
+// over shards, is the acknowledged count) and the Appendix A rates counted
+// at the router. The measured run draws from the seed the shards load.
+func runCluster(cfg shard.Config, mix tpcc.Mix, txns, workers int) error {
+	c, err := shard.Open(cfg)
+	if err != nil {
+		return err
+	}
+	st, err := shard.Run(c, cfg.Seed, mix, txns, workers, db.DefaultRetryPolicy(), -1, -1)
+	if err != nil {
+		return err
+	}
+	if n := c.Quiesce(time.Second); n > 0 {
+		return fmt.Errorf("%d participant commits still pending", n)
+	}
+	if err := c.CheckAll(); err != nil {
+		return fmt.Errorf("consistency: %w", err)
+	}
+	acked := st.Acknowledged()
+	fmt.Printf("cluster: %d shards x %d warehouses, %d txns acked in %v (%.0f txn/s), %d retries, %d sheds\n",
+		cfg.Shards, cfg.WarehousesPerShard, acked, st.Elapsed.Round(time.Millisecond),
+		float64(acked)/st.Elapsed.Seconds(), st.Retries, st.Sheds)
+	st.WriteTable(os.Stdout)
+	fmt.Println("shard\tlocal\tdist\tparticipant\taborts\tsheds")
+	for _, s := range c.Shards() {
+		ss := s.Stats()
+		fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\n", s.ID,
+			ss.LocalCommits, ss.DistCommits, ss.ParticipantCommits,
+			ss.DistAborts, ss.Sheds+ss.DownSheds)
+	}
+	m := c.Xval()
+	fmt.Printf("measured: E[R_s]=%.4f RC_stock=%.4f L_stock=%.4f U_stock=%.4f RC_cust=%.4f U_cust=%.4f\n",
+		m.ERs, m.RCStock, m.LStock, m.UStock, m.RCCust, m.UCust)
+	return nil
 }
 
 // groupMaxBatch is the wal.GroupConfig.MaxBatch of every grouped run. Any

@@ -119,32 +119,7 @@ func jobTable(opts experiments.Options) []job {
 // no name is given. An unknown or repeated name is an error that lists the
 // valid names.
 func selectJobs(table []job, names []string) ([]job, error) {
-	if len(names) == 0 {
-		return table, nil
-	}
-	index := make(map[string]int, len(table))
-	for i, j := range table {
-		index[j.name] = i
-	}
-	chosen := make([]bool, len(table))
-	for _, n := range names {
-		i, ok := index[n]
-		if !ok || chosen[i] {
-			problem := "unknown"
-			if ok {
-				problem = "repeated"
-			}
-			return nil, fmt.Errorf("%s experiment %q (valid: %s)", problem, n, strings.Join(jobNames(table), " "))
-		}
-		chosen[i] = true
-	}
-	var sel []job
-	for i, j := range table {
-		if chosen[i] {
-			sel = append(sel, j)
-		}
-	}
-	return sel, nil
+	return cliutil.Select(table, names, "experiment", func(j job) string { return j.name })
 }
 
 func jobNames(table []job) []string {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"tpccmodel/internal/parallel"
 )
@@ -55,18 +56,39 @@ func RequireNonNegative(tool, name string, v int64) {
 	}
 }
 
-// RequirePositiveFloat rejects values <= 0 for the named flag.
-func RequirePositiveFloat(tool, name string, v float64) {
-	if !(v > 0) {
-		Fail(tool, "-%s must be positive, got %v", name, v)
+// Select returns the entries of table named in names, in table order, or
+// the whole table when names is empty: the positional arguments of a
+// dispatcher such as tpcc-repro or tpcc-check. An unknown or repeated name
+// is an error that lists the valid names; what says what a name names.
+func Select[T any](table []T, names []string, what string, name func(T) string) ([]T, error) {
+	if len(names) == 0 {
+		return table, nil
 	}
-}
-
-// RequireProb rejects values outside [0, 1] for the named flag.
-func RequireProb(tool, name string, v float64) {
-	if !(v >= 0 && v <= 1) {
-		Fail(tool, "-%s must be in [0,1], got %v", name, v)
+	index := make(map[string]int, len(table))
+	valid := make([]string, len(table))
+	for i, e := range table {
+		index[name(e)] = i
+		valid[i] = name(e)
 	}
+	chosen := make([]bool, len(table))
+	for _, n := range names {
+		i, ok := index[n]
+		if !ok || chosen[i] {
+			problem := "unknown"
+			if ok {
+				problem = "repeated"
+			}
+			return nil, fmt.Errorf("%s %s %q (valid: %s)", problem, what, n, strings.Join(valid, " "))
+		}
+		chosen[i] = true
+	}
+	var sel []T
+	for i, e := range table {
+		if chosen[i] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
 }
 
 // Workers validates and resolves a -workers flag: 0 means one worker per

@@ -273,15 +273,6 @@ type EngineNewOrderInput = db.NewOrderInput
 // EngineOrderItem is one requested line of a New-Order transaction.
 type EngineOrderItem = db.OrderItem
 
-// EngineDeliveryQueue executes Delivery transactions in deferred batch
-// mode, as the benchmark permits and the paper notes.
-type EngineDeliveryQueue = db.DeliveryQueue
-
-// NewEngineDeliveryQueue starts a background delivery worker over d.
-func NewEngineDeliveryQueue(d *Engine) *EngineDeliveryQueue {
-	return db.NewDeliveryQueue(d)
-}
-
 // EngineRunner drives the engine with benchmark-distributed inputs.
 type EngineRunner = db.Runner
 
