@@ -26,13 +26,17 @@ build:
 # acknowledgements, the buffer manager's ForceTo) and whose size is read
 # without its mutex, and the lock manager, the index and the version store,
 # whose suites are small, get the race detector on their full suites
-# (gated-device and sleeping-device tests included; seconds each).
+# (gated-device and sleeping-device tests included; seconds each). The
+# buffer manager's write-back tests then run ten times more under it: a
+# miss starts up to 16 clean-ahead writes at once, and their interleavings
+# with eviction, Crash and FlushAll differ from run to run (~5 s).
 test:
 	go vet ./...
 	go test ./...
 	go test -race -short -timeout 30m ./internal/engine/...
 	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/ ./internal/engine/wal/ \
 		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/
+	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack' ./internal/engine/bufmgr/
 
 race:
 	go test -race -timeout 60m ./...

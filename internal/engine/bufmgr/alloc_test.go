@@ -43,3 +43,39 @@ func TestReadAheadAllocatesNothing(t *testing.T) {
 		t.Errorf("stats %+v: want every page read ahead and none hit", st)
 	}
 }
+
+// TestCleanAheadAllocatesNothing: a miss on a pool of dirty frames, which
+// writes its victim and starts a clean-ahead write of each other dirty frame
+// of the tail run, costs no heap allocation either — the goroutine that
+// writes runs a function bound when its frame was carved.
+func TestCleanAheadAllocatesNothing(t *testing.T) {
+	const capacity, pages = 8, 64
+	s := mustStore(t, 256)
+	ids := make([]storage.PageID, pages)
+	for i := range ids {
+		var err error
+		if ids[i], err = s.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := New(s, capacity)
+	next := 0
+	missAndDirty := func() {
+		p, err := m.Pin(ids[next%pages])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		p.Data[0]++
+		m.Unpin(p, true)
+	}
+	if allocs := testing.AllocsPerRun(500, missAndDirty); allocs != 0 {
+		t.Errorf("%v allocs per miss with clean-ahead, want 0", allocs)
+	}
+	if err := m.FlushAll(); err != nil { // waits out the clean-ahead writes
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Hits != 0 || st.Flushes < 500 {
+		t.Errorf("stats %+v: want every pin a miss and every page written back", st)
+	}
+}

@@ -40,14 +40,15 @@
 //     With) that dirties the page notes in the frame, BEFORE it lets go of
 //     the content latch, how long the log is (logEnd; see the WAL rule
 //     below);
-//   - busy/writing: writeBack marked it busy and clean, dropped m.mu, took
-//     the content latch, forced the log up to the frame's logEnd as it
-//     reads under that latch, and ran store.Flush. The frame keeps its LRU
-//     position and may be pinned meanwhile (the pinner waits for the
-//     content latch, never for m.mu). A frame an evictor is writing is
-//     skipped by other evictors; one being written in place (cleaner,
-//     FlushAll) is still the LRU victim and an evictor waits on it. A
-//     failed force or write leaves the frame dirty where it was;
+//   - busy/writing: a write-back marked it busy and clean under m.mu; then,
+//     with m.mu dropped, flush took the content latch, forced the log up to
+//     the frame's logEnd as it reads under that latch, and ran store.Flush.
+//     The frame keeps its LRU position and may be pinned meanwhile (the
+//     pinner waits for the content latch, never for m.mu). A frame an
+//     evictor is writing is skipped by other evictors; one being written in
+//     place (clean-ahead, FlushAll) is still the LRU victim and an evictor
+//     waits on it. A failed force or write leaves the frame dirty where it
+//     was;
 //   - evicted: a clean unpinned LRU-tail frame leaves the table and
 //     returns to the freelist. A victim that was pinned during its
 //     write-back simply stays, clean, and the next victim is taken.
@@ -64,13 +65,13 @@
 // appended before the Unpin that marks the page dirty, so the log's size at
 // that Unpin is past the record. The frame keeps the latest such size in
 // logEnd — in memory only, reset when the frame is reused, never on the page
-// — and writeBack asks the log to be durable that far and no further
+// — and a write-back asks the log to be durable that far and no further
 // (Log.ForceTo). logEnd is written and read under the CONTENT LATCH, not
-// m.mu: a pinner may change the page between writeBack's mark-busy and its
+// m.mu: a pinner may change the page between a write-back's mark-busy and its
 // latch, and the latch is what makes the image written and the offset forced
 // one pair — whoever holds it sees either both the change and its offset or
 // neither. A frame at the LRU tail was last dirtied long before the log's
-// durable point, so for the cleaner and the evictor the rule is normally
+// durable point, so for clean-ahead and the evictor the rule is normally
 // free: a mutex and a comparison, no log I/O. A read-ahead only reads, so
 // the rule has nothing to say about it: its frame is clean until a pinner
 // dirties it through Unpin like any other.
@@ -78,13 +79,15 @@
 // # Clean-ahead
 //
 // Eviction writes a dirty victim before it can read, which puts a page
-// write on the reader's clock. When a miss finds the pool full and a dirty
-// frame among the cleanAhead frames at the LRU tail, it starts the cleaner
-// goroutine (at most one). The cleaner writes those frames back IN PLACE —
-// neither LRU position nor residency changes, so the hit/miss stream,
-// Evicts and the xval replay are those of plain LRU — and exits as soon as
-// the run is clean or a write fails. The foreground write-back remains the
-// path a miss takes when the cleaner has not got there.
+// write on the reader's clock. When a miss finds the pool full, every dirty,
+// idle frame among the cleanAhead frames at the LRU tail but the victim
+// itself is marked busy and clean and written back IN PLACE on a goroutine
+// of its own, all of them at once, as independent I/Os overlap in the
+// paper's model. Neither LRU position nor residency changes, so the hit/miss
+// stream, Evicts and the xval replay are those of plain LRU. The victim is
+// left to the miss, which writes it in the foreground and so sees its
+// error: a device that keeps failing fails the miss instead of re-arming a
+// write nobody waits for. A failed clean-ahead write leaves its frame dirty.
 package bufmgr
 
 import (
@@ -157,14 +160,16 @@ type ioState uint8
 const (
 	ioNone  ioState = iota
 	ioRead          // reserved: a miss (pins == 1, the reader's) or a read-ahead (pins == 0) is reading the page in
-	ioClean         // busy: being written back in place (cleaner, FlushAll)
+	ioClean         // busy: being written back in place (clean-ahead, FlushAll)
 	ioEvict         // busy: being written back by the evictor that will take it
 )
 
 // writing reports whether a write-back of f is in flight.
 func (f *frame) writing() bool { return f.io >= ioClean }
 
-// cleanAhead is the run of frames at the LRU tail the cleaner keeps clean.
+// cleanAhead is the run of frames at the LRU tail a miss cleans ahead of
+// eviction, and so the bound on clean-ahead writes in flight (a frame pinned
+// during its write leaves the run, and may be replaced in it).
 const cleanAhead = 16
 
 // frame is one buffer slot. The fields a pin hit and its unpin touch come
@@ -196,9 +201,10 @@ type frame struct {
 	// whoever waits for THIS frame — pins of the page being read, an
 	// evictor or FlushAll waiting for its write, Crash — and nobody else.
 	ioDone sync.Cond
-	// readAhead fills the frame, bound once when the frame is carved: a go
-	// statement on it allocates nothing, one on a method value would.
-	readAhead func()
+	// readAhead fills the frame and writeAhead writes it back, each bound
+	// once when the frame is carved: a go statement on either allocates
+	// nothing, one on a method value would.
+	readAhead, writeAhead func()
 }
 
 // Manager is the buffer manager. All methods are safe for concurrent use.
@@ -213,8 +219,6 @@ type Manager struct {
 	// frames holds every published frame: resident ones and those reserved
 	// for a read in flight. len(frames) never exceeds capacity.
 	frames map[storage.PageID]*frame
-	// cleaning is set while the cleaner goroutine exists.
-	cleaning bool
 	// Intrusive LRU list of unpinned frames: lruHead = MRU, lruTail =
 	// eviction victim.
 	lruHead, lruTail *frame
@@ -315,6 +319,7 @@ func (m *Manager) carve() *frame {
 	f.data = m.dataSlab[:ps:ps]
 	m.dataSlab = m.dataSlab[ps:]
 	f.readAhead = func() { m.fill(f) }
+	f.writeAhead = func() { m.cleanOut(f) }
 	f.ioDone.L = &m.mu
 	return f
 }
@@ -467,28 +472,35 @@ func (m *Manager) note(id storage.PageID, ev Event) {
 // WAL rule, with m.mu dropped. The frame is marked busy (as ioClean or
 // ioEvict) and clean first: it stays where it is in the LRU list and may be
 // pinned meanwhile, nobody else writes or evicts it, and an unpin that
-// dirties it again during the write is not lost. The content latch is taken
-// BEFORE f.logEnd is read and the log forced that far, so every change the
-// written image carries — one slipped in since the frame was marked busy
-// included — has its log record forced. A failed force or write leaves f
-// dirty. Callers hold m.mu (held again on return) and must re-examine the
-// pool afterwards; f.io must be ioNone.
+// dirties it again during the write is not lost. A failed force or write
+// leaves f dirty. Callers hold m.mu (held again on return) and must
+// re-examine the pool afterwards; f.io must be ioNone.
 func (m *Manager) writeBack(f *frame, as ioState) error {
-	f.io = as
-	f.dirty = false
+	f.io, f.dirty = as, false
 	m.mu.Unlock()
-
-	f.contentMu.Lock()
-	var err error
-	if log := m.log; log != nil {
-		err = log.ForceTo(f.logEnd)
-	}
-	if err == nil {
-		err = m.store.Flush(f.id, f.data)
-	}
-	f.contentMu.Unlock()
-
+	err := m.flush(f)
 	m.mu.Lock()
+	return m.written(f, err)
+}
+
+// flush is a write-back's device half, run with m.mu dropped. The content
+// latch is taken BEFORE f.logEnd is read and the log forced that far, so
+// every change the written image carries — one slipped in since the frame
+// was marked busy included — has its log record forced.
+func (m *Manager) flush(f *frame) error {
+	f.contentMu.Lock()
+	defer f.contentMu.Unlock()
+	if log := m.log; log != nil {
+		if err := log.ForceTo(f.logEnd); err != nil {
+			return err
+		}
+	}
+	return m.store.Flush(f.id, f.data)
+}
+
+// written is a write-back's completion half: f is idle again, and dirty
+// again if the write failed. Callers hold m.mu.
+func (m *Manager) written(f *frame, err error) error {
 	f.io = ioNone
 	if err != nil {
 		f.dirty = true
@@ -500,10 +512,19 @@ func (m *Manager) writeBack(f *frame, as ioState) error {
 	return err
 }
 
+// cleanOut writes back the frame cleanAheadOfMiss marked, off the miss's
+// goroutine.
+func (m *Manager) cleanOut(f *frame) {
+	err := m.flush(f)
+	m.mu.Lock()
+	m.written(f, err)
+	m.mu.Unlock()
+}
+
 // victim returns the least recently used unpinned frame that no other
 // evictor has spoken for and no read-ahead is still filling, or nil. A frame
 // being cleaned in place is still the victim (its write is waited for),
-// which is what keeps the eviction order plain LRU whatever the cleaner
+// which is what keeps the eviction order plain LRU whatever clean-ahead
 // does. Callers hold m.mu.
 func (m *Manager) victim() *frame {
 	f := m.lruTail
@@ -511,20 +532,6 @@ func (m *Manager) victim() *frame {
 		f = f.prev
 	}
 	return f
-}
-
-// dirtyAhead returns the first dirty frame, from the LRU tail, among the
-// cleanAhead next victims, or nil when that run is clean or being cleaned.
-// Callers hold m.mu.
-func (m *Manager) dirtyAhead() *frame {
-	f := m.lruTail
-	for n := 0; f != nil && n < cleanAhead; n++ {
-		if f.dirty && f.io == ioNone {
-			return f
-		}
-		f = f.prev
-	}
-	return nil
 }
 
 // makeRoom takes one step towards a free slot in a full pool: it evicts the
@@ -553,31 +560,22 @@ func (m *Manager) makeRoom() error {
 	return nil
 }
 
-// cleanAheadOfMiss starts the cleaner, unless it is running, when a frame
-// next in line for eviction is dirty. Only a miss calls it: page allocation
-// is what loading a database does, nothing but; there every victim is
-// dirty, nobody waits for a read, and a second goroutine trading frames with
-// the loader costs more than it saves. Callers hold m.mu.
+// cleanAheadOfMiss marks every dirty, idle frame among the cleanAhead next
+// in line for eviction busy and clean, and starts its write-back on a
+// goroutine of its own. It leaves the victim to makeRoom, which writes it as
+// ioEvict and so returns its error. Only a miss calls it: page allocation is
+// what loading a database does, nothing but; there every victim is dirty,
+// nobody waits for a read, and writers trading frames with the loader cost
+// more than they save. Each goroutine ends with its write, and Crash and
+// FlushAll wait for it. Callers hold m.mu.
 func (m *Manager) cleanAheadOfMiss() {
-	if !m.cleaning && m.dirtyAhead() != nil {
-		m.cleaning = true
-		go m.clean()
-	}
-}
-
-// clean is the cleaner goroutine: it writes the dirty frames of the
-// cleanAhead run back in place, tail first, and exits once the run is
-// clean. It also exits on a failed write, leaving the frame dirty: the miss
-// that needs the frame retries the write and reports the error.
-func (m *Manager) clean() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for f := m.dirtyAhead(); f != nil; f = m.dirtyAhead() {
-		if m.writeBack(f, ioClean) != nil {
-			break
+	v := m.victim()
+	for n, f := 0, m.lruTail; f != nil && n < cleanAhead; n, f = n+1, f.prev {
+		if f != v && f.dirty && f.io == ioNone {
+			f.io, f.dirty = ioClean, false
+			go f.writeAhead()
 		}
 	}
-	m.cleaning = false
 }
 
 // busyFrame returns a frame with I/O in flight, or nil. Every such frame is
@@ -863,7 +861,7 @@ func (m *Manager) FlushAll() error {
 
 // Crash discards every resident frame without flushing, simulating a
 // failure: dirty pages are lost and only the store's durable images
-// survive. Reads and write-backs in flight (a cleaner's included) are
+// survive. Reads and write-backs in flight (clean-ahead's included) are
 // waited out first. Pinned frames indicate a bug in the caller.
 func (m *Manager) Crash() error {
 	m.mu.Lock()

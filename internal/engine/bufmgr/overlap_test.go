@@ -23,6 +23,7 @@ type gatedDisk struct {
 	onWrite func(id storage.PageID) // called as a data-area write arrives (nil = none)
 
 	mu       sync.Mutex
+	writeErr error // returned by every data-area write while non-nil
 	gates    map[gateKey]*gate
 	reads    map[storage.PageID]int
 	writes   map[storage.PageID]int
@@ -78,7 +79,11 @@ func (d *gatedDisk) enter(k gateKey) error {
 	d.maxSeen = max(d.maxSeen, d.inflight)
 	g := d.gates[k]
 	delete(d.gates, k)
+	failed := d.writeErr
 	d.mu.Unlock()
+	if k.write && failed != nil {
+		return failed
+	}
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
@@ -130,6 +135,20 @@ func (d *gatedDisk) writesOf(id storage.PageID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.writes[id]
+}
+
+// failWrites makes every data-area write from now on fail with err.
+func (d *gatedDisk) failWrites(err error) {
+	d.mu.Lock()
+	d.writeErr = err
+	d.mu.Unlock()
+}
+
+// totalWrites counts the data-area writes issued so far.
+func (d *gatedDisk) totalWrites() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.writeLog)
 }
 
 func (d *gatedDisk) maxInFlight() int {
@@ -221,21 +240,35 @@ func blocked(ch <-chan error) bool {
 	}
 }
 
-// awaitCleanerExit returns once m has no cleaner goroutine, so that what
-// follows is the foreground path's doing alone.
-func awaitCleanerExit(t *testing.T, m *Manager) {
+// awaitCleanAhead returns once no frame of m is being written back in place,
+// so that what follows is the foreground path's doing alone.
+func awaitCleanAhead(t *testing.T, m *Manager) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		m.mu.Lock()
-		cleaning := m.cleaning
+		cleaning := false
+		for _, f := range m.frames {
+			cleaning = cleaning || f.io == ioClean
+		}
 		m.mu.Unlock()
 		if !cleaning {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the cleaner did not exit")
+			t.Fatal("the clean-ahead writes did not end")
 		}
 	}
+}
+
+// lruOrder lists m's unpinned frames from the LRU tail to the MRU end.
+func lruOrder(m *Manager) []storage.PageID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ids []storage.PageID
+	for f := m.lruTail; f != nil; f = f.prev {
+		ids = append(ids, f.id)
+	}
+	return ids
 }
 
 // frameOf returns page id's frame, or nil.
@@ -423,7 +456,9 @@ func TestFailedReadUnpublishesFrame(t *testing.T) {
 
 // TestFailedWriteBackLeavesVictimDirty: a failed write-back fails the miss
 // that needed the frame and leaves the victim dirty, resident and still the
-// LRU tail; the retry writes it and goes through.
+// LRU tail; the retry writes it and goes through. On a device whose writes
+// all fail, a miss whose victim and clean-ahead run are dirty gets the
+// device's error, every frame stays dirty, and nothing keeps writing.
 func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	m, d, ids := gatedPool(t, 2, 3)
 	x, y, z := ids[0], ids[1], ids[2]
@@ -434,7 +469,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	g := d.gateWrite(x)
 	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
 	wait(t, g.arrived, "the write-back of X to reach the device")
-	awaitCleanerExit(t, m) // it found X spoken for and Y clean
+	awaitCleanAhead(t, m) // X is the victim, left to the miss, and Y is clean
 	g.release <- boom
 	if err := wait(t, miss, "the miss on Z"); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
@@ -450,44 +485,86 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	if frameOf(m, x) != nil || d.writesOf(x) != 2 {
 		t.Errorf("retry did not write and evict X (writes %d)", d.writesOf(x))
 	}
+
+	const capacity = 4
+	m, d, ids = gatedPool(t, capacity, capacity+1)
+	for i, id := range ids[:capacity] {
+		touch(t, m, id, byte(10+i))
+	}
+	d.failWrites(boom)
+	for round := 1; round <= 2; round++ { // the second miss finds the run dirty again
+		miss := async(func() error { return m.With(ids[capacity], false, func([]byte) {}) })
+		if err := wait(t, miss, "a miss on a device whose writes fail"); !errors.Is(err, boom) {
+			t.Fatalf("miss got %v, want the device's error", err)
+		}
+		awaitCleanAhead(t, m)
+		m.mu.Lock()
+		for _, f := range m.frames {
+			if !f.dirty || f.io != ioNone || !f.inLRU {
+				t.Errorf("page %d after failed write-backs: dirty %v, io %d, listed %v; want dirty, idle, listed", f.id, f.dirty, f.io, f.inLRU)
+			}
+		}
+		m.mu.Unlock()
+		if frameOf(m, ids[capacity]) != nil || m.Resident() != capacity {
+			t.Fatalf("the miss got a frame (resident %d) though no victim could be written", m.Resident())
+		}
+		if n := d.totalWrites(); n != round*capacity {
+			t.Errorf("%d writes issued after %d misses, want %d: the victim's and each other frame's once a miss", n, round, round*capacity)
+		}
+	}
+	n := d.totalWrites()
+	time.Sleep(20 * time.Millisecond)
+	if again := d.totalWrites(); again != n {
+		t.Errorf("%d writes issued after the misses returned: something keeps retrying", again-n)
+	}
+	d.failWrites(nil)
+	touch(t, m, ids[capacity], 0)
+	if frameOf(m, ids[0]) != nil {
+		t.Error("the victim was not evicted once the device recovered")
+	}
 }
 
-// cleanerAndMissInFlight sets up a full 4-frame pool whose LRU order is
-// A (clean), B (dirty), C, D, and starts a miss on Z: it evicts A, starts
-// the cleaner on B, and both the read of Z and the cleaner's write of B are
-// held at the device.
-func cleanerAndMissInFlight(t *testing.T) (m *Manager, d *gatedDisk, b storage.PageID, readZ, writeB *gate, miss <-chan error) {
+// cleanAheadAndMissInFlight sets up a full 4-frame pool whose LRU order is
+// A (clean), B (dirty), C (dirty), D, and starts a miss on Z: it evicts A,
+// starts clean-ahead writes of B and C, and the read of Z and both writes
+// are held at the device.
+func cleanAheadAndMissInFlight(t *testing.T) (m *Manager, d *gatedDisk, ids []storage.PageID, readZ *gate, writes []*gate, miss <-chan error) {
 	t.Helper()
-	m, d, ids := gatedPool(t, 4, 5)
+	m, d, ids = gatedPool(t, 4, 5)
 	touch(t, m, ids[0], 0)
 	touch(t, m, ids[1], 5)
-	touch(t, m, ids[2], 0)
+	touch(t, m, ids[2], 6)
 	touch(t, m, ids[3], 0)
 	z := ids[4]
-	readZ, writeB = d.gateRead(z), d.gateWrite(ids[1])
+	readZ = d.gateRead(z)
+	writes = []*gate{d.gateWrite(ids[1]), d.gateWrite(ids[2])}
 	miss = async(func() error { return m.With(z, false, func([]byte) {}) })
 	wait(t, readZ.arrived, "the read of Z to reach the device")
-	wait(t, writeB.arrived, "the cleaner's write of B to reach the device")
-	return m, d, ids[1], readZ, writeB, miss
+	for _, g := range writes {
+		wait(t, g.arrived, "a clean-ahead write to reach the device")
+	}
+	return m, d, ids, readZ, writes, miss
 }
 
-// TestCrashWaitsOutInFlightIO: Crash, called with a miss and a cleaner in
-// flight, returns only after both have drained, and does not mistake the
-// reserved frame's pin for a caller's.
+// TestCrashWaitsOutInFlightIO: Crash, called with a miss and two clean-ahead
+// writes in flight, returns only after all of them have drained, and does
+// not mistake the reserved frame's pin for a caller's.
 func TestCrashWaitsOutInFlightIO(t *testing.T) {
-	m, _, _, readZ, writeB, miss := cleanerAndMissInFlight(t)
+	m, _, _, readZ, writes, miss := cleanAheadAndMissInFlight(t)
 	crash := async(m.Crash)
 	if !blocked(crash) {
-		t.Fatal("Crash returned with a read and a write-back in flight")
+		t.Fatal("Crash returned with a read and write-backs in flight")
 	}
 	readZ.release <- nil
 	if err := wait(t, miss, "the miss on Z"); err != nil {
 		t.Fatal(err)
 	}
-	if !blocked(crash) {
-		t.Fatal("Crash returned with the cleaner's write-back in flight")
+	for _, g := range writes {
+		if !blocked(crash) {
+			t.Fatal("Crash returned with a clean-ahead write in flight")
+		}
+		g.release <- nil
 	}
-	writeB.release <- nil
 	if err := wait(t, crash, "Crash"); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
@@ -496,49 +573,122 @@ func TestCrashWaitsOutInFlightIO(t *testing.T) {
 	}
 }
 
-// TestFlushAllWaitsOutCleaner: FlushAll returns only once the write-back
-// the cleaner has in flight is done, and then every page is durable.
+// TestFlushAllWaitsOutCleaner: FlushAll returns only once every clean-ahead
+// write in flight is done, and then every page's durable image is its latest.
 func TestFlushAllWaitsOutCleaner(t *testing.T) {
-	m, d, b, readZ, writeB, miss := cleanerAndMissInFlight(t)
+	m, d, ids, readZ, writes, miss := cleanAheadAndMissInFlight(t)
 	flush := async(m.FlushAll)
 	readZ.release <- nil
 	if err := wait(t, miss, "the miss on Z"); err != nil {
 		t.Fatal(err)
 	}
-	if !blocked(flush) {
-		t.Fatal("FlushAll returned with the cleaner's write-back of a dirty page in flight")
+	for _, g := range writes {
+		if !blocked(flush) {
+			t.Fatal("FlushAll returned with a clean-ahead write of a dirty page in flight")
+		}
+		g.release <- nil
 	}
-	writeB.release <- nil
 	if err := wait(t, flush, "FlushAll"); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	if n := d.writesOf(b); n != 1 {
-		t.Errorf("B written %d times, want once (by the cleaner)", n)
+	for _, id := range ids[1:3] {
+		if n := d.writesOf(id); n != 1 {
+			t.Errorf("page %d written %d times, want once (by clean-ahead)", id, n)
+		}
 	}
+	latest := []byte{0, 5, 6, 0, 0} // byte 1 of A, B, C, D and Z as last set
 	buf := make([]byte, pageSize)
-	if err := m.store.Read(b, buf); err != nil || buf[1] != 5 {
-		t.Errorf("B's durable image after FlushAll: byte %d, err %v", buf[1], err)
+	for i, id := range ids {
+		if err := m.store.Read(id, buf); err != nil || buf[0] != byte(i+1) || buf[1] != latest[i] {
+			t.Errorf("page %d's durable image after FlushAll starts %v (err %v), want [%d %d]", id, buf[:2], err, i+1, latest[i])
+		}
 	}
 }
 
-// TestCleanerWritesInPlace: the cleaner cleans the frames next in line
+// TestCleanerWritesInPlace: clean-ahead cleans the frames next in line
 // without moving or evicting them.
 func TestCleanerWritesInPlace(t *testing.T) {
-	m, _, b, readZ, writeB, miss := cleanerAndMissInFlight(t)
+	m, _, ids, readZ, writes, miss := cleanAheadAndMissInFlight(t)
 	readZ.release <- nil
-	writeB.release <- nil
+	for _, g := range writes {
+		g.release <- nil
+	}
 	if err := wait(t, miss, "the miss on Z"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlushAll(); err != nil { // waits for the cleaner's write, writes nothing
-		t.Fatal(err)
+	awaitCleanAhead(t, m)
+	for _, id := range ids[1:3] {
+		if f := frameOf(m, id); f == nil || f.dirty {
+			t.Fatalf("page %d after cleaning: %+v, want resident and clean", id, f)
+		}
 	}
-	f := frameOf(m, b)
-	if f == nil || f.dirty || m.lruTail != f {
-		t.Fatalf("B after cleaning: %+v, want clean at the LRU tail", f)
+	if got, want := lruOrder(m), ids[1:]; !slices.Equal(got, want) {
+		t.Errorf("LRU order from the tail %v, want %v", got, want)
 	}
-	if st := m.Stats(); st.Evicts != 1 || st.Flushes != 1 {
-		t.Errorf("stats %+v, want 1 evict (A) and 1 flush (B)", st)
+	if st := m.Stats(); st.Evicts != 1 || st.Flushes != 2 {
+		t.Errorf("stats %+v, want 1 evict (A) and 2 flushes (B, C)", st)
+	}
+}
+
+// TestCleanAheadWritesOverlap: a miss that finds k dirty frames next in line
+// behind a clean victim has all k clean-ahead writes in flight at once, and
+// does not wait for them. The writes change nothing the reference stream
+// sees: LRU order, residency and counts are those of the same pins with
+// nothing dirty, which is plain LRU, as under one serial cleaner.
+func TestCleanAheadWritesOverlap(t *testing.T) {
+	const k, capacity = 5, 8
+	run := func(dirty bool) (*Manager, []storage.PageID) {
+		m, d, ids := gatedPool(t, capacity, capacity+2)
+		for i, id := range ids[:capacity] {
+			v := byte(0)
+			if dirty && i >= 1 && i <= k {
+				v = byte(20 + i)
+			}
+			touch(t, m, id, v)
+		}
+		var gates []*gate
+		if dirty {
+			for _, id := range ids[1 : k+1] {
+				gates = append(gates, d.gateWrite(id))
+			}
+		}
+		miss := async(func() error { return m.With(ids[capacity], false, func([]byte) {}) })
+		for _, g := range gates {
+			wait(t, g.arrived, "a clean-ahead write to reach the device")
+		}
+		if err := wait(t, miss, "the miss, with the clean-ahead writes held"); err != nil {
+			t.Fatal(err)
+		}
+		if dirty {
+			if n := d.maxInFlight(); n < k {
+				t.Errorf("at most %d page I/Os in flight with %d clean-ahead writes held", n, k)
+			}
+			for _, g := range gates {
+				g.release <- nil
+			}
+			awaitCleanAhead(t, m)
+			if st := m.Stats(); st.Flushes != k {
+				t.Errorf("%d flushes, want the %d clean-ahead writes", st.Flushes, k)
+			}
+		}
+		touch(t, m, ids[3], 0)
+		touch(t, m, ids[capacity+1], 0)
+		touch(t, m, ids[1], 0)
+		return m, ids
+	}
+	got, ids := run(true)
+	want, _ := run(false)
+	if g, w := lruOrder(got), lruOrder(want); !slices.Equal(g, w) {
+		t.Errorf("LRU order from the tail %v, want plain LRU's %v", g, w)
+	}
+	for _, id := range ids {
+		if g, w := frameOf(got, id) != nil, frameOf(want, id) != nil; g != w {
+			t.Errorf("page %d resident %v, plain LRU says %v", id, g, w)
+		}
+	}
+	gs, ws := got.Stats(), want.Stats()
+	if gs.Hits != ws.Hits || gs.Misses != ws.Misses || gs.Evicts != ws.Evicts {
+		t.Errorf("stats %+v, want plain LRU's hits, misses and evicts %+v", gs, ws)
 	}
 }
 
@@ -813,7 +963,7 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 	}
 	// X came out of the write dirty again (the pinner's unpin followed the
 	// mark-clean), so the cleaner may write it a second time.
-	awaitCleanerExit(t, m)
+	awaitCleanAhead(t, m)
 	if _, asked, forces := l.state(); forces != 1 || len(asked) == 0 || slices.Min(asked) != 300 {
 		t.Errorf("asked %v, %d forces: want ForceTo(300) and nothing less, one force", asked, forces)
 	}
@@ -841,7 +991,7 @@ func TestFailedForceLeavesVictimDirty(t *testing.T) {
 	if err := m.With(z, false, func([]byte) {}); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
-	awaitCleanerExit(t, m)
+	awaitCleanAhead(t, m)
 	f := frameOf(m, x)
 	if f == nil || !f.dirty || !f.inLRU || m.lruTail != f || f.io != ioNone {
 		t.Fatalf("X after a failed force: %+v, want dirty at the LRU tail", f)
@@ -878,7 +1028,7 @@ func TestEveryWriteBackKeepsTheWALRule(t *testing.T) {
 	// A miss on a full pool of dirty frames: the evictor writes the LRU
 	// tail, the cleaner the frames behind it, between them all four.
 	touch(t, m, ids[4], 0)
-	awaitCleanerExit(t, m)
+	awaitCleanAhead(t, m)
 	_, asked, _ := l.state()
 	slices.Sort(asked)
 	if !slices.Equal(asked, []int64{10, 20, 30, 40}) {
