@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-commit bench-engine \
-	bench-cc cc-smoke torture shard-torture shard-xval repro repro-full fuzz xval \
+.PHONY: all build test race alloc-gate bench-module bench bench-sweep bench-commit \
+	bench-cc torture shard-torture shard-xval repro repro-full fuzz xval \
 	cover regen-golden regen-fuzz-corpus clean
 
 all: build test
@@ -115,32 +115,21 @@ bench:
 bench-sweep:
 	go run ./cmd/tpcc-repro -bench-sweep BENCH_sweep.json
 
-# Compare one force per commit vs group commit at 1/2/4/8 workers on a log
-# device that costs 1 ms a force, and record throughput, commit-latency
-# quantiles, and forces per writing commit in BENCH_commit.json.
+# Re-record BENCH_commit.json: the commit gate (one force per commit vs
+# group commit at 1/2/4/8 workers on a log device that costs 1 ms a force,
+# read-only commits under 2pl/mvcc/ssi) at 4000 transactions a cell. The
+# file is written only if the gate passes; `go test ./cmd/tpcc-check`
+# re-checks it.
 bench-commit:
-	go run ./cmd/tpcc-engine -bench-commit BENCH_commit.json
+	go run ./cmd/tpcc-check -txns 4000 -out . commit
 
-# Engine throughput-vs-workers benchmark: the same grouped-vs-ungrouped
-# grid on a free device with the whole warehouse buffer-resident,
-# measuring the hot execution path (txns/sec, allocs/txn) rather than pool churn; records
-# BENCH_engine.json.
-bench-engine:
-	go run ./cmd/tpcc-engine -bench-engine BENCH_engine.json
-
-# Concurrency-control grid: {2pl, mvcc, ssi} x 1/2/4/8 workers with per-type
-# abort rates, write-conflict counts, and latency quantiles; records
-# BENCH_cc.json (single-worker cells also record the state hash the
-# differential gate compares).
+# Re-record BENCH_cc.json: the cc gate (write-skew witness, then {2pl, mvcc,
+# ssi} x 1/2/4/8 workers, three same-seed runs each, with per-type abort
+# rates, write-conflict counts, latency quantiles and state hashes) at 8000
+# transactions a cell. Written only if the gate passes; `go test
+# ./cmd/tpcc-check` re-checks it.
 bench-cc:
-	go run ./cmd/tpcc-engine -bench-cc BENCH_cc.json
-
-# CI gate for the snapshot CC paths: write skew must be admitted under
-# mvcc and refused under 2pl/ssi, single-worker committed state must be
-# byte-identical across all three modes, mvcc/ssi throughput within 10% of 2PL at 1
-# worker, read-only types conflict-free at every worker count.
-cc-smoke:
-	go run ./cmd/tpcc-engine -cc-smoke -bench-file BENCH_cc.json
+	go run ./cmd/tpcc-check -txns 8000 -out . cc
 
 # Reduced-scale reproduction of every table and figure (seconds). One
 # experiment alone: go run ./cmd/tpcc-repro -out DIR fig5 (the name is the

@@ -14,6 +14,12 @@
 //	               under 2pl, mvcc and ssi in turn
 //	shard-torture  shard kills at every 2PC window of a 3-shard cluster,
 //	               cluster-wide power loss, recovery and in-doubt resolution
+//	commit         one force per writing commit vs group commit at 1/2/4/8
+//	               workers on a 1 ms log device, and read-only commits that
+//	               must force nothing under 2pl, mvcc and ssi
+//	cc             the write-skew witness, then 2pl vs mvcc vs ssi at 1/2/4/8
+//	               workers, three same-seed runs each: identical state at
+//	               one worker, snapshot throughput within 10 % of 2pl's
 //
 // Usage:
 //
@@ -22,18 +28,25 @@
 //	tpcc-check -out results-xval xval               # also writes xval.tsv and xval.json
 //	tpcc-check -seeds 5 -schedules 10 -v torture    # the full crash campaign
 //	tpcc-check -seeds 3 -schedules 6 -txns 2000 shard-torture
+//	tpcc-check -txns 4000 -out . commit             # re-records BENCH_commit.json
+//	tpcc-check -txns 8000 -out . cc                 # re-records BENCH_cc.json
 //
-// -seeds, -schedules and -txns size the two torture campaigns; left at 0,
-// each runs its CI size (torture 3 x 6 x 400, shard-torture 2 x 4 x 200).
+// -seeds, -schedules and -txns size the two torture campaigns, and -txns
+// the commit and cc cells; left at 0, each gate runs its CI size (torture
+// 3 x 6 x 400, shard-torture 2 x 4 x 200, commit 1000 and cc 4000
+// transactions a cell). With -out, commit and cc write the cells they
+// judged, and passed, as BENCH_commit.json and BENCH_cc.json.
 // An unknown or repeated gate name exits 2 and lists the valid names.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -42,10 +55,18 @@ import (
 	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/shard"
 	"tpccmodel/internal/engine/wal"
+	"tpccmodel/internal/tpcc"
 	"tpccmodel/internal/xval"
 )
 
 const tool = "tpcc-check"
+
+// gateSeed seeds the commit and cc gates' databases and terminals.
+const gateSeed = 1993
+
+// batched is group commit as every grouped gate runs it. Any MaxBatch
+// above 1 switches batching on; the value bounds nothing.
+var batched = wal.GroupConfig{MaxBatch: 64}
 
 // options are the flags every gate sees, plus where it writes.
 type options struct {
@@ -77,6 +98,8 @@ func gates() []gate {
 		{"shard-xval", runShardXval},
 		{"torture", runTorture},
 		{"shard-torture", runShardTorture},
+		{"commit", runCommit},
+		{"cc", runCC},
 	}
 }
 
@@ -97,11 +120,11 @@ func run(table []gate, args []string, stdout, stderr io.Writer) int {
 	o := options{stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.out, "out", "", "xval: directory for xval.tsv and xval.json (empty = TSV on stdout)")
+	fs.StringVar(&o.out, "out", "", "directory for xval's xval.tsv and xval.json (empty = TSV on stdout) and for commit's and cc's BENCH_commit.json and BENCH_cc.json (empty = none)")
 	fs.BoolVar(&o.verbose, "v", false, "torture gates: print one line per schedule")
 	fs.UintVar(&o.seeds, "seeds", 0, "torture gates: independent seeds (0 = the gate's CI size)")
 	fs.UintVar(&o.schedules, "schedules", 0, "torture gates: crash or kill schedules per seed (0 = the gate's CI size)")
-	fs.UintVar(&o.txns, "txns", 0, "torture gates: transactions attempted per schedule (0 = the gate's CI size)")
+	fs.UintVar(&o.txns, "txns", 0, "torture gates: transactions attempted per schedule; commit, cc: transactions per cell (0 = the gate's CI size)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: %s [flags] [gate ...]\n\ngates (default all, in this order): %s\n\nflags:\n",
 			tool, strings.Join(gateNames(table), " "))
@@ -148,6 +171,47 @@ func runXval(o options) error {
 	return res.Err()
 }
 
+// writeReport writes rep as indented JSON to the file name under -out;
+// without -out it writes nothing.
+func writeReport(o options, name string, rep any) error {
+	if o.out == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(o.out, name)
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(o.stderr, "wrote %s\n", path)
+	return nil
+}
+
+// measure loads d at seed, warms it up with warmup transactions, calls
+// ready and measures txns transactions of the default mix at workers
+// under the default retry policy.
+func measure(d *db.DB, seed uint64, txns, warmup, workers int, ready func()) (db.RunStats, error) {
+	if err := d.Load(seed); err != nil {
+		return db.RunStats{}, err
+	}
+	mix := tpcc.DefaultMix()
+	if warmup > 0 {
+		if err := db.RunConcurrent(d, seed+1, mix, warmup, workers); err != nil {
+			return db.RunStats{}, err
+		}
+	}
+	// Collect the previous cell's garbage (a whole discarded buffer pool)
+	// so no inherited GC cycle lands mid-measurement.
+	runtime.GC()
+	ready()
+	return db.RunConcurrentPolicy(d, seed+2, mix, txns, workers, db.DefaultRetryPolicy())
+}
+
 func writeXvalReports(dir string, res *xval.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -188,14 +252,13 @@ func runShardXval(o options) error {
 // runTorture runs the single-instance crash campaign once under each
 // concurrency-control mode, with group commit on.
 func runTorture(o options) error {
-	for _, cc := range []db.CCMode{db.CC2PL, db.CCMVCC, db.CCSSI} {
+	for _, cc := range ccModes {
 		cfg := fault.DefaultTortureConfig()
 		cfg.CC = cc
 		cfg.Seeds = size(o.seeds, 3)
 		cfg.Schedules = size(o.schedules, 6)
 		cfg.Txns = size(o.txns, cfg.Txns)
-		// Any MaxBatch above 1 switches batching on; the value bounds nothing.
-		cfg.GroupCommit = wal.GroupConfig{MaxBatch: 16}
+		cfg.GroupCommit = batched
 		start := time.Now()
 		rep, err := fault.Torture(cfg)
 		if err != nil {

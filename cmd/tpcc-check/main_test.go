@@ -10,7 +10,7 @@ import (
 )
 
 func TestGatesInCIOrder(t *testing.T) {
-	want := []string{"xval", "shard-xval", "torture", "shard-torture"}
+	want := []string{"xval", "shard-xval", "torture", "shard-torture", "commit", "cc"}
 	if got := gateNames(gates()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("gates = %v, want %v", got, want)
 	}

@@ -170,8 +170,7 @@ func probeWriteSkew(t *testing.T, d *DB) bool {
 }
 
 // TestWriteSkewWitness pins the exported certification probe to the
-// matrix's write-skew row — the CLI's cc-smoke gate calls the same
-// function.
+// matrix's write-skew row — `tpcc-check cc` calls the same function.
 func TestWriteSkewWitness(t *testing.T) {
 	want := map[CCMode]bool{CC2PL: false, CCMVCC: true, CCSSI: false}
 	for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {

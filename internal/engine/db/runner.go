@@ -100,10 +100,13 @@ type Runner struct {
 	sys        System
 	warehouses int64
 	r          *rng.RNG
-	custGen    *nurand.Gen
-	itemGen    *nurand.Gen
-	nameGen    *nurand.Gen
-	mix        tpcc.Mix
+	// jitter draws the backoff delays, apart from r: a retry must not
+	// shift the inputs drawn after it.
+	jitter  *rng.RNG
+	custGen *nurand.Gen
+	itemGen *nurand.Gen
+	nameGen *nurand.Gen
+	mix     tpcc.Mix
 
 	// args holds the precomputed input for the current transaction. The
 	// inputs are generated once, before the attempt loop, into fixed
@@ -173,6 +176,7 @@ func NewRunnerOn(sys System, seed uint64, mix tpcc.Mix) *Runner {
 		sys:               sys,
 		warehouses:        int64(sys.Warehouses()),
 		r:                 r,
+		jitter:            rng.NewStream(seed, 1),
 		custGen:           nurand.NewGen(nurand.CustomerID, r),
 		itemGen:           nurand.NewGen(nurand.ItemID, r),
 		nameGen:           nurand.NewGen(nurand.Params{A: 255, X: 0, Y: tpcc.NamesPerDistrict - 1}, r),
@@ -335,15 +339,16 @@ func (rn *Runner) backoffDelay(attempt int) time.Duration {
 }
 
 // backoff sleeps the jittered exponential delay for the given attempt
-// (1-based). Jitter is drawn from the runner's seeded generator so the
-// delay sequence is reproducible.
+// (1-based). Jitter is drawn from a seeded generator of its own, so the
+// delay sequence is reproducible and the input stream does not depend on
+// how many retries ran.
 func (rn *Runner) backoff(attempt int) {
 	d := rn.backoffDelay(attempt)
 	if d <= 0 {
 		return
 	}
 	half := int64(d / 2)
-	jittered := d/2 + time.Duration(rn.r.Int63n(half+1))
+	jittered := d/2 + time.Duration(rn.jitter.Int63n(half+1))
 	time.Sleep(jittered)
 }
 

@@ -2,6 +2,8 @@ package db
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,6 +120,66 @@ func (alwaysAborts) Delivery(DeliveryInput) (DeliveryResult, error) {
 }
 func (alwaysAborts) StockLevel(StockLevelInput) (int, error) { return 0, ErrAborted }
 
+// recordingSystem records the input of every attempt it acknowledges and
+// fails attempt number failAt (1-based; 0 = none) as a deadlock victim.
+type recordingSystem struct {
+	failAt, attempts int
+	acked            []string
+}
+
+func (s *recordingSystem) attempt(in any) error {
+	s.attempts++
+	if s.attempts == s.failAt {
+		return ErrAborted
+	}
+	s.acked = append(s.acked, fmt.Sprintf("%T %+v", in, in))
+	return nil
+}
+
+func (s *recordingSystem) Warehouses() int { return 4 }
+func (s *recordingSystem) RemoteWarehouse(r *rng.RNG, home int64) int64 {
+	return (home + 1 + r.Int63n(3)) % 4
+}
+func (s *recordingSystem) NewOrder(in NewOrderInput) (NewOrderResult, error) {
+	return NewOrderResult{}, s.attempt(in)
+}
+func (s *recordingSystem) Payment(in PaymentInput) error { return s.attempt(in) }
+func (s *recordingSystem) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
+	return OrderStatusResult{}, s.attempt(in)
+}
+func (s *recordingSystem) Delivery(in DeliveryInput) (DeliveryResult, error) {
+	return DeliveryResult{}, s.attempt(in)
+}
+func (s *recordingSystem) StockLevel(in StockLevelInput) (int, error) { return 0, s.attempt(in) }
+
+// TestRetryLeavesLaterInputsAlone runs one seeded terminal twice, once
+// with its tenth attempt failing as a deadlock victim: the retry and its
+// backoff must not move any input drawn after it. The seed drew backoff
+// jitter from the input generator, so one retry re-phased the rest of the
+// worker's stream.
+func TestRetryLeavesLaterInputsAlone(t *testing.T) {
+	run := func(failAt int) []string {
+		sys := &recordingSystem{failAt: failAt}
+		rn := NewRunnerOn(sys, 7, tpcc.DefaultMix())
+		if err := rn.Run(200); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(min(failAt, 1)); rn.Retries() != want {
+			t.Fatalf("retries %d, want %d", rn.Retries(), want)
+		}
+		return sys.acked
+	}
+	clean, retried := run(0), run(10)
+	if !reflect.DeepEqual(clean, retried) {
+		for i := 0; i < len(clean) && i < len(retried); i++ {
+			if clean[i] != retried[i] {
+				t.Fatalf("input %d differs after a retry:\n clean:   %s\n retried: %s", i, clean[i], retried[i])
+			}
+		}
+		t.Fatalf("acknowledged %d inputs after a retry, want %d", len(retried), len(clean))
+	}
+}
+
 // oneShotFailDisk delegates to an inner DiskIO until its `after`-th read;
 // the page that read asked for then fails every read with a permanent
 // (non-retriable) error. One failed read would not do: if it is a
@@ -185,7 +247,6 @@ func TestGroupCommitAcksSameTransactionSets(t *testing.T) {
 	const total, workers = 800, 4
 	policy := DefaultRetryPolicy()
 	policy.MaxAttempts = 100 // retries must never exhaust: sheds would desync the modes
-	policy.BaseDelay = 0     // backoff jitter draws from the runner's generator: a retry would shift every later input
 	run := func(group wal.GroupConfig) RunStats {
 		t.Helper()
 		d, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: 2048},

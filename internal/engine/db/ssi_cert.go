@@ -13,12 +13,12 @@ import (
 // schedule — crossing guard reads over two 50-cent balances, disjoint
 // withdrawals — on a throwaway fixture in the given CC mode and reports
 // whether the anomalous outcome (both rows drained) was admitted. It is
-// the certification probe behind `tpcc-engine cc -check` / the cc-smoke
-// CI leg: the expected answers are true for mvcc (SI's one documented
-// anomaly), false for 2pl (lock collision) and false for ssi (the
-// dangerous-structure abort this mode exists to deliver). Any refusal
-// the mode throws — lock timeout, FCW conflict, ssi abort — counts as
-// "not admitted"; an unexpected engine error is returned instead.
+// the certification probe behind the `tpcc-check cc` gate: the expected
+// answers are true for mvcc (SI's one documented anomaly), false for 2pl
+// (lock collision) and false for ssi (the dangerous-structure abort this
+// mode exists to deliver). Any refusal the mode throws — lock timeout,
+// FCW conflict, ssi abort — counts as "not admitted"; an unexpected
+// engine error is returned instead.
 func WriteSkewWitness(cc CCMode) (bool, error) {
 	d, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: 256, CC: cc},
 		Options{LockWaitTimeout: 5 * time.Millisecond})

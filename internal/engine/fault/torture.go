@@ -14,7 +14,8 @@ import (
 // TortureConfig sizes a crash-torture campaign: for each of Seeds
 // independent databases, Schedules crash schedules are executed — seeded
 // concurrent TPC-C load under steady-state faults, a randomly timed
-// device crash, power loss, recovery, and a full verification pass.
+// device crash, power loss, recovery, and a full verification pass. The
+// load is the default mix under the default retry policy.
 type TortureConfig struct {
 	// BaseSeed derives every seed in the campaign.
 	BaseSeed uint64
@@ -34,10 +35,6 @@ type TortureConfig struct {
 
 	// Faults sets steady-state fault probabilities during load phases.
 	Faults Config
-	// Policy is the retry policy workers run with.
-	Policy db.RetryPolicy
-	// Mix is the transaction mix (DefaultMix when zero).
-	Mix tpcc.Mix
 	// CC is the concurrency-control mode every database in the campaign
 	// runs under (zero = 2PL). Recovery and the invariants are the same in
 	// all three; what differs is which histories reach the log.
@@ -67,8 +64,6 @@ func DefaultTortureConfig() TortureConfig {
 			ForceErrProb: 0.002,
 			BitFlipProb:  0.001,
 		},
-		Policy: db.DefaultRetryPolicy(),
-		Mix:    tpcc.DefaultMix(),
 	}
 }
 
@@ -150,12 +145,6 @@ func Torture(cfg TortureConfig) (*Report, error) {
 	if cfg.Seeds < 1 || cfg.Schedules < 1 {
 		return nil, fmt.Errorf("fault: need at least one seed and one schedule")
 	}
-	if cfg.Mix.Validate() != nil {
-		cfg.Mix = tpcc.DefaultMix()
-	}
-	if cfg.Policy.MaxAttempts == 0 {
-		cfg.Policy = db.DefaultRetryPolicy()
-	}
 	rep := &Report{Config: cfg}
 	for s := 0; s < cfg.Seeds; s++ {
 		seed := cfg.BaseSeed + uint64(s)
@@ -213,8 +202,8 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		inj.SetEnabled(true)
 		inj.ScheduleCrash(fuse)
 
-		st, runErr := db.RunConcurrentPolicy(d, seedRng.Uint64(), cfg.Mix,
-			cfg.Txns, cfg.Workers, cfg.Policy)
+		st, runErr := db.RunConcurrentPolicy(d, seedRng.Uint64(), tpcc.DefaultMix(),
+			cfg.Txns, cfg.Workers, db.DefaultRetryPolicy())
 		inj.DisarmCrash()
 		if runErr != nil {
 			violate("run failed fatally: %v", runErr)

@@ -18,7 +18,8 @@ import (
 // globally-routed TPC-C load with a shard kill armed at a drawn 2PC
 // protocol point, then a cluster-wide power loss, recovery, in-doubt
 // resolution, and verification — plus one graceful-degradation phase
-// with a shard held down under live traffic.
+// with a shard held down under live traffic. The load is the default mix
+// under the default retry policy.
 type TortureConfig struct {
 	BaseSeed  uint64
 	Seeds     int
@@ -43,10 +44,6 @@ type TortureConfig struct {
 	// Faults sets steady-state transient-fault probabilities on every
 	// shard device during the load phases.
 	Faults fault.Config
-	// Policy is the workers' retry/shed policy.
-	Policy db.RetryPolicy
-	// Mix is the transaction mix (DefaultMix when zero).
-	Mix tpcc.Mix
 	// GroupCommit configures per-shard WAL batching for the campaign.
 	GroupCommit wal.GroupConfig
 	// CC selects each shard's concurrency-control mode (zero = 2PL).
@@ -76,8 +73,6 @@ func DefaultTortureConfig() TortureConfig {
 			WriteErrProb: 0.0005,
 			ForceErrProb: 0.0005,
 		},
-		Policy:   db.DefaultRetryPolicy(),
-		Mix:      tpcc.DefaultMix(),
 		Degraded: true,
 	}
 }
@@ -172,12 +167,6 @@ func Torture(cfg TortureConfig) (*Report, error) {
 	if cfg.Seeds < 1 || cfg.Schedules < 1 {
 		return nil, fmt.Errorf("shard: need at least one seed and one schedule")
 	}
-	if cfg.Mix.Validate() != nil {
-		cfg.Mix = tpcc.DefaultMix()
-	}
-	if cfg.Policy.MaxAttempts == 0 {
-		cfg.Policy = db.DefaultRetryPolicy()
-	}
 	rep := &Report{Config: cfg}
 	for s := 0; s < cfg.Seeds; s++ {
 		seed := cfg.BaseSeed + uint64(s)
@@ -241,8 +230,8 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		for _, s := range c.shards {
 			s.Inj.SetEnabled(true)
 		}
-		st, runErr := Run(c, rng.Substream(seed, uint64(sched)+1000), cfg.Mix,
-			cfg.Txns, cfg.Workers, cfg.Policy, cfg.RemoteStockProb, cfg.RemotePaymentProb)
+		st, runErr := Run(c, rng.Substream(seed, uint64(sched)+1000), tpcc.DefaultMix(),
+			cfg.Txns, cfg.Workers, db.DefaultRetryPolicy(), cfg.RemoteStockProb, cfg.RemotePaymentProb)
 		for _, s := range c.shards {
 			s.Inj.SetEnabled(false)
 		}
@@ -372,8 +361,8 @@ func degradedPhase(cfg TortureConfig, seed uint64, c *Cluster, rep *Report, base
 	shed0 := statsTotal(c, func(s Stats) int64 { return s.Sheds + s.DownSheds })
 
 	c.KillShard(victim)
-	st, runErr := Run(c, rng.Substream(seed, 9999), cfg.Mix,
-		cfg.Txns, cfg.Workers, cfg.Policy, cfg.RemoteStockProb, cfg.RemotePaymentProb)
+	st, runErr := Run(c, rng.Substream(seed, 9999), tpcc.DefaultMix(),
+		cfg.Txns, cfg.Workers, db.DefaultRetryPolicy(), cfg.RemoteStockProb, cfg.RemotePaymentProb)
 	if runErr != nil {
 		violate("degraded run failed fatally: %v", runErr)
 	}
