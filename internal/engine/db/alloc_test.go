@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tpccmodel/internal/core"
+	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
 )
@@ -154,5 +155,26 @@ func testHotPathAllocationFree(t *testing.T, cc CCMode) {
 		if allocs := testing.AllocsPerRun(500, g.fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/run, want 0", g.name, allocs)
 		}
+	}
+}
+
+// TestPageRelMapGrowsGeometrically: tagging pages 0..n-1 in order, as a
+// load does, grows the page→relation table by half again each time it is
+// full, so n tags cost O(log n) allocations, not one copy of the table per
+// page.
+func TestPageRelMapGrowsGeometrically(t *testing.T) {
+	const pages = 100000
+	allocs := testing.AllocsPerRun(3, func() {
+		var m pageRelMap
+		for id := range pages {
+			m.set(storage.PageID(id), core.Stock)
+		}
+		if m.get(pages-1) != core.Stock || m.get(pages) != 0 {
+			t.Fatal("pageRelMap lost a tag")
+		}
+	})
+	// log_1.5(100000) is about 28.
+	if allocs > 30 {
+		t.Errorf("%v allocations for %d dense tags, want O(log n) (at most 30)", allocs, pages)
 	}
 }

@@ -195,9 +195,12 @@ type pageRelMap struct {
 func (m *pageRelMap) set(id storage.PageID, rel core.Relation) {
 	m.mu.Lock()
 	if n := int(id) + 1; n > len(m.rels) {
-		grown := make([]core.Relation, n+n/2+64)
-		copy(grown, m.rels)
-		m.rels = grown[:n]
+		if n > cap(m.rels) {
+			grown := make([]core.Relation, len(m.rels), n+n/2+64)
+			copy(grown, m.rels)
+			m.rels = grown
+		}
+		m.rels = m.rels[:n]
 	}
 	m.rels[id] = rel
 	m.mu.Unlock()

@@ -127,9 +127,9 @@ func (b *Branch) Forsake() {
 	t.undo = t.undo[:0]
 	if t.d.ccMVCC {
 		// Drop the chain state too (pop versions, clear writer marks,
-		// deregister the snapshot); nil retire ring — the dead device's
-		// recovery path resets the whole store anyway.
-		t.d.mvcc.Abort(&t.mv, nil)
+		// deregister the snapshot); the dead device's recovery path
+		// resets the whole store anyway.
+		t.d.mvcc.Abort(&t.mv)
 	}
 	t.d.locks.ReleaseAll(t.id)
 	b.end()

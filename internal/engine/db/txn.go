@@ -272,7 +272,7 @@ func (t *txn) rollbackWith(gid uint64) error {
 		// heap before-images: while the writer mark is set, readers
 		// resolve through the chain, so they never see the intermediate
 		// heap states; once popped, the (restored) heap is authoritative.
-		t.d.mvcc.Abort(&t.mv, &t.retired)
+		t.d.mvcc.Abort(&t.mv)
 	}
 	t.d.locks.ReleaseAll(t.id)
 	t.d.aborts.Add(1)

@@ -18,14 +18,19 @@
 // can span stripes (txn A blocked in stripe 1 on a lock whose holder is
 // blocked in stripe 2 on a lock A holds). The wait-for graph therefore
 // lives behind a separate detector mutex that is touched ONLY by requests
-// that actually block — the uncontended grant path never takes it, so
-// detection cost scales with contention, not throughput.
+// that actually block, and by the release of a transaction that blocked —
+// the uncontended grant path and the release of a transaction that never
+// waited do not take it, so detection cost scales with contention, not
+// throughput.
 //
+// Bookkeeping is O(1) per request however many locks a transaction holds:
+// an Acquire visits its transaction's bookkeeping shard once, and the held
+// set it checks and records into is a hash index over the locks held.
 // Neither path allocates in steady state. Granted locks are value entries
-// in a pooled per-key state and per-transaction held lists are pooled
-// slices; a request that blocks takes a pooled request record — its wake-up
-// channel and its wait-for edge list are reused — and cycle detection walks
-// the graph on scratch kept beside it.
+// in a pooled per-key state and per-transaction held sets are pooled; a
+// request that blocks takes a pooled request record — its wake-up channel
+// and its wait-for edge list are reused — and cycle detection walks the
+// graph on scratch kept beside it.
 //
 // Concurrency contract: methods are safe for concurrent use across
 // transactions. Calls for the SAME TxnID (its Acquires and its final
@@ -38,6 +43,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -129,20 +135,92 @@ type heldLock struct {
 	mode Mode
 }
 
-// txnLocks is the pooled per-transaction lock list. Holding a handful of
-// locks (TPC-C transactions hold tens), a linear scan beats a map and
-// costs nothing to reset.
+// minIndex is the index size of a new held set: room for eight locks
+// before it first doubles.
+const minIndex = 16
+
+// txnLocks is the pooled per-transaction held set. keys lists the locks in
+// the order they were taken, which is the order ReleaseAll drops them in.
+// index is an open-addressed table of positions in keys (linear probing,
+// position+1 so that zero is empty, the home slot taken from the top bits
+// of keyHash); its length is a power of two at least twice len(keys), so a
+// lookup costs O(1) however many locks are held. reset empties only the
+// slots the keys occupy, so recycling a set costs O(locks) whatever size
+// its index grew to, and the next owner reuses both slices: steady state
+// allocates nothing.
+//
+// keys and index belong to the owning transaction: only its own Acquire
+// and ReleaseAll write them, serially (see the package contract). waited
+// is guarded by the shard mutex.
 type txnLocks struct {
-	keys []heldLock
+	keys  []heldLock
+	index []int32
+	// waited reports that the transaction has blocked on a lock, so it may
+	// have wait-for edges and a waitKey entry for ReleaseAll to drop.
+	waited bool
 }
 
+// find returns the position of key in tl.keys.
 func (tl *txnLocks) find(key Key) (int, bool) {
-	for i := range tl.keys {
-		if tl.keys[i].key == key {
-			return i, true
+	mask := uint64(len(tl.index) - 1)
+	for s := tl.slot(key); ; s = (s + 1) & mask {
+		p := tl.index[s]
+		if p == 0 {
+			return 0, false
+		}
+		if tl.keys[p-1].key == key {
+			return int(p - 1), true
 		}
 	}
-	return 0, false
+}
+
+// slot is key's home slot in tl.index.
+func (tl *txnLocks) slot(key Key) uint64 {
+	return keyHash(key) >> (64 - bits.TrailingZeros(uint(len(tl.index))))
+}
+
+// record notes in tl that its transaction now holds key in mode: an
+// upgrade of the key at position i rewrites its mode in place; a new key
+// is appended and indexed, the index doubling first if it would pass half
+// full.
+func (tl *txnLocks) record(i int, upgrade bool, key Key, mode Mode) {
+	if upgrade {
+		tl.keys[i].mode = mode
+		return
+	}
+	tl.keys = append(tl.keys, heldLock{key: key, mode: mode})
+	if 2*len(tl.keys) <= len(tl.index) {
+		tl.insert(len(tl.keys) - 1)
+		return
+	}
+	tl.index = make([]int32, 2*len(tl.index))
+	for i := range tl.keys {
+		tl.insert(i)
+	}
+}
+
+// insert enters keys[i] into the index.
+func (tl *txnLocks) insert(i int) {
+	mask := uint64(len(tl.index) - 1)
+	s := tl.slot(tl.keys[i].key)
+	for tl.index[s] != 0 {
+		s = (s + 1) & mask
+	}
+	tl.index[s] = int32(i + 1)
+}
+
+// reset empties tl for the pool, clearing each key's slot.
+func (tl *txnLocks) reset() {
+	mask := uint64(len(tl.index) - 1)
+	for i := range tl.keys {
+		s := tl.slot(tl.keys[i].key)
+		for tl.index[s] != int32(i+1) {
+			s = (s + 1) & mask
+		}
+		tl.index[s] = 0
+	}
+	tl.keys = tl.keys[:0]
+	tl.waited = false
 }
 
 // stripe is one shard of the lock table: a mutex, the keys that hash here,
@@ -235,13 +313,16 @@ func newManagerStripes(n int) *Manager {
 	return m
 }
 
-// stripeOf hashes a key to its stripe. Fibonacci multiplicative hashing on
-// the mixed row/table bits: row keys are near-sequential per table, so the
-// multiply spreads adjacent rows across stripes; the high bits of the
-// product carry the mixing.
+// keyHash is Fibonacci multiplicative hashing on the mixed row/table bits:
+// row keys are near-sequential per table, so the multiply spreads adjacent
+// rows apart; the high bits of the product carry the mixing.
+func keyHash(key Key) uint64 {
+	return (key.Row ^ uint64(key.Table)<<32) * 0x9e3779b97f4a7c15
+}
+
+// stripeOf hashes a key to its stripe.
 func (m *Manager) stripeOf(key Key) *stripe {
-	h := (key.Row ^ uint64(key.Table)<<32) * 0x9e3779b97f4a7c15
-	return &m.stripes[(h>>32)&m.mask]
+	return &m.stripes[(keyHash(key)>>32)&m.mask]
 }
 
 // txnShardOf maps a transaction to its bookkeeping shard. Txn ids are
@@ -271,7 +352,7 @@ func (ts *txnShard) newTxnLocks() *txnLocks {
 		ts.tlFree = ts.tlFree[:n-1]
 		return tl
 	}
-	return &txnLocks{}
+	return &txnLocks{index: make([]int32, minIndex)}
 }
 
 // Counts returns total grants, waits, and deadlocks observed, summed over
@@ -318,7 +399,11 @@ func (m *Manager) getWaitTimeout() time.Duration {
 	return d
 }
 
-// HeldBy returns the number of locks txn currently holds.
+// HeldBy returns the number of locks txn currently holds. It must not run
+// concurrently with an Acquire of txn: a grant that did not wait is recorded
+// in txn's held set without the shard mutex. (A grant that waited is
+// recorded under it, so a caller watching a blocked transaction from another
+// goroutine, as a deadlock test does, reads a consistent count.)
 func (m *Manager) HeldBy(txn TxnID) int {
 	ts := m.txnShardOf(txn)
 	ts.mu.Lock()
@@ -352,56 +437,34 @@ func compatibleWithGranted(ls *lockState, txn TxnID, mode Mode) bool {
 	return true
 }
 
-// heldMode returns txn's current mode on key, if any.
-func (m *Manager) heldMode(txn TxnID, key Key) (Mode, bool) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if tl := ts.held[txn]; tl != nil {
-		if i, ok := tl.find(key); ok {
-			return tl.keys[i].mode, true
-		}
-	}
-	return 0, false
-}
-
-// noteHeld records that txn holds key in mode.
-func (m *Manager) noteHeld(txn TxnID, key Key, mode Mode) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	tl := ts.held[txn]
-	if tl == nil {
-		tl = ts.newTxnLocks()
-		ts.held[txn] = tl
-	}
-	if i, ok := tl.find(key); ok {
-		tl.keys[i].mode = mode
-		return
-	}
-	tl.keys = append(tl.keys, heldLock{key: key, mode: mode})
-}
-
 // Acquire takes key in mode for txn, blocking while incompatible locks are
 // held. A Shared request by a holder of Exclusive is a no-op; an Exclusive
 // request by a holder of Shared is an upgrade. Returns ErrDeadlock if
 // waiting would close a cycle in the wait-for graph.
 func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
-	// The re-entrant check reads only txn's own held list, which no other
-	// goroutine mutates (see the package concurrency contract), so it can
-	// run before the stripe lock: the answer cannot change underneath us.
-	isUpgrade := false
-	if cur, ok := m.heldMode(txn, key); ok {
-		if cur == Exclusive || mode == Shared {
-			return nil
-		}
-		// Upgrade S -> X. The shared grant is KEPT while waiting (2PL:
-		// dropping it would let a writer slip between the read and the
-		// write); it is replaced in place once the upgrade is granted.
-		// Upgrades have priority over plain waiters; two simultaneous
-		// upgrades deadlock and one is aborted.
-		isUpgrade = true
+	// One trip to the bookkeeping shard finds or creates txn's held set.
+	// No other goroutine writes that set (see the package concurrency
+	// contract), so the re-entrant check, and the record once granted, use
+	// it without the shard mutex: the answer cannot change underneath us.
+	ts := m.txnShardOf(txn)
+	ts.mu.Lock()
+	tl := ts.held[txn]
+	if tl == nil {
+		tl = ts.newTxnLocks()
+		ts.held[txn] = tl
 	}
+	ts.mu.Unlock()
+
+	i, held := tl.find(key)
+	if held && (tl.keys[i].mode == Exclusive || mode == Shared) {
+		return nil
+	}
+	// A held key here is an upgrade S -> X. The shared grant is KEPT while
+	// waiting (2PL: dropping it would let a writer slip between the read
+	// and the write); it is replaced in place once the upgrade is granted.
+	// Upgrades have priority over plain waiters; two simultaneous upgrades
+	// deadlock and one is aborted.
+	isUpgrade := held
 
 	st := m.stripeOf(key)
 	st.mu.Lock()
@@ -422,7 +485,7 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 		ls.granted = append(ls.granted, grant{txn: txn, mode: mode})
 		st.acquired++
 		st.mu.Unlock()
-		m.noteHeld(txn, key, mode)
+		tl.record(i, isUpgrade, key, mode)
 		return nil
 	}
 
@@ -480,9 +543,9 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	st.waits++
 	st.mu.Unlock()
 
-	ts := m.txnShardOf(txn)
 	ts.mu.Lock()
 	ts.waitKey[txn] = key
+	tl.waited = true
 	ts.mu.Unlock()
 
 	var err error
@@ -500,16 +563,17 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	// Granted, timed out or cancelled, the request has left the queue and
 	// its one outcome has been received: the wait's bookkeeping goes (a
 	// cancelling ReleaseAll has already dropped it; deleting is idempotent)
-	// and the record returns to the pool.
-	if err == nil {
-		m.noteHeld(txn, key, mode)
-	}
+	// and the record returns to the pool. The grant is recorded under the
+	// shard mutex, which this path takes anyway (see HeldBy).
 	m.det.Lock()
 	delete(m.det.waitFor, txn)
 	m.det.free = append(m.det.free, req)
 	m.det.Unlock()
 	ts.mu.Lock()
 	delete(ts.waitKey, txn)
+	if err == nil {
+		tl.record(i, isUpgrade, key, mode)
+	}
 	ts.mu.Unlock()
 	return err
 }
@@ -617,21 +681,32 @@ func (s *stripe) promote(key Key, ls *lockState) {
 // ReleaseAll drops every lock txn holds and cancels its waits (strict 2PL
 // release at commit or abort).
 func (m *Manager) ReleaseAll(txn TxnID) {
-	m.det.Lock()
-	delete(m.det.waitFor, txn)
-	m.det.Unlock()
-
 	ts := m.txnShardOf(txn)
 	ts.mu.Lock()
-	key, waiting := ts.waitKey[txn]
-	if waiting {
-		delete(ts.waitKey, txn)
-	}
 	tl := ts.held[txn]
-	if tl != nil {
-		delete(ts.held, txn)
+	if tl == nil {
+		// Every Acquire creates the held set first: txn never asked for a
+		// lock, so it holds and waits on nothing.
+		ts.mu.Unlock()
+		return
+	}
+	delete(ts.held, txn)
+	var key Key
+	waited, waiting := tl.waited, false
+	if waited {
+		if key, waiting = ts.waitKey[txn]; waiting {
+			delete(ts.waitKey, txn)
+		}
 	}
 	ts.mu.Unlock()
+
+	// Only a transaction that has blocked can have wait-for edges: one that
+	// never did releases without touching the detector.
+	if waited {
+		m.det.Lock()
+		delete(m.det.waitFor, txn)
+		m.det.Unlock()
+	}
 
 	// Cancel an in-flight wait (possible after a deadlock abort racing
 	// with a grant). The waitKey index makes this O(1) instead of a
@@ -651,9 +726,6 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		}
 		st.mu.Unlock()
 	}
-	if tl == nil {
-		return
-	}
 	for _, h := range tl.keys {
 		st := m.stripeOf(h.key)
 		st.mu.Lock()
@@ -663,7 +735,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		}
 		st.mu.Unlock()
 	}
-	tl.keys = tl.keys[:0]
+	tl.reset()
 	ts.mu.Lock()
 	ts.tlFree = append(ts.tlFree, tl)
 	ts.mu.Unlock()

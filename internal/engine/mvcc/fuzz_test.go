@@ -23,8 +23,8 @@ import (
 // a surviving snapshot sees — so the same oracle applies, with ErrSSI
 // (on write or at the modeled PreCommit) treated as one more abort
 // path. This is the fuzzer's check on the read-mark/conflict-flag
-// lifecycle: premature mark reclaim or a leaked mark-only chain shows
-// up as an oracle mismatch or a failed zero-chain drain.
+// lifecycle: premature mark reclaim, a leaked chain or a mark that never
+// goes stale shows up as an oracle mismatch or a failed drain.
 
 // Tape encoding: 4 bytes per op.
 //
@@ -170,7 +170,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 						heap[wk] = img
 					}
 				}
-				s.Abort(&sl.txn, &sl.ret)
+				s.Abort(&sl.txn)
 				endSlot(sl)
 				continue
 			}
@@ -192,7 +192,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 						heap[wk] = img
 					}
 				}
-				s.Abort(&sl.txn, &sl.ret)
+				s.Abort(&sl.txn)
 				endSlot(sl)
 				continue
 			}
@@ -235,7 +235,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 						heap[wk] = img
 					}
 				}
-				s.Abort(&sl.txn, &sl.ret)
+				s.Abort(&sl.txn)
 				endSlot(sl)
 				continue
 			}
@@ -267,7 +267,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 					heap[wk] = img
 				}
 			}
-			s.Abort(&sl.txn, &sl.ret)
+			s.Abort(&sl.txn)
 			endSlot(sl)
 		}
 	}
@@ -286,7 +286,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 				heap[wk] = img
 			}
 		}
-		s.Abort(&sl.txn, &sl.ret)
+		s.Abort(&sl.txn)
 		endSlot(sl)
 	}
 	var fin Txn
@@ -296,7 +296,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 		// clock itself (under SSI, the Begin's rec reap stales every mark
 		// before the prune runs, so mark-pinned chains drain too).
 		s.Begin(&fin, &slots[si].ret)
-		s.Abort(&fin, nil)
+		s.Abort(&fin)
 		if n := slots[si].ret.Len(); n != 0 {
 			t.Fatalf("slot %d retire ring holds %d entries after full drain", si, n)
 		}
@@ -315,16 +315,20 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 			t.Fatalf("final read key=%v: (%d,%v), oracle (%d,%v)", k, buf[0], got, wantVal, want)
 		}
 	}
-	s.Abort(&fin, &finRet)
-	// The final reads left SIREAD marks (mark-only chains included, even
-	// on absent keys); one more begin/abort cycle prunes them.
+	s.Abort(&fin)
+	// The final reads left SIREAD marks, even on absent keys; the
+	// aborted reader's marks are stale at once, and one more begin/abort
+	// cycle prunes the chains.
 	s.Begin(&fin, &finRet)
-	s.Abort(&fin, nil)
+	s.Abort(&fin)
 	if n := finRet.Len(); n != 0 {
 		t.Fatalf("final retire ring holds %d entries after drain", n)
 	}
 	if n := s.Chains(); n != 0 {
 		t.Fatalf("%d chains leaked after drain+prune (ssi=%v)", n, s.SSI())
+	}
+	if n := liveMarks(s); n != 0 {
+		t.Fatalf("%d SIREAD marks still live after drain", n)
 	}
 }
 

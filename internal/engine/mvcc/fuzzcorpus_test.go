@@ -102,9 +102,8 @@ func visibilitySeeds() map[string][]byte {
 			}
 		},
 		// Reads of keys that do not exist yet, then inserts over the
-		// mark-only chains those reads created: exercises the
-		// absent-read SIREAD path and the prune rule that a chain with
-		// no versions but live marks must survive retirement.
+		// marks those reads left: exercises the absent-read SIREAD path
+		// and marks that outlive the chains of the keys they mark.
 		"ssi-absent-read-marks": func(emit func(op, slot, key, val byte)) {
 			for i := byte(0); i < 8; i++ {
 				k := 4 + i%2 // keys the other seeds leave untouched

@@ -54,7 +54,8 @@ import (
 var ErrConflict = errors.New("mvcc: write-write conflict (first committer wins)")
 
 // Key identifies a logical row, mirroring lock.Key: the relation in Table
-// and the engine's packed row key in Row.
+// and the engine's packed row key in Row. Tables are small dense numbers
+// (the engine's relations): the store keeps a chain map per table.
 type Key struct {
 	Table uint32
 	Row   uint64
@@ -84,11 +85,10 @@ type version struct {
 // the transaction that has pushed an uncommitted heap image (it holds the
 // row's exclusive lock). versions holds the still-reachable older images,
 // oldest first. All fields are guarded by the owning shard's mutex.
-// Under SSI a chain additionally carries the SIREAD marks of its readers
-// (marks) and the creator identity of the heap image (latestRec/latestGen,
-// valid while that rec's gen matches); a chain may exist with no versions
-// at all, purely to hold marks — including marks on absent rows, which is
-// what catches an insert overwriting a "saw nothing" read.
+// Under SSI a chain additionally carries the creator identity of the heap
+// image (latestRec/latestGen, valid while that rec's gen matches). Only
+// writes create chains: SIREAD marks live in the shard's mark list, not
+// on chains.
 type chain struct {
 	k         Key
 	latestTS  uint64
@@ -96,18 +96,50 @@ type chain struct {
 	versions  []version
 	arena     []byte
 	next      *chain // shard free list
-	marks     []ssiMark
 	latestRec *ssiRec
 	latestGen uint64
 }
 
+// storeShard is one shard of the chain map. chains[t][row] is the chain of
+// row in table t: one map per table, keyed by the row alone, so a lookup
+// hashes one uint64 (the map's fast path) instead of a two-field struct.
+// Under SSI, marks lists the SIREAD marks on the shard's keys (ssi.go).
 type storeShard struct {
 	mu     sync.Mutex
-	chains map[Key]*chain
+	chains []map[uint64]*chain
 	free   *chain
+	marks  []ssiMark
 	_      [24]byte // keep neighboring shards off one cache line
 }
 
+// get returns k's chain, or nil.
+func (sh *storeShard) get(k Key) *chain {
+	if int(k.Table) < len(sh.chains) {
+		return sh.chains[k.Table][k.Row]
+	}
+	return nil
+}
+
+// put enters c under its key.
+func (sh *storeShard) put(c *chain) {
+	for int(c.k.Table) >= len(sh.chains) {
+		sh.chains = append(sh.chains, nil)
+	}
+	m := sh.chains[c.k.Table]
+	if m == nil {
+		m = make(map[uint64]*chain)
+		sh.chains[c.k.Table] = m
+	}
+	m[c.k.Row] = c
+}
+
+// remove takes c out of the map and frees it.
+func (sh *storeShard) remove(c *chain) {
+	delete(sh.chains[c.k.Table], c.k.Row)
+	sh.release(c)
+}
+
+// alloc enters an empty chain for k, reusing a freed one if it can.
 func (sh *storeShard) alloc(k Key) *chain {
 	c := sh.free
 	if c != nil {
@@ -121,9 +153,9 @@ func (sh *storeShard) alloc(k Key) *chain {
 	c.writer = nil
 	c.versions = c.versions[:0]
 	c.arena = c.arena[:0]
-	c.marks = c.marks[:0]
 	c.latestRec = nil
 	c.latestGen = 0
+	sh.put(c)
 	return c
 }
 
@@ -131,7 +163,6 @@ func (sh *storeShard) release(c *chain) {
 	c.writer = nil
 	c.versions = c.versions[:0]
 	c.arena = c.arena[:0]
-	c.marks = c.marks[:0]
 	c.latestRec = nil
 	c.latestGen = 0
 	c.next = sh.free
@@ -145,8 +176,8 @@ func (sh *storeShard) release(c *chain) {
 // link the transaction into the store's active-snapshot registry; chains
 // lists the chains this transaction has pushed uncommitted versions onto.
 // Under SSI the transaction additionally borrows a pooled conflict-flag
-// rec for this life (rec/recGen) and lists the chains it left SIREAD
-// marks on (reads), so commit/abort can queue them for retirement.
+// rec for this life (rec/recGen), and marked records that it has left a
+// SIREAD mark, which makes even a read-only commit draw a timestamp.
 type Txn struct {
 	ts       uint64
 	commitTS atomic.Uint64
@@ -155,7 +186,7 @@ type Txn struct {
 	chains   []*chain
 	rec      *ssiRec
 	recGen   uint64
-	reads    []*chain
+	marked   bool
 }
 
 // Snapshot returns the transaction's snapshot timestamp.
@@ -214,11 +245,7 @@ type Store struct {
 
 // NewStore returns an empty store with the commit clock at zero.
 func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].chains = make(map[Key]*chain)
-	}
-	return s
+	return &Store{}
 }
 
 // NewSerializableStore returns a store running serializable snapshot
@@ -252,7 +279,9 @@ func (s *Store) Chains() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.chains)
+		for _, m := range sh.chains {
+			n += len(m)
+		}
 		sh.mu.Unlock()
 	}
 	return n
@@ -286,7 +315,7 @@ func (s *Store) Begin(t *Txn, ret *RetireSet) {
 		s.reapCommittedLocked(wm)
 		t.rec = s.acquireRecLocked()
 		t.recGen = t.rec.gen.Load()
-		t.reads = t.reads[:0]
+		t.marked = false
 	}
 	s.regMu.Unlock()
 	if ret != nil && len(ret.entries) > 0 {
@@ -302,12 +331,8 @@ func (s *Store) Begin(t *Txn, ret *RetireSet) {
 // moved past the entry's commit (the newer commit's own retire entry
 // covers it); an entry whose chain is pinned by an uncommitted writer is
 // RE-QUEUED — if that writer aborts, this entry is the only one left that
-// can ever retire the chain. A chain pinned only by live SIREAD marks is
-// consumed WITHOUT freeing: every live mark's owner queues its own
-// retire entry for the chain when it ends (commit or abort), so the
-// youngest of those future entries retires it — and a committed marker's
-// mark cannot outlive its entry, because the reap that stales the mark
-// (Begin, under regMu) runs before that same Begin's prune.
+// can ever retire the chain. SIREAD marks do not pin chains: they live in
+// the shard's mark list, keyed by row, and outlast the chain if need be.
 func (s *Store) prune(ret *RetireSet, wm uint64) {
 	kept := ret.entries[:0]
 	for _, e := range ret.entries {
@@ -317,19 +342,16 @@ func (s *Store) prune(ret *RetireSet, wm uint64) {
 		}
 		sh := s.shardOf(e.k)
 		sh.mu.Lock()
-		c := sh.chains[e.k]
+		c := sh.get(e.k)
 		switch {
 		case c == nil || c.latestTS > e.ts:
 			// Freed already, or a newer commit owns retiring it.
 		case c.writer != nil:
 			kept = append(kept, e)
-		case compactMarks(c) > 0:
-			// Live marks pin the chain; their owners' entries cover it.
 		default:
-			// No writer, no live marks, and latestTS <= e.ts <= wm:
+			// No writer, and latestTS <= e.ts <= wm:
 			// every live and future snapshot sees the heap image.
-			delete(sh.chains, e.k)
-			sh.release(c)
+			sh.remove(c)
 		}
 		sh.mu.Unlock()
 	}
@@ -349,25 +371,21 @@ func (s *Store) prune(ret *RetireSet, wm uint64) {
 // so whenever Read decides "the heap image is the visible one", the heap
 // image cannot have been mid-flight. Per-record torn reads are impossible
 // separately: heap record access is serialized by the buffer frame lock.
-// Under SSI, Read additionally leaves t's SIREAD mark on the chain
-// (creating a mark-only chain if none exists — absent rows included)
-// and, whenever it resolves BELOW the heap image, installs an out-edge
-// to each newer image's creator. Read itself never fails: an edge that
-// makes t the pivot dooms it in place, surfacing at Write or PreCommit.
+// Under SSI, Read additionally leaves t's SIREAD mark on the key (absent
+// rows included) and, whenever it resolves BELOW the heap image, installs
+// an out-edge to each newer image's creator. Read itself never fails: an
+// edge that makes t the pivot dooms it in place, surfacing at Write or
+// PreCommit.
 func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
-	c := sh.chains[k]
-	if c == nil {
-		if !s.ssi {
-			sh.mu.Unlock()
-			return heapLive
-		}
-		c = sh.alloc(k)
-		sh.chains[k] = c
+	c := sh.get(k)
+	if s.ssi && (c == nil || c.writer != t) {
+		s.siread(t, sh, k)
 	}
-	if s.ssi && c.writer != t {
-		s.siread(t, c)
+	if c == nil {
+		sh.mu.Unlock()
+		return heapLive
 	}
 	if w := c.writer; w != nil {
 		if w == t {
@@ -429,8 +447,8 @@ func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
 //
 // Under SSI, Write is where a doomed transaction finds out (ErrSSI for
 // a pending abort a Read deferred), and where in-edges land: after FCW
-// validation passes, every live concurrent SIREAD mark on the chain is
-// an rw-antidependency from its reader into t. ErrSSI returns leave the
+// validation passes, every live concurrent SIREAD mark on the key is an
+// rw-antidependency from its reader into t. ErrSSI returns leave the
 // chain unmodified.
 func (s *Store) Write(t *Txn, k Key, before []byte) error {
 	if s.ssi && t.rec.state.Load()&ssiAbortPending != 0 {
@@ -439,16 +457,14 @@ func (s *Store) Write(t *Txn, k Key, before []byte) error {
 	}
 	sh := s.shardOf(k)
 	sh.mu.Lock()
-	c := sh.chains[k]
-	if c == nil {
-		c = sh.alloc(k)
-		sh.chains[k] = c
-	}
-	if c.writer == t {
+	// A row with no chain has no writer and no commit newer than any
+	// snapshot; its chain is created only once the write is allowed.
+	c := sh.get(k)
+	if c != nil && c.writer == t {
 		sh.mu.Unlock()
 		return nil
 	}
-	if c.writer != nil || c.latestTS > t.ts {
+	if c != nil && (c.writer != nil || c.latestTS > t.ts) {
 		// writer != nil cannot happen under the exclusive-lock protocol
 		// (the previous writer flips or pops before releasing); treated
 		// as a conflict rather than a panic so a protocol bug degrades to
@@ -459,14 +475,14 @@ func (s *Store) Write(t *Txn, k Key, before []byte) error {
 	}
 	if s.ssi {
 		abort := false
-		kept := c.marks[:0]
-		for _, m := range c.marks {
+		kept := sh.marks[:0]
+		for _, m := range sh.marks {
 			if m.rec.gen.Load() != m.gen {
 				continue
 			}
 			kept = append(kept, m)
 			r := m.rec
-			if r == t.rec || abort {
+			if m.k != k || r == t.rec || abort {
 				continue
 			}
 			if e := r.endTS.Load(); e != 0 && e <= t.ts {
@@ -476,12 +492,15 @@ func (s *Store) Write(t *Txn, k Key, before []byte) error {
 			}
 			abort = s.applyEdge(r, t.rec, t.rec)
 		}
-		c.marks = kept
+		sh.marks = kept
 		if abort {
 			sh.mu.Unlock()
 			s.ssiAborts.Add(1)
 			return ErrSSI
 		}
+	}
+	if c == nil {
+		c = sh.alloc(k)
 	}
 	off := int32(len(c.arena))
 	c.arena = append(c.arena, before...)
@@ -509,7 +528,7 @@ func (s *Store) Write(t *Txn, k Key, before []byte) error {
 func (s *Store) Commit(t *Txn, ret *RetireSet) uint64 {
 	var ts uint64
 	wrote := len(t.chains) > 0
-	if wrote || (s.ssi && len(t.reads) > 0) {
+	if wrote || (s.ssi && t.marked) {
 		s.commitMu.Lock()
 		ts = s.clock.Load() + 1
 		t.commitTS.Store(ts)
@@ -533,14 +552,6 @@ func (s *Store) Commit(t *Txn, ret *RetireSet) uint64 {
 			}
 		}
 		t.chains = t.chains[:0]
-		if s.ssi {
-			if ret != nil {
-				for _, c := range t.reads {
-					ret.entries = append(ret.entries, retireEntry{k: c.k, ts: ts})
-				}
-			}
-			t.reads = t.reads[:0]
-		}
 	}
 	// A rec that drew an endTS joins the reap queue (its marks and flags
 	// stay live until the watermark passes); one that touched nothing is
@@ -559,11 +570,9 @@ func (s *Store) Commit(t *Txn, ret *RetireSet) uint64 {
 // set, readers resolve through versions, so the heap's intermediate
 // states are never observed.
 //
-// Under SSI the transaction's rec is released immediately (the gen bump
-// stales its marks and voids its edges), and its read-marked chains are
-// queued on ret so mark-only chains get retired; ret may be nil (crash
-// and forsake paths), in which case Reset-scale recovery reclaims them.
-func (s *Store) Abort(t *Txn, ret *RetireSet) {
+// Under SSI the transaction's rec is released immediately: the gen bump
+// stales its marks and voids its edges.
+func (s *Store) Abort(t *Txn) {
 	for _, c := range t.chains {
 		sh := s.shardOf(c.k)
 		sh.mu.Lock()
@@ -572,26 +581,15 @@ func (s *Store) Abort(t *Txn, ret *RetireSet) {
 			c.versions = c.versions[:len(c.versions)-1]
 			c.arena = c.arena[:v.off]
 			c.writer = nil
-			if len(c.versions) == 0 && c.latestTS == 0 && compactMarks(c) == 0 {
+			if len(c.versions) == 0 && c.latestTS == 0 {
 				// The chain was created by this transaction: nothing
-				// left (our own still-live mark keeps it pinned here; the
-				// retire entry below frees it once the rec is released).
-				delete(sh.chains, c.k)
-				sh.release(c)
+				// left.
+				sh.remove(c)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	t.chains = t.chains[:0]
-	if s.ssi {
-		if ret != nil && len(t.reads) > 0 {
-			now := s.clock.Load()
-			for _, c := range t.reads {
-				ret.entries = append(ret.entries, retireEntry{k: c.k, ts: now})
-			}
-		}
-		t.reads = t.reads[:0]
-	}
 	s.endTxn(t, false)
 }
 
@@ -634,10 +632,14 @@ func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, c := range sh.chains {
-			delete(sh.chains, k)
-			sh.release(c)
+		for _, m := range sh.chains {
+			for row, c := range m {
+				delete(m, row)
+				sh.release(c)
+			}
 		}
+		clear(sh.marks)
+		sh.marks = sh.marks[:0]
 		sh.mu.Unlock()
 	}
 }

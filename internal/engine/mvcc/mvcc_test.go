@@ -70,7 +70,7 @@ func TestVisibilityAcrossCommit(t *testing.T) {
 	if v, ok := readAt(s, &rd, k, heap); !ok || v != 10 {
 		t.Fatalf("reader saw (%d,%v) after commit, want (10,true)", v, ok)
 	}
-	s.Abort(&rd, nil) // read-only end
+	s.Abort(&rd) // read-only end
 
 	// A fresh snapshot sees the new image.
 	var t2 Txn
@@ -78,7 +78,7 @@ func TestVisibilityAcrossCommit(t *testing.T) {
 	if v, ok := readAt(s, &t2, k, heap); !ok || v != 20 {
 		t.Fatalf("fresh snapshot saw (%d,%v), want (20,true)", v, ok)
 	}
-	s.Abort(&t2, nil)
+	s.Abort(&t2)
 }
 
 func TestInsertInvisibleToOlderSnapshot(t *testing.T) {
@@ -99,13 +99,13 @@ func TestInsertInvisibleToOlderSnapshot(t *testing.T) {
 	if _, ok := readAt(s, &rd, k, heap); ok {
 		t.Fatal("row inserted after the snapshot is visible")
 	}
-	s.Abort(&rd, nil)
+	s.Abort(&rd)
 	var t2 Txn
 	s.Begin(&t2, nil)
 	if v, ok := readAt(s, &t2, k, heap); !ok || v != 1 {
 		t.Fatalf("fresh snapshot saw (%d,%v), want (1,true)", v, ok)
 	}
-	s.Abort(&t2, nil)
+	s.Abort(&t2)
 }
 
 func TestFirstCommitterWins(t *testing.T) {
@@ -130,7 +130,7 @@ func TestFirstCommitterWins(t *testing.T) {
 	if s.Conflicts() != 1 {
 		t.Fatalf("conflict counter = %d, want 1", s.Conflicts())
 	}
-	s.Abort(&b, nil)
+	s.Abort(&b)
 
 	// Retried with a fresh snapshot it succeeds.
 	var b2 Txn
@@ -166,7 +166,7 @@ func TestAbortRestoresChainAndFreesCreated(t *testing.T) {
 	// Engine order: heap undo first, then Abort.
 	heap[k0] = rec(5)
 	delete(heap, kNew)
-	s.Abort(&a, nil)
+	s.Abort(&a)
 
 	// The chain created by the aborted insert must be gone; k0's chain was
 	// created by the aborted update (no prior committed version) so it is
@@ -182,7 +182,7 @@ func TestAbortRestoresChainAndFreesCreated(t *testing.T) {
 	if _, ok := readAt(s, &t2, kNew, heap); ok {
 		t.Fatal("aborted insert is visible")
 	}
-	s.Abort(&t2, nil)
+	s.Abort(&t2)
 }
 
 func TestWatermarkPruning(t *testing.T) {
@@ -214,8 +214,8 @@ func TestWatermarkPruning(t *testing.T) {
 	if v, ok := readAt(s, &rd, k0, heap); !ok || v != 1 {
 		t.Fatalf("old snapshot read (%d,%v), want (1,true)", v, ok)
 	}
-	s.Abort(&t2, nil)
-	s.Abort(&rd, nil)
+	s.Abort(&t2)
+	s.Abort(&rd)
 
 	// With the old snapshot gone the next Begin retires the chain.
 	var t3 Txn
@@ -230,7 +230,7 @@ func TestWatermarkPruning(t *testing.T) {
 	if v, ok := readAt(s, &t3, k0, heap); !ok || v != 2 {
 		t.Fatalf("post-prune read (%d,%v), want (2,true)", v, ok)
 	}
-	s.Abort(&t3, nil)
+	s.Abort(&t3)
 }
 
 func TestChainRecycling(t *testing.T) {
@@ -256,7 +256,7 @@ func TestChainRecycling(t *testing.T) {
 	if v, ok := readAt(s, &fin, k0, heap); !ok || v != 99 {
 		t.Fatalf("final read (%d,%v), want (99,true)", v, ok)
 	}
-	s.Abort(&fin, nil)
+	s.Abort(&fin)
 }
 
 func TestResetKeepsClock(t *testing.T) {
@@ -306,5 +306,58 @@ func TestReadCopiesVersionBytes(t *testing.T) {
 	if !bytes.Equal(buf, []byte{1, 2, 3, 4}) {
 		t.Fatalf("old version bytes = %v, want [1 2 3 4]", buf)
 	}
-	s.Abort(&rd, nil)
+	s.Abort(&rd)
+}
+
+// TestSameRowInTwoTables: chains are kept per table, so a row key that
+// exists in two tables names two independent chains, even in one shard. An
+// update of one must not show through the other, under plain SI or SSI,
+// and both chains must retire once the watermark passes.
+func TestSameRowInTwoTables(t *testing.T) {
+	for _, s := range []*Store{NewStore(), NewSerializableStore()} {
+		// Tables equal in their low byte share every row's shard.
+		kA, kB := Key{Table: 1, Row: 5}, Key{Table: 257, Row: 5}
+		if s.shardOf(kA) != s.shardOf(kB) {
+			t.Fatal("the two keys no longer share a shard; pick another pair")
+		}
+		heap := map[Key][]byte{kA: rec(1), kB: rec(2)}
+		var ret RetireSet
+
+		var rd, w Txn
+		s.Begin(&rd, &ret)
+		s.Begin(&w, &ret)
+		if err := s.Write(&w, kA, heap[kA]); err != nil {
+			t.Fatal(err)
+		}
+		heap[kA] = rec(3)
+		s.Commit(&w, &ret)
+
+		if v, ok := readAt(s, &rd, kA, heap); !ok || v != 1 {
+			t.Fatalf("ssi=%v: old snapshot read %v as (%d,%v), want (1,true)", s.SSI(), kA, v, ok)
+		}
+		if v, ok := readAt(s, &rd, kB, heap); !ok || v != 2 {
+			t.Fatalf("ssi=%v: old snapshot read %v as (%d,%v), want (2,true)", s.SSI(), kB, v, ok)
+		}
+		s.Commit(&rd, &ret)
+
+		var fresh Txn
+		s.Begin(&fresh, &ret)
+		if v, ok := readAt(s, &fresh, kA, heap); !ok || v != 3 {
+			t.Fatalf("ssi=%v: fresh snapshot read %v as (%d,%v), want (3,true)", s.SSI(), kA, v, ok)
+		}
+		if v, ok := readAt(s, &fresh, kB, heap); !ok || v != 2 {
+			t.Fatalf("ssi=%v: fresh snapshot read %v as (%d,%v), want (2,true)", s.SSI(), kB, v, ok)
+		}
+		s.Commit(&fresh, &ret)
+
+		var last Txn
+		s.Begin(&last, &ret)
+		s.Commit(&last, &ret)
+		var drain Txn
+		s.Begin(&drain, &ret)
+		if n := s.Chains(); n != 0 {
+			t.Fatalf("ssi=%v: %d chains left after the watermark passed", s.SSI(), n)
+		}
+		s.Commit(&drain, &ret)
+	}
 }

@@ -7,11 +7,13 @@
 //
 // The tracking is the paper's conservative two-flag approximation:
 //
-//   - SIREAD marks: each snapshot read leaves a key-level mark on the
-//     row's chain (ssiMark). Marks survive COMMIT — a committed reader
-//     can still be the source of an in-edge to a later writer — and are
-//     reclaimed only when the watermark passes the reader's commit, at
-//     which point no concurrent writer can still exist.
+//   - SIREAD marks: each snapshot read leaves a key-level mark (ssiMark)
+//     in its shard's mark list, beside the chain map rather than on a
+//     chain, so a read of a row with no versions creates no chain. Marks
+//     survive COMMIT — a committed reader can still be the source of an
+//     in-edge to a later writer — and go stale only when the watermark
+//     passes the reader's commit, at which point no concurrent writer can
+//     still exist; the next access to the shard drops them.
 //   - rw-edges: a reader that resolves BELOW the heap image gained an
 //     out-edge to each newer image's creator (Store.Read); a writer
 //     that overwrites a row carrying live concurrent marks gains an
@@ -68,11 +70,12 @@ type ssiRec struct {
 	next  *ssiRec       // store free list, guarded by regMu
 }
 
-// ssiMark is one transaction's SIREAD mark on a chain. The gen snapshot
+// ssiMark is one transaction's SIREAD mark on a key. The gen snapshot
 // makes the mark self-invalidating: once the rec is released (abort, or
 // watermark passed its commit) the gens disagree and the mark is dead
-// weight that the next scan compacts away.
+// weight that the next scan of its shard compacts away.
 type ssiMark struct {
+	k   Key
 	rec *ssiRec
 	gen uint64
 }
@@ -146,41 +149,27 @@ func (s *Store) reapCommittedLocked(wm uint64) {
 	}
 }
 
-// compactMarks drops stale marks in place and returns how many live
-// ones remain. Caller holds the chain's shard mutex.
-func compactMarks(c *chain) int {
-	kept := c.marks[:0]
-	for _, m := range c.marks {
-		if m.rec.gen.Load() == m.gen {
-			kept = append(kept, m)
-		}
-	}
-	c.marks = kept
-	return len(kept)
-}
-
-// siread records t's SIREAD mark on c (once per chain per transaction),
-// compacting stale marks on the way through. Caller holds the shard
-// mutex; the caller has already excluded c.writer == t (a row the
-// transaction itself writes needs no mark — FCW plus its own in-edge
-// surface cover it).
-func (s *Store) siread(t *Txn, c *chain) {
-	kept := c.marks[:0]
+// siread records t's SIREAD mark on k in k's shard sh (once per key per
+// transaction), compacting the shard's stale marks on the way through.
+// Caller holds sh.mu and has already excluded a row t itself writes (FCW
+// plus its own in-edge surface cover that one).
+func (s *Store) siread(t *Txn, sh *storeShard, k Key) {
+	kept := sh.marks[:0]
 	own := false
-	for _, m := range c.marks {
+	for _, m := range sh.marks {
 		if m.rec.gen.Load() != m.gen {
 			continue
 		}
-		if m.rec == t.rec {
+		if m.rec == t.rec && m.k == k {
 			own = true
 		}
 		kept = append(kept, m)
 	}
-	c.marks = kept
 	if !own {
-		c.marks = append(c.marks, ssiMark{rec: t.rec, gen: t.recGen})
-		t.reads = append(t.reads, c)
+		kept = append(kept, ssiMark{k: k, rec: t.rec, gen: t.recGen})
+		t.marked = true
 	}
+	sh.marks = kept
 }
 
 // applyEdge installs the rw-antidependency reader→writer and runs the

@@ -15,6 +15,22 @@ var (
 	kz = Key{Table: 2, Row: 13}
 )
 
+// liveMarks counts the SIREAD marks whose transaction life has not ended.
+func liveMarks(s *Store) int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, m := range sh.marks {
+			if m.rec.gen.Load() == m.gen {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // seedSSI commits initial images for kx and ky and returns the store.
 func seedSSI(t *testing.T, heap map[Key][]byte) (*Store, *RetireSet) {
 	t.Helper()
@@ -67,7 +83,7 @@ func TestSSIWriteSkewOneVictim(t *testing.T) {
 	if n := s.SSIAborts(); n != 1 {
 		t.Fatalf("ssi aborts = %d, want 1", n)
 	}
-	s.Abort(&t2, ret)
+	s.Abort(&t2)
 
 	if err := s.PreCommit(&t1); err != nil {
 		t.Fatalf("t1 must survive the skew (victim's edges are void): %v", err)
@@ -129,7 +145,7 @@ func TestSSIMarkSurvivesCommit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		var g Txn
 		s.Begin(&g, ret)
-		s.Abort(&g, nil)
+		s.Abort(&g)
 	}
 
 	// w reads ky below r's committed image: out-edge w → r.
@@ -142,7 +158,7 @@ func TestSSIMarkSurvivesCommit(t *testing.T) {
 	if err := s.Write(&w, kx, heap[kx]); !errors.Is(err, ErrSSI) {
 		t.Fatalf("w write kx over committed r's mark: %v, want ErrSSI", err)
 	}
-	s.Abort(&w, ret)
+	s.Abort(&w)
 
 	// Once w is gone the watermark passes r's commit; the next begin
 	// reaps r's rec and the marks go stale: a fresh writer sails through.
@@ -194,7 +210,7 @@ func TestSSIPivotDoomedAtPreCommit(t *testing.T) {
 		t.Fatalf("pivot precommit: %v, want ErrSSI", err)
 	}
 	heap[ky] = rec(2) // engine would undo p's heap write
-	s.Abort(&p, ret)
+	s.Abort(&p)
 
 	if err := s.PreCommit(&w3); err != nil {
 		t.Fatalf("w3 precommit: %v", err)
@@ -239,7 +255,7 @@ func TestSSIPreparedPivotUnabortable(t *testing.T) {
 	if err := s.Write(&w3, kx, heap[kx]); !errors.Is(err, ErrSSI) {
 		t.Fatalf("w3 write kx against prepared pivot: %v, want ErrSSI", err)
 	}
-	s.Abort(&w3, ret)
+	s.Abort(&w3)
 
 	if s.Commit(&p, ret) == 0 {
 		t.Fatal("prepared p must commit")
@@ -248,9 +264,10 @@ func TestSSIPreparedPivotUnabortable(t *testing.T) {
 }
 
 // TestSSIAbsentReadMark: a snapshot read of a key with NO chain and no
-// heap row still leaves a mark (on a mark-only chain), so a concurrent
-// INSERT of that key raises the antidependency — the "saw nothing"
-// read is as protected as any other.
+// heap row still leaves a mark (in its shard's mark list), so a
+// concurrent INSERT of that key raises the antidependency — the "saw
+// nothing" read is as protected as any other. The refused insert leaves
+// no chain behind.
 func TestSSIAbsentReadMark(t *testing.T) {
 	heap := map[Key][]byte{}
 	s, ret := seedSSI(t, heap)
@@ -273,7 +290,10 @@ func TestSSIAbsentReadMark(t *testing.T) {
 	if err := s.Write(&t2, kz, nil); !errors.Is(err, ErrSSI) {
 		t.Fatalf("t2 insert of t1's absent read: %v, want ErrSSI", err)
 	}
-	s.Abort(&t2, ret)
+	if s.shardOf(kz).get(kz) != nil {
+		t.Fatal("the refused insert left a chain for kz")
+	}
+	s.Abort(&t2)
 	if err := s.PreCommit(&t1); err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +346,16 @@ func TestSSIQuiesceReclaimsEverything(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		var fin Txn
 		s.Begin(&fin, ret)
-		s.Abort(&fin, nil)
+		s.Abort(&fin)
 	}
 	if n := ret.Len(); n != 0 {
 		t.Fatalf("retire ring holds %d entries after drain", n)
 	}
 	if n := s.Chains(); n != 0 {
 		t.Fatalf("%d chains leaked after drain", n)
+	}
+	if n := liveMarks(s); n != 0 {
+		t.Fatalf("%d SIREAD marks still live after drain", n)
 	}
 	s.regMu.Lock()
 	pending := len(s.commRecs) - s.commHead
