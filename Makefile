@@ -81,24 +81,32 @@ regen-fuzz-corpus:
 	go test ./internal/engine/index/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 	go test ./internal/engine/mvcc/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 
-# Seeded crash-torture campaign over the storage engine, once under each
-# concurrency-control mode: 3 seeds x 6 crash schedules with transient I/O
-# errors, bit flips, torn writes, and power loss; fails on any lost commit,
-# consistency or checksum violation. Doubles as the CI step; the full
-# campaign is `go run ./cmd/tpcc-check -seeds 5 -schedules 10 torture`.
+# The crash-torture campaign (shard.Torture), once under each
+# concurrency-control mode, at its two CI sizes. Every schedule runs seeded
+# TPC-C load under transient I/O errors and bit flips, with a device crash
+# fuse (torn or dropped write, arbitrary I/O) armed on one shard and a
+# shard kill armed at a drawn 2PC protocol point (mid-prepare,
+# after-prepare, before-participant-commit, during-resolve), then
+# cluster-wide power loss, recovery and in-doubt resolution. It fails on an
+# orphaned in-doubt branch, a page checksum or C1-C4 violation, a lost or
+# phantom order, order-line or history row, a broken
+# stock-YTD/order-line-quantity equation, or an undetected directed bit
+# flip. `torture` is one shard (3 seeds x 6 schedules x 400 transactions,
+# group commit); `shard-torture` is three (2 x 4 x 200, one force per
+# commit, plus a held-down-shard phase per seed) and reruns the reduced
+# in-process campaign's 2pl cells, N = 1 and N = 3, under the race
+# detector (fault's TestTortureShort and shard's TestShardTortureReduced
+# -short, ~8 min on 2 cores, hence the explicit -timeout; see the test
+# target). The full
+# campaign: go run ./cmd/tpcc-check -seeds 5 -schedules 10 torture (or
+# shard-torture).
 torture:
 	go run ./cmd/tpcc-check -v torture
 
-# Shard-kill torture over the warehouse-sharded cluster: kills at 2PC
-# protocol points (mid-prepare, post-prepare, pre-participant-commit,
-# during in-doubt resolution), cluster-wide power loss, recovery, and
-# resolution; fails on any lost acked commit, orphaned in-doubt branch,
-# broken cross-shard atomicity, or consistency violation. The reduced
-# campaign doubles as the CI smoke step; the -race leg reruns the
-# in-process reduced campaign under the race detector.
 shard-torture:
 	go run ./cmd/tpcc-check -v shard-torture
-	go test -race -short -run TestShardTortureReduced ./internal/engine/shard/
+	go test -race -short -timeout 30m -run 'TestTortureShort|TestShardTortureReduced' \
+		./internal/engine/fault/ ./internal/engine/shard/
 
 # Appendix A cross-shard validation gate: drive a real 3-shard cluster
 # with elevated remote probabilities and compare the measured remote-call

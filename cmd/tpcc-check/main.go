@@ -9,11 +9,11 @@
 //	shard-xval     Appendix A: a 3-shard cluster's remote-call rates, counted
 //	               at the router, vs model.DistConfig.Expect() within 5
 //	               standard errors
-//	torture        crash torture of one engine instance — transient I/O
-//	               errors, bit flips, torn writes, power loss, recovery —
-//	               under 2pl, mvcc and ssi in turn
-//	shard-torture  shard kills at every 2PC window of a 3-shard cluster,
-//	               cluster-wide power loss, recovery and in-doubt resolution
+//	torture        the crash campaign (shard.Torture) on one shard —
+//	               transient I/O errors, bit flips, device crashes at any
+//	               I/O, power loss, recovery — under 2pl, mvcc and ssi in turn
+//	shard-torture  the same campaign on three shards, where the drawn 2PC
+//	               kills also fire and a shard is held down once per seed
 //	commit         one force per writing commit vs group commit at 1/2/4/8
 //	               workers on a 1 ms log device, and read-only commits that
 //	               must force nothing under 2pl, mvcc and ssi
@@ -27,15 +27,16 @@
 //	tpcc-check                                      # every gate, in CI order
 //	tpcc-check -out results-xval xval               # also writes xval.tsv and xval.json
 //	tpcc-check -seeds 5 -schedules 10 -v torture    # the full crash campaign
-//	tpcc-check -seeds 3 -schedules 6 -txns 2000 shard-torture
+//	tpcc-check -seeds 5 -schedules 10 shard-torture # the same on three shards
 //	tpcc-check -txns 4000 -out . commit             # re-records BENCH_commit.json
 //	tpcc-check -txns 8000 -out . cc                 # re-records BENCH_cc.json
 //
-// -seeds, -schedules and -txns size the two torture campaigns, and -txns
-// the commit and cc cells; left at 0, each gate runs its CI size (torture
-// 3 x 6 x 400, shard-torture 2 x 4 x 200, commit 1000 and cc 4000
-// transactions a cell). With -out, commit and cc write the cells they
-// judged, and passed, as BENCH_commit.json and BENCH_cc.json.
+// -seeds, -schedules and -txns size the crash campaign, and -txns the
+// commit and cc cells; left at 0, each gate runs its CI size (the
+// campaign's shard.DefaultTortureConfig: torture 3 x 6 x 400,
+// shard-torture 2 x 4 x 200; commit 1000 and cc 4000 transactions a
+// cell). With -out, commit and cc write the cells they judged, and
+// passed, as BENCH_commit.json and BENCH_cc.json.
 // An unknown or repeated gate name exits 2 and lists the valid names.
 package main
 
@@ -52,7 +53,6 @@ import (
 
 	"tpccmodel/internal/cliutil"
 	"tpccmodel/internal/engine/db"
-	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/shard"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
@@ -96,8 +96,8 @@ func gates() []gate {
 	return []gate{
 		{"xval", runXval},
 		{"shard-xval", runShardXval},
-		{"torture", runTorture},
-		{"shard-torture", runShardTorture},
+		{"torture", func(o options) error { return runTorture(o, 1) }},
+		{"shard-torture", func(o options) error { return runTorture(o, 3) }},
 		{"commit", runCommit},
 		{"cc", runCC},
 	}
@@ -123,7 +123,7 @@ func run(table []gate, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.out, "out", "", "directory for xval's xval.tsv and xval.json (empty = TSV on stdout) and for commit's and cc's BENCH_commit.json and BENCH_cc.json (empty = none)")
 	fs.BoolVar(&o.verbose, "v", false, "torture gates: print one line per schedule")
 	fs.UintVar(&o.seeds, "seeds", 0, "torture gates: independent seeds (0 = the gate's CI size)")
-	fs.UintVar(&o.schedules, "schedules", 0, "torture gates: crash or kill schedules per seed (0 = the gate's CI size)")
+	fs.UintVar(&o.schedules, "schedules", 0, "torture gates: crash schedules per seed (0 = the gate's CI size)")
 	fs.UintVar(&o.txns, "txns", 0, "torture gates: transactions attempted per schedule; commit, cc: transactions per cell (0 = the gate's CI size)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: %s [flags] [gate ...]\n\ngates (default all, in this order): %s\n\nflags:\n",
@@ -249,18 +249,18 @@ func runShardXval(o options) error {
 	return res.Err()
 }
 
-// runTorture runs the single-instance crash campaign once under each
-// concurrency-control mode, with group commit on.
-func runTorture(o options) error {
+// runTorture runs the crash campaign at its CI size on the given number of
+// shards (shard.DefaultTortureConfig), once under each concurrency-control
+// mode.
+func runTorture(o options, shards int) error {
 	for _, cc := range ccModes {
-		cfg := fault.DefaultTortureConfig()
+		cfg := shard.DefaultTortureConfig(shards)
 		cfg.CC = cc
-		cfg.Seeds = size(o.seeds, 3)
-		cfg.Schedules = size(o.schedules, 6)
+		cfg.Seeds = size(o.seeds, cfg.Seeds)
+		cfg.Schedules = size(o.schedules, cfg.Schedules)
 		cfg.Txns = size(o.txns, cfg.Txns)
-		cfg.GroupCommit = batched
 		start := time.Now()
-		rep, err := fault.Torture(cfg)
+		rep, err := shard.Torture(cfg)
 		if err != nil {
 			if rep != nil {
 				printViolations(o.stderr, rep.Violations)
@@ -269,12 +269,13 @@ func runTorture(o options) error {
 		}
 		if o.verbose {
 			for _, s := range rep.Schedules {
-				kind := "quiescent"
+				crash := "quiescent"
 				if s.MidRunCrash {
-					kind = "mid-run"
+					crash = "mid-run"
 				}
-				fmt.Fprintf(o.stdout, "seed=%d schedule=%d crash=%s acked=%d retries=%d sheds=%d log-scanned=%drec/%dB log-truncated=%dB rows-applied=%d violations=%d\n",
-					s.Seed, s.Schedule, kind, s.Acked, s.Retries, s.Sheds,
+				fmt.Fprintf(o.stdout, "seed=%d schedule=%d crash=%s kill=%s@shard%d(coord=%v) fired=%v acked=%d retries=%d sheds=%d in-doubt=%d log-scanned=%drec/%dB log-truncated=%dB rows-applied=%d violations=%d\n",
+					s.Seed, s.Schedule, crash, s.Plan.Point, s.Plan.Victim, s.Plan.CoordinatorVictim,
+					s.Fired, s.Acked, s.Retries, s.Sheds, s.InDoubt,
 					s.Recovery.Records, s.Recovery.Bytes, s.Recovery.TruncatedBytes,
 					s.Recovery.Applied, len(s.Violations))
 			}
@@ -285,34 +286,6 @@ func runTorture(o options) error {
 			printViolations(o.stderr, rep.Violations)
 			return fmt.Errorf("cc=%s: %d invariant violations", cc, len(rep.Violations))
 		}
-	}
-	return nil
-}
-
-// runShardTorture runs the shard-kill campaign on shard.DefaultTortureConfig's
-// 3-shard cluster, at CI's 2 seeds x 4 schedules x 200 transactions.
-func runShardTorture(o options) error {
-	cfg := shard.DefaultTortureConfig()
-	cfg.Seeds = size(o.seeds, 2)
-	cfg.Schedules = size(o.schedules, 4)
-	cfg.Txns = size(o.txns, 200)
-	start := time.Now()
-	rep, err := shard.Torture(cfg)
-	if err != nil {
-		return err
-	}
-	if o.verbose {
-		for _, s := range rep.Schedules {
-			fmt.Fprintf(o.stdout, "seed=%d schedule=%d kill=%s@shard%d(coord=%v) fired=%v acked=%d sheds=%d in-doubt=%d violations=%d\n",
-				s.Seed, s.Schedule, s.Plan.Point, s.Plan.Victim, s.Plan.CoordinatorVictim,
-				s.Fired, s.Acked, s.Sheds, s.InDoubt, len(s.Violations))
-		}
-	}
-	fmt.Fprintln(o.stdout, rep.Summary())
-	fmt.Fprintf(o.stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
-	if !rep.OK() {
-		printViolations(o.stderr, rep.Violations)
-		return fmt.Errorf("%d invariant violations", len(rep.Violations))
 	}
 	return nil
 }

@@ -191,7 +191,7 @@ func runCluster(cfg shard.Config, mix tpcc.Mix, txns, workers int) error {
 	if err != nil {
 		return err
 	}
-	st, err := shard.Run(c, cfg.Seed, mix, txns, workers, db.DefaultRetryPolicy(), -1, -1)
+	st, err := shard.Run(c, cfg.Seed, mix, txns, workers, -1, -1)
 	if err != nil {
 		return err
 	}

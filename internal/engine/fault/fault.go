@@ -53,6 +53,20 @@ type Stats struct {
 // Ops returns the total device operations observed.
 func (s Stats) Ops() int64 { return s.Reads + s.Writes + s.Forces }
 
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.Forces += o.Forces
+	s.ReadErrs += o.ReadErrs
+	s.WriteErrs += o.WriteErrs
+	s.ForceErrs += o.ForceErrs
+	s.BitFlips += o.BitFlips
+	s.TornWrites += o.TornWrites
+	s.DroppedWrites += o.DroppedWrites
+	s.Crashes += o.Crashes
+}
+
 // Injector is a fault-injecting storage.DiskIO and wal.FaultHook. It is
 // safe for concurrent use.
 type Injector struct {
@@ -105,11 +119,15 @@ func (in *Injector) ScheduleCrash(n int64) {
 	in.fuse = n
 }
 
-// DisarmCrash cancels a scheduled crash that has not fired.
-func (in *Injector) DisarmCrash() {
+// DisarmCrash cancels a scheduled crash that has not fired and reports
+// whether one was still pending (false: the fuse burned down, or none
+// was armed).
+func (in *Injector) DisarmCrash() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	pending := in.armed
 	in.armed = false
+	return pending
 }
 
 // Kill makes the device dead immediately (a crash with no in-flight

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/storage"
 )
 
@@ -142,42 +141,5 @@ func TestForceErrorsAreTransient(t *testing.T) {
 	inj.Kill()
 	if err := inj.BeforeForce(10); !errors.Is(err, storage.ErrCrashed) {
 		t.Errorf("dead force = %v, want ErrCrashed", err)
-	}
-}
-
-// TestTortureShort runs a miniature campaign end to end under each
-// concurrency-control mode: two crash schedules on one seed, with every
-// fault class enabled, must recover with zero invariant violations.
-func TestTortureShort(t *testing.T) {
-	if testing.Short() {
-		t.Skip("torture campaign in -short mode")
-	}
-	for _, cc := range []db.CCMode{db.CC2PL, db.CCMVCC, db.CCSSI} {
-		t.Run(cc.String(), func(t *testing.T) {
-			cfg := DefaultTortureConfig()
-			cfg.CC = cc
-			cfg.Seeds = 1
-			cfg.Schedules = 2
-			cfg.Txns = 80
-			cfg.Workers = 2
-			rep, err := Torture(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range rep.Violations {
-				t.Error(v)
-			}
-			if len(rep.Schedules) != 2 {
-				t.Fatalf("ran %d schedules, want 2", len(rep.Schedules))
-			}
-			if rep.Probes != 2 || rep.Detected < int64(rep.Probes) {
-				t.Errorf("probes=%d detected=%d: directed corruption not detected",
-					rep.Probes, rep.Detected)
-			}
-			if st := rep.Schedules[1].Recovery; st.Records == 0 || st.Bytes == 0 || st.Applied == 0 {
-				t.Errorf("second recovery scanned %d records, %d bytes, applied %d rows", st.Records, st.Bytes, st.Applied)
-			}
-			t.Log(rep.Summary())
-		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/rng"
 )
@@ -85,7 +84,7 @@ func (c *Cluster) resolveInDoubt(id int) error {
 					id, idt.GID, coord, ErrCoordinatorDown)
 			}
 		}
-		c.fireHook(fault.KillDuringResolve, idt.GID)
+		c.fireHook(KillDuringResolve, idt.GID)
 		if err := s.DB.ResolveInDoubt(idt.GID, committed); err != nil {
 			if errors.Is(err, storage.ErrCrashed) {
 				// Killed during resolution: the branch stays in doubt (or,

@@ -100,19 +100,21 @@ func (t terminal) StockLevel(in db.StockLevelInput) (int, error) { return t.Exec
 // db.Runner driving the cluster's router on an independent rng.Substream
 // of seed; stockProb and payProb override the benchmark's 1% and 15%
 // remote probabilities when >= 0 (raise them for statistical power in
-// validation runs). Shard deaths shed traffic rather than failing the run;
-// any other failure cancels the siblings and is returned.
+// validation runs). Workers run under the default retry policy. A shard's
+// death sheds the traffic that needs it rather than failing the run; the
+// death of the last live shard stops the workers, reported as
+// RunStats.Crashed, as a single node's crash does. Any other failure
+// cancels the siblings and is returned.
 func Run(c *Cluster, seed uint64, mix tpcc.Mix, total, workers int,
-	policy db.RetryPolicy, stockProb, payProb float64) (db.RunStats, error) {
-	return run(terminal{c}, seed, mix, total, workers, policy, stockProb, payProb)
+	stockProb, payProb float64) (db.RunStats, error) {
+	return run(terminal{c}, seed, mix, total, workers, stockProb, payProb)
 }
 
 func run(sys db.System, seed uint64, mix tpcc.Mix, total, workers int,
-	policy db.RetryPolicy, stockProb, payProb float64) (db.RunStats, error) {
+	stockProb, payProb float64) (db.RunStats, error) {
 	runners := make([]*db.Runner, max(workers, 1))
 	for w := range runners {
 		rn := db.NewRunnerOn(sys, rng.Substream(seed, uint64(w)), mix)
-		rn.Policy = policy
 		if stockProb >= 0 {
 			rn.RemoteStockProb = stockProb
 		}

@@ -5,7 +5,9 @@
 // layered on each shard's WAL. The load comes from the engine's one TPC-C
 // terminal, db.Runner, which drives the router as a db.System. The
 // cross-shard traffic the router measures is cross-validated against the
-// Appendix A model (model.DistConfig) by package xval.
+// Appendix A model (model.DistConfig) by package xval. Torture is the
+// engine's crash campaign, at any cluster size: a single node is a
+// one-shard cluster.
 package shard
 
 import (
@@ -157,10 +159,46 @@ func (s *Shard) Stats() Stats {
 	}
 }
 
-// KillPoint names a protocol step at which a kill hook fires; the
-// torture campaign kills shards at these points to exercise every
-// in-doubt window of the protocol.
-type KillPoint = fault.ShardKillPoint
+// KillPoint names a step of the two-phase-commit protocol at which the
+// cluster's kill hook fires; the torture campaign kills a shard at a drawn
+// point to exercise every in-doubt window of the protocol.
+type KillPoint int
+
+// Kill points, in protocol order.
+const (
+	// KillMidPrepare fires after the first participant prepared but
+	// before the remaining participants (or the decision): a killed
+	// participant recovers with a prepared, undecided branch.
+	KillMidPrepare KillPoint = iota
+	// KillAfterPrepare fires when every participant has prepared but
+	// the coordinator's decision record is not yet durable — killing
+	// the coordinator here exercises presumed abort, killing a
+	// participant exercises commit-side in-doubt resolution.
+	KillAfterPrepare
+	// KillBeforeParticipantCommit fires after the decision record is
+	// durable but before participants learn it.
+	KillBeforeParticipantCommit
+	// KillDuringResolve fires while a recovering shard is resolving an
+	// in-doubt branch against its coordinator.
+	KillDuringResolve
+	// NumKillPoints counts the points above.
+	NumKillPoints
+)
+
+// String names the point.
+func (p KillPoint) String() string {
+	switch p {
+	case KillMidPrepare:
+		return "mid-prepare"
+	case KillAfterPrepare:
+		return "after-prepare"
+	case KillBeforeParticipantCommit:
+		return "before-participant-commit"
+	case KillDuringResolve:
+		return "during-resolve"
+	}
+	return fmt.Sprintf("point(%d)", int(p))
+}
 
 // Cluster is a set of shards plus the 2PC coordinator logic.
 type Cluster struct {

@@ -2,13 +2,14 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/db"
-	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/rng"
@@ -64,35 +65,19 @@ func customerRow(t *testing.T, d *db.DB, w, dd, c int64) db.CustomerRec {
 }
 
 // recoverAll recovers every down shard and resolves all in-doubt
-// branches, looping because a resolution-window kill can take a shard
-// back down.
+// branches (see Cluster.recoverAll).
 func recoverAll(t *testing.T, c *Cluster, r *rng.RNG) {
 	t.Helper()
-	for round := 0; round < 2+int(fault.NumShardKillPoints); round++ {
-		ok := true
-		for id, s := range c.shards {
-			if !s.Down() {
-				continue
-			}
-			if err := c.RecoverShard(id, r); err != nil {
-				ok = false
-			}
-		}
-		if err := c.ResolveInDoubtAll(); err != nil {
-			ok = false
-		}
-		if ok {
-			return
-		}
+	if !c.recoverAll(r) {
+		t.Fatal("cluster did not recover within the round budget")
 	}
-	t.Fatal("cluster did not recover within the round budget")
 }
 
 // checkAtomicity asserts the exact cluster-wide invariant: stock YTD and
 // order-line quantity grew by the same amount since base.
-func checkAtomicity(t *testing.T, c *Cluster, base clusterBaseline) {
+func checkAtomicity(t *testing.T, c *Cluster, base totals) {
 	t.Helper()
-	live, err := measureCluster(c)
+	live, err := measureTotals(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +189,7 @@ var allNewOrder = tpcc.Mix{core.TxnNewOrder: 1}
 // both workers and restarting them in step.
 func TestCrossShardDeadlockLiveness(t *testing.T) {
 	c := openCluster(t, 2)
-	base, err := measureCluster(c)
+	base, err := measureTotals(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,20 +324,20 @@ func TestKillPoints(t *testing.T) {
 		applied bool
 	}{
 		// Second participant dies mid-prepare: global abort, no updates.
-		{"mid-prepare-participant", fault.KillMidPrepare, 2, ErrShardDown, false},
+		{"mid-prepare-participant", KillMidPrepare, 2, ErrShardDown, false},
 		// Participant dies after voting yes: the decision is still
 		// committed; recovery resolves the in-doubt branch to commit.
-		{"after-prepare-participant", fault.KillAfterPrepare, 1, nil, true},
+		{"after-prepare-participant", KillAfterPrepare, 1, nil, true},
 		// Coordinator dies before deciding: presumed abort.
-		{"after-prepare-coordinator", fault.KillAfterPrepare, 0, ErrCoordinatorDown, false},
+		{"after-prepare-coordinator", KillAfterPrepare, 0, ErrCoordinatorDown, false},
 		// Participant dies after the durable decision, before its own
 		// commit: forsaken, resolved to commit at recovery.
-		{"before-participant-commit", fault.KillBeforeParticipantCommit, 1, nil, true},
+		{"before-participant-commit", KillBeforeParticipantCommit, 1, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := openCluster(t, 3)
-			base, err := measureCluster(c)
+			base, err := measureTotals(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,46 +395,77 @@ func TestKillPoints(t *testing.T) {
 	}
 }
 
-// TestKillDuringResolve re-kills the participant inside its own in-doubt
-// resolution; a second recovery round must settle it.
+// TestKillDuringResolve kills a shard inside a participant's in-doubt
+// resolution: the participant itself, or the branch's coordinator, which
+// an earlier step of the same recovery round found up. Recovery must
+// settle the branch and bring every shard back.
 func TestKillDuringResolve(t *testing.T) {
-	c := openCluster(t, 3)
-	base, err := measureCluster(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iid = 40
-	s0 := stockRow(t, c.Shard(1).DB, 0, iid)
+	for _, victim := range []int{1, 0} {
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+			c := openCluster(t, 3)
+			base, err := measureTotals(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const iid = 40
+			s0 := stockRow(t, c.Shard(1).DB, 0, iid)
 
-	killed := 0
-	c.SetKillHook(func(p KillPoint, gid uint64) {
-		switch {
-		case p == fault.KillAfterPrepare && killed == 0:
-			killed = 1
-			c.KillShard(1)
-		case p == fault.KillDuringResolve && killed == 1:
-			killed = 2
-			c.KillShard(1)
-		}
-	})
-	if _, err := c.ExecNewOrder(db.NewOrderInput{W: 0, D: 0, C: 0,
-		Items: []db.OrderItem{{IID: iid, SupplyW: 1, Qty: 3}}}); err != nil {
-		t.Fatalf("exec: %v, want acknowledged commit", err)
+			killed := 0
+			c.SetKillHook(func(p KillPoint, gid uint64) {
+				switch {
+				case p == KillAfterPrepare && killed == 0:
+					killed = 1
+					c.KillShard(1)
+				case p == KillDuringResolve && killed == 1:
+					killed = 2
+					c.KillShard(victim)
+				}
+			})
+			if _, err := c.ExecNewOrder(db.NewOrderInput{W: 0, D: 0, C: 0,
+				Items: []db.OrderItem{{IID: iid, SupplyW: 1, Qty: 3}}}); err != nil {
+				t.Fatalf("exec: %v, want acknowledged commit", err)
+			}
+			recoverAll(t, c, rng.New(123))
+			c.SetKillHook(nil)
+			if killed != 2 {
+				t.Fatalf("kill sequence stopped at %d, want both windows hit", killed)
+			}
+			for _, s := range c.Shards() {
+				if s.Down() {
+					t.Fatalf("shard %d still down after recovery", s.ID)
+				}
+			}
+			if n := len(c.Shard(1).DB.InDoubt()); n != 0 {
+				t.Fatalf("%d branches still in doubt", n)
+			}
+			if got := stockRow(t, c.Shard(1).DB, 0, iid); got.YTD != s0.YTD+3 {
+				t.Fatalf("acked update lost across resolve-window kill: YTD %d, want %d", got.YTD, s0.YTD+3)
+			}
+			checkAtomicity(t, c, base)
+			if err := c.CheckAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	recoverAll(t, c, rng.New(123))
-	c.SetKillHook(nil)
-	if killed != 2 {
-		t.Fatalf("kill sequence stopped at %d, want both windows hit", killed)
+}
+
+// TestLastShardDownStopsTheRun: when the device of a cluster's last live
+// shard dies mid-run, nothing can commit until recovery, so the workers
+// stop and the run reports a crash, as one node's run does; they do not
+// shed every transaction left until the shed budget fails the run.
+func TestLastShardDownStopsTheRun(t *testing.T) {
+	c := openCluster(t, 1)
+	c.Shard(0).Inj.ScheduleCrash(500)
+	st, err := Run(c, 1, tpcc.DefaultMix(), 5000, 2, -1, -1)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
 	}
-	if n := len(c.Shard(1).DB.InDoubt()); n != 0 {
-		t.Fatalf("%d branches still in doubt", n)
+	if !st.Crashed || st.Sheds != 0 || st.Acknowledged() >= 5000 {
+		t.Fatalf("crashed %v, %d sheds, %d acked: want a crash, no shed, the run cut short",
+			st.Crashed, st.Sheds, st.Acknowledged())
 	}
-	if got := stockRow(t, c.Shard(1).DB, 0, iid); got.YTD != s0.YTD+3 {
-		t.Fatalf("acked update lost across resolve-window kill: YTD %d, want %d", got.YTD, s0.YTD+3)
-	}
-	checkAtomicity(t, c, base)
-	if err := c.CheckAll(); err != nil {
-		t.Fatal(err)
+	if s := c.Shard(0).Stats(); s.Sheds != 0 || s.DownSheds != 0 {
+		t.Fatalf("shard counted %d sheds and %d down-sheds, want none", s.Sheds, s.DownSheds)
 	}
 }
 
@@ -506,12 +522,12 @@ func TestGracefulDegradation(t *testing.T) {
 // probabilities on a healthy cluster: everything must be acknowledged.
 func TestRunCleanCluster(t *testing.T) {
 	c := openCluster(t, 3)
-	base, err := measureCluster(c)
+	base, err := measureTotals(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 300
-	st, err := Run(c, 42, tpcc.DefaultMix(), total, 4, db.DefaultRetryPolicy(), 0.25, 0.5)
+	st, err := Run(c, 42, tpcc.DefaultMix(), total, 4, 0.25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,12 +564,12 @@ func TestRunCleanClusterMVCC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := measureCluster(c)
+			base, err := measureTotals(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			const total = 300
-			st, err := Run(c, 42, tpcc.DefaultMix(), total, 4, db.DefaultRetryPolicy(), 0.25, 0.5)
+			st, err := Run(c, 42, tpcc.DefaultMix(), total, 4, 0.25, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,32 +587,91 @@ func TestRunCleanClusterMVCC(t *testing.T) {
 	}
 }
 
-// TestShardTortureReduced runs a scaled-down campaign (the CI smoke
-// configuration drives the full default via make shard-torture).
+// TestShardTortureReduced runs the crash campaign at a reduced size on
+// three shards, with one force per commit and with group commit, under
+// each concurrency-control mode; the one-shard cells are the fault
+// package's TestTortureShort. No schedule may break an invariant, every
+// directed bit flip must be detected, and the second schedule's recovery
+// must have scanned and applied log records. Under -short (the race legs)
+// only the 2pl cells run: under the race detector a cell costs about 50 s
+// per warehouse it loads.
 func TestShardTortureReduced(t *testing.T) {
-	// Both commit modes: one force per committer, and forces shared. Local
-	// transactions release their locks before the force in either; 2PC
-	// votes and decisions stay force-then-release.
-	for name, group := range map[string]wal.GroupConfig{"per-commit": {}, "grouped": {MaxBatch: 64}} {
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultTortureConfig()
-			cfg.Seeds = 1
-			cfg.Schedules = 4
-			cfg.Txns = 150
-			cfg.GroupCommit = group
-			if testing.Short() {
-				cfg.Schedules = 2
-				cfg.Txns = 80
+	ccs := []db.CCMode{db.CC2PL, db.CCMVCC, db.CCSSI}
+	schedules, txns := 3, 150
+	if testing.Short() {
+		ccs, schedules, txns = ccs[:1], 2, 80
+	}
+	for _, commit := range []struct {
+		name  string
+		group wal.GroupConfig
+	}{{"per-commit", wal.GroupConfig{}}, {"grouped", wal.GroupConfig{MaxBatch: 64}}} {
+		t.Run(commit.name, func(t *testing.T) {
+			for _, cc := range ccs {
+				t.Run(cc.String(), func(t *testing.T) {
+					rep, err := Torture(TortureConfig{Seeds: 1, Schedules: schedules, Txns: txns,
+						Shards: 3, CC: cc, GroupCommit: commit.group})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range rep.Violations {
+						t.Error(v)
+					}
+					if len(rep.Schedules) != schedules {
+						t.Fatalf("ran %d schedules, want %d", len(rep.Schedules), schedules)
+					}
+					if rep.Probes != schedules || rep.Detected < int64(rep.Probes) {
+						t.Errorf("probes=%d detected=%d: directed corruption not detected",
+							rep.Probes, rep.Detected)
+					}
+					if st := rep.Schedules[1].Recovery; st.Records == 0 || st.Bytes == 0 || st.Applied == 0 {
+						t.Errorf("second recovery scanned %d records, %d bytes, applied %d rows",
+							st.Records, st.Bytes, st.Applied)
+					}
+					t.Log(rep.Summary())
+				})
 			}
-			rep, err := Torture(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.OK() {
-				t.Fatalf("torture violations:\n%v", rep.Violations)
-			}
-			t.Log(rep.Summary())
 		})
+	}
+}
+
+// TestCheckDurable feeds the campaign's durability and atomicity check
+// totals that break one invariant each, and totals that break none.
+func TestCheckDurable(t *testing.T) {
+	const slack = 4
+	base := totals{orders: 100, orderLines: 1000, history: 50, stockYTD: 7, olQty: 9}
+	var acked [core.NumTxnTypes]int64
+	acked[core.TxnNewOrder], acked[core.TxnPayment] = 3, 2
+	// exact is what the run leaves when it lost nothing and committed
+	// nothing it did not acknowledge.
+	exact := totals{orders: 103, orderLines: 1030, history: 52, stockYTD: 27, olQty: 29}
+	for _, tc := range []struct {
+		name string
+		edit func(*totals)
+		want string // "" = no violation
+	}{
+		{"exact", func(*totals) {}, ""},
+		{"in-flight within the slack", func(l *totals) {
+			l.orders += slack
+			l.orderLines += slack * tpcc.ItemsPerOrder
+			l.history += slack
+			l.stockYTD += 5
+			l.olQty += 5
+		}, ""},
+		{"lost order", func(l *totals) { l.orders-- }, "lost acknowledged new-orders"},
+		{"phantom order-line", func(l *totals) { l.orderLines += slack*tpcc.ItemsPerOrder + 1 }, "phantom order-lines"},
+		{"lost payment", func(l *totals) { l.history-- }, "lost acknowledged payments"},
+		{"broken atomicity", func(l *totals) { l.olQty++ }, "atomicity broken"},
+	} {
+		live := exact
+		tc.edit(&live)
+		got := checkDurable(base, live, acked, slack)
+		if tc.want == "" {
+			if len(got) != 0 {
+				t.Errorf("%s: violations %q, want none", tc.name, got)
+			}
+		} else if len(got) != 1 || !strings.Contains(got[0], tc.want) {
+			t.Errorf("%s: violations %q, want exactly one naming %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -669,7 +744,7 @@ func TestClusterRunStats(t *testing.T) {
 		}
 	}
 	const total = 600
-	st, err := run(oracle, 7, tpcc.DefaultMix(), total, 4, db.DefaultRetryPolicy(), 0.25, 0.5)
+	st, err := run(oracle, 7, tpcc.DefaultMix(), total, 4, 0.25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tpccmodel/internal/engine/db"
-	"tpccmodel/internal/engine/fault"
 	"tpccmodel/internal/engine/storage"
 )
 
@@ -131,13 +130,33 @@ func (c *Cluster) abandon(open []part) {
 	}
 }
 
+// errClusterDown reports that no shard is alive. Nothing can commit until
+// recovery, so the terminal must stop, as it does on a single node's dead
+// device, rather than shed every transaction left: it wraps
+// storage.ErrCrashed, not db.ErrUnavailable.
+var errClusterDown = fmt.Errorf("shard: every shard is down: %w", storage.ErrCrashed)
+
+// live counts the shards that are up.
+func (c *Cluster) live() int {
+	n := 0
+	for _, s := range c.shards {
+		if !s.Down() {
+			n++
+		}
+	}
+	return n
+}
+
 // classifyErr maps a procedure or branch failure on shard id to the
-// terminal's contract: a crashed shard becomes typed ErrShardDown (shed),
-// everything else passes through (ErrAborted and transient I/O are
-// retriable).
+// terminal's contract: a crashed shard becomes typed ErrShardDown (shed)
+// while another shard lives, errClusterDown once none does; everything
+// else passes through (ErrAborted and transient I/O are retriable).
 func (c *Cluster) classifyErr(id int, err error) error {
 	if errors.Is(err, storage.ErrCrashed) {
 		c.markDownOnCrash(id, err)
+		if c.live() == 0 {
+			return errClusterDown
+		}
 		c.shards[id].sheds.Add(1)
 		return fmt.Errorf("shard %d died mid-transaction: %w", id, ErrShardDown)
 	}
@@ -153,11 +172,15 @@ func (c *Cluster) giveUp(hs *Shard, open []part, id int, err error) error {
 	return c.classifyErr(id, err)
 }
 
-// homeUp returns the home shard of global warehouse w, or the typed,
-// counted refusal when that shard is dead.
+// homeUp returns the home shard of global warehouse w, or, when that
+// shard is dead, the typed, counted refusal (errClusterDown once every
+// shard is).
 func (c *Cluster) homeUp(w int64) (*Shard, error) {
 	hs := c.shards[c.ShardOf(w)]
 	if hs.Down() {
+		if c.live() == 0 {
+			return nil, errClusterDown
+		}
 		hs.downSheds.Add(1)
 		return nil, fmt.Errorf("home shard %d: %w", hs.ID, ErrShardDown)
 	}
@@ -185,14 +208,14 @@ func (c *Cluster) decide(gid uint64, hs *Shard, hb *db.Branch, parts []part) err
 			return c.giveUp(hs, append(parts, part{shard: hs.ID, b: hb}), parts[i].shard, err)
 		}
 		if i == 0 {
-			c.fireHook(fault.KillMidPrepare, gid)
+			c.fireHook(KillMidPrepare, gid)
 		}
 	}
-	c.fireHook(fault.KillAfterPrepare, gid)
+	c.fireHook(KillAfterPrepare, gid)
 	if err := c.commitHome(hs, hb); err != nil {
 		return c.giveUp(hs, parts, hs.ID, err)
 	}
-	c.fireHook(fault.KillBeforeParticipantCommit, gid)
+	c.fireHook(KillBeforeParticipantCommit, gid)
 	for _, p := range parts {
 		c.commitParticipant(p)
 	}

@@ -173,7 +173,7 @@ func RunDistGate(cfg DistGateConfig) (*DistResult, error) {
 	}
 	start := time.Now()
 	st, err := shard.Run(c, cfg.Seed, tpcc.DefaultMix(), cfg.Txns, cfg.Workers,
-		db.DefaultRetryPolicy(), cfg.RemoteStockProb, cfg.RemotePaymentProb)
+		cfg.RemoteStockProb, cfg.RemotePaymentProb)
 	if err != nil {
 		return nil, fmt.Errorf("xval: measurement run: %w", err)
 	}
