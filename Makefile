@@ -29,14 +29,16 @@ build:
 # (gated-device and sleeping-device tests included; seconds each). The
 # buffer manager's write-back tests then run ten times more under it: a
 # miss starts up to 16 clean-ahead writes at once, and their interleavings
-# with eviction, Crash and FlushAll differ from run to run (~5 s).
+# with eviction, Crash and FlushAll differ from run to run; so do the
+# one-visit record read's against a writer of the same page and against its
+# Pin/Unpin oracle (~40 s).
 test:
 	go vet ./...
 	go test ./...
 	go test -race -short -timeout 30m ./internal/engine/...
 	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/ ./internal/engine/wal/ \
 		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/
-	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack' ./internal/engine/bufmgr/
+	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack|ReadRecord' ./internal/engine/bufmgr/
 
 race:
 	go test -race -timeout 60m ./...

@@ -17,7 +17,8 @@
 //   - free: on the freelist (or not yet carved);
 //   - reserved/reading: a miss took it, published it in the frame table
 //     with io == ioRead and the reader's pin, and dropped m.mu around
-//     store.Read. The miss is counted and tapped at publication. A second
+//     store.Read. The miss is counted and tapped at publication, where the
+//     page's class is looked up for the residency. A second
 //     pin of the same page finds the frame, waits on the frame (not the
 //     pool) and, once the read has succeeded, counts as a HIT: one
 //     store.Read serves both, so at quiescence Misses == store reads. If
@@ -36,10 +37,11 @@
 //     frame like any other and ages out; it cost one counted miss. A failed
 //     read-ahead is invisible: the frame is unpublished and freed, and the
 //     pin that wanted the page reads it as its own miss;
-//   - resident: pinned, or unpinned and on the LRU list. An Unpin (or
-//     With) that dirties the page notes in the frame, BEFORE it lets go of
-//     the content latch, how long the log is (logEnd; see the WAL rule
-//     below);
+//   - resident: pinned, or unpinned and on the LRU list. A page Allocate
+//     created starts here, its class unresolved until its first access
+//     (its owner tags it only after Allocate returns). An Unpin (or With)
+//     that dirties the page notes in the frame, BEFORE it lets go of the
+//     content latch, how long the log is (logEnd; see the WAL rule below);
 //   - busy/writing: a write-back marked it busy and clean under m.mu; then,
 //     with m.mu dropped, flush took the content latch, forced the log up to
 //     the frame's logEnd as it reads under that latch, and ran store.Flush.
@@ -54,9 +56,23 @@
 //     write-back simply stays, clean, and the next victim is taken.
 //
 // Lock order: content latch, then m.mu (Unpin); m.mu is never held across
-// a device call, a log force or a content-latch wait (Peek, under m.mu, only
-// tries the latch). Crash and FlushAll wait out frames whose I/O is in
-// flight, read-aheads included.
+// a device call, a log force or a content-latch wait. Peek and ReadRecord
+// are the only paths that take the latch under m.mu, and they only try it.
+// Crash and FlushAll wait out frames whose I/O is in flight, read-aheads
+// included.
+//
+// # A hit in one visit
+//
+// A resident reference is most of what the paper's Table 4 counts, so a hit
+// touches the frame table and the frame and nothing else. The table is a
+// slice indexed by page ID, because the store allocates IDs densely from 0;
+// the frame caches its page's class, so a hit does not call the classifier;
+// and a record read (ReadRecord, which storage.HeapFile.Read uses) does a
+// hit's pin, its copy and its unpin under one hold of m.mu instead of two.
+// It serves only what a pin would serve at once — a resident, claimed page
+// whose content latch is free — and leaves the rest to Pin, so the
+// counters, the tapped stream and the LRU order are those of a Pin and an
+// Unpin.
 //
 // # The WAL rule
 //
@@ -172,8 +188,9 @@ func (f *frame) writing() bool { return f.io >= ioClean }
 // during its write leaves the run, and may be replaced in it).
 const cleanAhead = 16
 
-// frame is one buffer slot. The fields a pin hit and its unpin touch come
-// first and fit in 64 bytes, so a hit costs one cache line of the frame.
+// frame is one buffer slot. The fields a pin hit and its unpin touch — and
+// all a one-visit record read touches, cls included — come first and fit in
+// 64 bytes, so a hit costs one cache line of the frame (TestFrameHitLayout).
 type frame struct {
 	// contentMu serializes readers/writers of data: row locks serialize
 	// same-row access, but two rows sharing a page (or its slot bitmap
@@ -191,6 +208,11 @@ type frame struct {
 	ahead bool
 	dirty bool
 	inLRU bool
+	// cls is the page's accounting class, resolved once per residency: at
+	// publication for a miss or a read-ahead, and at the first access of a
+	// page Allocate created, whose owner tags it only after Allocate
+	// returns. It is unresolved until then. On m.mu.
+	cls int32
 
 	// logEnd is the log's size at the latest unpin that dirtied the page:
 	// the log must be durable that far before data may be written back.
@@ -216,9 +238,14 @@ type Manager struct {
 	// cond is signalled when a victim or a free slot may have appeared: an
 	// unpin, a finished write-back, a failed read.
 	cond sync.Cond
-	// frames holds every published frame: resident ones and those reserved
-	// for a read in flight. len(frames) never exceeds capacity.
-	frames map[storage.PageID]*frame
+	// frames is the frame table: frames[id] is page id's published frame —
+	// resident, or reserved for a read in flight — and nil when it has none.
+	// The store hands out page IDs densely from 0, so a slice indexed by page
+	// finds a frame with a bounds check and a load, where a map would hash.
+	// It grows with the store and never shrinks; resident counts its non-nil
+	// entries and never exceeds capacity.
+	frames   []*frame
+	resident int
 	// Intrusive LRU list of unpinned frames: lruHead = MRU, lruTail =
 	// eviction victim.
 	lruHead, lruTail *frame
@@ -273,11 +300,7 @@ func New(store *storage.Store, capacity int) *Manager {
 	if capacity <= 0 {
 		panic("bufmgr: capacity must be positive")
 	}
-	m := &Manager{
-		store:    store,
-		capacity: capacity,
-		frames:   make(map[storage.PageID]*frame, capacity),
-	}
+	m := &Manager{store: store, capacity: capacity}
 	m.cond.L = &m.mu
 	return m
 }
@@ -302,7 +325,43 @@ func (m *Manager) frameFor(id storage.PageID) *frame {
 	f.logEnd = 0
 	f.inLRU = false
 	f.prev, f.next = nil, nil
+	f.cls = unresolved
 	return f
+}
+
+// unresolved is a frame's cls until its page's class is looked up.
+const unresolved = -1
+
+// classify returns page id's accounting class. Callers hold m.mu.
+func (m *Manager) classify(id storage.PageID) int32 {
+	if m.classOf == nil {
+		return 0
+	}
+	return int32(m.classOf(id))
+}
+
+// lookup returns page id's published frame, or nil. Callers hold m.mu.
+func (m *Manager) lookup(id storage.PageID) *frame {
+	if id < storage.PageID(len(m.frames)) {
+		return m.frames[id]
+	}
+	return nil
+}
+
+// enter publishes f in the frame table, growing the table to reach its page.
+// Callers hold m.mu.
+func (m *Manager) enter(f *frame) {
+	if n := int(f.id) + 1; n > len(m.frames) {
+		m.frames = slices.Grow(m.frames, n-len(m.frames))[:n]
+	}
+	m.frames[f.id] = f
+	m.resident++
+}
+
+// leave unpublishes f. Callers hold m.mu.
+func (m *Manager) leave(f *frame) {
+	m.frames[f.id] = nil
+	m.resident--
 }
 
 // carve takes a never-used frame from the current chunk, allocating a new
@@ -362,7 +421,8 @@ func (m *Manager) lruRemove(f *frame) {
 }
 
 // SetClassifier installs a page-to-class mapping with the given number
-// of accounting classes; must be called before any access.
+// of accounting classes; must be called before any access, since a frame
+// keeps the class it was given for the rest of its residency.
 func (m *Manager) SetClassifier(classes int, fn func(storage.PageID) int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -390,17 +450,23 @@ func (m *Manager) SetTap(fn Tap) {
 // reserve looks page id up for a pin (wait) or a read-ahead (!wait). It
 // returns the page's published frame — for a pin, once no read of it is in
 // flight — or nil once the pool has room for a new frame, making that room
-// as a miss does. Callers hold m.mu, which any step may drop and retake.
+// as a miss does. A page the store never allocated is refused before
+// anything is counted: it could only fail its read, and the frame table
+// would grow to reach it. Callers hold m.mu, which any step may drop and
+// retake.
 func (m *Manager) reserve(id storage.PageID, wait bool) (*frame, error) {
 	for {
-		if f, ok := m.frames[id]; ok {
+		if f := m.lookup(id); f != nil {
 			if wait && f.io == ioRead {
 				f.ioDone.Wait()
 				continue
 			}
 			return f, nil
 		}
-		if len(m.frames) < m.capacity {
+		if int64(id) >= m.store.Pages() {
+			return nil, fmt.Errorf("bufmgr: page %d was never allocated: %w", id, storage.ErrInvalidArgument)
+		}
+		if m.resident < m.capacity {
 			return nil, nil
 		}
 		m.cleanAheadOfMiss()
@@ -414,10 +480,11 @@ func (m *Manager) reserve(id storage.PageID, wait bool) (*frame, error) {
 // ReadAhead), and publishes it with its read in flight: a pin of the page
 // now waits on f.ioDone. Callers hold m.mu and have reserved room.
 func (m *Manager) publish(id storage.PageID, ev Event) *frame {
-	m.note(id, ev)
 	f := m.frameFor(id)
+	f.cls = m.classify(id)
+	m.note(id, f.cls, ev)
 	f.io = ioRead
-	m.frames[id] = f
+	m.enter(f)
 	return f
 }
 
@@ -430,7 +497,7 @@ func (m *Manager) readDone(f *frame, err error) {
 		if f.inLRU {
 			m.lruRemove(f)
 		}
-		delete(m.frames, f.id)
+		m.leave(f)
 		m.freeFrame(f)
 	}
 	// A free slot (failure) or an unpinned read-ahead frame, which victim
@@ -446,25 +513,32 @@ func (m *Manager) fill(f *frame) {
 	m.mu.Unlock()
 }
 
-// note counts and taps one reference-stream event for page id other than a
-// hit, which pin counts itself. Callers hold m.mu.
-func (m *Manager) note(id storage.PageID, ev Event) {
-	if m.tap == nil && (ev == Alloc || ev == Claim) {
-		return // counted nowhere, and nobody to tell
-	}
-	cls := 0
-	if m.classOf != nil {
-		cls = m.classOf(id)
-	}
-	switch ev {
-	case Miss, ReadAhead:
+// note counts and taps one reference-stream event for page id, of class cls,
+// other than a hit, which hit counts. Callers hold m.mu.
+func (m *Manager) note(id storage.PageID, cls int32, ev Event) {
+	if ev == Miss || ev == ReadAhead {
 		m.stats.Misses++
 		if m.classStats != nil {
 			m.classStats[cls].Misses++
 		}
 	}
 	if m.tap != nil {
-		m.tap(id, cls, ev)
+		m.tap(id, int(cls), ev)
+	}
+}
+
+// hit counts and taps one hit of the resident frame f, resolving its class
+// if this is the first access of its residency. Callers hold m.mu.
+func (m *Manager) hit(f *frame) {
+	if f.cls == unresolved {
+		f.cls = m.classify(f.id)
+	}
+	m.stats.Hits++
+	if m.classStats != nil {
+		m.classStats[f.cls].Hits++
+	}
+	if m.tap != nil {
+		m.tap(f.id, int(f.cls), Hit)
 	}
 }
 
@@ -550,7 +624,7 @@ func (m *Manager) makeRoom() error {
 		return m.writeBack(f, ioEvict)
 	default:
 		m.lruRemove(f)
-		delete(m.frames, f.id)
+		m.leave(f)
 		m.stats.Evicts++
 		m.freeFrame(f)
 		if !m.evicted.Load() {
@@ -583,7 +657,7 @@ func (m *Manager) cleanAheadOfMiss() {
 // resident. Callers hold m.mu.
 func (m *Manager) busyFrame() *frame {
 	for _, f := range m.frames {
-		if f.io != ioNone {
+		if f != nil && f.io != ioNone {
 			return f
 		}
 	}
@@ -624,8 +698,8 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	defer m.mu.Unlock()
 
 	// A hit, the common case, costs one lookup before it is counted.
-	f, ok := m.frames[id]
-	if !ok || f.io == ioRead {
+	f := m.lookup(id)
+	if f == nil || f.io == ioRead {
 		var err error
 		if f, err = m.reserve(id, true); err != nil {
 			return nil, err
@@ -636,20 +710,9 @@ func (m *Manager) pin(id storage.PageID) (*frame, error) {
 	}
 	if f.ahead {
 		f.ahead = false
-		m.note(id, Claim)
+		m.note(id, f.cls, Claim)
 	} else {
-		// note(id, Hit), written out: this is the path every access takes.
-		cls := 0
-		if m.classOf != nil {
-			cls = m.classOf(id)
-		}
-		m.stats.Hits++
-		if m.classStats != nil {
-			m.classStats[cls].Hits++
-		}
-		if m.tap != nil {
-			m.tap(id, cls, Hit)
-		}
+		m.hit(f)
 	}
 	if f.pins == 0 && f.inLRU {
 		m.lruRemove(f)
@@ -681,7 +744,7 @@ func (m *Manager) readIn(id storage.PageID) (*frame, error) {
 // read in flight, and filled on a goroutine of its own; a pin of the page
 // waits on that read as it waits on another pin's miss, and the first one
 // claims the frame (see Claim). A page already resident or being read costs
-// a map probe and nothing else: no count, no tap, no LRU move. A failed
+// a table probe and nothing else: no count, no tap, no LRU move. A failed
 // read-ahead is invisible: its frame is unpublished and freed, and the pin
 // that wanted the page reads it as its own miss and gets its own error. ids
 // is not retained. A reading goroutine holds a reserved frame, so there are
@@ -707,18 +770,49 @@ func (m *Manager) Prefetch(ids []storage.PageID) {
 func (m *Manager) Peek(id storage.PageID, off int, out []byte) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.frames[id]
-	for ok && f.io == ioRead {
+	f := m.lookup(id)
+	for f != nil && f.io == ioRead {
 		f.ioDone.Wait()
-		f, ok = m.frames[id]
+		f = m.lookup(id)
 	}
 	// TryLock: the content latch is taken before m.mu everywhere else.
-	if !ok || !f.contentMu.TryLock() {
+	if f == nil || !f.contentMu.TryLock() {
 		return false
 	}
 	copy(out, f.data[off:])
 	f.contentMu.Unlock()
 	return true
+}
+
+// ReadRecord implements storage.RecordReader: a record read in one visit to
+// the pool. When page id is resident, no read of it is in flight, it is not
+// a read-ahead nobody has claimed yet and its content latch is free, it does
+// under one hold of m.mu what a Pin and an Unpin of the hit would: it counts
+// and taps one Hit, moves the frame to the MRU end unless another pin holds
+// it, and — with the latch held, as a pinner reads — copies the page's bytes
+// at off into out when the byte at flagOff has flagBit set (live). Otherwise
+// it does nothing and reports ok false, and the caller pins the page.
+//
+// The copy is made under m.mu because the frame is not pinned: once m.mu is
+// dropped an evictor could take it.
+func (m *Manager) ReadRecord(id storage.PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f := m.lookup(id)
+	// TryLock: the content latch is taken before m.mu everywhere else.
+	if f == nil || f.io == ioRead || f.ahead || !f.contentMu.TryLock() {
+		return false, false
+	}
+	m.hit(f)
+	if f.pins == 0 && f.inLRU && f != m.lruHead {
+		m.lruRemove(f)
+		m.lruPush(f)
+	}
+	if live = f.data[flagOff]&flagBit != 0; live {
+		copy(out, f.data[off:])
+	}
+	f.contentMu.Unlock()
+	return live, true
 }
 
 // Evicted reports whether the pool has ever had to evict a page: whether the
@@ -809,21 +903,24 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.frames) >= m.capacity {
+	for m.resident >= m.capacity {
 		if err := m.makeRoom(); err != nil {
 			return 0, err
 		}
 	}
 	// The relation tag is attached by the caller after Allocate returns, so
-	// the class tapped here is the default; replays only need the page
-	// identity of uncounted events.
-	m.note(id, Alloc)
+	// the class tapped here is the default (replays only need the page
+	// identity of uncounted events), and the frame's is resolved at its
+	// first pin.
+	if m.tap != nil {
+		m.tap(id, int(m.classify(id)), Alloc)
+	}
 	f := m.frameFor(id)
 	// A recycled frame still holds its previous page's bytes; a new page
 	// must start zeroed, matching its durable image.
 	clear(f.data)
 	f.dirty = true
-	m.frames[id] = f
+	m.enter(f)
 	m.lruPush(f)
 	return id, nil
 }
@@ -835,19 +932,19 @@ func (m *Manager) Allocate() (storage.PageID, error) {
 func (m *Manager) FlushAll() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// The table is indexed by page, so ids comes out in ascending order.
 	var ids []storage.PageID
-	for id, f := range m.frames {
-		if f.dirty || f.writing() {
-			ids = append(ids, id)
+	for _, f := range m.frames {
+		if f != nil && (f.dirty || f.writing()) {
+			ids = append(ids, f.id)
 		}
 	}
-	slices.Sort(ids)
 	for _, id := range ids {
 		// writeBack and the waits drop m.mu: look the page up each time.
-		f := m.frames[id]
+		f := m.lookup(id)
 		for f != nil && f.writing() {
 			f.ioDone.Wait()
-			f = m.frames[id]
+			f = m.lookup(id)
 		}
 		if f == nil || !f.dirty {
 			continue // evicted, hence written, or cleaned meanwhile
@@ -870,16 +967,19 @@ func (m *Manager) Crash() error {
 		f.ioDone.Wait()
 	}
 	for _, f := range m.frames {
-		if f.pins > 0 {
+		if f != nil && f.pins > 0 {
 			return fmt.Errorf("bufmgr: crash with pinned page %d", f.id)
 		}
 	}
 	for _, f := range m.frames {
-		f.inLRU = false
-		f.prev, f.next = nil, nil
-		m.freeFrame(f)
+		if f != nil {
+			f.inLRU = false
+			f.prev, f.next = nil, nil
+			m.freeFrame(f)
+		}
 	}
-	m.frames = make(map[storage.PageID]*frame, m.capacity)
+	clear(m.frames)
+	m.resident = 0
 	m.lruHead, m.lruTail = nil, nil
 	return nil
 }
@@ -888,5 +988,5 @@ func (m *Manager) Crash() error {
 func (m *Manager) Resident() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.frames)
+	return m.resident
 }

@@ -248,7 +248,7 @@ func awaitCleanAhead(t *testing.T, m *Manager) {
 		m.mu.Lock()
 		cleaning := false
 		for _, f := range m.frames {
-			cleaning = cleaning || f.io == ioClean
+			cleaning = cleaning || f != nil && f.io == ioClean
 		}
 		m.mu.Unlock()
 		if !cleaning {
@@ -275,7 +275,7 @@ func lruOrder(m *Manager) []storage.PageID {
 func frameOf(m *Manager, id storage.PageID) *frame {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.frames[id]
+	return m.lookup(id)
 }
 
 // freeFrames counts the pool's unused frames. Only meaningful for a
@@ -500,7 +500,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 		awaitCleanAhead(t, m)
 		m.mu.Lock()
 		for _, f := range m.frames {
-			if !f.dirty || f.io != ioNone || !f.inLRU {
+			if f != nil && (!f.dirty || f.io != ioNone || !f.inLRU) {
 				t.Errorf("page %d after failed write-backs: dirty %v, io %d, listed %v; want dirty, idle, listed", f.id, f.dirty, f.io, f.inLRU)
 			}
 		}
@@ -1079,7 +1079,7 @@ func awaitRead(t *testing.T, m *Manager, id storage.PageID) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		m.mu.Lock()
-		f := m.frames[id]
+		f := m.lookup(id)
 		busy := f != nil && f.io == ioRead
 		m.mu.Unlock()
 		if !busy {
@@ -1273,7 +1273,7 @@ func noLeak(t *testing.T, m *Manager, capacity int) {
 	t.Helper()
 	m.mu.Lock()
 	for _, f := range m.frames {
-		if f.pins != 0 {
+		if f != nil && f.pins != 0 {
 			t.Errorf("page %d left pinned %d times", f.id, f.pins)
 		}
 	}

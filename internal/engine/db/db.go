@@ -175,6 +175,10 @@ func (p relPager) Peek(id storage.PageID, off int, out []byte) bool {
 	return p.buf.Peek(id, off, out)
 }
 
+func (p relPager) ReadRecord(id storage.PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
+	return p.buf.ReadRecord(id, flagOff, flagBit, off, out)
+}
+
 func (p relPager) Allocate() (storage.PageID, error) {
 	id, err := p.buf.Allocate()
 	if err != nil {

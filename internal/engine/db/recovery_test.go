@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpccmodel/internal/core"
+	"tpccmodel/internal/engine/bufmgr"
 	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/tpcc"
@@ -199,6 +200,63 @@ func TestRecoveryUnderStealPressure(t *testing.T) {
 	if nextAfter != d2.heaps[core.Order].Live() {
 		t.Errorf("district counters (%d) disagree with orders (%d)",
 			nextAfter, d2.heaps[core.Order].Live())
+	}
+}
+
+// TestRelationStatsMatchPerAccessClassAcrossRecovery: the pool looks a
+// page's relation up once per residency, not per access. Its per-relation
+// counters must still be those of classing every access by its page's
+// relation, and the tap must report each access with that relation —
+// before a crash, and after recovery, whose misses refill the pool.
+func TestRelationStatsMatchPerAccessClassAcrossRecovery(t *testing.T) {
+	d, err := Open(Config{Warehouses: 1, PageSize: 4096, BufferPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Load(1); err != nil {
+		t.Fatal(err)
+	}
+	d.ResetBufferStats()
+	var want [core.NumRelations]bufmgr.Stats
+	mislabelled := 0
+	d.SetBufferTap(func(id storage.PageID, cls int, ev bufmgr.Event) {
+		rel := d.pageRel.get(id)
+		switch ev {
+		case bufmgr.Hit:
+			want[rel].Hits++
+		case bufmgr.Miss, bufmgr.ReadAhead:
+			want[rel].Misses++
+		default:
+			return
+		}
+		if cls != int(rel) {
+			mislabelled++
+		}
+	})
+	if err := NewRunner(d, 41, tpcc.DefaultMix()).Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewRunner(d, 42, tpcc.DefaultMix()).Run(100); err != nil {
+		t.Fatal(err)
+	}
+	d.SetBufferTap(nil)
+	if mislabelled != 0 {
+		t.Errorf("%d accesses tapped with a class other than their page's relation", mislabelled)
+	}
+	got := d.RelationStats()
+	for _, rel := range core.Relations() {
+		if g := got[rel]; g.Hits != want[rel].Hits || g.Misses != want[rel].Misses {
+			t.Errorf("%v: counted %d hits, %d misses; per-access classification %d, %d", rel, g.Hits, g.Misses, want[rel].Hits, want[rel].Misses)
+		}
+	}
+	if want[core.Stock].Misses == 0 {
+		t.Error("the fixture never missed on stock: recovery left the pool warm")
 	}
 }
 

@@ -54,6 +54,18 @@ type Pager interface {
 	Allocate() (PageID, error)
 }
 
+// RecordReader is implemented by a Pager that can copy a record out of a
+// resident page in one visit, with no Pin/Unpin pair around the copy
+// (bufmgr.Manager.ReadRecord).
+type RecordReader interface {
+	// ReadRecord copies page id's bytes at off into out when the byte at
+	// flagOff has flagBit set, and reports whether it had (live). It is one
+	// access of the page, as a Pin and an Unpin are. ok is false when the
+	// pager could not serve the read without waiting; then nothing has
+	// happened, and the caller pins the page instead.
+	ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool)
+}
+
 // Slotted-page layout for fixed-length records:
 //
 //	[0:2)  numSlots  (uint16, capacity of the page, fixed at format time)
@@ -79,8 +91,14 @@ func SlotsPerPage(pageSize, recLen int) int {
 	return n
 }
 
+// bitmapBit locates slot's occupancy bit: the byte offset and the mask.
+func bitmapBit(slot int) (off int, bit byte) {
+	return heapHeader + slot/8, 1 << uint(slot%8)
+}
+
 func bitmapGet(page []byte, slot int) bool {
-	return page[heapHeader+slot/8]&(1<<uint(slot%8)) != 0
+	off, bit := bitmapBit(slot)
+	return page[off]&bit != 0
 }
 
 func bitmapSet(page []byte, slot int, v bool) {
@@ -97,8 +115,10 @@ func slotOffset(numSlots, recLen, slot int) int {
 
 // HeapFile stores fixed-length records in slotted pages.
 type HeapFile struct {
-	name     string
-	pager    Pager
+	name  string
+	pager Pager
+	// reader is pager's one-visit record read, nil when it has none.
+	reader   RecordReader
 	recLen   int
 	slots    int // per page
 	pageSize int
@@ -132,8 +152,9 @@ func NewHeapFile(name string, pager Pager, pageSize, recLen int) (*HeapFile, err
 	if slots <= 0 {
 		return nil, fmt.Errorf("storage: record length %d does not fit a %d-byte page: %w", recLen, pageSize, ErrInvalidArgument)
 	}
+	reader, _ := pager.(RecordReader)
 	return &HeapFile{
-		name: name, pager: pager, recLen: recLen,
+		name: name, pager: pager, reader: reader, recLen: recLen,
 		slots: slots, pageSize: pageSize,
 		pageIdx: make(map[PageID]int),
 		held:    make(map[RID]struct{}),
@@ -329,17 +350,23 @@ func (h *HeapFile) Read(rid RID, out []byte) error {
 	if len(out) != h.recLen {
 		return fmt.Errorf("storage: %s: read buffer is %d bytes, want %d: %w", h.name, len(out), h.recLen, ErrInvalidArgument)
 	}
-	p, err := h.pager.Pin(rid.Page)
-	if err != nil {
-		return err
+	live, done := false, false
+	if h.reader != nil && int(rid.Slot) < h.slots {
+		flagOff, flagBit := bitmapBit(int(rid.Slot))
+		live, done = h.reader.ReadRecord(rid.Page, flagOff, flagBit, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
 	}
-	var live bool
-	if int(rid.Slot) < h.slots && bitmapGet(p.Data, int(rid.Slot)) {
-		live = true
-		off := slotOffset(h.slots, h.recLen, int(rid.Slot))
-		copy(out, p.Data[off:off+h.recLen])
+	if !done {
+		p, err := h.pager.Pin(rid.Page)
+		if err != nil {
+			return err
+		}
+		if int(rid.Slot) < h.slots && bitmapGet(p.Data, int(rid.Slot)) {
+			live = true
+			off := slotOffset(h.slots, h.recLen, int(rid.Slot))
+			copy(out, p.Data[off:off+h.recLen])
+		}
+		h.pager.Unpin(p, false)
 	}
-	h.pager.Unpin(p, false)
 	if !live {
 		return fmt.Errorf("storage: %s: no record at %s: %w", h.name, rid, ErrNoRecord)
 	}
