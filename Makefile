@@ -65,8 +65,8 @@ bench-module:
 xval:
 	go run ./cmd/tpcc-check -out results-xval xval
 
-# Per-package statement-coverage floors (internal/buffer, internal/sim,
-# internal/engine/bufmgr); leaves the merged profile in coverage.out.
+# Per-package statement-coverage floors (scripts/coverfloor.sh lists the
+# packages); leaves the merged profile in coverage.out.
 cover:
 	./scripts/coverfloor.sh
 
@@ -157,6 +157,7 @@ fuzz:
 	go test -fuzz FuzzLogMutation -fuzztime 30s ./internal/engine/wal/
 	go test -fuzz Fuzz2PCLog -fuzztime 30s ./internal/engine/wal/
 	go test -fuzz FuzzBTreeOps -fuzztime 30s ./internal/engine/index/
+	go test -fuzz FuzzDenseOps -fuzztime 30s ./internal/engine/index/
 	go test -fuzz FuzzExactPMFPaths -fuzztime 30s ./internal/nurand/
 	go test -fuzz FuzzVisibility -fuzztime 30s ./internal/engine/mvcc/
 

@@ -30,7 +30,7 @@ func openTinyProcs(t *testing.T, cc CCMode) *DB {
 	d := openTiny(t, cc)
 	tx := d.NewSession().begin()
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
-	ins := func(rel core.Relation, g *guardedTree, key uint64) uint64 {
+	ins := func(rel core.Relation, g *relIndex, key uint64) uint64 {
 		t.Helper()
 		rid, err := tx.insertKeyed(rel, g, key, buf[:tpcc.TupleLen[rel]])
 		if err != nil {

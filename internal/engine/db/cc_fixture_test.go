@@ -38,7 +38,7 @@ func openTinyOn(t *testing.T, cc CCMode, bufferPages int, disk storage.DiskIO) *
 	tx := d.NewSession().begin()
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
 
-	ins := func(rel core.Relation, key uint64, g *guardedTree, n int) {
+	ins := func(rel core.Relation, key uint64, g *relIndex, n int) {
 		t.Helper()
 		if _, err := tx.insertKeyed(rel, g, key, buf[:n]); err != nil {
 			t.Fatal(err)

@@ -91,6 +91,9 @@ func (c Config) Validate() error {
 	if c.Warehouses <= 0 {
 		return fmt.Errorf("db: warehouses must be positive")
 	}
+	if c.Warehouses > 1<<16 {
+		return fmt.Errorf("db: %d warehouses overflow the index keys' 16-bit warehouse ids", c.Warehouses)
+	}
 	if c.PageSize < tpcc.TupleLen[core.Customer]+64 {
 		return fmt.Errorf("db: page size %d too small", c.PageSize)
 	}
@@ -103,55 +106,70 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// guardedTree is a B+tree with a reader/writer latch; the engine's
-// transactions run on multiple goroutines and the tree is shared.
-type guardedTree struct {
-	mu sync.RWMutex
-	t  *index.BTree
+// relIndex is one relation's memory-resident index. A relation TPC-C only
+// probes by key, never range-scans, never reads through min/max and never
+// grows past its load gets a direct-addressed index.Dense, which a probe
+// reads without a latch; every other relation gets a B+tree behind a
+// reader/writer latch, since its transactions run on many goroutines.
+// Exactly one of dense and t is set; min, max and ascendRange need t.
+type relIndex struct {
+	dense *index.Dense
+	mu    sync.RWMutex
+	t     *index.BTree
 }
 
-func newGuardedTree() *guardedTree { return &guardedTree{t: index.New()} }
+func newTreeIndex() *relIndex  { return &relIndex{t: index.New()} }
+func newDenseIndex() *relIndex { return &relIndex{dense: index.NewDense()} }
 
-func (g *guardedTree) get(k uint64) (uint64, bool) {
+func (g *relIndex) get(k uint64) (uint64, bool) {
+	if g.dense != nil {
+		return g.dense.Get(k)
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.t.Get(k)
 }
 
-func (g *guardedTree) set(k, v uint64) {
+// set panics on a key Dense refuses: Config.Validate bounds the warehouse
+// ids so that every key a dense relation packs lies below
+// index.DenseLimit.
+func (g *relIndex) set(k, v uint64) {
+	if g.dense != nil {
+		if err := g.dense.Set(k, v); err != nil {
+			panic(err)
+		}
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.t.Set(k, v)
 }
 
-func (g *guardedTree) delete(k uint64) error {
+func (g *relIndex) delete(k uint64) error {
+	if g.dense != nil {
+		return g.dense.Delete(k)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.t.Delete(k)
 }
 
-func (g *guardedTree) min(lo uint64) (uint64, uint64, bool) {
+func (g *relIndex) min(lo uint64) (uint64, uint64, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.t.Min(lo)
 }
 
-func (g *guardedTree) max(hi uint64) (uint64, uint64, bool) {
+func (g *relIndex) max(hi uint64) (uint64, uint64, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.t.Max(hi)
 }
 
-func (g *guardedTree) ascendRange(lo, hi uint64, fn func(k, v uint64) bool) {
+func (g *relIndex) ascendRange(lo, hi uint64, fn func(k, v uint64) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	g.t.AscendRange(lo, hi, fn)
-}
-
-func (g *guardedTree) reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.t = index.New()
 }
 
 // relPager tags pages with their owning relation as they are allocated, so
@@ -242,16 +260,16 @@ type DB struct {
 
 	// Primary and secondary indexes (memory-resident, rebuilt at
 	// recovery, as the paper's one-index-lookup assumption implies).
-	warehouseIdx *guardedTree // w               -> RID
-	districtIdx  *guardedTree // (w,d)           -> RID
-	customerIdx  *guardedTree // (w,d,c)         -> RID
-	custNameIdx  *guardedTree // (w,d,name,c)    -> RID
-	stockIdx     *guardedTree // (w,i)           -> RID
-	itemIdx      *guardedTree // i               -> RID
-	orderIdx     *guardedTree // (w,d,o)         -> RID
-	custOrderIdx *guardedTree // (w,d,c,o)       -> RID
-	newOrderIdx  *guardedTree // (w,d,o)         -> RID
-	olIdx        *guardedTree // (w,d,o,line)    -> RID
+	warehouseIdx *relIndex // w               -> RID, dense
+	districtIdx  *relIndex // (w,d)           -> RID, dense
+	customerIdx  *relIndex // (w,d,c)         -> RID, dense
+	custNameIdx  *relIndex // (w,d,name,c)    -> RID
+	stockIdx     *relIndex // (w,i)           -> RID, dense
+	itemIdx      *relIndex // i               -> RID, dense
+	orderIdx     *relIndex // (w,d,o)         -> RID
+	custOrderIdx *relIndex // (w,d,c,o)       -> RID
+	newOrderIdx  *relIndex // (w,d,o)         -> RID
+	olIdx        *relIndex // (w,d,o,line)    -> RID
 
 	txnSeq  atomic.Uint64
 	tick    atomic.Uint64
@@ -351,16 +369,16 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 }
 
 func (d *DB) resetIndexes() {
-	d.warehouseIdx = newGuardedTree()
-	d.districtIdx = newGuardedTree()
-	d.customerIdx = newGuardedTree()
-	d.custNameIdx = newGuardedTree()
-	d.stockIdx = newGuardedTree()
-	d.itemIdx = newGuardedTree()
-	d.orderIdx = newGuardedTree()
-	d.custOrderIdx = newGuardedTree()
-	d.newOrderIdx = newGuardedTree()
-	d.olIdx = newGuardedTree()
+	d.warehouseIdx = newDenseIndex()
+	d.districtIdx = newDenseIndex()
+	d.customerIdx = newDenseIndex()
+	d.custNameIdx = newTreeIndex()
+	d.stockIdx = newDenseIndex()
+	d.itemIdx = newDenseIndex()
+	d.orderIdx = newTreeIndex()
+	d.custOrderIdx = newTreeIndex()
+	d.newOrderIdx = newTreeIndex()
+	d.olIdx = newTreeIndex()
 }
 
 // Config returns the instance configuration.

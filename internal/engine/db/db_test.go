@@ -342,3 +342,46 @@ func TestBufferStatsTrackRelations(t *testing.T) {
 		t.Errorf("warehouse miss rate %v, want ~0 (paper: warehouse always fits)", wh.MissRate())
 	}
 }
+
+// TestAppendOnlyIndexesStayFull: the order-line B+tree fills its leaves at
+// load, which inserts in key order, and under New-Order, which appends each
+// district's lines after that district's last while the other districts
+// append elsewhere. The loaded leaves and the leaves the run adds both hold
+// at least 90 % of their 64 keys; a split at the middle left them about
+// half full. (The order tree fills the same way, but at 178 orders a
+// district in this run, the one middle split where each district's new keys
+// meet the next district's loaded ones still weighs.)
+func TestAppendOnlyIndexesStayFull(t *testing.T) {
+	const leafKeys = 64 // the B+tree's fan-out
+	d := newLoaded(t, 1<<18)
+	fill := func(keys, leaves int) float64 { return float64(keys) / float64(leaves*leafKeys) }
+	keys, leaves := d.olIdx.t.Len(), d.olIdx.t.Leaves()
+	if f := fill(keys, leaves); f < 0.9 {
+		t.Errorf("after load: %d keys in %d leaves, fill %.2f", keys, leaves, f)
+	}
+	rn := NewRunner(d, 7, tpcc.DefaultMix())
+	if err := rn.Run(4000); err != nil {
+		t.Fatal(err)
+	}
+	keys, leaves = d.olIdx.t.Len()-keys, d.olIdx.t.Leaves()-leaves
+	if f := fill(keys, leaves); f < 0.9 {
+		t.Errorf("the run added %d keys in %d leaves, fill %.2f", keys, leaves, f)
+	}
+}
+
+// TestConfigBoundsWarehouseIDs: the dense indexes hold keys below
+// index.DenseLimit, which the packings reach only with 16-bit warehouse
+// ids, so Validate refuses a scale that needs more.
+func TestConfigBoundsWarehouseIDs(t *testing.T) {
+	cfg := Config{Warehouses: 1 << 16, PageSize: 4096, BufferPages: 16}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if k := index.KeyWDC(1<<16-1, 9, 2999); k >= index.DenseLimit {
+		t.Fatalf("the last customer key %#x is past the dense range", k)
+	}
+	cfg.Warehouses++
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("%d warehouses validated", cfg.Warehouses)
+	}
+}

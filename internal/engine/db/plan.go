@@ -39,14 +39,14 @@ func (t *txn) prefetch() { t.d.buf.Prefetch(t.pages) }
 func (t *txn) planRID(rid uint64) { t.pages = append(t.pages, storage.UnpackRID(rid).Page) }
 
 // planRow plans the page of the row key names in g, if there is one.
-func (t *txn) planRow(g *guardedTree, key uint64) {
+func (t *txn) planRow(g *relIndex, key uint64) {
 	if rid, ok := g.get(key); ok {
 		t.planRID(rid)
 	}
 }
 
 // planRange plans the pages of every row g holds in [lo, hi].
-func (t *txn) planRange(g *guardedTree, lo, hi uint64) {
+func (t *txn) planRange(g *relIndex, lo, hi uint64) {
 	g.ascendRange(lo, hi, func(_, rid uint64) bool {
 		t.planRID(rid)
 		return true

@@ -62,7 +62,7 @@ const coldPool = 16
 
 // coldRow inserts one row of a cold fixture, keyed in g, through the logged
 // path.
-type coldRow func(rel core.Relation, g *guardedTree, key uint64, rec interface{ Marshal([]byte) })
+type coldRow func(rel core.Relation, g *relIndex, key uint64, rec interface{ Marshal([]byte) })
 
 // openCold opens one warehouse in a coldPool-frame pool over disk, inserts
 // what load inserts in one committed transaction, then checkpoints and drops
@@ -75,7 +75,7 @@ func openCold(t *testing.T, cc CCMode, disk storage.DiskIO, load func(d *DB, ins
 	}
 	tx := d.NewSession().begin()
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
-	load(d, func(rel core.Relation, g *guardedTree, key uint64, rec interface{ Marshal([]byte) }) {
+	load(d, func(rel core.Relation, g *relIndex, key uint64, rec interface{ Marshal([]byte) }) {
 		t.Helper()
 		row := buf[:tpcc.TupleLen[rel]]
 		rec.Marshal(row)
@@ -145,7 +145,7 @@ func deliveryRows(n int) func(*DB, coldRow) {
 }
 
 // pageOf returns the page of the row key names in g.
-func pageOf(t *testing.T, g *guardedTree, key uint64) storage.PageID {
+func pageOf(t *testing.T, g *relIndex, key uint64) storage.PageID {
 	t.Helper()
 	rid, ok := g.get(key)
 	if !ok {

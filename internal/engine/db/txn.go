@@ -56,7 +56,7 @@ type undoOp struct {
 	rid  storage.RID
 	off  int // arena offset of the saved image (undoUpdate/undoDelete)
 	n    int // image length
-	g    *guardedTree
+	g    *relIndex
 	key  uint64
 	val  uint64
 }
@@ -399,7 +399,7 @@ func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byt
 // snap is the keyed snapshot read: probe the relation's primary index g
 // and read the version of the row this transaction may see into t.buf
 // (valid until the next read). Range scans, which hold a RID, use snapRead.
-func (t *txn) snap(rel core.Relation, g *guardedTree, key uint64) ([]byte, error) {
+func (t *txn) snap(rel core.Relation, g *relIndex, key uint64) ([]byte, error) {
 	rid, ok := g.get(key)
 	if !ok {
 		return nil, fmt.Errorf("db: no %s row %#x", rel, key)
@@ -426,7 +426,7 @@ type row struct {
 // their lock in every -cc mode; under mvcc the store validates first
 // committer wins instead. The caller unmarshals r.cur, changes the typed
 // record, marshals it into r.next, and calls store.
-func (t *txn) fetch(rel core.Relation, g *guardedTree, key uint64) (row, error) {
+func (t *txn) fetch(rel core.Relation, g *relIndex, key uint64) (row, error) {
 	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
 		return row{}, err
 	}
@@ -480,7 +480,7 @@ func (t *txn) mvWrite(rel core.Relation, row uint64, before []byte) error {
 // key, a version-chain entry saying the row was absent before this
 // transaction (older snapshots skip it), insertRec, and the entry in the
 // relation's primary index g.
-func (t *txn) insertKeyed(rel core.Relation, g *guardedTree, key uint64, rec []byte) (storage.RID, error) {
+func (t *txn) insertKeyed(rel core.Relation, g *relIndex, key uint64, rec []byte) (storage.RID, error) {
 	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
 		return storage.RID{}, err
 	}
@@ -532,13 +532,13 @@ func (t *txn) unhold() {
 }
 
 // setIdx adds an index entry with undo.
-func (t *txn) setIdx(g *guardedTree, key, val uint64) {
+func (t *txn) setIdx(g *relIndex, key, val uint64) {
 	g.set(key, val)
 	t.undo = append(t.undo, undoOp{kind: undoSetIdx, g: g, key: key})
 }
 
 // delIdx removes an index entry with undo.
-func (t *txn) delIdx(g *guardedTree, key, val uint64) error {
+func (t *txn) delIdx(g *relIndex, key, val uint64) error {
 	if err := g.delete(key); err != nil {
 		return err
 	}

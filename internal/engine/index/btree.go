@@ -1,6 +1,7 @@
-// Package index implements the engine's ordered index: an in-memory B+tree
-// over uint64 keys with doubly-linked leaves for range scans, plus key
-// packing helpers for TPC-C's composite keys.
+// Package index implements the engine's two in-memory indexes over packed
+// uint64 keys — a B+tree with doubly-linked leaves for range scans, and
+// Dense, a direct-addressed map for relations probed only by key — plus
+// key packing helpers for TPC-C's composite keys.
 //
 // The paper assumes "an ordered multi-keyed index so that the correct
 // tuple can be fetched in just one index look up" (the Max/Min selects of
@@ -35,6 +36,10 @@ type node struct {
 	kids []*node
 	// prev/next chain leaves in key order.
 	prev, next *node
+	// run is one past the position of the node's latest insert, so an
+	// insert at run continues an ascending run of keys. Deletes leave it
+	// stale: it only steers where the node splits.
+	run int
 	// Embedded backing arrays for keys/vals/kids. A node transiently
 	// overfills to maxKeys+1 keys (and an internal parent to maxKeys+2
 	// kids) before split restores the bound, so the arrays carry that
@@ -129,12 +134,7 @@ func (t *BTree) Insert(key, val uint64) error {
 	if i < len(leaf.keys) && leaf.keys[i] == key {
 		return ErrDuplicate
 	}
-	leaf.keys = insertU64(leaf.keys, i, key)
-	leaf.vals = insertU64(leaf.vals, i, val)
-	t.size++
-	if len(leaf.keys) > maxKeys {
-		t.split(leaf, path)
-	}
+	t.insertAt(leaf, path, i, key, val)
 	return nil
 }
 
@@ -146,12 +146,15 @@ func (t *BTree) Set(key, val uint64) {
 		leaf.vals[i] = val
 		return
 	}
+	t.insertAt(leaf, path, i, key, val)
+}
+
+// insertAt puts key -> val at position i of leaf.
+func (t *BTree) insertAt(leaf *node, path []*node, i int, key, val uint64) {
 	leaf.keys = insertU64(leaf.keys, i, key)
 	leaf.vals = insertU64(leaf.vals, i, val)
 	t.size++
-	if len(leaf.keys) > maxKeys {
-		t.split(leaf, path)
-	}
+	t.placed(leaf, path, i)
 }
 
 func insertU64(s []uint64, i int, v uint64) []uint64 {
@@ -166,12 +169,26 @@ func removeU64(s []uint64, i int) []uint64 {
 	return s[:len(s)-1]
 }
 
-// split divides an overfull node, propagating up the path.
-func (t *BTree) split(n *node, path []*node) {
-	for {
+// placed follows the insertion of n's key at pos: it splits n if the key
+// overfilled it, propagating up the path, and records pos in the node that
+// keeps the key. A node splits at the middle, except on ascending inserts:
+// a new maximum goes right alone, and a key that continues the node's run
+// (lands right after the node's previous insert) ends the left node, its
+// successors going right. Then appending keys — one district's orders,
+// new-orders or order lines, each after the last, while other districts
+// append elsewhere — leaves every node behind the insertion point full
+// rather than half full.
+func (t *BTree) placed(n *node, path []*node, pos int) {
+	for len(n.keys) > maxKeys {
+		mid := len(n.keys) / 2
+		switch {
+		case pos == len(n.keys)-1:
+			mid = pos
+		case pos == n.run:
+			mid = pos + 1
+		}
 		var right *node
 		var sep uint64
-		mid := len(n.keys) / 2
 		if n.leaf {
 			right = t.newNode(true)
 			right.keys = append(right.keys, n.keys[mid:]...)
@@ -185,34 +202,41 @@ func (t *BTree) split(n *node, path []*node) {
 			}
 			right.prev = n
 			n.next = right
+			if pos >= mid {
+				right.run = pos - mid + 1
+			}
 		} else {
 			right = t.newNode(false)
-			// The middle key moves up; right gets keys after it.
+			// The key at mid moves up; right gets keys after it.
 			sep = n.keys[mid]
 			right.keys = append(right.keys, n.keys[mid+1:]...)
 			right.kids = append(right.kids, n.kids[mid+1:]...)
 			n.keys = n.keys[:mid]
 			n.kids = n.kids[:mid+1]
+			if pos >= mid {
+				right.run = pos - mid
+			}
 		}
+		if pos < mid {
+			n.run = pos + 1
+		}
+		var parent *node
 		if len(path) == 0 {
-			r := t.newNode(false)
-			r.keys = append(r.keys, sep)
-			r.kids = append(r.kids, n, right)
-			t.root = r
-			return
+			parent = t.newNode(false)
+			parent.kids = append(parent.kids, n)
+			t.root = parent
+		} else {
+			parent = path[len(path)-1]
+			path = path[:len(path)-1]
 		}
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
 		i := sort.Search(len(parent.keys), func(i int) bool { return sep < parent.keys[i] })
 		parent.keys = insertU64(parent.keys, i, sep)
 		parent.kids = append(parent.kids, nil)
 		copy(parent.kids[i+2:], parent.kids[i+1:])
 		parent.kids[i+1] = right
-		if len(parent.keys) <= maxKeys {
-			return
-		}
-		n = parent
+		n, pos = parent, i
 	}
+	n.run = pos + 1
 }
 
 // Delete removes key, returning ErrNotFound if absent. Nodes are unlinked
@@ -281,6 +305,19 @@ func (t *BTree) unlink(n *node, path []*node) {
 	} else if parent == t.root && len(parent.kids) == 1 {
 		t.root = parent.kids[0]
 	}
+}
+
+// Leaves returns the number of leaves: Len over Leaves·64 is the leaf fill.
+func (t *BTree) Leaves() int {
+	n := t.root
+	for !n.leaf {
+		n = n.kids[0]
+	}
+	leaves := 0
+	for ; n != nil; n = n.next {
+		leaves++
+	}
+	return leaves
 }
 
 // Min returns the smallest key >= lo with its value.

@@ -388,3 +388,42 @@ func TestRandomDrainOrders(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendSplitFillsNodes: keys appended at the end of their range — one
+// ascending run, or ten districts' order lines appended in turn as New-Order
+// does — split at the insertion point, so every leaf but each range's last
+// is full. A random insertion order still splits at the middle.
+func TestAppendSplitFillsNodes(t *testing.T) {
+	tr := New()
+	const n = 64*100 + 5
+	for k := uint64(0); k < n; k++ {
+		tr.Set(k, k)
+	}
+	if got, want := tr.Leaves(), (n+maxKeys-1)/maxKeys; got != want {
+		t.Errorf("ascending %d keys: %d leaves, want %d", n, got, want)
+	}
+
+	lines := New()
+	for o := int64(1); o <= 300; o++ {
+		for d := int64(0); d < 10; d++ {
+			for l := int64(0); l < 10; l++ {
+				lines.Set(KeyWDOL(0, d, o, l), 1)
+			}
+		}
+	}
+	if fill := float64(lines.Len()) / float64(lines.Leaves()*maxKeys); fill < 0.95 {
+		t.Errorf("per-district appends: leaf fill %.2f, want >= 0.95", fill)
+	}
+	if err := lines.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	rnd := New()
+	r := rng.New(3)
+	for i := 0; i < n; i++ {
+		rnd.Set(uint64(r.Int63n(1<<40)), 1)
+	}
+	if fill := float64(rnd.Len()) / float64(rnd.Leaves()*maxKeys); fill > 0.8 {
+		t.Errorf("random inserts: leaf fill %.2f, a middle split leaves about 0.7", fill)
+	}
+}

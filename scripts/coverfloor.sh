@@ -17,6 +17,7 @@ tpccmodel/internal/engine/bufmgr	75.0
 tpccmodel/internal/engine/shard	83.0
 tpccmodel/internal/engine/mvcc	90.0
 tpccmodel/internal/engine/db	84.8
+tpccmodel/internal/engine/index	93.0
 "
 
 pkgs=$(echo "$floors" | awk 'NF {print $1}' | sed 's|^tpccmodel|.|')
