@@ -131,15 +131,10 @@ func runCCCell(rep ccReport, workers, run int, cc db.CCMode) (ccCell, error) {
 	if err != nil {
 		return ccCell{}, err
 	}
-	var waits0, dead0, conflicts0, ssiAborts0 int64
-	st, err := measure(d, rep.Seed+uint64(run), rep.Txns, rep.Warmup, workers, func() {
-		_, waits0, dead0 = d.LockCounts()
-		conflicts0, ssiAborts0 = d.WriteConflicts(), d.SSIAborts()
-	})
+	st, err := measure(d, rep.Seed+uint64(run), rep.Txns, rep.Warmup, workers, func() {})
 	if err != nil {
 		return ccCell{}, err
 	}
-	_, waits1, dead1 := d.LockCounts()
 	hash, err := d.StateHash()
 	if err != nil {
 		return ccCell{}, err
@@ -153,10 +148,10 @@ func runCCCell(rep ccReport, workers, run int, cc db.CCMode) (ccCell, error) {
 		Commits:        st.Commits,
 		Aborts:         st.Aborts,
 		Retries:        st.Retries,
-		WriteConflicts: d.WriteConflicts() - conflicts0,
-		SSIAborts:      d.SSIAborts() - ssiAborts0,
-		LockWaits:      waits1 - waits0,
-		Deadlocks:      dead1 - dead0,
+		WriteConflicts: st.WriteConflicts,
+		SSIAborts:      st.SSIAborts,
+		LockWaits:      st.LockWaits,
+		Deadlocks:      st.Deadlocks,
 		P50Micros:      st.Latency.P50.Microseconds(),
 		P95Micros:      st.Latency.P95.Microseconds(),
 		P99Micros:      st.Latency.P99.Microseconds(),

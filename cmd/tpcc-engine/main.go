@@ -136,13 +136,12 @@ func main() {
 	st.WriteTable(os.Stdout)
 	fmt.Printf("commits\t%d\naborts\t%d\nlog_forces\t%d\n", st.Commits, st.Aborts, st.LogForces)
 	fmt.Printf("forces_per_commit\t%.4f\n", st.ForcesPerCommit())
-	acq, waits, deadlocks := d.LockCounts()
-	fmt.Printf("locks_acquired\t%d\nlock_waits\t%d\ndeadlocks\t%d\n", acq, waits, deadlocks)
+	fmt.Printf("locks_acquired\t%d\nlock_waits\t%d\ndeadlocks\t%d\n", st.LockAcquires, st.LockWaits, st.Deadlocks)
 	if ccMode != db.CC2PL {
-		fmt.Printf("write_conflicts\t%d\nversion_chains\t%d\n", d.WriteConflicts(), d.VersionChains())
+		fmt.Printf("write_conflicts\t%d\nversion_chains\t%d\n", st.WriteConflicts, d.VersionChains())
 	}
 	if ccMode == db.CCSSI {
-		fmt.Printf("ssi_aborts\t%d\n", d.SSIAborts())
+		fmt.Printf("ssi_aborts\t%d\n", st.SSIAborts)
 	}
 
 	fmt.Printf("\nrelation\taccesses\tmiss_rate\n")

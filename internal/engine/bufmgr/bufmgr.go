@@ -39,9 +39,9 @@
 //     pin that wanted the page reads it as its own miss;
 //   - resident: pinned, or unpinned and on the LRU list. A page Allocate
 //     created starts here, its class unresolved until its first access
-//     (its owner tags it only after Allocate returns). An Unpin (or With)
-//     that dirties the page notes in the frame, BEFORE it lets go of the
-//     content latch, how long the log is (logEnd; see the WAL rule below);
+//     (its owner tags it only after Allocate returns). An Unpin that
+//     dirties the page notes in the frame, BEFORE it lets go of the content
+//     latch, how long the log is (logEnd; see the WAL rule below);
 //   - busy/writing: a write-back marked it busy and clean under m.mu; then,
 //     with m.mu dropped, flush took the content latch, forced the log up to
 //     the frame's logEnd as it reads under that latch, and ran store.Flush.
@@ -763,10 +763,11 @@ func (m *Manager) Prefetch(ids []storage.PageID) {
 	}
 }
 
-// Peek copies the bytes of page id at off into out when the page is
-// resident — once a read of it in flight is done — and nobody holds its
-// content latch; otherwise it reports false. It is a hint for planning
-// read-ahead, never an access: nothing is counted, tapped, pinned or moved.
+// Peek implements storage.Pager: it copies the bytes of page id at off into
+// out when the page is resident — once a read of it in flight is done — and
+// nobody holds its content latch; otherwise it reports false. It is a hint
+// for planning read-ahead, never an access: nothing is counted, tapped,
+// pinned or moved.
 func (m *Manager) Peek(id storage.PageID, off int, out []byte) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -784,8 +785,8 @@ func (m *Manager) Peek(id storage.PageID, off int, out []byte) bool {
 	return true
 }
 
-// ReadRecord implements storage.RecordReader: a record read in one visit to
-// the pool. When page id is resident, no read of it is in flight, it is not
+// ReadRecord implements storage.Pager: a record read in one visit to the
+// pool. When page id is resident, no read of it is in flight, it is not
 // a read-ahead nobody has claimed yet and its content latch is free, it does
 // under one hold of m.mu what a Pin and an Unpin of the hit would: it counts
 // and taps one Hit, moves the frame to the MRU end unless another pin holds
@@ -846,12 +847,9 @@ func (m *Manager) unpin(f *frame, dirty bool) {
 	}
 }
 
-// Pin implements storage.Pager's closure-free page access: it pins page
-// id, acquires the frame's content latch, and returns the page bytes.
-// Pin/Unpin do the exact work of With without a callback, so hot-path
-// callers avoid the per-call closure allocation an interface boundary
-// forces. The Token carries the frame pointer; storing a pointer in the
-// interface does not allocate.
+// Pin implements storage.Pager: it pins page id, acquires the frame's
+// content latch, and returns the page bytes. The Token carries the frame
+// pointer; storing a pointer in the interface does not allocate.
 func (m *Manager) Pin(id storage.PageID) (storage.Pinned, error) {
 	f, err := m.pin(id)
 	if err != nil {
@@ -869,26 +867,6 @@ func (m *Manager) Unpin(p storage.Pinned, dirty bool) {
 	}
 	f.contentMu.Unlock()
 	m.unpin(f, dirty)
-}
-
-// With implements storage.Pager: it pins page id, runs fn on its bytes,
-// and unpins.
-func (m *Manager) With(id storage.PageID, dirty bool, fn func(page []byte)) error {
-	f, err := m.pin(id)
-	if err != nil {
-		return err
-	}
-	// The frame's data slice is stable while pinned; fn runs outside the
-	// manager's mutex so callers don't serialize the pool, under the
-	// frame's content mutex so same-page accesses don't race.
-	f.contentMu.Lock()
-	fn(f.data)
-	if dirty {
-		m.noteLog(f)
-	}
-	f.contentMu.Unlock()
-	m.unpin(f, dirty)
-	return nil
 }
 
 // Allocate implements storage.Pager: it allocates a store page and makes

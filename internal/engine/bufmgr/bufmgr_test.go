@@ -17,6 +17,18 @@ func mustStore(t *testing.T, pageSize int) *storage.Store {
 	return s
 }
 
+// with pins page id, runs fn on its bytes and unpins it, dirty when dirty
+// is set: one access, spelled as a callback for the tests' brevity.
+func with(m *Manager, id storage.PageID, dirty bool, fn func(page []byte)) error {
+	p, err := m.Pin(id)
+	if err != nil {
+		return err
+	}
+	fn(p.Data)
+	m.Unpin(p, dirty)
+	return nil
+}
+
 func TestHitMissAccounting(t *testing.T) {
 	s := mustStore(t, 256)
 	m := New(s, 4)
@@ -27,8 +39,8 @@ func TestHitMissAccounting(t *testing.T) {
 	if st.Misses != 0 || st.Hits != 0 {
 		t.Fatalf("after allocs: %+v", st)
 	}
-	m.With(a, false, func([]byte) {})
-	m.With(b, false, func([]byte) {})
+	with(m, a, false, func([]byte) {})
+	with(m, b, false, func([]byte) {})
 	st = m.Stats()
 	if st.Hits != 2 || st.Misses != 0 {
 		t.Errorf("resident accesses should hit: %+v", st)
@@ -37,7 +49,7 @@ func TestHitMissAccounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Allocate()
 	}
-	m.With(a, false, func([]byte) {})
+	with(m, a, false, func([]byte) {})
 	if st = m.Stats(); st.Misses != 1 {
 		t.Errorf("re-read after eviction should miss: %+v", st)
 	}
@@ -47,17 +59,17 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 	s := mustStore(t, 256)
 	m := New(s, 2)
 	a, _ := m.Allocate()
-	m.With(a, true, func(p []byte) { p[0] = 42 })
+	with(m, a, true, func(p []byte) { p[0] = 42 })
 	// Fill the pool to evict a.
 	b, _ := m.Allocate()
 	c, _ := m.Allocate()
-	m.With(b, false, func([]byte) {})
-	m.With(c, false, func([]byte) {})
+	with(m, b, false, func([]byte) {})
+	with(m, c, false, func([]byte) {})
 	if m.Resident() > 2 {
 		t.Fatalf("resident %d > capacity", m.Resident())
 	}
 	// Reading a back must see the written byte (write-back happened).
-	m.With(a, false, func(p []byte) {
+	with(m, a, false, func(p []byte) {
 		if p[0] != 42 {
 			t.Error("dirty page lost on eviction")
 		}
@@ -69,11 +81,11 @@ func TestLRUVictimSelection(t *testing.T) {
 	m := New(s, 2)
 	a, _ := m.Allocate()
 	_, _ = m.Allocate() // pool: a, b
-	m.With(a, false, func([]byte) {})
+	with(m, a, false, func([]byte) {})
 	// b is LRU now; touching a new page evicts b.
 	c, _ := m.Allocate()
 	_ = c
-	m.With(a, false, func(p []byte) {})
+	with(m, a, false, func(p []byte) {})
 	st := m.Stats()
 	if st.Hits < 2 {
 		t.Errorf("page a should have stayed resident: %+v", st)
@@ -84,24 +96,24 @@ func TestCrashDropsDirtyPages(t *testing.T) {
 	s := mustStore(t, 256)
 	m := New(s, 4)
 	a, _ := m.Allocate()
-	m.With(a, true, func(p []byte) { p[0] = 7 })
+	with(m, a, true, func(p []byte) { p[0] = 7 })
 	if err := m.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	m.With(a, false, func(p []byte) {
+	with(m, a, false, func(p []byte) {
 		if p[0] != 0 {
 			t.Error("crash should lose unflushed writes")
 		}
 	})
 	// Flushed writes survive a crash.
-	m.With(a, true, func(p []byte) { p[0] = 9 })
+	with(m, a, true, func(p []byte) { p[0] = 9 })
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	m.With(a, false, func(p []byte) {
+	with(m, a, false, func(p []byte) {
 		if p[0] != 9 {
 			t.Error("flushed write lost")
 		}
@@ -120,9 +132,9 @@ func TestClassifierStats(t *testing.T) {
 		return 1
 	})
 	m.ResetStats()
-	m.With(a, false, func([]byte) {})
-	m.With(a, false, func([]byte) {})
-	m.With(b, false, func([]byte) {})
+	with(m, a, false, func([]byte) {})
+	with(m, a, false, func([]byte) {})
+	with(m, b, false, func([]byte) {})
 	cs := m.ClassStats()
 	if cs[0].Accesses() != 2 || cs[1].Accesses() != 1 {
 		t.Errorf("class stats: %+v", cs)
@@ -147,9 +159,9 @@ func TestConcurrentAccessStress(t *testing.T) {
 				id := ids[r.Int63n(int64(len(ids)))]
 				slot := int(r.Int63n(250))
 				if r.Bernoulli(0.5) {
-					m.With(id, true, func(p []byte) { p[slot]++ })
+					with(m, id, true, func(p []byte) { p[slot]++ })
 				} else {
-					m.With(id, false, func(p []byte) { _ = p[slot] })
+					with(m, id, false, func(p []byte) { _ = p[slot] })
 				}
 			}
 		}(uint64(g))
@@ -177,11 +189,11 @@ func TestWriteVisibleAcrossEviction(t *testing.T) {
 	const n = 200
 	r := rng.New(1)
 	for i := 0; i < n; i++ {
-		m.With(target, true, func(p []byte) { p[0]++ })
+		with(m, target, true, func(p []byte) { p[0]++ })
 		id := churn[r.Int63n(int64(len(churn)))]
-		m.With(id, false, func([]byte) {})
+		with(m, id, false, func([]byte) {})
 	}
-	m.With(target, false, func(p []byte) {
+	with(m, target, false, func(p []byte) {
 		if int(p[0]) != n%256 {
 			t.Errorf("counter = %d, want %d", p[0], n%256)
 		}

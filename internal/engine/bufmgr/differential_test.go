@@ -144,7 +144,7 @@ func TestLRUDifferentialAdversarial(t *testing.T) {
 			m, events := recordingManager(t, capacity)
 			ids := preallocate(t, m, p.pages)
 			p.drive(ids, func(id storage.PageID) {
-				if err := m.With(id, false, func([]byte) {}); err != nil {
+				if err := with(m, id, false, func([]byte) {}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -173,7 +173,7 @@ func TestLRUDifferentialAllocationInterplay(t *testing.T) {
 	ids := preallocate(t, m, capacity)
 	r := rng.New(11)
 	access := func(id storage.PageID) {
-		if err := m.With(id, false, func([]byte) {}); err != nil {
+		if err := with(m, id, false, func([]byte) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestTapConcurrentSmoke(t *testing.T) {
 			r := rng.New(seed)
 			for i := 0; i < 256; i++ {
 				id := ids[r.Int63n(int64(len(ids)))]
-				if err := m.With(id, false, func([]byte) {}); err != nil {
+				if err := with(m, id, false, func([]byte) {}); err != nil {
 					panic(fmt.Sprintf("access: %v", err))
 				}
 			}
@@ -235,7 +235,7 @@ func TestSetTapDisable(t *testing.T) {
 	m, events := recordingManager(t, 4)
 	ids := preallocate(t, m, 2)
 	m.SetTap(nil)
-	if err := m.With(ids[0], false, func([]byte) {}); err != nil {
+	if err := with(m, ids[0], false, func([]byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range *events {

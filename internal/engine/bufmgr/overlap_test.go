@@ -196,7 +196,7 @@ func gatedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.P
 // touch pins and unpins page id, dirtying it (byte 1 = v) when v != 0.
 func touch(t *testing.T, m *Manager, id storage.PageID, v byte) {
 	t.Helper()
-	if err := m.With(id, v != 0, func(p []byte) {
+	if err := with(m, id, v != 0, func(p []byte) {
 		if v != 0 {
 			p[1] = v
 		}
@@ -298,11 +298,11 @@ func TestHitProceedsDuringGatedRead(t *testing.T) {
 	touch(t, m, b, 0)
 
 	g := d.gateRead(a)
-	miss := async(func() error { return m.With(a, false, func([]byte) {}) })
+	miss := async(func() error { return with(m, a, false, func([]byte) {}) })
 	wait(t, g.arrived, "the read of A to reach the device")
 
 	hit := async(func() error {
-		return m.With(b, false, func(p []byte) {
+		return with(m, b, false, func(p []byte) {
 			if p[0] != 2 {
 				t.Errorf("page B carries %d", p[0])
 			}
@@ -331,7 +331,7 @@ func TestConcurrentPinsShareOneRead(t *testing.T) {
 	a := ids[0]
 	g := d.gateRead(a)
 	see := func() error {
-		return m.With(a, false, func(p []byte) {
+		return with(m, a, false, func(p []byte) {
 			if p[0] != 1 {
 				t.Errorf("page A carries %d", p[0])
 			}
@@ -367,7 +367,7 @@ func TestVictimPinnedDuringWriteBackStays(t *testing.T) {
 	touch(t, m, y, 0) // next, clean
 
 	g := d.gateWrite(x)
-	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
+	miss := async(func() error { return with(m, z, false, func([]byte) {}) })
 	wait(t, g.arrived, "the write-back of X to reach the device")
 
 	fx, err := m.pin(x) // a hit: the pin itself never waits for the write
@@ -396,7 +396,7 @@ func TestVictimPinnedDuringWriteBackStays(t *testing.T) {
 		t.Errorf("X written %d times, want 1", n)
 	}
 	touch(t, m, x, 0)
-	if err := m.With(x, false, func(p []byte) {
+	if err := with(m, x, false, func(p []byte) {
 		if p[1] != 7 {
 			t.Errorf("X lost its update: byte = %d", p[1])
 		}
@@ -424,10 +424,10 @@ func TestFailedReadUnpublishesFrame(t *testing.T) {
 	a := ids[capacity]
 	boom := errors.New("injected read failure")
 	g := d.gateRead(a)
-	reader := async(func() error { return m.With(a, false, func([]byte) {}) })
+	reader := async(func() error { return with(m, a, false, func([]byte) {}) })
 	wait(t, g.arrived, "the read of A to reach the device")
 	waiter := async(func() error {
-		return m.With(a, false, func(p []byte) {
+		return with(m, a, false, func(p []byte) {
 			if p[0] != byte(capacity+1) {
 				t.Errorf("page A carries %d", p[0])
 			}
@@ -467,7 +467,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 
 	boom := errors.New("injected write failure")
 	g := d.gateWrite(x)
-	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
+	miss := async(func() error { return with(m, z, false, func([]byte) {}) })
 	wait(t, g.arrived, "the write-back of X to reach the device")
 	awaitCleanAhead(t, m) // X is the victim, left to the miss, and Y is clean
 	g.release <- boom
@@ -493,7 +493,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	}
 	d.failWrites(boom)
 	for round := 1; round <= 2; round++ { // the second miss finds the run dirty again
-		miss := async(func() error { return m.With(ids[capacity], false, func([]byte) {}) })
+		miss := async(func() error { return with(m, ids[capacity], false, func([]byte) {}) })
 		if err := wait(t, miss, "a miss on a device whose writes fail"); !errors.Is(err, boom) {
 			t.Fatalf("miss got %v, want the device's error", err)
 		}
@@ -538,7 +538,7 @@ func cleanAheadAndMissInFlight(t *testing.T) (m *Manager, d *gatedDisk, ids []st
 	z := ids[4]
 	readZ = d.gateRead(z)
 	writes = []*gate{d.gateWrite(ids[1]), d.gateWrite(ids[2])}
-	miss = async(func() error { return m.With(z, false, func([]byte) {}) })
+	miss = async(func() error { return with(m, z, false, func([]byte) {}) })
 	wait(t, readZ.arrived, "the read of Z to reach the device")
 	for _, g := range writes {
 		wait(t, g.arrived, "a clean-ahead write to reach the device")
@@ -652,7 +652,7 @@ func TestCleanAheadWritesOverlap(t *testing.T) {
 				gates = append(gates, d.gateWrite(id))
 			}
 		}
-		miss := async(func() error { return m.With(ids[capacity], false, func([]byte) {}) })
+		miss := async(func() error { return with(m, ids[capacity], false, func([]byte) {}) })
 		for _, g := range gates {
 			wait(t, g.arrived, "a clean-ahead write to reach the device")
 		}
@@ -704,7 +704,7 @@ func TestPinHitDuringCheckpointWrite(t *testing.T) {
 	g := d.gateWrite(dirty)
 	flush := async(m.FlushAll)
 	wait(t, g.arrived, "the checkpoint write to reach the device")
-	hit := async(func() error { return m.With(clean, false, func([]byte) {}) })
+	hit := async(func() error { return with(m, clean, false, func([]byte) {}) })
 	if err := wait(t, hit, "a hit during the checkpoint write"); err != nil {
 		t.Fatal(err)
 	}
@@ -786,7 +786,7 @@ func TestOverlapStress(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				n := int(r.Int63n(pages))
 				write := r.Bernoulli(0.5)
-				err := m.With(ids[n], write, func(p []byte) {
+				err := with(m, ids[n], write, func(p []byte) {
 					if p[0] != byte(n+1) {
 						t.Errorf("page %d carries content of page %d", n, int(p[0])-1)
 					}
@@ -933,7 +933,7 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 	}
 	fx := frameOf(m, x)
 	fx.contentMu.Lock() // where the pinner's latch will be: writeBack queues behind it
-	miss := async(func() error { return m.With(z, false, func([]byte) {}) })
+	miss := async(func() error { return with(m, z, false, func([]byte) {}) })
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		m.mu.Lock()
 		busy := fx.io == ioEvict
@@ -988,7 +988,7 @@ func TestFailedForceLeavesVictimDirty(t *testing.T) {
 	logged(t, m, l, x, 9, 100)
 	touch(t, m, y, 0)
 
-	if err := m.With(z, false, func([]byte) {}); !errors.Is(err, boom) {
+	if err := with(m, z, false, func([]byte) {}); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
 	awaitCleanAhead(t, m)
@@ -1145,7 +1145,7 @@ func TestClaimWaitsAndCountsNothing(t *testing.T) {
 	m.Prefetch([]storage.PageID{a})
 	wait(t, g.arrived, "the read-ahead of A to reach the device")
 	claim := async(func() error {
-		return m.With(a, false, func(p []byte) {
+		return with(m, a, false, func(p []byte) {
 			if p[0] != 1 {
 				t.Errorf("page A carries %d", p[0])
 			}
@@ -1219,7 +1219,7 @@ func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss := async(func() error { return m.With(e, false, func([]byte) {}) })
+	miss := async(func() error { return with(m, e, false, func([]byte) {}) })
 	if !blocked(miss) {
 		t.Fatal("a miss evicted a frame whose read-ahead was in flight")
 	}
@@ -1317,7 +1317,7 @@ func TestPinWaitingOnFailedReadAheadRetries(t *testing.T) {
 	first := d.gateRead(a)
 	m.Prefetch([]storage.PageID{a})
 	wait(t, first.arrived, "the read-ahead of A to reach the device")
-	pin := async(func() error { return m.With(a, false, func([]byte) {}) })
+	pin := async(func() error { return with(m, a, false, func([]byte) {}) })
 	if !blocked(pin) {
 		t.Fatal("the pin returned while the read-ahead was in flight")
 	}

@@ -22,7 +22,7 @@ func TestPartitionedConcurrentStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.With(id, true, func(p []byte) { p[0] = byte(i) }); err != nil {
+		if err := with(m, id, true, func(p []byte) { p[0] = byte(i) }); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -37,7 +37,7 @@ func TestPartitionedConcurrentStress(t *testing.T) {
 			r := rng.New(uint64(w) + 1)
 			for i := 0; i < 400; i++ {
 				n := int(r.Int63n(pages))
-				err := m.With(ids[n], false, func(p []byte) {
+				err := with(m, ids[n], false, func(p []byte) {
 					if p[0] != byte(n) {
 						t.Errorf("page %d carries content of page %d", n, p[0])
 					}

@@ -141,7 +141,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 					put := k < 60
 					v := byte(r.Int63n(255) + 1)
 					for _, m := range []*Manager{a, b} {
-						if err := m.With(id, true, func(p []byte) {
+						if err := with(m, id, true, func(p []byte) {
 							flagOff, bit := slotFlag(slot)
 							if put {
 								p[flagOff] |= bit
@@ -341,6 +341,42 @@ func TestReadRecordRacesWriter(t *testing.T) {
 	}
 }
 
+// TestInsertAtUnknownPageIsOneAccess: redo's InsertAt onto a page its heap
+// does not know yet formats the page and writes the row under one pin, so it
+// costs the pool one access, as an InsertAt onto a known page does.
+func TestInsertAtUnknownPageIsOneAccess(t *testing.T) {
+	const rl = 64
+	m := New(mustStore(t, 1024), 4)
+	h, err := storage.NewHeapFile("t", m, 1024, rl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{3}, rl)
+	slots := []uint16{2, 5} // the first finds the page unknown
+	for _, slot := range slots {
+		before := m.Stats().Accesses()
+		if err := h.InsertAt(storage.RID{Page: id, Slot: slot}, rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats().Accesses() - before; got != 1 {
+			t.Errorf("InsertAt at slot %d cost %d pool accesses, want 1", slot, got)
+		}
+	}
+	if h.PageCount() != 1 || h.Live() != 2 {
+		t.Errorf("heap has %d pages and %d rows, want 1 and 2", h.PageCount(), h.Live())
+	}
+	out := make([]byte, rl)
+	for _, slot := range slots {
+		if err := h.Read(storage.RID{Page: id, Slot: slot}, out); err != nil || !bytes.Equal(out, rec) {
+			t.Errorf("slot %d reads back %x, %v", slot, out[:4], err)
+		}
+	}
+}
+
 // TestClassCacheFollowsFrames: the class a frame caches is its page's. A
 // recycled frame takes its new page's class, a page tagged after Allocate is
 // counted in its class from its first access — a pin or a one-visit read —
@@ -465,7 +501,7 @@ func hitPool(b *testing.B, n int) (*Manager, []storage.PageID) {
 		if ids[i], err = m.Allocate(); err != nil {
 			b.Fatal(err)
 		}
-		if err := m.With(ids[i], true, func(p []byte) { p[0] = 1 }); err != nil {
+		if err := with(m, ids[i], true, func(p []byte) { p[0] = 1 }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -172,33 +172,18 @@ func (g *relIndex) ascendRange(lo, hi uint64, fn func(k, v uint64) bool) {
 	g.t.AscendRange(lo, hi, fn)
 }
 
-// relPager tags pages with their owning relation as they are allocated, so
-// the buffer manager's per-class stats align with the model's per-relation
-// miss rates.
+// relPager is the pool as its relation's heap sees it: every page access
+// goes straight to the buffer manager, and Allocate tags the new page with
+// its owning relation, so the buffer manager's per-class stats align with
+// the model's per-relation miss rates.
 type relPager struct {
-	buf *bufmgr.Manager
+	*bufmgr.Manager
 	db  *DB
 	rel core.Relation
 }
 
-func (p relPager) With(id storage.PageID, dirty bool, fn func(page []byte)) error {
-	return p.buf.With(id, dirty, fn)
-}
-
-func (p relPager) Pin(id storage.PageID) (storage.Pinned, error) { return p.buf.Pin(id) }
-
-func (p relPager) Unpin(pg storage.Pinned, dirty bool) { p.buf.Unpin(pg, dirty) }
-
-func (p relPager) Peek(id storage.PageID, off int, out []byte) bool {
-	return p.buf.Peek(id, off, out)
-}
-
-func (p relPager) ReadRecord(id storage.PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
-	return p.buf.ReadRecord(id, flagOff, flagBit, off, out)
-}
-
 func (p relPager) Allocate() (storage.PageID, error) {
-	id, err := p.buf.Allocate()
+	id, err := p.Manager.Allocate()
 	if err != nil {
 		return 0, err
 	}
@@ -357,7 +342,7 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 		return int(d.pageRel.get(id))
 	})
 	for _, rel := range core.Relations() {
-		h, err := storage.NewHeapFile(rel.String(), relPager{buf: d.buf, db: d, rel: rel},
+		h, err := storage.NewHeapFile(rel.String(), relPager{Manager: d.buf, db: d, rel: rel},
 			cfg.PageSize, tpcc.TupleLen[rel])
 		if err != nil {
 			return nil, err
@@ -411,12 +396,6 @@ func (d *DB) LockCounts() (acquired, waits, deadlocks int64) { return d.locks.Co
 // LogForces returns the number of log forces committers issued: one per
 // waited-for record without batching, fewer as group commit shares them.
 func (d *DB) LogForces() int64 { return d.log.Forces() }
-
-// SetGroupCommit reconfigures WAL commit batching (zero value disables).
-func (d *DB) SetGroupCommit(cfg wal.GroupConfig) { d.log.SetGroupCommit(cfg) }
-
-// GroupCommit returns the WAL's current commit-batching configuration.
-func (d *DB) GroupCommit() wal.GroupConfig { return d.log.GroupCommit() }
 
 // Commits and Aborts report transaction outcomes.
 func (d *DB) Commits() int64 { return d.commits.Load() }

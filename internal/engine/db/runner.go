@@ -560,6 +560,10 @@ type RunStats struct {
 	// nothing that needs forcing); LogForces < LogWaits means group commit
 	// amortized log I/O across transactions.
 	Commits, Aborts, LogForces, LogWaits int64
+	// LockAcquires, LockWaits, Deadlocks, WriteConflicts and SSIAborts are
+	// the lock manager's and version store's counter deltas over the run
+	// (the last two always 0 under CC2PL).
+	LockAcquires, LockWaits, Deadlocks, WriteConflicts, SSIAborts int64
 	// Latency summarizes acknowledged-transaction response time across
 	// all workers.
 	Latency LatencyStats
@@ -622,11 +626,17 @@ func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, p
 		runners[w].Policy = policy
 	}
 	commits0, aborts0, forces0, waits0 := d.Commits(), d.Aborts(), d.LogForces(), d.log.Waits()
+	acq0, lockWaits0, dead0 := d.LockCounts()
+	conflicts0, ssiAborts0 := d.WriteConflicts(), d.SSIAborts()
 	st, err := RunWorkers(runners, total)
 	st.Commits = d.Commits() - commits0
 	st.Aborts = d.Aborts() - aborts0
 	st.LogForces = d.LogForces() - forces0
 	st.LogWaits = d.log.Waits() - waits0
+	acq, lockWaits, dead := d.LockCounts()
+	st.LockAcquires, st.LockWaits, st.Deadlocks = acq-acq0, lockWaits-lockWaits0, dead-dead0
+	st.WriteConflicts = d.WriteConflicts() - conflicts0
+	st.SSIAborts = d.SSIAborts() - ssiAborts0
 	return st, err
 }
 

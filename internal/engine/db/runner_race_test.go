@@ -72,3 +72,35 @@ func TestRunConcurrentPolicyAggregates(t *testing.T) {
 		t.Errorf("acked+shed = %d, want 600", got)
 	}
 }
+
+// TestRunStatsCountOnlyTheirRun: the lock and version-store counters a
+// RunStats carries are deltas over its own run, so a warmup run before it
+// counts in neither. Under ssi with 4 workers the warmup acquires locks,
+// waits, and loses writers to conflicts and the dangerous-structure check.
+func TestRunStatsCountOnlyTheirRun(t *testing.T) {
+	d, err := Open(Config{Warehouses: 1, PageSize: 4096, BufferPages: 2048, CC: CCSSI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Load(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunConcurrentPolicy(d, 5, tpcc.DefaultMix(), 300, 4, DefaultRetryPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	acq0, waits0, dead0 := d.LockCounts()
+	conflicts0, ssi0 := d.WriteConflicts(), d.SSIAborts()
+	if acq0 == 0 {
+		t.Fatal("the warmup acquired no locks")
+	}
+	st, err := RunConcurrentPolicy(d, 6, tpcc.DefaultMix(), 600, 4, DefaultRetryPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acq, waits, dead := d.LockCounts()
+	want := [5]int64{acq - acq0, waits - waits0, dead - dead0, d.WriteConflicts() - conflicts0, d.SSIAborts() - ssi0}
+	got := [5]int64{st.LockAcquires, st.LockWaits, st.Deadlocks, st.WriteConflicts, st.SSIAborts}
+	if got != want {
+		t.Errorf("RunStats (acquires, waits, deadlocks, conflicts, ssi aborts) = %v, want the run's deltas %v", got, want)
+	}
+}

@@ -59,9 +59,11 @@ func pushOut(t *testing.T, d *DB, page storage.PageID, out func() bool) {
 		if i == 4*len(others) {
 			t.Fatalf("page %d was never pushed out", page)
 		}
-		if err := d.buf.With(others[i%len(others)], false, func([]byte) {}); err != nil {
+		p, err := d.buf.Pin(others[i%len(others)])
+		if err != nil {
 			t.Fatal(err)
 		}
+		d.buf.Unpin(p, false)
 	}
 }
 

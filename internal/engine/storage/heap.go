@@ -34,36 +34,25 @@ type Pinned struct {
 
 // Pager is the page-access interface HeapFile needs; the buffer manager
 // implements it (storage_test uses the store directly via a trivial
-// write-through adapter).
-//
-// With and Pin/Unpin are equivalent; the closure-free Pin/Unpin pair
-// exists for the hot path, where a closure passed through the interface
-// always escapes to the heap and would put an allocation in every
-// record access.
+// write-through adapter). Every access of a page is a Pin and an Unpin, or
+// one ReadRecord that stands for both; Peek is not an access.
 type Pager interface {
-	// With pins page id, calls fn with its bytes, and unpins, marking
-	// the page dirty when dirty is true. fn must not retain the slice.
-	With(id PageID, dirty bool, fn func(page []byte)) error
-	// Pin fixes page id in memory, taking the same per-page content
-	// latch With holds around fn. The caller must Unpin exactly once
-	// and must not retain p.Data afterwards.
+	// Pin fixes page id in memory and takes its content latch. The caller
+	// must Unpin exactly once and must not retain p.Data afterwards.
 	Pin(id PageID) (Pinned, error)
 	// Unpin releases a pinned page, marking it dirty when dirty is true.
 	Unpin(p Pinned, dirty bool)
-	// Allocate creates a new zeroed page (resident and dirty).
-	Allocate() (PageID, error)
-}
-
-// RecordReader is implemented by a Pager that can copy a record out of a
-// resident page in one visit, with no Pin/Unpin pair around the copy
-// (bufmgr.Manager.ReadRecord).
-type RecordReader interface {
 	// ReadRecord copies page id's bytes at off into out when the byte at
 	// flagOff has flagBit set, and reports whether it had (live). It is one
 	// access of the page, as a Pin and an Unpin are. ok is false when the
 	// pager could not serve the read without waiting; then nothing has
 	// happened, and the caller pins the page instead.
 	ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool)
+	// Peek copies page id's bytes at off into out when the pager can show
+	// them without an access, and reports whether it did.
+	Peek(id PageID, off int, out []byte) bool
+	// Allocate creates a new zeroed page (resident and dirty).
+	Allocate() (PageID, error)
 }
 
 // Slotted-page layout for fixed-length records:
@@ -115,10 +104,8 @@ func slotOffset(numSlots, recLen, slot int) int {
 
 // HeapFile stores fixed-length records in slotted pages.
 type HeapFile struct {
-	name  string
-	pager Pager
-	// reader is pager's one-visit record read, nil when it has none.
-	reader   RecordReader
+	name     string
+	pager    Pager
 	recLen   int
 	slots    int // per page
 	pageSize int
@@ -152,9 +139,8 @@ func NewHeapFile(name string, pager Pager, pageSize, recLen int) (*HeapFile, err
 	if slots <= 0 {
 		return nil, fmt.Errorf("storage: record length %d does not fit a %d-byte page: %w", recLen, pageSize, ErrInvalidArgument)
 	}
-	reader, _ := pager.(RecordReader)
 	return &HeapFile{
-		name: name, pager: pager, reader: reader, recLen: recLen,
+		name: name, pager: pager, recLen: recLen,
 		slots: slots, pageSize: pageSize,
 		pageIdx: make(map[PageID]int),
 		held:    make(map[RID]struct{}),
@@ -287,25 +273,20 @@ func (h *HeapFile) InsertAt(rid RID, rec []byte) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, known := h.pageIdx[rid.Page]; !known {
-		h.addPage(rid.Page)
-		h.freePages = append(h.freePages, len(h.pages)-1)
-		if err := h.pager.With(rid.Page, true, func(page []byte) {
-			if binary.LittleEndian.Uint16(page[0:2]) == 0 {
-				h.formatPage(page)
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	var wasLive bool
-	err := h.pager.With(rid.Page, true, func(page []byte) {
-		wasLive = bitmapGet(page, int(rid.Slot))
-		h.put(page, int(rid.Slot), rec)
-	})
+	p, err := h.pager.Pin(rid.Page)
 	if err != nil {
 		return err
 	}
+	if _, known := h.pageIdx[rid.Page]; !known {
+		h.addPage(rid.Page)
+		h.freePages = append(h.freePages, len(h.pages)-1)
+		if binary.LittleEndian.Uint16(p.Data[0:2]) == 0 {
+			h.formatPage(p.Data)
+		}
+	}
+	wasLive := bitmapGet(p.Data, int(rid.Slot))
+	h.put(p.Data, int(rid.Slot), rec)
+	h.pager.Unpin(p, true)
 	if !wasLive {
 		h.liveCount++
 	}
@@ -326,17 +307,17 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 	h.liveCount = 0
 	for i, pid := range h.pages {
 		h.pageIdx[pid] = i
-		var live int
-		err := h.pager.With(pid, false, func(page []byte) {
-			for s := 0; s < h.slots; s++ {
-				if bitmapGet(page, s) {
-					live++
-				}
-			}
-		})
+		p, err := h.pager.Pin(pid)
 		if err != nil {
 			return err
 		}
+		var live int
+		for s := 0; s < h.slots; s++ {
+			if bitmapGet(p.Data, s) {
+				live++
+			}
+		}
+		h.pager.Unpin(p, false)
 		h.liveCount += int64(live)
 		if live < h.slots {
 			h.freePages = append(h.freePages, i)
@@ -351,9 +332,9 @@ func (h *HeapFile) Read(rid RID, out []byte) error {
 		return fmt.Errorf("storage: %s: read buffer is %d bytes, want %d: %w", h.name, len(out), h.recLen, ErrInvalidArgument)
 	}
 	live, done := false, false
-	if h.reader != nil && int(rid.Slot) < h.slots {
+	if int(rid.Slot) < h.slots {
 		flagOff, flagBit := bitmapBit(int(rid.Slot))
-		live, done = h.reader.ReadRecord(rid.Page, flagOff, flagBit, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
+		live, done = h.pager.ReadRecord(rid.Page, flagOff, flagBit, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
 	}
 	if !done {
 		p, err := h.pager.Pin(rid.Page)
@@ -373,22 +354,15 @@ func (h *HeapFile) Read(rid RID, out []byte) error {
 	return nil
 }
 
-// Peeker is implemented by a Pager that can show a resident page's bytes
-// without an access (bufmgr.Manager.Peek).
-type Peeker interface {
-	Peek(id PageID, off int, out []byte) bool
-}
-
 // Peek copies the slot at rid into out (len RecordLen) when the pager can
 // show its page without reading it, and reports whether it did. The slot is
 // not checked for a live record and the page is not pinned: the bytes are a
 // hint, good for deciding what to read ahead and for nothing else.
 func (h *HeapFile) Peek(rid RID, out []byte) bool {
-	pk, ok := h.pager.(Peeker)
-	if !ok || len(out) != h.recLen || int(rid.Slot) >= h.slots {
+	if len(out) != h.recLen || int(rid.Slot) >= h.slots {
 		return false
 	}
-	return pk.Peek(rid.Page, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
+	return h.pager.Peek(rid.Page, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
 }
 
 // Update overwrites the record at rid.
@@ -464,25 +438,21 @@ func (h *HeapFile) Unhold(rid RID) {
 // the scan. The record slice is only valid during the call.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
 	for _, pid := range h.PageIDs() {
-		stop := false
-		err := h.pager.With(pid, false, func(page []byte) {
-			for s := 0; s < h.slots; s++ {
-				if !bitmapGet(page, s) {
-					continue
-				}
-				off := slotOffset(h.slots, h.recLen, s)
-				if !fn(RID{Page: pid, Slot: uint16(s)}, page[off:off+h.recLen]) {
-					stop = true
-					return
-				}
-			}
-		})
+		p, err := h.pager.Pin(pid)
 		if err != nil {
 			return err
 		}
-		if stop {
-			return nil
+		for s := 0; s < h.slots; s++ {
+			if !bitmapGet(p.Data, s) {
+				continue
+			}
+			off := slotOffset(h.slots, h.recLen, s)
+			if !fn(RID{Page: pid, Slot: uint16(s)}, p.Data[off:off+h.recLen]) {
+				h.pager.Unpin(p, false)
+				return nil
+			}
 		}
+		h.pager.Unpin(p, false)
 	}
 	return nil
 }

@@ -31,31 +31,24 @@ func mustAlloc(t testing.TB, s *Store) PageID {
 }
 
 // directPager is a write-through Pager over the store, for testing the
-// heap layer without a buffer manager.
+// heap layer without a buffer manager. It has no resident pages: ReadRecord
+// and Peek always decline, so Read takes its pin fallback. pins counts Pin
+// calls.
 type directPager struct {
 	store *Store
 	buf   []byte
+	pins  int
 }
 
 func newDirectPager(s *Store) *directPager {
 	return &directPager{store: s, buf: make([]byte, s.PageSize())}
 }
 
-func (p *directPager) With(id PageID, dirty bool, fn func(page []byte)) error {
-	if err := p.store.Read(id, p.buf); err != nil {
-		return err
-	}
-	fn(p.buf)
-	if dirty {
-		return p.store.Flush(id, p.buf)
-	}
-	return nil
-}
-
 func (p *directPager) Pin(id PageID) (Pinned, error) {
 	if err := p.store.Read(id, p.buf); err != nil {
 		return Pinned{}, err
 	}
+	p.pins++
 	return Pinned{Data: p.buf, Token: id}, nil
 }
 
@@ -66,6 +59,12 @@ func (p *directPager) Unpin(pg Pinned, dirty bool) {
 		}
 	}
 }
+
+func (p *directPager) ReadRecord(PageID, int, byte, int, []byte) (live, ok bool) {
+	return false, false
+}
+
+func (p *directPager) Peek(PageID, int, []byte) bool { return false }
 
 func (p *directPager) Allocate() (PageID, error) { return p.store.Allocate() }
 
@@ -187,6 +186,45 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestHeapReadPinsWhenPagerDeclines: a pager that cannot serve ReadRecord
+// (nothing resident) gets one Pin per Read instead, live or not, and a Peek
+// it cannot serve reports false and leaves out alone.
+func TestHeapReadPinsWhenPagerDeclines(t *testing.T) {
+	s := mustStore(t, 512)
+	p := newDirectPager(s)
+	h, err := NewHeapFile("t", p, 512, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{5}, 100)
+	rid, err := h.Insert(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 100)
+	before := p.pins
+	if err := h.Read(rid, out); err != nil || !bytes.Equal(out, rec) {
+		t.Fatalf("Read = %v, %v", out[:4], err)
+	}
+	if got := p.pins - before; got != 1 {
+		t.Errorf("Read pinned %d times, want 1", got)
+	}
+	before = p.pins
+	if err := h.Read(RID{Page: rid.Page, Slot: rid.Slot + 1}, out); !errors.Is(err, ErrNoRecord) {
+		t.Errorf("Read of an empty slot = %v, want ErrNoRecord", err)
+	}
+	if got := p.pins - before; got != 1 {
+		t.Errorf("Read of an empty slot pinned %d times, want 1", got)
+	}
+	peek := bytes.Repeat([]byte{0xee}, 100)
+	if h.Peek(rid, peek) {
+		t.Error("Peek succeeded on a pager with nothing resident")
+	}
+	if !bytes.Equal(peek, bytes.Repeat([]byte{0xee}, 100)) {
+		t.Error("a declined Peek wrote into out")
+	}
+}
+
 func TestHeapFillsPagesDensely(t *testing.T) {
 	s := mustStore(t, 512)
 	h, _ := NewHeapFile("t", newDirectPager(s), 512, 100)
@@ -304,7 +342,8 @@ func TestHeapInsertAtForRedo(t *testing.T) {
 	rid, _ := h.Insert(bytes.Repeat([]byte{1}, 100))
 	// Redo into a fresh heap reattached over the same store (the page
 	// list is durable catalog metadata): same RID must land.
-	h2, _ := NewHeapFile("t", newDirectPager(s), 512, 100)
+	p2 := newDirectPager(s)
+	h2, _ := NewHeapFile("t", p2, 512, 100)
 	if err := h2.AttachPages(h.PageIDs()); err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +370,12 @@ func TestHeapInsertAtForRedo(t *testing.T) {
 	// InsertAt can also extend the file to a brand-new page (redo of an
 	// insert whose page never got flushed).
 	pid := mustAlloc(t, s)
+	before := p2.pins
 	if err := h2.InsertAt(RID{Page: pid, Slot: 2}, bytes.Repeat([]byte{4}, 100)); err != nil {
 		t.Fatal(err)
+	}
+	if got := p2.pins - before; got != 1 {
+		t.Errorf("InsertAt onto a new page pinned %d times, want 1", got)
 	}
 	if h2.Live() != 2 {
 		t.Errorf("Live = %d after extending redo", h2.Live())

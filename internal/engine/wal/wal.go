@@ -409,13 +409,6 @@ func (l *Log) SetGroupCommit(cfg GroupConfig) {
 	l.group = cfg
 }
 
-// GroupCommit returns the current batching configuration.
-func (l *Log) GroupCommit() GroupConfig {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.group
-}
-
 // write copies p into the log at logical offset off, across however many
 // segments it reaches into, allocating those the log does not have yet, and
 // returns the offset past it. Called with l.mu held.

@@ -2,10 +2,6 @@ package nurand
 
 import "math/bits"
 
-// bruteForceThreshold is the input-pair count up to which ExactPMF uses
-// direct enumeration; beyond it the digit-DP path is used.
-const bruteForceThreshold = 1 << 24
-
 // orPairCounter counts pairs (a, b) with 0 <= a <= A, 0 <= b <= B and
 // a|b == w using a digit DP over the bits of the bounds: states track
 // whether a and b are still "tight" against their bounds' prefixes.
@@ -92,23 +88,6 @@ func exactPMFDP(p Params) []float64 {
 		}
 		if c != 0 {
 			counts[(w+p.C)%n] += c
-		}
-	}
-	total := float64(p.A+1) * float64(n)
-	pmf := make([]float64, n)
-	for i, c := range counts {
-		pmf[i] = float64(c) / total
-	}
-	return pmf
-}
-
-// exactPMFBrute enumerates all input pairs directly.
-func exactPMFBrute(p Params) []float64 {
-	n := p.Range()
-	counts := make([]int64, n)
-	for a := int64(0); a <= p.A; a++ {
-		for b := p.X; b <= p.Y; b++ {
-			counts[((a|b)+p.C)%n]++
 		}
 	}
 	total := float64(p.A+1) * float64(n)

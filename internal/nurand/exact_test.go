@@ -8,6 +8,24 @@ import (
 	"tpccmodel/internal/stats"
 )
 
+// exactPMFBrute enumerates all input pairs directly: the oracle the digit
+// DP behind ExactPMF is checked against.
+func exactPMFBrute(p Params) []float64 {
+	n := p.Range()
+	counts := make([]int64, n)
+	for a := int64(0); a <= p.A; a++ {
+		for b := p.X; b <= p.Y; b++ {
+			counts[((a|b)+p.C)%n]++
+		}
+	}
+	total := float64(p.A+1) * float64(n)
+	pmf := make([]float64, n)
+	for i, c := range counts {
+		pmf[i] = float64(c) / total
+	}
+	return pmf
+}
+
 // TestDPMatchesBruteForce property-tests the digit-DP exact PMF against
 // direct enumeration over random small parameterizations.
 func TestDPMatchesBruteForce(t *testing.T) {

@@ -18,12 +18,20 @@ tpccmodel/internal/engine/shard	83.0
 tpccmodel/internal/engine/mvcc	90.0
 tpccmodel/internal/engine/db	84.8
 tpccmodel/internal/engine/index	93.0
+tpccmodel/internal/engine/storage	89.0
 "
 
 pkgs=$(echo "$floors" | awk 'NF {print $1}' | sed 's|^tpccmodel|.|')
 # shellcheck disable=SC2086  # pkgs is a deliberate word list
-out=$(go test -coverprofile="$profile" $pkgs)
+# A failing test must not end the script silently under set -e: print what
+# go test printed, then exit with its status.
+status=0
+out=$(go test -coverprofile="$profile" $pkgs) || status=$?
 echo "$out"
+if [ "$status" -ne 0 ]; then
+    echo "coverfloor: go test exited $status" >&2
+    exit "$status"
+fi
 
 fail=0
 while read -r pkg floor; do
