@@ -377,6 +377,59 @@ func TestInsertAtUnknownPageIsOneAccess(t *testing.T) {
 	}
 }
 
+// TestReadRecordCopiesPrefix: a one-visit read copies len(out) bytes and
+// nothing past them, so a projected HeapFile.Read of a resident record costs
+// one access and leaves the rest of the caller's buffer alone.
+func TestReadRecordCopiesPrefix(t *testing.T) {
+	const n = 3
+	m := New(mustStore(t, 4096), 4)
+	id, err := m.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagOff, bit := slotFlag(1)
+	if err := with(m, id, true, func(p []byte) {
+		p[flagOff] |= bit
+		for i := range recLen {
+			p[slotOff(1)+i] = byte(i + 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	backing := bytes.Repeat([]byte{0xee}, recLen)
+	if live, ok := m.ReadRecord(id, flagOff, bit, slotOff(1), backing[:n]); !live || !ok {
+		t.Fatalf("ReadRecord of a resident page = (%v, %v), want (true, true)", live, ok)
+	}
+	if !bytes.Equal(backing, append([]byte{1, 2, 3}, bytes.Repeat([]byte{0xee}, recLen-n)...)) {
+		t.Fatalf("ReadRecord of %d bytes left %x", n, backing)
+	}
+
+	const rl, pn = 306, 12
+	h, err := storage.NewHeapFile("t", m, 4096, rl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, rl)
+	for i := range rec {
+		rec[i] = byte(i + 1)
+	}
+	rid, err := h.Insert(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing = bytes.Repeat([]byte{0xee}, rl)
+	before := m.Stats()
+	if err := h.Read(rid, backing[:pn]); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats(); got.Hits-before.Hits != 1 || got.Misses != before.Misses {
+		t.Errorf("a projected read cost %+v after %+v, want one hit", got, before)
+	}
+	if !bytes.Equal(backing[:pn], rec[:pn]) || bytes.Count(backing[pn:], []byte{0xee}) != rl-pn {
+		t.Errorf("projected read = %x, want %x and nothing past it", backing[:pn+2], rec[:pn])
+	}
+}
+
 // TestClassCacheFollowsFrames: the class a frame caches is its page's. A
 // recycled frame takes its new page's class, a page tagged after Allocate is
 // counted in its class from its first access — a pin or a one-visit read —

@@ -64,7 +64,7 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 
 	// 1. Select warehouse (snapshot read: the warehouse row is not
 	// written by New-Order, so mvcc takes no lock here).
-	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W)); err != nil {
+	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), tpcc.TupleLen[core.Warehouse]); err != nil {
 		return res, err
 	}
 
@@ -83,7 +83,7 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	}
 
 	// 4. Select customer.
-	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C)); err != nil {
+	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), tpcc.TupleLen[core.Customer]); err != nil {
 		return res, err
 	}
 
@@ -122,7 +122,7 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	// 7. Per item: select item, select+update stock, insert order-line.
 	ollen := tpcc.TupleLen[core.OrderLine]
 	for n, it := range in.Items {
-		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID))
+		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), tpcc.TupleLen[core.Item])
 		if err != nil {
 			return res, err
 		}
@@ -244,7 +244,7 @@ func (t *txn) payCustomer(w, dist int64, byName bool, c, nameOrd int64, amountCe
 	cid, selected := c, 1
 	if byName {
 		var err error
-		cid, selected, err = t.middleCustomerByName(w, dist, nameOrd)
+		cid, selected, err = t.middleCustomerByName(w, dist, nameOrd, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -287,16 +287,20 @@ func (t *txn) payHistory(in PaymentInput, custW, custD, custC int64) error {
 // customer id is returned, along with how many tuples the select touched
 // (the Appendix A RC_cust remote-call measurement). The hit list lives in
 // the transaction's scratch; the name index yields it in customer-id order
-// (index.KeyWDNC).
-func (t *txn) middleCustomerByName(w, d, nameOrd int64) (int64, int, error) {
+// (index.KeyWDNC). Each read is the custHeadEnd projection, and when mid is
+// not nil the middle customer's is decoded into it.
+func (t *txn) middleCustomerByName(w, d, nameOrd int64, mid *CustomerRec) (int64, int, error) {
 	hits := t.nameGroup(w, d, nameOrd)
 	if len(hits) == 0 {
 		return 0, 0, fmt.Errorf("db: no customer named %d in (%d,%d)", nameOrd, w, d)
 	}
-	rec := t.buf[:tpcc.TupleLen[core.Customer]]
-	for _, h := range hits {
+	rec := t.buf[:custHeadEnd]
+	for i, h := range hits {
 		if _, err := t.snapRead(core.Customer, index.KeyWDC(w, d, h.cid), storage.UnpackRID(h.rid), rec); err != nil {
 			return 0, 0, err
+		}
+		if mid != nil && i == len(hits)/2 {
+			mid.unmarshalHead(rec)
 		}
 	}
 	return hits[len(hits)/2].cid, len(hits), nil
@@ -322,36 +326,65 @@ type OrderStatusInput struct {
 	NameOrd int64
 }
 
-// OrderStatusResult reports the customer's last order.
+// OrderStatusResult reports the customer's last order: the spec's output
+// columns (clause 2.6.3.4) as the engine's records hold them.
 type OrderStatusResult struct {
-	CID   int64
-	OID   int64
+	CID          int64
+	BalanceCents int64
+	Last         [custLastLen]byte // C_LAST, zero-padded
+	OID          int64
+	EntryTick    uint64
+	Carrier      uint8
+	// Lines counts the order's lines; Line holds the first maxStatusLines.
 	Lines int
+	Line  [maxStatusLines]OrderStatusLine
 }
+
+// OrderStatusLine is one order line as Order-Status reports it.
+type OrderStatusLine struct {
+	IID          uint32
+	SupplyWID    uint16
+	Quantity     uint8
+	AmountCents  uint32
+	DeliveryTick uint64 // 0 until delivered
+}
+
+// maxStatusLines is the largest order the spec allows (clause 2.4.1.3).
+const maxStatusLines = 15
 
 // OrderStatus executes the read-only Order-Status transaction.
 func (s *Session) OrderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 	t := s.begin()
-	res, err := t.orderStatus(in)
+	var res OrderStatusResult
+	err := t.orderStatus(in, &res)
 	return res, t.finish(err)
 }
 
-func (t *txn) orderStatus(in OrderStatusInput) (OrderStatusResult, error) {
+// orderStatus is the Order-Status body. Its customer and order-line reads
+// are projections (custHeadEnd, olStatusEnd): it copies the columns it
+// reports and none of the rest.
+func (t *txn) orderStatus(in OrderStatusInput, res *OrderStatusResult) error {
 	d := t.d
-	var res OrderStatusResult
 	t.planOrderStatus(in)
 
+	var crec CustomerRec
 	cid := in.C
 	if in.ByName {
 		var err error
-		cid, _, err = t.middleCustomerByName(in.W, in.D, in.NameOrd)
+		cid, _, err = t.middleCustomerByName(in.W, in.D, in.NameOrd, &crec)
 		if err != nil {
-			return res, err
+			return err
 		}
-	} else if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, cid)); err != nil {
-		return res, err
+	} else {
+		cur, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, cid), custHeadEnd)
+		if err != nil {
+			return err
+		}
+		crec.unmarshalHead(cur)
 	}
 	res.CID = cid
+	res.BalanceCents = crec.BalanceCents
+	copy(res.Last[:], crec.Data[:custLastLen])
 
 	// Select(Max(order-id)): lookups in the (w,d,c,o) index, walking
 	// downward past orders not visible at the snapshot (an mvcc reader
@@ -364,40 +397,53 @@ func (t *txn) orderStatus(in OrderStatusInput) (OrderStatusResult, error) {
 		k, orid, ok := d.custOrderIdx.max(hi)
 		if !ok || k < lo {
 			// No order visible (cannot happen after a standard load).
-			return res, nil
+			return nil
 		}
 		oid = int64(k & (1<<28 - 1))
 		okey := index.KeyWDO(in.W, in.D, oid)
 		live, err := t.snapRead(core.Order, okey, storage.UnpackRID(orid), ordBuf)
 		if err != nil {
-			return res, err
+			return err
 		}
 		if live {
 			break
 		}
 		hi = k - 1
 	}
+	var orec OrderRec
+	orec.Unmarshal(ordBuf)
 	res.OID = oid
+	res.EntryTick = orec.EntryTick
+	res.Carrier = orec.CarrierID
 
 	// Each order line of the last order (the order is visible, so its
 	// lines — committed atomically with it — are visible too).
-	olBuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
+	olBuf := t.buf[:olStatusEnd]
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
 	t.refs = t.refs[:0]
 	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
 		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
+	var olrec OrderLineRec
 	for _, ref := range t.refs {
 		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olBuf)
 		if err != nil {
-			return res, err
+			return err
 		}
-		if live {
-			res.Lines++
+		if !live {
+			continue
 		}
+		if res.Lines < maxStatusLines {
+			olrec.unmarshalStatus(olBuf)
+			res.Line[res.Lines] = OrderStatusLine{
+				IID: olrec.IID, SupplyWID: olrec.SupplyWID, Quantity: olrec.Quantity,
+				AmountCents: olrec.AmountCents, DeliveryTick: olrec.DeliveryTick,
+			}
+		}
+		res.Lines++
 	}
-	return res, nil
+	return nil
 }
 
 // DeliveryInput parameterizes the Delivery transaction.
@@ -527,6 +573,9 @@ func (s *Session) StockLevel(in StockLevelInput) (int, error) {
 	return low, t.finish(err)
 }
 
+// stockLevel is the Stock-Level body. Its join reads projections: olItemEnd
+// of each order line and stockQtyEnd of each stock row, 20 bytes of the 360
+// the two records hold.
 func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	d := t.d
 
@@ -534,7 +583,7 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	// join below is consistent by construction: if the snapshot's
 	// district shows NextOID = n, every order below n committed at or
 	// before the snapshot, together with its order lines.
-	cur, err := t.snap(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	cur, err := t.snap(core.District, d.districtIdx, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
 	if err != nil {
 		return 0, err
 	}
@@ -557,7 +606,9 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	// covers at most 20 orders × 10 lines, and the slice is reusable
 	// transaction scratch while a map would allocate per transaction.
 	t.seen = t.seen[:0]
-	olbuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
+	olbuf := t.buf[:olItemEnd]
+	var olrec OrderLineRec
+	var srec StockRec
 	for _, ref := range t.refs {
 		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olbuf)
 		if err != nil {
@@ -568,15 +619,13 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 			// snapshot (mvcc only): not part of this cut.
 			continue
 		}
-		var olrec OrderLineRec
-		olrec.Unmarshal(olbuf)
+		olrec.unmarshalItem(olbuf)
 
-		cur, err := t.snap(core.Stock, d.stockIdx, index.KeyWI(in.W, int64(olrec.IID)))
+		cur, err := t.snap(core.Stock, d.stockIdx, index.KeyWI(in.W, int64(olrec.IID)), stockQtyEnd)
 		if err != nil {
 			return 0, err
 		}
-		var srec StockRec
-		srec.Unmarshal(cur)
+		srec.unmarshalQty(cur)
 		if srec.Quantity < in.Threshold && !slices.Contains(t.seen, srec.IID) {
 			t.seen = append(t.seen, srec.IID)
 		}

@@ -43,6 +43,16 @@ func (c *cursor) pu64(v uint64) {
 func (c *cursor) bytes(n int) []byte { v := c.buf[c.off : c.off+n]; c.off += n; return v }
 func (c *cursor) pbytes(v []byte)    { copy(c.buf[c.off:c.off+len(v)], v); c.off += len(v) }
 
+// Projections: a read that needs only a record's leading fields reads the
+// record's first ...End bytes — storage.HeapFile.Read and mvcc.Store.Read
+// copy a prefix as long as the buffer they are given — and decodes them with
+// the record's matching unmarshal method instead of Unmarshal; given fewer
+// bytes than its end, a decoder panics rather than decode stale ones. Each
+// end, defined next to its record's Marshal, is the Marshal offset just past
+// the projection's last field (TestProjectionsPinLayout). Reads for update
+// keep whole images: the log and the undo list need them.
+
+// mustLen panics unless a record layout ends at its Table 1 length.
 func mustLen(rel core.Relation, off int) {
 	if off != tpcc.TupleLen[rel] {
 		panic(fmt.Sprintf("db: %s record layout is %d bytes, Table 1 says %d",
@@ -163,6 +173,31 @@ func (r *CustomerRec) Unmarshal(buf []byte) {
 	mustLen(core.Customer, c.off)
 }
 
+// Customer projections: C_LAST opens Data, and custHeadEnd ends the fixed
+// fields and C_LAST — what Order-Status reports of its customer, and all the
+// by-name scan needs.
+const (
+	custLastLen = 16
+	custHeadEnd = 52 + custLastLen
+)
+
+// unmarshalHead decodes the custHeadEnd projection: the fixed fields and
+// the first custLastLen bytes of Data. The rest of r is left as it was.
+func (r *CustomerRec) unmarshalHead(buf []byte) {
+	c := cursor{buf: buf}
+	r.ID = c.u32()
+	r.DID = c.u32()
+	r.WID = c.u32()
+	r.NameOrd = c.u32()
+	r.BalanceCents = int64(c.u64())
+	r.YTDPayCents = c.u64()
+	r.PaymentCount = c.u32()
+	r.DeliveryCount = c.u32()
+	r.CreditLimit = c.u64()
+	r.DiscountBP = c.u32()
+	copy(r.Data[:custLastLen], c.bytes(custLastLen))
+}
+
 // StockRec is the 306-byte stock tuple.
 type StockRec struct {
 	IID        uint32
@@ -198,6 +233,18 @@ func (r *StockRec) Unmarshal(buf []byte) {
 	r.RemoteCnt = c.u32()
 	copy(r.Dists[:], c.bytes(278))
 	mustLen(core.Stock, c.off)
+}
+
+// stockQtyEnd ends S_I_ID, S_W_ID and S_QUANTITY: Stock-Level's probe.
+const stockQtyEnd = 12
+
+// unmarshalQty decodes the stockQtyEnd projection: IID, WID and Quantity.
+// The rest of r is left as it was.
+func (r *StockRec) unmarshalQty(buf []byte) {
+	c := cursor{buf: buf}
+	r.IID = c.u32()
+	r.WID = c.u32()
+	r.Quantity = int32(c.u32())
 }
 
 // ItemRec is the 82-byte item tuple.
@@ -346,6 +393,38 @@ func (r *OrderLineRec) Unmarshal(buf []byte) {
 	r.DeliveryTick = c.u64()
 	copy(r.DistInfo[:], c.bytes(26))
 	mustLen(core.OrderLine, c.off)
+}
+
+// Order-line projections: olItemEnd ends OL_O_ID and OL_I_ID, all
+// Stock-Level's scan needs; olStatusEnd ends the columns Order-Status
+// reports, through OL_DELIVERY_D (OL_DIST_INFO is left out).
+const (
+	olItemEnd   = 8
+	olStatusEnd = 28
+)
+
+// unmarshalItem decodes the olItemEnd projection: OID and IID. The rest of
+// r is left as it was.
+func (r *OrderLineRec) unmarshalItem(buf []byte) {
+	c := cursor{buf: buf}
+	r.OID = c.u32()
+	r.IID = c.u32()
+}
+
+// unmarshalStatus decodes the olStatusEnd projection: every field but
+// DistInfo, which is left as it was.
+func (r *OrderLineRec) unmarshalStatus(buf []byte) {
+	c := cursor{buf: buf}
+	r.OID = c.u32()
+	r.IID = c.u32()
+	r.SupplyWID = c.u16()
+	r.WID = c.u16()
+	r.DID = c.u8()
+	r.Number = c.u8()
+	r.Quantity = c.u8()
+	c.u8()
+	r.AmountCents = c.u32()
+	r.DeliveryTick = c.u64()
 }
 
 // HistoryRec is the 46-byte history tuple.

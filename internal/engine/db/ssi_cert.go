@@ -43,7 +43,7 @@ func WriteSkewWitness(cc CCMode) (bool, error) {
 	}
 
 	readBal := func(tx *txn, dist int64) (int64, error) {
-		cur, err := tx.snap(core.Customer, d.customerIdx, index.KeyWDC(0, dist, 0))
+		cur, err := tx.snap(core.Customer, d.customerIdx, index.KeyWDC(0, dist, 0), n)
 		if err != nil {
 			return 0, err
 		}

@@ -368,14 +368,15 @@ func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 	return rid, nil
 }
 
-// snapRead reads the version of the row visible to this transaction into
-// out. Under 2PL that is an S-locked current read — the lock IS the
-// visibility rule — and an absent record is an error (the index said the
-// row exists). Under mvcc it is a lock-free read: the current heap image
-// (tolerating absence) resolved against the version store. live=false
-// reports a row with no version at the snapshot — expected under mvcc
-// when an index entry leads to a row committed after the snapshot began;
-// callers skip such rows.
+// snapRead reads the first len(out) bytes of the version of the row visible
+// to this transaction into out. Under 2PL that is an S-locked current read —
+// the lock IS the visibility rule — and an absent record is an error (the
+// index said the row exists). Under mvcc it is a lock-free read: the current
+// heap image (tolerating absence) resolved against the version store. The
+// lock, the store's resolution (and so an ssi read mark) and the page access
+// are the same however short out is. live=false reports a row with no
+// version at the snapshot — expected under mvcc when an index entry leads to
+// a row committed after the snapshot began; callers skip such rows.
 func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byte) (bool, error) {
 	if !t.d.ccMVCC {
 		if err := t.lockRow(rel, row, lock.Shared); err != nil {
@@ -397,14 +398,16 @@ func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byt
 }
 
 // snap is the keyed snapshot read: probe the relation's primary index g
-// and read the version of the row this transaction may see into t.buf
-// (valid until the next read). Range scans, which hold a RID, use snapRead.
-func (t *txn) snap(rel core.Relation, g *relIndex, key uint64) ([]byte, error) {
+// and read the first n bytes of the version of the row this transaction may
+// see into t.buf (valid until the next read). n is the relation's tuple
+// length for the whole row, or a projection end (schema.go). Range scans,
+// which hold a RID, use snapRead.
+func (t *txn) snap(rel core.Relation, g *relIndex, key uint64, n int) ([]byte, error) {
 	rid, ok := g.get(key)
 	if !ok {
 		return nil, fmt.Errorf("db: no %s row %#x", rel, key)
 	}
-	out := t.buf[:tpcc.TupleLen[rel]]
+	out := t.buf[:n]
 	_, err := t.snapRead(rel, key, storage.UnpackRID(rid), out)
 	return out, err
 }

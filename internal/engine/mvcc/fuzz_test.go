@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -31,7 +32,8 @@ import (
 //	byte 0: opcode % 6 (begin, read, write, delete, commit, abort)
 //	byte 1: transaction slot % numSlots
 //	byte 2: key % numKeys
-//	byte 3: value written (write only)
+//	byte 3: value written (write); prefix cut (read: the read copies the
+//	        image's first fuzzImgLen - b%fuzzImgLen bytes, so 0 reads it all)
 const (
 	fopBegin = iota
 	fopRead
@@ -43,9 +45,34 @@ const (
 )
 
 const (
-	fuzzSlots = 4
-	fuzzKeys  = 4
+	fuzzSlots  = 4
+	fuzzKeys   = 4
+	fuzzImgLen = 4
 )
+
+// fuzzImage is the row image a write of val leaves: every byte depends on
+// val, so a read that copies the wrong version, or the right one short,
+// shows in any prefix.
+func fuzzImage(val byte) []byte {
+	return []byte{val, val ^ 0x5a, val + 1, ^val}
+}
+
+// readPrefix performs the engine's projected read of k's first n bytes —
+// the heap image's prefix, then Read — into a buffer with spare capacity,
+// and fails if Read wrote past len(buf).
+func readPrefix(t *testing.T, s *Store, tx *Txn, k Key, heap map[Key][]byte, n int) ([]byte, bool) {
+	const sentinel = 0xee
+	backing := bytes.Repeat([]byte{sentinel}, fuzzImgLen+2)
+	img, live := heap[k]
+	if live {
+		copy(backing[:n], img)
+	}
+	got := s.Read(tx, k, live, backing[:n])
+	if bytes.Count(backing[n:], []byte{sentinel}) != len(backing)-n {
+		t.Fatalf("read of %d bytes of key %v wrote past len(buf): %x", n, k, backing)
+	}
+	return backing[:n], got
+}
 
 // fversion is one committed version in the oracle's history.
 type fversion struct {
@@ -125,12 +152,8 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 			if !sl.active {
 				continue
 			}
-			var buf [1]byte
-			img, live := heap[k]
-			if live {
-				buf[0] = img[0]
-			}
-			got := s.Read(&sl.txn, k, live, buf[:])
+			n := fuzzImgLen - int(val)%fuzzImgLen
+			buf, got := readPrefix(t, s, &sl.txn, k, heap, n)
 			var want bool
 			var wantVal byte
 			if _, mine := sl.befores[k]; mine {
@@ -144,9 +167,9 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 				t.Fatalf("read slot=%d key=%v: live=%v, oracle=%v (snap=%d hist=%v)",
 					si, k, got, want, sl.snap, hist[k])
 			}
-			if got && buf[0] != wantVal {
-				t.Fatalf("read slot=%d key=%v: val=%d, oracle=%d (snap=%d hist=%v)",
-					si, k, buf[0], wantVal, sl.snap, hist[k])
+			if got && !bytes.Equal(buf, fuzzImage(wantVal)[:n]) {
+				t.Fatalf("read slot=%d key=%v: %d-byte prefix %x, oracle's %x (snap=%d hist=%v)",
+					si, k, n, buf, fuzzImage(wantVal)[:n], sl.snap, hist[k])
 			}
 
 		case fopWrite, fopDelete:
@@ -216,7 +239,7 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 				sl.deletes[k] = true
 				delete(sl.writes, k)
 			} else {
-				heap[k] = []byte{val}
+				heap[k] = fuzzImage(val)
 				sl.writes[k] = val
 				delete(sl.deletes, k)
 			}
@@ -304,15 +327,10 @@ func runVisibilityTape(t *testing.T, tape []byte, ssi bool) {
 	s.Begin(&fin, &finRet)
 	for ki := byte(0); ki < fuzzKeys; ki++ {
 		k := fuzzKey(ki)
-		var buf [1]byte
-		img, live := heap[k]
-		if live {
-			buf[0] = img[0]
-		}
-		got := s.Read(&fin, k, live, buf[:])
+		buf, got := readPrefix(t, s, &fin, k, heap, fuzzImgLen)
 		wantVal, want := oracleVisible(hist[k], fin.Snapshot())
-		if got != want || (got && buf[0] != wantVal) {
-			t.Fatalf("final read key=%v: (%d,%v), oracle (%d,%v)", k, buf[0], got, wantVal, want)
+		if got != want || (got && !bytes.Equal(buf, fuzzImage(wantVal))) {
+			t.Fatalf("final read key=%v: (%x,%v), oracle (%x,%v)", k, buf, got, fuzzImage(wantVal), want)
 		}
 	}
 	s.Abort(&fin)

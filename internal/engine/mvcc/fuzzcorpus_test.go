@@ -73,6 +73,25 @@ func visibilitySeeds() map[string][]byte {
 			emit(fopBegin, 0, 0, 0) // prunes the backlog
 			emit(fopCommit, 0, 0, 0)
 		},
+		// A long snapshot reading every prefix length of rows rewritten
+		// after it began: each read resolves to an older version and must
+		// copy exactly the prefix asked for.
+		"long-reader-prefixes": func(emit func(op, slot, key, val byte)) {
+			emit(fopBegin, 0, 0, 0)
+			for k := byte(0); k < fuzzKeys; k++ {
+				emit(fopWrite, 0, k, 10+k)
+			}
+			emit(fopCommit, 0, 0, 0)
+			emit(fopBegin, 3, 0, 0)
+			for i := byte(0); i < 8; i++ {
+				emit(fopBegin, 0, 0, 0)
+				emit(fopWrite, 0, i%fuzzKeys, 100+i)
+				emit(fopCommit, 0, 0, 0)
+				emit(fopRead, 3, i%fuzzKeys, i) // prefix fuzzImgLen - i%fuzzImgLen
+				emit(fopRead, 0, i%fuzzKeys, i) // no-op: slot 0 has ended
+			}
+			emit(fopCommit, 3, 0, 0)
+		},
 		"read-your-own-writes": func(emit func(op, slot, key, val byte)) {
 			for i := byte(0); i < 8; i++ {
 				emit(fopBegin, 0, 0, 0)

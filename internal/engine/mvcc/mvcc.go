@@ -362,7 +362,9 @@ func (s *Store) prune(ret *RetireSet, wm uint64) {
 // already read the CURRENT heap image into buf (heapLive=false when the
 // heap has no record — a deleted or not-yet-inserted row). Read returns
 // whether the row is live at the snapshot; when the heap image is not the
-// visible one it overwrites buf with the visible version's bytes.
+// visible one it overwrites buf with the visible version's bytes. buf may
+// hold a prefix of the image (a projected read): then only the version's
+// first len(buf) bytes are copied, and nothing past len(buf) is written.
 //
 // The heap read and this resolution are not atomic, but the ordering
 // protocol makes the pair safe: a writer sets chain.writer under the
@@ -426,7 +428,7 @@ func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
 			sh.mu.Unlock()
 			return false
 		}
-		copy(buf[:v.n], c.arena[v.off:v.off+v.n])
+		copy(buf, c.arena[v.off:v.off+v.n])
 		sh.mu.Unlock()
 		return true
 	}

@@ -361,3 +361,52 @@ func TestSameRowInTwoTables(t *testing.T) {
 		s.Commit(&drain, &ret)
 	}
 }
+
+// TestReadCopiesPrefixOfOlderVersion: a snapshot reader that reads only a
+// row's first 12 bytes — Stock-Level's S_I_ID, S_W_ID and S_QUANTITY of a
+// 306-byte stock row — gets the quantity its snapshot saw after a writer has
+// committed a new one, and Read writes nothing past len(buf): not into spare
+// capacity, and without needing any when there is none.
+func TestReadCopiesPrefixOfOlderVersion(t *testing.T) {
+	const rowLen, n = 306, 12
+	stock := func(qty byte) []byte {
+		img := bytes.Repeat([]byte{0xaa}, rowLen)
+		img[8] = qty // S_QUANTITY's low byte
+		return img
+	}
+	s := NewStore()
+	k := Key{Table: 3, Row: 42}
+	var ret RetireSet
+	var t0 Txn
+	s.Begin(&t0, &ret)
+	if err := s.Write(&t0, k, nil); err != nil {
+		t.Fatal(err)
+	}
+	heap := stock(50)
+	s.Commit(&t0, &ret)
+
+	var rd, wr Txn
+	s.Begin(&rd, nil)
+	s.Begin(&wr, nil)
+	if err := s.Write(&wr, k, heap); err != nil {
+		t.Fatal(err)
+	}
+	heap = stock(7)
+	s.Commit(&wr, &ret)
+
+	roomy := bytes.Repeat([]byte{0xee}, rowLen)
+	tight := make([]byte, n)
+	for _, buf := range [][]byte{roomy[:n], tight} {
+		copy(buf, heap) // the heap read: the new image's prefix
+		if !s.Read(&rd, k, true, buf) {
+			t.Fatal("row invisible to a snapshot that predates its update")
+		}
+		if buf[8] != 50 {
+			t.Errorf("snapshot read quantity %d, want the old 50", buf[8])
+		}
+	}
+	if bytes.Count(roomy[n:], []byte{0xee}) != rowLen-n {
+		t.Error("Read wrote past len(buf) into its spare capacity")
+	}
+	s.Abort(&rd)
+}

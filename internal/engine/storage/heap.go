@@ -42,11 +42,11 @@ type Pager interface {
 	Pin(id PageID) (Pinned, error)
 	// Unpin releases a pinned page, marking it dirty when dirty is true.
 	Unpin(p Pinned, dirty bool)
-	// ReadRecord copies page id's bytes at off into out when the byte at
-	// flagOff has flagBit set, and reports whether it had (live). It is one
-	// access of the page, as a Pin and an Unpin are. ok is false when the
-	// pager could not serve the read without waiting; then nothing has
-	// happened, and the caller pins the page instead.
+	// ReadRecord copies the len(out) bytes of page id at off into out when
+	// the byte at flagOff has flagBit set, and reports whether it had
+	// (live). It is one access of the page, as a Pin and an Unpin are. ok
+	// is false when the pager could not serve the read without waiting;
+	// then nothing has happened, and the caller pins the page instead.
 	ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool)
 	// Peek copies page id's bytes at off into out when the pager can show
 	// them without an access, and reports whether it did.
@@ -326,10 +326,14 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 	return nil
 }
 
-// Read copies the record at rid into out (len RecordLen).
+// Read copies the first len(out) bytes of the record at rid into out, for
+// any 1 <= len(out) <= RecordLen: the buffer's length is the projection, so
+// a statement that needs only a record's leading fields copies only those.
+// Nothing past len(out) is written, whatever out's capacity. The read is one
+// access of the page however many bytes it copies.
 func (h *HeapFile) Read(rid RID, out []byte) error {
-	if len(out) != h.recLen {
-		return fmt.Errorf("storage: %s: read buffer is %d bytes, want %d: %w", h.name, len(out), h.recLen, ErrInvalidArgument)
+	if len(out) == 0 || len(out) > h.recLen {
+		return fmt.Errorf("storage: %s: read buffer is %d bytes, want 1..%d: %w", h.name, len(out), h.recLen, ErrInvalidArgument)
 	}
 	live, done := false, false
 	if int(rid.Slot) < h.slots {
@@ -344,7 +348,7 @@ func (h *HeapFile) Read(rid RID, out []byte) error {
 		if int(rid.Slot) < h.slots && bitmapGet(p.Data, int(rid.Slot)) {
 			live = true
 			off := slotOffset(h.slots, h.recLen, int(rid.Slot))
-			copy(out, p.Data[off:off+h.recLen])
+			copy(out, p.Data[off:off+len(out)])
 		}
 		h.pager.Unpin(p, false)
 	}

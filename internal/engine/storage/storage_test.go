@@ -68,6 +68,30 @@ func (p *directPager) Peek(PageID, int, []byte) bool { return false }
 
 func (p *directPager) Allocate() (PageID, error) { return p.store.Allocate() }
 
+// residentPager is a directPager whose pages all count as resident: it
+// serves every ReadRecord in one visit, copying as the buffer manager does,
+// so Read never pins. visits counts the ReadRecords it served.
+type residentPager struct {
+	*directPager
+	page   []byte
+	visits int
+}
+
+func newResidentPager(s *Store) *residentPager {
+	return &residentPager{directPager: newDirectPager(s), page: make([]byte, s.PageSize())}
+}
+
+func (p *residentPager) ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
+	if err := p.store.Read(id, p.page); err != nil {
+		return false, false
+	}
+	p.visits++
+	if live = p.page[flagOff]&flagBit != 0; live {
+		copy(out, p.page[off:])
+	}
+	return live, true
+}
+
 func TestStoreReadWrite(t *testing.T) {
 	s := mustStore(t, 4096)
 	id := mustAlloc(t, s)
@@ -222,6 +246,88 @@ func TestHeapReadPinsWhenPagerDeclines(t *testing.T) {
 	}
 	if !bytes.Equal(peek, bytes.Repeat([]byte{0xee}, 100)) {
 		t.Error("a declined Peek wrote into out")
+	}
+}
+
+// TestHeapReadCopiesPrefix pins Read's prefix contract on both of its
+// paths, the one-visit ReadRecord and the pin fallback: for every len(out)
+// in 1..RecordLen it copies exactly the record's first len(out) bytes and
+// writes nothing past them in out's backing array; an empty or over-long
+// buffer is ErrInvalidArgument before any page access, and a dead slot is
+// ErrNoRecord whatever the length.
+func TestHeapReadCopiesPrefix(t *testing.T) {
+	const recLen, spare = 100, 8
+	s := mustStore(t, 512)
+	dp, rp := newDirectPager(s), newResidentPager(s)
+	for _, tc := range []struct {
+		name     string
+		pager    Pager
+		accesses func() int
+	}{
+		{"one-visit", rp, func() int { return rp.visits }},
+		{"pin", dp, func() int { return dp.pins }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := NewHeapFile("t", tc.pager, 512, recLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := make([]byte, recLen)
+			for i := range rec {
+				rec[i] = byte(i + 1)
+			}
+			rid, err := h.Insert(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := RID{Page: rid.Page, Slot: rid.Slot + 1}
+			backing := make([]byte, recLen+spare)
+			fill := func() {
+				for i := range backing {
+					backing[i] = 0xee
+				}
+			}
+			untouchedFrom := func(n int) bool {
+				return bytes.Count(backing[n:], []byte{0xee}) == len(backing)-n
+			}
+			for n := 1; n <= recLen; n++ {
+				fill()
+				before := tc.accesses()
+				if err := h.Read(rid, backing[:n]); err != nil {
+					t.Fatalf("Read of %d bytes: %v", n, err)
+				}
+				if got := tc.accesses() - before; got != 1 {
+					t.Fatalf("Read of %d bytes made %d accesses on its path, want 1", n, got)
+				}
+				if !bytes.Equal(backing[:n], rec[:n]) {
+					t.Fatalf("Read of %d bytes = %v, want %v", n, backing[:n], rec[:n])
+				}
+				if !untouchedFrom(n) {
+					t.Fatalf("Read of %d bytes wrote past len(out): %v", n, backing[n:])
+				}
+				fill()
+				if err := h.Read(dead, backing[:n]); !errors.Is(err, ErrNoRecord) {
+					t.Fatalf("Read of %d bytes of a dead slot = %v, want ErrNoRecord", n, err)
+				}
+				if !untouchedFrom(0) {
+					t.Fatalf("Read of %d bytes of a dead slot wrote into out", n)
+				}
+			}
+			for _, n := range []int{0, recLen + 1, recLen + spare} {
+				fill()
+				before := tc.accesses()
+				if err := h.Read(rid, backing[:n]); !errors.Is(err, ErrInvalidArgument) {
+					t.Errorf("Read of %d bytes = %v, want ErrInvalidArgument", n, err)
+				}
+				if tc.accesses() != before || !untouchedFrom(0) {
+					t.Errorf("a rejected %d-byte Read reached the page", n)
+				}
+			}
+			// Peek keeps its whole-record rule.
+			if h.Peek(rid, backing[:recLen-1]) || h.Peek(rid, backing[:recLen+1]) {
+				t.Error("Peek accepted a buffer that is not RecordLen bytes")
+			}
+		})
 	}
 }
 
