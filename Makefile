@@ -133,11 +133,12 @@ bench-sweep:
 bench-commit:
 	go run ./cmd/tpcc-check -txns 4000 -out . commit
 
-# Re-record BENCH_cc.json: the cc gate (write-skew witness, then {2pl, mvcc,
-# ssi} x 1/2/4/8 workers, three same-seed runs each, with per-type abort
-# rates, write-conflict counts, latency quantiles and state hashes) at 8000
+# Re-record BENCH_cc.json: the cc gate ({2pl, mvcc, ssi} x 1/2/4/8
+# workers, three same-seed runs each, with per-type abort rates,
+# write-conflict counts, latency quantiles and state hashes) at 8000
 # transactions a cell. Written only if the gate passes; `go test
-# ./cmd/tpcc-check` re-checks it.
+# ./cmd/tpcc-check` re-checks it. Which anomalies each mode admits is
+# db.TestAnomalyMatrix's, in `make test`.
 bench-cc:
 	go run ./cmd/tpcc-check -txns 8000 -out . cc
 

@@ -63,24 +63,23 @@ type ccCell struct {
 	PerType        map[string]ccTypeCell `json:"per_type"`
 }
 
-// ccReport is the BENCH_cc.json schema: the write-skew verdicts and every
-// run of every cell the cc gate judged, with the scale they were taken at.
+// ccReport is the BENCH_cc.json schema: every run of every cell the cc
+// gate judged, with the scale they were taken at.
 type ccReport struct {
 	cliutil.Hardware
-	Seed       uint64          `json:"seed"`
-	Warehouses int             `json:"warehouses"`
-	Txns       int             `json:"txns_per_cell"`
-	Warmup     int             `json:"warmup_txns"`
-	PoolPages  int             `json:"buffer_pages"`
-	Runs       int             `json:"runs_per_cell"`
-	WriteSkew  map[string]bool `json:"write_skew_admitted"`
-	Cells      []ccCell        `json:"cells"`
+	Seed       uint64   `json:"seed"`
+	Warehouses int      `json:"warehouses"`
+	Txns       int      `json:"txns_per_cell"`
+	Warmup     int      `json:"warmup_txns"`
+	PoolPages  int      `json:"buffer_pages"`
+	Runs       int      `json:"runs_per_cell"`
+	Cells      []ccCell `json:"cells"`
 }
 
-// runCC runs the write-skew witness under each mode, then ccRuns
-// same-seed runs of 2pl, mvcc and ssi at 1/2/4/8 workers with txns per
-// cell (CI: 4000), judges them with checkCCReport and writes them as
-// BENCH_cc.json under -out.
+// runCC runs ccRuns same-seed runs of 2pl, mvcc and ssi at 1/2/4/8
+// workers with txns per cell (CI: 4000), judges them with checkCCReport
+// and writes them as BENCH_cc.json under -out. Which anomalies each mode
+// admits is db.TestAnomalyMatrix's to check.
 func runCC(o options) error {
 	rep := ccReport{
 		Hardware:   cliutil.HardwareInfo(),
@@ -90,15 +89,6 @@ func runCC(o options) error {
 		Warmup:     ccWarmup,
 		PoolPages:  ccPoolPages,
 		Runs:       ccRuns,
-		WriteSkew:  map[string]bool{},
-	}
-	for _, cc := range ccModes {
-		admitted, err := db.WriteSkewWitness(cc)
-		if err != nil {
-			return fmt.Errorf("write-skew witness under %s: %w", cc, err)
-		}
-		fmt.Fprintf(o.stdout, "write-skew\t%s\tadmitted=%v\n", cc, admitted)
-		rep.WriteSkew[cc.String()] = admitted
 	}
 	fmt.Fprintf(o.stdout, "cc\tworkers\trun\ttpmc\tconflicts\tssi_aborts\tlock_waits\tp99_us\n")
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -181,18 +171,11 @@ func runCCCell(rep ccReport, workers, run int, cc db.CCMode) (ccCell, error) {
 }
 
 // checkCCReport applies the cc gate to a report, live or checked in:
-// hardware metadata present, the write-skew witness admitted under mvcc
-// (which certifies nothing) and refused under 2pl and ssi, and at every
-// worker count ccRuns runs of each mode, each snapshot mode's runs
-// passing checkCCCells against 2pl's.
+// hardware metadata present and at every worker count ccRuns runs of each
+// mode, each snapshot mode's runs passing checkCCCells against 2pl's.
 func checkCCReport(rep ccReport) error {
 	if rep.Cores <= 0 {
 		return fmt.Errorf("missing hardware metadata")
-	}
-	for _, cc := range ccModes {
-		if got, want := rep.WriteSkew[cc.String()], cc == db.CCMVCC; got != want {
-			return fmt.Errorf("write-skew witness under %s: admitted=%v, want %v", cc, got, want)
-		}
 	}
 	if rep.Runs != ccRuns {
 		return fmt.Errorf("runs_per_cell %d, want %d", rep.Runs, ccRuns)

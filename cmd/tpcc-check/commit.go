@@ -170,7 +170,7 @@ func runReadOnly(seed uint64, cc db.CCMode) (readOnlyCell, error) {
 	}
 	dev.cost.Store(int64(commitForceCost))
 	mix := tpcc.Mix{core.TxnOrderStatus: 0.5, core.TxnStockLevel: 0.5}
-	st, err := db.RunConcurrentPolicy(d, seed+2, mix, readOnlyTxns, 2, db.DefaultRetryPolicy())
+	st, err := db.RunConcurrentPolicy(d, seed+2, mix, readOnlyTxns, 2)
 	if err != nil {
 		return readOnlyCell{}, err
 	}

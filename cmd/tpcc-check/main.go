@@ -17,9 +17,9 @@
 //	commit         one force per writing commit vs group commit at 1/2/4/8
 //	               workers on a 1 ms log device, and read-only commits that
 //	               must force nothing under 2pl, mvcc and ssi
-//	cc             the write-skew witness, then 2pl vs mvcc vs ssi at 1/2/4/8
-//	               workers, three same-seed runs each: identical state at
-//	               one worker, snapshot throughput within 10 % of 2pl's
+//	cc             2pl vs mvcc vs ssi at 1/2/4/8 workers, three same-seed
+//	               runs each: identical state at one worker, snapshot
+//	               throughput within 10 % of 2pl's
 //
 // Usage:
 //
@@ -194,7 +194,7 @@ func writeReport(o options, name string, rep any) error {
 
 // measure loads d at seed, warms it up with warmup transactions, calls
 // ready and measures txns transactions of the default mix at workers
-// under the default retry policy.
+// under the terminal's retry policy.
 func measure(d *db.DB, seed uint64, txns, warmup, workers int, ready func()) (db.RunStats, error) {
 	if err := d.Load(seed); err != nil {
 		return db.RunStats{}, err
@@ -209,7 +209,7 @@ func measure(d *db.DB, seed uint64, txns, warmup, workers int, ready func()) (db
 	// so no inherited GC cycle lands mid-measurement.
 	runtime.GC()
 	ready()
-	return db.RunConcurrentPolicy(d, seed+2, mix, txns, workers, db.DefaultRetryPolicy())
+	return db.RunConcurrentPolicy(d, seed+2, mix, txns, workers)
 }
 
 func writeXvalReports(dir string, res *xval.Result) error {

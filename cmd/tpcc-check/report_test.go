@@ -154,8 +154,6 @@ func TestCheckCCReportCatchesEachGate(t *testing.T) {
 		}},
 		{"missing ssi cell at 8 workers", func(rep *ccReport) { cell(rep, 8, "ssi").Workers = 16 }},
 		{"runs_per_cell 1", func(rep *ccReport) { rep.Runs = 1 }},
-		{"write-skew witness under ssi", func(rep *ccReport) { rep.WriteSkew["ssi"] = true }},
-		{"write-skew witness under mvcc", func(rep *ccReport) { delete(rep.WriteSkew, "mvcc") }},
 		{"missing hardware metadata", func(rep *ccReport) { rep.Cores = 0 }},
 	} {
 		rep := fresh()

@@ -185,7 +185,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
 		benchSweep = flag.String("bench-sweep", "", "instead of reproducing the paper, benchmark the ablation sweep at 1/2/4/8 workers and write this JSON report")
 	)
-	cpuprofile, memprofile := cliutil.ProfileFlags()
+	cpuprofile, memprofile := cliutil.ProfileFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tpcc-repro [flags] [experiment ...]\n\nexperiments (default all): %s\n\nflags:\n",
 			strings.Join(jobNames(jobTable(experiments.Reduced())), " "))

@@ -172,12 +172,3 @@ func (m *Model) OverallMissRate(capacityPages int64) float64 {
 	}
 	return overall
 }
-
-// ClassNames returns the class names in model order.
-func (m *Model) ClassNames() []string {
-	names := make([]string, len(m.classes))
-	for i, c := range m.classes {
-		names[i] = c.Name
-	}
-	return names
-}

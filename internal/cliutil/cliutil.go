@@ -42,18 +42,11 @@ func Fail(tool, format string, args ...any) {
 	os.Exit(2)
 }
 
-// RequirePositive rejects values < 1 for the named flag.
-func RequirePositive(tool, name string, v int64) {
-	if v <= 0 {
-		Fail(tool, "-%s must be positive, got %d", name, v)
-	}
-}
-
-// RequireNonNegative rejects values < 0 for the named flag.
-func RequireNonNegative(tool, name string, v int64) {
-	if v < 0 {
-		Fail(tool, "-%s must be non-negative, got %d", name, v)
-	}
+// die prints "tool: message" and exits 1: a profile that cannot be
+// written fails the run; it is not a bad invocation.
+func die(tool, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, fmt.Sprintf(format, args...))
+	os.Exit(1)
 }
 
 // Select returns the entries of table named in names, in table order, or
@@ -100,24 +93,24 @@ func Workers(tool string, v int) int {
 	return parallel.Workers(v)
 }
 
-// ProfileFlags registers the standard -cpuprofile/-memprofile flags; call
-// before flag.Parse. Kernel regressions in the hot simulation loops are
+// ProfileFlags registers the standard -cpuprofile/-memprofile flags on fs;
+// call before parsing. Kernel regressions in the hot simulation loops are
 // then diagnosable with `go tool pprof` against tpcc-repro.
-func ProfileFlags() (cpuprofile, memprofile *string) {
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+func ProfileFlags(fs *flag.FlagSet) (cpuprofile, memprofile *string) {
+	cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	return cpuprofile, memprofile
 }
 
-// ContentionProfileFlags registers the -mutexprofile/-blockprofile flags;
-// call before flag.Parse. These make lock contention directly observable:
-// the mutex profile attributes delay to the mutexes that caused it, the
-// block profile to the blocked call sites (channel waits included), so a
-// change to a latch or a lock layout can be judged by where the contention
-// went rather than by throughput alone.
-func ContentionProfileFlags() (mutexprofile, blockprofile *string) {
-	mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-	blockprofile = flag.String("blockprofile", "", "write a blocking profile to this file on exit")
+// ContentionProfileFlags registers the -mutexprofile/-blockprofile flags
+// on fs; call before parsing. These make lock contention directly
+// observable: the mutex profile attributes delay to the mutexes that
+// caused it, the block profile to the blocked call sites (channel waits
+// included), so a change to a latch or a lock layout can be judged by
+// where the contention went rather than by throughput alone.
+func ContentionProfileFlags(fs *flag.FlagSet) (mutexprofile, blockprofile *string) {
+	mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
+	blockprofile = fs.String("blockprofile", "", "write a blocking profile to this file on exit")
 	return mutexprofile, blockprofile
 }
 
@@ -136,17 +129,17 @@ func StartContentionProfiles(tool, mutexPath, blockPath string) (stop func()) {
 	write := func(name, path string) {
 		p := pprof.Lookup(name)
 		if p == nil {
-			Fail(tool, "-%sprofile: profile %q not registered", name, name)
+			die(tool, "-%sprofile: profile %q not registered", name, name)
 		}
 		f, err := os.Create(path)
 		if err != nil {
-			Fail(tool, "-%sprofile: %v", name, err)
+			die(tool, "-%sprofile: %v", name, err)
 		}
 		if err := p.WriteTo(f, 0); err != nil {
-			Fail(tool, "-%sprofile: %v", name, err)
+			die(tool, "-%sprofile: %v", name, err)
 		}
 		if err := f.Close(); err != nil {
-			Fail(tool, "-%sprofile: %v", name, err)
+			die(tool, "-%sprofile: %v", name, err)
 		}
 	}
 	return func() {
@@ -172,10 +165,10 @@ func StartProfiles(tool, cpuPath, memPath string) (stop func()) {
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			Fail(tool, "-cpuprofile: %v", err)
+			die(tool, "-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			Fail(tool, "-cpuprofile: %v", err)
+			die(tool, "-cpuprofile: %v", err)
 		}
 		cpuFile = f
 	}
@@ -183,20 +176,20 @@ func StartProfiles(tool, cpuPath, memPath string) (stop func()) {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				Fail(tool, "-cpuprofile: %v", err)
+				die(tool, "-cpuprofile: %v", err)
 			}
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				Fail(tool, "-memprofile: %v", err)
+				die(tool, "-memprofile: %v", err)
 			}
 			runtime.GC() // settle allocations so the heap profile is live data
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				Fail(tool, "-memprofile: %v", err)
+				die(tool, "-memprofile: %v", err)
 			}
 			if err := f.Close(); err != nil {
-				Fail(tool, "-memprofile: %v", err)
+				die(tool, "-memprofile: %v", err)
 			}
 		}
 	}

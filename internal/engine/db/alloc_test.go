@@ -67,7 +67,7 @@ func testContendedPathAllocations(t *testing.T) {
 	}
 	const txns, workers = 6000, 2
 	run := func(seed uint64) RunStats {
-		st, err := RunConcurrentPolicy(d, seed, tpcc.DefaultMix(), txns, workers, DefaultRetryPolicy())
+		st, err := RunConcurrentPolicy(d, seed, tpcc.DefaultMix(), txns, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

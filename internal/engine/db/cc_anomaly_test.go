@@ -331,3 +331,45 @@ func TestWriteSkew(t *testing.T) {
 		}
 	})
 }
+
+// TestBranchCommitSSIAbortIsRetriable: a branch doomed as an ssi pivot by
+// another transaction's edge fails validation at its commit, the global
+// decision of a home branch. That failure must be an ErrSSIAbort, which
+// matches ErrAborted, so the coordinator aborts the transaction and the
+// terminal retries it; a bare mvcc error failed the whole run.
+func TestBranchCommitSSIAbortIsRetriable(t *testing.T) {
+	d := openTiny(t, CCSSI)
+	seed := d.NewSession().begin()
+	for _, dist := range []int64{0, 1} {
+		if err := tinyWriteCustomer(seed, dist, func(c *CustomerRec) { c.BalanceCents = 50 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.commit(); err != nil {
+		t.Fatal(err)
+	}
+	pivot, writer, reader := d.NewSession().begin(), d.NewSession().begin(), d.NewSession().begin()
+	tinyReadCustomer(t, pivot, 0)
+	// The writer overwrites what the pivot read: pivot →rw→ writer.
+	if err := tinyWriteCustomer(writer, 0, func(c *CustomerRec) { c.BalanceCents = 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tinyWriteCustomer(pivot, 1, func(c *CustomerRec) { c.BalanceCents = 2 }); err != nil {
+		t.Fatal(err)
+	}
+	// The reader skips the pivot's uncommitted image: reader →rw→ pivot,
+	// which dooms the pivot.
+	tinyReadCustomer(t, reader, 1)
+	err := pivot.commitWith(1)
+	if !errors.Is(err, ErrSSIAbort) || !errors.Is(err, ErrAborted) {
+		t.Fatalf("doomed branch commit: %v, want ErrSSIAbort matching ErrAborted", err)
+	}
+	if err := pivot.rollbackWith(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*txn{writer, reader} {
+		if err := tx.commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

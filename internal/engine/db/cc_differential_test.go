@@ -99,7 +99,7 @@ func TestCCDifferentialWorkload(t *testing.T) {
 		if err := d.Load(11); err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunConcurrentPolicy(d, 99, tpcc.DefaultMix(), 1200, 1, DefaultRetryPolicy())
+		st, err := RunConcurrentPolicy(d, 99, tpcc.DefaultMix(), 1200, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestCCMVCCConcurrentConsistency(t *testing.T) {
 	if err := d.Load(7); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4, DefaultRetryPolicy())
+	st, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCCSSIConcurrentConsistency(t *testing.T) {
 	if err := d.Load(7); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4, DefaultRetryPolicy())
+	st, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

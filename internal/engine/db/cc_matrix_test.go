@@ -169,21 +169,6 @@ func probeWriteSkew(t *testing.T, d *DB) bool {
 	return ok1 && ok2 && r0.BalanceCents == 0 && r1.BalanceCents == 0
 }
 
-// TestWriteSkewWitness pins the exported certification probe to the
-// matrix's write-skew row — `tpcc-check cc` calls the same function.
-func TestWriteSkewWitness(t *testing.T) {
-	want := map[CCMode]bool{CC2PL: false, CCMVCC: true, CCSSI: false}
-	for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {
-		got, err := WriteSkewWitness(cc)
-		if err != nil {
-			t.Fatalf("%s: %v", cc, err)
-		}
-		if got != want[cc] {
-			t.Fatalf("WriteSkewWitness(%s) = %v, want %v", cc, got, want[cc])
-		}
-	}
-}
-
 func TestAnomalyMatrix(t *testing.T) {
 	probes := []struct {
 		name    string

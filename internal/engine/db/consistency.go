@@ -21,8 +21,8 @@ import (
 //	    form: sum(w_ytd) == sum(d_ytd) == sum(h_amount)).
 //
 // It returns the first violation found, or nil. The check takes no locks
-// and is meant to run on a quiesced database (tests, post-recovery
-// verification, the tpcc-engine CLI).
+// and is meant to run on a quiesced database: in tests, after recovery,
+// and after every tpcc-engine run, on each node of a cluster.
 func (d *DB) CheckConsistency() error {
 	// Gather per-district aggregates in one pass over each relation.
 	type distAgg struct {

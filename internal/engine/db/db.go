@@ -397,6 +397,10 @@ func (d *DB) LockCounts() (acquired, waits, deadlocks int64) { return d.locks.Co
 // waited-for record without batching, fewer as group commit shares them.
 func (d *DB) LogForces() int64 { return d.log.Forces() }
 
+// LogWaits returns the number of commits that waited for their log record
+// to be durable.
+func (d *DB) LogWaits() int64 { return d.log.Waits() }
+
 // Commits and Aborts report transaction outcomes.
 func (d *DB) Commits() int64 { return d.commits.Load() }
 

@@ -96,9 +96,9 @@ func (b *Branch) Prepare() error {
 
 // Commit forces the branch's commit record (carrying the gid) and
 // releases its locks. On the home branch this record is the global
-// decision. A failed force leaves the branch open — locks held, undo
-// intact, session kept — so the caller may retry, abort, or (device dead)
-// Forsake.
+// decision. A failed ssi validation (ErrSSIAbort) or force leaves the
+// branch open — locks held, undo intact, session kept — so the caller may
+// retry, abort, or (device dead) Forsake.
 func (b *Branch) Commit() error {
 	if err := b.s.t.commitWith(b.gid); err != nil {
 		return err

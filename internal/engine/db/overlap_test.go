@@ -169,7 +169,7 @@ func TestMissPathOverlaps(t *testing.T) {
 		disk.mu.Lock()
 		disk.armed = true
 		disk.mu.Unlock()
-		if _, err := RunConcurrentPolicy(d, 17, tpcc.DefaultMix(), 200, 2, DefaultRetryPolicy()); err != nil {
+		if _, err := RunConcurrentPolicy(d, 17, tpcc.DefaultMix(), 200, 2); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.CheckConsistency(); err != nil {

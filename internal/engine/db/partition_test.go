@@ -32,7 +32,7 @@ func TestPartitionedPoolConcurrent(t *testing.T) {
 	if err := d.Load(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4, DefaultRetryPolicy()); err != nil {
+	if _, err := RunConcurrentPolicy(d, 13, tpcc.DefaultMix(), 800, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckConsistency(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,37 +17,25 @@ import (
 	"tpccmodel/internal/tpcc"
 )
 
-// RetryPolicy governs how a Runner reacts to retriable failures —
-// deadlock victims (ErrAborted) and transient I/O errors
-// (storage.ErrTransientIO). Retries back off exponentially with jitter
-// drawn from the runner's seeded generator; a transaction that exhausts
-// its attempts is *shed* (counted and skipped) rather than failing the
-// whole run, so a fault burst degrades throughput instead of killing
-// workers.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per transaction.
-	MaxAttempts int
-	// BaseDelay is the first backoff step; the delay doubles each
-	// attempt up to MaxDelay, with jitter in [delay/2, delay].
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff step; <= 0 leaves the doubling uncapped.
-	MaxDelay time.Duration
-	// ShedBudget is the number of *consecutive* shed transactions
-	// tolerated before the run is declared wedged (0 = unlimited).
-	// Occasional sheds under fault pressure are expected; an unbroken
-	// run of them means the engine is no longer making progress.
-	ShedBudget int
-}
-
-// DefaultRetryPolicy returns the policy used when none is set.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   50 * time.Microsecond,
-		MaxDelay:    5 * time.Millisecond,
-		ShedBudget:  1000,
-	}
-}
+// The terminal's retry policy. A deadlock victim (ErrAborted) or a
+// transient I/O error (storage.ErrTransientIO) is retried after an
+// exponential backoff with jitter drawn from the runner's seeded
+// generator; a transaction that exhausts its attempts is *shed* (counted
+// and skipped) rather than failing the whole run, so a fault burst
+// degrades throughput instead of killing workers.
+const (
+	// maxAttempts is the total number of tries per transaction.
+	maxAttempts = 10
+	// baseDelay is the first backoff step; the delay doubles each attempt
+	// up to maxDelay, with jitter in [delay/2, delay].
+	baseDelay = 50 * time.Microsecond
+	maxDelay  = 5 * time.Millisecond
+	// shedBudget is the number of *consecutive* shed transactions
+	// tolerated before the run is declared wedged. Occasional sheds under
+	// fault pressure are expected; an unbroken run of them means the
+	// engine is no longer making progress.
+	shedBudget = 1000
+)
 
 // System is what a Runner drives: the five procedures over warehouse ids
 // 0..Warehouses()-1, and the one input draw that depends on where the
@@ -93,7 +80,7 @@ func (s *Session) RemoteWarehouse(r *rng.RNG, home int64) int64 {
 
 // Runner is the TPC-C terminal: it generates transaction inputs with the
 // paper's distributions and executes them against a System, retrying
-// deadlock victims and transient I/O faults per its RetryPolicy. Counters
+// deadlock victims and transient I/O faults per the retry policy. Counters
 // are atomic, so Counts/Retries/Sheds may be read while the runner is
 // executing on another goroutine.
 type Runner struct {
@@ -118,9 +105,6 @@ type Runner struct {
 	// 0.01 and 0.15.
 	RemoteStockProb   float64
 	RemotePaymentProb float64
-
-	// Policy is the retry/shed policy (DefaultRetryPolicy by default).
-	Policy RetryPolicy
 
 	counts  [core.NumTxnTypes]atomic.Int64
 	retries atomic.Int64
@@ -183,7 +167,6 @@ func NewRunnerOn(sys System, seed uint64, mix tpcc.Mix) *Runner {
 		mix:               mix,
 		RemoteStockProb:   tpcc.RemoteStockProb,
 		RemotePaymentProb: tpcc.RemotePaymentProb,
-		Policy:            DefaultRetryPolicy(),
 		latHist:           stats.NewHistogram(latBucketWidthMicros, latBuckets),
 	}
 	for i := range rn.typeHist {
@@ -314,28 +297,13 @@ func (rn *Runner) pickType() core.TxnType {
 func (rn *Runner) warehouse() int64 { return rn.r.Int63n(rn.warehouses) }
 
 // backoffDelay returns the pre-jitter delay for the given attempt
-// (1-based): BaseDelay doubled attempt-1 times, capped at MaxDelay when
-// MaxDelay > 0. MaxDelay <= 0 leaves the doubling uncapped (guarded only
-// against int64 overflow).
-func (rn *Runner) backoffDelay(attempt int) time.Duration {
-	p := rn.Policy
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 1; i < attempt; i++ {
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			break
-		}
-		if d > math.MaxInt64/2 {
-			break
-		}
+// (1-based): baseDelay doubled attempt-1 times, capped at maxDelay.
+func backoffDelay(attempt int) time.Duration {
+	d := baseDelay
+	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	return d
+	return min(d, maxDelay)
 }
 
 // backoff sleeps the jittered exponential delay for the given attempt
@@ -343,13 +311,8 @@ func (rn *Runner) backoffDelay(attempt int) time.Duration {
 // delay sequence is reproducible and the input stream does not depend on
 // how many retries ran.
 func (rn *Runner) backoff(attempt int) {
-	d := rn.backoffDelay(attempt)
-	if d <= 0 {
-		return
-	}
-	half := int64(d / 2)
-	jittered := d/2 + time.Duration(rn.jitter.Int63n(half+1))
-	time.Sleep(jittered)
+	half := int64(backoffDelay(attempt) / 2)
+	time.Sleep(time.Duration(half + rn.jitter.Int63n(half+1)))
 }
 
 // retriable reports whether the failure is worth another attempt. A commit
@@ -366,10 +329,11 @@ func paymentAmountCents(r *rng.RNG) uint32 {
 }
 
 // RunOne generates and executes one transaction, retrying deadlock aborts
-// and transient I/O errors per the policy. It returns the executed type.
-// A transaction that exhausts its attempts, or fails with ErrUnavailable,
-// is shed (counted, nil error) unless the consecutive-shed budget is blown. A simulated crash
-// (storage.ErrCrashed) is returned as-is: the worker must stop.
+// and transient I/O errors per the retry policy. It returns the executed
+// type. A transaction that exhausts its attempts, or fails with
+// ErrUnavailable, is shed (counted, nil error) unless the consecutive-shed
+// budget is blown. A simulated crash (storage.ErrCrashed) is returned
+// as-is: the worker must stop.
 func (rn *Runner) RunOne() (core.TxnType, error) {
 	return rn.runOne(context.Background())
 }
@@ -456,11 +420,6 @@ func (rn *Runner) runOne(ctx context.Context) (core.TxnType, error) {
 	start := time.Now()
 	typ := rn.pickType()
 	rn.prepareArgs(typ)
-
-	maxAttempts := rn.Policy.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	for attempt := 1; ; attempt++ {
 		err := rn.execute(typ)
 		if err == nil {
@@ -488,7 +447,7 @@ func (rn *Runner) runOne(ctx context.Context) (core.TxnType, error) {
 			// Shed: drop this transaction, keep the worker alive.
 			rn.sheds.Add(1)
 			rn.consecutiveSheds++
-			if b := rn.Policy.ShedBudget; b > 0 && rn.consecutiveSheds > b {
+			if rn.consecutiveSheds > shedBudget {
 				return typ, fmt.Errorf("db: shed %d transactions in a row (last: %w)",
 					rn.consecutiveSheds, err)
 			}
@@ -555,13 +514,13 @@ type RunStats struct {
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 	// Commits, Aborts, LogForces and LogWaits are the engine-counter
-	// deltas over the run. LogWaits counts the commits that waited for
-	// their record to be durable (read-only commits and aborts write
-	// nothing that needs forcing); LogForces < LogWaits means group commit
-	// amortized log I/O across transactions.
+	// deltas over the run, summed over the DBs it drove. LogWaits counts
+	// the commits that waited for their record to be durable (read-only
+	// commits and aborts write nothing that needs forcing); LogForces <
+	// LogWaits means group commit amortized log I/O across transactions.
 	Commits, Aborts, LogForces, LogWaits int64
 	// LockAcquires, LockWaits, Deadlocks, WriteConflicts and SSIAborts are
-	// the lock manager's and version store's counter deltas over the run
+	// the lock managers' and version stores' counter deltas over the run
 	// (the last two always 0 under CC2PL).
 	LockAcquires, LockWaits, Deadlocks, WriteConflicts, SSIAborts int64
 	// Latency summarizes acknowledged-transaction response time across
@@ -615,39 +574,44 @@ func (s RunStats) WriteTable(w io.Writer) {
 }
 
 // RunConcurrentPolicy executes up to total transactions across workers
-// goroutines (each a Runner with an independent derived seed and the
-// given policy) and aggregates their counters; see RunWorkers for how
-// failures surface.
-func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int, policy RetryPolicy) (RunStats, error) {
+// goroutines, each a Runner with an independent derived seed, and
+// aggregates their counters and d's engine-counter deltas; see RunWorkers
+// for how failures surface.
+func RunConcurrentPolicy(d *DB, seed uint64, mix tpcc.Mix, total, workers int) (RunStats, error) {
 	base := rng.New(seed)
 	runners := make([]*Runner, max(workers, 1))
 	for w := range runners {
 		runners[w] = NewRunner(d, base.Uint64(), mix)
-		runners[w].Policy = policy
 	}
-	commits0, aborts0, forces0, waits0 := d.Commits(), d.Aborts(), d.LogForces(), d.log.Waits()
-	acq0, lockWaits0, dead0 := d.LockCounts()
-	conflicts0, ssiAborts0 := d.WriteConflicts(), d.SSIAborts()
-	st, err := RunWorkers(runners, total)
-	st.Commits = d.Commits() - commits0
-	st.Aborts = d.Aborts() - aborts0
-	st.LogForces = d.LogForces() - forces0
-	st.LogWaits = d.log.Waits() - waits0
-	acq, lockWaits, dead := d.LockCounts()
-	st.LockAcquires, st.LockWaits, st.Deadlocks = acq-acq0, lockWaits-lockWaits0, dead-dead0
-	st.WriteConflicts = d.WriteConflicts() - conflicts0
-	st.SSIAborts = d.SSIAborts() - ssiAborts0
-	return st, err
+	return RunWorkers(runners, total, d)
+}
+
+// addEngineCounts adds sign times the sum of dbs' engine counters to s's
+// engine-counter fields: -1 before a run and +1 after it leave the run's
+// deltas.
+func (s *RunStats) addEngineCounts(dbs []*DB, sign int64) {
+	for _, d := range dbs {
+		acq, waits, dead := d.LockCounts()
+		s.Commits += sign * d.Commits()
+		s.Aborts += sign * d.Aborts()
+		s.LogForces += sign * d.LogForces()
+		s.LogWaits += sign * d.LogWaits()
+		s.LockAcquires += sign * acq
+		s.LockWaits += sign * waits
+		s.Deadlocks += sign * dead
+		s.WriteConflicts += sign * d.WriteConflicts()
+		s.SSIAborts += sign * d.SSIAborts()
+	}
 }
 
 // RunWorkers executes up to total transactions across the given runners,
 // one goroutine each, and merges their counters and latency histograms
-// into a RunStats (the engine-counter deltas are the caller's to fill: they
-// belong to one DB). A simulated crash stops the affected workers and is
+// into a RunStats, with the engine-counter deltas of dbs, the DBs the
+// runners drive. A simulated crash stops the affected workers and is
 // reported via RunStats.Crashed, not as an error; any other failure
 // cancels the sibling workers promptly and is returned (first failure
 // wins).
-func RunWorkers(runners []*Runner, total int) (RunStats, error) {
+func RunWorkers(runners []*Runner, total int, dbs ...*DB) (RunStats, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workers := len(runners)
@@ -655,6 +619,8 @@ func RunWorkers(runners []*Runner, total int) (RunStats, error) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	var crashed atomic.Bool
+	var st RunStats
+	st.addEngineCounts(dbs, -1)
 	start := time.Now()
 	for w, rn := range runners {
 		n := per
@@ -680,8 +646,8 @@ func RunWorkers(runners []*Runner, total int) (RunStats, error) {
 	}
 	wg.Wait()
 	close(errCh)
-	var st RunStats
 	st.Elapsed = time.Since(start)
+	st.addEngineCounts(dbs, 1)
 	st.Crashed = crashed.Load()
 	latHist := stats.NewHistogram(latBucketWidthMicros, latBuckets)
 	var latW stats.Welford
@@ -717,10 +683,10 @@ func RunWorkers(runners []*Runner, total int) (RunStats, error) {
 }
 
 // RunConcurrent executes total transactions across workers goroutines
-// with the default retry policy and returns the first error (a simulated
-// crash surfaces as storage.ErrCrashed).
+// and returns the first error (a simulated crash surfaces as
+// storage.ErrCrashed).
 func RunConcurrent(d *DB, seed uint64, mix tpcc.Mix, total, workers int) error {
-	st, err := RunConcurrentPolicy(d, seed, mix, total, workers, DefaultRetryPolicy())
+	st, err := RunConcurrentPolicy(d, seed, mix, total, workers)
 	if err != nil {
 		return err
 	}

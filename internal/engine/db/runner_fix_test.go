@@ -41,64 +41,28 @@ func TestPaymentAmountWithinBenchmarkRange(t *testing.T) {
 	}
 }
 
-// TestBackoffDelaySequence is the regression test for the MaxDelay gate:
-// the seed used d < MaxDelay as the doubling-loop condition, so
-// MaxDelay <= 0 silently disabled exponential backoff instead of leaving
-// it uncapped as the doc comment promises.
+// TestBackoffDelaySequence pins the retry policy: the delay before a
+// retry starts at 50 µs and doubles up to the 5 ms cap, and a transaction
+// that aborts on every attempt is shed after ten attempts, nine of them
+// retries, not a failure of the run.
 func TestBackoffDelaySequence(t *testing.T) {
-	base := 50 * time.Microsecond
-	cases := []struct {
-		name    string
-		policy  RetryPolicy
-		attempt int
-		want    time.Duration
-	}{
-		{"first attempt", RetryPolicy{BaseDelay: base, MaxDelay: 5 * time.Millisecond}, 1, base},
-		{"doubles", RetryPolicy{BaseDelay: base, MaxDelay: 5 * time.Millisecond}, 4, 8 * base},
-		{"capped", RetryPolicy{BaseDelay: base, MaxDelay: 5 * time.Millisecond}, 10, 5 * time.Millisecond},
-		{"uncapped zero", RetryPolicy{BaseDelay: base, MaxDelay: 0}, 8, base << 7},
-		{"uncapped negative", RetryPolicy{BaseDelay: base, MaxDelay: -1}, 12, base << 11},
-		{"no base no delay", RetryPolicy{BaseDelay: 0, MaxDelay: 0}, 5, 0},
-		{"overflow guard", RetryPolicy{BaseDelay: base, MaxDelay: 0}, 80, 0},
-	}
-	for _, tc := range cases {
-		rn := &Runner{Policy: tc.policy}
-		got := rn.backoffDelay(tc.attempt)
-		if tc.name == "overflow guard" {
-			if got <= 0 {
-				t.Errorf("%s: delay %v overflowed", tc.name, got)
-			}
-			continue
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 3200, 5000, 5000, 5000, 5000}
+	for i, w := range want {
+		if got := backoffDelay(i + 1); got != w*time.Microsecond {
+			t.Errorf("attempt %d: delay %v, want %v", i+1, got, w*time.Microsecond)
 		}
-		if got != tc.want {
-			t.Errorf("%s: attempt %d delay = %v, want %v", tc.name, tc.attempt, got, tc.want)
-		}
-	}
-	// The full sequence for an uncapped policy must strictly double.
-	rn := &Runner{Policy: RetryPolicy{BaseDelay: base}}
-	prev := rn.backoffDelay(1)
-	for attempt := 2; attempt <= 16; attempt++ {
-		d := rn.backoffDelay(attempt)
-		if d != prev*2 {
-			t.Fatalf("attempt %d: delay %v, want %v (uncapped doubling)", attempt, d, prev*2)
-		}
-		prev = d
 	}
 
-	// Driven end to end through a System whose procedures always abort,
-	// with more attempts than the doubling has bits (attempt 49 is where a
-	// shifted 50 µs goes negative): every attempt backs off within the cap
-	// and the transaction is shed, not a panic. The cluster runs on this
-	// same loop (shard.TestClusterBackoffSheds drives it through a
+	// Driven end to end through a System whose procedures always abort
+	// (shard.TestClusterBackoffSheds drives the same loop through a
 	// cluster).
-	rn = NewRunnerOn(alwaysAborts{}, 7, tpcc.DefaultMix())
-	rn.Policy = RetryPolicy{MaxAttempts: 64, BaseDelay: base, MaxDelay: 200 * time.Microsecond}
+	rn := NewRunnerOn(alwaysAborts{}, 7, tpcc.DefaultMix())
 	typ, err := rn.RunOne()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rn.Sheds() != 1 || rn.Retries() != 63 || rn.Aborts()[typ] != 64 {
-		t.Fatalf("always-aborting system: sheds %d retries %d aborts %d, want 1, 63 and 64",
+	if rn.Sheds() != 1 || rn.Retries() != 9 || rn.Aborts()[typ] != 10 {
+		t.Fatalf("always-aborting system: sheds %d retries %d aborts %d, want 1, 9 and 10",
 			rn.Sheds(), rn.Retries(), rn.Aborts()[typ])
 	}
 }
@@ -222,7 +186,7 @@ func TestRunConcurrentPolicyCancelsSiblingsOnFailure(t *testing.T) {
 	disk.after = disk.reads.Load() + 50
 	const total = 200000
 	start := time.Now()
-	st, runErr := RunConcurrentPolicy(d, 3, tpcc.DefaultMix(), total, 4, DefaultRetryPolicy())
+	st, runErr := RunConcurrentPolicy(d, 3, tpcc.DefaultMix(), total, 4)
 	elapsed := time.Since(start)
 	if runErr == nil {
 		t.Fatal("run succeeded despite a permanent device failure")
@@ -245,8 +209,6 @@ func TestRunConcurrentPolicyCancelsSiblingsOnFailure(t *testing.T) {
 // with grouping strictly reducing forces per commit at 4 workers.
 func TestGroupCommitAcksSameTransactionSets(t *testing.T) {
 	const total, workers = 800, 4
-	policy := DefaultRetryPolicy()
-	policy.MaxAttempts = 100 // retries must never exhaust: sheds would desync the modes
 	run := func(group wal.GroupConfig) RunStats {
 		t.Helper()
 		d, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: 2048},
@@ -257,7 +219,7 @@ func TestGroupCommitAcksSameTransactionSets(t *testing.T) {
 		if err := d.Load(1); err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunConcurrentPolicy(d, 17, tpcc.DefaultMix(), total, workers, policy)
+		st, err := RunConcurrentPolicy(d, 17, tpcc.DefaultMix(), total, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

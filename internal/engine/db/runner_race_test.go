@@ -61,7 +61,7 @@ func TestRunnerCountersConcurrentReads(t *testing.T) {
 // the aggregated stats account for every transaction.
 func TestRunConcurrentPolicyAggregates(t *testing.T) {
 	d := newLoaded(t, 2048)
-	st, err := RunConcurrentPolicy(d, 11, tpcc.DefaultMix(), 600, 4, DefaultRetryPolicy())
+	st, err := RunConcurrentPolicy(d, 11, tpcc.DefaultMix(), 600, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRunStatsCountOnlyTheirRun(t *testing.T) {
 	if err := d.Load(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunConcurrentPolicy(d, 5, tpcc.DefaultMix(), 300, 4, DefaultRetryPolicy()); err != nil {
+	if _, err := RunConcurrentPolicy(d, 5, tpcc.DefaultMix(), 300, 4); err != nil {
 		t.Fatal(err)
 	}
 	acq0, waits0, dead0 := d.LockCounts()
@@ -93,7 +93,7 @@ func TestRunStatsCountOnlyTheirRun(t *testing.T) {
 	if acq0 == 0 {
 		t.Fatal("the warmup acquired no locks")
 	}
-	st, err := RunConcurrentPolicy(d, 6, tpcc.DefaultMix(), 600, 4, DefaultRetryPolicy())
+	st, err := RunConcurrentPolicy(d, 6, tpcc.DefaultMix(), 600, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,11 +217,11 @@ func (t *txn) commit() error {
 // global id in the record's RID field. Force-then-release: a decision or a
 // participant's commit must be durable before anyone is told, and on the
 // home branch this record IS the global decision (recovery rebuilds the
-// coordinator's outcome map from it). A failed force leaves no record and
-// the branch open.
+// coordinator's outcome map from it). A failed ssi validation
+// (ErrSSIAbort) or force leaves no record and the branch open.
 func (t *txn) commitWith(gid uint64) error {
 	if err := t.validate(); err != nil {
-		return err
+		return ErrSSIAbort
 	}
 	if _, err := t.d.log.Append(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit, RID: gid}); err != nil {
 		return err

@@ -74,7 +74,7 @@ func TestKillBetweenPreCommitAndForce(t *testing.T) {
 			base := measure(d)
 
 			st, runErr := db.RunConcurrentPolicy(d, seedRng.Uint64(), tpcc.DefaultMix(),
-				2000, workers, db.DefaultRetryPolicy())
+				2000, workers)
 			if runErr != nil {
 				t.Fatalf("run failed fatally (crash should surface via RunStats): %v", runErr)
 			}
@@ -133,7 +133,7 @@ func TestTransientForceErrorsAreInvisible(t *testing.T) {
 			}
 			base := measure(d)
 			inj.SetEnabled(true)
-			st, err := db.RunConcurrentPolicy(d, 6, tpcc.DefaultMix(), 1500, 1, db.DefaultRetryPolicy())
+			st, err := db.RunConcurrentPolicy(d, 6, tpcc.DefaultMix(), 1500, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,8 +65,17 @@ func (x *XvalCounters) Measured() Measured {
 	return m
 }
 
-// Xval returns the Appendix A rates measured since the cluster was opened.
+// Xval returns the Appendix A rates measured since the cluster was opened
+// or its counters were last reset.
 func (c *Cluster) Xval() Measured { return c.xval.Measured() }
+
+// reset zeroes the counters.
+func (x *XvalCounters) reset() {
+	for _, v := range []*atomic.Int64{&x.NewOrders, &x.RemoteLines, &x.AllLocal,
+		&x.RemoteSites, &x.Payments, &x.RemotePayments, &x.RemoteCustCalls} {
+		v.Store(0)
+	}
+}
 
 // RemoteWarehouse draws a warehouse by first drawing a NODE uniformly over
 // all N shards (the home node included), then a warehouse within it — the
@@ -100,17 +109,18 @@ func (t terminal) StockLevel(in db.StockLevelInput) (int, error) { return t.Exec
 // db.Runner driving the cluster's router on an independent rng.Substream
 // of seed; stockProb and payProb override the benchmark's 1% and 15%
 // remote probabilities when >= 0 (raise them for statistical power in
-// validation runs). Workers run under the default retry policy. A shard's
-// death sheds the traffic that needs it rather than failing the run; the
-// death of the last live shard stops the workers, reported as
-// RunStats.Crashed, as a single node's crash does. Any other failure
-// cancels the siblings and is returned.
+// validation runs). The engine-counter deltas in the result are summed
+// over the shards. A shard's death sheds the traffic that needs it rather
+// than failing the run; the death of the last live shard stops the
+// workers, reported as RunStats.Crashed, as a single node's crash does.
+// Any other failure cancels the siblings and is returned.
 func Run(c *Cluster, seed uint64, mix tpcc.Mix, total, workers int,
 	stockProb, payProb float64) (db.RunStats, error) {
-	return run(terminal{c}, seed, mix, total, workers, stockProb, payProb)
+	return run(c, terminal{c}, seed, mix, total, workers, stockProb, payProb)
 }
 
-func run(sys db.System, seed uint64, mix tpcc.Mix, total, workers int,
+// run is Run with the router presented to the runners as sys.
+func run(c *Cluster, sys db.System, seed uint64, mix tpcc.Mix, total, workers int,
 	stockProb, payProb float64) (db.RunStats, error) {
 	runners := make([]*db.Runner, max(workers, 1))
 	for w := range runners {
@@ -123,5 +133,9 @@ func run(sys db.System, seed uint64, mix tpcc.Mix, total, workers int,
 		}
 		runners[w] = rn
 	}
-	return db.RunWorkers(runners, total)
+	dbs := make([]*db.DB, len(c.shards))
+	for i, s := range c.shards {
+		dbs[i] = s.DB
+	}
+	return db.RunWorkers(runners, total, dbs...)
 }

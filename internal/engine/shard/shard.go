@@ -159,6 +159,15 @@ func (s *Shard) Stats() Stats {
 	}
 }
 
+// resetStats zeroes the shard's counters.
+func (s *Shard) resetStats() {
+	for _, v := range []*atomic.Int64{&s.localCommits, &s.distCommits, &s.participantCommits,
+		&s.distAborts, &s.sheds, &s.downSheds, &s.forsaken, &s.inDoubt,
+		&s.resolvedCommit, &s.resolvedAbort} {
+		v.Store(0)
+	}
+}
+
 // KillPoint names a step of the two-phase-commit protocol at which the
 // cluster's kill hook fires; the torture campaign kills a shard at a drawn
 // point to exercise every in-doubt window of the protocol.
@@ -253,6 +262,17 @@ func Open(cfg Config) (*Cluster, error) {
 		c.shards = append(c.shards, &Shard{ID: i, DB: d, Inj: inj, disk: disk})
 	}
 	return c, nil
+}
+
+// ResetStats zeroes what the cluster counts: the router's Appendix A
+// counters, every shard's counters and every shard's buffer statistics.
+// Call it between a warmup and the run to be measured.
+func (c *Cluster) ResetStats() {
+	c.xval.reset()
+	for _, s := range c.shards {
+		s.resetStats()
+		s.DB.ResetBufferStats()
+	}
 }
 
 // Config returns the cluster configuration.

@@ -179,8 +179,8 @@ var allNewOrder = tpcc.Mix{core.TxnNewOrder: 1}
 // branch locks the other shard's row first, then its home branch wants the
 // row the other worker's participant holds — a cycle neither shard's
 // deadlock detector can see. Only the lock wait timeout breaks it, and the
-// terminal's default retry policy must then get every transaction
-// acknowledged within two attempts: the wait that expires first loses one
+// terminal's retry policy must then get every transaction acknowledged
+// within two attempts: the wait that expires first loses one
 // attempt and releases the other. Each round is made to deadlock: a gate
 // branch holds each home warehouse row until both workers have taken their
 // remote row and parked behind it, and both gates open at the same instant,
@@ -727,8 +727,11 @@ func (r recount) Payment(in db.PaymentInput) error {
 // TestClusterRunStats: a cluster run goes through the engine's one
 // terminal and its fan-out, so it reports what a single-instance run
 // reports — per-type acked, aborts and latency quantiles — and every
-// acknowledgement is one the router counted on some shard. The Appendix A
-// counters the router keeps equal a recount from the generated inputs.
+// acknowledgement is one the router counted on some shard. Its engine
+// counters are the sum, over shards, of each DB's counter differences
+// across the run. The Appendix A counters the router keeps equal a recount
+// from the generated inputs. A warmup first leaves every counter nonzero,
+// and ResetStats zeroes the router's and the shards' own.
 func TestClusterRunStats(t *testing.T) {
 	c := openCluster(t, 3)
 	oracle := recount{terminal: terminal{c}, x: new(XvalCounters), groups: make(map[[4]int64]int64)}
@@ -743,13 +746,45 @@ func TestClusterRunStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// engine sums the engine counters of every shard's DB.
+	engine := func() (sum [9]int64) {
+		for _, s := range c.Shards() {
+			d := s.DB
+			acq, waits, dead := d.LockCounts()
+			for i, v := range [9]int64{d.Commits(), d.Aborts(), d.LogForces(), d.LogWaits(),
+				acq, waits, dead, d.WriteConflicts(), d.SSIAborts()} {
+				sum[i] += v
+			}
+		}
+		return sum
+	}
+	if _, err := Run(c, 3, tpcc.DefaultMix(), 200, 2, 0.25, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	c.ResetStats()
 	const total = 600
-	st, err := run(oracle, 7, tpcc.DefaultMix(), total, 4, 0.25, 0.5)
+	before := engine()
+	st, err := run(c, oracle, 7, tpcc.DefaultMix(), total, 4, 0.25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := engine()
 	if n := c.Quiesce(0); n > 0 {
 		t.Fatalf("%d participant commits pending on a healthy cluster", n)
+	}
+	got := [9]int64{st.Commits, st.Aborts, st.LogForces, st.LogWaits,
+		st.LockAcquires, st.LockWaits, st.Deadlocks, st.WriteConflicts, st.SSIAborts}
+	var delta [9]int64
+	for i := range delta {
+		delta[i] = after[i] - before[i]
+	}
+	if got != delta {
+		t.Fatalf("engine counters in RunStats %v, summed shard deltas %v "+
+			"(commits, aborts, log forces, log waits, lock acquires, lock waits, deadlocks, write conflicts, ssi aborts)",
+			got, delta)
+	}
+	if st.Commits < total || st.LockAcquires == 0 || st.LogWaits == 0 {
+		t.Fatalf("engine counters %v for %d acknowledged transactions", got, total)
 	}
 
 	if got := st.Acknowledged(); got != total || st.Sheds != 0 {
@@ -777,22 +812,19 @@ func TestClusterRunStats(t *testing.T) {
 		t.Fatalf("latency over %d transactions, tpmC %.0f", st.Latency.N, st.TpmC())
 	}
 
-	got, want := c.Xval(), oracle.x.Measured()
-	if got != want {
-		t.Fatalf("Appendix A at the router:\n got %+v\nwant %+v (recount from the inputs)", got, want)
+	m, want := c.Xval(), oracle.x.Measured()
+	if m != want {
+		t.Fatalf("Appendix A at the router:\n got %+v\nwant %+v (recount from the inputs)", m, want)
 	}
-	if got.ERs == 0 || got.UCust == 0 || got.RCCust <= 2*got.UCust {
-		t.Fatalf("no cross-shard traffic measured at 25%%/50%% remote probability: %+v", got)
+	if m.ERs == 0 || m.UCust == 0 || m.RCCust <= 2*m.UCust {
+		t.Fatalf("no cross-shard traffic measured at 25%%/50%% remote probability: %+v", m)
 	}
 }
 
 // TestClusterBackoffSheds: a transaction that aborts on every attempt —
 // here a New-Order behind a warehouse row that is never released, so each
-// attempt is a lock wait timeout — backs off under the terminal's policy
-// and is shed when its attempts run out, however many there are. The
-// cluster's own copy of the backoff computed BaseDelay << (attempt-1): at
-// the default 50 µs that is negative from attempt 49, skipped the MaxDelay
-// cap and panicked drawing the jitter.
+// attempt is a lock wait timeout — backs off under the terminal's retry
+// policy and is shed when its ten attempts run out.
 func TestClusterBackoffSheds(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.LockWaitTimeout = time.Millisecond
@@ -806,13 +838,11 @@ func TestClusterBackoffSheds(t *testing.T) {
 	}
 	in := db.NewOrderInput{W: 0, D: 0, C: 0, Items: []db.OrderItem{{IID: 3, SupplyW: 0, Qty: 1}}}
 	rn := db.NewRunnerOn(scripted{terminal{c}, in}, 1, allNewOrder)
-	rn.Policy.MaxAttempts = 64
-	rn.Policy.MaxDelay = time.Millisecond
 	if _, err := rn.RunOne(); err != nil {
 		t.Fatal(err)
 	}
-	if rn.Sheds() != 1 || rn.Retries() != 63 || rn.Aborts()[core.TxnNewOrder] != 64 {
-		t.Fatalf("sheds %d retries %d aborts %d, want 1, 63 and 64",
+	if rn.Sheds() != 1 || rn.Retries() != 9 || rn.Aborts()[core.TxnNewOrder] != 10 {
+		t.Fatalf("sheds %d retries %d aborts %d, want 1, 9 and 10",
 			rn.Sheds(), rn.Retries(), rn.Aborts()[core.TxnNewOrder])
 	}
 	if err := gate.Abort(); err != nil {

@@ -226,7 +226,9 @@ func (c *Cluster) decide(gid uint64, hs *Shard, hb *db.Branch, parts []part) err
 // commitHome forces the home branch's commit record — the global
 // decision — retrying transient failures. A crashed home device means
 // the decision never became durable: presumed abort, surfaced as
-// ErrCoordinatorDown. Either way the home branch has ended on return.
+// ErrCoordinatorDown. A branch that failed ssi validation (db.ErrAborted)
+// is aborted at once; the terminal retries the transaction. Either way
+// the home branch has ended on return.
 func (c *Cluster) commitHome(hs *Shard, hb *db.Branch) error {
 	for attempt := 1; ; attempt++ {
 		err := hb.Commit()
@@ -239,7 +241,7 @@ func (c *Cluster) commitHome(hs *Shard, hb *db.Branch) error {
 			hs.down.Store(true)
 			return fmt.Errorf("home shard %d: %w", hs.ID, ErrCoordinatorDown)
 		}
-		if attempt >= commitRetries {
+		if attempt >= commitRetries || errors.Is(err, db.ErrAborted) {
 			// Live device, decision not durable: globally abort.
 			if aerr := hb.Abort(); aerr != nil {
 				c.markDownOnCrash(hs.ID, aerr)

@@ -47,16 +47,3 @@ func AnalyticReadIOs(m AnalyticMissRates) [core.NumTxnTypes]float64 {
 	ios[core.TxnStockLevel] = 200*m.ML + 200*m.MS
 	return ios
 }
-
-// MissRatesFromCurve extracts the overall per-relation miss rates at a
-// buffer capacity (in pages) for the analytic form.
-func MissRatesFromCurve(res *sim.CurveResult, capacityPages int64) AnalyticMissRates {
-	return AnalyticMissRates{
-		MC:  res.MissRate(core.Customer, capacityPages),
-		MI:  res.MissRate(core.Item, capacityPages),
-		MS:  res.MissRate(core.Stock, capacityPages),
-		MO:  res.MissRate(core.Order, capacityPages),
-		ML:  res.MissRate(core.OrderLine, capacityPages),
-		MNO: res.MissRate(core.NewOrder, capacityPages),
-	}
-}

@@ -238,12 +238,6 @@ func CustomerMixture() *Mixture {
 	return m
 }
 
-// Components returns copies of the component parameters and normalized
-// weights.
-func (m *Mixture) Components() ([]Params, []float64) {
-	return append([]Params(nil), m.comps...), append([]float64(nil), m.weights...)
-}
-
 // Bounds returns the minimum X and maximum Y across components.
 func (m *Mixture) Bounds() (lo, hi int64) {
 	lo, hi = m.comps[0].X, m.comps[0].Y

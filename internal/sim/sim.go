@@ -194,9 +194,6 @@ type CurveResult struct {
 	level     float64
 }
 
-// TxnCount returns the number of measured transactions of type t.
-func (r *CurveResult) TxnCount(t core.TxnType) int64 { return r.txnCounts[t] }
-
 // TxnIOs returns the measured mean number of physical page reads per
 // transaction of type t at evaluation capacity index capIdx: the misses its
 // accesses incur, over all relations. This is the model's per-transaction

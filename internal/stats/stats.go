@@ -124,9 +124,6 @@ func (b *BatchMeans) Add(x float64) {
 // Batches returns the number of completed batches.
 func (b *BatchMeans) Batches() int { return len(b.batches) }
 
-// BatchSize returns the configured batch size.
-func (b *BatchMeans) BatchSize() int64 { return b.batchSize }
-
 // ErrTooFewBatches is returned when a confidence interval is requested with
 // fewer than two completed batches.
 var ErrTooFewBatches = errors.New("stats: need at least 2 completed batches")
