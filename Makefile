@@ -24,7 +24,8 @@ build:
 # concurrently with everything else, the log, whose force protocol has
 # three entry points racing each other (committers, read-only
 # acknowledgements, the buffer manager's ForceTo) and whose size is read
-# without its mutex, and the lock manager, the index and the version store,
+# without its mutex, and the lock manager, the index, the version store and
+# keytab (the hash table the lock manager and the version store share),
 # whose suites are small, get the race detector on their full suites
 # (gated-device and sleeping-device tests included; seconds each). The
 # buffer manager's write-back tests then run ten times more under it: a
@@ -37,7 +38,8 @@ test:
 	go test ./...
 	go test -race -short -timeout 30m ./internal/engine/...
 	go test -race ./internal/engine/bufmgr/ ./internal/engine/storage/ ./internal/engine/wal/ \
-		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/
+		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/ \
+		./internal/engine/keytab/
 	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack|ReadRecord' ./internal/engine/bufmgr/
 
 race:
@@ -77,11 +79,12 @@ regen-golden:
 	go test ./internal/experiments/ -run TestGoldenCorpus -regen-golden -v
 
 # Rewrite the checked-in fuzz seed corpora (testdata/fuzz/<FuzzName>/)
-# from their generators in the wal and index packages.
+# from their generators in the wal, index, mvcc and keytab packages.
 regen-fuzz-corpus:
 	go test ./internal/engine/wal/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 	go test ./internal/engine/index/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 	go test ./internal/engine/mvcc/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
+	go test ./internal/engine/keytab/ -run TestFuzzSeedCorpus -regen-fuzz-corpus -v
 
 # The crash-torture campaign (shard.Torture), once under each
 # concurrency-control mode, at its two CI sizes. Every schedule runs seeded
@@ -161,6 +164,7 @@ fuzz:
 	go test -fuzz FuzzDenseOps -fuzztime 30s ./internal/engine/index/
 	go test -fuzz FuzzExactPMFPaths -fuzztime 30s ./internal/nurand/
 	go test -fuzz FuzzVisibility -fuzztime 30s ./internal/engine/mvcc/
+	go test -fuzz FuzzTable -fuzztime 30s ./internal/engine/keytab/
 
 clean:
 	rm -rf results-reduced results-xval coverage.out

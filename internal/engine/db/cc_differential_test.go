@@ -110,6 +110,9 @@ func TestCCDifferentialWorkload(t *testing.T) {
 		if err := d.CheckConsistency(); err != nil {
 			t.Fatalf("%s: %v", cc, err)
 		}
+		if n := d.locks.Keys(); n != 0 {
+			t.Fatalf("%s: %d lock states left after the run", cc, n)
+		}
 		if cc != CC2PL {
 			if n := d.WriteConflicts(); n != 0 {
 				t.Fatalf("single-worker %s run hit %d write conflicts", cc, n)

@@ -62,9 +62,9 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	var res NewOrderResult
 	t.planNewOrder(in)
 
-	// 1. Select warehouse (snapshot read: the warehouse row is not
-	// written by New-Order, so mvcc takes no lock here).
-	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), tpcc.TupleLen[core.Warehouse]); err != nil {
+	// 1. Select warehouse through W_TAX (snapshot read: the warehouse row
+	// is not written by New-Order, so mvcc takes no lock here).
+	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), whTaxEnd); err != nil {
 		return res, err
 	}
 
@@ -82,8 +82,8 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 		return res, err
 	}
 
-	// 4. Select customer.
-	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), tpcc.TupleLen[core.Customer]); err != nil {
+	// 4. Select customer through C_LAST.
+	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), custHeadEnd); err != nil {
 		return res, err
 	}
 
@@ -122,12 +122,12 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	// 7. Per item: select item, select+update stock, insert order-line.
 	ollen := tpcc.TupleLen[core.OrderLine]
 	for n, it := range in.Items {
-		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), tpcc.TupleLen[core.Item])
+		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), itemPriceEnd)
 		if err != nil {
 			return res, err
 		}
 		var irec ItemRec
-		irec.Unmarshal(cur)
+		irec.unmarshalPrice(cur)
 
 		if !it.Remote {
 			if err := t.orderStock(it, it.SupplyW != in.W); err != nil {

@@ -78,6 +78,26 @@ func TestProjectionsPinLayout(t *testing.T) {
 		t.Errorf("OL_DELIVERY_D ends at %d, olStatusEnd is %d", e, olStatusEnd)
 	}
 
+	// Warehouse: W_ID and W_TAX.
+	if e := end(tpcc.TupleLen[core.Warehouse], (&WarehouseRec{TaxBP: ^uint32(0)}).Marshal); e != whTaxEnd {
+		t.Errorf("W_TAX ends at %d, whTaxEnd is %d", e, whTaxEnd)
+	}
+
+	// Item: I_ID, I_IM_ID and I_PRICE.
+	n = tpcc.TupleLen[core.Item]
+	var it ItemRec
+	it.Unmarshal(distinct(n))
+	buf = make([]byte, n)
+	it.Marshal(buf)
+	var ip ItemRec
+	ip.unmarshalPrice(buf[:itemPriceEnd])
+	if want := (ItemRec{IID: it.IID, ImageID: it.ImageID, PriceCents: it.PriceCents}); ip != want {
+		t.Errorf("item projection decodes %+v, Unmarshal gives %+v", ip, want)
+	}
+	if e := end(n, (&ItemRec{PriceCents: ^uint32(0)}).Marshal); e != itemPriceEnd {
+		t.Errorf("I_PRICE ends at %d, itemPriceEnd is %d", e, itemPriceEnd)
+	}
+
 	// Customer: the fixed fields and C_LAST.
 	n = tpcc.TupleLen[core.Customer]
 	var c CustomerRec
@@ -457,4 +477,156 @@ func restockable(t *testing.T, d *DB, in StockLevelInput) []StockRec {
 		return true
 	})
 	return out
+}
+
+// fullNewOrder is New-Order as it was before its warehouse, customer and
+// item reads were projected: each of the three copies the whole row, and
+// the item is decoded whole for its price.
+func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
+	d := t.d
+	var res NewOrderResult
+	t.planNewOrder(in)
+	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), tpcc.TupleLen[core.Warehouse]); err != nil {
+		return res, err
+	}
+	dr, err := t.fetch(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	if err != nil {
+		return res, err
+	}
+	var drec DistrictRec
+	drec.Unmarshal(dr.cur)
+	oid := int64(drec.NextOID)
+	drec.NextOID++
+	drec.Marshal(dr.next)
+	if err := t.store(dr); err != nil {
+		return res, err
+	}
+	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), tpcc.TupleLen[core.Customer]); err != nil {
+		return res, err
+	}
+	for _, it := range in.Items {
+		if it.Remote || it.SupplyW != in.W {
+			res.RemoteLines++
+		}
+	}
+	okey := index.KeyWDO(in.W, in.D, oid)
+	orec := OrderRec{
+		OID: uint32(oid), CID: uint32(in.C), WID: uint16(in.W), DID: uint8(in.D),
+		OLCount: uint8(len(in.Items)), EntryTick: d.nextTick(),
+	}
+	if res.RemoteLines == 0 {
+		orec.AllLocal = 1
+	}
+	buf := t.buf
+	olen := tpcc.TupleLen[core.Order]
+	orec.Marshal(buf[:olen])
+	orid, err := t.insertKeyed(core.Order, d.orderIdx, okey, buf[:olen])
+	if err != nil {
+		return res, err
+	}
+	t.setIdx(d.custOrderIdx, index.KeyWDCO(in.W, in.D, in.C, oid), orid.Pack())
+	norec := NewOrderRec{OID: uint32(oid), WID: uint16(in.W), DID: uint8(in.D)}
+	nolen := tpcc.TupleLen[core.NewOrder]
+	norec.Marshal(buf[:nolen])
+	if _, err := t.insertKeyed(core.NewOrder, d.newOrderIdx, okey, buf[:nolen]); err != nil {
+		return res, err
+	}
+	ollen := tpcc.TupleLen[core.OrderLine]
+	for n, it := range in.Items {
+		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), tpcc.TupleLen[core.Item])
+		if err != nil {
+			return res, err
+		}
+		var irec ItemRec
+		irec.Unmarshal(cur)
+		if !it.Remote {
+			if err := t.orderStock(it, it.SupplyW != in.W); err != nil {
+				return res, err
+			}
+		}
+		amount := uint32(it.Qty) * irec.PriceCents
+		olrec := OrderLineRec{
+			OID: uint32(oid), IID: uint32(it.IID), SupplyWID: uint16(it.SupplyW),
+			WID: uint16(in.W), DID: uint8(in.D), Number: uint8(n),
+			Quantity: uint8(it.Qty), AmountCents: amount,
+		}
+		olrec.Marshal(buf[:ollen])
+		if _, err := t.insertKeyed(core.OrderLine, d.olIdx, index.KeyWDOL(in.W, in.D, oid, int64(n)), buf[:ollen]); err != nil {
+			return res, err
+		}
+		res.TotalCents += uint64(amount)
+	}
+	res.OID = oid
+	return res, nil
+}
+
+// TestProjectedNewOrderMatchesFullTupleOracle runs one seeded stream of
+// New-Orders, with Payments between them, through the projected body on
+// one loaded warehouse and through fullNewOrder on a twin loaded from the
+// same seed, under 2pl, mvcc and ssi: every New-Order must return the same
+// result at the same lock acquires and pool hits and misses, and the two
+// databases must end in the same state.
+func TestProjectedNewOrderMatchesFullTupleOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a loaded warehouse")
+	}
+	for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {
+		t.Run(cc.String(), func(t *testing.T) {
+			open := func() *DB {
+				d, err := Open(Config{Warehouses: 1, PageSize: 4096, BufferPages: 32768, CC: cc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Load(5); err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			pd, fd := open(), open()
+			proj, full := pd.NewSession(), fd.NewSession()
+			rn := NewRunner(pd, 23, tpcc.DefaultMix())
+			var total uint64
+			for i := range 400 {
+				if i%4 == 3 {
+					rn.prepareArgs(core.TxnPayment)
+					if err := proj.Payment(rn.args.payment); err != nil {
+						t.Fatal(err)
+					}
+					if err := full.Payment(rn.args.payment); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				rn.prepareArgs(core.TxnNewOrder)
+				in := rn.args.newOrder
+				var got, want NewOrderResult
+				pc := costOf(pd, func() {
+					tx := proj.begin()
+					var err error
+					got, err = tx.newOrder(in)
+					if err = tx.finish(err); err != nil {
+						t.Fatal(err)
+					}
+				})
+				fc := costOf(fd, func() {
+					tx := full.begin()
+					var err error
+					want, err = tx.fullNewOrder(in)
+					if err = tx.finish(err); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got != want || pc != fc {
+					t.Fatalf("New-Order %+v: %+v at %+v, the oracle %+v at %+v", in, got, pc, want, fc)
+				}
+				total += got.TotalCents
+			}
+			if total == 0 {
+				t.Fatal("every New-Order priced its lines at zero: the item projection was never read")
+			}
+			if hp, hf := stateHash(t, pd), stateHash(t, fd); hp != hf {
+				t.Fatalf("state hashes diverge: projected %016x, full rows %016x", hp, hf)
+			}
+		})
+	}
 }

@@ -88,6 +88,10 @@ func (r *WarehouseRec) Unmarshal(buf []byte) {
 	mustLen(core.Warehouse, c.off)
 }
 
+// whTaxEnd ends W_ID and W_TAX: New-Order's warehouse read. Clause
+// 2.4.2.2 selects W_TAX alone, so nothing it names lies past the prefix.
+const whTaxEnd = 8
+
 // DistrictRec is the 95-byte district tuple. NextOID is the order-id
 // counter the New-Order transaction increments and the Stock-Level
 // transaction reads — exactly the d_next_o_id of the benchmark.
@@ -174,8 +178,10 @@ func (r *CustomerRec) Unmarshal(buf []byte) {
 }
 
 // Customer projections: C_LAST opens Data, and custHeadEnd ends the fixed
-// fields and C_LAST — what Order-Status reports of its customer, and all the
-// by-name scan needs.
+// fields and C_LAST — what Order-Status reports of its customer, all the
+// by-name scan needs, and New-Order's customer read (C_DISCOUNT and C_LAST;
+// the C_CREDIT that clause 2.4.2.2 also selects is kept in Data past C_LAST,
+// outside the prefix, and New-Order reports nothing of it).
 const (
 	custLastLen = 16
 	custHeadEnd = 52 + custLastLen
@@ -273,6 +279,20 @@ func (r *ItemRec) Unmarshal(buf []byte) {
 	r.PriceCents = c.u32()
 	copy(r.Name[:], c.bytes(70))
 	mustLen(core.Item, c.off)
+}
+
+// itemPriceEnd ends I_ID, I_IM_ID and I_PRICE: New-Order's item read. The
+// I_NAME and I_DATA that clause 2.4.2.2 also selects are kept in Name, past
+// the prefix; New-Order prices its lines with I_PRICE alone.
+const itemPriceEnd = 12
+
+// unmarshalPrice decodes the itemPriceEnd projection: IID, ImageID and
+// PriceCents. The rest of r is left as it was.
+func (r *ItemRec) unmarshalPrice(buf []byte) {
+	c := cursor{buf: buf}
+	r.IID = c.u32()
+	r.ImageID = c.u32()
+	r.PriceCents = c.u32()
 }
 
 // OrderRec is the 24-byte order tuple.

@@ -14,6 +14,16 @@
 // original single-table manager and is kept as the differential baseline
 // (see striped_test.go).
 //
+// A stripe's lock table is a keytab.Table: open addressing keyed by
+// (table, row) in place, with no Go map on the grant or release path. A
+// key's stripe and its home slot in the stripe's table come from one
+// Fibonacci hash (keytab.Hash), the stripe from bits 32 and up and the
+// slot from the top bits, so the keys of one stripe spread over its whole
+// table. A grant is one probe to find the key's state and, for a key no
+// one holds, one more to enter it; the release that empties a state
+// deletes it, shifting its probe chain back, so a table that empties is
+// as fast as a new one.
+//
 // Deadlock detection is the one structurally global concern: a wait cycle
 // can span stripes (txn A blocked in stripe 1 on a lock whose holder is
 // blocked in stripe 2 on a lock A holds). The wait-for graph therefore
@@ -47,6 +57,7 @@ import (
 	"sync"
 	"time"
 
+	"tpccmodel/internal/engine/keytab"
 	"tpccmodel/internal/rng"
 )
 
@@ -96,8 +107,9 @@ type TxnID uint64
 // DefaultStripes is the stripe count NewManager uses. 64 comfortably
 // exceeds any plausible worker count (contention on a stripe mutex needs
 // two workers hashing to the same stripe at the same instant), while the
-// per-stripe fixed cost (one map, one mutex, empty freelists) keeps the
-// whole manager under a few KB. Must be a power of two.
+// per-stripe fixed cost (one mutex, a lock table that allocates nothing
+// until its first grant, empty freelists) keeps the whole manager under a
+// few KB. Must be a power of two.
 const DefaultStripes = 64
 
 // grant is one member of a key's granted group.
@@ -223,13 +235,14 @@ func (tl *txnLocks) reset() {
 	tl.waited = false
 }
 
-// stripe is one shard of the lock table: a mutex, the keys that hash here,
-// a freelist for emptied states, and this stripe's share of the counters.
+// stripe is one shard of the lock table: a mutex, the states of the keys
+// that hash here, a freelist for emptied states, and this stripe's share of
+// the counters.
 // The pad keeps hot stripes on separate cache lines so uncontended grants
 // in different stripes do not false-share.
 type stripe struct {
 	mu     sync.Mutex
-	locks  map[Key]*lockState
+	locks  keytab.Table[lockState]
 	lsFree []*lockState
 
 	acquired  int64
@@ -301,9 +314,6 @@ func newManagerStripes(n int) *Manager {
 		txns:  make([]txnShard, n),
 		tmask: uint64(n - 1),
 	}
-	for i := range m.stripes {
-		m.stripes[i].locks = make(map[Key]*lockState)
-	}
 	for i := range m.txns {
 		m.txns[i].held = make(map[TxnID]*txnLocks)
 		m.txns[i].waitKey = make(map[TxnID]Key)
@@ -313,14 +323,14 @@ func newManagerStripes(n int) *Manager {
 	return m
 }
 
-// keyHash is Fibonacci multiplicative hashing on the mixed row/table bits:
-// row keys are near-sequential per table, so the multiply spreads adjacent
-// rows apart; the high bits of the product carry the mixing.
-func keyHash(key Key) uint64 {
-	return (key.Row ^ uint64(key.Table)<<32) * 0x9e3779b97f4a7c15
-}
+// keyHash is keytab.Hash, the Fibonacci hash every stripe's table homes
+// its keys by: stripeOf and the held set read their bits from the same
+// product.
+func keyHash(key Key) uint64 { return keytab.Hash(key.Table, key.Row) }
 
-// stripeOf hashes a key to its stripe.
+// stripeOf hashes a key to its stripe: keyHash's bits from 32 up, which a
+// stripe's table, homing keys by the top bits, does not read below 2^26
+// slots.
 func (m *Manager) stripeOf(key Key) *stripe {
 	return &m.stripes[(keyHash(key)>>32)&m.mask]
 }
@@ -367,6 +377,20 @@ func (m *Manager) Counts() (acquired, waits, deadlocks int64) {
 		s.mu.Unlock()
 	}
 	return acquired, waits, deadlocks
+}
+
+// Keys returns the number of keys that have a lock state (held, or waited
+// for), summed over stripes. A manager with no transaction in flight has
+// none; any other count there is a leaked state.
+func (m *Manager) Keys() int {
+	n := 0
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += s.locks.Len()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Timeouts returns the number of waits that expired (SetWaitTimeout).
@@ -468,10 +492,10 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 
 	st := m.stripeOf(key)
 	st.mu.Lock()
-	ls := st.locks[key]
+	ls := st.locks.Get(key.Table, key.Row)
 	if ls == nil {
 		ls = st.newLockState()
-		st.locks[key] = ls
+		st.locks.Put(key.Table, key.Row, ls)
 	}
 
 	can := grantable(ls, txn, mode)
@@ -526,7 +550,7 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	if cycle {
 		st.deadlocks++
 		if len(ls.granted) == 0 && len(ls.waiters) == 0 {
-			delete(st.locks, key)
+			st.locks.Delete(key.Table, key.Row)
 			st.freeLockState(ls)
 		}
 		st.mu.Unlock()
@@ -603,7 +627,7 @@ func (m *Manager) expireWait(key Key, req *request) error {
 		return err
 	default:
 	}
-	ls := st.locks[key]
+	ls := st.locks.Get(key.Table, key.Row)
 	if ls != nil {
 		for i, r := range ls.waiters {
 			if r == req {
@@ -673,7 +697,7 @@ func (s *stripe) promote(key Key, ls *lockState) {
 		r.ready <- nil
 	}
 	if len(ls.granted) == 0 && len(ls.waiters) == 0 {
-		delete(s.locks, key)
+		s.locks.Delete(key.Table, key.Row)
 		s.freeLockState(ls)
 	}
 }
@@ -714,7 +738,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	if waiting {
 		st := m.stripeOf(key)
 		st.mu.Lock()
-		if ls := st.locks[key]; ls != nil {
+		if ls := st.locks.Get(key.Table, key.Row); ls != nil {
 			for i, r := range ls.waiters {
 				if r.txn == txn {
 					ls.waiters = append(ls.waiters[:i], ls.waiters[i+1:]...)
@@ -729,7 +753,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	for _, h := range tl.keys {
 		st := m.stripeOf(h.key)
 		st.mu.Lock()
-		if ls := st.locks[h.key]; ls != nil {
+		if ls := st.locks.Get(h.key.Table, h.key.Row); ls != nil {
 			removeGrant(ls, txn)
 			st.promote(h.key, ls)
 		}

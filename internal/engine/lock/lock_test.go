@@ -206,6 +206,9 @@ func TestConcurrentStress(t *testing.T) {
 		}(uint64(g + 1))
 	}
 	wg.Wait()
+	if n := m.Keys(); n != 0 {
+		t.Fatalf("%d lock states left after every transaction released", n)
+	}
 	var total int64
 	for _, c := range counters {
 		total += c

@@ -221,8 +221,12 @@ func runLockSchedule(m *Manager, seed uint64, steps int) []string {
 // stripe-independent, so the logs must be equal line for line.
 func TestStripedDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 1993, 77} {
-		single := runLockSchedule(newManagerStripes(1), seed, 400)
-		striped := runLockSchedule(NewManager(), seed, 400)
+		ms, mm := newManagerStripes(1), NewManager()
+		single := runLockSchedule(ms, seed, 400)
+		striped := runLockSchedule(mm, seed, 400)
+		if ns, nm := ms.Keys(), mm.Keys(); ns != 0 || nm != 0 {
+			t.Fatalf("seed %d: %d and %d lock states left after every transaction released", seed, ns, nm)
+		}
 		if len(single) != len(striped) {
 			t.Fatalf("seed %d: log lengths differ: %d vs %d", seed, len(single), len(striped))
 		}
@@ -321,5 +325,28 @@ func TestCrossStripeDeadlock(t *testing.T) {
 		if n := m.HeldBy(id); n != 0 {
 			t.Errorf("txn %d still holds %d locks after ReleaseAll", id, n)
 		}
+	}
+}
+
+// TestStripeKeysSpreadOverTable pins the hash split between stripeOf and a
+// stripe's table: the keys of one stripe must reach every part of the
+// table, so the home slot may not read the bits the stripe was chosen by.
+// 4 096 keys of stripe 0 homed in a 1 024-slot table leave about e^-4 of
+// the slots unused; if the home slot shared the stripe's six bits they
+// could reach only one slot in 64.
+func TestStripeKeysSpreadOverTable(t *testing.T) {
+	m := NewManager()
+	const slots = 1024
+	used := make(map[uint64]bool)
+	for row, n := uint64(0), 0; n < 4*slots; row++ {
+		key := Key{Table: 3, Row: row}
+		if m.stripeOf(key) != &m.stripes[0] {
+			continue
+		}
+		n++
+		used[keyHash(key)>>(64-10)] = true
+	}
+	if len(used) < slots*9/10 {
+		t.Fatalf("the keys of one stripe reach %d of %d home slots", len(used), slots)
 	}
 }

@@ -46,6 +46,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"tpccmodel/internal/engine/keytab"
 )
 
 // ErrConflict is the first-committer-wins validation failure: the row was
@@ -54,8 +56,7 @@ import (
 var ErrConflict = errors.New("mvcc: write-write conflict (first committer wins)")
 
 // Key identifies a logical row, mirroring lock.Key: the relation in Table
-// and the engine's packed row key in Row. Tables are small dense numbers
-// (the engine's relations): the store keeps a chain map per table.
+// and the engine's packed row key in Row.
 type Key struct {
 	Table uint32
 	Row   uint64
@@ -100,42 +101,28 @@ type chain struct {
 	latestGen uint64
 }
 
-// storeShard is one shard of the chain map. chains[t][row] is the chain of
-// row in table t: one map per table, keyed by the row alone, so a lookup
-// hashes one uint64 (the map's fast path) instead of a two-field struct.
-// Under SSI, marks lists the SIREAD marks on the shard's keys (ssi.go).
+// storeShard is one shard of the chain table. chains maps each key of the
+// shard that has a live chain to it: one open-addressed table for every
+// relation (package keytab), so a lookup is a multiply and, in the common
+// case, one slot compare. Under SSI, marks lists the SIREAD marks on the
+// shard's keys (ssi.go).
 type storeShard struct {
 	mu     sync.Mutex
-	chains []map[uint64]*chain
+	chains keytab.Table[chain]
 	free   *chain
 	marks  []ssiMark
 	_      [24]byte // keep neighboring shards off one cache line
 }
 
 // get returns k's chain, or nil.
-func (sh *storeShard) get(k Key) *chain {
-	if int(k.Table) < len(sh.chains) {
-		return sh.chains[k.Table][k.Row]
-	}
-	return nil
-}
+func (sh *storeShard) get(k Key) *chain { return sh.chains.Get(k.Table, k.Row) }
 
 // put enters c under its key.
-func (sh *storeShard) put(c *chain) {
-	for int(c.k.Table) >= len(sh.chains) {
-		sh.chains = append(sh.chains, nil)
-	}
-	m := sh.chains[c.k.Table]
-	if m == nil {
-		m = make(map[uint64]*chain)
-		sh.chains[c.k.Table] = m
-	}
-	m[c.k.Row] = c
-}
+func (sh *storeShard) put(c *chain) { sh.chains.Put(c.k.Table, c.k.Row, c) }
 
-// remove takes c out of the map and frees it.
+// remove takes c out of the table and frees it.
 func (sh *storeShard) remove(c *chain) {
-	delete(sh.chains[c.k.Table], c.k.Row)
+	sh.chains.Delete(c.k.Table, c.k.Row)
 	sh.release(c)
 }
 
@@ -279,9 +266,7 @@ func (s *Store) Chains() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, m := range sh.chains {
-			n += len(m)
-		}
+		n += sh.chains.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -634,12 +619,7 @@ func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, m := range sh.chains {
-			for row, c := range m {
-				delete(m, row)
-				sh.release(c)
-			}
-		}
+		sh.chains.Clear(sh.release)
 		clear(sh.marks)
 		sh.marks = sh.marks[:0]
 		sh.mu.Unlock()

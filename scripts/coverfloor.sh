@@ -19,6 +19,8 @@ tpccmodel/internal/engine/mvcc	90.0
 tpccmodel/internal/engine/db	84.8
 tpccmodel/internal/engine/index	93.0
 tpccmodel/internal/engine/storage	89.0
+tpccmodel/internal/engine/lock	92.0
+tpccmodel/internal/engine/keytab	95.0
 "
 
 pkgs=$(echo "$floors" | awk 'NF {print $1}' | sed 's|^tpccmodel|.|')
