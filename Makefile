@@ -18,10 +18,10 @@ build:
 # Begin/Prepare/Commit, all three -cc modes) and
 # TestBranchesRetireVersionChains run on small fixtures and are not
 # -short-skipped, and so do shard's TestHomeShardOtherWarehouseLine and
-# TestCrossShardDeadlockLiveness (two workers in a cross-shard lock cycle
-# only the wait timeout breaks). The buffer manager and the page store,
-# where page I/O — demand misses, read-aheads, write-backs — runs
-# concurrently with everything else, the log, whose force protocol has
+# TestCrossShardDeadlockLiveness (two workers in a cross-shard lock cycle,
+# which the shards' shared wait-for graph detects). The buffer manager and
+# the page store, where page I/O — demand misses, read-aheads, write-backs
+# — runs concurrently with everything else, the log, whose force protocol has
 # three entry points racing each other (committers, read-only
 # acknowledgements, the buffer manager's ForceTo) and whose size is read
 # without its mutex, and the lock manager, the index, the version store and
@@ -32,7 +32,9 @@ build:
 # miss starts up to 16 clean-ahead writes at once, and their interleavings
 # with eviction, Crash and FlushAll differ from run to run; so do the
 # one-visit record read's against a writer of the same page and against its
-# Pin/Unpin oracle (~40 s).
+# Pin/Unpin oracle (~40 s). So does, fifty times, the lock manager's test of
+# two managers on one wait-for graph, where a lost wake-up or a second
+# victim of one cross-manager cycle would show (~1 s).
 test:
 	go vet ./...
 	go test ./...
@@ -41,6 +43,7 @@ test:
 		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/ \
 		./internal/engine/keytab/
 	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack|ReadRecord' ./internal/engine/bufmgr/
+	go test -race -count=50 -run TestCycleAcrossManagers ./internal/engine/lock/
 
 race:
 	go test -race -timeout 60m ./...

@@ -3,9 +3,9 @@ package db
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"tpccmodel/internal/engine/lock"
+	"tpccmodel/internal/engine/mvcc"
 )
 
 // This file is the snapshot-isolation anomaly battery: deterministic
@@ -110,12 +110,10 @@ func TestMVCCLostUpdateImpossible(t *testing.T) {
 
 // TestMVCCDirtyWriteImpossible: writes stay lock-based under mvcc, so a
 // second writer cannot touch a row whose update is uncommitted — it
-// blocks on the exclusive lock (surfacing as a timeout here) instead of
-// interleaving undo images.
+// blocks on the exclusive lock instead of interleaving undo images — and
+// once the first writer commits, first-committer-wins refuses it.
 func TestMVCCDirtyWriteImpossible(t *testing.T) {
 	d := openTiny(t, CCMVCC)
-	d.locks.SetWaitTimeout(2 * time.Millisecond)
-	defer d.locks.SetWaitTimeout(0)
 
 	t1 := d.NewSession().begin()
 	if err := tinyWriteCustomer(t1, 0, func(c *CustomerRec) { c.BalanceCents = 111 }); err != nil {
@@ -123,16 +121,21 @@ func TestMVCCDirtyWriteImpossible(t *testing.T) {
 	}
 
 	t2 := d.NewSession().begin()
-	err := tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
-	if !errors.Is(err, lock.ErrTimeout) {
-		t.Fatalf("overlapping write failed with %v, want lock.ErrTimeout", err)
+	blocked, done := tryStep(d, func() error {
+		return tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
+	})
+	if !blocked {
+		t.Fatalf("overlapping write ended (%v) without waiting for the uncommitted one", <-done)
 	}
-	if err := t2.fail(err); !errors.Is(err, ErrAborted) {
-		t.Fatalf("timed-out writer surfaced %v, want ErrAborted", err)
-	}
-
 	if err := t1.commit(); err != nil {
 		t.Fatal(err)
+	}
+	err := <-done
+	if !errors.Is(err, mvcc.ErrConflict) {
+		t.Fatalf("overlapping write failed with %v after the first writer committed, want mvcc.ErrConflict", err)
+	}
+	if err := t2.fail(err); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("refused writer surfaced %v, want ErrWriteConflict", err)
 	}
 	fin := d.NewSession().begin()
 	if rec, _ := tinyReadCustomer(t, fin, 0); rec.BalanceCents != 111 {
@@ -310,23 +313,31 @@ func TestWriteSkew(t *testing.T) {
 
 	t.Run("2pl-refuses", func(t *testing.T) {
 		d := openTiny(t, CC2PL)
-		d.locks.SetWaitTimeout(2 * time.Millisecond)
-		defer d.locks.SetWaitTimeout(0)
 
 		t1 := d.NewSession().begin()
 		t2 := d.NewSession().begin()
 		// The guard reads take shared locks under 2PL...
 		tinyReadCustomer(t, t1, 1)
 		tinyReadCustomer(t, t2, 0)
-		// ...so t1's write of row 0 collides with t2's read lock.
-		err := tinyWriteCustomer(t1, 0, func(c *CustomerRec) { c.BalanceCents = 0 })
-		if !errors.Is(err, lock.ErrTimeout) {
-			t.Fatalf("crossing write failed with %v, want lock.ErrTimeout", err)
+		// ...so t1's write of row 0 waits for t2's read lock...
+		blocked, done := tryStep(d, func() error {
+			return tinyWriteCustomer(t1, 0, func(c *CustomerRec) { c.BalanceCents = 0 })
+		})
+		if !blocked {
+			t.Fatalf("crossing write ended (%v) without waiting for the read lock", <-done)
 		}
-		if err := t1.fail(err); !errors.Is(err, ErrAborted) {
+		// ...and t2's crossing write closes the cycle: it is the victim.
+		err := tinyWriteCustomer(t2, 1, func(c *CustomerRec) { c.BalanceCents = 0 })
+		if !errors.Is(err, lock.ErrDeadlock) {
+			t.Fatalf("crossing write failed with %v, want lock.ErrDeadlock", err)
+		}
+		if err := t2.fail(err); !errors.Is(err, ErrAborted) {
 			t.Fatalf("2PL victim surfaced %v, want ErrAborted", err)
 		}
-		if err := t2.commit(); err != nil {
+		if err := <-done; err != nil {
+			t.Fatalf("t1's write after the victim rolled back: %v", err)
+		}
+		if err := t1.commit(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -103,8 +103,9 @@ func commitBranches(t *testing.T, home, part *Branch) {
 // branchNewOrder runs in on d through the branch entry points. With
 // split, the lines warehouse 1 supplies run as a participant branch
 // (RemoteStockBegin) and carry the Remote flag in the home branch — both
-// against this one instance, they touch disjoint rows; without it the
-// home branch runs every line itself.
+// against this one instance, they touch disjoint rows, and since a gid
+// has one branch per instance the participant runs under partGID(gid);
+// without it the home branch runs every line itself.
 func branchNewOrder(t *testing.T, d *DB, gid uint64, in NewOrderInput, split bool) {
 	t.Helper()
 	var part *Branch
@@ -121,7 +122,7 @@ func branchNewOrder(t *testing.T, d *DB, gid uint64, in NewOrderInput, split boo
 		in = home
 		if len(remote) > 0 {
 			var err error
-			if part, err = d.RemoteStockBegin(gid, remote); err != nil {
+			if part, err = d.RemoteStockBegin(partGID(gid), remote); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -133,10 +134,14 @@ func branchNewOrder(t *testing.T, d *DB, gid uint64, in NewOrderInput, split boo
 	commitBranches(t, hb, part)
 }
 
+// partGID is the gid a test's participant branch runs under when it shares
+// an instance with its home branch.
+func partGID(gid uint64) uint64 { return gid | 1<<40 }
+
 // branchPayment runs in on d as a remote Payment's two branches.
 func branchPayment(t *testing.T, d *DB, gid uint64, in PaymentInput) {
 	t.Helper()
-	pb, cid, _, err := d.RemotePaymentBegin(gid, in.CW, in.CD, in.ByName, in.C, in.NameOrd, in.AmountCents)
+	pb, cid, _, err := d.RemotePaymentBegin(partGID(gid), in.CW, in.CD, in.ByName, in.C, in.NameOrd, in.AmountCents)
 	if err != nil {
 		t.Fatal(err)
 	}

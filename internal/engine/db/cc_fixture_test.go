@@ -1,6 +1,7 @@
 package db
 
 import (
+	"runtime"
 	"testing"
 
 	"tpccmodel/internal/core"
@@ -14,6 +15,28 @@ import (
 // tests in cc_anomaly_test.go therefore drive raw txns over a hand-built
 // fixture — tiny enough to load in microseconds, so the whole battery
 // runs under `-short -race`.
+
+// tryStep runs step, a schedule step that may block on a row lock another
+// of the schedule's transactions holds, on its own goroutine. It returns
+// once the step has ended or d's lock manager has counted its wait, and
+// says which. The channel delivers the step's error: at once if it ended,
+// and, if it blocked, once the schedule ends the block the natural way —
+// the holder commits or aborts, or a crossing request is the deadlock
+// victim. step must not call t.Fatal.
+func tryStep(d *DB, step func() error) (blocked bool, done <-chan error) {
+	_, waits, _ := d.LockCounts()
+	ch := make(chan error, 1)
+	go func() { ch <- step() }()
+	for {
+		if _, w, _ := d.LockCounts(); w > waits {
+			return true, ch
+		}
+		if len(ch) > 0 {
+			return false, ch
+		}
+		runtime.Gosched()
+	}
+}
 
 // tinyDistricts is the fixture's district count (all under warehouse 0,
 // with one customer and one stock row per district).

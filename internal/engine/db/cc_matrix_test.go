@@ -1,8 +1,8 @@
 package db
 
 import (
+	"errors"
 	"testing"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/storage"
@@ -11,10 +11,12 @@ import (
 
 // The anomaly matrix pins every (anomaly, cc-mode) pair in one table:
 // each probe runs the same hand-interleaved schedule under 2pl, mvcc and
-// ssi, tolerating whichever refusal the mode throws (lock timeout, FCW
+// ssi, tolerating whichever refusal the mode throws (a lock wait, FCW
 // conflict, ssi abort), and reports only whether the anomalous OUTCOME
-// was admitted. The matrix is the contract the CC modes are sold on:
-// write skew is the single cell where the modes differ.
+// was admitted. A step that blocks on a lock is refused; the probe then
+// ends the wait the natural way, by committing the holder. The matrix is
+// the contract the CC modes are sold on: write skew is the single cell
+// where the modes differ.
 //
 //	             2pl    mvcc   ssi
 //	dirty-read    –      –      –
@@ -23,8 +25,9 @@ import (
 //	write-skew    –    ALLOWED  –
 
 // matrixReadCustomer is tinyReadCustomer with the engine error surfaced
-// instead of t.Fatal — under 2PL a read of an uncommitted-written row
-// times out on the shared lock, which is a refusal, not a test bug.
+// instead of t.Fatal, so that it can run as a tryStep: under 2PL a read of
+// an uncommitted-written row waits for the shared lock, a refusal, not a
+// test bug.
 func matrixReadCustomer(tx *txn, dist int64) (CustomerRec, error) {
 	key := custKey(dist)
 	rid, _ := tx.d.customerIdx.get(key)
@@ -45,17 +48,33 @@ func probeDirtyRead(t *testing.T, d *DB) bool {
 		t.Fatal(err)
 	}
 	r := d.NewSession().begin()
-	rec, err := matrixReadCustomer(r, 0)
-	observed := err == nil && rec.BalanceCents == 111
+	var rec CustomerRec
+	blocked, done := tryStep(d, func() (err error) {
+		rec, err = matrixReadCustomer(r, 0)
+		return err
+	})
+	if blocked {
+		commitOrFatal(t, w, "lone writer")
+	}
+	err := <-done
+	observed := !blocked && err == nil && rec.BalanceCents == 111
 	if err != nil {
 		r.fail(err)
-	} else if err := r.commit(); err != nil {
-		r.fail(err)
+	} else {
+		r.commit() // a failed commit has rolled back already
 	}
-	if err := w.commit(); err != nil {
-		t.Fatalf("lone writer must commit: %v", err)
+	if !blocked {
+		commitOrFatal(t, w, "lone writer")
 	}
 	return observed
+}
+
+// commitOrFatal commits tx, which must commit.
+func commitOrFatal(t *testing.T, tx *txn, who string) {
+	t.Helper()
+	if err := tx.commit(); err != nil {
+		t.Fatalf("%s must commit: %v", who, err)
+	}
 }
 
 // probeDirtyWrite: can a second writer replace a row whose update is
@@ -66,15 +85,21 @@ func probeDirtyWrite(t *testing.T, d *DB) bool {
 		t.Fatal(err)
 	}
 	t2 := d.NewSession().begin()
-	err := tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
-	observed := err == nil
+	blocked, done := tryStep(d, func() error {
+		return tinyWriteCustomer(t2, 0, func(c *CustomerRec) { c.BalanceCents = 222 })
+	})
+	if blocked {
+		commitOrFatal(t, t1, "first writer")
+	}
+	err := <-done
+	observed := !blocked && err == nil
 	if err != nil {
 		t2.fail(err)
-	} else if err := t2.commit(); err != nil {
-		t2.fail(err)
+	} else {
+		t2.commit() // a failed commit has rolled back already
 	}
-	if err := t1.commit(); err != nil {
-		t.Fatalf("first writer must commit: %v", err)
+	if !blocked {
+		commitOrFatal(t, t1, "first writer")
 	}
 	return observed
 }
@@ -113,8 +138,13 @@ func probeLostUpdate(t *testing.T, d *DB) bool {
 	return commits == 2 && rec.BalanceCents == 100
 }
 
+// errGuardRefused is a write-skew step's guard declining to withdraw: the
+// row it guards was already drained.
+var errGuardRefused = errors.New("guard refused the withdrawal")
+
 // probeWriteSkew: the TestWriteSkew schedule — crossing guard reads,
-// disjoint withdrawals. Admitted when both rows end up drained.
+// disjoint withdrawals, each only while its guard row still holds 50.
+// Admitted when both rows end up drained.
 func probeWriteSkew(t *testing.T, d *DB) bool {
 	seed := d.NewSession().begin()
 	for _, dist := range []int64{0, 1} {
@@ -128,31 +158,37 @@ func probeWriteSkew(t *testing.T, d *DB) bool {
 
 	t1 := d.NewSession().begin()
 	t2 := d.NewSession().begin()
-	step := func(tx *txn, guard, victim int64) bool {
-		if _, err := matrixReadCustomer(tx, guard); err != nil {
+	step := func(tx *txn, guard, victim int64) error {
+		rec, err := matrixReadCustomer(tx, guard)
+		if err == nil && rec.BalanceCents != 50 {
+			err = errGuardRefused
+		}
+		if err != nil {
+			return err
+		}
+		return tinyWriteCustomer(tx, victim, func(c *CustomerRec) { c.BalanceCents = 0 })
+	}
+	// A failed commit has rolled back already.
+	end := func(tx *txn, err error) bool {
+		if err != nil {
 			tx.fail(err)
 			return false
 		}
-		if err := tinyWriteCustomer(tx, victim, func(c *CustomerRec) { c.BalanceCents = 0 }); err != nil {
-			tx.fail(err)
-			return false
-		}
-		return true
+		return tx.commit() == nil
 	}
-	ok1 := step(t1, 1, 0)
-	ok2 := step(t2, 0, 1)
-	if ok1 {
-		if err := t1.commit(); err != nil {
-			t1.fail(err)
-			ok1 = false
-		}
+	// t1's step cannot block: t2 holds nothing yet. Under 2PL t2's guard
+	// read waits for t1's write, and reads it once t1 commits.
+	err1 := step(t1, 1, 0)
+	blocked, done := tryStep(d, func() error { return step(t2, 0, 1) })
+	var ok1 bool
+	if blocked {
+		ok1 = end(t1, err1)
 	}
-	if ok2 {
-		if err := t2.commit(); err != nil {
-			t2.fail(err)
-			ok2 = false
-		}
+	err2 := <-done
+	if !blocked {
+		ok1 = end(t1, err1)
 	}
+	ok2 := end(t2, err2)
 
 	fin := d.NewSession().begin()
 	r0, err := matrixReadCustomer(fin, 0)
@@ -188,8 +224,6 @@ func TestAnomalyMatrix(t *testing.T) {
 		for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {
 			t.Run(p.name+"/"+cc.String(), func(t *testing.T) {
 				d := openTiny(t, cc)
-				d.locks.SetWaitTimeout(2 * time.Millisecond)
-				defer d.locks.SetWaitTimeout(0)
 				got := p.run(t, d)
 				want := p.allowed[cc]
 				if got != want {

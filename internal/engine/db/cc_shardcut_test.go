@@ -2,10 +2,10 @@ package db
 
 import (
 	"testing"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
+	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/tpcc"
 )
@@ -26,12 +26,13 @@ import (
 // boundary.
 
 // openCutPair opens two mvcc-family instances standing in for a home
-// and a participant shard.
+// and a participant shard, on one wait-for graph as a cluster's shards are.
 func openCutPair(t *testing.T, cc CCMode) (home, part *DB) {
 	t.Helper()
+	graph := lock.NewGraph() // one cluster's wait-for graph
 	for _, d := range []**DB{&home, &part} {
 		db, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: 4096, CC: cc},
-			Options{LockWaitTimeout: 20 * time.Millisecond})
+			Options{WaitFor: graph})
 		if err != nil {
 			t.Fatal(err)
 		}

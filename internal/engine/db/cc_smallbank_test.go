@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
@@ -269,8 +268,6 @@ func TestSmallBankSkew(t *testing.T) {
 	t.Run("2pl-refuses", func(t *testing.T) {
 		d := openSmallBank(t, CC2PL)
 		sbSeed(t, d)
-		d.locks.SetWaitTimeout(2 * time.Millisecond)
-		defer d.locks.SetWaitTimeout(0)
 
 		t1 := d.NewSession().begin()
 		t2 := d.NewSession().begin()
@@ -281,19 +278,32 @@ func TestSmallBankSkew(t *testing.T) {
 		if _, err := sbBalanceOf(t2, 0, sbChecking); err != nil {
 			t.Fatal(err)
 		}
-		// ...so WriteCheck's write of chk(a) collides with t2's read lock.
-		_, err := sbWriteCheck(t1, 0, 100)
-		if !errors.Is(err, lock.ErrTimeout) {
-			t.Fatalf("crossing write failed with %v, want lock.ErrTimeout", err)
+		// ...so WriteCheck's write of chk(a) waits for t2's read lock...
+		blocked, done := tryStep(d, func() error {
+			_, err := sbWriteCheck(t1, 0, 100)
+			return err
+		})
+		if !blocked {
+			t.Fatalf("crossing write ended (%v) without waiting for the read lock", <-done)
 		}
-		if err := t1.fail(err); !errors.Is(err, ErrAborted) {
+		// ...and Amalgamate's write of sav(a) closes the cycle: t2 is the
+		// victim.
+		err := sbAmalgamate(t2, 0, 1)
+		if !errors.Is(err, lock.ErrDeadlock) {
+			t.Fatalf("crossing write failed with %v, want lock.ErrDeadlock", err)
+		}
+		if err := t2.fail(err); !errors.Is(err, ErrAborted) {
 			t.Fatalf("2PL victim surfaced %v, want ErrAborted", err)
 		}
-		if err := sbAmalgamate(t2, 0, 1); err != nil {
+		if err := <-done; err != nil {
+			t.Fatalf("WriteCheck after the victim rolled back: %v", err)
+		}
+		if err := t1.commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := t2.commit(); err != nil {
-			t.Fatal(err)
+		sav, chkA, chkB := sbState(t, d)
+		if sav != 100 || chkA != -100 || chkB != 0 {
+			t.Fatalf("state (%d,%d,%d), want WriteCheck alone (100,-100,0)", sav, chkA, chkB)
 		}
 	})
 }
@@ -311,8 +321,6 @@ func TestSmallBankSSIConservation(t *testing.T) {
 		maxTries = 1000
 	)
 	d := openSmallBank(t, CCSSI)
-	d.locks.SetWaitTimeout(5 * time.Millisecond)
-	defer d.locks.SetWaitTimeout(0)
 
 	seed := d.NewSession().begin()
 	for a := int64(0); a < accounts; a++ {

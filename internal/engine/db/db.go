@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/bufmgr"
@@ -293,10 +292,11 @@ type Options struct {
 	// GroupCommit switches WAL commit batching on; the zero value keeps
 	// one log force per committing writer.
 	GroupCommit wal.GroupConfig
-	// LockWaitTimeout bounds row-lock waits (0 = wait forever). Sharded
-	// execution must set it: cross-shard deadlock cycles are invisible to
-	// any single shard's wait-for graph.
-	LockWaitTimeout time.Duration
+	// WaitFor is the wait-for graph the instance's lock manager detects
+	// deadlocks on; nil gives it one of its own. The shards of a cluster
+	// share one, so a deadlock through several shards is found like a
+	// local one.
+	WaitFor *lock.Graph
 }
 
 // Open creates an empty database instance (no data loaded) on fault-free
@@ -316,11 +316,15 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	graph := opts.WaitFor
+	if graph == nil {
+		graph = lock.NewGraph()
+	}
 	d := &DB{
 		cfg:   cfg,
 		store: store,
 		log:   wal.New(),
-		locks: lock.NewManager(),
+		locks: graph.NewManager(),
 	}
 	switch cfg.CC {
 	case CCMVCC:
@@ -333,7 +337,6 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	}
 	d.log.SetFaultHook(opts.LogHook)
 	d.log.SetGroupCommit(opts.GroupCommit)
-	d.locks.SetWaitTimeout(opts.LockWaitTimeout)
 	d.buf = bufmgr.New(d.store, cfg.BufferPages)
 	// The WAL rule: no dirty page reaches the store before the log
 	// records covering it are durable.

@@ -38,10 +38,18 @@ type Branch struct {
 
 // beginBranch starts a branch on a pooled session: like any transaction's,
 // its txn value's scratch and (under mvcc) retire ring are recycled only
-// by the next transaction that begins on the same value.
+// by the next transaction that begins on the same value. The branch locks
+// as lock.Global(gid), so a gid has at most one open branch per instance:
+// a second would share the first's held set, and whichever ended first
+// would release the other's locks. Every branch body writes, so an open
+// branch holds locks, and that is what a second one would find.
 func (d *DB) beginBranch(gid uint64) *Branch {
 	s := d.getSession()
-	s.begin()
+	t := s.begin()
+	t.owner = lock.Global(gid)
+	if d.locks.HeldBy(t.owner) != 0 {
+		panic(fmt.Sprintf("db: gid %#x already has an open branch on this instance", gid))
+	}
 	return &Branch{s: s, gid: gid}
 }
 
@@ -131,7 +139,7 @@ func (b *Branch) Forsake() {
 		// resets the whole store anyway.
 		t.d.mvcc.Abort(&t.mv)
 	}
-	t.d.locks.ReleaseAll(t.id)
+	t.d.locks.ReleaseAll(t.owner)
 	b.end()
 }
 
@@ -198,8 +206,9 @@ func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, error) {
 
 // relockInDoubt re-acquires exclusive locks on every in-doubt branch's
 // rows, so post-recovery traffic cannot write rows whose final state is
-// still undecided. Runs on the quiesced recovery path: all locks are free
-// and acquisition cannot block.
+// still undecided. The locks are the branch's own, lock.Global(gid), as
+// they were before the crash. Runs on the quiesced recovery path: all
+// locks are free or already the branch's, and acquisition cannot block.
 func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []wal.InDoubtTxn) error {
 	for _, b := range branches {
 		for _, r := range b.Records {
@@ -207,7 +216,7 @@ func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []wal.InDou
 			if err != nil {
 				return err
 			}
-			if err := d.locks.Acquire(lock.TxnID(b.Txn), key, lock.Exclusive); err != nil {
+			if err := d.locks.Acquire(lock.Global(b.GID), key, lock.Exclusive); err != nil {
 				return fmt.Errorf("db: re-locking in-doubt gid %d: %w", b.GID, err)
 			}
 		}
@@ -267,7 +276,7 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 		_, _, _ = d.log.PreCommit(wal.Record{Txn: b.Txn, Type: wal.RecAbort, RID: gid})
 		d.aborts.Add(1)
 	}
-	d.locks.ReleaseAll(lock.TxnID(b.Txn))
+	d.locks.ReleaseAll(lock.Global(gid))
 
 	d.distMu.Lock()
 	for i := range d.inDoubt {

@@ -1,12 +1,11 @@
 package db
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
+	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/rng"
 	"tpccmodel/internal/tpcc"
@@ -14,12 +13,14 @@ import (
 
 // openShardPair opens two one-warehouse instances standing in for a home
 // shard and a participant shard, both loaded from the same seed (so Item
-// is replicated identically, as on symmetric nodes).
+// is replicated identically, as on symmetric nodes), on one wait-for graph
+// as a cluster's shards are.
 func openShardPair(t *testing.T) (home, part *DB) {
 	t.Helper()
+	graph := lock.NewGraph() // one cluster's wait-for graph
 	for _, d := range []**DB{&home, &part} {
 		db, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: 4096},
-			Options{LockWaitTimeout: 20 * time.Millisecond})
+			Options{WaitFor: graph})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +207,22 @@ func TestInDoubtRecovery(t *testing.T) {
 			if got := readStock(t, part, 0, iid); got.YTD != s0.YTD {
 				t.Fatalf("in-doubt rows not at before-image: YTD %d, want %d", got.YTD, s0.YTD)
 			}
-			// The undecided row must be locked: an independent writer times out.
-			if _, err := part.RemoteStockBegin(0x30002, []OrderItem{{IID: iid, SupplyW: 0, Qty: 1}}); !errors.Is(err, ErrAborted) {
-				t.Fatalf("write to in-doubt row: err = %v, want ErrAborted", err)
+			// The undecided row must be locked: a request for it waits
+			// until the branch is resolved.
+			const probe = lock.TxnID(1 << 40) // no transaction's id
+			key := lock.Key{Table: uint32(core.Stock), Row: index.KeyWI(0, iid)}
+			blocked, done := tryStep(part, func() error { return part.locks.Acquire(probe, key, lock.Shared) })
+			if !blocked {
+				t.Fatalf("lock request for the in-doubt row ended (%v) without waiting", <-done)
 			}
 
 			if err := part.ResolveInDoubt(gid, commit); err != nil {
 				t.Fatal(err)
 			}
+			if err := <-done; err != nil {
+				t.Fatalf("lock request for the row once resolved: %v", err)
+			}
+			part.locks.ReleaseAll(probe)
 			if n := len(part.InDoubt()); n != 0 {
 				t.Fatalf("%d branches still in doubt after resolution", n)
 			}
@@ -328,8 +337,7 @@ func TestForsakeLeavesDurableStateAlone(t *testing.T) {
 // clause 2.4.2.2 — s_remote_cnt moves and the order is not all-local —
 // exactly as DB.NewOrder treats it.
 func TestDistHomeBranchOtherWarehouseLine(t *testing.T) {
-	d, err := OpenWith(Config{Warehouses: 2, PageSize: 4096, BufferPages: 4096},
-		Options{LockWaitTimeout: 20 * time.Millisecond})
+	d, err := Open(Config{Warehouses: 2, PageSize: 4096, BufferPages: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,6 @@ func (o *linearHeld) acquire(key Key, mode Mode) {
 // once.
 func TestHeldSetMatchesLinearOracle(t *testing.T) {
 	m := NewManager()
-	m.SetWaitTimeout(time.Second)
 	r := rng.New(28)
 	sizes := []int{4000, 9, 17, 3, 400, minIndex / 2, minIndex/2 + 1, 100, 2000, 1, 40}
 	for range 12 {
@@ -112,12 +111,12 @@ func TestHeldSetMatchesLinearOracle(t *testing.T) {
 }
 
 // TestUnblockedReleaseSkipsDetector: a transaction that never waited takes
-// its locks and releases them all without touching the deadlock detector's
+// its locks and releases them all without touching the wait-for graph's
 // mutex, here held by the test for the whole run.
 func TestUnblockedReleaseSkipsDetector(t *testing.T) {
 	m := NewManager()
-	m.det.Lock()
-	defer m.det.Unlock()
+	m.g.mu.Lock()
+	defer m.g.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

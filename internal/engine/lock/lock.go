@@ -1,7 +1,8 @@
 // Package lock implements a strict two-phase-locking row lock manager with
 // shared/exclusive modes, lock upgrade, and deadlock detection via a
 // wait-for graph (victims get ErrDeadlock and are expected to abort and
-// retry — the engine's transaction layer does this).
+// retry — the engine's transaction layer does this). Every wait ends with
+// a grant or a detected cycle: there is no wait timeout.
 //
 // The throughput model charges 1K instructions per lock released at commit
 // (Section 5.1); this manager is the executable counterpart whose lock
@@ -26,12 +27,15 @@
 //
 // Deadlock detection is the one structurally global concern: a wait cycle
 // can span stripes (txn A blocked in stripe 1 on a lock whose holder is
-// blocked in stripe 2 on a lock A holds). The wait-for graph therefore
-// lives behind a separate detector mutex that is touched ONLY by requests
-// that actually block, and by the release of a transaction that blocked —
-// the uncontended grant path and the release of a transaction that never
-// waited do not take it, so detection cost scales with contention, not
-// throughput.
+// blocked in stripe 2 on a lock A holds), and, in a cluster, managers. The
+// wait-for graph is therefore a Graph of its own behind its own mutex,
+// touched ONLY by requests that actually block — the uncontended grant
+// path and every release do not take it, so detection cost scales with
+// contention, not throughput. The managers of a cluster share one Graph
+// (a standalone manager has its own): a global transaction (see Global)
+// has a branch and a held set on each manager it runs on but is one vertex
+// of the graph, so a cycle through several managers is found the way a
+// cycle through several stripes is.
 //
 // Bookkeeping is O(1) per request however many locks a transaction holds:
 // an Acquire visits its transaction's bookkeeping shard once, and the held
@@ -45,9 +49,9 @@
 // Concurrency contract: methods are safe for concurrent use across
 // transactions. Calls for the SAME TxnID (its Acquires and its final
 // ReleaseAll) must be issued serially — the engine runs each transaction
-// on one goroutine, and the seed manager already relied on this (a
-// ReleaseAll racing the same transaction's in-flight Acquire could leak a
-// concurrently promoted grant).
+// on one goroutine — and for a global TxnID serially across every manager
+// of its graph, so a transaction waits on at most one lock at a time and
+// never releases while it waits.
 package lock
 
 import (
@@ -55,10 +59,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 
 	"tpccmodel/internal/engine/keytab"
-	"tpccmodel/internal/rng"
 )
 
 // Mode is a lock mode.
@@ -90,19 +92,20 @@ func (k Key) String() string { return fmt.Sprintf("t%d/%d", k.Table, k.Row) }
 // ErrDeadlock is returned to the transaction chosen as the deadlock victim.
 var ErrDeadlock = errors.New("lock: deadlock detected")
 
-// ErrTimeout is returned when a bounded wait expires. It matches
-// ErrDeadlock under errors.Is, because a timeout is how cross-engine
-// deadlocks surface: each engine's wait-for graph is local, so a cycle
-// spanning two engines (a distributed transaction holding locks on both)
-// is invisible to either detector and can only be broken by timing the
-// wait out and aborting, exactly like a deadlock victim.
-var ErrTimeout = fmt.Errorf("lock: wait timed out: %w", ErrDeadlock)
-
-// errCancelled resolves waits of a transaction being released.
-var errCancelled = errors.New("lock: wait cancelled")
-
-// TxnID identifies a transaction.
+// TxnID identifies a transaction. A local TxnID, below 2^63, names a
+// transaction of one manager: the same local TxnID on two managers names
+// two transactions. A global one (see Global) names one transaction on
+// every manager of a Graph.
 type TxnID uint64
+
+// globalBit marks a global TxnID.
+const globalBit = 1 << 63
+
+// Global returns the TxnID of the global transaction id, which must be
+// below 2^63. A global transaction runs a branch on each of several
+// managers that share a Graph: each branch has its own held set, as a
+// local transaction has, and all of them are one vertex of the graph.
+func Global(id uint64) TxnID { return TxnID(id | globalBit) }
 
 // DefaultStripes is the stripe count NewManager uses. 64 comfortably
 // exceeds any plausible worker count (contention on a stripe mutex needs
@@ -119,17 +122,17 @@ type grant struct {
 }
 
 // request is one BLOCKED lock request; immediately granted requests never
-// materialize one. Records are pooled behind the detector mutex, which
-// every blocked request takes anyway: a transaction waits on at most one
-// lock at a time, so the pool never holds more than one per worker. ready
-// (capacity 1) carries exactly one outcome per wait and is empty again when
-// the waiter has received it; blockers backs the transaction's wait-for
-// edges while it waits.
+// materialize one. Records are pooled in the Graph, behind its mutex,
+// which every blocked request takes anyway: a transaction waits on at most
+// one lock at a time, so the pool never holds more than one per worker.
+// ready (capacity 1) carries the one grant that ends the wait and is empty
+// again when the waiter has received it; blockers backs the transaction's
+// wait-for edges while it waits.
 type request struct {
 	txn      TxnID
 	mode     Mode
-	ready    chan error
-	blockers []TxnID
+	ready    chan struct{}
+	blockers []vertex
 }
 
 // lockState is the per-key lock table entry: the granted group followed by
@@ -162,14 +165,10 @@ const minIndex = 16
 // allocates nothing.
 //
 // keys and index belong to the owning transaction: only its own Acquire
-// and ReleaseAll write them, serially (see the package contract). waited
-// is guarded by the shard mutex.
+// and ReleaseAll write them, serially (see the package contract).
 type txnLocks struct {
 	keys  []heldLock
 	index []int32
-	// waited reports that the transaction has blocked on a lock, so it may
-	// have wait-for edges and a waitKey entry for ReleaseAll to drop.
-	waited bool
 }
 
 // find returns the position of key in tl.keys.
@@ -232,7 +231,6 @@ func (tl *txnLocks) reset() {
 		tl.index[s] = 0
 	}
 	tl.keys = tl.keys[:0]
-	tl.waited = false
 }
 
 // stripe is one shard of the lock table: a mutex, the states of the keys
@@ -248,26 +246,51 @@ type stripe struct {
 	acquired  int64
 	waits     int64
 	deadlocks int64
-	timeouts  int64
 
-	_ [24]byte
+	_ [32]byte
 }
 
 // txnShard is one shard of the per-transaction state: which locks each
-// transaction holds and the single key it is currently waiting on.
-// Sharded by txn id so commits of different transactions do not serialize
-// on one bookkeeping mutex.
+// transaction holds. Sharded by txn id so commits of different
+// transactions do not serialize on one bookkeeping mutex.
 type txnShard struct {
 	mu sync.Mutex
 	// held[txn] is the pooled list of keys the transaction holds.
-	held map[TxnID]*txnLocks
-	// waitKey[txn] is the single key txn is currently queued on (a
-	// transaction blocks on at most one Acquire at a time), so release
-	// can cancel the wait without scanning the whole lock table.
-	waitKey map[TxnID]Key
-	tlFree  []*txnLocks
+	held   map[TxnID]*txnLocks
+	tlFree []*txnLocks
 
-	_ [24]byte
+	_ [32]byte
+}
+
+// vertex names a transaction in a Graph: a global one by its TxnID alone
+// (site 0), a local one by its manager's site and its TxnID.
+type vertex struct {
+	site uint32
+	txn  TxnID
+}
+
+// Graph is a wait-for graph, the deadlock detector of every manager that
+// shares it. Only requests that block take its mutex; the uncontended
+// grant path and the release path never do. Lock order: a stripe mutex may
+// be held while taking the graph's, never the reverse.
+type Graph struct {
+	mu sync.Mutex
+	// waitFor[v] lists the vertices v is waiting on (for cycle detection);
+	// it aliases v's request record and may repeat a vertex.
+	waitFor map[vertex][]vertex
+	// free pools request records; seen and stack are the cycle check's
+	// scratch.
+	free  []*request
+	seen  map[vertex]struct{}
+	stack []vertex
+	// sites counts the managers that joined; each local vertex carries its
+	// manager's number.
+	sites uint32
+}
+
+// NewGraph returns an empty wait-for graph for managers to share.
+func NewGraph() *Graph {
+	return &Graph{waitFor: make(map[vertex][]vertex), seen: make(map[vertex]struct{})}
 }
 
 // Manager is the striped lock manager. See the package comment for the
@@ -277,35 +300,28 @@ type Manager struct {
 	mask    uint64
 	txns    []txnShard
 	tmask   uint64
-
-	// det guards the global wait-for graph. Only requests that block (and
-	// the release/timeout paths cleaning up after them) take it; the
-	// uncontended grant path never does. Lock order: a stripe mutex may be
-	// held while taking det, never the reverse.
-	det struct {
-		sync.Mutex
-		// waitFor[a] lists the txns a is waiting on (for cycle detection);
-		// it aliases a's request record and may repeat a txn.
-		waitFor map[TxnID][]TxnID
-		// free pools request records; seen and stack are the cycle
-		// check's scratch.
-		free  []*request
-		seen  map[TxnID]struct{}
-		stack []TxnID
-	}
-
-	// cfgMu guards waitTimeout (set rarely, read per blocked wait).
-	cfgMu       sync.Mutex
-	waitTimeout time.Duration
+	// g is the wait-for graph the manager detects deadlocks on, site its
+	// number there.
+	g    *Graph
+	site uint32
 }
 
-// NewManager creates an empty lock manager with DefaultStripes stripes.
-func NewManager() *Manager { return newManagerStripes(DefaultStripes) }
+// NewManager creates an empty lock manager with a wait-for graph of its
+// own.
+func NewManager() *Manager { return NewGraph().NewManager() }
 
-// newManagerStripes creates an empty lock manager with n stripes, a power of
+// NewManager creates an empty lock manager with DefaultStripes stripes
+// that detects deadlocks on g.
+func (g *Graph) NewManager() *Manager { return g.newManager(DefaultStripes) }
+
+// newManager creates an empty lock manager on g with n stripes, a power of
 // two. One stripe reproduces the seed single-table manager exactly and is
 // the differential oracle of the striped one.
-func newManagerStripes(n int) *Manager {
+func (g *Graph) newManager(n int) *Manager {
+	g.mu.Lock()
+	g.sites++
+	site := g.sites
+	g.mu.Unlock()
 	m := &Manager{
 		stripes: make([]stripe, n),
 		mask:    uint64(n - 1),
@@ -313,14 +329,21 @@ func newManagerStripes(n int) *Manager {
 		// the same worker concurrency.
 		txns:  make([]txnShard, n),
 		tmask: uint64(n - 1),
+		g:     g,
+		site:  site,
 	}
 	for i := range m.txns {
 		m.txns[i].held = make(map[TxnID]*txnLocks)
-		m.txns[i].waitKey = make(map[TxnID]Key)
 	}
-	m.det.waitFor = make(map[TxnID][]TxnID)
-	m.det.seen = make(map[TxnID]struct{})
 	return m
+}
+
+// vertex names txn in the manager's graph.
+func (m *Manager) vertex(txn TxnID) vertex {
+	if txn&globalBit != 0 {
+		return vertex{txn: txn}
+	}
+	return vertex{site: m.site, txn: txn}
 }
 
 // keyHash is keytab.Hash, the Fibonacci hash every stripe's table homes
@@ -391,36 +414,6 @@ func (m *Manager) Keys() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Timeouts returns the number of waits that expired (SetWaitTimeout).
-func (m *Manager) Timeouts() int64 {
-	var n int64
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.Lock()
-		n += s.timeouts
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// SetWaitTimeout bounds every lock wait at d plus a per-wait jitter of up
-// to d/4 (see waitJitter); 0 (the default) waits forever.
-// Expired waits fail with ErrTimeout, which transaction layers handle as
-// a deadlock abort. Distributed execution requires a bound: cross-engine
-// wait cycles never appear in any single wait-for graph.
-func (m *Manager) SetWaitTimeout(d time.Duration) {
-	m.cfgMu.Lock()
-	m.waitTimeout = d
-	m.cfgMu.Unlock()
-}
-
-func (m *Manager) getWaitTimeout() time.Duration {
-	m.cfgMu.Lock()
-	d := m.waitTimeout
-	m.cfgMu.Unlock()
-	return d
 }
 
 // HeldBy returns the number of locks txn currently holds. It must not run
@@ -515,38 +508,40 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 
 	// Must wait: record wait-for edges and check for a cycle. An
 	// upgrade waits only on the granted group; a plain request also
-	// waits on the waiters queued ahead of it. The detector mutex is
-	// taken under the stripe mutex (stripe -> det is the only nesting
+	// waits on the waiters queued ahead of it. The graph's mutex is
+	// taken under the stripe mutex (stripe -> graph is the only nesting
 	// order anywhere), so the edges and the enqueue are atomic with
 	// respect to other blockers of this stripe, and the graph itself is
-	// consistent across stripes because every mutation holds det.
-	m.det.Lock()
+	// consistent across stripes and managers because every mutation
+	// holds its mutex.
+	g, self := m.g, m.vertex(txn)
+	g.mu.Lock()
 	var req *request
-	if n := len(m.det.free); n > 0 {
-		req, m.det.free = m.det.free[n-1], m.det.free[:n-1]
+	if n := len(g.free); n > 0 {
+		req, g.free = g.free[n-1], g.free[:n-1]
 	} else {
-		req = &request{ready: make(chan error, 1)}
+		req = &request{ready: make(chan struct{}, 1)}
 	}
 	req.txn, req.mode, req.blockers = txn, mode, req.blockers[:0]
-	for _, g := range ls.granted {
-		if g.txn != txn {
-			req.blockers = append(req.blockers, g.txn)
+	for _, gr := range ls.granted {
+		if gr.txn != txn {
+			req.blockers = append(req.blockers, m.vertex(gr.txn))
 		}
 	}
 	if !isUpgrade {
 		for _, r := range ls.waiters {
 			if r.txn != txn {
-				req.blockers = append(req.blockers, r.txn)
+				req.blockers = append(req.blockers, m.vertex(r.txn))
 			}
 		}
 	}
-	m.det.waitFor[txn] = req.blockers
-	cycle := m.cycleFromLocked(txn)
+	g.waitFor[self] = req.blockers
+	cycle := g.cycleFromLocked(self)
 	if cycle {
-		delete(m.det.waitFor, txn)
-		m.det.free = append(m.det.free, req)
+		delete(g.waitFor, self)
+		g.free = append(g.free, req)
 	}
-	m.det.Unlock()
+	g.mu.Unlock()
 	if cycle {
 		st.deadlocks++
 		if len(ls.granted) == 0 && len(ls.waiters) == 0 {
@@ -567,101 +562,38 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	st.waits++
 	st.mu.Unlock()
 
+	// The only way out of the queue is a grant (promote). The request has
+	// left the queue, so its edges go and the record returns to the pool;
+	// the grant is recorded under the shard mutex (see HeldBy).
+	<-req.ready
+	g.mu.Lock()
+	delete(g.waitFor, self)
+	g.free = append(g.free, req)
+	g.mu.Unlock()
 	ts.mu.Lock()
-	ts.waitKey[txn] = key
-	tl.waited = true
+	tl.record(i, isUpgrade, key, mode)
 	ts.mu.Unlock()
-
-	var err error
-	if timeout := m.getWaitTimeout(); timeout > 0 {
-		t := time.NewTimer(timeout + waitJitter(timeout, txn, key))
-		select {
-		case err = <-req.ready:
-			t.Stop()
-		case <-t.C:
-			err = m.expireWait(key, req)
-		}
-	} else {
-		err = <-req.ready
-	}
-	// Granted, timed out or cancelled, the request has left the queue and
-	// its one outcome has been received: the wait's bookkeeping goes (a
-	// cancelling ReleaseAll has already dropped it; deleting is idempotent)
-	// and the record returns to the pool. The grant is recorded under the
-	// shard mutex, which this path takes anyway (see HeldBy).
-	m.det.Lock()
-	delete(m.det.waitFor, txn)
-	m.det.free = append(m.det.free, req)
-	m.det.Unlock()
-	ts.mu.Lock()
-	delete(ts.waitKey, txn)
-	if err == nil {
-		tl.record(i, isUpgrade, key, mode)
-	}
-	ts.mu.Unlock()
-	return err
-}
-
-// waitJitter lengthens a bounded wait by up to a quarter of the timeout, a
-// fixed function of who waits for what. The timeout stands in for deadlock
-// detection across lock managers; the two waits of such a cycle tend to
-// begin together, and with one common deadline they would expire together,
-// both transactions would abort, and their retries would meet again in
-// step. Spread out, the first to expire releases the other.
-func waitJitter(timeout time.Duration, txn TxnID, key Key) time.Duration {
-	h := rng.Substream(uint64(txn), uint64(key.Table)<<56^key.Row)
-	return time.Duration(h % uint64(timeout/4+1))
-}
-
-// expireWait removes a timed-out waiter from the queue. It races against
-// a concurrent grant (promote) or cancellation (ReleaseAll): both resolve
-// req.ready while holding the stripe mutex, so under that mutex either the
-// request is still queued ungranted — remove it and fail with ErrTimeout —
-// or its outcome is already in the buffered channel and the timeout loses.
-func (m *Manager) expireWait(key Key, req *request) error {
-	st := m.stripeOf(key)
-	st.mu.Lock()
-	select {
-	case err := <-req.ready:
-		st.mu.Unlock()
-		return err
-	default:
-	}
-	ls := st.locks.Get(key.Table, key.Row)
-	if ls != nil {
-		for i, r := range ls.waiters {
-			if r == req {
-				ls.waiters = append(ls.waiters[:i], ls.waiters[i+1:]...)
-				break
-			}
-		}
-	}
-	st.timeouts++
-	if ls != nil {
-		st.promote(key, ls)
-	}
-	st.mu.Unlock()
-	return ErrTimeout
+	return nil
 }
 
 // cycleFromLocked reports whether the wait-for graph has a cycle reachable
-// from start: a depth-first walk on the detector's own scratch. Callers
-// hold m.det.
-func (m *Manager) cycleFromLocked(start TxnID) bool {
-	clear(m.det.seen)
-	stack := append(m.det.stack[:0], m.det.waitFor[start]...)
+// from start: a depth-first walk on the graph's own scratch. Callers hold
+// g.mu.
+func (g *Graph) cycleFromLocked(start vertex) bool {
+	clear(g.seen)
+	stack := append(g.stack[:0], g.waitFor[start]...)
 	cycle := false
 	for len(stack) > 0 && !cycle {
-		t := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if t == start {
+		if v == start {
 			cycle = true
-		} else if _, seen := m.det.seen[t]; !seen {
-			m.det.seen[t] = struct{}{}
-			stack = append(stack, m.det.waitFor[t]...)
+		} else if _, seen := g.seen[v]; !seen {
+			g.seen[v] = struct{}{}
+			stack = append(stack, g.waitFor[v]...)
 		}
 	}
-	m.det.stack = stack[:0]
+	g.stack = stack[:0]
 	return cycle
 }
 
@@ -694,7 +626,7 @@ func (s *stripe) promote(key Key, ls *lockState) {
 		copy(ls.waiters, ls.waiters[1:])
 		ls.waiters = ls.waiters[:len(ls.waiters)-1]
 		// The waiter finishes bookkeeping in Acquire.
-		r.ready <- nil
+		r.ready <- struct{}{}
 	}
 	if len(ls.granted) == 0 && len(ls.waiters) == 0 {
 		s.locks.Delete(key.Table, key.Row)
@@ -702,54 +634,22 @@ func (s *stripe) promote(key Key, ls *lockState) {
 	}
 }
 
-// ReleaseAll drops every lock txn holds and cancels its waits (strict 2PL
-// release at commit or abort).
+// ReleaseAll drops every lock txn holds (strict 2PL release at commit or
+// abort). txn is not waiting (see the package contract), so it has no
+// wait-for edges and the graph is not touched.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	ts := m.txnShardOf(txn)
 	ts.mu.Lock()
 	tl := ts.held[txn]
 	if tl == nil {
 		// Every Acquire creates the held set first: txn never asked for a
-		// lock, so it holds and waits on nothing.
+		// lock, so it holds nothing.
 		ts.mu.Unlock()
 		return
 	}
 	delete(ts.held, txn)
-	var key Key
-	waited, waiting := tl.waited, false
-	if waited {
-		if key, waiting = ts.waitKey[txn]; waiting {
-			delete(ts.waitKey, txn)
-		}
-	}
 	ts.mu.Unlock()
 
-	// Only a transaction that has blocked can have wait-for edges: one that
-	// never did releases without touching the detector.
-	if waited {
-		m.det.Lock()
-		delete(m.det.waitFor, txn)
-		m.det.Unlock()
-	}
-
-	// Cancel an in-flight wait (possible after a deadlock abort racing
-	// with a grant). The waitKey index makes this O(1) instead of a
-	// whole-table scan.
-	if waiting {
-		st := m.stripeOf(key)
-		st.mu.Lock()
-		if ls := st.locks.Get(key.Table, key.Row); ls != nil {
-			for i, r := range ls.waiters {
-				if r.txn == txn {
-					ls.waiters = append(ls.waiters[:i], ls.waiters[i+1:]...)
-					r.ready <- errCancelled
-					break
-				}
-			}
-			st.promote(key, ls)
-		}
-		st.mu.Unlock()
-	}
 	for _, h := range tl.keys {
 		st := m.stripeOf(h.key)
 		st.mu.Lock()

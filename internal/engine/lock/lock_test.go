@@ -94,6 +94,29 @@ func TestUpgrade(t *testing.T) {
 	<-blocked
 }
 
+// TestNoTimeoutByDefault: a wait lasts as long as the holder holds; nothing
+// but the grant ends it.
+func TestNoTimeoutByDefault(t *testing.T) {
+	m := NewManager()
+	key := Key{Table: 3, Row: 1}
+	if err := m.Acquire(1, key, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.Acquire(2, key, Exclusive) }()
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("waiter finished early: %v", err)
+	default:
+	}
+	m.ReleaseAll(1)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	m := NewManager()
 	if err := m.Acquire(1, k(1), Exclusive); err != nil {

@@ -221,7 +221,7 @@ func runLockSchedule(m *Manager, seed uint64, steps int) []string {
 // stripe-independent, so the logs must be equal line for line.
 func TestStripedDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 1993, 77} {
-		ms, mm := newManagerStripes(1), NewManager()
+		ms, mm := NewGraph().newManager(1), NewManager()
 		single := runLockSchedule(ms, seed, 400)
 		striped := runLockSchedule(mm, seed, 400)
 		if ns, nm := ms.Keys(), mm.Keys(); ns != 0 || nm != 0 {

@@ -13,13 +13,12 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/fault"
+	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/tpcc"
@@ -54,10 +53,6 @@ type Config struct {
 	// bit-identical everywhere — the paper's replicated-Item layout
 	// (Table 6) on symmetric nodes.
 	Seed uint64
-	// LockWaitTimeout bounds row-lock waits on every shard. Required
-	// (>0) when Shards > 1: a deadlock cycle spanning two shards is
-	// invisible to both local detectors and only a timeout breaks it.
-	LockWaitTimeout time.Duration
 	// GroupCommit configures per-shard WAL batching (zero = off).
 	GroupCommit wal.GroupConfig
 	// Faults sets steady-state fault probabilities on every shard's
@@ -73,7 +68,6 @@ func DefaultConfig(shards int) Config {
 		PageSize:           4096,
 		BufferPages:        4096,
 		Seed:               1,
-		LockWaitTimeout:    50 * time.Millisecond,
 	}
 }
 
@@ -85,8 +79,10 @@ func (c Config) Validate() error {
 	if c.WarehousesPerShard < 1 {
 		return fmt.Errorf("shard: warehouses per shard must be >= 1")
 	}
-	if c.Shards > 1 && c.LockWaitTimeout <= 0 {
-		return fmt.Errorf("shard: multi-shard clusters need a lock wait timeout (cross-shard deadlocks are invisible to per-shard detection)")
+	if c.Shards >= 1<<15 {
+		// A gid carries its coordinator in bits 48 to 62 (nextGID), below
+		// the bit lock.Global marks global transactions with.
+		return fmt.Errorf("shard: at most %d shards", 1<<15-1)
 	}
 	return nil
 }
@@ -101,7 +97,8 @@ type Stats struct {
 	DistCommits        int64
 	ParticipantCommits int64
 	// DistAborts counts 2PC transactions this shard coordinated that
-	// aborted (deadlock/timeout victims and participant failures).
+	// aborted (deadlock victims, local or across shards, and participant
+	// failures).
 	DistAborts int64
 	// Sheds counts transactions refused with ErrShardDown because this
 	// shard (as coordinator) found a required participant dead;
@@ -140,7 +137,8 @@ type Shard struct {
 	resolvedAbort      atomic.Int64
 }
 
-// Down reports whether the shard is currently dead.
+// Down reports whether the shard is out of service: its device is dead,
+// or it has recovered with branches still in doubt (see RecoverShard).
 func (s *Shard) Down() bool { return s.down.Load() }
 
 // Stats snapshots the shard's counters.
@@ -221,20 +219,22 @@ type Cluster struct {
 	// concurrent use.
 	killHook atomic.Pointer[func(p KillPoint, gid uint64)]
 
-	pendMu  sync.Mutex
-	pending []part
-
 	// xval is where the router counts Appendix A (see XvalCounters).
 	xval XvalCounters
 }
 
 // Open builds the cluster: every shard gets its own device, injector,
-// WAL, and lock manager, and loads the same seed.
+// WAL, and lock manager, and loads the same seed. The lock managers share
+// one wait-for graph, so a deadlock through several shards is detected
+// like a local one: a distributed transaction runs its branches one after
+// another on one goroutine, so it is one vertex of the graph, waiting on
+// at most one shard at a time.
 func Open(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg}
+	graph := lock.NewGraph()
 	for i := 0; i < cfg.Shards; i++ {
 		disk := storage.NewMemDisk()
 		inj := fault.New(disk, cfg.Seed+uint64(i)*7919)
@@ -245,10 +245,10 @@ func Open(cfg Config) (*Cluster, error) {
 			BufferPages: cfg.BufferPages,
 			CC:          cfg.CC,
 		}, db.Options{
-			Disk:            inj,
-			LogHook:         inj,
-			GroupCommit:     cfg.GroupCommit,
-			LockWaitTimeout: cfg.LockWaitTimeout,
+			Disk:        inj,
+			LogHook:     inj,
+			GroupCommit: cfg.GroupCommit,
+			WaitFor:     graph,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/db"
@@ -239,16 +238,16 @@ func (c *Cluster) setFaults(on bool) {
 	}
 }
 
-// recoverAll recovers every down shard and resolves every in-doubt
-// branch, in rounds: a kill inside resolution takes the resolving shard
-// or another one (the branch's coordinator) back down, and a coordinator
-// still down leaves a branch in doubt, for the next round to settle. It
-// reports whether the cluster came back whole: every shard up, no branch
-// in doubt.
+// recoverAll recovers every shard whose device is dead and resolves every
+// in-doubt branch, in rounds: a kill inside resolution takes the resolving
+// shard or another one (the branch's coordinator) back down, and a
+// coordinator still dead leaves a branch in doubt, and its shard down, for
+// the next round to settle. It reports whether the cluster came back
+// whole: every shard up, no branch in doubt.
 func (c *Cluster) recoverAll(r *rng.RNG) bool {
 	for round := 0; round < 2+int(NumKillPoints); round++ {
 		for id, s := range c.shards {
-			if s.Down() {
+			if s.Inj.Dead() {
 				// A failure leaves the shard down or a branch in
 				// doubt, and the check below sees either.
 				_ = c.RecoverShard(id, r)
@@ -284,7 +283,6 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		PageSize:           torturePageSize,
 		BufferPages:        tortureBufferPages,
 		Seed:               seed,
-		LockWaitTimeout:    20 * time.Millisecond,
 		GroupCommit:        cfg.GroupCommit,
 		Faults:             tortureFaults,
 		CC:                 cfg.CC,
@@ -357,11 +355,6 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		res.Acked = st.Acknowledged()
 		res.Retries = st.Retries
 		res.Sheds = st.Sheds
-
-		// Settle parked participant commits before tearing down.
-		if n := c.Quiesce(time.Second); n > 0 {
-			violate("%d participant commits still pending after quiesce", n)
-		}
 
 		// Cluster-wide power loss: every shard dies, then recovers on a
 		// healthy device. The kill hook stays armed through recovery, so
@@ -498,9 +491,6 @@ func degradedPhase(cfg TortureConfig, seed uint64, c *Cluster, rep *Report, base
 		cfg.Txns, tortureWorkers, tortureRemoteStock, tortureRemotePay)
 	if runErr != nil {
 		violate("degraded run failed fatally: %v", runErr)
-	}
-	if n := c.Quiesce(time.Second); n > 0 {
-		violate("%d participant commits pending after degraded run", n)
 	}
 
 	localAcks := statsTotal(c, func(s Stats) int64 { return s.LocalCommits }) - local0

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tpccmodel/internal/engine/db"
 	"tpccmodel/internal/engine/storage"
@@ -25,91 +24,31 @@ func (c *Cluster) nextGID(coord int) uint64 {
 // CoordinatorOf extracts the coordinator shard encoded in a gid.
 func CoordinatorOf(gid uint64) int { return int(gid>>48) - 1 }
 
-// forceBackoff sleeps a deterministic exponential delay between retries
-// of a failed log force (attempt is 1-based).
-func forceBackoff(attempt int) {
-	d := 50 * time.Microsecond << uint(attempt-1)
-	if d > 2*time.Millisecond {
-		d = 2 * time.Millisecond
-	}
-	time.Sleep(d)
-}
-
-// commitRetries bounds in-protocol retries of transient force failures.
-const commitRetries = 10
-
 // part is one participant of a distributed transaction: its shard, the
 // order lines it supplies (New-Order only, shard-local warehouse ids) and,
-// once begun, its branch; a nil branch has not begun or has ended. The
-// cluster's pending list holds parts whose global decision is commit but
-// whose own commit record could not be forced within the retry budget on
-// a live device: the branch keeps its locks and ResolvePending retries it.
+// once begun, its branch; a nil branch has not begun or has ended.
 type part struct {
 	shard int
 	items []db.OrderItem
 	b     *db.Branch
 }
 
-// settle tries once to commit a participant branch whose global decision
-// is commit. It returns nil when the branch has ended: committed, or — the
-// device is dead — forsaken, which is as good: its prepare record and the
-// coordinator's decision are durable, so recovery resolves it to the same
-// commit. Any other failure leaves the branch open, locks held.
-func (c *Cluster) settle(p part) error {
-	s := c.shards[p.shard]
-	err := p.b.Commit()
-	switch {
-	case err == nil:
-		s.participantCommits.Add(1)
-	case errors.Is(err, storage.ErrCrashed):
-		p.b.Forsake()
-		s.forsaken.Add(1)
-		s.down.Store(true)
-	default:
-		return err
-	}
-	return nil
-}
-
-// commitParticipant drives one prepared participant branch to its commit,
-// retrying transient force failures. On a live device whose force keeps
-// failing the branch is parked with its locks held rather than losing a
-// decided commit.
+// commitParticipant commits a prepared participant branch whose global
+// decision is commit. A shard that cannot force the commit record stops
+// (fail-stop): its device is killed and the branch forsaken, the path a
+// crashed device already takes, and its recovery commits the branch from
+// the durable prepare record and the coordinator's decision. Either way
+// the branch has ended and holds no lock: no lock holder is left that is
+// not running.
 func (c *Cluster) commitParticipant(p part) {
-	for attempt := 1; ; attempt++ {
-		err := c.settle(p)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, storage.ErrTransientIO) || attempt >= commitRetries {
-			c.pendMu.Lock()
-			c.pending = append(c.pending, p)
-			c.pendMu.Unlock()
-			return
-		}
-		forceBackoff(attempt)
+	s := c.shards[p.shard]
+	if err := p.b.Commit(); err == nil {
+		s.participantCommits.Add(1)
+		return
 	}
-}
-
-// ResolvePending retries parked participant commits (see part) and
-// returns how many remain parked. Run it after fault pressure subsides
-// and before verifying cluster invariants.
-func (c *Cluster) ResolvePending() int {
-	c.pendMu.Lock()
-	work := c.pending
-	c.pending = nil
-	c.pendMu.Unlock()
-	var still []part
-	for _, p := range work {
-		if c.settle(p) != nil {
-			still = append(still, p)
-		}
-	}
-	c.pendMu.Lock()
-	c.pending = append(c.pending, still...)
-	n := len(c.pending)
-	c.pendMu.Unlock()
-	return n
+	c.KillShard(p.shard)
+	p.b.Forsake()
+	s.forsaken.Add(1)
 }
 
 // abandon aborts every open branch after a failure. Branches on dead
@@ -224,32 +163,27 @@ func (c *Cluster) decide(gid uint64, hs *Shard, hb *db.Branch, parts []part) err
 }
 
 // commitHome forces the home branch's commit record — the global
-// decision — retrying transient failures. A crashed home device means
-// the decision never became durable: presumed abort, surfaced as
-// ErrCoordinatorDown. A branch that failed ssi validation (db.ErrAborted)
-// is aborted at once; the terminal retries the transaction. Either way
-// the home branch has ended on return.
+// decision. A crashed home device means the decision never became
+// durable: presumed abort, surfaced as ErrCoordinatorDown. On a live
+// device a failed force (the log has already retried it in place) or a
+// failed ssi validation (db.ErrAborted) globally aborts the transaction
+// at once; the terminal retries it. Either way the home branch has ended
+// on return.
 func (c *Cluster) commitHome(hs *Shard, hb *db.Branch) error {
-	for attempt := 1; ; attempt++ {
-		err := hb.Commit()
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, storage.ErrCrashed) {
-			hb.Forsake()
-			hs.forsaken.Add(1)
-			hs.down.Store(true)
-			return fmt.Errorf("home shard %d: %w", hs.ID, ErrCoordinatorDown)
-		}
-		if attempt >= commitRetries || errors.Is(err, db.ErrAborted) {
-			// Live device, decision not durable: globally abort.
-			if aerr := hb.Abort(); aerr != nil {
-				c.markDownOnCrash(hs.ID, aerr)
-			}
-			return fmt.Errorf("home shard %d: decision force failed: %w", hs.ID, err)
-		}
-		forceBackoff(attempt)
+	err := hb.Commit()
+	if err == nil {
+		return nil
 	}
+	if errors.Is(err, storage.ErrCrashed) {
+		hb.Forsake()
+		hs.forsaken.Add(1)
+		hs.down.Store(true)
+		return fmt.Errorf("home shard %d: %w", hs.ID, ErrCoordinatorDown)
+	}
+	if aerr := hb.Abort(); aerr != nil {
+		c.markDownOnCrash(hs.ID, aerr)
+	}
+	return fmt.Errorf("home shard %d: decision force failed: %w", hs.ID, err)
 }
 
 // ExecNewOrder executes a New-Order whose warehouse ids (W and every
