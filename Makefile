@@ -32,9 +32,12 @@ build:
 # miss starts up to 16 clean-ahead writes at once, and their interleavings
 # with eviction, Crash and FlushAll differ from run to run; so do the
 # one-visit record read's against a writer of the same page and against its
-# Pin/Unpin oracle (~40 s). So does, fifty times, the lock manager's test of
-# two managers on one wait-for graph, where a lost wake-up or a second
-# victim of one cross-manager cycle would show (~1 s).
+# Pin/Unpin oracle (~40 s). So do, fifty times, the lock manager's
+# concurrent tests: two managers on one wait-for graph, where a lost wake-up
+# or a second victim of one cross-manager cycle would show; goroutines on
+# Owners of their own racing over a few hot keys; the differential
+# schedules; and the TxnID-keyed wrapper's cross-stripe cycle, whose HeldBy
+# is read from another goroutine (~25 s).
 test:
 	go vet ./...
 	go test ./...
@@ -43,7 +46,8 @@ test:
 		./internal/engine/lock/ ./internal/engine/index/ ./internal/engine/mvcc/ \
 		./internal/engine/keytab/
 	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack|ReadRecord' ./internal/engine/bufmgr/
-	go test -race -count=50 -run TestCycleAcrossManagers ./internal/engine/lock/
+	go test -race -count=50 -run 'TestCycleAcrossManagers|TestConcurrentStress|TestStripedDifferential|TestCrossStripeDeadlock' \
+		./internal/engine/lock/
 
 race:
 	go test -race -timeout 60m ./...

@@ -13,7 +13,9 @@
 //	               transient I/O errors, bit flips, device crashes at any
 //	               I/O, power loss, recovery — under 2pl, mvcc and ssi in turn
 //	shard-torture  the same campaign on three shards, where the drawn 2PC
-//	               kills also fire and a shard is held down once per seed
+//	               kills also fire and a shard is held down once per seed;
+//	               a mode in which no participant kill left a branch in
+//	               doubt fails
 //	commit         one force per writing commit vs group commit at 1/2/4/8
 //	               workers on a 1 ms log device, and read-only commits that
 //	               must force nothing under 2pl, mvcc and ssi
@@ -251,7 +253,8 @@ func runShardXval(o options) error {
 
 // runTorture runs the crash campaign at its CI size on the given number of
 // shards (shard.DefaultTortureConfig), once under each concurrency-control
-// mode.
+// mode. On a cluster a mode must also have surfaced an in-doubt branch: a
+// campaign whose participant kills left none tested no in-doubt recovery.
 func runTorture(o options, shards int) error {
 	for _, cc := range ccModes {
 		cfg := shard.DefaultTortureConfig(shards)
@@ -285,6 +288,9 @@ func runTorture(o options, shards int) error {
 		if !rep.OK() {
 			printViolations(o.stderr, rep.Violations)
 			return fmt.Errorf("cc=%s: %d invariant violations", cc, len(rep.Violations))
+		}
+		if shards > 1 && rep.InDoubt == 0 {
+			return fmt.Errorf("cc=%s: no schedule surfaced an in-doubt branch", cc)
 		}
 	}
 	return nil

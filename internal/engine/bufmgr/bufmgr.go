@@ -61,6 +61,15 @@
 // Crash and FlushAll wait out frames whose I/O is in flight, read-aheads
 // included.
 //
+// Only a pinner or a write-back ever holds the latch, so an IDLE frame —
+// unpinned, no I/O in flight — has it free, and keeps it free while m.mu is
+// held: a pinner counts its pin under m.mu before it takes the latch and
+// drops the pin under m.mu after it lets go; a write-back marks the frame
+// busy under m.mu before it latches and idle under m.mu after it unlatches;
+// and Peek and ReadRecord latch only while holding m.mu. ReadRecord reads an
+// idle frame under m.mu alone, with no latch; any other frame it tries to
+// latch.
+//
 // # A hit in one visit
 //
 // A resident reference is most of what the paper's Table 4 counts, so a hit
@@ -68,7 +77,8 @@
 // slice indexed by page ID, because the store allocates IDs densely from 0;
 // the frame caches its page's class, so a hit does not call the classifier;
 // and a record read (ReadRecord, which storage.HeapFile.Read uses) does a
-// hit's pin, its copy and its unpin under one hold of m.mu instead of two.
+// hit's pin, its copy and its unpin under one hold of m.mu instead of two,
+// and on an idle frame takes no latch at all.
 // It serves only what a pin would serve at once — a resident, claimed page
 // whose content latch is free — and leaves the rest to Pin, so the
 // counters, the tapped stream and the LRU order are those of a Pin and an
@@ -790,18 +800,25 @@ func (m *Manager) Peek(id storage.PageID, off int, out []byte) bool {
 // a read-ahead nobody has claimed yet and its content latch is free, it does
 // under one hold of m.mu what a Pin and an Unpin of the hit would: it counts
 // and taps one Hit, moves the frame to the MRU end unless another pin holds
-// it, and — with the latch held, as a pinner reads — copies the page's bytes
-// at off into out when the byte at flagOff has flagBit set (live). Otherwise
-// it does nothing and reports ok false, and the caller pins the page.
+// it, and — with the page's content as still as a pinner's latch would hold
+// it — copies the page's bytes at off into out when the byte at flagOff has
+// flagBit set (live). Otherwise it does nothing and reports ok false, and
+// the caller pins the page.
 //
 // The copy is made under m.mu because the frame is not pinned: once m.mu is
-// dropped an evictor could take it.
+// dropped an evictor could take it. On an idle frame m.mu alone keeps the
+// latch free (see the package comment's lock order), so only a frame that
+// is pinned or being written back is latched, and then only tried.
 func (m *Manager) ReadRecord(id storage.PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.lookup(id)
+	if f == nil || f.io == ioRead || f.ahead {
+		return false, false
+	}
 	// TryLock: the content latch is taken before m.mu everywhere else.
-	if f == nil || f.io == ioRead || f.ahead || !f.contentMu.TryLock() {
+	idle := f.pins == 0 && f.io == ioNone
+	if !idle && !f.contentMu.TryLock() {
 		return false, false
 	}
 	m.hit(f)
@@ -812,7 +829,9 @@ func (m *Manager) ReadRecord(id storage.PageID, flagOff int, flagBit byte, off i
 	if live = f.data[flagOff]&flagBit != 0; live {
 		copy(out, f.data[off:])
 	}
-	f.contentMu.Unlock()
+	if !idle {
+		f.contentMu.Unlock()
+	}
 	return live, true
 }
 

@@ -240,12 +240,38 @@ func blocked(ch <-chan error) bool {
 	}
 }
 
+// lockPool takes m.mu for a test and, holding it, checks the invariant
+// ReadRecord's latch-free read of an idle frame rests on (checkLatches).
+func lockPool(t testing.TB, m *Manager) {
+	t.Helper()
+	m.mu.Lock()
+	checkLatches(t, m)
+}
+
+// checkLatches fails the test if a frame's content latch is held while the
+// frame is neither pinned nor being written back: only a pinner and a
+// write-back ever hold it. Callers hold m.mu, under which a frame's latch
+// is tried as ReadRecord and Peek try it.
+func checkLatches(t testing.TB, m *Manager) {
+	t.Helper()
+	for _, f := range m.frames {
+		if f == nil || f.pins > 0 || f.writing() {
+			continue
+		}
+		if !f.contentMu.TryLock() {
+			t.Errorf("page %d: content latch held with no pin and no write-back in flight (io %d)", f.id, f.io)
+			continue
+		}
+		f.contentMu.Unlock()
+	}
+}
+
 // awaitCleanAhead returns once no frame of m is being written back in place,
 // so that what follows is the foreground path's doing alone.
 func awaitCleanAhead(t *testing.T, m *Manager) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		m.mu.Lock()
+		lockPool(t, m)
 		cleaning := false
 		for _, f := range m.frames {
 			cleaning = cleaning || f != nil && f.io == ioClean
@@ -261,8 +287,9 @@ func awaitCleanAhead(t *testing.T, m *Manager) {
 }
 
 // lruOrder lists m's unpinned frames from the LRU tail to the MRU end.
-func lruOrder(m *Manager) []storage.PageID {
-	m.mu.Lock()
+func lruOrder(t testing.TB, m *Manager) []storage.PageID {
+	t.Helper()
+	lockPool(t, m)
 	defer m.mu.Unlock()
 	var ids []storage.PageID
 	for f := m.lruTail; f != nil; f = f.prev {
@@ -272,16 +299,18 @@ func lruOrder(m *Manager) []storage.PageID {
 }
 
 // frameOf returns page id's frame, or nil.
-func frameOf(m *Manager, id storage.PageID) *frame {
-	m.mu.Lock()
+func frameOf(t testing.TB, m *Manager, id storage.PageID) *frame {
+	t.Helper()
+	lockPool(t, m)
 	defer m.mu.Unlock()
 	return m.lookup(id)
 }
 
 // freeFrames counts the pool's unused frames. Only meaningful for a
 // capacity of at most one chunk, once the chunk has been carved.
-func freeFrames(m *Manager) int {
-	m.mu.Lock()
+func freeFrames(t testing.TB, m *Manager) int {
+	t.Helper()
+	lockPool(t, m)
 	defer m.mu.Unlock()
 	n := len(m.frameChunk)
 	for f := m.freeFrames; f != nil; f = f.next {
@@ -380,13 +409,13 @@ func TestVictimPinnedDuringWriteBackStays(t *testing.T) {
 	}
 	m.unpin(fx, false)
 
-	if f := frameOf(m, x); f == nil || f.dirty {
+	if f := frameOf(t, m, x); f == nil || f.dirty {
 		t.Errorf("X after its write-back: frame %v, want resident and clean", f)
 	}
-	if frameOf(m, y) != nil {
+	if frameOf(t, m, y) != nil {
 		t.Error("Y is still resident: the evictor did not take the next victim")
 	}
-	if frameOf(m, z) == nil {
+	if frameOf(t, m, z) == nil {
 		t.Error("Z is not resident")
 	}
 	if st := m.Stats(); st.Evicts != 1 || st.Flushes != 1 {
@@ -449,7 +478,7 @@ func TestFailedReadUnpublishesFrame(t *testing.T) {
 	if st := m.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("stats %+v, want 2 misses", st)
 	}
-	if res, free := m.Resident(), freeFrames(m); res != 1 || res+free != capacity {
+	if res, free := m.Resident(), freeFrames(t, m); res != 1 || res+free != capacity {
 		t.Errorf("resident %d + free %d != capacity %d: a frame leaked", res, free, capacity)
 	}
 }
@@ -474,15 +503,15 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	if err := wait(t, miss, "the miss on Z"); !errors.Is(err, boom) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
-	f := frameOf(m, x)
+	f := frameOf(t, m, x)
 	if f == nil || !f.dirty || !f.inLRU || m.lruTail != f || f.io != ioNone {
 		t.Fatalf("X after a failed write-back: %+v, want dirty at the LRU tail", f)
 	}
-	if frameOf(m, z) != nil || m.Resident() != 2 {
+	if frameOf(t, m, z) != nil || m.Resident() != 2 {
 		t.Errorf("Z resident or pool changed after a failed eviction (resident %d)", m.Resident())
 	}
 	touch(t, m, z, 0)
-	if frameOf(m, x) != nil || d.writesOf(x) != 2 {
+	if frameOf(t, m, x) != nil || d.writesOf(x) != 2 {
 		t.Errorf("retry did not write and evict X (writes %d)", d.writesOf(x))
 	}
 
@@ -498,14 +527,14 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 			t.Fatalf("miss got %v, want the device's error", err)
 		}
 		awaitCleanAhead(t, m)
-		m.mu.Lock()
+		lockPool(t, m)
 		for _, f := range m.frames {
 			if f != nil && (!f.dirty || f.io != ioNone || !f.inLRU) {
 				t.Errorf("page %d after failed write-backs: dirty %v, io %d, listed %v; want dirty, idle, listed", f.id, f.dirty, f.io, f.inLRU)
 			}
 		}
 		m.mu.Unlock()
-		if frameOf(m, ids[capacity]) != nil || m.Resident() != capacity {
+		if frameOf(t, m, ids[capacity]) != nil || m.Resident() != capacity {
 			t.Fatalf("the miss got a frame (resident %d) though no victim could be written", m.Resident())
 		}
 		if n := d.totalWrites(); n != round*capacity {
@@ -519,7 +548,7 @@ func TestFailedWriteBackLeavesVictimDirty(t *testing.T) {
 	}
 	d.failWrites(nil)
 	touch(t, m, ids[capacity], 0)
-	if frameOf(m, ids[0]) != nil {
+	if frameOf(t, m, ids[0]) != nil {
 		t.Error("the victim was not evicted once the device recovered")
 	}
 }
@@ -618,11 +647,11 @@ func TestCleanerWritesInPlace(t *testing.T) {
 	}
 	awaitCleanAhead(t, m)
 	for _, id := range ids[1:3] {
-		if f := frameOf(m, id); f == nil || f.dirty {
+		if f := frameOf(t, m, id); f == nil || f.dirty {
 			t.Fatalf("page %d after cleaning: %+v, want resident and clean", id, f)
 		}
 	}
-	if got, want := lruOrder(m), ids[1:]; !slices.Equal(got, want) {
+	if got, want := lruOrder(t, m), ids[1:]; !slices.Equal(got, want) {
 		t.Errorf("LRU order from the tail %v, want %v", got, want)
 	}
 	if st := m.Stats(); st.Evicts != 1 || st.Flushes != 2 {
@@ -678,11 +707,11 @@ func TestCleanAheadWritesOverlap(t *testing.T) {
 	}
 	got, ids := run(true)
 	want, _ := run(false)
-	if g, w := lruOrder(got), lruOrder(want); !slices.Equal(g, w) {
+	if g, w := lruOrder(t, got), lruOrder(t, want); !slices.Equal(g, w) {
 		t.Errorf("LRU order from the tail %v, want plain LRU's %v", g, w)
 	}
 	for _, id := range ids {
-		if g, w := frameOf(got, id) != nil, frameOf(want, id) != nil; g != w {
+		if g, w := frameOf(t, got, id) != nil, frameOf(t, want, id) != nil; g != w {
 			t.Errorf("page %d resident %v, plain LRU says %v", id, g, w)
 		}
 	}
@@ -906,7 +935,7 @@ func TestColdDirtyVictimForcesNothing(t *testing.T) {
 	touch(t, m, x, 0) // a read of X: its offset stays 100
 	touch(t, m, y, 0)
 	touch(t, m, z, 0) // evicts X
-	if frameOf(m, x) != nil || d.writesOf(x) != 1 {
+	if frameOf(t, m, x) != nil || d.writesOf(x) != 1 {
 		t.Fatalf("X resident or written %d times, want evicted after one write", d.writesOf(x))
 	}
 	if durable, asked, forces := l.state(); forces != 0 || !slices.Equal(asked, []int64{100}) || durable != 100 {
@@ -931,12 +960,19 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 			t.Errorf("X reached the device with the log durable to %d, its change logged up to 300", durable)
 		}
 	}
-	fx := frameOf(m, x)
-	fx.contentMu.Lock() // where the pinner's latch will be: writeBack queues behind it
+	fx := frameOf(t, m, x)
+	// The latch stands where the pinner's will be, so writeBack queues
+	// behind it. Until the evictor marks X busy that is a latch on an idle
+	// frame, a state the engine never makes, so the pool is polled without
+	// lockPool's check until then.
+	fx.contentMu.Lock()
 	miss := async(func() error { return with(m, z, false, func([]byte) {}) })
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
 		m.mu.Lock()
 		busy := fx.io == ioEvict
+		if busy {
+			checkLatches(t, m)
+		}
 		m.mu.Unlock()
 		if busy {
 			break
@@ -971,7 +1007,7 @@ func TestWriteBackForcesOffsetOfSlippedInChange(t *testing.T) {
 	if err := m.store.Read(x, buf); err != nil || buf[1] != 9 {
 		t.Errorf("X's durable image: byte %d, err %v, want the pinner's 9", buf[1], err)
 	}
-	if frameOf(m, x) == nil || frameOf(m, y) != nil {
+	if frameOf(t, m, x) == nil || frameOf(t, m, y) != nil {
 		t.Error("want X resident (pinned during its write) and Y evicted in its place")
 	}
 }
@@ -992,18 +1028,18 @@ func TestFailedForceLeavesVictimDirty(t *testing.T) {
 		t.Fatalf("miss got %v, want the injected failure", err)
 	}
 	awaitCleanAhead(t, m)
-	f := frameOf(m, x)
+	f := frameOf(t, m, x)
 	if f == nil || !f.dirty || !f.inLRU || m.lruTail != f || f.io != ioNone {
 		t.Fatalf("X after a failed force: %+v, want dirty at the LRU tail", f)
 	}
-	if d.writesOf(x) != 0 || frameOf(m, z) != nil || m.Resident() != 2 {
+	if d.writesOf(x) != 0 || frameOf(t, m, z) != nil || m.Resident() != 2 {
 		t.Errorf("X written %d times, resident %d: a failed force must change nothing", d.writesOf(x), m.Resident())
 	}
 	l.mu.Lock()
 	l.fail = nil
 	l.mu.Unlock()
 	touch(t, m, z, 0)
-	if frameOf(m, x) != nil || d.writesOf(x) != 1 {
+	if frameOf(t, m, x) != nil || d.writesOf(x) != 1 {
 		t.Errorf("retry did not write and evict X (writes %d)", d.writesOf(x))
 	}
 }
@@ -1078,7 +1114,7 @@ func (r *tapEvents) get() []Event {
 func awaitRead(t *testing.T, m *Manager, id storage.PageID) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		m.mu.Lock()
+		lockPool(t, m)
 		f := m.lookup(id)
 		busy := f != nil && f.io == ioRead
 		m.mu.Unlock()
@@ -1101,7 +1137,7 @@ func TestPrefetchReturnsBeforeTheRead(t *testing.T) {
 	done := async(func() error { m.Prefetch([]storage.PageID{a}); return nil })
 	wait(t, g.arrived, "the read-ahead of A to reach the device")
 	wait(t, done, "Prefetch to return with the read held")
-	if f := frameOf(m, a); f == nil || f.io != ioRead || f.pins != 0 || !f.ahead {
+	if f := frameOf(t, m, a); f == nil || f.io != ioRead || f.pins != 0 || !f.ahead {
 		t.Fatalf("A's frame during its read-ahead: %+v, want reserved, reading, unpinned", f)
 	}
 	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
@@ -1161,7 +1197,7 @@ func TestClaimWaitsAndCountsNothing(t *testing.T) {
 	if st := m.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("stats after the claim %+v, want the read-ahead's miss alone", st)
 	}
-	if f := frameOf(m, a); f == nil || f.ahead || m.lruHead != f {
+	if f := frameOf(t, m, a); f == nil || f.ahead || m.lruHead != f {
 		t.Errorf("A after its claim: %+v, want claimed, at MRU", f)
 	}
 	touch(t, m, a, 0)
@@ -1186,7 +1222,7 @@ func TestPrefetchOfResidentPageIsInvisible(t *testing.T) {
 	taps := tapInto(m)
 	before := m.Stats()
 	m.Prefetch([]storage.PageID{a})
-	if m.lruTail != frameOf(m, a) || m.lruHead != frameOf(m, b) {
+	if m.lruTail != frameOf(t, m, a) || m.lruHead != frameOf(t, m, b) {
 		t.Error("Prefetch moved a resident page")
 	}
 	if st := m.Stats(); st != before {
@@ -1212,7 +1248,7 @@ func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
 	wait(t, g.arrived, "the read-ahead of A to reach the device")
 	touch(t, m, b, 0)
 	touch(t, m, c, 0) // evicts B, not A
-	if frameOf(m, b) != nil || frameOf(m, a) == nil {
+	if frameOf(t, m, b) != nil || frameOf(t, m, a) == nil {
 		t.Fatal("the evictor took the frame being read ahead, or kept B")
 	}
 	fc, err := m.pin(c)
@@ -1228,7 +1264,7 @@ func TestReadAheadInFlightIsNeverVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.unpin(fc, false)
-	if frameOf(m, a) != nil || frameOf(m, e) == nil {
+	if frameOf(t, m, a) != nil || frameOf(t, m, e) == nil {
 		t.Error("want A, read and unclaimed, evicted for E")
 	}
 }
@@ -1242,7 +1278,7 @@ func TestUnclaimedReadAheadAgesOut(t *testing.T) {
 	awaitRead(t, m, a)
 	touch(t, m, b, 0)
 	touch(t, m, c, 0)
-	if frameOf(m, a) != nil || frameOf(m, b) == nil {
+	if frameOf(t, m, a) != nil || frameOf(t, m, b) == nil {
 		t.Error("want the unclaimed read-ahead of A evicted before B")
 	}
 	if st := m.Stats(); st.Misses != 3 || st.Hits != 0 || st.Evicts != 1 {
@@ -1271,14 +1307,14 @@ func carvedPool(t *testing.T, capacity, n int) (*Manager, *gatedDisk, []storage.
 // noLeak fails unless every frame is resident and unpinned, or free.
 func noLeak(t *testing.T, m *Manager, capacity int) {
 	t.Helper()
-	m.mu.Lock()
+	lockPool(t, m)
 	for _, f := range m.frames {
 		if f != nil && f.pins != 0 {
 			t.Errorf("page %d left pinned %d times", f.id, f.pins)
 		}
 	}
 	m.mu.Unlock()
-	if res, free := m.Resident(), freeFrames(m); res+free != capacity {
+	if res, free := m.Resident(), freeFrames(t, m); res+free != capacity {
 		t.Errorf("resident %d + free %d != capacity %d: a frame leaked", res, free, capacity)
 	}
 }
@@ -1295,7 +1331,7 @@ func TestFailedReadAheadIsInvisible(t *testing.T) {
 	wait(t, g.arrived, "the read-ahead of A to reach the device")
 	g.release <- errors.New("injected read failure")
 	awaitRead(t, m, a)
-	if frameOf(m, a) != nil || m.Resident() != 0 {
+	if frameOf(t, m, a) != nil || m.Resident() != 0 {
 		t.Fatal("a failed read-ahead left its frame published")
 	}
 	noLeak(t, m, capacity)
@@ -1331,7 +1367,7 @@ func TestPinWaitingOnFailedReadAheadRetries(t *testing.T) {
 	if n := d.readsOf(a); n != 2 {
 		t.Errorf("A read %d times, want 2 (the read-ahead and the pin's own)", n)
 	}
-	if frameOf(m, a) != nil {
+	if frameOf(t, m, a) != nil {
 		t.Error("A published after two failed reads")
 	}
 	noLeak(t, m, capacity)
@@ -1372,7 +1408,7 @@ func TestPeekIsNoAccess(t *testing.T) {
 	if !m.Peek(a, 0, out) || out[0] != 1 {
 		t.Errorf("Peek of resident A: got %v, want its first byte 1", out)
 	}
-	if m.lruTail != frameOf(m, a) || m.lruHead != frameOf(m, b) {
+	if m.lruTail != frameOf(t, m, a) || m.lruHead != frameOf(t, m, b) {
 		t.Error("Peek moved a resident page")
 	}
 	if m.Peek(c, 0, out) {
@@ -1416,7 +1452,7 @@ func TestPeekWaitsOutReadAhead(t *testing.T) {
 	if out[0] != 1 {
 		t.Errorf("Peek of A copied %d, want 1", out[0])
 	}
-	if f := frameOf(m, a); f == nil || !f.ahead || f.pins != 0 {
+	if f := frameOf(t, m, a); f == nil || !f.ahead || f.pins != 0 {
 		t.Errorf("A after Peek: %+v, want read ahead, unclaimed, unpinned", f)
 	}
 	touch(t, m, a, 0)

@@ -86,8 +86,9 @@ func recount(evs []classEvent, classes int, cls func(storage.PageID) int) []Stat
 // TestReadRecordMatchesPinOracle drives two pools with the same random
 // operations: one reads records the one-visit way, falling back as
 // HeapFile.Read does, the other always with a Pin and an Unpin. Misses,
-// read-aheads (claimed finished and claimed in flight), a held content latch,
-// writes, deletions, allocations, checkpoints and crashes are all in the mix.
+// read-aheads (claimed finished and claimed in flight), a content latch held
+// by a pinner, writes, deletions, allocations, checkpoints and crashes are
+// all in the mix.
 // After every operation the two must agree on the bytes read, the tapped
 // stream (classes included), Stats, ClassStats and the LRU order, and the
 // one-visit pool must have fallen back in exactly the four cases it should.
@@ -109,7 +110,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 
 			read := func(id storage.PageID, slot int) {
 				t.Helper()
-				a.mu.Lock()
+				lockPool(t, a)
 				f := a.lookup(id)
 				wantFallback := f == nil || f.io == ioRead || f.ahead
 				a.mu.Unlock()
@@ -164,7 +165,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 						}
 					}
 				case k < 80: // a read of a page whose read-ahead is in flight
-					if frameOf(a, id) != nil {
+					if frameOf(t, a, id) != nil {
 						continue
 					}
 					g := da.gateRead(id)
@@ -186,16 +187,26 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 					inFlight++
 					read(id, slot)
 				case k < 85: // a read while a writer holds the content latch
-					f := frameOf(a, id)
+					f := frameOf(t, a, id)
 					if f == nil || f.ahead {
 						continue
 					}
-					f.contentMu.Lock()
+					// The writer's latch is taken as the engine takes it,
+					// through Pin, in both pools alike.
+					pa, err := a.Pin(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pb, err := b.Pin(id)
+					if err != nil {
+						t.Fatal(err)
+					}
 					before, stats := len(*evA), a.Stats()
 					flagOff, bit := slotFlag(slot)
 					_, ok := a.ReadRecord(id, flagOff, bit, slotOff(slot), outA)
 					unchanged := len(*evA) == before && a.Stats() == stats
-					f.contentMu.Unlock()
+					a.Unpin(pa, false)
+					b.Unpin(pb, false)
 					if ok || !unchanged {
 						t.Fatalf("one-visit read of a latched page: ok %v, stream and stats unchanged %v; want false, true", ok, unchanged)
 					}
@@ -244,7 +255,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 				if ca, cb := a.ClassStats(), b.ClassStats(); !slices.Equal(ca, cb) {
 					t.Fatalf("op %d: class stats %+v, oracle %+v", op, ca, cb)
 				}
-				if la, lb := lruOrder(a), lruOrder(b); !slices.Equal(la, lb) {
+				if la, lb := lruOrder(t, a), lruOrder(t, b); !slices.Equal(la, lb) {
 					t.Fatalf("op %d: LRU order %v, oracle %v", op, la, lb)
 				}
 			}
@@ -255,6 +266,47 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 				t.Errorf("coverage: %d one-visit reads, %d fallbacks, %d latched, %d in flight; want each > 0", direct, fallbacks, latched, inFlight)
 			}
 		})
+	}
+}
+
+// TestReadRecordDeclinesPageBeingCleaned: a clean-ahead write-back holds
+// its frame's content latch at the device while the frame is unpinned, so
+// the one-visit read of it must try the latch, find it taken and decline,
+// counting and tapping nothing; once the write is done the frame is idle
+// and the read is served.
+func TestReadRecordDeclinesPageBeingCleaned(t *testing.T) {
+	m, _, ids, readZ, writes, miss := cleanAheadAndMissInFlight(t)
+	cleaned := ids[1]
+	lockPool(t, m)
+	f := m.lookup(cleaned)
+	cleaning := f != nil && f.io == ioClean && f.pins == 0
+	m.mu.Unlock()
+	if !cleaning {
+		t.Fatalf("fixture: page %d is not resident, unpinned and being cleaned", cleaned)
+	}
+	evs := tapInto(m)
+	before := m.Stats()
+	flagOff, bit := slotFlag(0)
+	out := make([]byte, recLen)
+	if _, ok := m.ReadRecord(cleaned, flagOff, bit, slotOff(0), out); ok {
+		t.Fatal("a one-visit read served a page whose write-back holds its latch")
+	}
+	if got := evs.get(); len(got) != 0 || m.Stats() != before {
+		t.Fatalf("a declined one-visit read tapped %v and moved stats %+v -> %+v", got, before, m.Stats())
+	}
+	readZ.release <- nil
+	for _, g := range writes {
+		g.release <- nil
+	}
+	if err := wait(t, miss, "the miss on Z"); err != nil {
+		t.Fatal(err)
+	}
+	awaitCleanAhead(t, m)
+	if _, ok := m.ReadRecord(cleaned, flagOff, bit, slotOff(0), out); !ok {
+		t.Fatal("the one-visit read declined the page once its write-back was done")
+	}
+	if got := evs.get(); len(got) != 1 || got[0] != Hit {
+		t.Errorf("the served read tapped %v, want one Hit", got)
 	}
 }
 

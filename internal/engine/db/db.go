@@ -265,11 +265,13 @@ type DB struct {
 	lastRecovery wal.RecoverStats
 
 	// Two-phase-commit state: durable+in-memory gid outcomes (this
-	// instance acting as coordinator) and the in-doubt branches the last
-	// recovery surfaced (this instance acting as participant).
+	// instance acting as coordinator), the gids of the branches open here
+	// and the in-doubt branches the last recovery surfaced and no
+	// resolution has settled yet (this instance acting as participant).
 	distMu   sync.Mutex
 	outcomes map[uint64]bool
-	inDoubt  []wal.InDoubtTxn
+	branches map[uint64]struct{}
+	inDoubt  []*inDoubtBranch
 
 	// sessions is the free list of execution contexts behind the DB-level
 	// procedure methods and the 2PC branches, so callers without their own
@@ -586,12 +588,21 @@ func (d *DB) Recover() error {
 	for gid, committed := range dist.Decisions {
 		d.outcomes[gid] = committed
 	}
-	d.inDoubt = dist.InDoubt
+	// Branches still in doubt from an earlier recovery are in dist.InDoubt
+	// again: their locks are given up here and taken anew below.
+	stale, branches := d.inDoubt, make([]*inDoubtBranch, len(dist.InDoubt))
+	for i, b := range dist.InDoubt {
+		branches[i] = &inDoubtBranch{InDoubtTxn: b}
+	}
+	d.inDoubt = branches
 	d.distMu.Unlock()
+	for _, b := range stale {
+		d.locks.Release(&b.held)
+	}
 	if err := d.RebuildIndexes(); err != nil {
 		return err
 	}
-	return d.relockInDoubt(appliers, dist.InDoubt)
+	return d.relockInDoubt(appliers, branches)
 }
 
 // RebuildIndexes reconstructs every index from the heap contents.

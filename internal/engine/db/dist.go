@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/index"
@@ -39,18 +40,52 @@ type Branch struct {
 // beginBranch starts a branch on a pooled session: like any transaction's,
 // its txn value's scratch and (under mvcc) retire ring are recycled only
 // by the next transaction that begins on the same value. The branch locks
-// as lock.Global(gid), so a gid has at most one open branch per instance:
-// a second would share the first's held set, and whichever ended first
-// would release the other's locks. Every branch body writes, so an open
-// branch holds locks, and that is what a second one would find.
+// as lock.Global(gid), so a gid has at most one branch per instance, open
+// or in doubt: the lock table knows a grant by its owner's id, so a second
+// would be granted the first's rows and whichever ended first would
+// release the other's locks.
 func (d *DB) beginBranch(gid uint64) *Branch {
+	d.distMu.Lock()
+	if d.hasBranchLocked(gid) {
+		d.distMu.Unlock()
+		panic(fmt.Sprintf("db: gid %#x already has a branch on this instance", gid))
+	}
+	if d.branches == nil {
+		d.branches = make(map[uint64]struct{})
+	}
+	d.branches[gid] = struct{}{}
+	d.distMu.Unlock()
 	s := d.getSession()
 	t := s.begin()
-	t.owner = lock.Global(gid)
-	if d.locks.HeldBy(t.owner) != 0 {
-		panic(fmt.Sprintf("db: gid %#x already has an open branch on this instance", gid))
-	}
+	t.held.Begin(lock.Global(gid))
 	return &Branch{s: s, gid: gid}
+}
+
+// HasBranch reports whether gid has a branch on this instance: one begun
+// and not yet ended, or one the last recovery left in doubt.
+func (d *DB) HasBranch(gid uint64) bool {
+	d.distMu.Lock()
+	defer d.distMu.Unlock()
+	return d.hasBranchLocked(gid)
+}
+
+// hasBranchLocked is HasBranch for callers holding d.distMu.
+func (d *DB) hasBranchLocked(gid uint64) bool {
+	if _, open := d.branches[gid]; open {
+		return true
+	}
+	return d.inDoubtLocked(gid) != nil
+}
+
+// inDoubtLocked returns gid's in-doubt branch, or nil. Callers hold
+// d.distMu.
+func (d *DB) inDoubtLocked(gid uint64) *inDoubtBranch {
+	for _, b := range d.inDoubt {
+		if b.GID == gid {
+			return b
+		}
+	}
+	return nil
 }
 
 // opened ends a …Begin entry point whose body returned err. On failure the
@@ -65,9 +100,13 @@ func (b *Branch) opened(err error) (*Branch, error) {
 	return b, nil
 }
 
-// end hands the branch's session back to the pool.
+// end closes the branch and hands its session back to the pool.
 func (b *Branch) end() {
-	b.s.d.putSession(b.s)
+	d := b.s.d
+	d.distMu.Lock()
+	delete(d.branches, b.gid)
+	d.distMu.Unlock()
+	d.putSession(b.s)
 	b.s = nil
 }
 
@@ -139,7 +178,7 @@ func (b *Branch) Forsake() {
 		// resets the whole store anyway.
 		t.d.mvcc.Abort(&t.mv)
 	}
-	t.d.locks.ReleaseAll(t.owner)
+	t.d.locks.Release(&t.held)
 	b.end()
 }
 
@@ -163,12 +202,24 @@ func (d *DB) GIDOutcome(gid uint64) (committed, known bool) {
 	return committed, known
 }
 
+// inDoubtBranch is a branch recovery found prepared and undecided: its
+// log records, and the Owner that holds its rows' exclusive locks until
+// ResolveInDoubt settles it.
+type inDoubtBranch struct {
+	wal.InDoubtTxn
+	held lock.Owner
+}
+
 // InDoubt returns the in-doubt branches the most recent recovery
-// surfaced, in prepare order.
+// surfaced, in prepare order, less those resolved since.
 func (d *DB) InDoubt() []wal.InDoubtTxn {
 	d.distMu.Lock()
 	defer d.distMu.Unlock()
-	return append([]wal.InDoubtTxn(nil), d.inDoubt...)
+	out := make([]wal.InDoubtTxn, len(d.inDoubt))
+	for i, b := range d.inDoubt {
+		out[i] = b.InDoubtTxn
+	}
+	return out
 }
 
 // lockKeyFor derives the logical row-lock key a log record's row maps to.
@@ -207,16 +258,17 @@ func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, error) {
 // relockInDoubt re-acquires exclusive locks on every in-doubt branch's
 // rows, so post-recovery traffic cannot write rows whose final state is
 // still undecided. The locks are the branch's own, lock.Global(gid), as
-// they were before the crash. Runs on the quiesced recovery path: all
-// locks are free or already the branch's, and acquisition cannot block.
-func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []wal.InDoubtTxn) error {
+// they were before the crash, held by its Owner. Runs on the quiesced
+// recovery path: all locks are free, and acquisition cannot block.
+func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []*inDoubtBranch) error {
 	for _, b := range branches {
+		b.held.Begin(lock.Global(b.GID))
 		for _, r := range b.Records {
 			key, err := lockKeyFor(appliers[r.Table], r)
 			if err != nil {
 				return err
 			}
-			if err := d.locks.Acquire(lock.Global(b.GID), key, lock.Exclusive); err != nil {
+			if err := d.locks.Lock(&b.held, key, lock.Exclusive); err != nil {
 				return fmt.Errorf("db: re-locking in-doubt gid %d: %w", b.GID, err)
 			}
 		}
@@ -225,27 +277,21 @@ func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []wal.InDou
 }
 
 // ResolveInDoubt settles one in-doubt branch with the coordinator's
-// decision. Commit decisions are made crash-safe BEFORE any row changes:
-// the decision record is forced first, so a crash mid-resolution either
-// leaves the branch in-doubt (decision not durable, resolution re-runs)
-// or recovers it as a normally committed transaction (decision durable,
-// its records redone by recovery itself). Abort is the presumed path: the
-// rows are already rolled back, so only locks need releasing.
+// decision. The decision record is forced BEFORE any row changes or lock
+// is released, so a crash mid-resolution either leaves the branch in doubt
+// (decision not durable, resolution re-runs) or recovers it as a normally
+// committed or aborted transaction (decision durable; a commit's records
+// are redone by recovery itself). Abort is the presumed path, and its rows
+// are already rolled back, but its record is forced all the same: one lost
+// to a later power loss would bring the branch back in doubt, its rows
+// locked until it was resolved again.
 func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 	d.distMu.Lock()
-	idx := -1
-	for i, b := range d.inDoubt {
-		if b.GID == gid {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		d.distMu.Unlock()
+	b := d.inDoubtLocked(gid)
+	d.distMu.Unlock()
+	if b == nil {
 		return fmt.Errorf("db: no in-doubt branch for gid %d", gid)
 	}
-	b := d.inDoubt[idx]
-	d.distMu.Unlock()
 
 	if commit {
 		if _, err := d.log.Append(wal.Record{
@@ -273,17 +319,16 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 		}
 		d.commits.Add(1)
 	} else {
-		_, _, _ = d.log.PreCommit(wal.Record{Txn: b.Txn, Type: wal.RecAbort, RID: gid})
+		if _, err := d.log.Append(wal.Record{Txn: b.Txn, Type: wal.RecAbort, RID: gid}); err != nil {
+			return err
+		}
 		d.aborts.Add(1)
 	}
-	d.locks.ReleaseAll(lock.Global(gid))
+	d.locks.Release(&b.held)
 
 	d.distMu.Lock()
-	for i := range d.inDoubt {
-		if d.inDoubt[i].GID == gid {
-			d.inDoubt = append(d.inDoubt[:i], d.inDoubt[i+1:]...)
-			break
-		}
+	if i := slices.Index(d.inDoubt, b); i >= 0 {
+		d.inDoubt = slices.Delete(d.inDoubt, i, i+1)
 	}
 	d.distMu.Unlock()
 	return nil

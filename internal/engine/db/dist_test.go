@@ -173,13 +173,21 @@ func TestDistPaymentCommit(t *testing.T) {
 // TestInDoubtRecovery crashes a participant between PREPARE and the
 // decision. Recovery must roll the branch back to before-images, surface
 // it as in-doubt, and hold exclusive locks on its rows until resolution.
+// The resolution must survive a second power loss, whatever the log holds
+// after it: in the probe-writes case the request that waited for the row
+// is a branch that writes it and aborts, so the unforced tail the second
+// crash cuts runs past the resolution's own record.
 func TestInDoubtRecovery(t *testing.T) {
-	for _, commit := range []bool{true, false} {
-		name := "resolve-abort"
-		if commit {
-			name = "resolve-commit"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		commit, probeWrites bool
+	}{
+		{"resolve-commit", true, false},
+		{"resolve-abort", false, false},
+		{"resolve-abort-probe-writes", false, true},
+	} {
+		commit := tc.commit
+		t.Run(tc.name, func(t *testing.T) {
 			_, part := openShardPair(t)
 			const gid = 0x30001
 			const iid = 9
@@ -211,7 +219,15 @@ func TestInDoubtRecovery(t *testing.T) {
 			// until the branch is resolved.
 			const probe = lock.TxnID(1 << 40) // no transaction's id
 			key := lock.Key{Table: uint32(core.Stock), Row: index.KeyWI(0, iid)}
-			blocked, done := tryStep(part, func() error { return part.locks.Acquire(probe, key, lock.Shared) })
+			var written *Branch
+			blocked, done := tryStep(part, func() error {
+				if !tc.probeWrites {
+					return part.locks.Acquire(probe, key, lock.Shared)
+				}
+				var err error
+				written, err = part.RemoteStockBegin(0x30002, []OrderItem{{IID: iid, SupplyW: 0, Qty: 2}})
+				return err
+			})
 			if !blocked {
 				t.Fatalf("lock request for the in-doubt row ended (%v) without waiting", <-done)
 			}
@@ -222,7 +238,13 @@ func TestInDoubtRecovery(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("lock request for the row once resolved: %v", err)
 			}
-			part.locks.ReleaseAll(probe)
+			if tc.probeWrites {
+				if err := written.Abort(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				part.locks.ReleaseAll(probe)
+			}
 			if n := len(part.InDoubt()); n != 0 {
 				t.Fatalf("%d branches still in doubt after resolution", n)
 			}

@@ -9,7 +9,6 @@ import (
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/bufmgr"
 	"tpccmodel/internal/engine/index"
-	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/tpcc"
 )
@@ -156,7 +155,8 @@ func pageOf(t *testing.T, g *relIndex, key uint64) storage.PageID {
 
 // planWatch taps a pool for a transaction's planned pages: each must be
 // reserved as a read-ahead while the transaction holds no row lock, and none
-// read by the body's own pin.
+// read by the body's own pin. A read-ahead is tapped on the goroutine that
+// plans it, the transaction's own, so the tap may read its lock Owner.
 type planWatch struct {
 	d       *DB
 	planned map[storage.PageID]bool
@@ -166,7 +166,7 @@ type planWatch struct {
 	readAheads int
 }
 
-func watchPlan(d *DB, planned map[storage.PageID]bool) *planWatch {
+func watchPlan(d *DB, s *Session, planned map[storage.PageID]bool) *planWatch {
 	w := &planWatch{d: d, planned: planned}
 	d.SetBufferTap(func(id storage.PageID, _ int, ev bufmgr.Event) {
 		w.mu.Lock()
@@ -179,7 +179,7 @@ func watchPlan(d *DB, planned map[storage.PageID]bool) *planWatch {
 			w.problems = append(w.problems, fmt.Sprintf("page %d read by the worker's own pin", id))
 		case bufmgr.ReadAhead:
 			w.readAheads++
-			if n := d.locks.HeldBy(lock.TxnID(d.txnSeq.Load())); n != 0 {
+			if n := s.t.held.Held(); n != 0 {
 				w.problems = append(w.problems, fmt.Sprintf("page %d read ahead with %d row locks held", id, n))
 			}
 		}
@@ -231,8 +231,9 @@ func TestNewOrderReadsItsPagesAheadOfItsLocks(t *testing.T) {
 			t.Fatalf("fixture: %d stock pages for %d lines", len(disk.hold), k)
 		}
 
-		w := watchPlan(d, planned)
-		if _, err := d.NewSession().NewOrder(in); err != nil {
+		s := d.NewSession()
+		w := watchPlan(d, s, planned)
+		if _, err := s.NewOrder(in); err != nil {
 			t.Fatalf("%v: %v", cc, err)
 		}
 		w.check(t, cc, disk)
@@ -267,8 +268,9 @@ func TestDeliveryReadsItsCustomersAhead(t *testing.T) {
 			t.Fatalf("fixture: %d customer pages for %d districts", len(disk.hold), n)
 		}
 
-		w := watchPlan(d, planned)
-		res, err := d.NewSession().Delivery(DeliveryInput{W: 0, Carrier: 1})
+		s := d.NewSession()
+		w := watchPlan(d, s, planned)
+		res, err := s.Delivery(DeliveryInput{W: 0, Carrier: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", cc, err)
 		}

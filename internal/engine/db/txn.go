@@ -85,11 +85,13 @@ type olref struct {
 type txn struct {
 	d  *DB
 	id lock.TxnID
-	// owner holds the row locks: id itself, or for a 2PC branch its gid as
-	// a lock.Global, so that every shard's branch of one distributed
-	// transaction is one vertex of the cluster's wait-for graph.
-	owner lock.TxnID
-	undo  []undoOp
+	// held is the transaction's side of the lock manager: the row locks it
+	// holds, taken as id itself, or for a 2PC branch as its gid's
+	// lock.Global, so that every shard's branch of one distributed
+	// transaction is one vertex of the cluster's wait-for graph. Reused,
+	// like the scratch below, from one transaction to the next.
+	held lock.Owner
+	undo []undoOp
 	// arena backs the before-images referenced by undo entries.
 	arena []byte
 
@@ -129,7 +131,7 @@ type txn struct {
 func (t *txn) reset(d *DB) {
 	t.d = d
 	t.id = lock.TxnID(d.txnSeq.Add(1))
-	t.owner = t.id
+	t.held.Begin(t.id)
 	t.undo = t.undo[:0]
 	t.arena = t.arena[:0]
 	if t.buf == nil {
@@ -146,7 +148,7 @@ func (t *txn) reset(d *DB) {
 
 // lockRow acquires a row lock (lock.ErrDeadlock = roll back).
 func (t *txn) lockRow(rel core.Relation, row uint64, mode lock.Mode) error {
-	return t.d.locks.Acquire(t.owner, lock.Key{Table: uint32(rel), Row: row}, mode)
+	return t.d.locks.Lock(&t.held, lock.Key{Table: uint32(rel), Row: row}, mode)
 }
 
 // ErrCommitUnknown wraps the error of a local commit whose log force failed
@@ -180,7 +182,7 @@ func (t *txn) publish() {
 		t.d.mvcc.Commit(&t.mv, &t.retired)
 	}
 	t.unhold()
-	t.d.locks.ReleaseAll(t.owner)
+	t.d.locks.Release(&t.held)
 }
 
 // commit ends a local transaction with early lock release: pre-commit (the
@@ -279,7 +281,7 @@ func (t *txn) rollbackWith(gid uint64) error {
 		// heap states; once popped, the (restored) heap is authoritative.
 		t.d.mvcc.Abort(&t.mv)
 	}
-	t.d.locks.ReleaseAll(t.owner)
+	t.d.locks.Release(&t.held)
 	t.d.aborts.Add(1)
 	if firstErr != nil {
 		return fmt.Errorf("db: rollback failed: %w", firstErr)

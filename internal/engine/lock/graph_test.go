@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// start runs m.Acquire(txn, key, Exclusive) on its own goroutine and
+// start runs m.Lock(o, key, Exclusive) on its own goroutine and
 // returns once the request has ended or parked, that is once m has counted
 // one more wait, and says which. The channel delivers the request's error:
 // at once if it ended, on its grant if it parked.
-func start(m *Manager, txn TxnID, key Key) (parked bool, done <-chan error) {
+func start(m *Manager, o *Owner, key Key) (parked bool, done <-chan error) {
 	_, waits, _ := m.Counts()
 	ch := make(chan error, 1)
-	go func() { ch <- m.Acquire(txn, key, Exclusive) }()
+	go func() { ch <- m.Lock(o, key, Exclusive) }()
 	for {
 		if _, w, _ := m.Counts(); w > waits {
 			return true, ch
@@ -39,6 +39,7 @@ func deadlocks(ms ...*Manager) int64 {
 // TestCycleAcrossManagers runs two managers on one Graph, as the shards of
 // a cluster do. Global transactions a and b each hold a key on a different
 // manager and then cross: the cycle is in neither manager's own waits.
+// Each has a branch on each manager, an Owner of its global id there.
 //
 //   - Serially: a waits on m2 for b's key, and b's request on m1 for a's
 //     key closes the cycle. b, the requester that closes it, and only b,
@@ -57,25 +58,33 @@ func TestCycleAcrossManagers(t *testing.T) {
 	g := NewGraph()
 	m1, m2 := g.NewManager(), g.NewManager()
 	k1, k2 := k(1), k(2)
-	hold := func(m *Manager, txn TxnID, key Key) {
+	// branch is a transaction's pair of Owners, [0] on m1 and [1] on m2.
+	type branch [2]Owner
+	begin := func(txn TxnID) *branch {
+		var br branch
+		br[0].Begin(txn)
+		br[1].Begin(txn)
+		return &br
+	}
+	hold := func(m *Manager, o *Owner, key Key) {
 		t.Helper()
-		if err := m.Acquire(txn, key, Exclusive); err != nil {
+		if err := m.Lock(o, key, Exclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
-	releaseBoth := func(txn TxnID) {
-		m1.ReleaseAll(txn)
-		m2.ReleaseAll(txn)
+	releaseBoth := func(br *branch) {
+		m1.Release(&br[0])
+		m2.Release(&br[1])
 	}
 
-	a, b := Global(1), Global(2)
-	hold(m1, a, k1)
-	hold(m2, b, k2)
-	parked, aDone := start(m2, a, k2)
+	a, b := begin(Global(1)), begin(Global(2))
+	hold(m1, &a[0], k1)
+	hold(m2, &b[1], k2)
+	parked, aDone := start(m2, &a[1], k2)
 	if !parked {
 		t.Fatalf("a's request for b's key ended (%v) instead of waiting", <-aDone)
 	}
-	parked, bDone := start(m1, b, k1)
+	parked, bDone := start(m1, &b[0], k1)
 	if parked {
 		t.Fatal("b's request closing the cycle across managers waits: the cycle went unseen")
 	}
@@ -91,22 +100,23 @@ func TestCycleAcrossManagers(t *testing.T) {
 	}
 	releaseBoth(a)
 
-	a, b = Global(3), Global(4)
-	hold(m1, a, k1)
-	hold(m2, b, k2)
+	a, b = begin(Global(3)), begin(Global(4))
+	hold(m1, &a[0], k1)
+	hold(m2, &b[1], k2)
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	for _, cross := range []struct {
 		m   *Manager
-		txn TxnID
+		br  *branch
+		o   *Owner
 		key Key
-	}{{m2, a, k2}, {m1, b, k1}} {
+	}{{m2, a, &a[1], k2}, {m1, b, &b[0], k1}} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := cross.m.Acquire(cross.txn, cross.key, Exclusive)
+			err := cross.m.Lock(cross.o, cross.key, Exclusive)
 			if err != nil {
-				releaseBoth(cross.txn) // the victim aborts
+				releaseBoth(cross.br) // the victim aborts
 			}
 			errs <- err
 		}()
@@ -132,23 +142,24 @@ func TestCycleAcrossManagers(t *testing.T) {
 	releaseBoth(a)
 	releaseBoth(b)
 
-	hold(m1, 1, k1)
-	hold(m2, 2, k2)
-	parked1, done1 := start(m2, 1, k2)
-	parked2, done2 := start(m1, 2, k1)
+	one, two := begin(1), begin(2)
+	hold(m1, &one[0], k1)
+	hold(m2, &two[1], k2)
+	parked1, done1 := start(m2, &one[1], k2)
+	parked2, done2 := start(m1, &two[0], k1)
 	if !parked1 || !parked2 {
 		t.Fatalf("local requests crossing managers: parked %v and %v, want both waiting (deadlocks %d in all)",
 			parked1, parked2, deadlocks(m1, m2))
 	}
-	m1.ReleaseAll(1)
-	m2.ReleaseAll(2)
+	m1.Release(&one[0])
+	m2.Release(&two[1])
 	for _, done := range []<-chan error{done1, done2} {
 		if err := <-done; err != nil {
 			t.Fatalf("local waiter: %v", err)
 		}
 	}
-	m1.ReleaseAll(2)
-	m2.ReleaseAll(1)
+	m1.Release(&two[0])
+	m2.Release(&one[1])
 
 	if n1, n2 := m1.Keys(), m2.Keys(); n1 != 0 || n2 != 0 {
 		t.Fatalf("%d and %d lock states left", n1, n2)

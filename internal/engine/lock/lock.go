@@ -37,21 +37,30 @@
 // of the graph, so a cycle through several managers is found the way a
 // cycle through several stripes is.
 //
-// Bookkeeping is O(1) per request however many locks a transaction holds:
-// an Acquire visits its transaction's bookkeeping shard once, and the held
-// set it checks and records into is a hash index over the locks held.
-// Neither path allocates in steady state. Granted locks are value entries
-// in a pooled per-key state and per-transaction held sets are pooled; a
-// request that blocks takes a pooled request record — its wake-up channel
-// and its wait-for edge list are reused — and cycle detection walks the
-// graph on scratch kept beside it.
+// Bookkeeping is O(1) per request however many locks a transaction holds,
+// and it is the transaction's own: the caller keeps an Owner, its TxnID and
+// the locks it holds, and passes it to Lock and Release. The held set an
+// Owner carries is a hash index over its locks, so an uncontended grant
+// visits the key's stripe and nothing else shared, and a release visits the
+// stripes of the keys held. Neither path allocates in steady state. Granted
+// locks are value entries in a pooled per-key state, an Owner reuses its
+// held set from one transaction to the next, and a request that blocks
+// takes a pooled request record — its wake-up channel and its wait-for
+// edge list are reused — and cycle detection walks the graph on scratch
+// kept beside it.
 //
-// Concurrency contract: methods are safe for concurrent use across
-// transactions. Calls for the SAME TxnID (its Acquires and its final
-// ReleaseAll) must be issued serially — the engine runs each transaction
-// on one goroutine — and for a global TxnID serially across every manager
-// of its graph, so a transaction waits on at most one lock at a time and
-// never releases while it waits.
+// Concurrency contract: methods are safe for concurrent use across Owners.
+// An Owner is its transaction's alone: its Locks and its final Release are
+// issued serially — the engine runs each transaction on one goroutine —
+// and, for a global TxnID, serially across every manager of its graph, so
+// a transaction waits on at most one lock at a time and never releases
+// while it waits. Two Owners must not carry one TxnID on one manager at
+// once: the stripes know a grant by its TxnID, so each would release the
+// other's locks.
+//
+// Acquire, ReleaseAll and HeldBy are the same manager keyed by TxnID: an
+// Owner per transaction in a registry behind one mutex, for callers that
+// keep none.
 package lock
 
 import (
@@ -154,83 +163,100 @@ type heldLock struct {
 // before it first doubles.
 const minIndex = 16
 
-// txnLocks is the pooled per-transaction held set. keys lists the locks in
-// the order they were taken, which is the order ReleaseAll drops them in.
-// index is an open-addressed table of positions in keys (linear probing,
-// position+1 so that zero is empty, the home slot taken from the top bits
-// of keyHash); its length is a power of two at least twice len(keys), so a
-// lookup costs O(1) however many locks are held. reset empties only the
-// slots the keys occupy, so recycling a set costs O(locks) whatever size
-// its index grew to, and the next owner reuses both slices: steady state
-// allocates nothing.
+// Owner is one transaction's side of a Manager: the TxnID its grants carry
+// and the locks it holds. keys lists the locks in the order they were
+// taken, which is the order Release drops them in. index is an
+// open-addressed table of positions in keys (linear probing, position+1 so
+// that zero is empty, the home slot taken from the top bits of keyHash);
+// its length is a power of two at least twice len(keys), so a lookup costs
+// O(1) however many locks are held. Release empties only the slots the keys
+// occupy, so it costs O(locks) whatever size the index grew to, and the
+// next transaction on the Owner reuses both slices: steady state allocates
+// nothing.
 //
-// keys and index belong to the owning transaction: only its own Acquire
-// and ReleaseAll write them, serially (see the package contract).
-type txnLocks struct {
+// The zero Owner is ready for Begin. Only its own transaction uses it (see
+// the package contract).
+type Owner struct {
+	txn   TxnID
 	keys  []heldLock
 	index []int32
 }
 
-// find returns the position of key in tl.keys.
-func (tl *txnLocks) find(key Key) (int, bool) {
-	mask := uint64(len(tl.index) - 1)
-	for s := tl.slot(key); ; s = (s + 1) & mask {
-		p := tl.index[s]
+// Begin readies o for transaction txn. o must hold no lock: whatever it
+// held was released with its previous transaction.
+func (o *Owner) Begin(txn TxnID) {
+	if len(o.keys) != 0 {
+		panic(fmt.Sprintf("lock: Begin(%d) on an owner that still holds %d locks of %d", txn, len(o.keys), o.txn))
+	}
+	if o.index == nil {
+		o.index = make([]int32, minIndex)
+	}
+	o.txn = txn
+}
+
+// Held returns the number of locks o holds.
+func (o *Owner) Held() int { return len(o.keys) }
+
+// find returns the position of key in o.keys.
+func (o *Owner) find(key Key) (int, bool) {
+	mask := uint64(len(o.index) - 1)
+	for s := o.slot(key); ; s = (s + 1) & mask {
+		p := o.index[s]
 		if p == 0 {
 			return 0, false
 		}
-		if tl.keys[p-1].key == key {
+		if o.keys[p-1].key == key {
 			return int(p - 1), true
 		}
 	}
 }
 
-// slot is key's home slot in tl.index.
-func (tl *txnLocks) slot(key Key) uint64 {
-	return keyHash(key) >> (64 - bits.TrailingZeros(uint(len(tl.index))))
+// slot is key's home slot in o.index.
+func (o *Owner) slot(key Key) uint64 {
+	return keyHash(key) >> (64 - bits.TrailingZeros(uint(len(o.index))))
 }
 
-// record notes in tl that its transaction now holds key in mode: an
+// record notes in o that its transaction now holds key in mode: an
 // upgrade of the key at position i rewrites its mode in place; a new key
 // is appended and indexed, the index doubling first if it would pass half
 // full.
-func (tl *txnLocks) record(i int, upgrade bool, key Key, mode Mode) {
+func (o *Owner) record(i int, upgrade bool, key Key, mode Mode) {
 	if upgrade {
-		tl.keys[i].mode = mode
+		o.keys[i].mode = mode
 		return
 	}
-	tl.keys = append(tl.keys, heldLock{key: key, mode: mode})
-	if 2*len(tl.keys) <= len(tl.index) {
-		tl.insert(len(tl.keys) - 1)
+	o.keys = append(o.keys, heldLock{key: key, mode: mode})
+	if 2*len(o.keys) <= len(o.index) {
+		o.insert(len(o.keys) - 1)
 		return
 	}
-	tl.index = make([]int32, 2*len(tl.index))
-	for i := range tl.keys {
-		tl.insert(i)
+	o.index = make([]int32, 2*len(o.index))
+	for i := range o.keys {
+		o.insert(i)
 	}
 }
 
 // insert enters keys[i] into the index.
-func (tl *txnLocks) insert(i int) {
-	mask := uint64(len(tl.index) - 1)
-	s := tl.slot(tl.keys[i].key)
-	for tl.index[s] != 0 {
+func (o *Owner) insert(i int) {
+	mask := uint64(len(o.index) - 1)
+	s := o.slot(o.keys[i].key)
+	for o.index[s] != 0 {
 		s = (s + 1) & mask
 	}
-	tl.index[s] = int32(i + 1)
+	o.index[s] = int32(i + 1)
 }
 
-// reset empties tl for the pool, clearing each key's slot.
-func (tl *txnLocks) reset() {
-	mask := uint64(len(tl.index) - 1)
-	for i := range tl.keys {
-		s := tl.slot(tl.keys[i].key)
-		for tl.index[s] != int32(i+1) {
+// reset empties o for its next transaction, clearing each key's slot.
+func (o *Owner) reset() {
+	mask := uint64(len(o.index) - 1)
+	for i := range o.keys {
+		s := o.slot(o.keys[i].key)
+		for o.index[s] != int32(i+1) {
 			s = (s + 1) & mask
 		}
-		tl.index[s] = 0
+		o.index[s] = 0
 	}
-	tl.keys = tl.keys[:0]
+	o.keys = o.keys[:0]
 }
 
 // stripe is one shard of the lock table: a mutex, the states of the keys
@@ -246,18 +272,6 @@ type stripe struct {
 	acquired  int64
 	waits     int64
 	deadlocks int64
-
-	_ [32]byte
-}
-
-// txnShard is one shard of the per-transaction state: which locks each
-// transaction holds. Sharded by txn id so commits of different
-// transactions do not serialize on one bookkeeping mutex.
-type txnShard struct {
-	mu sync.Mutex
-	// held[txn] is the pooled list of keys the transaction holds.
-	held   map[TxnID]*txnLocks
-	tlFree []*txnLocks
 
 	_ [32]byte
 }
@@ -298,12 +312,12 @@ func NewGraph() *Graph {
 type Manager struct {
 	stripes []stripe
 	mask    uint64
-	txns    []txnShard
-	tmask   uint64
 	// g is the wait-for graph the manager detects deadlocks on, site its
 	// number there.
 	g    *Graph
 	site uint32
+	// ids holds the Owners of the TxnID-keyed methods (byid.go).
+	ids idRegistry
 }
 
 // NewManager creates an empty lock manager with a wait-for graph of its
@@ -322,20 +336,13 @@ func (g *Graph) newManager(n int) *Manager {
 	g.sites++
 	site := g.sites
 	g.mu.Unlock()
-	m := &Manager{
+	return &Manager{
 		stripes: make([]stripe, n),
 		mask:    uint64(n - 1),
-		// Txn-state shards never need to outnumber stripes: both bound
-		// the same worker concurrency.
-		txns:  make([]txnShard, n),
-		tmask: uint64(n - 1),
-		g:     g,
-		site:  site,
+		g:       g,
+		site:    site,
+		ids:     idRegistry{owners: make(map[TxnID]*idOwner)},
 	}
-	for i := range m.txns {
-		m.txns[i].held = make(map[TxnID]*txnLocks)
-	}
-	return m
 }
 
 // vertex names txn in the manager's graph.
@@ -358,12 +365,6 @@ func (m *Manager) stripeOf(key Key) *stripe {
 	return &m.stripes[(keyHash(key)>>32)&m.mask]
 }
 
-// txnShardOf maps a transaction to its bookkeeping shard. Txn ids are
-// allocated sequentially, so the low bits alone spread workers evenly.
-func (m *Manager) txnShardOf(txn TxnID) *txnShard {
-	return &m.txns[uint64(txn)&m.tmask]
-}
-
 func (s *stripe) newLockState() *lockState {
 	if n := len(s.lsFree); n > 0 {
 		ls := s.lsFree[n-1]
@@ -377,15 +378,6 @@ func (s *stripe) freeLockState(ls *lockState) {
 	ls.granted = ls.granted[:0]
 	ls.waiters = ls.waiters[:0]
 	s.lsFree = append(s.lsFree, ls)
-}
-
-func (ts *txnShard) newTxnLocks() *txnLocks {
-	if n := len(ts.tlFree); n > 0 {
-		tl := ts.tlFree[n-1]
-		ts.tlFree = ts.tlFree[:n-1]
-		return tl
-	}
-	return &txnLocks{index: make([]int32, minIndex)}
 }
 
 // Counts returns total grants, waits, and deadlocks observed, summed over
@@ -416,21 +408,6 @@ func (m *Manager) Keys() int {
 	return n
 }
 
-// HeldBy returns the number of locks txn currently holds. It must not run
-// concurrently with an Acquire of txn: a grant that did not wait is recorded
-// in txn's held set without the shard mutex. (A grant that waited is
-// recorded under it, so a caller watching a blocked transaction from another
-// goroutine, as a deadlock test does, reads a consistent count.)
-func (m *Manager) HeldBy(txn TxnID) int {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if tl := ts.held[txn]; tl != nil {
-		return len(tl.keys)
-	}
-	return 0
-}
-
 func compatible(a, b Mode) bool { return a == Shared && b == Shared }
 
 // grantable reports whether a request by txn for mode can join the granted
@@ -454,28 +431,19 @@ func compatibleWithGranted(ls *lockState, txn TxnID, mode Mode) bool {
 	return true
 }
 
-// Acquire takes key in mode for txn, blocking while incompatible locks are
-// held. A Shared request by a holder of Exclusive is a no-op; an Exclusive
-// request by a holder of Shared is an upgrade. Returns ErrDeadlock if
-// waiting would close a cycle in the wait-for graph.
-func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
-	// One trip to the bookkeeping shard finds or creates txn's held set.
-	// No other goroutine writes that set (see the package concurrency
-	// contract), so the re-entrant check, and the record once granted, use
-	// it without the shard mutex: the answer cannot change underneath us.
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	tl := ts.held[txn]
-	if tl == nil {
-		tl = ts.newTxnLocks()
-		ts.held[txn] = tl
-	}
-	ts.mu.Unlock()
-
-	i, held := tl.find(key)
-	if held && (tl.keys[i].mode == Exclusive || mode == Shared) {
+// Lock takes key in mode for o's transaction, blocking while incompatible
+// locks are held. A Shared request by a holder of Exclusive is a no-op; an
+// Exclusive request by a holder of Shared is an upgrade. Returns
+// ErrDeadlock if waiting would close a cycle in the wait-for graph.
+func (m *Manager) Lock(o *Owner, key Key, mode Mode) error {
+	// Only o's own transaction reads or writes its held set (see the
+	// package contract), so the re-entrant check, and the record once
+	// granted, take no mutex: the answer cannot change underneath us.
+	i, held := o.find(key)
+	if held && (o.keys[i].mode == Exclusive || mode == Shared) {
 		return nil
 	}
+	txn := o.txn
 	// A held key here is an upgrade S -> X. The shared grant is KEPT while
 	// waiting (2PL: dropping it would let a writer slip between the read
 	// and the write); it is replaced in place once the upgrade is granted.
@@ -502,7 +470,7 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 		ls.granted = append(ls.granted, grant{txn: txn, mode: mode})
 		st.acquired++
 		st.mu.Unlock()
-		tl.record(i, isUpgrade, key, mode)
+		o.record(i, isUpgrade, key, mode)
 		return nil
 	}
 
@@ -563,16 +531,13 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 	st.mu.Unlock()
 
 	// The only way out of the queue is a grant (promote). The request has
-	// left the queue, so its edges go and the record returns to the pool;
-	// the grant is recorded under the shard mutex (see HeldBy).
+	// left the queue, so its edges go and the record returns to the pool.
 	<-req.ready
 	g.mu.Lock()
 	delete(g.waitFor, self)
 	g.free = append(g.free, req)
 	g.mu.Unlock()
-	ts.mu.Lock()
-	tl.record(i, isUpgrade, key, mode)
-	ts.mu.Unlock()
+	o.record(i, isUpgrade, key, mode)
 	return nil
 }
 
@@ -625,7 +590,7 @@ func (s *stripe) promote(key Key, ls *lockState) {
 		s.acquired++
 		copy(ls.waiters, ls.waiters[1:])
 		ls.waiters = ls.waiters[:len(ls.waiters)-1]
-		// The waiter finishes bookkeeping in Acquire.
+		// The waiter finishes bookkeeping in Lock.
 		r.ready <- struct{}{}
 	}
 	if len(ls.granted) == 0 && len(ls.waiters) == 0 {
@@ -634,33 +599,19 @@ func (s *stripe) promote(key Key, ls *lockState) {
 	}
 }
 
-// ReleaseAll drops every lock txn holds (strict 2PL release at commit or
-// abort). txn is not waiting (see the package contract), so it has no
-// wait-for edges and the graph is not touched.
-func (m *Manager) ReleaseAll(txn TxnID) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	tl := ts.held[txn]
-	if tl == nil {
-		// Every Acquire creates the held set first: txn never asked for a
-		// lock, so it holds nothing.
-		ts.mu.Unlock()
-		return
-	}
-	delete(ts.held, txn)
-	ts.mu.Unlock()
-
-	for _, h := range tl.keys {
+// Release drops every lock o holds (strict 2PL release at commit or
+// abort) and leaves o empty, ready for its next Begin. o's transaction is
+// not waiting (see the package contract), so it has no wait-for edges and
+// the graph is not touched.
+func (m *Manager) Release(o *Owner) {
+	for _, h := range o.keys {
 		st := m.stripeOf(h.key)
 		st.mu.Lock()
 		if ls := st.locks.Get(h.key.Table, h.key.Row); ls != nil {
-			removeGrant(ls, txn)
+			removeGrant(ls, o.txn)
 			st.promote(h.key, ls)
 		}
 		st.mu.Unlock()
 	}
-	tl.reset()
-	ts.mu.Lock()
-	ts.tlFree = append(ts.tlFree, tl)
-	ts.mu.Unlock()
+	o.reset()
 }

@@ -11,13 +11,22 @@ import (
 
 func k(row uint64) Key { return Key{Table: 1, Row: row} }
 
+// begun returns Owners begun as transactions 0 .. n, o[i] as TxnID i.
+func begun(n int) []Owner {
+	o := make([]Owner, n+1)
+	for i := range o {
+		o[i].Begin(TxnID(i))
+	}
+	return o
+}
+
 func TestSharedCompatible(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, k(10), Shared); err != nil {
+	m, o := NewManager(), begun(2)
+	if err := m.Lock(&o[1], k(10), Shared); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, k(10), Shared) }()
+	go func() { done <- m.Lock(&o[2], k(10), Shared) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -26,19 +35,19 @@ func TestSharedCompatible(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("S+S should not block")
 	}
-	if m.HeldBy(1) != 1 || m.HeldBy(2) != 1 {
+	if o[1].Held() != 1 || o[2].Held() != 1 {
 		t.Error("both txns should hold the lock")
 	}
 }
 
 func TestExclusiveBlocks(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, k(10), Exclusive); err != nil {
+	m, o := NewManager(), begun(2)
+	if err := m.Lock(&o[1], k(10), Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		m.Acquire(2, k(10), Exclusive)
+		m.Lock(&o[2], k(10), Exclusive)
 		close(acquired)
 	}()
 	select {
@@ -46,7 +55,7 @@ func TestExclusiveBlocks(t *testing.T) {
 		t.Fatal("X should block behind X")
 	case <-time.After(50 * time.Millisecond):
 	}
-	m.ReleaseAll(1)
+	m.Release(&o[1])
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
@@ -55,34 +64,34 @@ func TestExclusiveBlocks(t *testing.T) {
 }
 
 func TestReentrantAndNoOpDowngrade(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, k(5), Exclusive); err != nil {
+	m, o := NewManager(), begun(2)
+	if err := m.Lock(&o[1], k(5), Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Re-acquiring in any mode while holding X is a no-op.
-	if err := m.Acquire(1, k(5), Shared); err != nil {
+	if err := m.Lock(&o[1], k(5), Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, k(5), Exclusive); err != nil {
+	if err := m.Lock(&o[1], k(5), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if m.HeldBy(1) != 1 {
-		t.Errorf("HeldBy = %d, want 1", m.HeldBy(1))
+	if o[1].Held() != 1 {
+		t.Errorf("Held = %d, want 1", o[1].Held())
 	}
 }
 
 func TestUpgrade(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, k(5), Shared); err != nil {
+	m, o := NewManager(), begun(2)
+	if err := m.Lock(&o[1], k(5), Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, k(5), Exclusive); err != nil {
+	if err := m.Lock(&o[1], k(5), Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Now exclusive: another S must block.
 	blocked := make(chan struct{})
 	go func() {
-		m.Acquire(2, k(5), Shared)
+		m.Lock(&o[2], k(5), Shared)
 		close(blocked)
 	}()
 	select {
@@ -90,52 +99,52 @@ func TestUpgrade(t *testing.T) {
 		t.Fatal("S should block behind upgraded X")
 	case <-time.After(50 * time.Millisecond):
 	}
-	m.ReleaseAll(1)
+	m.Release(&o[1])
 	<-blocked
 }
 
 // TestNoTimeoutByDefault: a wait lasts as long as the holder holds; nothing
 // but the grant ends it.
 func TestNoTimeoutByDefault(t *testing.T) {
-	m := NewManager()
+	m, o := NewManager(), begun(2)
 	key := Key{Table: 3, Row: 1}
-	if err := m.Acquire(1, key, Exclusive); err != nil {
+	if err := m.Lock(&o[1], key, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, key, Exclusive) }()
+	go func() { done <- m.Lock(&o[2], key, Exclusive) }()
 	time.Sleep(10 * time.Millisecond)
 	select {
 	case err := <-done:
 		t.Fatalf("waiter finished early: %v", err)
 	default:
 	}
-	m.ReleaseAll(1)
+	m.Release(&o[1])
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(2)
+	m.Release(&o[2])
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, k(1), Exclusive); err != nil {
+	m, o := NewManager(), begun(2)
+	if err := m.Lock(&o[1], k(1), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, k(2), Exclusive); err != nil {
+	if err := m.Lock(&o[2], k(2), Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Txn 1 waits for k2 (held by 2).
 	errs := make(chan error, 1)
-	go func() { errs <- m.Acquire(1, k(2), Exclusive) }()
+	go func() { errs <- m.Lock(&o[1], k(2), Exclusive) }()
 	time.Sleep(50 * time.Millisecond)
 	// Txn 2 requesting k1 closes the cycle: it must get ErrDeadlock.
-	err := m.Acquire(2, k(1), Exclusive)
+	err := m.Lock(&o[2], k(1), Exclusive)
 	if err != ErrDeadlock {
 		t.Fatalf("expected ErrDeadlock, got %v", err)
 	}
 	// Victim aborts, releasing its locks; txn 1 proceeds.
-	m.ReleaseAll(2)
+	m.Release(&o[2])
 	select {
 	case err := <-errs:
 		if err != nil {
@@ -151,38 +160,38 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestUpgradeDeadlockDetected(t *testing.T) {
-	m := NewManager()
-	m.Acquire(1, k(7), Shared)
-	m.Acquire(2, k(7), Shared)
+	m, o := NewManager(), begun(2)
+	m.Lock(&o[1], k(7), Shared)
+	m.Lock(&o[2], k(7), Shared)
 	errs := make(chan error, 1)
-	go func() { errs <- m.Acquire(1, k(7), Exclusive) }()
+	go func() { errs <- m.Lock(&o[1], k(7), Exclusive) }()
 	time.Sleep(50 * time.Millisecond)
-	err := m.Acquire(2, k(7), Exclusive)
+	err := m.Lock(&o[2], k(7), Exclusive)
 	if err != ErrDeadlock {
 		t.Fatalf("upgrade-upgrade should deadlock, got %v", err)
 	}
-	m.ReleaseAll(2)
+	m.Release(&o[2])
 	if err := <-errs; err != nil {
 		t.Fatalf("survivor upgrade failed: %v", err)
 	}
 }
 
 func TestReleaseAllPromotesWaiters(t *testing.T) {
-	m := NewManager()
-	m.Acquire(1, k(1), Exclusive)
+	m, o := NewManager(), begun(5)
+	m.Lock(&o[1], k(1), Exclusive)
 	var granted int32
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func(id TxnID) {
+		go func(id int) {
 			defer wg.Done()
-			if err := m.Acquire(id, k(1), Shared); err == nil {
+			if err := m.Lock(&o[id], k(1), Shared); err == nil {
 				atomic.AddInt32(&granted, 1)
 			}
-		}(TxnID(10 + i))
+		}(3 + i)
 	}
 	time.Sleep(50 * time.Millisecond)
-	m.ReleaseAll(1)
+	m.Release(&o[1])
 	wg.Wait()
 	if granted != 3 {
 		t.Errorf("granted %d shared waiters, want 3 (compatible group)", granted)
@@ -203,18 +212,19 @@ func TestConcurrentStress(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			r := rng.New(seed)
+			var o Owner
 			for i := 0; i < 300; i++ {
-				txn := TxnID(atomic.AddUint64(&txnSeq, 1))
+				o.Begin(TxnID(atomic.AddUint64(&txnSeq, 1)))
 				row := uint64(r.Int63n(8))
 				ok := true
-				if err := m.Acquire(txn, k(row), Exclusive); err != nil {
+				if err := m.Lock(&o, k(row), Exclusive); err != nil {
 					ok = false
 				}
 				var other uint64
 				if ok {
 					counters[row]++
 					other = uint64(r.Int63n(8))
-					if err := m.Acquire(txn, k(other), Exclusive); err != nil {
+					if err := m.Lock(&o, k(other), Exclusive); err != nil {
 						// Deadlock victim: undo and abort.
 						counters[row]--
 						ok = false
@@ -224,7 +234,7 @@ func TestConcurrentStress(t *testing.T) {
 					counters[other]++
 					atomic.AddInt64(&committed, 1)
 				}
-				m.ReleaseAll(txn)
+				m.Release(&o)
 			}
 		}(uint64(g + 1))
 	}

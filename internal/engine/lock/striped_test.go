@@ -14,12 +14,12 @@ import (
 )
 
 // schedDriver drives one Manager through a seeded request schedule and
-// records every outcome. Transactions run on their own goroutines (Acquire
-// blocks), but the driver serializes issuance: it sends one op, then spins
+// records every outcome. Transactions run on their own goroutines, each
+// with its Owner (Lock blocks), but the driver serializes issuance: it sends one op, then spins
 // until the op either completes (result flag) or parks as a waiter (the
 // stripe waits counter — bumped under the stripe mutex before the request
-// sleeps — moves). Grants released by a ReleaseAll are collected by exact
-// count: promote() runs inside ReleaseAll and bumps the acquired counter
+// sleeps — moves). Grants released by a Release are collected by exact
+// count: promote() runs inside Release and bumps the acquired counter
 // per granted waiter, so the acquired delta across the call says how many
 // completion flags to wait for. Every observation point is therefore
 // deterministic, which is what lets two managers' logs be compared
@@ -62,15 +62,16 @@ func newSchedDriver(m *Manager, txns int) *schedDriver {
 
 func (d *schedDriver) txnLoop(i int) {
 	defer d.wg.Done()
-	txn := TxnID(i + 1)
+	var o Owner
+	o.Begin(TxnID(i + 1))
 	for op := range d.ops[i] {
 		if op.release {
-			d.m.ReleaseAll(txn)
+			d.m.Release(&o)
 			d.results[i] <- "released"
 			d.flags[i].Store(1)
 			continue
 		}
-		err := d.m.Acquire(txn, op.key, op.mode)
+		err := d.m.Lock(&o, op.key, op.mode)
 		switch {
 		case err == nil:
 			d.results[i] <- "grant"
@@ -103,7 +104,7 @@ func (d *schedDriver) issue(i int, op schedOp) {
 		if d.flags[i].Load() != 0 {
 			res := <-d.results[i]
 			if op.release {
-				// promote() ran inside ReleaseAll; collect the txns it woke.
+				// promote() ran inside Release; collect the txns it woke.
 				woken := d.collect(int(d.acquiredTotal() - baseAcquired))
 				res = fmt.Sprintf("released woke=%v", woken)
 			}
@@ -121,7 +122,7 @@ func (d *schedDriver) issue(i int, op schedOp) {
 }
 
 // collect waits for exactly n parked transactions to finish their granted
-// Acquire, patches their log lines with the outcome, and unblocks them.
+// Lock, patches their log lines with the outcome, and unblocks them.
 // The set of woken transactions is determined by the manager (FIFO
 // promote); only the observation is asynchronous.
 func (d *schedDriver) collect(n int) []int {
@@ -256,7 +257,9 @@ func differentStripeRows(m *Manager, table uint32, n int) []uint64 {
 // TestCrossStripeDeadlock builds a deadlock cycle whose keys live in
 // distinct stripes, so detection cannot work by inspecting any one stripe:
 // it must see the cross-stripe wait-for graph. Run with -race this also
-// exercises the stripe->detector lock nesting under concurrency.
+// exercises the stripe->detector lock nesting under concurrency. It is the
+// one test of the TxnID-keyed methods: HeldBy is read here from another
+// goroutine while requests of the same transactions wait and are granted.
 func TestCrossStripeDeadlock(t *testing.T) {
 	m := NewManager()
 	rows := differentStripeRows(m, 1, 3)

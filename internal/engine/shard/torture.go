@@ -68,9 +68,11 @@ func DefaultTortureConfig(shards int) TortureConfig {
 	return TortureConfig{Seeds: 2, Schedules: 4, Txns: 200, Shards: shards}
 }
 
-// KillPlan is one armed 2PC kill: when Point fires (for any gid), the
-// Victim shard dies. A plan fires at most once, and never on one shard,
-// where no transaction runs the protocol.
+// KillPlan is one armed 2PC kill: when Point fires, the Victim shard dies —
+// for the first gid to reach it that has a participant branch (open, or in
+// doubt) on Victim, or, for a CoordinatorVictim plan, for the first gid to
+// reach it, whose coordinator dies. A plan fires at most once, and never on
+// one shard, where no transaction runs the protocol.
 type KillPlan struct {
 	Point  KillPoint
 	Victim int
@@ -318,6 +320,8 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 			victim := plan.Victim
 			if plan.CoordinatorVictim {
 				victim = CoordinatorOf(gid)
+			} else if victim == CoordinatorOf(gid) || !c.shards[victim].DB.HasBranch(gid) {
+				return // the victim is not one of gid's participants
 			}
 			if fired.CompareAndSwap(false, true) {
 				c.KillShard(victim)
