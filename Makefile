@@ -6,7 +6,11 @@
 
 all: build test
 
+# The build fails on any file gofmt would change, so an unformatted tree
+# stops CI at its first step.
 build:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	go build ./...
 	go vet ./...
 

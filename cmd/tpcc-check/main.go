@@ -254,7 +254,9 @@ func runShardXval(o options) error {
 // runTorture runs the crash campaign at its CI size on the given number of
 // shards (shard.DefaultTortureConfig), once under each concurrency-control
 // mode. On a cluster a mode must also have surfaced an in-doubt branch: a
-// campaign whose participant kills left none tested no in-doubt recovery.
+// campaign whose participant kills left none tested no in-doubt recovery;
+// and a mode that drew during-resolve kills must have fired one, or the
+// resolution window went untested.
 func runTorture(o options, shards int) error {
 	for _, cc := range ccModes {
 		cfg := shard.DefaultTortureConfig(shards)
@@ -291,6 +293,9 @@ func runTorture(o options, shards int) error {
 		}
 		if shards > 1 && rep.InDoubt == 0 {
 			return fmt.Errorf("cc=%s: no schedule surfaced an in-doubt branch", cc)
+		}
+		if p := shard.KillDuringResolve; shards > 1 && rep.KillsDrawn[p] > 0 && rep.KillsFired[p] == 0 {
+			return fmt.Errorf("cc=%s: none of %d %s kills fired", cc, rep.KillsDrawn[p], p)
 		}
 	}
 	return nil

@@ -28,7 +28,7 @@ import (
 //
 // The measured closures reuse inputs prepared once by the Runner's own
 // generator, so the gate covers exactly what the benchmark loop executes:
-// Session scratch, typed undo + arena, index descent, buffer-pool hits,
+// Session scratch, the typed undo list, index descent, buffer-pool hits,
 // and WAL appends. Amortized infrastructure growth (heap-file page slabs,
 // B-tree node chunks, a log segment per 64 KiB logged) is kept out of
 // the measurement by sizing the buffer pool to hold the whole 1-warehouse
@@ -73,7 +73,7 @@ func testContendedPathAllocations(t *testing.T) {
 		}
 		return st
 	}
-	run(11) // warm the pools: sessions, undo arenas, request records, index chunks
+	run(11) // warm the pools: sessions, undo lists, request records, index chunks
 	_, waits0, _ := d.LockCounts()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

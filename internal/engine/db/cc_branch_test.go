@@ -211,7 +211,7 @@ func TestLocalBranchDifferential(t *testing.T) {
 
 func countLog(t *testing.T, d *DB, typ wal.RecType) int {
 	t.Helper()
-	recs, err := d.log.Records()
+	recs, _, err := d.log.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -514,9 +514,9 @@ func (d *DB) VerifyPages() (storage.VerifyResult, error) {
 	return d.store.Verify(ids)
 }
 
-// heapApplier adapts a HeapFile to wal.Applier: rows are read into the
-// applier's one scratch buffer, a nil image deletes the row if present, and
-// anything else is written in place.
+// heapApplier adapts a HeapFile to wal.Applier, for recovery and rollback:
+// rows are read into the applier's one scratch buffer, a nil image deletes
+// the row if present, and anything else is written in place.
 type heapApplier struct {
 	h   *storage.HeapFile
 	row []byte

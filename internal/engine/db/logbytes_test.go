@@ -34,10 +34,10 @@ func TestLogBytesPerType(t *testing.T) {
 		bytes[typ] += d.log.Size() - size
 	}
 	want := [core.NumTxnTypes]struct{ count, bytes int64 }{
-		core.TxnNewOrder:    {2565, 4909430},
-		core.TxnPayment:     {2638, 835682},
+		core.TxnNewOrder:    {2565, 4416950},
+		core.TxnPayment:     {2638, 730162},
 		core.TxnOrderStatus: {238, 0},
-		core.TxnDelivery:    {291, 1982991},
+		core.TxnDelivery:    {291, 1678023},
 		core.TxnStockLevel:  {268, 0},
 	}
 	var total int64

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -485,6 +487,82 @@ func TestUncommittedDeleteKeepsItsSlot(t *testing.T) {
 			t.Errorf("%v: insert after a committed delete went to %v, want the freed slot %v", cc, got, freed)
 		}
 		if err := e.commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRollbackLeavesNoTrace: a rollback reads every before-image back from
+// the log. One transaction updates a row twice (two spans on one row, undone
+// newest first), deletes a second row and inserts a third; rolled back, the
+// rows, their slots and index entries, the heap's live count and the state
+// hash are what they were before it began, in every -cc mode.
+func TestRollbackLeavesNoTrace(t *testing.T) {
+	for _, cc := range []CCMode{CC2PL, CCMVCC, CCSSI} {
+		d := openTiny(t, cc)
+		heap := d.heaps[core.Customer]
+		row := func(key uint64) []byte {
+			t.Helper()
+			packed, ok := d.customerIdx.get(key)
+			if !ok {
+				t.Fatalf("%v: customer %#x not indexed", cc, key)
+			}
+			buf := make([]byte, tpcc.TupleLen[core.Customer])
+			if err := heap.Read(storage.UnpackRID(packed), buf); err != nil {
+				t.Fatalf("%v: customer %#x: %v", cc, key, err)
+			}
+			return buf
+		}
+		hash, err := d.StateHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated, deleted, live := row(custKey(0)), row(custKey(1)), heap.Live()
+
+		tx := d.NewSession().begin()
+		for _, bal := range []int64{111, -222} {
+			if err := tinyWriteCustomer(tx, 0, func(c *CustomerRec) { c.BalanceCents = bal; c.PaymentCount++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := tx.fetch(core.Customer, d.customerIdx, custKey(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.deleteRow(core.Customer, custKey(1), r.rid, r.cur); err != nil {
+			t.Fatal(err)
+		}
+		added := index.KeyWDC(0, 0, 7)
+		buf := make([]byte, tpcc.TupleLen[core.Customer])
+		(&CustomerRec{ID: 7, BalanceCents: 5}).Marshal(buf)
+		rid, err := tx.insertKeyed(core.Customer, d.customerIdx, added, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.rollbackWith(0); err != nil {
+			t.Fatalf("%v: rollback: %v", cc, err)
+		}
+
+		if got, err := d.StateHash(); err != nil || got != hash {
+			t.Errorf("%v: state hash %#x after the rollback (%v), want %#x", cc, got, err, hash)
+		}
+		if !bytes.Equal(row(custKey(0)), updated) || !bytes.Equal(row(custKey(1)), deleted) {
+			t.Errorf("%v: the updated or the deleted row did not come back as it was", cc)
+		}
+		if _, ok := d.customerIdx.get(added); ok {
+			t.Errorf("%v: the inserted row is still indexed", cc)
+		}
+		if err := heap.Read(rid, buf); !errors.Is(err, storage.ErrNoRecord) {
+			t.Errorf("%v: the inserted row's slot %v reads %v, want no record", cc, rid, err)
+		}
+		if got := heap.Live(); got != live {
+			t.Errorf("%v: %d live customers after the rollback, want %d", cc, got, live)
+		}
+		check := d.NewSession().begin()
+		if got, ok := tinyReadCustomer(t, check, 0); !ok || got.BalanceCents != 0 || got.PaymentCount != 0 {
+			t.Errorf("%v: a new transaction reads the updated customer as %+v", cc, got)
+		}
+		if err := check.commit(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 package db
 
 // Session is a reusable execution context for the five TPC-C procedures.
-// It owns one txn value whose scratch memory (undo list, before-image
-// arena, tuple buffers, range-scan collectors) is recycled across
+// It owns one txn value whose scratch memory (undo list, tuple buffers,
+// range-scan collectors) is recycled across
 // transactions, making the committed execute path allocation-free after
 // warm-up. A Session is single-threaded: each worker goroutine uses its
 // own (the Runner holds one per worker).

@@ -34,11 +34,11 @@ var ErrSSIAbort = fmt.Errorf("db: serialization failure (rw-antidependency pivot
 type undoKind uint8
 
 const (
-	// undoUpdate restores a before-image over an updated record.
-	undoUpdate undoKind = iota
-	// undoInsert deletes an inserted record.
-	undoInsert
-	// undoDelete re-inserts a deleted record at its old RID.
+	// undoRow takes a row's log record back off the row: an inserted row is
+	// deleted, an updated one gets its before-span back.
+	undoRow undoKind = iota
+	// undoDelete is undoRow for a delete, which puts the row back at its old
+	// RID, in the slot the transaction holds until it ends (unhold).
 	undoDelete
 	// undoSetIdx removes an added index entry.
 	undoSetIdx
@@ -46,16 +46,13 @@ const (
 	undoDelIdx
 )
 
-// undoOp is one typed entry of the undo list. Before-images live in the
-// transaction's arena and are referenced by offset+length: the arena's
-// backing array may move as it grows, so undo entries must never hold
-// slices into it.
+// undoOp is one typed entry of the undo list. A row's entry names its log
+// record by offset: the log is the only copy of the before-image.
 type undoOp struct {
 	kind undoKind
 	rel  core.Relation
-	rid  storage.RID
-	off  int // arena offset of the saved image (undoUpdate/undoDelete)
-	n    int // image length
+	rid  storage.RID // the held slot (undoDelete)
+	at   int64       // the row's log record (undoRow/undoDelete)
 	g    *relIndex
 	key  uint64
 	val  uint64
@@ -77,11 +74,11 @@ type olref struct {
 // for rollback. Strict 2PL: locks release only at commit/abort.
 //
 // A txn also owns the per-transaction scratch memory that keeps the
-// execute path allocation-free: undo entries and their before-images
-// (arena), the tuple read/marshal buffers (buf/img), and the range-scan
-// collectors (hits/refs/seen). Sessions reuse one txn value across
-// transactions, so after warm-up a committed NewOrder or Payment
-// performs zero heap allocations (enforced by alloc_test.go).
+// execute path allocation-free: undo entries, the tuple read/marshal
+// buffers (buf/img), and the range-scan collectors (hits/refs/seen).
+// Sessions reuse one txn value across transactions, so after warm-up a
+// committed NewOrder or Payment performs zero heap allocations (enforced by
+// alloc_test.go).
 type txn struct {
 	d  *DB
 	id lock.TxnID
@@ -92,8 +89,8 @@ type txn struct {
 	// like the scratch below, from one transaction to the next.
 	held lock.Owner
 	undo []undoOp
-	// arena backs the before-images referenced by undo entries.
-	arena []byte
+	// undoer is the table a rollback step reads and writes its row through.
+	undoer heapApplier
 
 	// buf and img are tuple-sized scratch: procs read and marshal
 	// through them instead of allocating per record. Sized for the
@@ -133,7 +130,6 @@ func (t *txn) reset(d *DB) {
 	t.id = lock.TxnID(d.txnSeq.Add(1))
 	t.held.Begin(t.id)
 	t.undo = t.undo[:0]
-	t.arena = t.arena[:0]
 	if t.buf == nil {
 		t.buf = make([]byte, tpcc.TupleLen[core.Customer])
 		t.img = make([]byte, tpcc.TupleLen[core.Customer])
@@ -206,7 +202,7 @@ func (t *txn) commit() error {
 		t.publish()
 		durable = t.d.log.WaitPreCommitted()
 	} else {
-		_, end, err := t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit})
+		end, err := t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit})
 		if err != nil {
 			return t.fail(err)
 		}
@@ -250,13 +246,14 @@ const maxUndoRetries = 8
 // records either way, and under presumed abort a gid with no durable
 // decision reads as aborted too.
 //
-// An undo step pins its row's page, which may have been evicted since and
-// whose read (or the write-back that makes room for it) may fail. A rollback
-// cannot itself be rolled back and retried, and a step given up leaves the
-// row changed with its lock about to be released, so a transient device error
-// (storage.ErrTransientIO) is retried in place, a bounded number of times, as
-// the log does for a force. A failed step is safe to repeat: the heap
-// operations fail at the pin, before they touch the page.
+// A row's undo step (wal.Log.Undo) pins the row's page, which may have been
+// evicted since and whose read (or the write-back that makes room for it)
+// may fail. A rollback cannot itself be rolled back and retried, and a step
+// given up leaves the row changed with its lock about to be released, so a
+// transient device error (storage.ErrTransientIO) is retried in place, a
+// bounded number of times, as the log does for a force. A failed step is
+// safe to repeat: the heap operations fail at the pin, before they touch the
+// page.
 func (t *txn) rollbackWith(gid uint64) error {
 	var firstErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
@@ -270,7 +267,7 @@ func (t *txn) rollbackWith(gid uint64) error {
 	}
 	t.unhold()
 	// A failed log refuses the record; that is as benign as losing it.
-	_, _, _ = t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
+	_, _ = t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
 	if gid != 0 {
 		t.d.setOutcome(gid, false)
 	}
@@ -292,12 +289,10 @@ func (t *txn) rollbackWith(gid uint64) error {
 // applyUndo reverses one operation.
 func (t *txn) applyUndo(op *undoOp) error {
 	switch op.kind {
-	case undoUpdate:
-		return t.d.heaps[op.rel].Update(op.rid, t.arena[op.off:op.off+op.n])
-	case undoInsert:
-		return t.d.heaps[op.rel].Delete(op.rid)
-	case undoDelete:
-		return t.d.heaps[op.rel].InsertAt(op.rid, t.arena[op.off:op.off+op.n])
+	case undoRow, undoDelete:
+		h := t.d.heaps[op.rel]
+		t.undoer = heapApplier{h: h, row: t.buf[:h.RecordLen()]}
+		return t.d.log.Undo(op.at, &t.undoer)
 	case undoSetIdx:
 		return op.g.delete(op.key)
 	case undoDelIdx:
@@ -306,13 +301,6 @@ func (t *txn) applyUndo(op *undoOp) error {
 	default:
 		return fmt.Errorf("db: unknown undo kind %d", op.kind)
 	}
-}
-
-// saveImage copies img into the arena and returns its offset.
-func (t *txn) saveImage(img []byte) int {
-	off := len(t.arena)
-	t.arena = append(t.arena, img...)
-	return off
 }
 
 // finish ends a local transaction whose body returned err: roll back and
@@ -363,7 +351,7 @@ func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	_, err = t.d.log.Append(wal.Record{
+	at, err := t.d.log.Append(wal.Record{
 		Txn: uint64(t.id), Type: wal.RecInsert, Table: uint32(rel),
 		RID: rid.Pack(), After: rec,
 	})
@@ -371,7 +359,7 @@ func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	t.undo = append(t.undo, undoOp{kind: undoInsert, rel: rel, rid: rid})
+	t.undo = append(t.undo, undoOp{kind: undoRow, rel: rel, at: at})
 	return rid, nil
 }
 
@@ -454,23 +442,24 @@ func (t *txn) fetch(rel core.Relation, g *relIndex, key uint64) (row, error) {
 
 // store writes r.next over the fetched row: first-committer-wins
 // validation and versioning under mvcc, the log record, the heap update,
-// and an undo entry restoring r.cur. Both images are copied (log encoding,
-// undo arena) before it returns, so every row can share the one scratch.
+// and an undo entry naming the record, whose before-span restores r.cur.
+// The log copies what it keeps of both images before it returns, so every
+// row can share the one scratch.
 func (t *txn) store(r row) error {
 	if err := t.mvWrite(r.rel, r.key, r.cur); err != nil {
 		return err
 	}
-	if _, err := t.d.log.Append(wal.Record{
+	at, err := t.d.log.Append(wal.Record{
 		Txn: uint64(t.id), Type: wal.RecUpdate, Table: uint32(r.rel),
 		RID: r.rid.Pack(), Before: r.cur, After: r.next,
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if err := t.d.heaps[r.rel].Update(r.rid, r.next); err != nil {
 		return err
 	}
-	off := t.saveImage(r.cur)
-	t.undo = append(t.undo, undoOp{kind: undoUpdate, rel: r.rel, rid: r.rid, off: off, n: len(r.cur)})
+	t.undo = append(t.undo, undoOp{kind: undoRow, rel: r.rel, at: at})
 	return nil
 }
 
@@ -514,17 +503,17 @@ func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before [
 	if err := t.mvWrite(rel, row, before); err != nil {
 		return err
 	}
-	if _, err := t.d.log.Append(wal.Record{
+	at, err := t.d.log.Append(wal.Record{
 		Txn: uint64(t.id), Type: wal.RecDelete, Table: uint32(rel),
 		RID: rid.Pack(), Before: before,
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if err := t.d.heaps[rel].DeleteHeld(rid); err != nil {
 		return err
 	}
-	off := t.saveImage(before)
-	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, off: off, n: len(before)})
+	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, at: at})
 	t.holds++
 	return nil
 }

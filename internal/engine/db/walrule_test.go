@@ -92,7 +92,7 @@ func powerLossAtDurable(t *testing.T, d *DB) {
 // accounts for.
 func committedRows(t *testing.T, d *DB) map[[2]uint64][]byte {
 	t.Helper()
-	recs, err := d.log.Records()
+	recs, _, err := d.log.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ const (
 
 // tapeKey decodes an operation's key from three tape bytes. The low two
 // bits of b pick one of four tables and the next two bits set row bit 32
-// or 33, so (t, r) and (t^1, r^1<<32) — distinct keys with one Hash — both
-// occur and the table must tell them apart by their fields.
+// or 33, so (t, r) and (t^1, r^(1<<32|1)) — distinct keys with one Hash —
+// both occur and the table must tell them apart by their fields.
 func tapeKey(b, lo, hi byte) (uint32, uint64) {
 	return uint32(b & 3), uint64(lo) | uint64(hi)<<8 | uint64(b>>2&3)<<32
 }
@@ -179,4 +179,19 @@ func TestWrapThenLoseFirst(t *testing.T) {
 		t.Fatal("delete did not shift the wrapped chain back")
 	}
 	check(t, &tb)
+}
+
+// TestShardBitsSeeTheWholeRow: the lock manager and the version store shard
+// by Hash's bits from 32 up, and TPC-C row keys can differ only in their
+// high half — the ten districts' orders of one order id differ at bit 40 —
+// so those bits must depend on the whole row, or each such set of keys
+// shares one shard.
+func TestShardBitsSeeTheWholeRow(t *testing.T) {
+	shards := make(map[uint64]bool)
+	for d := uint64(0); d < 10; d++ {
+		shards[Hash(4, d<<40|3001)>>32&255] = true
+	}
+	if len(shards) < 9 {
+		t.Errorf("ten keys that differ only at bits 40-43 fall in %d of 256 shards", len(shards))
+	}
 }

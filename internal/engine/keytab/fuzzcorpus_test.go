@@ -142,17 +142,17 @@ func tableSeeds() map[string][]byte {
 				emit(opGet, 2, r)
 			}
 		},
-		// (t, r) and (t^1, r^1<<32) have one Hash, so each pair shares a
-		// home slot and a chain; only the fields tell them apart.
+		// (t, r) and (t^1, r^(1<<32|1)) have one Hash, so each pair
+		// shares a home slot and a chain; only the fields tell them apart.
 		"hash-twins": func(emit func(byte, uint32, uint64)) {
 			for r := uint64(0); r < 6; r++ {
 				emit(opPut, 0, r|1<<32)
-				emit(opPut, 1, r)
+				emit(opPut, 1, r^1)
 				emit(opGet, 1, r|1<<32)
-				emit(opGet, 0, r)
+				emit(opGet, 0, r^1)
 			}
 			for r := uint64(0); r < 6; r++ {
-				emit(opDelete, 1, r)
+				emit(opDelete, 1, r^1)
 				emit(opGet, 0, r|1<<32)
 				emit(opPut, 0, r|1<<32)
 			}

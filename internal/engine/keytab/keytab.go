@@ -7,11 +7,11 @@
 //     slot holding the key inline beside its value, so a probe that hits
 //     touches one cache line and a lookup hashes no struct;
 //   - the home slot is the top bits of Hash, a Fibonacci multiplicative
-//     hash whose high bits carry the mixing. A caller that shards by the
-//     same hash takes its shard from bits that the home slot never uses
-//     (the lock manager's stripeOf reads bits 32 and up, and a table
-//     reaches those only past 2^26 slots), so the keys of one shard still
-//     spread over the whole table;
+//     hash whose high bits carry the mixing. Both callers shard by the
+//     same hash, from bits the home slot never uses (the lock manager's
+//     stripeOf and the version store's shardOf read bits 32 and up, and a
+//     table reaches those only past 2^26 slots): a key is hashed once, and
+//     the keys of one shard still spread over the whole table;
 //   - the table is kept at most half full and doubles when an insert would
 //     pass that, so an expected probe is short whatever the key pattern;
 //   - deletion shifts the entries behind the hole back toward their home
@@ -32,9 +32,13 @@ const minSlots = 16
 
 // Hash is the Fibonacci multiplicative hash of (table, row). Row keys are
 // near-sequential per table, so the multiply spreads adjacent rows apart;
-// the high bits of the product carry the mixing.
+// the high bits of the product carry the mixing. A product's bit k depends
+// only on bits 0..k of what is multiplied, so the row's high half is first
+// folded onto its low half: the shard bits, 32 and up, then see the whole
+// row, such as the district at bit 40 of an order key, and the orders of
+// ten districts with one order id do not all land in one shard.
 func Hash(table uint32, row uint64) uint64 {
-	return (row ^ uint64(table)<<32) * 0x9e3779b97f4a7c15
+	return (row ^ row>>32 ^ uint64(table)<<32) * 0x9e3779b97f4a7c15
 }
 
 // slot is one table entry; v == nil marks an empty slot.

@@ -245,13 +245,10 @@ func NewSerializableStore() *Store {
 	return s
 }
 
-// shardOf hashes a key to its shard (fnv-1a over the packed fields).
+// shardOf hashes a key to its shard: keytab.Hash's bits from 32 up, which
+// the shard's chain table does not read (package keytab).
 func (s *Store) shardOf(k Key) *storeShard {
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(k.Table)) * 1099511628211
-	h = (h ^ k.Row) * 1099511628211
-	h = (h ^ (k.Row >> 32)) * 1099511628211
-	return &s.shards[h&(storeShards-1)]
+	return &s.shards[(keytab.Hash(k.Table, k.Row)>>32)&(storeShards-1)]
 }
 
 // Clock returns the last assigned commit timestamp.

@@ -43,8 +43,10 @@ import (
 
 // ErrSSI is the dangerous-structure abort: committing this transaction
 // could close an rw-antidependency cycle. The caller must abort and
-// retry with a fresh snapshot; the retry cannot livelock, because the
-// pivot that forced the abort is no longer concurrent with it.
+// retry with a fresh snapshot. Nothing bounds how often a retry fails
+// again: one SmallBank Amalgamate has been seen aborted as a pivot on
+// 1 000 immediate retries in a row while others committed. A retry that
+// cannot fail on the same conflicting transactions is ROADMAP item 16.
 var ErrSSI = errors.New("mvcc: rw-antidependency pivot (serialization failure)")
 
 // ssiRec conflict-flag state bits.

@@ -85,13 +85,13 @@ type KillPlan struct {
 // NewKillPlan draws a plan from r for a cluster of n shards: a uniform
 // kill point, a uniform victim, and a coin for whether the victim should
 // be the coordinator itself (the most delicate crash: its forced commit
-// record is the global decision).
+// record is the global decision), except at during-resolve: the
+// coordinator has answered by then, and one killed after prepare aborts its
+// participants, leaving nothing in doubt.
 func NewKillPlan(r *rng.RNG, n int) KillPlan {
-	return KillPlan{
-		Point:             KillPoint(r.Int63n(int64(NumKillPoints))),
-		Victim:            int(r.Int63n(int64(n))),
-		CoordinatorVictim: r.Bernoulli(0.5),
-	}
+	p := KillPoint(r.Int63n(int64(NumKillPoints)))
+	v := int(r.Int63n(int64(n)))
+	return KillPlan{Point: p, Victim: v, CoordinatorVictim: r.Bernoulli(0.5) && p != KillDuringResolve}
 }
 
 // ScheduleResult records one schedule's outcome.
@@ -123,9 +123,11 @@ type Report struct {
 	Schedules []ScheduleResult
 	// Violations flattens every violation with its provenance.
 	Violations []string
-	// MidRunCrashes counts schedules whose crash fuse fired under load,
-	// FiredKills those whose armed 2PC kill fired.
-	MidRunCrashes, FiredKills int
+	// MidRunCrashes counts schedules whose crash fuse fired under load;
+	// KillsDrawn and KillsFired, per kill point, those that armed a kill
+	// there and those whose kill fired.
+	MidRunCrashes          int
+	KillsDrawn, KillsFired [NumKillPoints]int
 	// InDoubt / ResolvedCommit / ResolvedAbort total the in-doubt
 	// branches the campaign created and settled.
 	InDoubt, ResolvedCommit, ResolvedAbort int64
@@ -153,16 +155,20 @@ func (r *Report) Summary() string {
 		sheds += s.Sheds
 		trunc += s.Recovery.TruncatedBytes
 	}
+	kills := ""
+	for p := range NumKillPoints {
+		kills += fmt.Sprintf(", %s %d/%d", p, r.KillsFired[p], r.KillsDrawn[p])
+	}
 	f := r.Faults
 	return fmt.Sprintf(
-		"torture: cc=%s, %d seeds x %d schedules on %d shards (%d mid-run crashes, %d kills fired), "+
+		"torture: cc=%s, %d seeds x %d schedules on %d shards (%d mid-run crashes; kills fired/drawn%s), "+
 			"%d acked txns, %d retries, %d sheds; faults: %d read, %d write, %d force errs, "+
 			"%d bit flips, %d torn, %d dropped writes; %d log bytes truncated; "+
 			"checksums: %d detected, %d repaired (%d directed probes); in-doubt: %d surfaced, "+
 			"%d resolved commit, %d resolved abort; degraded: %d local acks, %d typed sheds; "+
 			"violations: %d",
 		r.Config.CC, r.Config.Seeds, r.Config.Schedules, r.Config.Shards, r.MidRunCrashes,
-		r.FiredKills, acked, retries, sheds, f.ReadErrs, f.WriteErrs, f.ForceErrs,
+		kills, acked, retries, sheds, f.ReadErrs, f.WriteErrs, f.ForceErrs,
 		f.BitFlips, f.TornWrites, f.DroppedWrites, trunc, r.Detected, r.Repaired, r.Probes,
 		r.InDoubt, r.ResolvedCommit, r.ResolvedAbort, r.DegradedLocalAcks, r.DegradedSheds,
 		len(r.Violations))
@@ -309,12 +315,18 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 				fmt.Sprintf("seed=%d schedule=%d: %s", seed, sched, v))
 		}
 
-		// Arm one kill at a drawn protocol point; it fires at most once.
+		// Arm one kill at a drawn protocol point; it fires at most once. A
+		// during-resolve plan first kills its victim once after a prepare,
+		// so that it has a branch in doubt to resolve.
 		plan := NewKillPlan(seedRng, cfg.Shards)
 		res.Plan = plan
-		var fired atomic.Bool
+		rep.KillsDrawn[plan.Point]++
+		var fired, primed atomic.Bool
 		c.SetKillHook(func(p KillPoint, gid uint64) {
-			if p != plan.Point {
+			once := &fired
+			if plan.Point == KillDuringResolve && p == KillAfterPrepare {
+				once = &primed
+			} else if p != plan.Point {
 				return
 			}
 			victim := plan.Victim
@@ -323,7 +335,7 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 			} else if victim == CoordinatorOf(gid) || !c.shards[victim].DB.HasBranch(gid) {
 				return // the victim is not one of gid's participants
 			}
-			if fired.CompareAndSwap(false, true) {
+			if once.CompareAndSwap(false, true) {
 				c.KillShard(victim)
 			}
 		})
@@ -372,7 +384,7 @@ func tortureSeed(cfg TortureConfig, seed uint64, rep *Report) error {
 		c.SetKillHook(nil)
 		if fired.Load() {
 			res.Fired = true
-			rep.FiredKills++
+			rep.KillsFired[plan.Point]++
 		}
 
 		// Invariants on every shard: no orphaned in-doubt branch, page

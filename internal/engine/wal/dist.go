@@ -9,7 +9,7 @@ import (
 // InDoubtTxn is a prepared-but-undecided transaction branch found during
 // recovery: its prepare record is durable, but no commit or abort record
 // follows. Under presumed abort the branch's rows have been rolled back;
-// Records retains the branch's data records (in LSN order, updates as
+// Records retains the branch's data records (in log order, updates as
 // spans) so the commit layer can Redo them if the coordinator's decision
 // turns out to be commit.
 type InDoubtTxn struct {
@@ -18,14 +18,14 @@ type InDoubtTxn struct {
 	// GID is the global (distributed) transaction id the prepare record
 	// carried in its RID field.
 	GID uint64
-	// Records holds the branch's data records in LSN order.
+	// Records holds the branch's data records in log order.
 	Records []Record
 }
 
 // DistState is what distributed recovery learned beyond row images.
 type DistState struct {
-	// InDoubt lists prepared branches with no durable decision, in
-	// prepare-LSN order.
+	// InDoubt lists prepared branches with no durable decision, in the
+	// order of their prepare records.
 	InDoubt []InDoubtTxn
 	// Decisions maps global transaction ids to their durable outcome
 	// (true = committed): every commit/abort record carrying a nonzero
@@ -82,16 +82,20 @@ func (f *rowFold) patch(a Applier, off uint32, span []byte) error {
 	return patch(f.image, off, span)
 }
 
-// redo applies a winner's record.
-func (f *rowFold) redo(a Applier, r Record) error {
-	switch r.Type {
-	case RecInsert:
-		f.set(r.After)
-	case RecDelete:
-		f.set(nil)
-	default:
-		return f.patch(a, r.Off, r.After)
+// step redoes a record on the row, or with undo set takes it back off: an
+// update writes its after- or before-span over the row, and an insert or a
+// delete sets the row to its after- or before-image, the side it does not
+// carry being the absent row. Recovery redoes winners and undoes loser runs
+// by it, and a rollback each of its records (Log.Undo).
+func (f *rowFold) step(a Applier, r Record, undo bool) error {
+	img := r.After
+	if undo {
+		img = r.Before
 	}
+	if r.Type == RecUpdate {
+		return f.patch(a, r.Off, img)
+	}
+	f.set(img)
 	return nil
 }
 
@@ -99,25 +103,20 @@ func (f *rowFold) redo(a Applier, r Record) error {
 // first.
 func (f *rowFold) undoRun(a Applier) error {
 	for i := len(f.run) - 1; i >= 0; i-- {
-		switch r := f.run[i]; r.Type {
-		case RecInsert:
-			f.set(nil)
-		case RecDelete:
-			f.set(r.Before)
-		default:
-			if err := f.patch(a, r.Off, r.Before); err != nil {
-				return err
-			}
+		if err := f.step(a, f.run[i], true); err != nil {
+			return err
 		}
 	}
 	f.run = f.run[:0]
 	return nil
 }
 
-// RecoverDist is Recover plus two-phase-commit bookkeeping: alongside the
-// per-row committed state it reports in-doubt transactions (prepared, no
-// decision) and the durable gid decision map. In-doubt branches are losers
-// like any other — presumed abort — and their records are retained so a
+// RecoverDist restores every row the log touches to its committed state
+// through the per-table appliers, by the fold the package comment describes,
+// after cutting the log at its first damaged record (only unacknowledged
+// tail lies past it: an acknowledged commit was forced). It also reports the
+// durable gid decisions and the in-doubt branches (prepared, undecided):
+// losers like any other — presumed abort — whose records are kept so a
 // later commit decision can be re-applied.
 func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, error) {
 	var st RecoverStats
@@ -130,7 +129,7 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 	// Pass 1 walks the log where it lies, checksums included, to the first
 	// damaged record: outcomes, prepares and the valid prefix length. No
 	// transaction runs during recovery, so the log is read without its
-	// mutex (an applier may call back into Force).
+	// mutex (an applier may call back into ForceTo).
 	valid, truncated, scanErr := l.beginRecovery(func(r Record) {
 		st.Records++
 		dist.MaxTxn = max(dist.MaxTxn, r.Txn)
@@ -198,7 +197,7 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 		}
 		err := f.undoRun(a)
 		if err == nil {
-			err = f.redo(a, r)
+			err = f.step(a, r, false)
 		}
 		if err != nil {
 			return fail(f, err)

@@ -90,8 +90,8 @@ func TestForceToPastDurablePrefixLeadsOneForce(t *testing.T) {
 	if l.Syncs() != 1 || l.Forces() != 0 || l.Waits() != 0 || l.DurableSize() != l.Size() {
 		t.Errorf("syncs %d forces %d waits %d durable %d of %d", l.Syncs(), l.Forces(), l.Waits(), l.DurableSize(), l.Size())
 	}
-	if err := l.Force(); err != nil || hook.calls() != 1 {
-		t.Errorf("Force of a durable log = %v after %d device calls", err, hook.calls())
+	if err := l.ForceTo(l.Size()); err != nil || hook.calls() != 1 {
+		t.Errorf("ForceTo of a durable log = %v after %d device calls", err, hook.calls())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestForceLengthsNeverDecrease(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					_, end, err := l.PreCommit(commitRec(txn))
+					end, err := l.PreCommit(commitRec(txn))
 					if err == nil {
 						err = l.WaitDurable(end)
 					}

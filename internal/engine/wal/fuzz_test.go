@@ -82,7 +82,7 @@ func Fuzz2PCLog(f *testing.F) {
 	f.Add(uint64(2), uint64(7), true, true, uint16(20))
 	f.Fuzz(func(t *testing.T, txn, gid uint64, decide, commit bool, drop uint16) {
 		// Encode/decode round-trip of the prepare record itself.
-		prep := Record{LSN: 1, Txn: txn, Type: RecPrepare, RID: gid}
+		prep := Record{Txn: txn, Type: RecPrepare, RID: gid}
 		dec, rest, err := decodeRecord(encoded(prep))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("prepare decode failed: %v (rest %d)", err, len(rest))
@@ -195,7 +195,7 @@ func FuzzLogMutation(f *testing.F) {
 		}
 		// Recovery is idempotent on whatever state the log is in now.
 		tab2 := newMemTable()
-		st2, err := Recover(l, map[uint32]Applier{0: tab2})
+		st2, _, err := RecoverDist(l, map[uint32]Applier{0: tab2})
 		if err != nil {
 			t.Fatalf("second recovery errored: %v", err)
 		}

@@ -74,7 +74,7 @@ func commitRec(txn uint64) Record { return Record{Txn: txn, Type: RecCommit} }
 
 func preCommit(t *testing.T, l *Log, r Record) int64 {
 	t.Helper()
-	_, end, err := l.PreCommit(r)
+	end, err := l.PreCommit(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestUngroupedForcesOncePerCommitter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				_, end, err := l.PreCommit(commitRec(uint64(i*each + j + 1)))
+				end, err := l.PreCommit(commitRec(uint64(i*each + j + 1)))
 				if err == nil {
 					err = l.WaitDurable(end)
 				}
@@ -204,7 +204,7 @@ func TestAckedCommitsAreDurable(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_, end, err := l.PreCommit(commitRec(txn))
+				end, err := l.PreCommit(commitRec(txn))
 				if err == nil {
 					err = l.WaitDurable(end)
 				}
@@ -294,14 +294,14 @@ func TestPersistentForceErrorLatches(t *testing.T) {
 	}
 	hook.heal()
 	tried := hook.calls()
-	if _, _, err2 := l.PreCommit(commitRec(2)); err2 == nil || err2.Error() != err.Error() {
+	if _, err2 := l.PreCommit(commitRec(2)); err2 == nil || err2.Error() != err.Error() {
 		t.Errorf("PreCommit on a failed log = %v, want %v", err2, err)
 	}
 	if _, err2 := l.Append(commitRec(2)); err2 == nil {
 		t.Error("forced Append succeeded on a failed log")
 	}
-	if err2 := l.Force(); err2 == nil {
-		t.Error("WAL-rule Force succeeded on a failed log")
+	if err2 := l.ForceTo(l.Size()); err2 == nil {
+		t.Error("WAL-rule ForceTo succeeded on a failed log")
 	}
 	if err2 := l.WaitPreCommitted(); err2 == nil {
 		t.Error("a read-only commit was acknowledged over a failed log")
@@ -405,7 +405,7 @@ func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 			t.Fatalf("%s: forced append = %v, want ErrCrashed", tc.name, err)
 		}
 
-		recs, err := l.Records()
+		recs, _, err := l.Scan()
 		if err != nil {
 			t.Fatalf("%s: log does not parse after the void: %v", tc.name, err)
 		}
@@ -474,7 +474,7 @@ func TestCrashTailTearsAcrossSegments(t *testing.T) {
 		// The page may hold the update only if its record reached the log.
 		tab := newMemTable()
 		tab.rows[5] = [][]byte{before, after}[len(recs)/3]
-		if _, err := Recover(l, map[uint32]Applier{1: tab, 2: newMemTable()}); err != nil {
+		if _, _, err := RecoverDist(l, map[uint32]Applier{1: tab, 2: newMemTable()}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if want := [][]byte{before, after}[len(recs)/4]; !bytes.Equal(tab.rows[5], want) {
@@ -546,7 +546,7 @@ func TestWALRuleForceSharesTheDevice(t *testing.T) {
 	<-hook.arrived
 	ap(t, l, Record{Txn: 2, Type: RecUpdate, Table: 1, RID: 2, Before: []byte{0}, After: []byte{2}})
 	steal := make(chan error, 1)
-	go func() { steal <- l.Force() }()
+	go func() { steal <- l.ForceTo(l.Size()) }()
 	time.Sleep(time.Millisecond)
 	if len(hook.arrived) != 0 {
 		t.Fatal("two forces at the device at once")

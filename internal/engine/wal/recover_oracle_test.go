@@ -47,7 +47,7 @@ func cloneLog(l *Log) *Log {
 		c.segs = append(c.segs, bytes.Clone(seg))
 	}
 	c.truncate(l.size)
-	c.forcedLen, c.next = l.forcedLen, l.next
+	c.forcedLen = l.forcedLen
 	return c
 }
 
@@ -320,7 +320,7 @@ func (h *history) write(t testing.TB, txn uint64, key rowKey, image []byte) []by
 // end buffers txn's commit, abort or prepare record, unforced.
 func (h *history) end(t testing.TB, r Record) {
 	t.Helper()
-	_, end, err := h.l.PreCommit(r)
+	end, err := h.l.PreCommit(r)
 	if err != nil {
 		t.Fatal(err)
 	}

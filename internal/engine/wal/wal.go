@@ -3,8 +3,9 @@
 // recovery that folds each row's records, in log order, over the row the
 // durable page store still holds.
 //
-// Record format. A record is a 45-byte header (crc32c | lsn | txn | type |
-// table | rid | off | blen | alen) and two byte strings. An insert carries
+// Record format. A record is a 37-byte header (crc32c | txn | type | table |
+// rid | off | blen | alen) and two byte strings, and its name is the offset
+// it starts at: Append returns it, and Undo takes it. An insert carries
 // the row's full after-image, a delete its full before-image. An update
 // carries the changed byte span: callers hand Append the full before- and
 // after-image (Record.Before/After, Off 0), the log trims the prefix and
@@ -25,7 +26,7 @@
 // Recovery (RecoverDist). Pass 1 walks the stream, checksums included, to
 // the first damaged record, learns which transactions committed, and cuts
 // the log there. Pass 2 folds the data records of every row the valid
-// prefix touches, in LSN order:
+// prefix touches, in log order:
 //
 //   - a record of a committed transaction (a winner) is redone: an insert
 //     sets the row to its image, a delete makes it absent, an update writes
@@ -178,9 +179,6 @@ var (
 	ErrTruncated = errors.New("wal: truncated record")
 )
 
-// LSN is a log sequence number (1-based; 0 means "none").
-type LSN uint64
-
 // Record is one log entry. Table/RID address the row. An insert carries the
 // row's full image in After, a delete in Before. An update is handed to
 // Append with both full images and Off 0; the log keeps, and every reader of
@@ -191,7 +189,6 @@ type LSN uint64
 // dirty page of an uncommitted transaction on eviction, so recovery must be
 // able to restore the pre-transaction bytes.
 type Record struct {
-	LSN    LSN
 	Txn    uint64
 	Type   RecType
 	Table  uint32
@@ -201,9 +198,9 @@ type Record struct {
 	After  []byte
 }
 
-// Header layout: crc32c | lsn | txn | type | table | rid | off | blen | alen.
+// Header layout: crc32c | txn | type | table | rid | off | blen | alen.
 // The CRC covers everything after itself, including both byte strings.
-const recHeader = 4 + 8 + 8 + 1 + 4 + 8 + 4 + 4 + 4
+const recHeader = 4 + 8 + 1 + 4 + 8 + 4 + 4 + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -256,14 +253,13 @@ func patch(row []byte, off uint32, span []byte) error {
 // header returns r's encoded header with the checksum still to be filled
 // in; r's two byte strings follow it in the log as they are.
 func (r *Record) header() (hdr [recHeader]byte) {
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(hdr[12:20], r.Txn)
-	hdr[20] = byte(r.Type)
-	binary.LittleEndian.PutUint32(hdr[21:25], r.Table)
-	binary.LittleEndian.PutUint64(hdr[25:33], r.RID)
-	binary.LittleEndian.PutUint32(hdr[33:37], r.Off)
-	binary.LittleEndian.PutUint32(hdr[37:41], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(hdr[41:45], uint32(len(r.After)))
+	binary.LittleEndian.PutUint64(hdr[4:12], r.Txn)
+	hdr[12] = byte(r.Type)
+	binary.LittleEndian.PutUint32(hdr[13:17], r.Table)
+	binary.LittleEndian.PutUint64(hdr[17:25], r.RID)
+	binary.LittleEndian.PutUint32(hdr[25:29], r.Off)
+	binary.LittleEndian.PutUint32(hdr[29:33], uint32(len(r.Before)))
+	binary.LittleEndian.PutUint32(hdr[33:37], uint32(len(r.After)))
 	return hdr
 }
 
@@ -274,8 +270,8 @@ func recordLen(buf []byte, avail int) (int, error) {
 	if avail < recHeader {
 		return 0, fmt.Errorf("wal: record header cut at %d bytes: %w", avail, ErrTruncated)
 	}
-	nb := int(binary.LittleEndian.Uint32(buf[37:41]))
-	na := int(binary.LittleEndian.Uint32(buf[41:45]))
+	nb := int(binary.LittleEndian.Uint32(buf[29:33]))
+	na := int(binary.LittleEndian.Uint32(buf[33:37]))
 	total := recHeader + nb + na
 	if nb < 0 || na < 0 || total < recHeader || total > avail {
 		return 0, fmt.Errorf("wal: record body cut (%d of %d bytes): %w", avail, total, ErrTruncated)
@@ -288,7 +284,7 @@ func recordLen(buf []byte, avail int) (int, error) {
 // record carrying both strings carries them at one length, and fails with
 // ErrCorrupt otherwise.
 func parseRecord(raw []byte, verify bool) (Record, error) {
-	nb := int(binary.LittleEndian.Uint32(raw[37:41]))
+	nb := int(binary.LittleEndian.Uint32(raw[29:33]))
 	if verify {
 		if crc32.Checksum(raw[4:], castagnoli) != binary.LittleEndian.Uint32(raw[0:4]) {
 			return Record{}, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
@@ -298,12 +294,11 @@ func parseRecord(raw []byte, verify bool) (Record, error) {
 		}
 	}
 	r := Record{
-		LSN:   LSN(binary.LittleEndian.Uint64(raw[4:12])),
-		Txn:   binary.LittleEndian.Uint64(raw[12:20]),
-		Type:  RecType(raw[20]),
-		Table: binary.LittleEndian.Uint32(raw[21:25]),
-		RID:   binary.LittleEndian.Uint64(raw[25:33]),
-		Off:   binary.LittleEndian.Uint32(raw[33:37]),
+		Txn:   binary.LittleEndian.Uint64(raw[4:12]),
+		Type:  RecType(raw[12]),
+		Table: binary.LittleEndian.Uint32(raw[13:17]),
+		RID:   binary.LittleEndian.Uint64(raw[17:25]),
+		Off:   binary.LittleEndian.Uint32(raw[25:29]),
 	}
 	if nb > 0 {
 		r.Before = raw[recHeader : recHeader+nb : recHeader+nb]
@@ -369,7 +364,6 @@ type Log struct {
 	// truncate, the two places size changes, keep it in step.
 	published atomic.Int64
 
-	next   LSN
 	forces int64 // forces led by committers (the model's per-txn log I/O)
 	syncs  int64 // WAL-rule forces issued by the buffer manager
 	waits  int64 // records whose durability a committer waited for
@@ -390,7 +384,7 @@ type Log struct {
 
 // New creates an empty log.
 func New() *Log {
-	l := &Log{next: 1}
+	l := &Log{}
 	l.durable = sync.NewCond(&l.mu)
 	return l
 }
@@ -449,67 +443,64 @@ func (l *Log) truncate(n int) {
 	l.segs = l.segs[:(n+segSize-1)/segSize]
 }
 
-// buffer encodes r at the end of the log and returns its LSN and the logical
-// offsets at which it starts and ends. Called with l.mu held.
-func (l *Log) buffer(r *Record) (LSN, int, int) {
-	r.LSN = l.next
+// buffer encodes r at the end of the log and returns the logical offset at
+// which it starts. Called with l.mu held.
+func (l *Log) buffer(r *Record) int {
 	start := l.size
 	l.size = l.put(start, r)
 	l.published.Store(int64(l.size))
-	l.next++
-	return r.LSN, start, l.size
+	return start
 }
 
-// Append writes one record (assigning its LSN) and returns the LSN. Data
-// records are only buffered. Commit, abort, and prepare records are
+// Append writes one record and returns the offset it starts at, its name.
+// Data records are only buffered. Commit, abort, and prepare records are
 // durable when Append returns — force-then-release, what a two-phase-commit
 // vote or decision needs — and a failed force leaves no trace of them: the
 // record is voided in the buffer, so no later force or crash can make an
 // unacknowledged vote or decision durable.
-func (l *Log) Append(r Record) (LSN, error) {
+func (l *Log) Append(r Record) (int64, error) {
 	if err := r.span(); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !r.Type.forced() {
-		lsn, _, _ := l.buffer(&r)
-		return lsn, nil
+		return int64(l.buffer(&r)), nil
 	}
 	if l.failed != nil {
 		return 0, l.failed
 	}
-	lsn, start, end := l.buffer(&r)
-	if err := l.waitDurable(end); err != nil {
+	start := l.buffer(&r)
+	if err := l.waitDurable(l.size); err != nil {
 		// Nothing past the watermark is durable and a failed log forces
 		// nothing more, so the bytes can still be rewritten where they were
 		// buffered: as the abort of transaction 0, which no transaction is
 		// and recovery ignores, at the same length.
-		l.put(start, &Record{LSN: lsn, Type: RecAbort, Off: r.Off, Before: r.Before, After: r.After})
+		l.put(start, &Record{Type: RecAbort, Off: r.Off, Before: r.Before, After: r.After})
 		return 0, err
 	}
-	return lsn, nil
+	return int64(start), nil
 }
 
 // PreCommit buffers a commit or abort record without forcing and returns
-// its LSN and end offset. After it the transaction may publish its writes
+// the offset it ends at. After it the transaction may publish its writes
 // and release its locks; it acknowledges once WaitDurable(end) returns.
 // The log is prefix-durable, so a later transaction that read those writes
 // can never be durable, or acknowledged, ahead of this one.
-func (l *Log) PreCommit(r Record) (LSN, int64, error) {
+func (l *Log) PreCommit(r Record) (int64, error) {
 	if err := r.span(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return 0, 0, l.failed
+		return 0, l.failed
 	}
-	lsn, _, end := l.buffer(&r)
+	l.buffer(&r)
 	if r.Type == RecCommit {
-		l.commitEnd = end
+		l.commitEnd = l.size
 	}
-	return lsn, int64(end), nil
+	return int64(l.size), nil
 }
 
 // WaitDurable returns once the first end bytes of the log are durable,
@@ -624,9 +615,6 @@ func (l *Log) ForceTo(off int64) error {
 	return nil
 }
 
-// Force makes the whole buffered log durable.
-func (l *Log) Force() error { return l.ForceTo(l.Size()) }
-
 // Forces returns the number of log forces committers led — the model's
 // one-log-I/O-per-transaction term.
 func (l *Log) Forces() int64 {
@@ -722,63 +710,47 @@ func (c *cursor) next(verify bool) (Record, error) {
 	return r, nil
 }
 
-// Scan decodes records from the start of the log until the end or the
-// first truncated/corrupt record. It returns the records of the valid
-// prefix (their byte strings private copies, for tests; recovery reads the
-// log in place), the prefix length in bytes, and the decode error that
-// stopped the scan (nil when the whole log parsed).
-func (l *Log) Scan() ([]Record, int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := cursor{segs: l.segs, end: l.size}
-	var out []Record
-	for c.off < c.end {
-		r, err := c.next(true)
-		if err != nil {
-			return out, int64(c.off), err
-		}
-		r.Before, r.After = bytes.Clone(r.Before), bytes.Clone(r.After)
-		out = append(out, r)
-	}
-	return out, int64(c.off), nil
-}
-
-// Records decodes the whole log, failing if any record is damaged (strict
-// form, for tests; recovery truncates instead).
-func (l *Log) Records() ([]Record, error) {
-	recs, _, err := l.Scan()
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// beginRecovery walks the log in place up to its first damaged record,
-// calling visit on each record (byte strings aliasing the log), then cuts
-// the log back to that valid prefix. It returns the prefix length, how many
-// bytes were cut, and the error that ended the walk (nil when the whole log
-// parsed). What recovery read back is on the device, so the whole prefix
-// counts as durable from here on, and a latched failure is cleared: the
-// machine has restarted.
-func (l *Log) beginRecovery(visit func(Record)) (int, int64, error) {
+// walk calls visit on each record from the start of the log, checksums
+// verified and byte strings aliasing the log, up to its first damaged
+// record. It returns the valid prefix length, the log's length, and the
+// error that ended the walk (nil when the whole log parsed).
+func (l *Log) walk(visit func(Record)) (int, int, error) {
 	l.mu.Lock()
 	c := cursor{segs: l.segs, end: l.size}
 	l.mu.Unlock()
-	var scanErr error
 	for c.off < c.end {
 		r, err := c.next(true)
 		if err != nil {
-			scanErr = err
-			break
+			return c.off, c.end, err
 		}
 		visit(r)
 	}
-	valid := c.off
+	return c.off, c.end, nil
+}
+
+// Scan decodes the log's valid prefix as walk does, into records whose byte
+// strings are private copies (for tests; recovery reads the log in place).
+func (l *Log) Scan() ([]Record, int64, error) {
+	var out []Record
+	valid, _, err := l.walk(func(r Record) {
+		r.Before, r.After = bytes.Clone(r.Before), bytes.Clone(r.After)
+		out = append(out, r)
+	})
+	return out, int64(valid), err
+}
+
+// beginRecovery walks the log (walk) and cuts it back to its valid prefix,
+// returning the prefix length, how many bytes were cut, and the walk's
+// error. What recovery read back is on the device, so the whole prefix
+// counts as durable from here on, and a latched failure is cleared: the
+// machine has restarted.
+func (l *Log) beginRecovery(visit func(Record)) (int, int64, error) {
+	valid, end, scanErr := l.walk(visit)
 	l.mu.Lock()
 	l.truncate(valid)
 	l.forcedLen, l.commitEnd, l.failed = valid, min(l.commitEnd, valid), nil
 	l.mu.Unlock()
-	return valid, int64(c.end - valid), scanErr
+	return valid, int64(end - valid), scanErr
 }
 
 // Applier is one table as recovery sees it: the rows the durable pages
@@ -786,7 +758,7 @@ func (l *Log) beginRecovery(visit func(Record)) (int, int64, error) {
 type Applier interface {
 	// Read returns the row at rid as the table holds it now, nil when there
 	// is none. The slice is the applier's own scratch, valid until its next
-	// call.
+	// call; the caller may write into it and hand it back to Apply.
 	Read(rid uint64) ([]byte, error)
 	// Apply makes image the row's content at rid; a nil image means the
 	// row must be absent. Implementations must be idempotent and
@@ -799,9 +771,41 @@ type Applier interface {
 // coordinator's commit decision arrives. The branch's rows have been locked
 // since recovery rolled them back, so an update's after-span lands on the
 // row its before-span came from.
-func Redo(a Applier, r Record) error {
-	f := rowFold{rowKey: rowKey{table: r.Table, rid: r.RID}}
-	if err := f.redo(a, r); err != nil {
+func Redo(a Applier, r Record) error { return apply(a, r, false) }
+
+// Undo takes the data record Append put at offset at back off its row
+// through a, by the step recovery undoes a loser's record with: a rollback's
+// step, so the log is the only copy of a before-image. The row must be as the
+// record left it (row locks, newest first). An offset outside the log, or
+// one naming a commit, abort or prepare record, is an error.
+func (l *Log) Undo(at int64, a Applier) error {
+	l.mu.Lock()
+	c := cursor{segs: l.segs, off: int(at), end: l.size}
+	l.mu.Unlock()
+	if at < 0 || c.off >= c.end {
+		return fmt.Errorf("wal: undo at offset %d of a %d-byte log", at, c.end)
+	}
+	r, err := c.next(false) // written, and never moved: read in place
+	if err == nil && r.Type > RecDelete {
+		err = fmt.Errorf("wal: undo at offset %d names a %s record", at, r.Type)
+	}
+	if err != nil {
+		return err
+	}
+	return apply(a, r, true)
+}
+
+// apply runs one record's redo or undo step on its row alone through a. An
+// update's row is patched where Read put it, in a's scratch, then applied.
+func apply(a Applier, r Record, undo bool) (err error) {
+	f := rowFold{rowKey: rowKey{table: r.Table, rid: r.RID}, known: true, own: true}
+	if r.Type == RecUpdate {
+		f.image, err = a.Read(r.RID)
+	}
+	if err == nil {
+		err = f.step(a, r, undo)
+	}
+	if err != nil {
 		return err
 	}
 	return a.Apply(r.RID, f.image)
@@ -815,16 +819,4 @@ type RecoverStats struct {
 	SkippedUncommitted int64 // records of uncommitted/aborted transactions
 	TruncatedBytes     int64 // log bytes discarded past the valid prefix
 	TailCorrupt        bool  // truncation was due to a checksum mismatch
-}
-
-// Recover restores every row the log touches to its committed state and
-// applies it through the per-table appliers, by the fold the package comment
-// describes. The log is first scanned up to the first damaged record;
-// everything past that point is discarded (it can only be unacknowledged
-// tail — an acknowledged commit's record was forced, so it is always inside
-// the valid prefix). RecoverDist additionally surfaces in-doubt transactions
-// so the two-phase-commit layer can resolve them.
-func Recover(l *Log, tables map[uint32]Applier) (RecoverStats, error) {
-	st, _, err := RecoverDist(l, tables)
-	return st, err
 }

@@ -6,13 +6,13 @@ import (
 	"testing/quick"
 )
 
-func ap(t *testing.T, l *Log, r Record) LSN {
+func ap(t *testing.T, l *Log, r Record) int64 {
 	t.Helper()
-	lsn, err := l.Append(r)
+	at, err := l.Append(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lsn
+	return at
 }
 
 func mustRecover(t *testing.T, l *Log, tables map[uint32]Applier) RecoverStats {
@@ -24,12 +24,15 @@ func mustRecover(t *testing.T, l *Log, tables map[uint32]Applier) RecoverStats {
 	return st
 }
 
-func TestAppendAssignsLSNs(t *testing.T) {
+// TestAppendReturnsOffsets: a record's name is the offset it starts at,
+// buffered or forced, and the records lie end to end.
+func TestAppendReturnsOffsets(t *testing.T) {
 	l := New()
 	a := ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 2, RID: 3, After: []byte{1}})
 	b := ap(t, l, Record{Txn: 1, Type: RecCommit})
-	if a != 1 || b != 2 {
-		t.Errorf("LSNs = %d, %d", a, b)
+	c := ap(t, l, Record{Txn: 2, Type: RecUpdate, Before: []byte{1, 2, 3}, After: []byte{1, 5, 3}})
+	if a != 0 || b != 38 || c != 75 || l.Size() != 77+recHeader {
+		t.Errorf("records at %d, %d, %d, log %d bytes; want 0, 38, 75, %d", a, b, c, l.Size(), 77+recHeader)
 	}
 	if l.Forces() != 1 {
 		t.Errorf("Forces = %d, want 1 (only the commit)", l.Forces())
@@ -58,16 +61,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			r.After = after
 		}
 		l := New()
-		lsn, err := l.Append(r)
-		if err != nil {
+		if _, err := l.Append(r); err != nil {
 			return false
 		}
-		recs, err := l.Records()
+		recs, _, err := l.Scan()
 		if err != nil || len(recs) != 1 {
 			return false
 		}
 		got := recs[0]
-		if got.LSN != lsn || got.Txn != r.Txn || got.Type != r.Type || got.Table != r.Table || got.RID != r.RID {
+		if got.Txn != r.Txn || got.Type != r.Type || got.Table != r.Table || got.RID != r.RID {
 			return false
 		}
 		if r.Before == nil || r.After == nil {
@@ -109,7 +111,7 @@ func TestDecodeTruncated(t *testing.T) {
 	l := New()
 	ap(t, l, Record{Txn: 1, Type: RecInsert, After: []byte{1, 2, 3}})
 	cut(l, l.size-2) // chop the body
-	if _, err := l.Records(); err == nil {
+	if _, _, err := l.Scan(); err == nil {
 		t.Error("truncated body should fail")
 	}
 }
@@ -199,7 +201,7 @@ func TestRecoverUnknownTable(t *testing.T) {
 	l := New()
 	ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 42, RID: 1, After: []byte{1}})
 	ap(t, l, Record{Txn: 1, Type: RecCommit})
-	if _, err := Recover(l, map[uint32]Applier{}); err == nil {
+	if _, _, err := RecoverDist(l, map[uint32]Applier{}); err == nil {
 		t.Error("missing applier should fail")
 	}
 }
@@ -214,5 +216,60 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	}
 	if len(tab.rows) != 1 || tab.rows[1][0] != 5 {
 		t.Errorf("rows after triple recovery: %v", tab.rows)
+	}
+}
+
+// TestUndoTakesRecordsBackOffTheirRows is a rollback's side of the log:
+// Undo reads a record back by the offset Append returned and takes it off
+// its row — an insert's row goes, a delete's image comes back, an update's
+// before-span is written over the row — newest first, also for an update
+// that straddles a segment boundary and so is read back as a private copy.
+func TestUndoTakesRecordsBackOffTheirRows(t *testing.T) {
+	before, after := make([]byte, 300), make([]byte, 300)
+	for i := range after {
+		after[i] = byte(i + 1)
+	}
+	l := New()
+	fillTo(t, l, segSize-100)
+	tab := newMemTable()
+	tab.rows[6] = []byte{4, 4}
+	up := ap(t, l, Record{Txn: 2, Type: RecUpdate, Table: 1, RID: 5, Before: before, After: after})
+	if up != segSize-100 || l.Size() <= segSize {
+		t.Fatalf("update at [%d,%d) does not straddle the boundary at %d", up, l.Size(), segSize)
+	}
+	tab.rows[5] = bytes.Clone(after)
+	del := ap(t, l, Record{Txn: 2, Type: RecDelete, Table: 1, RID: 6, Before: []byte{4, 4}})
+	delete(tab.rows, 6)
+	ins := ap(t, l, Record{Txn: 2, Type: RecInsert, Table: 1, RID: 7, After: []byte{9}})
+	tab.rows[7] = []byte{9}
+	for _, at := range []int64{ins, del, up} {
+		if err := l.Undo(at, tab); err != nil {
+			t.Fatalf("undo at %d: %v", at, err)
+		}
+	}
+	if len(tab.rows) != 2 || !bytes.Equal(tab.rows[5], before) || !bytes.Equal(tab.rows[6], []byte{4, 4}) {
+		t.Errorf("rows after the rollback %v, want 5 zeroed again and 6 back as 0404", tab.rows)
+	}
+}
+
+// TestUndoRefusesWhatIsNoDataRecord: an offset at or past the log's end, or
+// before its start, and one naming a commit record, are errors, not panics,
+// and leave the table alone.
+func TestUndoRefusesWhatIsNoDataRecord(t *testing.T) {
+	l := New()
+	ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 0, RID: 1, After: []byte{1}})
+	commit := ap(t, l, commitRec(1))
+	tab := newMemTable()
+	tab.rows[1] = []byte{1}
+	for _, at := range []int64{l.Size(), l.Size() + 1, l.Size() + segSize, -1, commit} {
+		if err := l.Undo(at, tab); err == nil {
+			t.Errorf("undo at %d of a %d-byte log succeeded", at, l.Size())
+		}
+	}
+	if len(tab.rows) != 1 || tab.rows[1][0] != 1 {
+		t.Errorf("a refused undo changed the table: %v", tab.rows)
+	}
+	if err := New().Undo(0, tab); err == nil {
+		t.Error("undo in an empty log succeeded")
 	}
 }
