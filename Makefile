@@ -40,8 +40,12 @@ build:
 # concurrent tests: two managers on one wait-for graph, where a lost wake-up
 # or a second victim of one cross-manager cycle would show; goroutines on
 # Owners of their own racing over a few hot keys; the differential
-# schedules; and the TxnID-keyed wrapper's cross-stripe cycle, whose HeldBy
-# is read from another goroutine (~25 s).
+# schedules; and the TxnID-keyed wrapper's cross-stripe cycle, whose
+# requesters each release their own locks through the registry (~25 s).
+# The version store's gate stress test runs twenty times more: snapshot
+# readers race writers that abort at random on one shard, and a reader
+# can resolve an aborted image only if a writer's rollback lands between
+# its heap read and its resolution (~5 s).
 test:
 	go vet ./...
 	go test ./...
@@ -52,6 +56,7 @@ test:
 	go test -race -count=10 -run 'Clean|Crash|FlushAll|Overlap|WriteBack|ReadRecord' ./internal/engine/bufmgr/
 	go test -race -count=50 -run 'TestCycleAcrossManagers|TestConcurrentStress|TestStripedDifferential|TestCrossStripeDeadlock' \
 		./internal/engine/lock/
+	go test -race -count=20 -run 'TestGateStress' ./internal/engine/mvcc/
 
 race:
 	go test -race -timeout 60m ./...

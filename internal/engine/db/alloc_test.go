@@ -55,6 +55,12 @@ func TestHotPathAllocationFree(t *testing.T) {
 // allocation per committed transaction (it was 6.4 when every lock wait
 // allocated a request, a channel and two maps, and every grouped commit a
 // waiter and a channel).
+//
+// The measurement must see blocking to judge it: at least txns/100 lock
+// waits. On a busy machine two workers overlap less, so one round may fall
+// short; further seeded rounds are then measured too, up to maxRounds, and
+// the allocation bound is judged over every round measured. Only a cell
+// still short of the floor after maxRounds is refused.
 func testContendedPathAllocations(t *testing.T) {
 	d, err := OpenWith(Config{
 		Warehouses: 1, PageSize: 4096, BufferPages: 32768,
@@ -65,7 +71,7 @@ func testContendedPathAllocations(t *testing.T) {
 	if err := d.Load(1); err != nil {
 		t.Fatal(err)
 	}
-	const txns, workers = 6000, 2
+	const txns, workers, maxRounds = 6000, 2, 6
 	run := func(seed uint64) RunStats {
 		st, err := RunConcurrentPolicy(d, seed, tpcc.DefaultMix(), txns, workers)
 		if err != nil {
@@ -76,16 +82,25 @@ func testContendedPathAllocations(t *testing.T) {
 	run(11) // warm the pools: sessions, undo lists, request records, index chunks
 	_, waits0, _ := d.LockCounts()
 	var before, after runtime.MemStats
+	var commits, retries, waits int64
+	rounds := 0
 	runtime.ReadMemStats(&before)
-	st := run(12)
-	runtime.ReadMemStats(&after)
-	_, waits, _ := d.LockCounts()
-	if waits-waits0 < txns/100 {
-		t.Fatalf("only %d lock waits in %d transactions: the cell is not contended", waits-waits0, txns)
+	for waits < txns/100 {
+		if rounds == maxRounds {
+			t.Fatalf("only %d lock waits in %d rounds of %d transactions: the cell is not contended",
+				waits, rounds, txns)
+		}
+		st := run(12 + uint64(rounds))
+		rounds++
+		commits += st.Commits
+		retries += st.Retries
+		_, w, _ := d.LockCounts()
+		waits = w - waits0
 	}
-	perTxn := float64(after.Mallocs-before.Mallocs) / float64(st.Commits)
-	t.Logf("%d commits, %d lock waits, %d retries, forces/commit %.2f, %.3f allocs/txn",
-		st.Commits, waits-waits0, st.Retries, st.ForcesPerCommit(), perTxn)
+	runtime.ReadMemStats(&after)
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(commits)
+	t.Logf("%d rounds: %d commits, %d lock waits, %d retries, %.3f allocs/txn",
+		rounds, commits, waits, retries, perTxn)
 	if perTxn >= 0.5 {
 		t.Errorf("%.3f allocs per committed transaction on the contended path, want < 0.5", perTxn)
 	}

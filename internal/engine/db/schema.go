@@ -44,7 +44,7 @@ func (c *cursor) bytes(n int) []byte { v := c.buf[c.off : c.off+n]; c.off += n; 
 func (c *cursor) pbytes(v []byte)    { copy(c.buf[c.off:c.off+len(v)], v); c.off += len(v) }
 
 // Projections: a read that needs only a record's leading fields reads the
-// record's first ...End bytes — storage.HeapFile.Read and mvcc.Store.Read
+// record's first ...End bytes — storage.HeapFile.Read and mvcc.Store.Resolve
 // copy a prefix as long as the buffer they are given — and decodes them with
 // the record's matching unmarshal method instead of Unmarshal; given fewer
 // bytes than its end, a decoder panics rather than decode stale ones. Each

@@ -274,8 +274,10 @@ func (t *txn) rollbackWith(gid uint64) error {
 	if t.d.ccMVCC {
 		// Pop pushed versions only AFTER the undo loop above restored the
 		// heap before-images: while the writer mark is set, readers
-		// resolve through the chain, so they never see the intermediate
-		// heap states; once popped, the (restored) heap is authoritative.
+		// resolve through the chain; once popped, the (restored) heap is
+		// authoritative. A reader that read one of this transaction's
+		// images before the restore and resolves after the pop finds its
+		// shard's gate moved, and reads the heap again (snapRead).
 		t.d.mvcc.Abort(&t.mv)
 	}
 	t.d.locks.Release(&t.held)
@@ -367,11 +369,16 @@ func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
 // to this transaction into out. Under 2PL that is an S-locked current read —
 // the lock IS the visibility rule — and an absent record is an error (the
 // index said the row exists). Under mvcc it is a lock-free read: the current
-// heap image (tolerating absence) resolved against the version store. The
-// lock, the store's resolution (and so an ssi read mark) and the page access
-// are the same however short out is. live=false reports a row with no
-// version at the snapshot — expected under mvcc when an index entry leads to
-// a row committed after the snapshot began; callers skip such rows.
+// heap image (tolerating absence) resolved against the version store, with
+// the key's shard gate loaded before the heap read (the mvcc package's gate
+// rule). The lock, the store's resolution (and so an ssi read mark) and the
+// page access are the same however short out is. live=false reports a row
+// with no version at the snapshot — expected under mvcc when an index entry
+// leads to a row committed after the snapshot began; callers skip such rows.
+//
+// A pass fails only when another transaction allocated, removed or popped a
+// chain of the key's shard during it; readers never make each other retry,
+// and each retry re-reads a page the failed pass has just visited.
 func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byte) (bool, error) {
 	if !t.d.ccMVCC {
 		if err := t.lockRow(rel, row, lock.Shared); err != nil {
@@ -382,14 +389,29 @@ func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byt
 		}
 		return true, nil
 	}
-	live := true
-	if err := t.readRec(rel, rid, out); err != nil {
-		if !errors.Is(err, storage.ErrNoRecord) {
+	k := mvcc.Key{Table: uint32(rel), Row: row}
+	for {
+		g := t.d.mvcc.Gate(k)
+		live, err := t.heapImage(rel, rid, out)
+		if err != nil {
 			return false, err
 		}
-		live = false
+		if live, ok := t.d.mvcc.Resolve(&t.mv, k, g, live, out); ok {
+			return live, nil
+		}
 	}
-	return t.d.mvcc.Read(&t.mv, mvcc.Key{Table: uint32(rel), Row: row}, live, out), nil
+}
+
+// heapImage reads the current heap image at rid into out, reporting false
+// for an empty slot: under mvcc, a row deleted or not yet inserted.
+func (t *txn) heapImage(rel core.Relation, rid storage.RID, out []byte) (bool, error) {
+	if err := t.readRec(rel, rid, out); err != nil {
+		if errors.Is(err, storage.ErrNoRecord) {
+			return false, nil
+		}
+		return false, err
+	}
+	return true, nil
 }
 
 // snap is the keyed snapshot read: probe the relation's primary index g

@@ -1,9 +1,6 @@
 package lock
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // The methods below key the manager by TxnID for callers that keep no
 // Owner: each transaction's Owner lives in the manager's registry from its
@@ -15,15 +12,8 @@ import (
 // released, and a freelist of Owners to reuse.
 type idRegistry struct {
 	mu     sync.Mutex
-	owners map[TxnID]*idOwner
-	free   []*idOwner
-}
-
-// idOwner is a registered Owner and the count HeldBy reports: len(keys) as
-// of the transaction's latest Acquire, published for other goroutines.
-type idOwner struct {
-	Owner
-	held atomic.Int64
+	owners map[TxnID]*Owner
+	free   []*Owner
 }
 
 // Acquire is Lock for txn's registered Owner, registering one on txn's
@@ -36,15 +26,13 @@ func (m *Manager) Acquire(txn TxnID, key Key, mode Mode) error {
 		if n := len(r.free); n > 0 {
 			o, r.free = r.free[n-1], r.free[:n-1]
 		} else {
-			o = &idOwner{}
+			o = &Owner{}
 		}
 		o.Begin(txn)
 		r.owners[txn] = o
 	}
 	r.mu.Unlock()
-	err := m.Lock(&o.Owner, key, mode)
-	o.held.Store(int64(o.Held()))
-	return err
+	return m.Lock(o, key, mode)
 }
 
 // ReleaseAll is Release for txn's registered Owner, which it retires; a
@@ -58,22 +46,8 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	if o == nil {
 		return
 	}
-	m.Release(&o.Owner)
-	o.held.Store(0)
+	m.Release(o)
 	r.mu.Lock()
 	r.free = append(r.free, o)
 	r.mu.Unlock()
-}
-
-// HeldBy returns the number of locks txn holds through Acquire, as of its
-// latest grant: a request that is waiting is not counted yet. It is safe
-// to call from any goroutine.
-func (m *Manager) HeldBy(txn TxnID) int {
-	r := &m.ids
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if o := r.owners[txn]; o != nil {
-		return int(o.held.Load())
-	}
-	return 0
 }

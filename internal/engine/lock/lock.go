@@ -58,9 +58,8 @@
 // once: the stripes know a grant by its TxnID, so each would release the
 // other's locks.
 //
-// Acquire, ReleaseAll and HeldBy are the same manager keyed by TxnID: an
-// Owner per transaction in a registry behind one mutex, for callers that
-// keep none.
+// Acquire and ReleaseAll are the same manager keyed by TxnID: an Owner per
+// transaction in a registry behind one mutex, for callers that keep none.
 package lock
 
 import (
@@ -341,7 +340,7 @@ func (g *Graph) newManager(n int) *Manager {
 		mask:    uint64(n - 1),
 		g:       g,
 		site:    site,
-		ids:     idRegistry{owners: make(map[TxnID]*idOwner)},
+		ids:     idRegistry{owners: make(map[TxnID]*Owner)},
 	}
 }
 

@@ -258,8 +258,9 @@ func differentStripeRows(m *Manager, table uint32, n int) []uint64 {
 // distinct stripes, so detection cannot work by inspecting any one stripe:
 // it must see the cross-stripe wait-for graph. Run with -race this also
 // exercises the stripe->detector lock nesting under concurrency. It is the
-// one test of the TxnID-keyed methods: HeldBy is read here from another
-// goroutine while requests of the same transactions wait and are granted.
+// one test of the TxnID-keyed methods: each requester, granted or chosen
+// as the victim, releases its own locks through the registry, which lets
+// the rest of the cycle drain.
 func TestCrossStripeDeadlock(t *testing.T) {
 	m := NewManager()
 	rows := differentStripeRows(m, 1, 3)
@@ -283,10 +284,8 @@ func TestCrossStripeDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			err := m.Acquire(TxnID(i+1), keys[(i+1)%3], Exclusive)
+			m.ReleaseAll(TxnID(i + 1))
 			errs <- err
-			if errors.Is(err, ErrDeadlock) {
-				m.ReleaseAll(TxnID(i + 1))
-			}
 		}()
 	}
 	var deadlocks, grants int
@@ -296,8 +295,6 @@ func TestCrossStripeDeadlock(t *testing.T) {
 			switch {
 			case err == nil:
 				grants++
-				// A granted requester eventually releases so the rest of
-				// the cycle can drain.
 			case errors.Is(err, ErrDeadlock):
 				deadlocks++
 			default:
@@ -305,12 +302,6 @@ func TestCrossStripeDeadlock(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("cross-stripe deadlock not detected: %d grants, %d deadlocks so far", grants, deadlocks)
-		}
-		// Whichever txns hold grants must release for waiters to drain.
-		for id := TxnID(1); id <= 3; id++ {
-			if m.HeldBy(id) == 2 { // holds its own key and its neighbour's
-				m.ReleaseAll(id)
-			}
 		}
 	}
 	wg.Wait()
@@ -320,14 +311,12 @@ func TestCrossStripeDeadlock(t *testing.T) {
 	if _, _, dl := m.Counts(); dl != int64(deadlocks) {
 		t.Errorf("deadlock counter %d does not match observed %d", dl, deadlocks)
 	}
-	// Drain everything; the table must end empty.
-	for id := TxnID(1); id <= 3; id++ {
-		m.ReleaseAll(id)
+	// Every requester released: the table and the registry must be empty.
+	if n := m.Keys(); n != 0 {
+		t.Errorf("%d keys still locked after every transaction released", n)
 	}
-	for id := TxnID(1); id <= 3; id++ {
-		if n := m.HeldBy(id); n != 0 {
-			t.Errorf("txn %d still holds %d locks after ReleaseAll", id, n)
-		}
+	if n := len(m.ids.owners); n != 0 {
+		t.Errorf("%d transactions still registered after ReleaseAll", n)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // The tape interpreter models the engine around the store faithfully —
 // a heap holding the newest image, exclusive row locks (a write against a
 // locked row is skipped, since the real engine would block), undo of heap
-// images on abort — so the oracle disagreeing with Read means a store
+// images on abort — so the oracle disagreeing with Resolve means a store
 // bug, not a harness artifact.
 //
 // Every tape runs twice: once against the plain SI store and once
@@ -58,16 +58,21 @@ func fuzzImage(val byte) []byte {
 }
 
 // readPrefix performs the engine's projected read of k's first n bytes —
-// the heap image's prefix, then Read — into a buffer with spare capacity,
-// and fails if Read wrote past len(buf).
+// the shard gate, the heap image's prefix, then Resolve — into a buffer
+// with spare capacity, and fails if Resolve wrote past len(buf) or refused
+// a pass no other goroutine could have moved the gate in.
 func readPrefix(t *testing.T, s *Store, tx *Txn, k Key, heap map[Key][]byte, n int) ([]byte, bool) {
 	const sentinel = 0xee
 	backing := bytes.Repeat([]byte{sentinel}, fuzzImgLen+2)
+	g := s.Gate(k)
 	img, live := heap[k]
 	if live {
 		copy(backing[:n], img)
 	}
-	got := s.Read(tx, k, live, backing[:n])
+	got, ok := s.Resolve(tx, k, g, live, backing[:n])
+	if !ok {
+		t.Fatalf("read of key %v: gate moved with no writer running", k)
+	}
 	if bytes.Count(backing[n:], []byte{sentinel}) != len(backing)-n {
 		t.Fatalf("read of %d bytes of key %v wrote past len(buf): %x", n, k, backing)
 	}

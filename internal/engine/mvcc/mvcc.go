@@ -6,10 +6,11 @@
 // holds the newest image of every row (committed or in flight under its
 // writer's exclusive row lock), while this store holds the OLDER images a
 // concurrent snapshot may still need, plus the commit-timestamp metadata
-// that decides which image a given snapshot sees. A transaction reads the
-// heap first and then asks Resolve-style Read whether that image is the
-// one its snapshot should observe; if not, Read overwrites the caller's
-// buffer with the visible version from the chain's arena.
+// that decides which image a given snapshot sees. A transaction loads the
+// key's shard gate (Gate), reads the heap, and then asks Resolve whether
+// that image is the one its snapshot should observe; if not, Resolve
+// overwrites the caller's buffer with the visible version from the chain's
+// arena.
 //
 //	visibility rule: a snapshot S observes the newest version with
 //	commit-ts <= S; rows whose chain is absent are visible as-is (their
@@ -33,7 +34,21 @@
 // engine's zero-alloc hot path.
 //
 // The store is sharded by key hash; every chain access takes only its
-// shard mutex. Deliberate non-goals, documented for honesty: SI is
+// shard mutex. The heap read and its resolution are not atomic, and a
+// heap image may be one a writer leaves and then takes back: an aborting
+// writer restores the heap and only then pops its version (and frees the
+// chain it created), after which the chain no longer says that the image
+// the reader holds was never committed. Each shard therefore keeps a gate
+// word, a sequence that moves whenever a chain is allocated, removed or
+// popped, and a bit that says whether the shard has any chain at all:
+//
+//	gate rule: a heap image read after loading gate g may be resolved
+//	against the chains only if the shard's gate still reads g; if it has
+//	moved, the image is read again. A shard that had no chain at g and
+//	still reads g resolves with no mutex at all: no writer can have
+//	touched a row of the shard while the image was read.
+//
+// Deliberate non-goals, documented for honesty: SI is
 // per-store (per engine shard) — a cross-shard 2PC transaction gets one
 // snapshot per shard, not a global one — and in plain SI mode write skew
 // is ALLOWED, as at any snapshot-isolation level (db's anomaly battery
@@ -105,13 +120,35 @@ type chain struct {
 // shard that has a live chain to it: one open-addressed table for every
 // relation (package keytab), so a lookup is a multiply and, in the common
 // case, one slot compare. Under SSI, marks lists the SIREAD marks on the
-// shard's keys (ssi.go).
+// shard's keys (ssi.go). gate is the shard's gate word (gateBusy and a
+// sequence in steps of gateStep); it is loaded without the mutex and
+// stored only under it, once per chain allocation, removal or pop.
 type storeShard struct {
 	mu     sync.Mutex
 	chains keytab.Table[chain]
 	free   *chain
 	marks  []ssiMark
-	_      [24]byte // keep neighboring shards off one cache line
+	gate   atomic.Uint64
+	_      [16]byte // 104 bytes: neighboring shards share at most one cache line
+}
+
+// The gate word: bit 0 is set while the shard has a live chain, and bits
+// 1–63 count the shard's chain mutations. At one mutation a nanosecond
+// the count would take 290 years to wrap, so a gate value never repeats
+// within any window a reader could be descheduled for.
+const (
+	gateBusy = 1
+	gateStep = 2
+)
+
+// moved publishes a mutation of the shard's chains: the sequence advances
+// and the busy bit follows the table. Called under sh.mu.
+func (sh *storeShard) moved() {
+	g := sh.gate.Load()&^gateBusy + gateStep
+	if sh.chains.Len() > 0 {
+		g |= gateBusy
+	}
+	sh.gate.Store(g)
 }
 
 // get returns k's chain, or nil.
@@ -124,6 +161,7 @@ func (sh *storeShard) put(c *chain) { sh.chains.Put(c.k.Table, c.k.Row, c) }
 func (sh *storeShard) remove(c *chain) {
 	sh.chains.Delete(c.k.Table, c.k.Row)
 	sh.release(c)
+	sh.moved()
 }
 
 // alloc enters an empty chain for k, reusing a freed one if it can.
@@ -143,6 +181,7 @@ func (sh *storeShard) alloc(k Key) *chain {
 	c.latestRec = nil
 	c.latestGen = 0
 	sh.put(c)
+	sh.moved()
 	return c
 }
 
@@ -340,52 +379,86 @@ func (s *Store) prune(ret *RetireSet, wm uint64) {
 	ret.entries = kept
 }
 
-// Read resolves the row's visibility for t's snapshot. The caller has
-// already read the CURRENT heap image into buf (heapLive=false when the
-// heap has no record — a deleted or not-yet-inserted row). Read returns
-// whether the row is live at the snapshot; when the heap image is not the
-// visible one it overwrites buf with the visible version's bytes. buf may
-// hold a prefix of the image (a projected read): then only the version's
-// first len(buf) bytes are copied, and nothing past len(buf) is written.
-//
-// The heap read and this resolution are not atomic, but the ordering
-// protocol makes the pair safe: a writer sets chain.writer under the
-// shard mutex BEFORE its first heap mutation of the row and clears it
-// (commit flip or abort pop) only AFTER the heap holds the final image —
-// so whenever Read decides "the heap image is the visible one", the heap
-// image cannot have been mid-flight. Per-record torn reads are impossible
-// separately: heap record access is serialized by the buffer frame lock.
-// Under SSI, Read additionally leaves t's SIREAD mark on the key (absent
-// rows included) and, whenever it resolves BELOW the heap image, installs
-// an out-edge to each newer image's creator. Read itself never fails: an
-// edge that makes t the pivot dooms it in place, surfacing at Write or
-// PreCommit.
-func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
+// Gate is a shard's gate word as a reader loaded it before reading a
+// row's heap image, and the shard it belongs to.
+type Gate struct {
+	sh   *storeShard
+	word uint64
+}
+
+// Gate loads k's shard gate. A snapshot read calls it before it reads the
+// heap and hands the result to Resolve with the image it read.
+func (s *Store) Gate(k Key) Gate {
 	sh := s.shardOf(k)
+	return Gate{sh: sh, word: sh.gate.Load()}
+}
+
+// Resolve resolves the row's visibility for t's snapshot. The caller
+// loaded g = Gate(k), then read the CURRENT heap image into buf
+// (heapLive=false when the heap has no record — a deleted or
+// not-yet-inserted row). Resolve returns whether the row is live at the
+// snapshot; when the heap image is not the visible one it overwrites buf
+// with the visible version's bytes. buf may hold a prefix of the image (a
+// projected read): then only the version's first len(buf) bytes are
+// copied, and nothing past len(buf) is written.
+//
+// ok=false means the shard's gate moved since g: a chain of the shard was
+// allocated, removed or popped while the image was read, so it may be one
+// an aborted writer has since taken back. buf is then untouched, and the
+// caller reads the heap again under a fresh Gate. Only another
+// transaction's chain mutation fails a pass; readers never move a gate.
+//
+// The protocol that makes the pair safe: a writer enters its chain, or sets
+// itself as the chain's writer, under the shard mutex BEFORE its first heap
+// mutation of the row, and clears it (commit flip or abort pop) only AFTER
+// the heap holds the final image. So while the gate stands still the heap
+// image the caller read was committed, or is its own, or was written by a
+// writer the chain still names — and resolution through the versions does
+// not look at it. If the shard had no chain at g and its gate still reads g,
+// no writer had the row open during the heap read, and the image is
+// resolved with no mutex, lookup or write to shared memory: a pruned
+// chain's commit is at or below every live snapshot. Per-record torn reads
+// are impossible separately: heap record access is serialized by the
+// buffer frame lock.
+//
+// Under SSI every pass takes the mutex: Resolve leaves t's SIREAD mark on
+// the key (absent rows included) and, whenever it resolves BELOW the heap
+// image, installs an out-edge to each newer image's creator. Resolve
+// itself never fails: an edge that makes t the pivot dooms it in place,
+// surfacing at Write or PreCommit.
+func (s *Store) Resolve(t *Txn, k Key, g Gate, heapLive bool, buf []byte) (live, ok bool) {
+	sh := g.sh
+	if !s.ssi && g.word&gateBusy == 0 && sh.gate.Load() == g.word {
+		return heapLive, true
+	}
 	sh.mu.Lock()
+	if sh.gate.Load() != g.word {
+		sh.mu.Unlock()
+		return false, false
+	}
 	c := sh.get(k)
 	if s.ssi && (c == nil || c.writer != t) {
 		s.siread(t, sh, k)
 	}
 	if c == nil {
 		sh.mu.Unlock()
-		return heapLive
+		return heapLive, true
 	}
 	if w := c.writer; w != nil {
 		if w == t {
 			// Own uncommitted write: the heap holds it.
 			sh.mu.Unlock()
-			return heapLive
+			return heapLive, true
 		}
 		if cts := w.commitTS.Load(); cts != 0 && cts <= t.ts {
 			// Writer committed at or before our snapshot; its heap image
 			// is the visible version even though the flip hasn't landed.
 			sh.mu.Unlock()
-			return heapLive
+			return heapLive, true
 		}
 	} else if c.latestTS <= t.ts {
 		sh.mu.Unlock()
-		return heapLive
+		return heapLive, true
 	}
 	// The heap image is too new for this snapshot: walk versions newest
 	// to oldest for the first one at or below it. Every image we skip
@@ -408,18 +481,32 @@ func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
 		}
 		if v.absent {
 			sh.mu.Unlock()
-			return false
+			return false, true
 		}
 		copy(buf, c.arena[v.off:v.off+v.n])
 		sh.mu.Unlock()
-		return true
+		return true, true
 	}
 	// No version at or below the snapshot: the row did not exist then
 	// (the oldest version of a chain is the image that predates its first
 	// chained write, so running out of versions means the chain was
 	// created by an insert newer than the snapshot).
 	sh.mu.Unlock()
-	return false
+	return false, true
+}
+
+// Read is Resolve for a heap image read with no gate loaded before it: the
+// gate it resolves against is loaded after the caller's heap read, so it
+// cannot tell an image an aborted writer has taken back from a committed
+// one. It is exact only for a caller whose rows no other transaction
+// aborts while it reads (the layer benchmark's single goroutine); the
+// engine reads through Gate and Resolve.
+func (s *Store) Read(t *Txn, k Key, heapLive bool, buf []byte) bool {
+	for {
+		if live, ok := s.Resolve(t, k, s.Gate(k), heapLive, buf); ok {
+			return live
+		}
+	}
 }
 
 // Write records t's intent to overwrite the row, validating first
@@ -551,8 +638,10 @@ func (s *Store) Commit(t *Txn, ret *RetireSet) uint64 {
 // the tail of its arena, since the row lock excluded other writers),
 // clears the writer marks, and deregisters the snapshot. The caller must
 // restore the heap before-images BEFORE calling Abort: while writer is
-// set, readers resolve through versions, so the heap's intermediate
-// states are never observed.
+// set, readers resolve through versions. A reader that read one of t's
+// images before the restore resolves after the pop, so each pop moves its
+// shard's gate: that reader's Resolve fails and it reads the restored
+// image instead (the gate rule, in the package comment).
 //
 // Under SSI the transaction's rec is released immediately: the gen bump
 // stales its marks and voids its edges.
@@ -569,6 +658,8 @@ func (s *Store) Abort(t *Txn) {
 				// The chain was created by this transaction: nothing
 				// left.
 				sh.remove(c)
+			} else {
+				sh.moved()
 			}
 		}
 		sh.mu.Unlock()
@@ -600,7 +691,8 @@ func (s *Store) endTxn(t *Txn, keepRec bool) {
 }
 
 // Reset drops every chain and active registration, keeping the commit
-// clock (timestamps stay monotonic across recoveries). Only valid on a
+// clock (timestamps stay monotonic across recoveries) and moving every
+// shard's gate forward (gate values never repeat). Only valid on a
 // quiesced store — crash recovery rebuilds the heap to committed state,
 // after which no chain carries information.
 func (s *Store) Reset() {
@@ -617,6 +709,7 @@ func (s *Store) Reset() {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.chains.Clear(sh.release)
+		sh.moved()
 		clear(sh.marks)
 		sh.marks = sh.marks[:0]
 		sh.mu.Unlock()

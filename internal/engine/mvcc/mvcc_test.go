@@ -12,18 +12,26 @@ import (
 
 func rec(v byte) []byte { return []byte{v} }
 
-// readAt performs the engine's two-step read protocol: heap first, then
-// Read resolves visibility, possibly overwriting the buffer.
+// readAt performs the engine's read protocol: the shard gate, then the
+// heap, then Resolve decides visibility, possibly overwriting the buffer;
+// a pass whose gate moved reads the heap again.
 func readAt(s *Store, t *Txn, k Key, heap map[Key][]byte) (byte, bool) {
 	var buf [1]byte
-	img, live := heap[k]
-	if live {
-		copy(buf[:], img)
+	for {
+		g := s.Gate(k)
+		img, live := heap[k]
+		if live {
+			copy(buf[:], img)
+		}
+		live, ok := s.Resolve(t, k, g, live, buf[:])
+		if !ok {
+			continue
+		}
+		if !live {
+			return 0, false
+		}
+		return buf[0], true
 	}
-	if !s.Read(t, k, live, buf[:]) {
-		return 0, false
-	}
-	return buf[0], true
 }
 
 func TestVisibilityAcrossCommit(t *testing.T) {

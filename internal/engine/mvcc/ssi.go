@@ -15,7 +15,7 @@
 //     passes the reader's commit, at which point no concurrent writer can
 //     still exist; the next access to the shard drops them.
 //   - rw-edges: a reader that resolves BELOW the heap image gained an
-//     out-edge to each newer image's creator (Store.Read); a writer
+//     out-edge to each newer image's creator (Store.Resolve); a writer
 //     that overwrites a row carrying live concurrent marks gains an
 //     in-edge from each marker (Store.Write, after FCW validation).
 //   - dangerous structure: installing an edge that gives either
