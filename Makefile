@@ -174,6 +174,7 @@ repro-full:
 # Short fuzzing passes over the parsers and core data structures.
 fuzz:
 	go test -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/engine/wal/
+	go test -fuzz FuzzRecordRoundTrip -fuzztime 30s ./internal/engine/wal/
 	go test -fuzz FuzzLogMutation -fuzztime 30s ./internal/engine/wal/
 	go test -fuzz Fuzz2PCLog -fuzztime 30s ./internal/engine/wal/
 	go test -fuzz FuzzBTreeOps -fuzztime 30s ./internal/engine/index/

@@ -167,9 +167,9 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 		return st, dist, fmt.Errorf("wal: apply table %d rid %d: %w", f.table, f.rid, err)
 	}
 	for c := (cursor{segs: l.segs, end: valid}); c.off < c.end; {
-		r, _ := c.next(false) // pass 1 decoded this prefix
-		switch r.Type {
-		case RecCommit, RecAbort, RecPrepare:
+		fr, _ := c.next(false) // pass 1 decoded this prefix
+		r := fr.Record
+		if fr.void || r.Type > RecDelete {
 			continue
 		}
 		if _, prep := prepared[r.Txn]; prep && !decided[r.Txn] {

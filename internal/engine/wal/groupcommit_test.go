@@ -336,13 +336,24 @@ func TestDeadDeviceLatchesAtOnce(t *testing.T) {
 	}
 }
 
-// fillTo appends one insert record sized so that the log ends at offset n.
-func fillTo(t *testing.T, l *Log, n int) {
+// fillTo appends one insert record sized so that the log ends at offset n,
+// and returns where it starts and the record. Its header grows by a byte
+// where the body's length needs one more uvarint byte, so an end no body
+// length reaches with a one-byte rid is reached with a two-byte one.
+func fillTo(t *testing.T, l *Log, n int) (int64, Record) {
 	t.Helper()
-	ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 2, RID: 1, After: make([]byte, n-int(l.Size())-recHeader)})
-	if int(l.Size()) != n {
-		t.Fatalf("filled to %d, want %d", l.Size(), n)
+	need := n - int(l.Size())
+	body := make([]byte, max(need, 0))
+	for _, rid := range []uint64{1, 1 << 7} {
+		r := Record{Txn: 1, Type: RecInsert, Table: 2, RID: rid}
+		for b := len(body); b >= 0 && b > need-maxHeader; b-- {
+			if r.After = body[:b]; r.encodedLen() == need {
+				return ap(t, l, r), r
+			}
+		}
 	}
+	t.Fatalf("no insert takes the %d bytes from %d to %d", need, l.Size(), n)
+	return 0, Record{}
 }
 
 // TestFailedForcedAppendLeavesNoTrace is force-then-release's failure
@@ -353,9 +364,14 @@ func fillTo(t *testing.T, l *Log, n int) {
 // prepared branch. Where it lies is the offset noted when it was buffered,
 // not one worked back from the caller's images: a record carrying two
 // images is logged as the few bytes that differ, and a record may straddle
-// a segment boundary.
+// a segment boundary. The void must keep the record's length: its txn and
+// gid take four and seven uvarint bytes, where a rewrite as some other
+// record — of txn 0, of gid 0 — would be shorter and shift what follows.
 func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
-	const gid = 0x1_0000_0000_0007
+	const (
+		txn = 1<<21 + 5
+		gid = 0x1_0000_0000_0007
+	)
 	before := make([]byte, 64)
 	after := append(make([]byte, 61), 7, 7, 7)
 	for _, tc := range []struct {
@@ -363,19 +379,20 @@ func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 		rec   Record
 		start int // log offset the forced record is buffered at, 0 for wherever
 	}{
-		{name: "commit", rec: Record{Txn: 5, Type: RecCommit, RID: gid}},
-		{name: "prepare", rec: Record{Txn: 5, Type: RecPrepare, RID: gid}},
-		{name: "commit carrying images that differ in three bytes", rec: Record{Txn: 5, Type: RecCommit, RID: gid, Before: before, After: after}},
-		{name: "prepare straddling a segment boundary", rec: Record{Txn: 5, Type: RecPrepare, RID: gid}, start: segSize - 20},
+		{name: "commit", rec: Record{Txn: txn, Type: RecCommit, RID: gid}},
+		{name: "prepare", rec: Record{Txn: txn, Type: RecPrepare, RID: gid}},
+		{name: "commit carrying images that differ in three bytes", rec: Record{Txn: txn, Type: RecCommit, RID: gid, Before: before, After: after}},
+		{name: "prepare straddling a segment boundary", rec: Record{Txn: txn, Type: RecPrepare, RID: gid}, start: segSize - 8},
 	} {
 		typ := tc.rec.Type
 		l := New()
 		hook := newGatedHook()
 		l.SetFaultHook(hook)
 		l.SetGroupCommit(GroupConfig{MaxBatch: 64})
-		ap(t, l, Record{Txn: 5, Type: RecUpdate, Table: 1, RID: 9, Before: []byte{1}, After: []byte{2}})
+		ap(t, l, Record{Txn: txn, Type: RecUpdate, Table: 1, RID: 9, Before: []byte{1}, After: []byte{2}})
 		if tc.start > 0 {
-			fillTo(t, l, tc.start-recHeader) // the local commit record follows
+			local := commitRec(4) // follows the filler
+			fillTo(t, l, tc.start-local.encodedLen())
 		}
 
 		// A local commit is at the device when the decision arrives, so the
@@ -410,7 +427,7 @@ func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 			t.Fatalf("%s: log does not parse after the void: %v", tc.name, err)
 		}
 		for _, r := range recs {
-			if r.Type == typ && r.Txn == 5 {
+			if r.Type == typ && r.Txn == txn {
 				t.Errorf("%s: unacknowledged record survived in the buffer", tc.name)
 			}
 		}
@@ -447,11 +464,13 @@ func TestCrashTailTearsAcrossSegments(t *testing.T) {
 	var keptPast, keptShort, whole int
 	for seed := uint64(1); seed <= 200; seed++ {
 		l := New()
-		fillTo(t, l, segSize-100-recHeader)
-		ap(t, l, commitRec(1))
+		commit := commitRec(1)
+		fillTo(t, l, segSize-100-commit.encodedLen())
+		ap(t, l, commit)
 		forced := l.DurableSize()
-		ap(t, l, Record{Txn: 2, Type: RecUpdate, Table: 1, RID: 5, Before: before, After: after})
-		if forced != segSize-100 || l.Size() != forced+recHeader+600 {
+		up := Record{Txn: 2, Type: RecUpdate, Table: 1, RID: 5, Before: before, After: after}
+		ap(t, l, up)
+		if forced != segSize-100 || l.Size() != forced+int64(up.encodedLen()) {
 			t.Fatalf("straddling record at [%d,%d)", forced, l.Size())
 		}
 		preCommit(t, l, commitRec(2))

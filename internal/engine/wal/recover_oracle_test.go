@@ -15,10 +15,17 @@ import (
 // encoded returns r as it lies in the log: header, both byte strings, and
 // in the header's first four bytes the checksum of everything after them.
 func encoded(r Record) []byte {
-	hdr := r.header()
-	out := append(append(hdr[:], r.Before...), r.After...)
+	var hdr [maxHeader]byte
+	n := r.header(&hdr)
+	out := append(append(hdr[:n:n], r.Before...), r.After...)
 	binary.LittleEndian.PutUint32(out, crc32.Checksum(out[4:], castagnoli))
 	return out
+}
+
+// encodedLen returns the number of log bytes r takes, as header predicts.
+func (r *Record) encodedLen() int {
+	var hdr [maxHeader]byte
+	return r.header(&hdr) + len(r.Before) + len(r.After)
 }
 
 // cut truncates l to its first n bytes, the watermark with it.

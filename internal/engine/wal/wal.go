@@ -3,17 +3,28 @@
 // recovery that folds each row's records, in log order, over the row the
 // durable page store still holds.
 //
-// Record format. A record is a 37-byte header (crc32c | txn | type | table |
-// rid | off | blen | alen) and two byte strings, and its name is the offset
-// it starts at: Append returns it, and Undo takes it. An insert carries
-// the row's full after-image, a delete its full before-image. An update
-// carries the changed byte span: callers hand Append the full before- and
-// after-image (Record.Before/After, Off 0), the log trims the prefix and
-// suffix the two share, and what is written — and what a reader gets back —
-// is the offset of the first byte that differs and the before and after
-// bytes from there to the last byte that differs. A New-Order's Stock
-// update logs bytes 8–28 of 306 twice instead of 306 twice. An update never
-// changes a row's length; Append refuses one that would.
+// Record format. A record is a header and up to two byte strings of one
+// length, and its name is the offset it starts at: Append returns it, and
+// Undo takes it. The header is a crc32c over everything after it, one kind
+// byte, and uvarints: the txn, the row's rid, the span's offset in the row
+// and, when the record carries a byte string, their one length. The kind
+// byte holds the record type, the table when it is below 15 (a larger one
+// follows as a uvarint), and a void bit; which strings are present follows
+// from the type — an insert's after-image, a delete's before-image, both of
+// an update, none of a commit, abort or prepare — and a record carrying
+// others names them in one byte more. Every field is context-free, so any
+// record decodes from its own offset: a default-mix data record's header is
+// about 15 bytes and a commit's 10.
+//
+// An insert carries the row's full after-image, a delete its full
+// before-image. An update carries the changed byte span: callers hand Append
+// the full before- and after-image (Record.Before/After, Off 0), the log
+// trims the prefix and suffix the two share, and what is written — and what
+// a reader gets back — is the offset of the first byte that differs and the
+// before and after bytes from there to the last byte that differs. A
+// New-Order's Stock update logs bytes 8–28 of 306 twice instead of 306
+// twice. An update never changes a row's length; Append refuses one that
+// would.
 //
 // Layout. The log is one byte stream addressed by a cumulative logical
 // offset (Size, DurableSize, the end PreCommit returns and the n handed to
@@ -120,6 +131,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -198,9 +210,35 @@ type Record struct {
 	After  []byte
 }
 
-// Header layout: crc32c | txn | type | table | rid | off | blen | alen.
-// The CRC covers everything after itself, including both byte strings.
-const recHeader = 4 + 8 + 1 + 4 + 8 + 4 + 4 + 4
+// Header layout: crc32c | kind | [shape] | [table] | txn | rid | off | [len]:
+// a 4-byte checksum, one or two bytes, and uvarints. The CRC covers
+// everything after itself, including both byte strings.
+//
+// The kind byte is void<<7 | table<<3 | form. A table of tableEsc or more is
+// written as tableEsc and follows as a uvarint. A form below formShape is the
+// record type, and the record carries the strings typeShape gives that type;
+// formShape says a shape byte follows, the type with the strings' bits. len,
+// the strings' one length, is present when the record carries either.
+const (
+	kindVoid    = 0x80
+	tableEsc    = 15
+	formShape   = 7
+	shapeBefore = 1 << 3
+	shapeAfter  = 1 << 4
+
+	// maxHeader bounds a header's length: a decoder never reads further to
+	// find where the record's strings begin.
+	maxHeader = 4 + 1 + 1 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
+)
+
+// typeShape is the strings a record of each type carries unless its header
+// says otherwise.
+var typeShape = [...]byte{
+	RecInsert: shapeAfter,
+	RecUpdate: shapeBefore | shapeAfter,
+	RecDelete: shapeBefore,
+	RecCommit: 0, RecAbort: 0, RecPrepare: 0,
+}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -250,63 +288,134 @@ func patch(row []byte, off uint32, span []byte) error {
 	return nil
 }
 
-// header returns r's encoded header with the checksum still to be filled
-// in; r's two byte strings follow it in the log as they are.
-func (r *Record) header() (hdr [recHeader]byte) {
-	binary.LittleEndian.PutUint64(hdr[4:12], r.Txn)
-	hdr[12] = byte(r.Type)
-	binary.LittleEndian.PutUint32(hdr[13:17], r.Table)
-	binary.LittleEndian.PutUint64(hdr[17:25], r.RID)
-	binary.LittleEndian.PutUint32(hdr[25:29], r.Off)
-	binary.LittleEndian.PutUint32(hdr[29:33], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(hdr[33:37], uint32(len(r.After)))
-	return hdr
+// header encodes r's header into hdr, the checksum still to be filled in,
+// and returns its length; r's byte strings follow it in the log as they are.
+// r's type is one of the six, and a record carrying both strings carries
+// them at one length: Append sees to both.
+func (r *Record) header(hdr *[maxHeader]byte) int {
+	var shape byte
+	if len(r.Before) > 0 {
+		shape |= shapeBefore
+	}
+	if len(r.After) > 0 {
+		shape |= shapeAfter
+	}
+	tab := byte(min(r.Table, tableEsc))
+	n := 5
+	if shape == typeShape[r.Type] {
+		hdr[4] = tab<<3 | byte(r.Type)
+	} else {
+		hdr[4] = tab<<3 | formShape
+		hdr[5] = byte(r.Type) | shape
+		n++
+	}
+	if tab == tableEsc {
+		n += binary.PutUvarint(hdr[n:], uint64(r.Table))
+	}
+	n += binary.PutUvarint(hdr[n:], r.Txn)
+	n += binary.PutUvarint(hdr[n:], r.RID)
+	n += binary.PutUvarint(hdr[n:], uint64(r.Off))
+	if shape != 0 {
+		n += binary.PutUvarint(hdr[n:], uint64(max(len(r.Before), len(r.After))))
+	}
+	return n
 }
 
-// recordLen reads the encoded length of the record whose header starts buf,
-// avail being the number of log bytes from there to the end of the log. It
-// fails with ErrTruncated when the log ends mid-record.
-func recordLen(buf []byte, avail int) (int, error) {
-	if avail < recHeader {
-		return 0, fmt.Errorf("wal: record header cut at %d bytes: %w", avail, ErrTruncated)
-	}
-	nb := int(binary.LittleEndian.Uint32(buf[29:33]))
-	na := int(binary.LittleEndian.Uint32(buf[33:37]))
-	total := recHeader + nb + na
-	if nb < 0 || na < 0 || total < recHeader || total > avail {
-		return 0, fmt.Errorf("wal: record body cut (%d of %d bytes): %w", avail, total, ErrTruncated)
-	}
-	return total, nil
+// frame is a record as a reader finds it in the log: the record, whether
+// Append voided it, and the lengths of its header and its two byte strings.
+type frame struct {
+	Record
+	void         bool
+	hlen, nb, na int
 }
 
-// parseRecord decodes raw, exactly one encoded record; the record's byte
-// strings alias raw. With verify set it checks the checksum, and that a
-// record carrying both strings carries them at one length, and fails with
-// ErrCorrupt otherwise.
-func parseRecord(raw []byte, verify bool) (Record, error) {
-	nb := int(binary.LittleEndian.Uint32(raw[29:33]))
-	if verify {
-		if crc32.Checksum(raw[4:], castagnoli) != binary.LittleEndian.Uint32(raw[0:4]) {
-			return Record{}, fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
+// size returns the number of log bytes the record takes.
+func (f *frame) size() int { return f.hlen + f.nb + f.na }
+
+// readHeader decodes the header at the front of buf, avail being the number
+// of log bytes from there to the end of the log; it reads at most maxHeader
+// of them. It fails with ErrTruncated when the log ends mid-record and with
+// ErrCorrupt when the header is one no encoder writes.
+func readHeader(buf []byte, avail int) (frame, error) {
+	buf = buf[:min(len(buf), avail, maxHeader)]
+	if len(buf) < 6 { // the shortest record takes 8
+		return frame{}, fmt.Errorf("wal: record header cut at %d bytes: %w", avail, ErrTruncated)
+	}
+	var f frame
+	kind := buf[4]
+	f.void = kind&kindVoid != 0
+	form, shape, n := kind&7, byte(0), 5
+	if form == formShape {
+		form, shape, n = buf[5]&7, buf[5]&^7, 6
+	} else if int(form) < len(typeShape) {
+		shape = typeShape[form]
+	}
+	if int(form) >= len(typeShape) || shape&^(shapeBefore|shapeAfter) != 0 {
+		return frame{}, fmt.Errorf("wal: record kind %#x: %w", kind, ErrCorrupt)
+	}
+	f.Type = RecType(form)
+	// field reads the uvarint at buf[n:], which must not exceed lim. One
+	// that runs past buf is cut by the end of the log, or, when buf stops
+	// short of it, longer than any header.
+	var err error
+	field := func(lim uint64) uint64 {
+		if err != nil {
+			return 0
 		}
-		if na := len(raw) - recHeader - nb; nb != 0 && na != 0 && nb != na {
-			return Record{}, fmt.Errorf("wal: spans of %d and %d bytes: %w", nb, na, ErrCorrupt)
+		v, k := binary.Uvarint(buf[n:])
+		switch {
+		case k == 0 && len(buf) == avail:
+			err = fmt.Errorf("wal: record header cut at %d bytes: %w", avail, ErrTruncated)
+		case k <= 0 || v > lim:
+			err = fmt.Errorf("wal: record header field at byte %d out of range: %w", n, ErrCorrupt)
 		}
+		n += max(k, 0)
+		return v
 	}
-	r := Record{
-		Txn:   binary.LittleEndian.Uint64(raw[4:12]),
-		Type:  RecType(raw[12]),
-		Table: binary.LittleEndian.Uint32(raw[13:17]),
-		RID:   binary.LittleEndian.Uint64(raw[17:25]),
-		Off:   binary.LittleEndian.Uint32(raw[25:29]),
+	table := uint64(kind >> 3 & tableEsc)
+	if table == tableEsc {
+		table = field(math.MaxUint32)
 	}
-	if nb > 0 {
-		r.Before = raw[recHeader : recHeader+nb : recHeader+nb]
+	f.Table = uint32(table)
+	f.Txn = field(math.MaxUint64)
+	f.RID = field(math.MaxUint64)
+	f.Off = uint32(field(math.MaxUint32))
+	var slen int
+	if shape != 0 {
+		slen = int(field(math.MaxUint32))
 	}
-	if recHeader+nb < len(raw) {
-		r.After = raw[recHeader+nb:]
+	if err != nil {
+		return frame{}, err
 	}
-	return r, nil
+	f.hlen = n
+	if shape&shapeBefore != 0 {
+		f.nb = slen
+	}
+	if shape&shapeAfter != 0 {
+		f.na = slen
+	}
+	if total := f.size(); total > avail {
+		return frame{}, fmt.Errorf("wal: record body cut (%d of %d bytes): %w", avail, total, ErrTruncated)
+	}
+	return f, nil
+}
+
+// attach checks raw, the frame's whole record, against its checksum when
+// verify is set, failing with ErrCorrupt, and points the record's byte
+// strings into raw.
+func (f *frame) attach(raw []byte, verify bool) error {
+	if verify && crc32.Checksum(raw[4:], castagnoli) != binary.LittleEndian.Uint32(raw) {
+		return fmt.Errorf("wal: checksum mismatch: %w", ErrCorrupt)
+	}
+	at := f.hlen
+	if f.nb > 0 {
+		f.Before = raw[at : at+f.nb : at+f.nb]
+		at += f.nb
+	}
+	if f.na > 0 {
+		f.After = raw[at : at+f.na : at+f.na]
+	}
+	return nil
 }
 
 // FaultHook intercepts log-device operations; the fault package installs
@@ -417,12 +526,19 @@ func (l *Log) write(off int, p []byte) int {
 	return off
 }
 
-// put encodes r at logical offset start and returns the offset past it. The
-// checksum is taken over the bytes where they lie, a segment at a time.
+// put encodes r at logical offset start and returns the offset past it.
 // Called with l.mu held.
 func (l *Log) put(start int, r *Record) int {
-	hdr := r.header()
-	end := l.write(l.write(l.write(start, hdr[:]), r.Before), r.After)
+	var hdr [maxHeader]byte
+	n := r.header(&hdr)
+	end := l.write(l.write(l.write(start, hdr[:n]), r.Before), r.After)
+	l.seal(start, end)
+	return end
+}
+
+// seal writes the checksum of the record at [start, end), taken over the
+// bytes where they lie, a segment at a time. Called with l.mu held.
+func (l *Log) seal(start, end int) {
 	var crc uint32
 	for off := start + 4; off < end; {
 		seg := l.segs[off/segSize][off%segSize:]
@@ -433,7 +549,6 @@ func (l *Log) put(start int, r *Record) int {
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc)
 	l.write(start, sum[:])
-	return end
 }
 
 // truncate cuts the log back to its first n bytes.
@@ -452,6 +567,15 @@ func (l *Log) buffer(r *Record) int {
 	return start
 }
 
+// check refuses a record of no known type and narrows one carrying two
+// images to its span; it runs before the log mutex is taken.
+func (r *Record) check() error {
+	if int(r.Type) >= len(typeShape) {
+		return fmt.Errorf("wal: record of unknown type %s", r.Type)
+	}
+	return r.span()
+}
+
 // Append writes one record and returns the offset it starts at, its name.
 // Data records are only buffered. Commit, abort, and prepare records are
 // durable when Append returns — force-then-release, what a two-phase-commit
@@ -459,7 +583,7 @@ func (l *Log) buffer(r *Record) int {
 // record is voided in the buffer, so no later force or crash can make an
 // unacknowledged vote or decision durable.
 func (l *Log) Append(r Record) (int64, error) {
-	if err := r.span(); err != nil {
+	if err := r.check(); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
@@ -471,12 +595,15 @@ func (l *Log) Append(r Record) (int64, error) {
 		return 0, l.failed
 	}
 	start := l.buffer(&r)
-	if err := l.waitDurable(l.size); err != nil {
+	end := l.size
+	if err := l.waitDurable(end); err != nil {
 		// Nothing past the watermark is durable and a failed log forces
-		// nothing more, so the bytes can still be rewritten where they were
-		// buffered: as the abort of transaction 0, which no transaction is
-		// and recovery ignores, at the same length.
-		l.put(start, &Record{Type: RecAbort, Off: r.Off, Before: r.Before, After: r.After})
+		// nothing more, so the record can still be voided where it was
+		// buffered: one bit of its kind byte, which every reader passes
+		// over, and a new checksum. Its length, and so every record appended
+		// behind it meanwhile, stays where it is.
+		l.segs[(start+4)/segSize][(start+4)%segSize] |= kindVoid
+		l.seal(start, end)
 		return 0, err
 	}
 	return int64(start), nil
@@ -488,7 +615,7 @@ func (l *Log) Append(r Record) (int64, error) {
 // The log is prefix-durable, so a later transaction that read those writes
 // can never be durable, or acknowledged, ahead of this one.
 func (l *Log) PreCommit(r Record) (int64, error) {
-	if err := r.span(); err != nil {
+	if err := r.check(); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
@@ -695,35 +822,37 @@ func (c *cursor) bytes(n int) []byte {
 // next decodes the record at the cursor and steps past it; the caller has
 // checked that the cursor is short of end. The record's byte strings alias
 // what bytes returned. It fails with ErrTruncated when the log ends
-// mid-record and, with verify set, ErrCorrupt when the record is damaged.
-func (c *cursor) next(verify bool) (Record, error) {
+// mid-record and ErrCorrupt when the header is malformed or, with verify
+// set, the record fails its checksum.
+func (c *cursor) next(verify bool) (frame, error) {
 	avail := c.end - c.off
-	total, err := recordLen(c.bytes(min(avail, recHeader)), avail)
-	if err != nil {
-		return Record{}, err
+	f, err := readHeader(c.bytes(min(avail, maxHeader)), avail)
+	if err == nil {
+		err = f.attach(c.bytes(f.size()), verify)
 	}
-	r, err := parseRecord(c.bytes(total), verify)
 	if err != nil {
-		return Record{}, err
+		return frame{}, err
 	}
-	c.off += total
-	return r, nil
+	c.off += f.size()
+	return f, nil
 }
 
-// walk calls visit on each record from the start of the log, checksums
-// verified and byte strings aliasing the log, up to its first damaged
-// record. It returns the valid prefix length, the log's length, and the
+// walk calls visit on each record from the start of the log but the void
+// ones, checksums verified and byte strings aliasing the log, up to its
+// first damaged record. It returns the valid prefix length, the log's length, and the
 // error that ended the walk (nil when the whole log parsed).
 func (l *Log) walk(visit func(Record)) (int, int, error) {
 	l.mu.Lock()
 	c := cursor{segs: l.segs, end: l.size}
 	l.mu.Unlock()
 	for c.off < c.end {
-		r, err := c.next(true)
+		f, err := c.next(true)
 		if err != nil {
 			return c.off, c.end, err
 		}
-		visit(r)
+		if !f.void {
+			visit(f.Record)
+		}
 	}
 	return c.off, c.end, nil
 }
@@ -777,7 +906,7 @@ func Redo(a Applier, r Record) error { return apply(a, r, false) }
 // through a, by the step recovery undoes a loser's record with: a rollback's
 // step, so the log is the only copy of a before-image. The row must be as the
 // record left it (row locks, newest first). An offset outside the log, or
-// one naming a commit, abort or prepare record, is an error.
+// one naming a commit, abort, prepare or void record, is an error.
 func (l *Log) Undo(at int64, a Applier) error {
 	l.mu.Lock()
 	c := cursor{segs: l.segs, off: int(at), end: l.size}
@@ -785,14 +914,14 @@ func (l *Log) Undo(at int64, a Applier) error {
 	if at < 0 || c.off >= c.end {
 		return fmt.Errorf("wal: undo at offset %d of a %d-byte log", at, c.end)
 	}
-	r, err := c.next(false) // written, and never moved: read in place
-	if err == nil && r.Type > RecDelete {
-		err = fmt.Errorf("wal: undo at offset %d names a %s record", at, r.Type)
+	f, err := c.next(false) // written, and never moved: read in place
+	if err == nil && (f.Type > RecDelete || f.void) {
+		err = fmt.Errorf("wal: undo at offset %d names a %s record (void %t)", at, f.Type, f.void)
 	}
 	if err != nil {
 		return err
 	}
-	return apply(a, r, true)
+	return apply(a, f.Record, true)
 }
 
 // apply runs one record's redo or undo step on its row alone through a. An

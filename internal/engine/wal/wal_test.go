@@ -25,14 +25,17 @@ func mustRecover(t *testing.T, l *Log, tables map[uint32]Applier) RecoverStats {
 }
 
 // TestAppendReturnsOffsets: a record's name is the offset it starts at,
-// buffered or forced, and the records lie end to end.
+// buffered or forced, and the records lie end to end. With one-byte fields a
+// header is the checksum, the kind byte, txn, rid and off, and the length
+// when the record carries a byte string: the insert takes 4+5+1 bytes, the
+// commit 4+4, the update, its span one byte at offset 1, 4+5+2.
 func TestAppendReturnsOffsets(t *testing.T) {
 	l := New()
 	a := ap(t, l, Record{Txn: 1, Type: RecInsert, Table: 2, RID: 3, After: []byte{1}})
 	b := ap(t, l, Record{Txn: 1, Type: RecCommit})
 	c := ap(t, l, Record{Txn: 2, Type: RecUpdate, Before: []byte{1, 2, 3}, After: []byte{1, 5, 3}})
-	if a != 0 || b != 38 || c != 75 || l.Size() != 77+recHeader {
-		t.Errorf("records at %d, %d, %d, log %d bytes; want 0, 38, 75, %d", a, b, c, l.Size(), 77+recHeader)
+	if a != 0 || b != 10 || c != 18 || l.Size() != 29 {
+		t.Errorf("records at %d, %d, %d, log %d bytes; want 0, 10, 18, 29", a, b, c, l.Size())
 	}
 	if l.Forces() != 1 {
 		t.Errorf("Forces = %d, want 1 (only the commit)", l.Forces())
@@ -47,7 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(txn uint64, typRaw uint8, table uint32, rid uint64, before, after []byte) bool {
 		r := Record{
 			Txn:   txn,
-			Type:  RecType(typRaw % 5),
+			Type:  RecType(typRaw % 6),
 			Table: table,
 			RID:   rid,
 		}
@@ -89,14 +92,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // TestSpanOfStockUpdate is the arithmetic the format exists for: a New-Order
 // changes quantity, ytd, order and remote counts of a 306-byte Stock row,
-// and the record carries those 21 bytes twice, not the row twice.
+// and the record carries those 21 bytes twice, not the row twice, behind a
+// header of a checksum and five one-byte fields.
 func TestSpanOfStockUpdate(t *testing.T) {
 	before := make([]byte, 306)
 	after := bytes.Clone(before)
 	after[8], after[28] = 1, 1
 	l := New()
 	ap(t, l, Record{Txn: 1, Type: RecUpdate, Before: before, After: after})
-	if got, want := l.Size(), int64(recHeader+2*21); got != want {
+	if got, want := l.Size(), int64(4+5+2*21); got != want {
 		t.Errorf("stock update logged as %d bytes, want %d", got, want)
 	}
 	if _, err := l.Append(Record{Txn: 1, Type: RecUpdate, Before: before, After: after[:305]}); err == nil {
@@ -271,5 +275,95 @@ func TestUndoRefusesWhatIsNoDataRecord(t *testing.T) {
 	}
 	if err := New().Undo(0, tab); err == nil {
 		t.Error("undo in an empty log succeeded")
+	}
+}
+
+// TestEveryOffsetDecodesCold: a record's name is enough to read it. Two
+// transactions interleave inserts, updates and deletes over tables inside
+// and past the kind byte's range, one commits, the other prepares and then
+// commits, and one record's header straddles a segment boundary. At every
+// offset Append returned, a fresh cursor decodes exactly the record
+// appended there, knowing nothing of the records before it; and Undo at
+// every data record's offset, newest first, gives each row back the bytes
+// it had before the record.
+func TestEveryOffsetDecodesCold(t *testing.T) {
+	const a, b, gid = 1<<21 + 1, 3, 0x1_0000_0000_0007
+	l := New()
+	tabs := map[uint32]*memTable{}
+	tab := func(id uint32) *memTable {
+		if tabs[id] == nil {
+			tabs[id] = newMemTable()
+		}
+		return tabs[id]
+	}
+	stock := make([]byte, 306)
+	tab(8).rows[1<<40] = bytes.Clone(stock) // Redo patches a row where Read returns it
+	tab(20).rows[5] = []byte{9, 9}
+	tab(2).rows[7] = make([]byte, 300)
+	type entry struct {
+		at    int64
+		rec   Record
+		prior []byte // the row before the record, nil when absent
+	}
+	var entries []entry
+	added := func(at int64, r Record) {
+		if err := r.span(); err != nil {
+			t.Fatal(err)
+		}
+		e := entry{at: at, rec: r, prior: bytes.Clone(tab(r.Table).rows[r.RID])}
+		if r.Type <= RecDelete {
+			if err := Redo(tab(r.Table), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entries = append(entries, e)
+	}
+	add := func(r Record) { added(ap(t, l, r), r) }
+
+	newStock := bytes.Clone(stock)
+	newStock[8], newStock[28] = 1, 1
+	newRow := make([]byte, 300)
+	for i := range newRow {
+		newRow[i] = byte(i + 1)
+	}
+	add(Record{Txn: a, Type: RecInsert, Table: 1, RID: 10, After: []byte{1, 2, 3}})
+	add(Record{Txn: b, Type: RecUpdate, Table: 8, RID: 1 << 40, Before: stock, After: newStock})
+	add(Record{Txn: a, Type: RecUpdate, Table: 1, RID: 10, Before: []byte{1, 2, 3}, After: []byte{1, 7, 3}})
+	add(Record{Txn: b, Type: RecDelete, Table: 20, RID: 5, Before: []byte{9, 9}})
+	add(Record{Txn: a, Type: RecCommit})
+	add(Record{Txn: b, Type: RecPrepare, RID: gid})
+	added(fillTo(t, l, segSize-5))
+	add(Record{Txn: b, Type: RecUpdate, Table: 2, RID: 7, Before: make([]byte, 300), After: newRow})
+	add(Record{Txn: b, Type: RecCommit, RID: gid})
+	if at := entries[len(entries)-2].at; at != segSize-5 {
+		t.Fatalf("the straddling record is at %d, want %d", at, segSize-5)
+	}
+
+	for i, e := range entries {
+		c := cursor{segs: l.segs, off: int(e.at), end: int(l.Size())}
+		f, err := c.next(true)
+		if err != nil || f.void || !sameRecord(f.Record, e.rec) {
+			t.Fatalf("at %d: decoded %+v (void %t), %v; appended %+v", e.at, f.Record, f.void, err, e.rec)
+		}
+		next := l.Size()
+		if i+1 < len(entries) {
+			next = entries[i+1].at
+		}
+		if int64(c.off) != next {
+			t.Errorf("at %d: the record ends at %d, the next one starts at %d", e.at, c.off, next)
+		}
+	}
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if e.rec.Type > RecDelete {
+			continue
+		}
+		rows := tab(e.rec.Table).rows
+		if err := l.Undo(e.at, tab(e.rec.Table)); err != nil {
+			t.Fatalf("undo at %d: %v", e.at, err)
+		}
+		if got, ok := rows[e.rec.RID]; ok != (e.prior != nil) || !bytes.Equal(got, e.prior) {
+			t.Errorf("undo at %d: table %d row %d is %x, want %x", e.at, e.rec.Table, e.rec.RID, got, e.prior)
+		}
 	}
 }
