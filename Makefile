@@ -7,12 +7,15 @@
 all: build test
 
 # The build fails on any file gofmt would change, so an unformatted tree
-# stops CI at its first step.
+# stops CI at its first step. It also vets the engine benchmark, a module of
+# its own (see bench-module): an engine change that breaks what the
+# benchmark calls fails the build, whatever the benchmark's own tests say.
 build:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	go build ./...
 	go vet ./...
+	cd internal/bench && go vet ./...
 
 # The race leg carries an explicit -timeout: the engine/shard package
 # loads several 3-shard clusters and the race detector's ~10-20x

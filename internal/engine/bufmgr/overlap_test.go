@@ -847,7 +847,7 @@ func TestOverlapStress(t *testing.T) {
 	if st.Accesses() != workers*rounds {
 		t.Errorf("%d accesses counted, want %d", st.Accesses(), workers*rounds)
 	}
-	if reads, _ := m.store.IOCounts(); st.Misses != reads {
+	if reads := m.store.Stats().Reads; st.Misses != reads {
 		t.Errorf("%d misses but %d store reads", st.Misses, reads)
 	}
 	if n := d.maxInFlight(); n < 2 {

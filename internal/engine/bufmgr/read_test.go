@@ -418,8 +418,8 @@ func TestInsertAtUnknownPageIsOneAccess(t *testing.T) {
 			t.Errorf("InsertAt at slot %d cost %d pool accesses, want 1", slot, got)
 		}
 	}
-	if h.PageCount() != 1 || h.Live() != 2 {
-		t.Errorf("heap has %d pages and %d rows, want 1 and 2", h.PageCount(), h.Live())
+	if len(h.PageIDs()) != 1 || h.Live() != 2 {
+		t.Errorf("heap has %d pages and %d rows, want 1 and 2", len(h.PageIDs()), h.Live())
 	}
 	out := make([]byte, rl)
 	for _, slot := range slots {

@@ -27,7 +27,7 @@ func TestSnapReadSeesNoAbortedImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := distKey(0)
-			rid, _ := d.districtIdx.get(key)
+			rid, _ := d.idx[idxDistrict].get(key)
 			k := mvcc.Key{Table: uint32(core.District), Row: key}
 			buf := make([]byte, tpcc.TupleLen[core.District])
 
@@ -64,7 +64,7 @@ func TestSnapReadSeesNoAbortedImage(t *testing.T) {
 			key := distKey(tinyDistricts)
 			img := make([]byte, tpcc.TupleLen[core.District])
 			(&DistrictRec{ID: tinyDistricts, NextOID: 1}).Marshal(img)
-			rid, err := w.insertKeyed(core.District, d.districtIdx, key, img)
+			rid, err := w.insertRow(core.District, img)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,10 +4,8 @@ import (
 	"testing"
 
 	"tpccmodel/internal/core"
-	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/wal"
 	"tpccmodel/internal/rng"
-	"tpccmodel/internal/tpcc"
 )
 
 // The local procedures and the 2PC branch entry points share one body
@@ -29,35 +27,13 @@ func openTinyProcs(t *testing.T, cc CCMode) *DB {
 	t.Helper()
 	d := openTiny(t, cc)
 	tx := d.NewSession().begin()
-	buf := make([]byte, tpcc.TupleLen[core.Customer])
-	ins := func(rel core.Relation, g *relIndex, key uint64) uint64 {
-		t.Helper()
-		rid, err := tx.insertKeyed(rel, g, key, buf[:tpcc.TupleLen[rel]])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rid.Pack()
-	}
 	for i := int64(0); i < tinyItems; i++ {
-		ir := ItemRec{IID: uint32(i), PriceCents: uint32(100 + i)}
-		ir.Marshal(buf[:tpcc.TupleLen[core.Item]])
-		ins(core.Item, d.itemIdx, uint64(i))
-
-		sr := StockRec{IID: uint32(i), WID: 1, Quantity: 100}
-		sr.Marshal(buf[:tpcc.TupleLen[core.Stock]])
-		ins(core.Stock, d.stockIdx, index.KeyWI(1, i))
+		fixtureRow(t, tx, core.Item, &ItemRec{IID: uint32(i), PriceCents: uint32(100 + i)})
+		fixtureRow(t, tx, core.Stock, &StockRec{IID: uint32(i), WID: 1, Quantity: 100})
 	}
 	for dist := int64(0); dist < tinyDistricts; dist++ {
-		rid, ok := d.customerIdx.get(custKey(dist))
-		if !ok {
-			t.Fatalf("fixture customer (0,%d,0) missing from index", dist)
-		}
-		tx.setIdx(d.custNameIdx, index.KeyWDNC(0, dist, 0, 0), rid)
 		for c := int64(1); c <= 2; c++ {
-			cr := CustomerRec{ID: uint32(c), DID: uint32(dist), CreditLimit: 50000}
-			cr.Marshal(buf)
-			rid := ins(core.Customer, d.customerIdx, index.KeyWDC(0, dist, c))
-			tx.setIdx(d.custNameIdx, index.KeyWDNC(0, dist, 0, c), rid)
+			fixtureRow(t, tx, core.Customer, &CustomerRec{ID: uint32(c), DID: uint32(dist), CreditLimit: 50000})
 		}
 	}
 	if err := tx.commit(); err != nil {

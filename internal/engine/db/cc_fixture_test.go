@@ -59,35 +59,31 @@ func openTinyOn(t *testing.T, cc CCMode, bufferPages int, disk storage.DiskIO) *
 		t.Fatal(err)
 	}
 	tx := d.NewSession().begin()
-	buf := make([]byte, tpcc.TupleLen[core.Customer])
-
-	ins := func(rel core.Relation, key uint64, g *relIndex, n int) {
-		t.Helper()
-		if _, err := tx.insertKeyed(rel, g, key, buf[:n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	w := WarehouseRec{ID: 0}
-	w.Marshal(buf[:tpcc.TupleLen[core.Warehouse]])
-	ins(core.Warehouse, 0, d.warehouseIdx, tpcc.TupleLen[core.Warehouse])
+	ins := func(rel core.Relation, rec marshaler) { fixtureRow(t, tx, rel, rec) }
+	ins(core.Warehouse, &WarehouseRec{ID: 0})
 	for dist := int64(0); dist < tinyDistricts; dist++ {
-		dr := DistrictRec{ID: uint32(dist), NextOID: 1}
-		dr.Marshal(buf[:tpcc.TupleLen[core.District]])
-		ins(core.District, index.KeyWD(0, dist), d.districtIdx, tpcc.TupleLen[core.District])
-
-		cr := CustomerRec{DID: uint32(dist), CreditLimit: 50000}
-		cr.Marshal(buf[:tpcc.TupleLen[core.Customer]])
-		ins(core.Customer, index.KeyWDC(0, dist, 0), d.customerIdx, tpcc.TupleLen[core.Customer])
-
-		sr := StockRec{IID: uint32(dist), Quantity: 100}
-		sr.Marshal(buf[:tpcc.TupleLen[core.Stock]])
-		ins(core.Stock, index.KeyWI(0, dist), d.stockIdx, tpcc.TupleLen[core.Stock])
+		ins(core.District, &DistrictRec{ID: uint32(dist), NextOID: 1})
+		ins(core.Customer, &CustomerRec{DID: uint32(dist), CreditLimit: 50000})
+		ins(core.Stock, &StockRec{IID: uint32(dist), Quantity: 100})
 	}
 	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// marshaler is any of the record types.
+type marshaler interface{ Marshal([]byte) }
+
+// fixtureRow marshals rec and inserts it under tx by insertRow, which files
+// the row under the keys its bytes carry.
+func fixtureRow(t *testing.T, tx *txn, rel core.Relation, rec marshaler) {
+	t.Helper()
+	row := make([]byte, tpcc.TupleLen[rel])
+	rec.Marshal(row)
+	if _, err := tx.insertRow(rel, row); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // custKey/distKey are the fixture's row keys.
@@ -98,7 +94,7 @@ func distKey(dist int64) uint64 { return index.KeyWD(0, dist) }
 func tinyReadCustomer(t *testing.T, tx *txn, dist int64) (CustomerRec, bool) {
 	t.Helper()
 	key := custKey(dist)
-	rid, ok := tx.d.customerIdx.get(key)
+	rid, ok := tx.d.idx[idxCustomer].get(key)
 	if !ok {
 		t.Fatalf("fixture customer (0,%d,0) missing from index", dist)
 	}
@@ -118,7 +114,7 @@ func tinyReadCustomer(t *testing.T, tx *txn, dist int64) (CustomerRec, bool) {
 // read under the exclusive lock, then store). Returns the engine
 // error unrolled — callers assert on conflicts.
 func tinyWriteCustomer(tx *txn, dist int64, mut func(*CustomerRec)) error {
-	r, err := tx.fetch(core.Customer, tx.d.customerIdx, custKey(dist))
+	r, err := tx.fetch(core.Customer, custKey(dist))
 	if err != nil {
 		return err
 	}
@@ -133,7 +129,7 @@ func tinyWriteCustomer(tx *txn, dist int64, mut func(*CustomerRec)) error {
 func tinyReadDistrict(t *testing.T, tx *txn, dist int64) (DistrictRec, bool) {
 	t.Helper()
 	key := distKey(dist)
-	rid, ok := tx.d.districtIdx.get(key)
+	rid, ok := tx.d.idx[idxDistrict].get(key)
 	if !ok {
 		t.Fatalf("fixture district (0,%d) missing from index", dist)
 	}
@@ -150,7 +146,7 @@ func tinyReadDistrict(t *testing.T, tx *txn, dist int64) (DistrictRec, bool) {
 }
 
 func tinyWriteDistrict(tx *txn, dist int64, mut func(*DistrictRec)) error {
-	r, err := tx.fetch(core.District, tx.d.districtIdx, distKey(dist))
+	r, err := tx.fetch(core.District, distKey(dist))
 	if err != nil {
 		return err
 	}
@@ -163,7 +159,7 @@ func tinyWriteDistrict(tx *txn, dist int64, mut func(*DistrictRec)) error {
 
 // writeWarehouse rewrites warehouse 0 under tx.
 func writeWarehouse(tx *txn, mut func(*WarehouseRec)) error {
-	r, err := tx.fetch(core.Warehouse, tx.d.warehouseIdx, 0)
+	r, err := tx.fetch(core.Warehouse, 0)
 	if err != nil {
 		return err
 	}
@@ -177,7 +173,7 @@ func writeWarehouse(tx *txn, mut func(*WarehouseRec)) error {
 // readWarehouse snap-reads warehouse 0 under tx.
 func readWarehouse(t *testing.T, tx *txn) WarehouseRec {
 	t.Helper()
-	rid, ok := tx.d.warehouseIdx.get(0)
+	rid, ok := tx.d.idx[idxWarehouse].get(0)
 	if !ok {
 		t.Fatal("fixture warehouse 0 missing from index")
 	}

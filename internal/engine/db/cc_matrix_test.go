@@ -30,7 +30,7 @@ import (
 // test bug.
 func matrixReadCustomer(tx *txn, dist int64) (CustomerRec, error) {
 	key := custKey(dist)
-	rid, _ := tx.d.customerIdx.get(key)
+	rid, _ := tx.d.idx[idxCustomer].get(key)
 	buf := make([]byte, tpcc.TupleLen[core.Customer])
 	live, err := tx.snapRead(core.Customer, key, storage.UnpackRID(rid), buf)
 	var rec CustomerRec

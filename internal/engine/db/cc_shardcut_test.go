@@ -49,7 +49,7 @@ func openCutPair(t *testing.T, cc CCMode) (home, part *DB) {
 func snapStockQty(t *testing.T, d *DB, iid int64) (int32, *txn) {
 	t.Helper()
 	tx := d.NewSession().begin()
-	rid, ok := d.stockIdx.get(index.KeyWI(0, iid))
+	rid, ok := d.idx[idxStock].get(index.KeyWI(0, iid))
 	if !ok {
 		t.Fatalf("no stock (0,%d)", iid)
 	}

@@ -45,14 +45,8 @@ func openSmallBank(t *testing.T, cc CCMode) *DB {
 	t.Helper()
 	d := openTiny(t, cc)
 	tx := d.NewSession().begin()
-	buf := make([]byte, tpcc.TupleLen[core.Customer])
 	for dist := int64(0); dist < tinyDistricts; dist++ {
-		cr := CustomerRec{DID: uint32(dist), CreditLimit: 50000}
-		cr.Marshal(buf)
-		key := index.KeyWDC(0, dist, sbSavings)
-		if _, err := tx.insertKeyed(core.Customer, d.customerIdx, key, buf); err != nil {
-			t.Fatal(err)
-		}
+		fixtureRow(t, tx, core.Customer, &CustomerRec{ID: sbSavings, DID: uint32(dist), CreditLimit: 50000})
 	}
 	if err := tx.commit(); err != nil {
 		t.Fatal(err)
@@ -63,7 +57,7 @@ func openSmallBank(t *testing.T, cc CCMode) *DB {
 // sbBalanceOf snap-reads one balance of account acct.
 func sbBalanceOf(tx *txn, acct, which int64) (int64, error) {
 	key := index.KeyWDC(0, acct, which)
-	rid, ok := tx.d.customerIdx.get(key)
+	rid, ok := tx.d.idx[idxCustomer].get(key)
 	if !ok {
 		return 0, fmt.Errorf("smallbank: account (%d,%d) missing", acct, which)
 	}
@@ -79,7 +73,7 @@ func sbBalanceOf(tx *txn, acct, which int64) (int64, error) {
 
 // sbMut locks and read-modify-writes one balance.
 func sbMut(tx *txn, acct, which int64, mut func(*int64)) error {
-	r, err := tx.fetch(core.Customer, tx.d.customerIdx, index.KeyWDC(0, acct, which))
+	r, err := tx.fetch(core.Customer, index.KeyWDC(0, acct, which))
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,8 @@ func (d *DB) CheckConsistency() error {
 		if int64(r.OID) > a.maxPending {
 			a.maxPending = int64(r.OID)
 		}
-		if _, ok := d.orderIdx.get(index.KeyWDO(int64(r.WID), int64(r.DID), int64(r.OID))); !ok {
+		// A new-order row is filed under its order's key.
+		if _, ok := d.idx[idxOrder].get(indexes[idxNewOrder].key(rec)); !ok {
 			c2Err = fmt.Errorf("db: C2: new-order (%d,%d,%d) has no order row",
 				r.WID, r.DID, r.OID)
 			return false

@@ -52,7 +52,7 @@ func TestConsistencyAfterCrashRecovery(t *testing.T) {
 func TestConsistencyDetectsCorruption(t *testing.T) {
 	d := newLoaded(t, 1<<18)
 	// Bump district (0,0)'s next_o_id without creating the order.
-	rid, ok := d.districtIdx.get(0)
+	rid, ok := d.idx[idxDistrict].get(0)
 	if !ok {
 		t.Fatal("no district (0,0)")
 	}

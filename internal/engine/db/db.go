@@ -9,7 +9,6 @@ import (
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/bufmgr"
-	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/mvcc"
 	"tpccmodel/internal/engine/storage"
@@ -105,72 +104,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// relIndex is one relation's memory-resident index. A relation TPC-C only
-// probes by key, never range-scans, never reads through min/max and never
-// grows past its load gets a direct-addressed index.Dense, which a probe
-// reads without a latch; every other relation gets a B+tree behind a
-// reader/writer latch, since its transactions run on many goroutines.
-// Exactly one of dense and t is set; min, max and ascendRange need t.
-type relIndex struct {
-	dense *index.Dense
-	mu    sync.RWMutex
-	t     *index.BTree
-}
-
-func newTreeIndex() *relIndex  { return &relIndex{t: index.New()} }
-func newDenseIndex() *relIndex { return &relIndex{dense: index.NewDense()} }
-
-func (g *relIndex) get(k uint64) (uint64, bool) {
-	if g.dense != nil {
-		return g.dense.Get(k)
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.t.Get(k)
-}
-
-// set panics on a key Dense refuses: Config.Validate bounds the warehouse
-// ids so that every key a dense relation packs lies below
-// index.DenseLimit.
-func (g *relIndex) set(k, v uint64) {
-	if g.dense != nil {
-		if err := g.dense.Set(k, v); err != nil {
-			panic(err)
-		}
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.t.Set(k, v)
-}
-
-func (g *relIndex) delete(k uint64) error {
-	if g.dense != nil {
-		return g.dense.Delete(k)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.t.Delete(k)
-}
-
-func (g *relIndex) min(lo uint64) (uint64, uint64, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.t.Min(lo)
-}
-
-func (g *relIndex) max(hi uint64) (uint64, uint64, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.t.Max(hi)
-}
-
-func (g *relIndex) ascendRange(lo, hi uint64, fn func(k, v uint64) bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	g.t.AscendRange(lo, hi, fn)
-}
-
 // relPager is the pool as its relation's heap sees it: every page access
 // goes straight to the buffer manager, and Allocate tags the new page with
 // its owning relation, so the buffer manager's per-class stats align with
@@ -242,18 +175,9 @@ type DB struct {
 	// pageRel maps pages to relations for buffer accounting.
 	pageRel pageRelMap
 
-	// Primary and secondary indexes (memory-resident, rebuilt at
-	// recovery, as the paper's one-index-lookup assumption implies).
-	warehouseIdx *relIndex // w               -> RID, dense
-	districtIdx  *relIndex // (w,d)           -> RID, dense
-	customerIdx  *relIndex // (w,d,c)         -> RID, dense
-	custNameIdx  *relIndex // (w,d,name,c)    -> RID
-	stockIdx     *relIndex // (w,i)           -> RID, dense
-	itemIdx      *relIndex // i               -> RID, dense
-	orderIdx     *relIndex // (w,d,o)         -> RID
-	custOrderIdx *relIndex // (w,d,c,o)       -> RID
-	newOrderIdx  *relIndex // (w,d,o)         -> RID
-	olIdx        *relIndex // (w,d,o,line)    -> RID
+	// idx holds the memory-resident indexes the indexes table declares,
+	// rebuilt from the heaps at recovery.
+	idx [numIndexes]*relIndex
 
 	txnSeq  atomic.Uint64
 	tick    atomic.Uint64
@@ -264,14 +188,15 @@ type DB struct {
 	// read/written on the quiesced recovery path.
 	lastRecovery wal.RecoverStats
 
-	// Two-phase-commit state: durable+in-memory gid outcomes (this
-	// instance acting as coordinator), the gids of the branches open here
+	// Two-phase-commit state: the gids committed here (this instance
+	// acting as coordinator; under presumed abort an aborted gid is kept
+	// nowhere), the gids of the branches open here
 	// and the in-doubt branches the last recovery surfaced and no
 	// resolution has settled yet (this instance acting as participant).
-	distMu   sync.Mutex
-	outcomes map[uint64]bool
-	branches map[uint64]struct{}
-	inDoubt  []*inDoubtBranch
+	distMu    sync.Mutex
+	committed map[uint64]struct{}
+	branches  map[uint64]struct{}
+	inDoubt   []*inDoubtBranch
 
 	// sessions is the free list of execution contexts behind the DB-level
 	// procedure methods and the 2PC branches, so callers without their own
@@ -356,19 +281,6 @@ func OpenWith(cfg Config, opts Options) (*DB, error) {
 	}
 	d.resetIndexes()
 	return d, nil
-}
-
-func (d *DB) resetIndexes() {
-	d.warehouseIdx = newDenseIndex()
-	d.districtIdx = newDenseIndex()
-	d.customerIdx = newDenseIndex()
-	d.custNameIdx = newTreeIndex()
-	d.stockIdx = newDenseIndex()
-	d.itemIdx = newDenseIndex()
-	d.orderIdx = newTreeIndex()
-	d.custOrderIdx = newTreeIndex()
-	d.newOrderIdx = newTreeIndex()
-	d.olIdx = newTreeIndex()
 }
 
 // Config returns the instance configuration.
@@ -556,7 +468,7 @@ func (a *heapApplier) Apply(rid uint64, image []byte) error {
 // Recover restores a consistent committed state after Crash: heaps are
 // reattached over the durable pages, the log is replayed, and all indexes
 // are rebuilt from the heaps. Distributed bookkeeping is restored too:
-// durable gid decisions reload the coordinator outcome map, prepared
+// durable commit decisions reload the coordinator's committed gids, prepared
 // branches with no decision become in-doubt (rolled back per presumed
 // abort, exclusive row locks re-acquired so other transactions cannot
 // overwrite rows a commit decision may re-apply), and
@@ -582,11 +494,11 @@ func (d *DB) Recover() error {
 		d.txnSeq.Store(dist.MaxTxn)
 	}
 	d.distMu.Lock()
-	if d.outcomes == nil {
-		d.outcomes = make(map[uint64]bool)
+	if d.committed == nil {
+		d.committed = make(map[uint64]struct{})
 	}
-	for gid, committed := range dist.Decisions {
-		d.outcomes[gid] = committed
+	for gid := range dist.Committed {
+		d.committed[gid] = struct{}{}
 	}
 	// Branches still in doubt from an earlier recovery are in dist.InDoubt
 	// again: their locks are given up here and taken anew below.
@@ -603,63 +515,4 @@ func (d *DB) Recover() error {
 		return err
 	}
 	return d.relockInDoubt(appliers, branches)
-}
-
-// RebuildIndexes reconstructs every index from the heap contents.
-func (d *DB) RebuildIndexes() error {
-	d.resetIndexes()
-	var err error
-	scan := func(rel core.Relation, fn func(rid storage.RID, rec []byte)) {
-		if err != nil {
-			return
-		}
-		err = d.heaps[rel].Scan(func(rid storage.RID, rec []byte) bool {
-			fn(rid, rec)
-			return true
-		})
-	}
-	scan(core.Warehouse, func(rid storage.RID, rec []byte) {
-		var r WarehouseRec
-		r.Unmarshal(rec)
-		d.warehouseIdx.set(uint64(r.ID), rid.Pack())
-	})
-	scan(core.District, func(rid storage.RID, rec []byte) {
-		var r DistrictRec
-		r.Unmarshal(rec)
-		d.districtIdx.set(index.KeyWD(int64(r.WID), int64(r.ID)), rid.Pack())
-	})
-	scan(core.Customer, func(rid storage.RID, rec []byte) {
-		var r CustomerRec
-		r.Unmarshal(rec)
-		d.customerIdx.set(index.KeyWDC(int64(r.WID), int64(r.DID), int64(r.ID)), rid.Pack())
-		d.custNameIdx.set(index.KeyWDNC(int64(r.WID), int64(r.DID), int64(r.NameOrd), int64(r.ID)), rid.Pack())
-	})
-	scan(core.Stock, func(rid storage.RID, rec []byte) {
-		var r StockRec
-		r.Unmarshal(rec)
-		d.stockIdx.set(index.KeyWI(int64(r.WID), int64(r.IID)), rid.Pack())
-	})
-	scan(core.Item, func(rid storage.RID, rec []byte) {
-		var r ItemRec
-		r.Unmarshal(rec)
-		d.itemIdx.set(uint64(r.IID), rid.Pack())
-	})
-	scan(core.Order, func(rid storage.RID, rec []byte) {
-		var r OrderRec
-		r.Unmarshal(rec)
-		d.orderIdx.set(index.KeyWDO(int64(r.WID), int64(r.DID), int64(r.OID)), rid.Pack())
-		d.custOrderIdx.set(index.KeyWDCO(int64(r.WID), int64(r.DID), int64(r.CID), int64(r.OID)), rid.Pack())
-	})
-	scan(core.NewOrder, func(rid storage.RID, rec []byte) {
-		var r NewOrderRec
-		r.Unmarshal(rec)
-		d.newOrderIdx.set(index.KeyWDO(int64(r.WID), int64(r.DID), int64(r.OID)), rid.Pack())
-	})
-	scan(core.OrderLine, func(rid storage.RID, rec []byte) {
-		var r OrderLineRec
-		r.Unmarshal(rec)
-		d.olIdx.set(index.KeyWDOL(int64(r.WID), int64(r.DID), int64(r.OID), int64(r.Number)), rid.Pack())
-	})
-	// History has no index (append-only, never queried by the workload).
-	return err
 }

@@ -24,7 +24,7 @@ func newLoaded(t testing.TB, bufferPages int) *DB {
 
 func readDistrict(t *testing.T, d *DB, w, dist int64) DistrictRec {
 	t.Helper()
-	rid, ok := d.districtIdx.get(index.KeyWD(w, dist))
+	rid, ok := d.idx[idxDistrict].get(index.KeyWD(w, dist))
 	if !ok {
 		t.Fatalf("no district (%d,%d)", w, dist)
 	}
@@ -39,7 +39,7 @@ func readDistrict(t *testing.T, d *DB, w, dist int64) DistrictRec {
 
 func readCustomer(t *testing.T, d *DB, w, dist, c int64) CustomerRec {
 	t.Helper()
-	rid, ok := d.customerIdx.get(index.KeyWDC(w, dist, c))
+	rid, ok := d.idx[idxCustomer].get(index.KeyWDC(w, dist, c))
 	if !ok {
 		t.Fatalf("no customer (%d,%d,%d)", w, dist, c)
 	}
@@ -118,14 +118,14 @@ func TestNewOrderTransaction(t *testing.T) {
 		t.Errorf("NextOID = %d, want %d", after.NextOID, before.NextOID+1)
 	}
 	// Order, new-order, and 10 order-lines exist.
-	if _, ok := d.orderIdx.get(index.KeyWDO(0, 2, res.OID)); !ok {
+	if _, ok := d.idx[idxOrder].get(index.KeyWDO(0, 2, res.OID)); !ok {
 		t.Error("order not indexed")
 	}
-	if _, ok := d.newOrderIdx.get(index.KeyWDO(0, 2, res.OID)); !ok {
+	if _, ok := d.idx[idxNewOrder].get(index.KeyWDO(0, 2, res.OID)); !ok {
 		t.Error("new-order not indexed")
 	}
 	for l := int64(0); l < 10; l++ {
-		if _, ok := d.olIdx.get(index.KeyWDOL(0, 2, res.OID, l)); !ok {
+		if _, ok := d.idx[idxOrderLine].get(index.KeyWDOL(0, 2, res.OID, l)); !ok {
 			t.Fatalf("order-line %d not indexed", l)
 		}
 	}
@@ -162,7 +162,7 @@ func TestPaymentByNamePicksMiddleCustomer(t *testing.T) {
 	// customers in [1000, 3000).
 	lo, hi := index.RangeWDNC(0, 0, 5)
 	var cids []int64
-	d.custNameIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	d.idx[idxCustName].ascendRange(lo, hi, func(k, v uint64) bool {
 		cids = append(cids, int64(k&0xffff))
 		return true
 	})
@@ -222,7 +222,7 @@ func TestDeliveryProcessesOldestPerDistrict(t *testing.T) {
 	// The oldest pending order of district 0 was order 2100 (the load
 	// leaves the most recent 900 of 3000 pending).
 	buf := make([]byte, tpcc.TupleLen[core.Order])
-	rid, _ := d.orderIdx.get(index.KeyWDO(0, 0, 2100))
+	rid, _ := d.idx[idxOrder].get(index.KeyWDO(0, 0, 2100))
 	if err := d.heaps[core.Order].Read(storage.UnpackRID(rid), buf); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDeliveryProcessesOldestPerDistrict(t *testing.T) {
 		t.Errorf("order 2100 carrier = %d, want 3", orec.CarrierID)
 	}
 	// Its new-order row is gone.
-	if _, ok := d.newOrderIdx.get(index.KeyWDO(0, 0, 2100)); ok {
+	if _, ok := d.idx[idxNewOrder].get(index.KeyWDO(0, 0, 2100)); ok {
 		t.Error("delivered new-order still indexed")
 	}
 }
@@ -355,7 +355,7 @@ func TestAppendOnlyIndexesStayFull(t *testing.T) {
 	const leafKeys = 64 // the B+tree's fan-out
 	d := newLoaded(t, 1<<18)
 	fill := func(keys, leaves int) float64 { return float64(keys) / float64(leaves*leafKeys) }
-	keys, leaves := d.olIdx.t.Len(), d.olIdx.t.Leaves()
+	keys, leaves := d.idx[idxOrderLine].t.Len(), d.idx[idxOrderLine].t.Leaves()
 	if f := fill(keys, leaves); f < 0.9 {
 		t.Errorf("after load: %d keys in %d leaves, fill %.2f", keys, leaves, f)
 	}
@@ -363,7 +363,7 @@ func TestAppendOnlyIndexesStayFull(t *testing.T) {
 	if err := rn.Run(4000); err != nil {
 		t.Fatal(err)
 	}
-	keys, leaves = d.olIdx.t.Len()-keys, d.olIdx.t.Leaves()-leaves
+	keys, leaves = d.idx[idxOrderLine].t.Len()-keys, d.idx[idxOrderLine].t.Leaves()-leaves
 	if f := fill(keys, leaves); f < 0.9 {
 		t.Errorf("the run added %d keys in %d leaves, fill %.2f", keys, leaves, f)
 	}
@@ -384,4 +384,68 @@ func TestConfigBoundsWarehouseIDs(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Errorf("%d warehouses validated", cfg.Warehouses)
 	}
+
+	// Every packing is injective and order-preserving over the ids the
+	// engine admits — warehouse 65 535, district 9, customer 2 999, name
+	// 999, item 99 999, line 14 and the largest order id the packing holds:
+	// tuples of each field's 0, largest-1, largest and every 2^k-1 and 2^k
+	// below it (where a narrow field would spill into the next), in
+	// lexicographic order, must give strictly ascending keys.
+	const w, c = 1<<16 - 1, tpcc.CustomersPerDistrict - 1
+	packings := []struct {
+		name string
+		key  func(f []int64) uint64
+		max  []int64
+	}{
+		{"KeyWD", func(f []int64) uint64 { return index.KeyWD(f[0], f[1]) }, []int64{w, 9}},
+		{"KeyWDC", func(f []int64) uint64 { return index.KeyWDC(f[0], f[1], f[2]) }, []int64{w, 9, c}},
+		{"KeyWI", func(f []int64) uint64 { return index.KeyWI(f[0], f[1]) }, []int64{w, tpcc.ItemCount - 1}},
+		{"KeyWDO", func(f []int64) uint64 { return index.KeyWDO(f[0], f[1], f[2]) }, []int64{w, 9, 1<<40 - 1}},
+		{"KeyWDOL", func(f []int64) uint64 { return index.KeyWDOL(f[0], f[1], f[2], f[3]) }, []int64{w, 9, 1<<32 - 1, 14}},
+		{"KeyWDNC", func(f []int64) uint64 { return index.KeyWDNC(f[0], f[1], f[2], f[3]) }, []int64{w, 9, 999, c}},
+		{"KeyWDCO", func(f []int64) uint64 { return index.KeyWDCO(f[0], f[1], f[2], f[3]) }, []int64{w, 9, c, 1<<28 - 1}},
+	}
+	for _, p := range packings {
+		fields := make([]int64, len(p.max))
+		var prev []int64
+		var prevKey uint64
+		var walk func(i int) bool
+		walk = func(i int) bool {
+			if i == len(fields) {
+				k := p.key(fields)
+				if prev != nil && k <= prevKey {
+					t.Errorf("%s%v = %#x is not above %s%v = %#x", p.name, fields, k, p.name, prev, prevKey)
+					return false
+				}
+				prev, prevKey = append(prev[:0], fields...), k
+				return true
+			}
+			for _, v := range samples(p.max[i]) {
+				fields[i] = v
+				if !walk(i + 1) {
+					return false
+				}
+			}
+			return true
+		}
+		walk(0)
+	}
+}
+
+// samples returns 0, top-1, top and every 2^k-1 and 2^k up to top, in
+// ascending order, without repeats.
+func samples(top int64) []int64 {
+	out := []int64{0}
+	add := func(v int64) {
+		if v > out[len(out)-1] && v <= top {
+			out = append(out, v)
+		}
+	}
+	for p := int64(1); p < top-1; p <<= 1 {
+		add(p - 1)
+		add(p)
+	}
+	add(top - 1)
+	add(top)
+	return out
 }

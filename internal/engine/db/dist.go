@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"tpccmodel/internal/core"
-	"tpccmodel/internal/engine/index"
 	"tpccmodel/internal/engine/lock"
 	"tpccmodel/internal/engine/wal"
 )
@@ -23,9 +22,10 @@ import (
 //     branch;
 //   - a recovering participant finds prepared-but-undecided branches,
 //     rolls their rows back, re-locks them exclusively,
-//     and asks the coordinator's outcome map (GIDOutcome). No durable
-//     decision at the coordinator means abort — so abort paths never
-//     require logging, only commit decisions do.
+//     and asks the coordinator whether the gid committed (GIDOutcome). No
+//     durable commit at the coordinator means abort — so abort paths never
+//     require logging, only commit decisions do, and only committed gids
+//     are kept.
 
 // Branch is one open branch of a distributed transaction: a local
 // procedure body (or its share of one) run on a pooled Session and left
@@ -182,24 +182,24 @@ func (b *Branch) Forsake() {
 	b.end()
 }
 
-// setOutcome records a gid decision in the coordinator's outcome map.
-func (d *DB) setOutcome(gid uint64, committed bool) {
+// setCommitted records that gid committed here.
+func (d *DB) setCommitted(gid uint64) {
 	d.distMu.Lock()
-	if d.outcomes == nil {
-		d.outcomes = make(map[uint64]bool)
+	if d.committed == nil {
+		d.committed = make(map[uint64]struct{})
 	}
-	d.outcomes[gid] = committed
+	d.committed[gid] = struct{}{}
 	d.distMu.Unlock()
 }
 
-// GIDOutcome reports this coordinator's decision for gid. known=false
-// means no decision is recorded — under presumed abort the caller must
-// treat that as aborted (the gid never reached its decision record).
-func (d *DB) GIDOutcome(gid uint64) (committed, known bool) {
+// GIDOutcome reports whether gid committed on this coordinator. Under
+// presumed abort false means aborted: an aborted gid, like one that never
+// reached its decision record, is kept nowhere.
+func (d *DB) GIDOutcome(gid uint64) bool {
 	d.distMu.Lock()
 	defer d.distMu.Unlock()
-	committed, known = d.outcomes[gid]
-	return committed, known
+	_, committed := d.committed[gid]
+	return committed
 }
 
 // inDoubtBranch is a branch recovery found prepared and undecided: its
@@ -222,11 +222,11 @@ func (d *DB) InDoubt() []wal.InDoubtTxn {
 	return out
 }
 
-// lockKeyFor derives the logical row-lock key a log record's row maps to.
-// An update record carries a span, not the key columns, so the key is read
-// off the row itself: recovery has rolled it back, and no update changes a
-// key. Only the relations participant branches write need translating.
-func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, error) {
+// lockKeyFor derives the logical row-lock key a log record's row maps to
+// (rowKey; false for a History row, which no transaction locks). An update
+// record carries a span, not the key columns, so the key is read off the
+// row itself: recovery has rolled it back, and no update changes a key.
+func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, bool, error) {
 	img := r.Before
 	switch r.Type {
 	case wal.RecInsert:
@@ -234,25 +234,14 @@ func lockKeyFor(a wal.Applier, r wal.Record) (lock.Key, error) {
 	case wal.RecUpdate:
 		var err error
 		if img, err = a.Read(r.RID); err != nil {
-			return lock.Key{}, err
+			return lock.Key{}, false, err
 		}
 	}
 	if img == nil {
-		return lock.Key{}, fmt.Errorf("db: record %s table %d rid %d has no row", r.Type, r.Table, r.RID)
+		return lock.Key{}, false, fmt.Errorf("db: record %s table %d rid %d has no row", r.Type, r.Table, r.RID)
 	}
-	switch core.Relation(r.Table) {
-	case core.Stock:
-		var rec StockRec
-		rec.Unmarshal(img)
-		return lock.Key{Table: r.Table, Row: index.KeyWI(int64(rec.WID), int64(rec.IID))}, nil
-	case core.Customer:
-		var rec CustomerRec
-		rec.Unmarshal(img)
-		return lock.Key{Table: r.Table, Row: index.KeyWDC(int64(rec.WID), int64(rec.DID), int64(rec.ID))}, nil
-	default:
-		return lock.Key{}, fmt.Errorf("db: in-doubt record on unexpected relation %s",
-			core.Relation(r.Table))
-	}
+	row, ok := rowKey(core.Relation(r.Table), img)
+	return lock.Key{Table: r.Table, Row: row}, ok, nil
 }
 
 // relockInDoubt re-acquires exclusive locks on every in-doubt branch's
@@ -264,9 +253,12 @@ func (d *DB) relockInDoubt(appliers map[uint32]wal.Applier, branches []*inDoubtB
 	for _, b := range branches {
 		b.held.Begin(lock.Global(b.GID))
 		for _, r := range b.Records {
-			key, err := lockKeyFor(appliers[r.Table], r)
+			key, keyed, err := lockKeyFor(appliers[r.Table], r)
 			if err != nil {
 				return err
+			}
+			if !keyed {
+				continue
 			}
 			if err := d.locks.Lock(&b.held, key, lock.Exclusive); err != nil {
 				return fmt.Errorf("db: re-locking in-doubt gid %d: %w", b.GID, err)
@@ -299,22 +291,10 @@ func (d *DB) ResolveInDoubt(gid uint64, commit bool) error {
 		}); err != nil {
 			return err
 		}
-		rebuild := false
 		appliers := d.appliers()
 		for _, r := range b.Records {
-			if err := wal.Redo(appliers[r.Table], r); err != nil {
+			if err := d.replay(appliers[r.Table], r, false, 0); err != nil {
 				return fmt.Errorf("db: re-applying gid %d: %w", gid, err)
-			}
-			if r.Type != wal.RecUpdate {
-				// Inserts/deletes change index membership; participant
-				// branches are update-only today, but stay correct if
-				// that ever changes.
-				rebuild = true
-			}
-		}
-		if rebuild {
-			if err := d.RebuildIndexes(); err != nil {
-				return err
 			}
 		}
 		d.commits.Add(1)

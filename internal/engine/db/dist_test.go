@@ -34,7 +34,7 @@ func openShardPair(t *testing.T) (home, part *DB) {
 
 func readStock(t *testing.T, d *DB, w, i int64) StockRec {
 	t.Helper()
-	rid, ok := d.stockIdx.get(index.KeyWI(w, i))
+	rid, ok := d.idx[idxStock].get(index.KeyWI(w, i))
 	if !ok {
 		t.Fatalf("no stock (%d,%d)", w, i)
 	}
@@ -79,7 +79,7 @@ func TestDistNewOrderCommit(t *testing.T) {
 	if err := hb.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if committed, known := home.GIDOutcome(gid); !known || !committed {
+	if !home.GIDOutcome(gid) {
 		t.Fatal("home does not record the gid as committed")
 	}
 	if err := pb.Commit(); err != nil {
@@ -91,7 +91,7 @@ func TestDistNewOrderCommit(t *testing.T) {
 		t.Fatalf("participant stock not updated: before %+v after %+v", s0, s1)
 	}
 	// The home order-line records the GLOBAL supplier warehouse id.
-	olrid, ok := home.olIdx.get(index.KeyWDOL(0, 0, res.OID, 1))
+	olrid, ok := home.idx[idxOrderLine].get(index.KeyWDOL(0, 0, res.OID, 1))
 	if !ok {
 		t.Fatal("remote order-line missing on home shard")
 	}
@@ -105,7 +105,7 @@ func TestDistNewOrderCommit(t *testing.T) {
 		t.Fatalf("order-line SupplyWID = %d, want global id 1", ol.SupplyWID)
 	}
 	// AllLocal must be 0 on the order row.
-	orid, _ := home.orderIdx.get(index.KeyWDO(0, 0, res.OID))
+	orid, _ := home.idx[idxOrder].get(index.KeyWDO(0, 0, res.OID))
 	obuf := make([]byte, tpcc.TupleLen[core.Order])
 	if err := home.heaps[core.Order].Read(storage.UnpackRID(orid), obuf); err != nil {
 		t.Fatal(err)
@@ -316,10 +316,10 @@ func TestPresumedAbort(t *testing.T) {
 	if err := home.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if committed, known := home.GIDOutcome(gidCommitted); !known || !committed {
+	if !home.GIDOutcome(gidCommitted) {
 		t.Fatal("forced commit decision lost across crash")
 	}
-	if committed, _ := home.GIDOutcome(gidForgotten); committed {
+	if home.GIDOutcome(gidForgotten) {
 		t.Fatal("aborted gid reads as committed")
 	}
 }
@@ -368,7 +368,7 @@ func TestDistHomeBranchOtherWarehouseLine(t *testing.T) {
 	}
 	allLocal := func(oid int64) uint8 {
 		t.Helper()
-		rid, ok := d.orderIdx.get(index.KeyWDO(0, 0, oid))
+		rid, ok := d.idx[idxOrder].get(index.KeyWDO(0, 0, oid))
 		if !ok {
 			t.Fatalf("no order (0,0,%d)", oid)
 		}

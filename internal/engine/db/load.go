@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"tpccmodel/internal/core"
-	"tpccmodel/internal/engine/index"
-	"tpccmodel/internal/engine/storage"
 	"tpccmodel/internal/nurand"
 	"tpccmodel/internal/rng"
 	"tpccmodel/internal/tpcc"
@@ -30,52 +28,36 @@ func (d *DB) Load(seed uint64) error {
 	nameGen := nurand.NewGen(nurand.Params{A: 255, X: 0, Y: tpcc.NamesPerDistrict - 1}, r)
 	buf := make([]byte, 1024)
 
-	insert := func(rel core.Relation, n int) (storage.RID, error) {
-		return d.heaps[rel].Insert(buf[:n])
-	}
-
 	// Items (shared across warehouses).
 	for i := 0; i < tpcc.ItemCount; i++ {
 		rec := ItemRec{IID: uint32(i), ImageID: uint32(r.Int63n(10000)),
 			PriceCents: uint32(100 + r.Int63n(9900))}
 		copy(rec.Name[:], LastName(int(r.Int63n(1000))))
-		rec.Marshal(buf[:tpcc.TupleLen[core.Item]])
-		rid, err := insert(core.Item, tpcc.TupleLen[core.Item])
-		if err != nil {
+		if err := d.loadRow(core.Item, rec.Marshal, buf); err != nil {
 			return err
 		}
-		d.itemIdx.set(uint64(i), rid.Pack())
 	}
 
 	for w := 0; w < d.cfg.Warehouses; w++ {
 		wrec := WarehouseRec{ID: uint32(w), TaxBP: uint32(r.Int63n(2001))}
-		wrec.Marshal(buf[:tpcc.TupleLen[core.Warehouse]])
-		rid, err := insert(core.Warehouse, tpcc.TupleLen[core.Warehouse])
-		if err != nil {
+		if err := d.loadRow(core.Warehouse, wrec.Marshal, buf); err != nil {
 			return err
 		}
-		d.warehouseIdx.set(uint64(w), rid.Pack())
 
 		for i := 0; i < tpcc.StockPerWarehouse; i++ {
 			srec := StockRec{IID: uint32(i), WID: uint32(w),
 				Quantity: int32(10 + r.Int63n(91))}
-			srec.Marshal(buf[:tpcc.TupleLen[core.Stock]])
-			rid, err := insert(core.Stock, tpcc.TupleLen[core.Stock])
-			if err != nil {
+			if err := d.loadRow(core.Stock, srec.Marshal, buf); err != nil {
 				return err
 			}
-			d.stockIdx.set(index.KeyWI(int64(w), int64(i)), rid.Pack())
 		}
 
 		for dist := 0; dist < tpcc.DistrictsPerWarehouse; dist++ {
 			drec := DistrictRec{ID: uint32(dist), WID: uint32(w),
 				TaxBP: uint32(r.Int63n(2001)), NextOID: tpcc.CustomersPerDistrict}
-			drec.Marshal(buf[:tpcc.TupleLen[core.District]])
-			rid, err := insert(core.District, tpcc.TupleLen[core.District])
-			if err != nil {
+			if err := d.loadRow(core.District, drec.Marshal, buf); err != nil {
 				return err
 			}
-			d.districtIdx.set(index.KeyWD(int64(w), int64(dist)), rid.Pack())
 
 			if err := d.loadDistrict(r, nameGen, w, dist, buf); err != nil {
 				return err
@@ -98,35 +80,26 @@ func (d *DB) loadDistrict(r *rng.RNG, nameGen *nurand.Gen, w, dist int, buf []by
 			DiscountBP: uint32(r.Int63n(5001)),
 		}
 		copy(crec.Data[:], LastName(nameOrd))
-		crec.Marshal(buf[:tpcc.TupleLen[core.Customer]])
-		rid, err := d.heaps[core.Customer].Insert(buf[:tpcc.TupleLen[core.Customer]])
-		if err != nil {
+		if err := d.loadRow(core.Customer, crec.Marshal, buf); err != nil {
 			return err
 		}
-		d.customerIdx.set(index.KeyWDC(int64(w), int64(dist), int64(c)), rid.Pack())
-		d.custNameIdx.set(index.KeyWDNC(int64(w), int64(dist), int64(nameOrd), int64(c)), rid.Pack())
 	}
 
 	// Initial orders: one per customer in a random permutation.
 	perm := make([]int64, tpcc.CustomersPerDistrict)
 	r.Perm(perm)
 	for o := 0; o < tpcc.CustomersPerDistrict; o++ {
-		cid := perm[o]
 		delivered := o < tpcc.CustomersPerDistrict-900
 		orec := OrderRec{
-			OID: uint32(o), CID: uint32(cid), WID: uint16(w), DID: uint8(dist),
+			OID: uint32(o), CID: uint32(perm[o]), WID: uint16(w), DID: uint8(dist),
 			OLCount: tpcc.ItemsPerOrder, AllLocal: 1, EntryTick: d.nextTick(),
 		}
 		if delivered {
 			orec.CarrierID = uint8(1 + r.Int63n(10))
 		}
-		orec.Marshal(buf[:tpcc.TupleLen[core.Order]])
-		rid, err := d.heaps[core.Order].Insert(buf[:tpcc.TupleLen[core.Order]])
-		if err != nil {
+		if err := d.loadRow(core.Order, orec.Marshal, buf); err != nil {
 			return err
 		}
-		d.orderIdx.set(index.KeyWDO(int64(w), int64(dist), int64(o)), rid.Pack())
-		d.custOrderIdx.set(index.KeyWDCO(int64(w), int64(dist), cid, int64(o)), rid.Pack())
 
 		for l := 0; l < tpcc.ItemsPerOrder; l++ {
 			ol := OrderLineRec{
@@ -138,24 +111,31 @@ func (d *DB) loadDistrict(r *rng.RNG, nameGen *nurand.Gen, w, dist int, buf []by
 			if delivered {
 				ol.DeliveryTick = orec.EntryTick
 			}
-			ol.Marshal(buf[:tpcc.TupleLen[core.OrderLine]])
-			rid, err := d.heaps[core.OrderLine].Insert(buf[:tpcc.TupleLen[core.OrderLine]])
-			if err != nil {
+			if err := d.loadRow(core.OrderLine, ol.Marshal, buf); err != nil {
 				return err
 			}
-			d.olIdx.set(index.KeyWDOL(int64(w), int64(dist), int64(o), int64(l)), rid.Pack())
 		}
 
 		if !delivered {
 			no := NewOrderRec{OID: uint32(o), WID: uint16(w), DID: uint8(dist)}
-			no.Marshal(buf[:tpcc.TupleLen[core.NewOrder]])
-			rid, err := d.heaps[core.NewOrder].Insert(buf[:tpcc.TupleLen[core.NewOrder]])
-			if err != nil {
+			if err := d.loadRow(core.NewOrder, no.Marshal, buf); err != nil {
 				return err
 			}
-			d.newOrderIdx.set(index.KeyWDO(int64(w), int64(dist), int64(o)), rid.Pack())
 		}
 	}
+	return nil
+}
+
+// loadRow marshals a row into buf with marshal, inserts it into rel's heap
+// and files it, as RebuildIndexes would.
+func (d *DB) loadRow(rel core.Relation, marshal func([]byte), buf []byte) error {
+	rec := buf[:tpcc.TupleLen[rel]]
+	marshal(rec)
+	rid, err := d.heaps[rel].Insert(rec)
+	if err != nil {
+		return err
+	}
+	d.file(rel, rec, rid)
 	return nil
 }
 

@@ -58,7 +58,7 @@ func (t *txn) planRange(g *relIndex, lo, hi uint64) {
 // select, or false when the name group is empty.
 func (t *txn) planCustomer(w, dist int64, byName bool, c, nameOrd int64) (int64, bool) {
 	if !byName {
-		t.planRow(t.d.customerIdx, index.KeyWDC(w, dist, c))
+		t.planRow(t.d.idx[idxCustomer], index.KeyWDC(w, dist, c))
 		return c, true
 	}
 	hits := t.nameGroup(w, dist, nameOrd)
@@ -79,9 +79,9 @@ func (t *txn) planNewOrder(in NewOrderInput) {
 		return
 	}
 	d := t.d
-	t.planRow(d.customerIdx, index.KeyWDC(in.W, in.D, in.C))
+	t.planRow(d.idx[idxCustomer], index.KeyWDC(in.W, in.D, in.C))
 	for _, it := range in.Items {
-		t.planRow(d.itemIdx, uint64(it.IID))
+		t.planRow(d.idx[idxItem], uint64(it.IID))
 		t.planStockLine(it)
 	}
 	t.prefetch()
@@ -102,7 +102,7 @@ func (t *txn) planStock(items []OrderItem) {
 // not flagged Remote, as orderStock would read it.
 func (t *txn) planStockLine(it OrderItem) {
 	if !it.Remote {
-		t.planRow(t.d.stockIdx, index.KeyWI(it.SupplyW, it.IID))
+		t.planRow(t.d.idx[idxStock], index.KeyWI(it.SupplyW, it.IID))
 	}
 }
 
@@ -124,10 +124,10 @@ func (t *txn) planOrderStatus(in OrderStatusInput) {
 	d := t.d
 	if cid, ok := t.planCustomer(in.W, in.D, in.ByName, in.C, in.NameOrd); ok {
 		lo, hi := index.RangeWDCO(in.W, in.D, cid)
-		if k, orid, ok := d.custOrderIdx.max(hi); ok && k >= lo {
+		if k, orid, ok := d.idx[idxCustOrder].max(hi); ok && k >= lo {
 			t.planRID(orid)
 			lo, hi = index.RangeWDOLOrder(in.W, in.D, int64(k&(1<<28-1)))
-			t.planRange(d.olIdx, lo, hi)
+			t.planRange(d.idx[idxOrderLine], lo, hi)
 		}
 	}
 	t.prefetch()
@@ -146,17 +146,17 @@ func (t *txn) planDelivery(w int64) {
 	var orders [tpcc.DistrictsPerWarehouse]uint64 // packed RID + 1; 0 = none
 	for dist := range orders {
 		lo, hi := index.RangeWDO(w, int64(dist))
-		k, norid, ok := d.newOrderIdx.min(lo)
+		k, norid, ok := d.idx[idxNewOrder].min(lo)
 		if !ok || k > hi {
 			continue
 		}
 		t.planRID(norid)
-		if orid, ok := d.orderIdx.get(k); ok {
+		if orid, ok := d.idx[idxOrder].get(k); ok {
 			t.planRID(orid)
 			orders[dist] = orid + 1
 		}
 		lo, hi = index.RangeWDOLOrder(w, int64(dist), int64(k&(1<<40-1)))
-		t.planRange(d.olIdx, lo, hi)
+		t.planRange(d.idx[idxOrderLine], lo, hi)
 	}
 	t.prefetch()
 
@@ -168,7 +168,7 @@ func (t *txn) planDelivery(w int64) {
 		}
 		var orec OrderRec
 		orec.Unmarshal(rec)
-		t.planRow(d.customerIdx, index.KeyWDC(w, int64(dist), int64(orec.CID)))
+		t.planRow(d.idx[idxCustomer], index.KeyWDC(w, int64(dist), int64(orec.CID)))
 	}
 	t.prefetch()
 }

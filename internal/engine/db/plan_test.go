@@ -59,29 +59,20 @@ func (d *heldDisk) Read(id storage.PageID, area storage.Area, buf []byte) error 
 // transaction's pages fit.
 const coldPool = 16
 
-// coldRow inserts one row of a cold fixture, keyed in g, through the logged
-// path.
-type coldRow func(rel core.Relation, g *relIndex, key uint64, rec interface{ Marshal([]byte) })
+// coldRow inserts one row of a cold fixture through the logged path.
+type coldRow func(rel core.Relation, rec marshaler)
 
 // openCold opens one warehouse in a coldPool-frame pool over disk, inserts
 // what load inserts in one committed transaction, then checkpoints and drops
 // the pool, so every page is cold.
-func openCold(t *testing.T, cc CCMode, disk storage.DiskIO, load func(d *DB, ins coldRow)) *DB {
+func openCold(t *testing.T, cc CCMode, disk storage.DiskIO, load func(coldRow)) *DB {
 	t.Helper()
 	d, err := OpenWith(Config{Warehouses: 1, PageSize: 4096, BufferPages: coldPool, CC: cc}, Options{Disk: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := d.NewSession().begin()
-	buf := make([]byte, tpcc.TupleLen[core.Customer])
-	load(d, func(rel core.Relation, g *relIndex, key uint64, rec interface{ Marshal([]byte) }) {
-		t.Helper()
-		row := buf[:tpcc.TupleLen[rel]]
-		rec.Marshal(row)
-		if _, err := tx.insertKeyed(rel, g, key, row); err != nil {
-			t.Fatal(err)
-		}
-	})
+	load(func(rel core.Relation, rec marshaler) { fixtureRow(t, tx, rel, rec) })
 	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +94,16 @@ func slots(rel core.Relation) int { return storage.SlotsPerPage(4096, tpcc.Tuple
 // newOrderRows loads warehouse 0 with district 0, 60 customers, and items
 // and stock rows 0 .. k*slots-1, where slots is the stock rows per page: the
 // stock rows of items 0, slots, 2*slots, ... are on k different pages.
-func newOrderRows(k int) func(*DB, coldRow) {
-	return func(d *DB, ins coldRow) {
-		ins(core.Warehouse, d.warehouseIdx, 0, &WarehouseRec{})
-		ins(core.District, d.districtIdx, index.KeyWD(0, 0), &DistrictRec{NextOID: 1})
+func newOrderRows(k int) func(coldRow) {
+	return func(ins coldRow) {
+		ins(core.Warehouse, &WarehouseRec{})
+		ins(core.District, &DistrictRec{NextOID: 1})
 		for c := int64(0); c < 60; c++ {
-			ins(core.Customer, d.customerIdx, index.KeyWDC(0, 0, c), &CustomerRec{ID: uint32(c), CreditLimit: 50000})
+			ins(core.Customer, &CustomerRec{ID: uint32(c), CreditLimit: 50000})
 		}
 		for i := 0; i < k*slots(core.Stock); i++ {
-			ins(core.Item, d.itemIdx, uint64(i), &ItemRec{IID: uint32(i), PriceCents: 100})
-			ins(core.Stock, d.stockIdx, index.KeyWI(0, int64(i)), &StockRec{IID: uint32(i), Quantity: 100})
+			ins(core.Item, &ItemRec{IID: uint32(i), PriceCents: 100})
+			ins(core.Stock, &StockRec{IID: uint32(i), Quantity: 100})
 		}
 	}
 }
@@ -124,20 +115,18 @@ const deliveryLines = 5
 // pages of customers — so customer 0 of every district is on a page of its
 // own, and the customers alone overflow the pool — and one undelivered order
 // of customer 0 with its new-order row and deliveryLines lines.
-func deliveryRows(n int) func(*DB, coldRow) {
-	return func(d *DB, ins coldRow) {
+func deliveryRows(n int) func(coldRow) {
+	return func(ins coldRow) {
 		for dist := int64(0); dist < int64(n); dist++ {
 			for c := int64(0); c < 6*int64(slots(core.Customer)); c++ {
-				ins(core.Customer, d.customerIdx, index.KeyWDC(0, dist, c), &CustomerRec{ID: uint32(c), DID: uint32(dist)})
+				ins(core.Customer, &CustomerRec{ID: uint32(c), DID: uint32(dist)})
 			}
 		}
 		for dist := int64(0); dist < int64(n); dist++ {
-			key := index.KeyWDO(0, dist, 1)
-			ins(core.Order, d.orderIdx, key, &OrderRec{OID: 1, DID: uint8(dist), OLCount: deliveryLines})
-			ins(core.NewOrder, d.newOrderIdx, key, &NewOrderRec{OID: 1, DID: uint8(dist)})
+			ins(core.Order, &OrderRec{OID: 1, DID: uint8(dist), OLCount: deliveryLines})
+			ins(core.NewOrder, &NewOrderRec{OID: 1, DID: uint8(dist)})
 			for l := int64(0); l < deliveryLines; l++ {
-				ins(core.OrderLine, d.olIdx, index.KeyWDOL(0, dist, 1, l),
-					&OrderLineRec{OID: 1, DID: uint8(dist), Number: uint8(l), Quantity: 1, AmountCents: 100})
+				ins(core.OrderLine, &OrderLineRec{OID: 1, DID: uint8(dist), Number: uint8(l), Quantity: 1, AmountCents: 100})
 			}
 		}
 	}
@@ -218,12 +207,12 @@ func TestNewOrderReadsItsPagesAheadOfItsLocks(t *testing.T) {
 		d := openCold(t, cc, disk, newOrderRows(k))
 
 		in := NewOrderInput{W: 0, D: 0, C: 0}
-		planned := map[storage.PageID]bool{pageOf(t, d.customerIdx, index.KeyWDC(0, 0, 0)): true}
+		planned := map[storage.PageID]bool{pageOf(t, d.idx[idxCustomer], index.KeyWDC(0, 0, 0)): true}
 		for i := 0; i < k; i++ {
 			iid := int64(i * slots(core.Stock))
 			in.Items = append(in.Items, OrderItem{IID: iid, SupplyW: 0, Qty: 1})
-			planned[pageOf(t, d.itemIdx, uint64(iid))] = true
-			stock := pageOf(t, d.stockIdx, index.KeyWI(0, iid))
+			planned[pageOf(t, d.idx[idxItem], uint64(iid))] = true
+			stock := pageOf(t, d.idx[idxStock], index.KeyWI(0, iid))
 			planned[stock] = true
 			disk.hold[stock] = true
 		}
@@ -255,12 +244,12 @@ func TestDeliveryReadsItsCustomersAhead(t *testing.T) {
 		planned := map[storage.PageID]bool{}
 		for dist := int64(0); dist < n; dist++ {
 			key := index.KeyWDO(0, dist, 1)
-			planned[pageOf(t, d.newOrderIdx, key)] = true
-			planned[pageOf(t, d.orderIdx, key)] = true
+			planned[pageOf(t, d.idx[idxNewOrder], key)] = true
+			planned[pageOf(t, d.idx[idxOrder], key)] = true
 			for l := int64(0); l < deliveryLines; l++ {
-				planned[pageOf(t, d.olIdx, index.KeyWDOL(0, dist, 1, l))] = true
+				planned[pageOf(t, d.idx[idxOrderLine], index.KeyWDOL(0, dist, 1, l))] = true
 			}
-			cust := pageOf(t, d.customerIdx, index.KeyWDC(0, dist, 0))
+			cust := pageOf(t, d.idx[idxCustomer], index.KeyWDC(0, dist, 0))
 			planned[cust] = true
 			disk.hold[cust] = true
 		}

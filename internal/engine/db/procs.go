@@ -55,7 +55,7 @@ func (s *Session) NewOrder(in NewOrderInput) (NewOrderResult, error) {
 // supplier id as given, stay home.
 //
 // The body works through the transaction's scratch: reads and marshals go
-// through t.buf, after-images through t.img, and store/insertRec copy what
+// through t.buf, after-images through t.img, and store/insertRow copy what
 // they keep, so a committed execution allocates nothing.
 func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	d := t.d
@@ -64,12 +64,12 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 
 	// 1. Select warehouse through W_TAX (snapshot read: the warehouse row
 	// is not written by New-Order, so mvcc takes no lock here).
-	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), whTaxEnd); err != nil {
+	if _, err := t.snap(core.Warehouse, uint64(in.W), whTaxEnd); err != nil {
 		return res, err
 	}
 
 	// 2-3. Select and update district: allocate the order id.
-	dr, err := t.fetch(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	dr, err := t.fetch(core.District, index.KeyWD(in.W, in.D))
 	if err != nil {
 		return res, err
 	}
@@ -83,7 +83,7 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	}
 
 	// 4. Select customer through C_LAST.
-	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), custHeadEnd); err != nil {
+	if _, err := t.snap(core.Customer, index.KeyWDC(in.W, in.D, in.C), custHeadEnd); err != nil {
 		return res, err
 	}
 
@@ -94,7 +94,6 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 			res.RemoteLines++
 		}
 	}
-	okey := index.KeyWDO(in.W, in.D, oid)
 	orec := OrderRec{
 		OID: uint32(oid), CID: uint32(in.C), WID: uint16(in.W), DID: uint8(in.D),
 		OLCount: uint8(len(in.Items)), EntryTick: d.nextTick(),
@@ -105,24 +104,22 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 	buf := t.buf
 	olen := tpcc.TupleLen[core.Order]
 	orec.Marshal(buf[:olen])
-	orid, err := t.insertKeyed(core.Order, d.orderIdx, okey, buf[:olen])
-	if err != nil {
+	if _, err := t.insertRow(core.Order, buf[:olen]); err != nil {
 		return res, err
 	}
-	t.setIdx(d.custOrderIdx, index.KeyWDCO(in.W, in.D, in.C, oid), orid.Pack())
 
 	// 6. Insert new-order.
 	norec := NewOrderRec{OID: uint32(oid), WID: uint16(in.W), DID: uint8(in.D)}
 	nolen := tpcc.TupleLen[core.NewOrder]
 	norec.Marshal(buf[:nolen])
-	if _, err := t.insertKeyed(core.NewOrder, d.newOrderIdx, okey, buf[:nolen]); err != nil {
+	if _, err := t.insertRow(core.NewOrder, buf[:nolen]); err != nil {
 		return res, err
 	}
 
 	// 7. Per item: select item, select+update stock, insert order-line.
 	ollen := tpcc.TupleLen[core.OrderLine]
 	for n, it := range in.Items {
-		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), itemPriceEnd)
+		cur, err := t.snap(core.Item, uint64(it.IID), itemPriceEnd)
 		if err != nil {
 			return res, err
 		}
@@ -136,14 +133,13 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 		}
 
 		amount := uint32(it.Qty) * irec.PriceCents
-		olkey := index.KeyWDOL(in.W, in.D, oid, int64(n))
 		olrec := OrderLineRec{
 			OID: uint32(oid), IID: uint32(it.IID), SupplyWID: uint16(it.SupplyW),
 			WID: uint16(in.W), DID: uint8(in.D), Number: uint8(n),
 			Quantity: uint8(it.Qty), AmountCents: amount,
 		}
 		olrec.Marshal(buf[:ollen])
-		if _, err := t.insertKeyed(core.OrderLine, d.olIdx, olkey, buf[:ollen]); err != nil {
+		if _, err := t.insertRow(core.OrderLine, buf[:ollen]); err != nil {
 			return res, err
 		}
 		res.TotalCents += uint64(amount)
@@ -157,7 +153,7 @@ func (t *txn) newOrder(in NewOrderInput) (NewOrderResult, error) {
 // supplier's stock row, which must live on this instance. remote says the
 // supplier is not the order's home warehouse (s_remote_cnt).
 func (t *txn) orderStock(it OrderItem, remote bool) error {
-	sr, err := t.fetch(core.Stock, t.d.stockIdx, index.KeyWI(it.SupplyW, it.IID))
+	sr, err := t.fetch(core.Stock, index.KeyWI(it.SupplyW, it.IID))
 	if err != nil {
 		return err
 	}
@@ -213,7 +209,7 @@ func (s *Session) Payment(in PaymentInput) error {
 
 // payHome selects and updates the paying warehouse and district (YTD).
 func (t *txn) payHome(in PaymentInput) error {
-	wr, err := t.fetch(core.Warehouse, t.d.warehouseIdx, uint64(in.W))
+	wr, err := t.fetch(core.Warehouse, uint64(in.W))
 	if err != nil {
 		return err
 	}
@@ -225,7 +221,7 @@ func (t *txn) payHome(in PaymentInput) error {
 		return err
 	}
 
-	dr, err := t.fetch(core.District, t.d.districtIdx, index.KeyWD(in.W, in.D))
+	dr, err := t.fetch(core.District, index.KeyWD(in.W, in.D))
 	if err != nil {
 		return err
 	}
@@ -249,7 +245,7 @@ func (t *txn) payCustomer(w, dist int64, byName bool, c, nameOrd int64, amountCe
 			return 0, 0, err
 		}
 	}
-	cr, err := t.fetch(core.Customer, t.d.customerIdx, index.KeyWDC(w, dist, cid))
+	cr, err := t.fetch(core.Customer, index.KeyWDC(w, dist, cid))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -276,7 +272,7 @@ func (t *txn) payHistory(in PaymentInput, custW, custD, custC int64) error {
 	}
 	rec := t.buf[:tpcc.TupleLen[core.History]]
 	hrec.Marshal(rec)
-	_, err := t.insertRec(core.History, rec)
+	_, err := t.insertRow(core.History, rec)
 	return err
 }
 
@@ -311,7 +307,7 @@ func (t *txn) middleCustomerByName(w, d, nameOrd int64, mid *CustomerRec) (int64
 func (t *txn) nameGroup(w, d, nameOrd int64) []custHit {
 	lo, hi := index.RangeWDNC(w, d, nameOrd)
 	t.hits = t.hits[:0]
-	t.d.custNameIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	t.d.idx[idxCustName].ascendRange(lo, hi, func(k, v uint64) bool {
 		t.hits = append(t.hits, custHit{cid: int64(k & 0xffff), rid: v})
 		return true
 	})
@@ -376,7 +372,7 @@ func (t *txn) orderStatus(in OrderStatusInput, res *OrderStatusResult) error {
 			return err
 		}
 	} else {
-		cur, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, cid), custHeadEnd)
+		cur, err := t.snap(core.Customer, index.KeyWDC(in.W, in.D, cid), custHeadEnd)
 		if err != nil {
 			return err
 		}
@@ -394,7 +390,7 @@ func (t *txn) orderStatus(in OrderStatusInput, res *OrderStatusResult) error {
 	ordBuf := t.buf[:tpcc.TupleLen[core.Order]]
 	var oid int64
 	for {
-		k, orid, ok := d.custOrderIdx.max(hi)
+		k, orid, ok := d.idx[idxCustOrder].max(hi)
 		if !ok || k < lo {
 			// No order visible (cannot happen after a standard load).
 			return nil
@@ -421,7 +417,7 @@ func (t *txn) orderStatus(in OrderStatusInput, res *OrderStatusResult) error {
 	olBuf := t.buf[:olStatusEnd]
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
 	t.refs = t.refs[:0]
-	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
 		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
@@ -489,7 +485,7 @@ func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
 	lo, hi := index.RangeWDO(in.W, dist)
 	for {
 		// Select(Min(order-id)) from New-Order via the index.
-		k, norid, ok := d.newOrderIdx.min(lo)
+		k, norid, ok := d.idx[idxNewOrder].min(lo)
 		if !ok || k > hi {
 			return false, nil
 		}
@@ -498,7 +494,7 @@ func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
 			return false, err
 		}
 		// Revalidate after the wait: another Delivery may have taken it.
-		if cur, ok := d.newOrderIdx.get(k); !ok || cur != norid {
+		if cur, ok := d.idx[idxNewOrder].get(k); !ok || cur != norid {
 			continue
 		}
 
@@ -506,15 +502,12 @@ func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
 		if err := t.readRec(core.NewOrder, storage.UnpackRID(norid), norec); err != nil {
 			return false, err
 		}
-		if err := t.deleteRow(core.NewOrder, k, storage.UnpackRID(norid), norec); err != nil {
-			return false, err
-		}
-		if err := t.delIdx(d.newOrderIdx, k, norid); err != nil {
+		if err := t.deleteRow(core.NewOrder, storage.UnpackRID(norid), norec); err != nil {
 			return false, err
 		}
 
 		// Select + update the order (stamp the carrier).
-		ord, err := t.fetch(core.Order, d.orderIdx, k)
+		ord, err := t.fetch(core.Order, k)
 		if err != nil {
 			return false, err
 		}
@@ -530,7 +523,7 @@ func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
 		tick := d.nextTick()
 		var total uint64
 		for l := int64(0); l < int64(orec.OLCount); l++ {
-			olr, err := t.fetch(core.OrderLine, d.olIdx, index.KeyWDOL(in.W, dist, oid, l))
+			olr, err := t.fetch(core.OrderLine, index.KeyWDOL(in.W, dist, oid, l))
 			if err != nil {
 				return false, err
 			}
@@ -545,7 +538,7 @@ func (t *txn) deliverDistrict(in DeliveryInput, dist int64) (bool, error) {
 		}
 
 		// Select + update the customer (credit the balance).
-		cr, err := t.fetch(core.Customer, d.customerIdx, index.KeyWDC(in.W, dist, int64(orec.CID)))
+		cr, err := t.fetch(core.Customer, index.KeyWDC(in.W, dist, int64(orec.CID)))
 		if err != nil {
 			return false, err
 		}
@@ -583,7 +576,7 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	// join below is consistent by construction: if the snapshot's
 	// district shows NextOID = n, every order below n committed at or
 	// before the snapshot, together with its order lines.
-	cur, err := t.snap(core.District, d.districtIdx, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
+	cur, err := t.snap(core.District, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
 	if err != nil {
 		return 0, err
 	}
@@ -598,7 +591,7 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	lo := index.KeyWDOL(in.W, in.D, loOID, 0)
 	hi := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-1, 255)
 	t.refs = t.refs[:0]
-	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
 		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
@@ -621,7 +614,7 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 		}
 		olrec.unmarshalItem(olbuf)
 
-		cur, err := t.snap(core.Stock, d.stockIdx, index.KeyWI(in.W, int64(olrec.IID)), stockQtyEnd)
+		cur, err := t.snap(core.Stock, index.KeyWI(in.W, int64(olrec.IID)), stockQtyEnd)
 		if err != nil {
 			return 0, err
 		}

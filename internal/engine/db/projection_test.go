@@ -132,7 +132,7 @@ func TestProjectionsPinLayout(t *testing.T) {
 
 func (t *txn) fullStockLevel(in StockLevelInput) (int, error) {
 	d := t.d
-	cur, err := t.snap(core.District, d.districtIdx, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
+	cur, err := t.snap(core.District, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +145,7 @@ func (t *txn) fullStockLevel(in StockLevelInput) (int, error) {
 	lo := index.KeyWDOL(in.W, in.D, loOID, 0)
 	hi := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-1, 255)
 	t.refs = t.refs[:0]
-	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
 		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
@@ -161,7 +161,7 @@ func (t *txn) fullStockLevel(in StockLevelInput) (int, error) {
 		}
 		var olrec OrderLineRec
 		olrec.Unmarshal(olbuf)
-		cur, err := t.snap(core.Stock, d.stockIdx, index.KeyWI(in.W, int64(olrec.IID)), tpcc.TupleLen[core.Stock])
+		cur, err := t.snap(core.Stock, index.KeyWI(in.W, int64(olrec.IID)), tpcc.TupleLen[core.Stock])
 		if err != nil {
 			return 0, err
 		}
@@ -202,7 +202,7 @@ func (t *txn) fullOrderStatus(in OrderStatusInput, res *OrderStatusResult) error
 			return err
 		}
 	} else {
-		cur, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, cid), tpcc.TupleLen[core.Customer])
+		cur, err := t.snap(core.Customer, index.KeyWDC(in.W, in.D, cid), tpcc.TupleLen[core.Customer])
 		if err != nil {
 			return err
 		}
@@ -216,7 +216,7 @@ func (t *txn) fullOrderStatus(in OrderStatusInput, res *OrderStatusResult) error
 	ordBuf := t.buf[:tpcc.TupleLen[core.Order]]
 	var oid int64
 	for {
-		k, orid, ok := d.custOrderIdx.max(hi)
+		k, orid, ok := d.idx[idxCustOrder].max(hi)
 		if !ok || k < lo {
 			return nil
 		}
@@ -237,7 +237,7 @@ func (t *txn) fullOrderStatus(in OrderStatusInput, res *OrderStatusResult) error
 	olBuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
 	t.refs = t.refs[:0]
-	d.olIdx.ascendRange(lo, hi, func(k, v uint64) bool {
+	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
 		t.refs = append(t.refs, olref{key: k, rid: v})
 		return true
 	})
@@ -454,7 +454,7 @@ func restockable(t *testing.T, d *DB, in StockLevelInput) []StockRec {
 	}
 	var drec DistrictRec
 	dbuf := make([]byte, tpcc.TupleLen[core.District])
-	rid, _ := d.districtIdx.get(index.KeyWD(in.W, in.D))
+	rid, _ := d.idx[idxDistrict].get(index.KeyWD(in.W, in.D))
 	read(core.District, rid, dbuf)
 	drec.Unmarshal(dbuf)
 	lo := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-tpcc.StockLevelOrders, 0)
@@ -462,11 +462,11 @@ func restockable(t *testing.T, d *DB, in StockLevelInput) []StockRec {
 	var out []StockRec
 	olbuf := make([]byte, tpcc.TupleLen[core.OrderLine])
 	sbuf := make([]byte, tpcc.TupleLen[core.Stock])
-	d.olIdx.ascendRange(lo, hi, func(_, v uint64) bool {
+	d.idx[idxOrderLine].ascendRange(lo, hi, func(_, v uint64) bool {
 		var ol OrderLineRec
 		read(core.OrderLine, v, olbuf)
 		ol.Unmarshal(olbuf)
-		srid, _ := d.stockIdx.get(index.KeyWI(in.W, int64(ol.IID)))
+		srid, _ := d.idx[idxStock].get(index.KeyWI(in.W, int64(ol.IID)))
 		var s StockRec
 		read(core.Stock, srid, sbuf)
 		s.Unmarshal(sbuf)
@@ -486,10 +486,10 @@ func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
 	d := t.d
 	var res NewOrderResult
 	t.planNewOrder(in)
-	if _, err := t.snap(core.Warehouse, d.warehouseIdx, uint64(in.W), tpcc.TupleLen[core.Warehouse]); err != nil {
+	if _, err := t.snap(core.Warehouse, uint64(in.W), tpcc.TupleLen[core.Warehouse]); err != nil {
 		return res, err
 	}
-	dr, err := t.fetch(core.District, d.districtIdx, index.KeyWD(in.W, in.D))
+	dr, err := t.fetch(core.District, index.KeyWD(in.W, in.D))
 	if err != nil {
 		return res, err
 	}
@@ -501,7 +501,7 @@ func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
 	if err := t.store(dr); err != nil {
 		return res, err
 	}
-	if _, err := t.snap(core.Customer, d.customerIdx, index.KeyWDC(in.W, in.D, in.C), tpcc.TupleLen[core.Customer]); err != nil {
+	if _, err := t.snap(core.Customer, index.KeyWDC(in.W, in.D, in.C), tpcc.TupleLen[core.Customer]); err != nil {
 		return res, err
 	}
 	for _, it := range in.Items {
@@ -509,7 +509,6 @@ func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
 			res.RemoteLines++
 		}
 	}
-	okey := index.KeyWDO(in.W, in.D, oid)
 	orec := OrderRec{
 		OID: uint32(oid), CID: uint32(in.C), WID: uint16(in.W), DID: uint8(in.D),
 		OLCount: uint8(len(in.Items)), EntryTick: d.nextTick(),
@@ -520,20 +519,18 @@ func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
 	buf := t.buf
 	olen := tpcc.TupleLen[core.Order]
 	orec.Marshal(buf[:olen])
-	orid, err := t.insertKeyed(core.Order, d.orderIdx, okey, buf[:olen])
-	if err != nil {
+	if _, err := t.insertRow(core.Order, buf[:olen]); err != nil {
 		return res, err
 	}
-	t.setIdx(d.custOrderIdx, index.KeyWDCO(in.W, in.D, in.C, oid), orid.Pack())
 	norec := NewOrderRec{OID: uint32(oid), WID: uint16(in.W), DID: uint8(in.D)}
 	nolen := tpcc.TupleLen[core.NewOrder]
 	norec.Marshal(buf[:nolen])
-	if _, err := t.insertKeyed(core.NewOrder, d.newOrderIdx, okey, buf[:nolen]); err != nil {
+	if _, err := t.insertRow(core.NewOrder, buf[:nolen]); err != nil {
 		return res, err
 	}
 	ollen := tpcc.TupleLen[core.OrderLine]
 	for n, it := range in.Items {
-		cur, err := t.snap(core.Item, d.itemIdx, uint64(it.IID), tpcc.TupleLen[core.Item])
+		cur, err := t.snap(core.Item, uint64(it.IID), tpcc.TupleLen[core.Item])
 		if err != nil {
 			return res, err
 		}
@@ -551,7 +548,7 @@ func (t *txn) fullNewOrder(in NewOrderInput) (NewOrderResult, error) {
 			Quantity: uint8(it.Qty), AmountCents: amount,
 		}
 		olrec.Marshal(buf[:ollen])
-		if _, err := t.insertKeyed(core.OrderLine, d.olIdx, index.KeyWDOL(in.W, in.D, oid, int64(n)), buf[:ollen]); err != nil {
+		if _, err := t.insertRow(core.OrderLine, buf[:ollen]); err != nil {
 			return res, err
 		}
 		res.TotalCents += uint64(amount)

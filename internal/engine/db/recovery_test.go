@@ -48,11 +48,11 @@ func TestCrashRecoveryPreservesCommitted(t *testing.T) {
 	}
 
 	// The placed order and its lines are back.
-	if _, ok := d.orderIdx.get(index.KeyWDO(0, 6, placed.OID)); !ok {
+	if _, ok := d.idx[idxOrder].get(index.KeyWDO(0, 6, placed.OID)); !ok {
 		t.Error("committed order lost")
 	}
 	for l := int64(0); l < 10; l++ {
-		if _, ok := d.olIdx.get(index.KeyWDOL(0, 6, placed.OID, l)); !ok {
+		if _, ok := d.idx[idxOrderLine].get(index.KeyWDOL(0, 6, placed.OID, l)); !ok {
 			t.Fatalf("committed order-line %d lost", l)
 		}
 	}
@@ -73,7 +73,7 @@ func TestCrashRecoveryPreservesCommitted(t *testing.T) {
 	}
 	// The first delivered order (district 0, order 2100) kept its carrier.
 	buf := make([]byte, tpcc.TupleLen[core.Order])
-	rid, ok := d.orderIdx.get(index.KeyWDO(0, 0, 2100))
+	rid, ok := d.idx[idxOrder].get(index.KeyWDO(0, 0, 2100))
 	if !ok {
 		t.Fatal("order 2100 lost")
 	}
@@ -120,7 +120,7 @@ func TestAbortRollsBackEverything(t *testing.T) {
 	if got := d.heaps[core.OrderLine].Live(); got != olBefore {
 		t.Errorf("order-line rows = %d, want %d", got, olBefore)
 	}
-	if _, ok := d.orderIdx.get(index.KeyWDO(0, 1, int64(before.NextOID))); ok {
+	if _, ok := d.idx[idxOrder].get(index.KeyWDO(0, 1, int64(before.NextOID))); ok {
 		t.Error("aborted order still indexed")
 	}
 	if d.Aborts() != 1 {
@@ -300,7 +300,7 @@ func TestDeadlockRetryUnderContention(t *testing.T) {
 	}
 	// Stock order counts must reflect exactly the committed work.
 	for _, iid := range []int64{100, 200} {
-		rid, _ := d.stockIdx.get(index.KeyWI(0, iid))
+		rid, _ := d.idx[idxStock].get(index.KeyWI(0, iid))
 		buf := make([]byte, tpcc.TupleLen[core.Stock])
 		if err := d.heaps[core.Stock].Read(storage.UnpackRID(rid), buf); err != nil {
 			t.Fatal(err)
@@ -342,17 +342,17 @@ func TestRecoveryAfterConcurrentLoad(t *testing.T) {
 		t.Errorf("sum(NextOID) = %d but %d orders exist after recovery", nextSum, orders)
 	}
 	// Indexes agree with heap contents.
-	if int64(d.orderIdx.t.Len()) != d.heaps[core.Order].Live() {
+	if int64(d.idx[idxOrder].t.Len()) != d.heaps[core.Order].Live() {
 		t.Errorf("order index has %d entries, heap has %d rows",
-			d.orderIdx.t.Len(), d.heaps[core.Order].Live())
+			d.idx[idxOrder].t.Len(), d.heaps[core.Order].Live())
 	}
-	if int64(d.olIdx.t.Len()) != d.heaps[core.OrderLine].Live() {
+	if int64(d.idx[idxOrderLine].t.Len()) != d.heaps[core.OrderLine].Live() {
 		t.Errorf("order-line index has %d entries, heap has %d rows",
-			d.olIdx.t.Len(), d.heaps[core.OrderLine].Live())
+			d.idx[idxOrderLine].t.Len(), d.heaps[core.OrderLine].Live())
 	}
-	if int64(d.newOrderIdx.t.Len()) != d.heaps[core.NewOrder].Live() {
+	if int64(d.idx[idxNewOrder].t.Len()) != d.heaps[core.NewOrder].Live() {
 		t.Errorf("new-order index has %d entries, heap has %d rows",
-			d.newOrderIdx.t.Len(), d.heaps[core.NewOrder].Live())
+			d.idx[idxNewOrder].t.Len(), d.heaps[core.NewOrder].Live())
 	}
 	// The system continues to function and the commit counter persists.
 	rn := NewRunner(d, 23, tpcc.DefaultMix())
@@ -394,7 +394,7 @@ func TestRollbackRetriesTransientRead(t *testing.T) {
 		if err := tinyWriteCustomer(tx, 3, func(c *CustomerRec) { c.BalanceCents = 777 }); err != nil {
 			t.Fatal(err)
 		}
-		packed, _ := d.customerIdx.get(custKey(3))
+		packed, _ := d.idx[idxCustomer].get(custKey(3))
 		page := storage.UnpackRID(packed).Page
 		touched := 0 // a pool's worth of other pages evicts this one
 		pushOut(t, d, page, func() bool { touched++; return touched > walRulePool })
@@ -430,7 +430,7 @@ func TestUncommittedDeleteKeepsItsSlot(t *testing.T) {
 			t.Helper()
 			buf := make([]byte, tpcc.TupleLen[core.Stock])
 			(&StockRec{IID: uint32(item), Quantity: 1}).Marshal(buf)
-			rid, err := tx.insertKeyed(core.Stock, d.stockIdx, index.KeyWI(0, item), buf)
+			rid, err := tx.insertRow(core.Stock, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -439,11 +439,11 @@ func TestUncommittedDeleteKeepsItsSlot(t *testing.T) {
 		del := func(tx *txn, item int64) storage.RID {
 			t.Helper()
 			key := index.KeyWI(0, item)
-			r, err := tx.fetch(core.Stock, d.stockIdx, key)
+			r, err := tx.fetch(core.Stock, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tx.deleteRow(core.Stock, key, r.rid, r.cur); err != nil {
+			if err := tx.deleteRow(core.Stock, r.rid, r.cur); err != nil {
 				t.Fatal(err)
 			}
 			return r.rid
@@ -471,7 +471,7 @@ func TestUncommittedDeleteKeepsItsSlot(t *testing.T) {
 		if err := b.commit(); err != nil {
 			t.Fatal(err)
 		}
-		packed, _ := d.stockIdx.get(index.KeyWI(0, 99))
+		packed, _ := d.idx[idxStock].get(index.KeyWI(0, 99))
 		if item(freed) != 5 || item(storage.UnpackRID(packed)) != 99 {
 			t.Errorf("%v: after the deleter's rollback slot %v holds item %d and the insert's slot item %d, want 5 and 99",
 				cc, freed, item(freed), item(storage.UnpackRID(packed)))
@@ -503,7 +503,7 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 		heap := d.heaps[core.Customer]
 		row := func(key uint64) []byte {
 			t.Helper()
-			packed, ok := d.customerIdx.get(key)
+			packed, ok := d.idx[idxCustomer].get(key)
 			if !ok {
 				t.Fatalf("%v: customer %#x not indexed", cc, key)
 			}
@@ -525,17 +525,17 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r, err := tx.fetch(core.Customer, d.customerIdx, custKey(1))
+		r, err := tx.fetch(core.Customer, custKey(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.deleteRow(core.Customer, custKey(1), r.rid, r.cur); err != nil {
+		if err := tx.deleteRow(core.Customer, r.rid, r.cur); err != nil {
 			t.Fatal(err)
 		}
 		added := index.KeyWDC(0, 0, 7)
 		buf := make([]byte, tpcc.TupleLen[core.Customer])
 		(&CustomerRec{ID: 7, BalanceCents: 5}).Marshal(buf)
-		rid, err := tx.insertKeyed(core.Customer, d.customerIdx, added, buf)
+		rid, err := tx.insertRow(core.Customer, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +549,7 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 		if !bytes.Equal(row(custKey(0)), updated) || !bytes.Equal(row(custKey(1)), deleted) {
 			t.Errorf("%v: the updated or the deleted row did not come back as it was", cc)
 		}
-		if _, ok := d.customerIdx.get(added); ok {
+		if _, ok := d.idx[idxCustomer].get(added); ok {
 			t.Errorf("%v: the inserted row is still indexed", cc)
 		}
 		if err := heap.Read(rid, buf); !errors.Is(err, storage.ErrNoRecord) {

@@ -40,22 +40,16 @@ const (
 	// undoDelete is undoRow for a delete, which puts the row back at its old
 	// RID, in the slot the transaction holds until it ends (unhold).
 	undoDelete
-	// undoSetIdx removes an added index entry.
-	undoSetIdx
-	// undoDelIdx restores a removed index entry.
-	undoDelIdx
 )
 
-// undoOp is one typed entry of the undo list. A row's entry names its log
-// record by offset: the log is the only copy of the before-image.
+// undoOp is one typed entry of the undo list. It names the row's log record
+// by offset: the log is the only copy of the before-image, and an inserted
+// or deleted row's index entries follow from the record's image (replay).
 type undoOp struct {
 	kind undoKind
 	rel  core.Relation
 	rid  storage.RID // the held slot (undoDelete)
-	at   int64       // the row's log record (undoRow/undoDelete)
-	g    *relIndex
-	key  uint64
-	val  uint64
+	at   int64       // the row's log record
 }
 
 // custHit is one row of the non-unique customer-by-name select.
@@ -229,24 +223,24 @@ func (t *txn) commitWith(gid uint64) error {
 	if _, err := t.d.log.Append(wal.Record{Txn: uint64(t.id), Type: wal.RecCommit, RID: gid}); err != nil {
 		return err
 	}
-	t.d.setOutcome(gid, true)
+	t.d.setCommitted(gid)
 	t.publish()
 	t.d.commits.Add(1)
 	return nil
 }
 
-// maxUndoRetries bounds how often a rollback retries one undo step that hit
-// a transient I/O error before it gives the step up.
+// maxUndoRetries bounds how often a rollback retries one undo step's heap
+// write that hit a transient I/O error before it gives the step up.
 const maxUndoRetries = 8
 
 // rollbackWith applies the undo list in reverse, logs an abort carrying
 // the global transaction id (0 for local transactions), and releases.
 // The abort record is buffered, never forced: recovery treats a
 // transaction without a commit record as aborted and undoes its
-// records either way, and under presumed abort a gid with no durable
-// decision reads as aborted too.
+// records either way, and under presumed abort a gid with no commit
+// decision reads as aborted too, so nothing is kept for it.
 //
-// A row's undo step (wal.Log.Undo) pins the row's page, which may have been
+// A row's undo step (wal.Undo, in replay) pins the row's page, which may have been
 // evicted since and whose read (or the write-back that makes room for it)
 // may fail. A rollback cannot itself be rolled back and retried, and a step
 // given up leaves the row changed with its lock about to be released, so a
@@ -257,20 +251,13 @@ const maxUndoRetries = 8
 func (t *txn) rollbackWith(gid uint64) error {
 	var firstErr error
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		err := t.applyUndo(&t.undo[i])
-		for try := 0; try < maxUndoRetries && errors.Is(err, storage.ErrTransientIO); try++ {
-			err = t.applyUndo(&t.undo[i])
-		}
-		if err != nil && firstErr == nil {
+		if err := t.applyUndo(&t.undo[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	t.unhold()
 	// A failed log refuses the record; that is as benign as losing it.
 	_, _ = t.d.log.PreCommit(wal.Record{Txn: uint64(t.id), Type: wal.RecAbort, RID: gid})
-	if gid != 0 {
-		t.d.setOutcome(gid, false)
-	}
 	if t.d.ccMVCC {
 		// Pop pushed versions only AFTER the undo loop above restored the
 		// heap before-images: while the writer mark is set, readers
@@ -288,21 +275,16 @@ func (t *txn) rollbackWith(gid uint64) error {
 	return nil
 }
 
-// applyUndo reverses one operation.
+// applyUndo takes one row's log record back off the row, and the row out
+// of or back into its indexes.
 func (t *txn) applyUndo(op *undoOp) error {
-	switch op.kind {
-	case undoRow, undoDelete:
-		h := t.d.heaps[op.rel]
-		t.undoer = heapApplier{h: h, row: t.buf[:h.RecordLen()]}
-		return t.d.log.Undo(op.at, &t.undoer)
-	case undoSetIdx:
-		return op.g.delete(op.key)
-	case undoDelIdx:
-		op.g.set(op.key, op.val)
-		return nil
-	default:
-		return fmt.Errorf("db: unknown undo kind %d", op.kind)
+	r, err := t.d.log.DataRecord(op.at)
+	if err != nil {
+		return err
 	}
+	h := t.d.heaps[op.rel]
+	t.undoer = heapApplier{h: h, row: t.buf[:h.RecordLen()]}
+	return t.d.replay(&t.undoer, r, true, maxUndoRetries)
 }
 
 // finish ends a local transaction whose body returned err: roll back and
@@ -335,34 +317,6 @@ func (t *txn) fail(cause error) error {
 // readRec reads the record bytes at rid into out.
 func (t *txn) readRec(rel core.Relation, rid storage.RID, out []byte) error {
 	return t.d.heaps[rel].Read(rid, out)
-}
-
-// insertRec inserts a record, logging it and queueing deletion as undo.
-// rec is copied by both the heap and the log, so it may be reused scratch.
-// Rows other transactions can reach go through insertKeyed; only History,
-// which has no key and no index, is inserted bare.
-//
-// The heap picks the RID, so the row is on its page before the record can be
-// written; the page stays pinned and latched until the record is in the log,
-// and the unpin that dirties it comes after — log, then dirty, like store and
-// deleteRow, which is what lets the buffer manager force the log only as far
-// as the frame's last dirtying unpin saw it (bufmgr's WAL rule).
-func (t *txn) insertRec(rel core.Relation, rec []byte) (storage.RID, error) {
-	h := t.d.heaps[rel]
-	rid, page, err := h.InsertPinned(rec)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	at, err := t.d.log.Append(wal.Record{
-		Txn: uint64(t.id), Type: wal.RecInsert, Table: uint32(rel),
-		RID: rid.Pack(), After: rec,
-	})
-	h.Release(page)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	t.undo = append(t.undo, undoOp{kind: undoRow, rel: rel, at: at})
-	return rid, nil
 }
 
 // snapRead reads the first len(out) bytes of the version of the row visible
@@ -414,13 +368,13 @@ func (t *txn) heapImage(rel core.Relation, rid storage.RID, out []byte) (bool, e
 	return true, nil
 }
 
-// snap is the keyed snapshot read: probe the relation's primary index g
+// snap is the keyed snapshot read: probe the relation's primary index
 // and read the first n bytes of the version of the row this transaction may
 // see into t.buf (valid until the next read). n is the relation's tuple
 // length for the whole row, or a projection end (schema.go). Range scans,
 // which hold a RID, use snapRead.
-func (t *txn) snap(rel core.Relation, g *relIndex, key uint64, n int) ([]byte, error) {
-	rid, ok := g.get(key)
+func (t *txn) snap(rel core.Relation, key uint64, n int) ([]byte, error) {
+	rid, ok := t.d.primary(rel).get(key)
 	if !ok {
 		return nil, fmt.Errorf("db: no %s row %#x", rel, key)
 	}
@@ -442,15 +396,15 @@ type row struct {
 
 // fetch and store are the two halves of every row update. fetch takes the
 // row's exclusive lock by its logical key, probes the relation's primary
-// index g, and reads the CURRENT record — written rows are read under
+// index, and reads the CURRENT record — written rows are read under
 // their lock in every -cc mode; under mvcc the store validates first
 // committer wins instead. The caller unmarshals r.cur, changes the typed
 // record, marshals it into r.next, and calls store.
-func (t *txn) fetch(rel core.Relation, g *relIndex, key uint64) (row, error) {
+func (t *txn) fetch(rel core.Relation, key uint64) (row, error) {
 	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
 		return row{}, err
 	}
-	rid, ok := g.get(key)
+	rid, ok := t.d.primary(rel).get(key)
 	if !ok {
 		return row{}, fmt.Errorf("db: no %s row %#x", rel, key)
 	}
@@ -497,32 +451,55 @@ func (t *txn) mvWrite(rel core.Relation, row uint64, before []byte) error {
 	return t.d.mvcc.Write(&t.mv, mvcc.Key{Table: uint32(rel), Row: row}, before)
 }
 
-// insertKeyed inserts a row that has a logical key: exclusive lock on the
-// key, a version-chain entry saying the row was absent before this
-// transaction (older snapshots skip it), insertRec, and the entry in the
-// relation's primary index g.
-func (t *txn) insertKeyed(rel core.Relation, g *relIndex, key uint64, rec []byte) (storage.RID, error) {
-	if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
-		return storage.RID{}, err
+// insertRow inserts the row rec into rel, logging it and queueing deletion
+// as undo. A row with a key — every relation's but History's, whose rows no
+// other transaction reaches — first takes the exclusive lock on it and a
+// version-chain entry saying the row was absent before this transaction
+// (older snapshots skip it), and is then filed in every index of rel. rec is
+// copied by the heap, the log and the indexes, so it may be reused scratch.
+//
+// The heap picks the RID, so the row is on its page before the record can be
+// written; the page stays pinned and latched until the record is in the log,
+// and the unpin that dirties it comes after — log, then dirty, like store and
+// deleteRow, which is what lets the buffer manager force the log only as far
+// as the frame's last dirtying unpin saw it (bufmgr's WAL rule).
+func (t *txn) insertRow(rel core.Relation, rec []byte) (storage.RID, error) {
+	if key, keyed := rowKey(rel, rec); keyed {
+		if err := t.lockRow(rel, key, lock.Exclusive); err != nil {
+			return storage.RID{}, err
+		}
+		if err := t.mvWrite(rel, key, nil); err != nil {
+			return storage.RID{}, err
+		}
 	}
-	if err := t.mvWrite(rel, key, nil); err != nil {
-		return storage.RID{}, err
-	}
-	rid, err := t.insertRec(rel, rec)
+	h := t.d.heaps[rel]
+	rid, page, err := h.InsertPinned(rec)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	t.setIdx(g, key, rid.Pack())
+	at, err := t.d.log.Append(wal.Record{
+		Txn: uint64(t.id), Type: wal.RecInsert, Table: uint32(rel),
+		RID: rid.Pack(), After: rec,
+	})
+	h.Release(page)
+	if err != nil {
+		return storage.RID{}, err
+	}
+	t.undo = append(t.undo, undoOp{kind: undoRow, rel: rel, at: at})
+	t.d.file(rel, rec, rid)
 	return rid, nil
 }
 
-// deleteRow removes the record at rid, versioning it first (older
-// snapshots keep seeing before after the heap slot is gone) and queueing
-// reinsertion as undo. before is copied, so it may be reused scratch. The
-// emptied slot stays out of other transactions' inserts until this one ends
-// (unhold): its rollback needs the slot back.
-func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before []byte) error {
-	if err := t.mvWrite(rel, row, before); err != nil {
+// deleteRow removes the row before at rid, which the caller holds the
+// exclusive lock of: it versions the row under its key first (older
+// snapshots keep seeing before after the heap slot is gone), queues
+// reinsertion as undo, and takes the row out of every index of rel. before
+// is copied, so it may be reused scratch. The emptied slot stays out of
+// other transactions' inserts until this one ends (unhold): its rollback
+// needs the slot back.
+func (t *txn) deleteRow(rel core.Relation, rid storage.RID, before []byte) error {
+	key, _ := rowKey(rel, before)
+	if err := t.mvWrite(rel, key, before); err != nil {
 		return err
 	}
 	at, err := t.d.log.Append(wal.Record{
@@ -537,7 +514,7 @@ func (t *txn) deleteRow(rel core.Relation, row uint64, rid storage.RID, before [
 	}
 	t.undo = append(t.undo, undoOp{kind: undoDelete, rel: rel, rid: rid, at: at})
 	t.holds++
-	return nil
+	return t.d.unfile(rel, before)
 }
 
 // unhold lets go of the heap slots this transaction's deletes emptied, now
@@ -550,19 +527,4 @@ func (t *txn) unhold() {
 			t.holds--
 		}
 	}
-}
-
-// setIdx adds an index entry with undo.
-func (t *txn) setIdx(g *relIndex, key, val uint64) {
-	g.set(key, val)
-	t.undo = append(t.undo, undoOp{kind: undoSetIdx, g: g, key: key})
-}
-
-// delIdx removes an index entry with undo.
-func (t *txn) delIdx(g *relIndex, key, val uint64) error {
-	if err := g.delete(key); err != nil {
-		return err
-	}
-	t.undo = append(t.undo, undoOp{kind: undoDelIdx, g: g, key: key, val: val})
-	return nil
 }

@@ -137,7 +137,7 @@ func TestNoPageGetsAheadOfItsLog(t *testing.T) {
 		{"insert", func(t *testing.T, tx *txn) storage.RID {
 			buf := make([]byte, tpcc.TupleLen[core.Customer])
 			(&CustomerRec{DID: 0, ID: 1}).Marshal(buf)
-			rid, err := tx.insertKeyed(core.Customer, tx.d.customerIdx, index.KeyWDC(0, 0, 1), buf)
+			rid, err := tx.insertRow(core.Customer, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestNoPageGetsAheadOfItsLog(t *testing.T) {
 		{"insert-new-page", func(t *testing.T, tx *txn) storage.RID {
 			buf := make([]byte, tpcc.TupleLen[core.Order])
 			(&OrderRec{OID: 0}).Marshal(buf)
-			rid, err := tx.insertKeyed(core.Order, tx.d.orderIdx, index.KeyWDO(0, 0, 0), buf)
+			rid, err := tx.insertRow(core.Order, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,16 +156,16 @@ func TestNoPageGetsAheadOfItsLog(t *testing.T) {
 			if err := tinyWriteCustomer(tx, 3, func(c *CustomerRec) { c.BalanceCents = 777 }); err != nil {
 				t.Fatal(err)
 			}
-			rid, _ := tx.d.customerIdx.get(custKey(3))
+			rid, _ := tx.d.idx[idxCustomer].get(custKey(3))
 			return storage.UnpackRID(rid)
 		}},
 		{"delete", func(t *testing.T, tx *txn) storage.RID {
 			key := index.KeyWI(0, 5)
-			r, err := tx.fetch(core.Stock, tx.d.stockIdx, key)
+			r, err := tx.fetch(core.Stock, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tx.deleteRow(core.Stock, key, r.rid, r.cur); err != nil {
+			if err := tx.deleteRow(core.Stock, r.rid, r.cur); err != nil {
 				t.Fatal(err)
 			}
 			return r.rid
@@ -294,7 +294,7 @@ func TestWALRuleAtEveryPageWrite(t *testing.T) {
 					c := cust{r.Int63n(tinyDistricts), next}
 					next++
 					(&CustomerRec{DID: uint32(c.dist), ID: uint32(c.c)}).Marshal(buf)
-					rid, err := tx.insertKeyed(core.Customer, d.customerIdx, index.KeyWDC(0, c.dist, c.c), buf)
+					rid, err := tx.insertRow(core.Customer, buf)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -303,21 +303,18 @@ func TestWALRuleAtEveryPageWrite(t *testing.T) {
 				case k < 5 && len(rows) > tinyDistricts: // delete
 					j := int(r.Int63n(int64(len(rows))))
 					key := index.KeyWDC(0, rows[j].dist, rows[j].c)
-					row, err := tx.fetch(core.Customer, d.customerIdx, key)
+					row, err := tx.fetch(core.Customer, key)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := tx.deleteRow(core.Customer, key, row.rid, row.cur); err != nil {
-						t.Fatal(err)
-					}
-					if err := tx.delIdx(d.customerIdx, key, row.rid.Pack()); err != nil {
+					if err := tx.deleteRow(core.Customer, row.rid, row.cur); err != nil {
 						t.Fatal(err)
 					}
 					note(row.rid)
 					rows = append(rows[:j], rows[j+1:]...)
 				default: // update
 					c := rows[r.Int63n(int64(len(rows)))]
-					row, err := tx.fetch(core.Customer, d.customerIdx, index.KeyWDC(0, c.dist, c.c))
+					row, err := tx.fetch(core.Customer, index.KeyWDC(0, c.dist, c.c))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -358,7 +355,7 @@ func TestWALRuleAtEveryPageWrite(t *testing.T) {
 			t.Errorf("%v: %d customers after recovery, %d committed", cc, got, len(committed))
 		}
 		for _, c := range committed {
-			if _, ok := d.customerIdx.get(index.KeyWDC(0, c.dist, c.c)); !ok {
+			if _, ok := d.idx[idxCustomer].get(index.KeyWDC(0, c.dist, c.c)); !ok {
 				t.Errorf("%v: committed customer (0,%d,%d) lost", cc, c.dist, c.c)
 			}
 		}

@@ -5,9 +5,12 @@ package index
 // the lexicographic order of the component tuple, so range scans over a
 // prefix (e.g. all orders of one district) are contiguous key ranges.
 //
-// Field widths: warehouse 16 bits, district 8 bits, customer/name 16 bits,
-// item 24 bits. Order ids get 40 bits inside (w,d)-prefixed keys, bounding
-// orders per district at ~10^12 — far beyond the 180-day benchmark run.
+// Field widths: warehouse 16 bits (db.Config admits 65 536 warehouses),
+// district 8 bits, item 24 bits, customer and name 16 bits — 12 in the
+// order-by-customer key, which holds 4 096 of a district's 3 000 customers.
+// An order id gets 40 bits in KeyWDO, bounding orders per district at
+// ~10^12, far beyond the 180-day benchmark run; 32 in KeyWDOL and 28 in
+// KeyWDCO.
 
 // KeyWD packs (warehouse, district).
 func KeyWD(w, d int64) uint64 {
@@ -68,9 +71,9 @@ func RangeWDNC(w, d, name int64) (lo, hi uint64) {
 }
 
 // KeyWDCO packs (warehouse, district, customer, order) for the
-// order-by-customer secondary index: 12+8+16+28 bits.
+// order-by-customer secondary index: 16+8+12+28 bits.
 func KeyWDCO(w, d, c, o int64) uint64 {
-	return uint64(w)<<52 | uint64(d)<<44 | uint64(c)<<28 | uint64(o)
+	return uint64(w)<<48 | uint64(d)<<40 | uint64(c)<<28 | uint64(o)
 }
 
 // RangeWDCO returns the key range covering one customer's orders.

@@ -69,14 +69,14 @@ func (c *Cluster) resolveInDoubt(id int) error {
 				id, idt.GID, coord)
 		}
 		// A coordinator that recovered, even one held down by branches of
-		// its own, has rebuilt its outcome map from its durable log
+		// its own, has rebuilt its committed gids from its durable log
 		// (absent = presumed abort).
 		cs := c.shards[coord]
 		if cs.Inj.Dead() {
 			return fmt.Errorf("shard %d: gid %#x in doubt, coordinator %d unreachable: %w",
 				id, idt.GID, coord, ErrCoordinatorDown)
 		}
-		committed, _ := cs.DB.GIDOutcome(idt.GID)
+		committed := cs.DB.GIDOutcome(idt.GID)
 		c.fireHook(KillDuringResolve, idt.GID)
 		if err := s.DB.ResolveInDoubt(idt.GID, committed); err != nil {
 			if errors.Is(err, storage.ErrCrashed) {

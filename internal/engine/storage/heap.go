@@ -156,13 +156,6 @@ func (h *HeapFile) RecordLen() int { return h.recLen }
 // Slots returns the records-per-page capacity.
 func (h *HeapFile) Slots() int { return h.slots }
 
-// PageCount returns the number of pages in the file.
-func (h *HeapFile) PageCount() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return int64(len(h.pages))
-}
-
 // Live returns the number of live records.
 func (h *HeapFile) Live() int64 {
 	h.mu.Lock()

@@ -115,9 +115,8 @@ func TestStoreReadWrite(t *testing.T) {
 	if !bytes.Equal(buf, got) {
 		t.Error("flushed image not read back")
 	}
-	reads, writes := s.IOCounts()
-	if reads != 2 || writes != 1 {
-		t.Errorf("IO counts = %d reads, %d writes", reads, writes)
+	if st := s.Stats(); st.Reads != 2 || st.Writes != 1 {
+		t.Errorf("IO counts = %d reads, %d writes", st.Reads, st.Writes)
 	}
 }
 
@@ -346,8 +345,8 @@ func TestHeapFillsPagesDensely(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if h.PageCount() != 3 {
-		t.Errorf("PageCount = %d, want 3 (dense fill)", h.PageCount())
+	if n := len(h.PageIDs()); n != 3 {
+		t.Errorf("%d pages, want 3 (dense fill)", n)
 	}
 	// Slot reuse after delete.
 	if err := h.Delete(rids[1]); err != nil {
@@ -357,7 +356,7 @@ func TestHeapFillsPagesDensely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.PageCount() != 3 {
+	if len(h.PageIDs()) != 3 {
 		t.Errorf("insert after delete allocated page %d", rid.Page)
 	}
 }

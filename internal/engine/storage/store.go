@@ -217,11 +217,6 @@ func (s *Store) Flush(id PageID, buf []byte) error {
 // Pages returns the number of allocated pages.
 func (s *Store) Pages() int64 { return s.disk.Pages() }
 
-// IOCounts returns the physical read and write counts.
-func (s *Store) IOCounts() (reads, writes int64) {
-	return s.stats.reads.Load(), s.stats.writes.Load()
-}
-
 // Stats returns a copy of the I/O and integrity counters.
 func (s *Store) Stats() StoreStats {
 	return StoreStats{

@@ -27,13 +27,12 @@ type DistState struct {
 	// InDoubt lists prepared branches with no durable decision, in the
 	// order of their prepare records.
 	InDoubt []InDoubtTxn
-	// Decisions maps global transaction ids to their durable outcome
-	// (true = committed): every commit/abort record carrying a nonzero
-	// gid contributes. A coordinator consults this map when a recovering
-	// participant asks for a verdict; a gid absent from the coordinator's
-	// map means abort (presumed abort — abort decisions need no durable
-	// record).
-	Decisions map[uint64]bool
+	// Committed holds the global transaction ids with a durable commit
+	// record (the home branch's decision, or a participant's commit). A
+	// coordinator consults it when a recovering participant asks for a
+	// verdict; a gid absent from it is aborted (presumed abort — abort
+	// decisions need no durable record, and none is kept).
+	Committed map[uint64]struct{}
 	// MaxTxn is the largest local transaction id any record carried, so
 	// the engine can restart its id sequence past every logged one.
 	MaxTxn uint64
@@ -86,7 +85,7 @@ func (f *rowFold) patch(a Applier, off uint32, span []byte) error {
 // update writes its after- or before-span over the row, and an insert or a
 // delete sets the row to its after- or before-image, the side it does not
 // carry being the absent row. Recovery redoes winners and undoes loser runs
-// by it, and a rollback each of its records (Log.Undo).
+// by it, and a rollback each of its records (Undo).
 func (f *rowFold) step(a Applier, r Record, undo bool) error {
 	img := r.After
 	if undo {
@@ -120,7 +119,7 @@ func (f *rowFold) undoRun(a Applier) error {
 // later commit decision can be re-applied.
 func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, error) {
 	var st RecoverStats
-	dist := DistState{Decisions: make(map[uint64]bool)}
+	dist := DistState{Committed: make(map[uint64]struct{})}
 	committed := make(map[uint64]bool)
 	decided := make(map[uint64]bool)
 	prepared := make(map[uint64]uint64) // txn -> gid
@@ -138,13 +137,10 @@ func RecoverDist(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, er
 			committed[r.Txn] = true
 			decided[r.Txn] = true
 			if r.RID != 0 {
-				dist.Decisions[r.RID] = true
+				dist.Committed[r.RID] = struct{}{}
 			}
 		case RecAbort:
 			decided[r.Txn] = true
-			if r.RID != 0 {
-				dist.Decisions[r.RID] = false
-			}
 		case RecPrepare:
 			if _, seen := prepared[r.Txn]; !seen {
 				prepOrder = append(prepOrder, r.Txn)

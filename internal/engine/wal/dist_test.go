@@ -80,11 +80,11 @@ func TestRecoverDistInDoubt(t *testing.T) {
 	if !bytes.Equal(idt.Records[0].After, []byte{20}) {
 		t.Errorf("retained record mismatch: %+v", idt.Records[0])
 	}
-	if v, ok := dist.Decisions[8]; !ok || !v {
-		t.Errorf("decision for gid 8 = %v,%v, want commit", v, ok)
+	if _, ok := dist.Committed[8]; !ok {
+		t.Error("committed gid 8 missing from the committed set")
 	}
-	if _, ok := dist.Decisions[7]; ok {
-		t.Error("undecided gid 7 must not appear in decisions")
+	if _, ok := dist.Committed[7]; ok {
+		t.Error("undecided gid 7 must not appear in the committed set")
 	}
 	if dist.MaxTxn != 3 {
 		t.Errorf("MaxTxn = %d, want 3", dist.MaxTxn)
@@ -94,8 +94,9 @@ func TestRecoverDistInDoubt(t *testing.T) {
 	}
 }
 
-// TestRecoverDistAbortDecision: an abort record carrying a gid records a
-// durable abort decision and the branch is not in-doubt.
+// TestRecoverDistAbortDecision: an abort record carrying a gid decides the
+// branch, so it is not in-doubt, and under presumed abort the aborted gid is
+// absent from the committed set: nothing is kept for it.
 func TestRecoverDistAbortDecision(t *testing.T) {
 	l := New()
 	mustAppend(t, l, Record{Txn: 4, Type: RecInsert, Table: 0, RID: 2, After: []byte{2}})
@@ -109,8 +110,8 @@ func TestRecoverDistAbortDecision(t *testing.T) {
 	if len(dist.InDoubt) != 0 {
 		t.Fatalf("aborted prepare reported in-doubt: %+v", dist.InDoubt)
 	}
-	if v, ok := dist.Decisions[11]; !ok || v {
-		t.Errorf("decision for gid 11 = %v,%v, want abort", v, ok)
+	if _, ok := dist.Committed[11]; ok || len(dist.Committed) != 0 {
+		t.Errorf("committed set %v after gid 11 aborted, want it empty", dist.Committed)
 	}
 	if _, ok := tab.rows[2]; ok {
 		t.Error("aborted branch's insert survived")

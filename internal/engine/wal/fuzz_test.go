@@ -173,8 +173,8 @@ func Fuzz2PCLog(f *testing.F) {
 				t.Fatalf("decided branch reported in-doubt: %+v", dist.InDoubt)
 			}
 			if gid != 0 {
-				if got, ok := dist.Decisions[gid]; !ok || got != commit {
-					t.Fatalf("decision for gid %d = %v,%v, want %v", gid, got, ok, commit)
+				if _, got := dist.Committed[gid]; got != commit {
+					t.Fatalf("gid %d in the committed set: %v, want %v (an aborted gid is absent)", gid, got, commit)
 				}
 			}
 		} else {

@@ -440,8 +440,8 @@ func TestFailedForcedAppendLeavesNoTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := dist.Decisions[gid]; ok || len(dist.InDoubt) != 0 {
-			t.Errorf("%s: recovery found decisions %v, in-doubt %v", tc.name, dist.Decisions, dist.InDoubt)
+		if _, ok := dist.Committed[gid]; ok || len(dist.InDoubt) != 0 {
+			t.Errorf("%s: recovery found committed gids %v, in-doubt %v", tc.name, dist.Committed, dist.InDoubt)
 		}
 		if got := tab.rows[9]; len(got) != 1 || got[0] != 1 {
 			t.Errorf("%s: row 9 = %v, want the before-byte", tc.name, got)

@@ -86,7 +86,7 @@ func withSpan(row []byte, off uint32, span []byte) []byte {
 // did not commit was rolled back before the row's lock was granted again.
 func recoverDistCopying(l *Log, tables map[uint32]Applier) (RecoverStats, DistState, error) {
 	var st RecoverStats
-	dist := DistState{Decisions: make(map[uint64]bool)}
+	dist := DistState{Committed: make(map[uint64]struct{})}
 	recs, valid, scanErr := l.Scan()
 	st.Records, st.Bytes = int64(len(recs)), valid
 	if scanErr != nil {
@@ -107,13 +107,10 @@ func recoverDistCopying(l *Log, tables map[uint32]Applier) (RecoverStats, DistSt
 			committed[r.Txn] = true
 			decided[r.Txn] = true
 			if r.RID != 0 {
-				dist.Decisions[r.RID] = true
+				dist.Committed[r.RID] = struct{}{}
 			}
 		case RecAbort:
 			decided[r.Txn] = true
-			if r.RID != 0 {
-				dist.Decisions[r.RID] = false
-			}
 		case RecPrepare:
 			if _, seen := prepared[r.Txn]; !seen {
 				prepOrder = append(prepOrder, r.Txn)

@@ -761,7 +761,9 @@ func (l *Log) Waits() int64 {
 }
 
 // Syncs returns the number of forces ForceTo led: WAL-rule forces, of log the
-// page being written back needed and no committer had forced yet.
+// page being written back needed and no committer had forced yet. No engine
+// code reads it; it is exported for the db package's WAL-rule and commit
+// tests, which read it across the package boundary.
 func (l *Log) Syncs() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -771,7 +773,9 @@ func (l *Log) Syncs() int64 {
 // Size returns the log size in bytes. It takes no lock.
 func (l *Log) Size() int64 { return l.published.Load() }
 
-// DurableSize returns the forced (crash-surviving) prefix length.
+// DurableSize returns the forced (crash-surviving) prefix length. No engine
+// code reads it; it is exported for the db package's WAL-rule and commit
+// tests, which read it across the package boundary.
 func (l *Log) DurableSize() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -902,26 +906,32 @@ type Applier interface {
 // row its before-span came from.
 func Redo(a Applier, r Record) error { return apply(a, r, false) }
 
-// Undo takes the data record Append put at offset at back off its row
-// through a, by the step recovery undoes a loser's record with: a rollback's
-// step, so the log is the only copy of a before-image. The row must be as the
-// record left it (row locks, newest first). An offset outside the log, or
-// one naming a commit, abort, prepare or void record, is an error.
-func (l *Log) Undo(at int64, a Applier) error {
+// Undo takes a data record back off its row through a, by the step recovery
+// undoes a loser's record with: a rollback's step, whose record DataRecord
+// reads back by the offset Append returned, so the log is the only copy of a
+// before-image. The row must be as the record left it (row locks, newest
+// first).
+func Undo(a Applier, r Record) error { return apply(a, r, true) }
+
+// DataRecord decodes the data record Append put at offset at, its byte
+// strings aliasing the log (written, and never moved: read in place). An
+// offset outside the log, or one naming a commit, abort, prepare or void
+// record, is an error.
+func (l *Log) DataRecord(at int64) (Record, error) {
 	l.mu.Lock()
 	c := cursor{segs: l.segs, off: int(at), end: l.size}
 	l.mu.Unlock()
 	if at < 0 || c.off >= c.end {
-		return fmt.Errorf("wal: undo at offset %d of a %d-byte log", at, c.end)
+		return Record{}, fmt.Errorf("wal: no record at offset %d of a %d-byte log", at, c.end)
 	}
-	f, err := c.next(false) // written, and never moved: read in place
+	f, err := c.next(false)
 	if err == nil && (f.Type > RecDelete || f.void) {
-		err = fmt.Errorf("wal: undo at offset %d names a %s record (void %t)", at, f.Type, f.void)
+		err = fmt.Errorf("wal: offset %d names a %s record (void %t)", at, f.Type, f.void)
 	}
 	if err != nil {
-		return err
+		return Record{}, err
 	}
-	return apply(a, f.Record, true)
+	return f.Record, nil
 }
 
 // apply runs one record's redo or undo step on its row alone through a. An

@@ -223,11 +223,22 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	}
 }
 
+// undoAt is a rollback's step: the data record at offset at, read back by
+// DataRecord, taken back off its row by Undo.
+func undoAt(l *Log, at int64, a Applier) error {
+	r, err := l.DataRecord(at)
+	if err != nil {
+		return err
+	}
+	return Undo(a, r)
+}
+
 // TestUndoTakesRecordsBackOffTheirRows is a rollback's side of the log:
-// Undo reads a record back by the offset Append returned and takes it off
-// its row — an insert's row goes, a delete's image comes back, an update's
-// before-span is written over the row — newest first, also for an update
-// that straddles a segment boundary and so is read back as a private copy.
+// DataRecord reads a record back by the offset Append returned and Undo
+// takes it off its row — an insert's row goes, a delete's image comes back,
+// an update's before-span is written over the row — newest first, also for
+// an update that straddles a segment boundary and so is read back as a
+// private copy.
 func TestUndoTakesRecordsBackOffTheirRows(t *testing.T) {
 	before, after := make([]byte, 300), make([]byte, 300)
 	for i := range after {
@@ -247,7 +258,7 @@ func TestUndoTakesRecordsBackOffTheirRows(t *testing.T) {
 	ins := ap(t, l, Record{Txn: 2, Type: RecInsert, Table: 1, RID: 7, After: []byte{9}})
 	tab.rows[7] = []byte{9}
 	for _, at := range []int64{ins, del, up} {
-		if err := l.Undo(at, tab); err != nil {
+		if err := undoAt(l, at, tab); err != nil {
 			t.Fatalf("undo at %d: %v", at, err)
 		}
 	}
@@ -266,14 +277,14 @@ func TestUndoRefusesWhatIsNoDataRecord(t *testing.T) {
 	tab := newMemTable()
 	tab.rows[1] = []byte{1}
 	for _, at := range []int64{l.Size(), l.Size() + 1, l.Size() + segSize, -1, commit} {
-		if err := l.Undo(at, tab); err == nil {
+		if err := undoAt(l, at, tab); err == nil {
 			t.Errorf("undo at %d of a %d-byte log succeeded", at, l.Size())
 		}
 	}
 	if len(tab.rows) != 1 || tab.rows[1][0] != 1 {
 		t.Errorf("a refused undo changed the table: %v", tab.rows)
 	}
-	if err := New().Undo(0, tab); err == nil {
+	if err := undoAt(New(), 0, tab); err == nil {
 		t.Error("undo in an empty log succeeded")
 	}
 }
@@ -359,7 +370,7 @@ func TestEveryOffsetDecodesCold(t *testing.T) {
 			continue
 		}
 		rows := tab(e.rec.Table).rows
-		if err := l.Undo(e.at, tab(e.rec.Table)); err != nil {
+		if err := undoAt(l, e.at, tab(e.rec.Table)); err != nil {
 			t.Fatalf("undo at %d: %v", e.at, err)
 		}
 		if got, ok := rows[e.rec.RID]; ok != (e.prior != nil) || !bytes.Equal(got, e.prior) {
