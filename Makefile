@@ -38,8 +38,9 @@ build:
 # buffer manager's write-back tests then run ten times more under it: a
 # miss starts up to 16 clean-ahead writes at once, and their interleavings
 # with eviction, Crash and FlushAll differ from run to run; so do the
-# one-visit record read's against a writer of the same page and against its
-# Pin/Unpin oracle (~40 s). So do, fifty times, the lock manager's
+# one-visit record read's against a writer of the same page, against its
+# Pin/Unpin oracle and, batched, against the same reads one at a time
+# (~40 s). So do, fifty times, the lock manager's
 # concurrent tests: two managers on one wait-for graph, where a lost wake-up
 # or a second victim of one cross-manager cycle would show; goroutines on
 # Owners of their own racing over a few hot keys; the differential
@@ -64,10 +65,10 @@ test:
 race:
 	go test -race -timeout 60m ./...
 
-# Allocation gate (also part of `make test`): committed New-Order and
-# Payment transactions must heap-allocate nothing at one worker, and two
-# workers contending for one warehouse under half an allocation per
-# committed transaction. Race-free leg only — AllocsPerRun is unreliable
+# Allocation gate (also part of `make test`): committed New-Order,
+# Payment, Stock-Level and Order-Status transactions must heap-allocate
+# nothing at one worker, and two workers contending for one warehouse
+# under half an allocation per committed transaction. Race-free leg only — AllocsPerRun is unreliable
 # under the race detector, so the test carries a !race build tag.
 alloc-gate:
 	go test ./internal/engine/db/ -run TestHotPathAllocationFree -v

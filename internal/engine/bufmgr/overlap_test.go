@@ -241,7 +241,7 @@ func blocked(ch <-chan error) bool {
 }
 
 // lockPool takes m.mu for a test and, holding it, checks the invariant
-// ReadRecord's latch-free read of an idle frame rests on (checkLatches).
+// ReadRecords' latch-free read of an idle frame rests on (checkLatches).
 func lockPool(t testing.TB, m *Manager) {
 	t.Helper()
 	m.mu.Lock()
@@ -251,7 +251,7 @@ func lockPool(t testing.TB, m *Manager) {
 // checkLatches fails the test if a frame's content latch is held while the
 // frame is neither pinned nor being written back: only a pinner and a
 // write-back ever hold it. Callers hold m.mu, under which a frame's latch
-// is tried as ReadRecord and Peek try it.
+// is tried as ReadRecords and Peek try it.
 func checkLatches(t testing.TB, m *Manager) {
 	t.Helper()
 	for _, f := range m.frames {

@@ -25,12 +25,21 @@ func slotFlag(slot int) (off int, bit byte) { return slot / 8, 1 << (slot % 8) }
 
 func slotOff(slot int) int { return recBase + slot*recLen }
 
+// testLayout is the layout above as ReadRecords takes it.
+var testLayout = storage.Layout{Flags: 0, Data: recBase, Stride: recLen}
+
+// readRecord is ReadRecords of one record: ok reports whether it was served.
+func readRecord(m *Manager, id storage.PageID, slot int, out []byte) (live, ok bool) {
+	var l [1]bool
+	ok = m.ReadRecords([]storage.RID{{Page: id, Slot: uint16(slot)}}, testLayout, len(out), out, l[:]) == 1
+	return l[0], ok
+}
+
 // readOnce reads a record as storage.HeapFile.Read does: one visit when the
 // pool can serve it, else a Pin and an Unpin. It reports whether it fell
 // back.
 func readOnce(m *Manager, id storage.PageID, slot int, out []byte) (live, fellBack bool, err error) {
-	flagOff, bit := slotFlag(slot)
-	if live, ok := m.ReadRecord(id, flagOff, bit, slotOff(slot), out); ok {
+	if live, ok := readRecord(m, id, slot, out); ok {
 		return live, false, nil
 	}
 	live, err = pinRead(m, id, slot, out)
@@ -173,8 +182,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 					wait(t, g.arrived, "the gated read-ahead")
 					// The read-ahead's clean-ahead writes may still move Flushes.
 					before, accesses := len(*evA), a.Stats().Accesses()
-					flagOff, bit := slotFlag(slot)
-					if _, ok := a.ReadRecord(id, flagOff, bit, slotOff(slot), outA); ok {
+					if _, ok := readRecord(a, id, slot, outA); ok {
 						t.Fatal("a one-visit read served a page whose read is in flight")
 					}
 					if len(*evA) != before || a.Stats().Accesses() != accesses {
@@ -202,8 +210,7 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					before, stats := len(*evA), a.Stats()
-					flagOff, bit := slotFlag(slot)
-					_, ok := a.ReadRecord(id, flagOff, bit, slotOff(slot), outA)
+					_, ok := readRecord(a, id, slot, outA)
 					unchanged := len(*evA) == before && a.Stats() == stats
 					a.Unpin(pa, false)
 					b.Unpin(pb, false)
@@ -269,6 +276,228 @@ func TestReadRecordMatchesPinOracle(t *testing.T) {
 	}
 }
 
+// readBatch reads rids as storage.HeapFile.ReadRecords does: ReadRecords,
+// then a Pin of the record it declined, then ReadRecords of the rest. Each
+// declined record's page is handed to unblock before the pin, which may
+// wait on it. It returns how many records were declined.
+func readBatch(m *Manager, rids []storage.RID, out []byte, live []bool, unblock func(storage.PageID)) (int, error) {
+	declined := 0
+	for i := 0; i < len(rids); i++ {
+		if i += m.ReadRecords(rids[i:], testLayout, recLen, out[i*recLen:], live[i:]); i == len(rids) {
+			break
+		}
+		declined++
+		unblock(rids[i].Page)
+		var err error
+		if live[i], err = pinRead(m, rids[i].Page, int(rids[i].Slot), out[i*recLen:(i+1)*recLen]); err != nil {
+			return declined, err
+		}
+	}
+	return declined, nil
+}
+
+// readOneByOne reads rids one record at a time, as storage.HeapFile.Read
+// does, handing a declined record's page to unblock before its pin.
+func readOneByOne(m *Manager, rids []storage.RID, out []byte, live []bool, unblock func(storage.PageID)) error {
+	for i, rid := range rids {
+		o := out[i*recLen : (i+1)*recLen]
+		l, ok := readRecord(m, rid.Page, int(rid.Slot), o)
+		if !ok {
+			unblock(rid.Page)
+			var err error
+			if l, err = pinRead(m, rid.Page, int(rid.Slot), o); err != nil {
+				return err
+			}
+		}
+		live[i] = l
+	}
+	return nil
+}
+
+// TestReadRecordsMatchesOneAtATime drives two pools under eviction pressure
+// through the same random batches of record reads: one reads each batch in
+// as few visits as ReadRecords allows, the other one record at a time.
+// Batches hold dead slots, pages not resident and, one special page per
+// batch at most, a page whose read-ahead is in flight, a page a writer holds
+// pinned and latched, or a page whose clean-ahead write holds its latch;
+// writes, deletions and checkpoints run between them. After every batch the
+// two pools must agree on the bytes and live flags read, the tapped stream
+// with its classes, Stats, ClassStats and the LRU order, and so on the
+// evictions that follow.
+func TestReadRecordsMatchesOneAtATime(t *testing.T) {
+	const capacity, pages, classes, batches = 6, 20, 3, 400
+	cls := func(id storage.PageID) int { return int(id) % classes }
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			a, da, ids := gatedPool(t, capacity, pages)
+			b, db, _ := gatedPool(t, capacity, pages)
+			pools := []*Manager{a, b}
+			disks := []*gatedDisk{da, db}
+			for _, m := range pools {
+				m.SetClassifier(classes, cls)
+			}
+			evA, evB := classRecorder(a), classRecorder(b)
+			r := rng.New(seed)
+			pick := func() storage.PageID { return ids[r.Int63n(int64(len(ids)))] }
+			// unblocks holds, per pool, what lets a pin of a special page
+			// proceed: releasing its gated I/O or its writer's pin.
+			unblocks := []map[storage.PageID]func(){{}, {}}
+			unblockIn := func(p int) func(storage.PageID) {
+				return func(id storage.PageID) {
+					if fn := unblocks[p][id]; fn != nil {
+						delete(unblocks[p], id)
+						fn()
+					}
+				}
+			}
+			var served, declined, multi int
+			specials := make([]int, 4)
+			for n := 0; n < batches; n++ {
+				k := int(r.Int63n(10)) + 1
+				rids := make([]storage.RID, 0, k+1)
+				for range k {
+					rids = append(rids, storage.RID{Page: pick(), Slot: uint16(r.Int63n(slotsPerPage))})
+				}
+				// A special page goes at position j, after records of
+				// resident pages only: a miss before it could pick it as
+				// its victim and wait for the gated write.
+				special, j := int(r.Int63n(5)), int(r.Int63n(int64(k)))
+				resident := lruOrder(t, a)
+				sp := pick()
+				switch {
+				case special == 1 && frameOf(t, a, sp) == nil:
+					for p, m := range pools {
+						g := disks[p].gateRead(sp)
+						m.Prefetch([]storage.PageID{sp})
+						wait(t, g.arrived, "the gated read-ahead")
+						unblocks[p][sp] = func() { g.release <- nil }
+					}
+				case special == 2 && len(resident) > 0:
+					sp = resident[r.Int63n(int64(len(resident)))]
+					for p, m := range pools {
+						pg, err := m.Pin(sp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						unblocks[p][sp] = func() { m.Unpin(pg, false) }
+					}
+				case special == 3 && len(resident) == capacity:
+					// Dirty sp at the MRU end, then miss in the full pool:
+					// the miss cleans sp ahead of eviction, and its write
+					// waits at the gate holding sp's latch.
+					sp = resident[r.Int63n(int64(len(resident)))]
+					var miss storage.PageID
+					for miss = pick(); frameOf(t, a, miss) != nil; miss = pick() {
+					}
+					for p, m := range pools {
+						g := disks[p].gateWrite(sp)
+						touch(t, m, sp, byte(n)|1)
+						touch(t, m, miss, 0)
+						wait(t, g.arrived, "the gated clean-ahead write")
+						unblocks[p][sp] = func() { g.release <- nil }
+					}
+				default:
+					special = 0
+				}
+				if special != 0 {
+					specials[special]++
+					resident = lruOrder(t, a)
+					for i := range j {
+						rids[i].Page = resident[r.Int63n(int64(len(resident)))]
+						if rids[i].Page == sp {
+							rids[i].Page = residentBut(t, resident, sp)
+						}
+					}
+					rids = slices.Insert(rids, j, storage.RID{Page: sp, Slot: uint16(r.Int63n(slotsPerPage))})
+				}
+				outA := bytes.Repeat([]byte{0xee}, len(rids)*recLen)
+				outB := bytes.Clone(outA)
+				liveA, liveB := make([]bool, len(rids)), make([]bool, len(rids))
+				d, err := readBatch(a, rids, outA, liveA, unblockIn(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := readOneByOne(b, rids, outB, liveB, unblockIn(1)); err != nil {
+					t.Fatal(err)
+				}
+				for p := range unblocks {
+					if len(unblocks[p]) != 0 {
+						t.Fatalf("batch %d: the special page %d was never declined", n, sp)
+					}
+				}
+				declined += d
+				served += len(rids) - d
+				if len(rids)-d > 1 {
+					multi++
+				}
+				if !bytes.Equal(outA, outB) || !slices.Equal(liveA, liveB) {
+					t.Fatalf("batch %d %v: batched (%v, %x), one at a time (%v, %x)", n, rids, liveA, outA, liveB, outB)
+				}
+
+				// Between batches: a write or a deletion, now and then a
+				// checkpoint.
+				id, slot, v := pick(), int(r.Int63n(slotsPerPage)), byte(r.Int63n(255)+1)
+				put, flush := r.Int63n(4) != 0, r.Int63n(20) == 0
+				for _, m := range pools {
+					if err := with(m, id, true, func(p []byte) {
+						flagOff, bit := slotFlag(slot)
+						if put {
+							p[flagOff] |= bit
+							for i := range recLen {
+								p[slotOff(slot)+i] = v + byte(i)
+							}
+						} else {
+							p[flagOff] &^= bit
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if flush {
+						if err := m.FlushAll(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				awaitCleanAhead(t, a)
+				awaitCleanAhead(t, b)
+				if !slices.Equal(*evA, *evB) {
+					t.Fatalf("batch %d: tapped streams diverge:\nbatched      %v\none at a time %v", n, tail(*evA), tail(*evB))
+				}
+				if sa, sb := a.Stats(), b.Stats(); sa != sb {
+					t.Fatalf("batch %d: stats %+v, one at a time %+v", n, sa, sb)
+				}
+				if ca, cb := a.ClassStats(), b.ClassStats(); !slices.Equal(ca, cb) {
+					t.Fatalf("batch %d: class stats %+v, one at a time %+v", n, ca, cb)
+				}
+				if la, lb := lruOrder(t, a), lruOrder(t, b); !slices.Equal(la, lb) {
+					t.Fatalf("batch %d: LRU order %v, one at a time %v", n, la, lb)
+				}
+			}
+			t.Logf("%d records served, %d declined, %d batches served more than one, specials %v",
+				served, declined, multi, specials[1:])
+			if st := a.Stats(); st.Evicts == 0 {
+				t.Errorf("stats %+v: no eviction pressure", st)
+			}
+			if served == 0 || declined == 0 || multi == 0 || specials[1] == 0 || specials[2] == 0 || specials[3] == 0 {
+				t.Errorf("coverage: %d records served, %d declined, %d batches served more than one, specials %v; want each > 0",
+					served, declined, multi, specials[1:])
+			}
+		})
+	}
+}
+
+// residentBut returns a page of resident other than sp.
+func residentBut(t *testing.T, resident []storage.PageID, sp storage.PageID) storage.PageID {
+	t.Helper()
+	for _, id := range resident {
+		if id != sp {
+			return id
+		}
+	}
+	t.Fatal("no resident page but the special one")
+	panic("unreachable")
+}
+
 // TestReadRecordDeclinesPageBeingCleaned: a clean-ahead write-back holds
 // its frame's content latch at the device while the frame is unpinned, so
 // the one-visit read of it must try the latch, find it taken and decline,
@@ -286,9 +515,8 @@ func TestReadRecordDeclinesPageBeingCleaned(t *testing.T) {
 	}
 	evs := tapInto(m)
 	before := m.Stats()
-	flagOff, bit := slotFlag(0)
 	out := make([]byte, recLen)
-	if _, ok := m.ReadRecord(cleaned, flagOff, bit, slotOff(0), out); ok {
+	if _, ok := readRecord(m, cleaned, 0, out); ok {
 		t.Fatal("a one-visit read served a page whose write-back holds its latch")
 	}
 	if got := evs.get(); len(got) != 0 || m.Stats() != before {
@@ -302,7 +530,7 @@ func TestReadRecordDeclinesPageBeingCleaned(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitCleanAhead(t, m)
-	if _, ok := m.ReadRecord(cleaned, flagOff, bit, slotOff(0), out); !ok {
+	if _, ok := readRecord(m, cleaned, 0, out); !ok {
 		t.Fatal("the one-visit read declined the page once its write-back was done")
 	}
 	if got := evs.get(); len(got) != 1 || got[0] != Hit {
@@ -315,7 +543,8 @@ func tail(s []classEvent) []classEvent { return s[max(0, len(s)-6):] }
 
 // TestReadRecordRacesWriter has readers of a heap file over the pool race a
 // writer that rewrites records on the same page and churners that evict it,
-// so the one-visit read, its fallback and misses interleave with the writes.
+// so the one-visit read, its fallback and misses interleave with the writes;
+// one reader reads batches of three records, the others one at a time.
 // Every record read must be whole: all its bytes from one write.
 func TestReadRecordRacesWriter(t *testing.T) {
 	const rl = 64
@@ -362,20 +591,27 @@ func TestReadRecordRacesWriter(t *testing.T) {
 		readers.Add(1)
 		go func(g int) { // the last reader also churns the pool
 			defer readers.Done()
-			out := make([]byte, rl)
+			out := make([]byte, 3*rl)
+			live := make([]bool, 3)
 			for i := 0; i < 20000; i++ {
-				rid := hot[i%2]
+				rids := []storage.RID{hot[i%2]}
 				if g == 2 && i%3 == 0 {
-					rid = cold[i%len(cold)]
+					rids[0] = cold[i%len(cold)]
 				}
-				if err := h.Read(rid, out); err != nil {
+				if g == 1 { // a batch: both hot records and a cold one
+					rids = append(rids, hot[(i+1)%2], cold[i%len(cold)])
+				}
+				if err := h.ReadRecords(rids, rl, out, live); err != nil {
 					errs <- err
 					return
 				}
-				for _, c := range out {
-					if c != out[0] {
-						errs <- fmt.Errorf("torn record at %s: %x", rid, out)
-						return
+				for k, rid := range rids {
+					rec := out[k*rl : (k+1)*rl]
+					for _, c := range rec {
+						if !live[k] || c != rec[0] {
+							errs <- fmt.Errorf("torn or missing record at %s: %v %x", rid, live[k], rec)
+							return
+						}
 					}
 				}
 			}
@@ -449,11 +685,21 @@ func TestReadRecordCopiesPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	backing := bytes.Repeat([]byte{0xee}, recLen)
-	if live, ok := m.ReadRecord(id, flagOff, bit, slotOff(1), backing[:n]); !live || !ok {
-		t.Fatalf("ReadRecord of a resident page = (%v, %v), want (true, true)", live, ok)
+	if live, ok := readRecord(m, id, 1, backing[:n]); !live || !ok {
+		t.Fatalf("ReadRecords of a resident page = (%v, %v), want (true, true)", live, ok)
 	}
 	if !bytes.Equal(backing, append([]byte{1, 2, 3}, bytes.Repeat([]byte{0xee}, recLen-n)...)) {
-		t.Fatalf("ReadRecord of %d bytes left %x", n, backing)
+		t.Fatalf("ReadRecords of %d bytes left %x", n, backing)
+	}
+	// In a batch, record i's n bytes land at i*n and nothing else moves.
+	backing = bytes.Repeat([]byte{0xee}, 3*n+1)
+	live := make([]bool, 3)
+	rids := []storage.RID{{Page: id, Slot: 1}, {Page: id, Slot: 0}, {Page: id, Slot: 1}}
+	if got := m.ReadRecords(rids, testLayout, n, backing, live); got != 3 || !slices.Equal(live, []bool{true, false, true}) {
+		t.Fatalf("ReadRecords of a live, a dead and a live record = %d, %v", got, live)
+	}
+	if want := []byte{1, 2, 3, 0xee, 0xee, 0xee, 1, 2, 3, 0xee}; !bytes.Equal(backing, want) {
+		t.Fatalf("a batch of %d-byte reads left %x, want %x", n, backing, want)
 	}
 
 	const rl, pn = 306, 12
@@ -586,8 +832,9 @@ func TestFrameHitLayout(t *testing.T) {
 	}
 }
 
-// hitPool returns a pool holding n resident pages, every one with slot 0
-// live, whose classifier is a read-locked table lookup, as the engine's is.
+// hitPool returns a pool holding n resident pages, every one with all its
+// slots live, whose classifier is a read-locked table lookup, as the
+// engine's is.
 func hitPool(b *testing.B, n int) (*Manager, []storage.PageID) {
 	s, err := storage.NewStore(4096)
 	if err != nil {
@@ -606,7 +853,7 @@ func hitPool(b *testing.B, n int) (*Manager, []storage.PageID) {
 		if ids[i], err = m.Allocate(); err != nil {
 			b.Fatal(err)
 		}
-		if err := with(m, ids[i], true, func(p []byte) { p[0] = 1 }); err != nil {
+		if err := with(m, ids[i], true, func(p []byte) { p[0], p[1] = 0xff, 0xff }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -642,12 +889,48 @@ func BenchmarkPinHit(b *testing.B) {
 	}
 }
 
-// BenchmarkReadHit is the same read in one visit (Manager.ReadRecord).
+// BenchmarkReadHit is the same read in one visit (Manager.ReadRecords of one
+// record).
 func BenchmarkReadHit(b *testing.B) {
 	for _, g := range []int{1, 2} {
 		b.Run(fmt.Sprint("goroutines=", g), func(b *testing.B) {
 			m, ids := hitPool(b, 64)
 			benchHits(b, g, ids, func(id storage.PageID, out []byte) { readOnce(m, id, 0, out) })
 		})
+	}
+}
+
+// BenchmarkReadRecords prices a resident record read in ns per record: 200
+// records read as one ReadRecords batch against the same 200 as batches of
+// one, over records of random resident pages and over one page's run of
+// records.
+func BenchmarkReadRecords(b *testing.B) {
+	const records = 200
+	m, ids := hitPool(b, 1024)
+	r := rng.New(1)
+	random, run := make([]storage.RID, records), make([]storage.RID, records)
+	for i := range records {
+		random[i] = storage.RID{Page: ids[r.Int63n(int64(len(ids)))], Slot: uint16(r.Int63n(slotsPerPage))}
+		run[i] = storage.RID{Page: ids[0], Slot: uint16(i % slotsPerPage)}
+	}
+	out, live := make([]byte, records*recLen), make([]bool, records)
+	for _, rc := range []struct {
+		name string
+		rids []storage.RID
+	}{{"random", random}, {"run", run}} {
+		for _, batch := range []int{records, 1} {
+			b.Run(fmt.Sprintf("%s/batch=%d", rc.name, batch), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					for i := 0; i < records; i += batch {
+						if m.ReadRecords(rc.rids[i:i+batch], testLayout, recLen, out[i*recLen:], live[i:]) != batch {
+							b.Fatal("a resident record was declined")
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+			})
+		}
 	}
 }

@@ -19,9 +19,11 @@ import (
 // TestHotPathAllocationFree gates the engine hot path at zero heap
 // allocations per committed transaction in all three concurrency-control
 // modes, and the blocking path at a fraction of one (the contended cell,
-// below). testing.AllocsPerRun must report exactly 0 for New-Order and
-// for Payment (both the by-id and the by-name customer select) on the
-// non-group-commit path. Under mvcc that additionally covers snapshot
+// below). testing.AllocsPerRun must report exactly 0 for New-Order, for
+// Payment (both the by-id and the by-name customer select), for
+// Stock-Level and for Order-Status (by id and by name) on the
+// non-group-commit path: the read-only types' batch reads run on
+// transaction scratch. Under mvcc that additionally covers snapshot
 // begin/commit, version-chain installation (per-chain arenas plus chain
 // freelists), retire-ring bookkeeping, and watermark pruning — copy-out
 // versioning must not cost the hot path its zero-allocation property.
@@ -152,10 +154,37 @@ func testHotPathAllocationFree(t *testing.T, cc CCMode) {
 		}
 	}
 
+	rn.prepareArgs(core.TxnStockLevel)
+	stockLevelIn := rn.args.stockLevel
+	stockLevel := func() {
+		if _, err := s.StockLevel(stockLevelIn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orderStatusInput := func(byName bool) OrderStatusInput {
+		for {
+			rn.prepareArgs(core.TxnOrderStatus)
+			if rn.args.orderStatus.ByName == byName {
+				return rn.args.orderStatus
+			}
+		}
+	}
+	statusByID, statusByName := orderStatusInput(false), orderStatusInput(true)
+	orderStatus := func(in OrderStatusInput) func() {
+		return func() {
+			if _, err := s.OrderStatus(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	for i := 0; i < 500; i++ {
 		newOrder()
 		paymentByID()
 		paymentByName()
+		stockLevel()
+		orderStatus(statusByID)()
+		orderStatus(statusByName)()
 	}
 
 	gates := []struct {
@@ -165,6 +194,9 @@ func testHotPathAllocationFree(t *testing.T, cc CCMode) {
 		{"NewOrder", newOrder},
 		{"Payment/byID", paymentByID},
 		{"Payment/byName", paymentByName},
+		{"StockLevel", stockLevel},
+		{"OrderStatus/byID", orderStatus(statusByID)},
+		{"OrderStatus/byName", orderStatus(statusByName)},
 	}
 	for _, g := range gates {
 		if allocs := testing.AllocsPerRun(500, g.fn); allocs != 0 {

@@ -16,8 +16,12 @@ import (
 // under the row locks it has already taken. Only pages are touched early,
 // never locks, so lock order, deadlocks and the committed state are those
 // of the unplanned body. Warehouse and district rows are hot and left out,
-// and so is Stock-Level, which reads little but stock it cannot name before
-// its own scan.
+// and so is Stock-Level. Its first batch names the stock rows of its
+// second, so these could be planned between the two, but they are the rows
+// the district's last twenty New-Orders have just updated, and they are
+// resident: 40 Stock-Levels in a pool that holds two fifths of a warehouse
+// missed none of their 8 000 stock reads. A plan would cost its probes and
+// read nothing.
 //
 // A plan is a hint: an index entry that is gone, or a row that moved, only
 // costs a read nobody claims.

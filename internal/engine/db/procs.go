@@ -283,23 +283,28 @@ func (t *txn) payHistory(in PaymentInput, custW, custD, custC int64) error {
 // customer id is returned, along with how many tuples the select touched
 // (the Appendix A RC_cust remote-call measurement). The hit list lives in
 // the transaction's scratch; the name index yields it in customer-id order
-// (index.KeyWDNC). Each read is the custHeadEnd projection, and when mid is
-// not nil the middle customer's is decoded into it.
+// (index.KeyWDNC). The group is read in one batch of custHeadEnd
+// projections, and when mid is not nil the middle customer's is decoded
+// into it.
 func (t *txn) middleCustomerByName(w, d, nameOrd int64, mid *CustomerRec) (int64, int, error) {
 	hits := t.nameGroup(w, d, nameOrd)
 	if len(hits) == 0 {
 		return 0, 0, fmt.Errorf("db: no customer named %d in (%d,%d)", nameOrd, w, d)
 	}
-	rec := t.buf[:custHeadEnd]
-	for i, h := range hits {
-		if _, err := t.snapRead(core.Customer, index.KeyWDC(w, d, h.cid), storage.UnpackRID(h.rid), rec); err != nil {
-			return 0, 0, err
-		}
-		if mid != nil && i == len(hits)/2 {
-			mid.unmarshalHead(rec)
-		}
+	t.keys, t.rids = t.keys[:0], t.rids[:0]
+	for _, h := range hits {
+		t.keys = append(t.keys, index.KeyWDC(w, d, h.cid))
+		t.rids = append(t.rids, storage.UnpackRID(h.rid))
 	}
-	return hits[len(hits)/2].cid, len(hits), nil
+	rows, _, err := t.snapReadAll(core.Customer, t.keys, t.rids, custHeadEnd)
+	if err != nil {
+		return 0, 0, err
+	}
+	m := len(hits) / 2
+	if mid != nil {
+		mid.unmarshalHead(rows[m*custHeadEnd : (m+1)*custHeadEnd])
+	}
+	return hits[m].cid, len(hits), nil
 }
 
 // nameGroup collects the customers of (w, d) with last-name ordinal nameOrd
@@ -412,26 +417,22 @@ func (t *txn) orderStatus(in OrderStatusInput, res *OrderStatusResult) error {
 	res.EntryTick = orec.EntryTick
 	res.Carrier = orec.CarrierID
 
-	// Each order line of the last order (the order is visible, so its
-	// lines — committed atomically with it — are visible too).
-	olBuf := t.buf[:olStatusEnd]
+	// Each order line of the last order, read in one batch (the order is
+	// visible, so its lines — committed atomically with it — are visible
+	// too).
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
-	t.refs = t.refs[:0]
-	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
-		t.refs = append(t.refs, olref{key: k, rid: v})
-		return true
-	})
+	t.collectRange(d.idx[idxOrderLine], lo, hi)
+	rows, live, err := t.snapReadAll(core.OrderLine, t.keys, t.rids, olStatusEnd)
+	if err != nil {
+		return err
+	}
 	var olrec OrderLineRec
-	for _, ref := range t.refs {
-		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olBuf)
-		if err != nil {
-			return err
-		}
-		if !live {
+	for i, l := range live {
+		if !l {
 			continue
 		}
 		if res.Lines < maxStatusLines {
-			olrec.unmarshalStatus(olBuf)
+			olrec.unmarshalStatus(rows[i*olStatusEnd : (i+1)*olStatusEnd])
 			res.Line[res.Lines] = OrderStatusLine{
 				IID: olrec.IID, SupplyWID: olrec.SupplyWID, Quantity: olrec.Quantity,
 				AmountCents: olrec.AmountCents, DeliveryTick: olrec.DeliveryTick,
@@ -566,8 +567,10 @@ func (s *Session) StockLevel(in StockLevelInput) (int, error) {
 	return low, t.finish(err)
 }
 
-// stockLevel is the Stock-Level body. Its join reads projections: olItemEnd
-// of each order line and stockQtyEnd of each stock row, 20 bytes of the 360
+// stockLevel is the Stock-Level body, the join in two batch reads: the
+// order lines of the district's last 20 orders, then the stock row of each
+// line found live, duplicates included. Both read projections: olItemEnd of
+// each order line and stockQtyEnd of each stock row, 20 bytes of the 360
 // the two records hold.
 func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	d := t.d
@@ -590,38 +593,55 @@ func (t *txn) stockLevel(in StockLevelInput) (int, error) {
 	}
 	lo := index.KeyWDOL(in.W, in.D, loOID, 0)
 	hi := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-1, 255)
-	t.refs = t.refs[:0]
-	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
-		t.refs = append(t.refs, olref{key: k, rid: v})
-		return true
-	})
-	// The distinct-item set is a linear-scan slice, not a map: the scan
-	// covers at most 20 orders × 10 lines, and the slice is reusable
-	// transaction scratch while a map would allocate per transaction.
-	t.seen = t.seen[:0]
-	olbuf := t.buf[:olItemEnd]
+	t.collectRange(d.idx[idxOrderLine], lo, hi)
+	rows, live, err := t.snapReadAll(core.OrderLine, t.keys, t.rids, olItemEnd)
+	if err != nil {
+		return 0, err
+	}
+	// The stock rows take the lines' places in keys and rids: line i's
+	// stock row goes to slot j <= i, after line i is decoded.
+	stock := d.primary(core.Stock)
 	var olrec OrderLineRec
-	var srec StockRec
-	for _, ref := range t.refs {
-		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olbuf)
-		if err != nil {
-			return 0, err
-		}
-		if !live {
+	j := 0
+	for i, l := range live {
+		if !l {
 			// An index entry for an order line committed after the
 			// snapshot (mvcc only): not part of this cut.
 			continue
 		}
-		olrec.unmarshalItem(olbuf)
-
-		cur, err := t.snap(core.Stock, index.KeyWI(in.W, int64(olrec.IID)), stockQtyEnd)
-		if err != nil {
-			return 0, err
+		olrec.unmarshalItem(rows[i*olItemEnd : (i+1)*olItemEnd])
+		key := index.KeyWI(in.W, int64(olrec.IID))
+		rid, ok := stock.get(key)
+		if !ok {
+			return 0, fmt.Errorf("db: no %s row %#x", core.Stock, key)
 		}
-		srec.unmarshalQty(cur)
+		t.keys[j], t.rids[j] = key, storage.UnpackRID(rid)
+		j++
+	}
+	if rows, _, err = t.snapReadAll(core.Stock, t.keys[:j], t.rids[:j], stockQtyEnd); err != nil {
+		return 0, err
+	}
+	// The distinct-item set is a linear-scan slice, not a map: the scan
+	// covers at most 20 orders × 15 lines, and the slice is reusable
+	// transaction scratch while a map would allocate per transaction.
+	t.seen = t.seen[:0]
+	var srec StockRec
+	for i := range j {
+		srec.unmarshalQty(rows[i*stockQtyEnd : (i+1)*stockQtyEnd])
 		if srec.Quantity < in.Threshold && !slices.Contains(t.seen, srec.IID) {
 			t.seen = append(t.seen, srec.IID)
 		}
 	}
 	return len(t.seen), nil
+}
+
+// collectRange collects the rows g holds in [lo, hi] into t.keys and
+// t.rids, in key order, for a batch read.
+func (t *txn) collectRange(g *relIndex, lo, hi uint64) {
+	t.keys, t.rids = t.keys[:0], t.rids[:0]
+	g.ascendRange(lo, hi, func(k, v uint64) bool {
+		t.keys = append(t.keys, k)
+		t.rids = append(t.rids, storage.UnpackRID(v))
+		return true
+	})
 }

@@ -131,7 +131,6 @@ func TestProjectionsPinLayout(t *testing.T) {
 // buffer-pool accesses.
 
 func (t *txn) fullStockLevel(in StockLevelInput) (int, error) {
-	d := t.d
 	cur, err := t.snap(core.District, index.KeyWD(in.W, in.D), tpcc.TupleLen[core.District])
 	if err != nil {
 		return 0, err
@@ -144,14 +143,9 @@ func (t *txn) fullStockLevel(in StockLevelInput) (int, error) {
 	}
 	lo := index.KeyWDOL(in.W, in.D, loOID, 0)
 	hi := index.KeyWDOL(in.W, in.D, int64(drec.NextOID)-1, 255)
-	t.refs = t.refs[:0]
-	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
-		t.refs = append(t.refs, olref{key: k, rid: v})
-		return true
-	})
 	t.seen = t.seen[:0]
 	olbuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
-	for _, ref := range t.refs {
+	for _, ref := range t.olRefs(lo, hi) {
 		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olbuf)
 		if err != nil {
 			return 0, err
@@ -236,12 +230,7 @@ func (t *txn) fullOrderStatus(in OrderStatusInput, res *OrderStatusResult) error
 
 	olBuf := t.buf[:tpcc.TupleLen[core.OrderLine]]
 	lo, hi = index.RangeWDOLOrder(in.W, in.D, oid)
-	t.refs = t.refs[:0]
-	d.idx[idxOrderLine].ascendRange(lo, hi, func(k, v uint64) bool {
-		t.refs = append(t.refs, olref{key: k, rid: v})
-		return true
-	})
-	for _, ref := range t.refs {
+	for _, ref := range t.olRefs(lo, hi) {
 		live, err := t.snapRead(core.OrderLine, ref.key, storage.UnpackRID(ref.rid), olBuf)
 		if err != nil {
 			return err

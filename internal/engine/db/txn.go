@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tpccmodel/internal/core"
 	"tpccmodel/internal/engine/lock"
@@ -58,12 +59,6 @@ type custHit struct {
 	rid uint64
 }
 
-// olref references one order line found by an index range scan.
-type olref struct {
-	key uint64
-	rid uint64
-}
-
 // txn is one executing transaction: a lock owner plus a typed undo list
 // for rollback. Strict 2PL: locks release only at commit/abort.
 //
@@ -92,13 +87,23 @@ type txn struct {
 	buf []byte
 	img []byte
 
-	// hits, refs, and seen are range-scan scratch for
-	// middleCustomerByName, OrderStatus, and StockLevel; pages collects a
-	// read-ahead plan (plan.go).
+	// hits and seen are range-scan scratch for middleCustomerByName and
+	// StockLevel; pages collects a read-ahead plan (plan.go).
 	hits  []custHit
-	refs  []olref
 	seen  []uint32
 	pages []storage.PageID
+
+	// keys and rids name the rows of a batch read (snapReadAll), which
+	// reads their bytes into rows, one slot each, their live flags into
+	// live and, under mvcc, their shards' gates into gates. one and oneLive
+	// are a lone record read's batch of one (readRec).
+	keys    []uint64
+	rids    []storage.RID
+	rows    []byte
+	live    []bool
+	gates   []mvcc.Gate
+	one     [1]storage.RID
+	oneLive [1]bool
 
 	// mv is the transaction's MVCC state (snapshot, written chains) and
 	// retired the deferred-prune ring of its committed chains; both are
@@ -314,9 +319,18 @@ func (t *txn) fail(cause error) error {
 	return cause
 }
 
-// readRec reads the record bytes at rid into out.
+// readRec reads the first len(out) bytes of the record at rid into out, as
+// HeapFile.Read would, through the transaction's own batch of one.
 func (t *txn) readRec(rel core.Relation, rid storage.RID, out []byte) error {
-	return t.d.heaps[rel].Read(rid, out)
+	h := t.d.heaps[rel]
+	t.one[0] = rid
+	if err := h.ReadRecords(t.one[:], len(out), out, t.oneLive[:]); err != nil {
+		return err
+	}
+	if !t.oneLive[0] {
+		return h.NoRecord(rid)
+	}
+	return nil
 }
 
 // snapRead reads the first len(out) bytes of the version of the row visible
@@ -354,6 +368,72 @@ func (t *txn) snapRead(rel core.Relation, row uint64, rid storage.RID, out []byt
 			return live, nil
 		}
 	}
+}
+
+// snapReadAll is snapRead for a batch of rows of rel: the row keyed keys[i]
+// at rids[i] for each i, in order. It returns the first n bytes of each
+// row's visible version, row i's at rows[i*n:(i+1)*n], and whether each row
+// is live; both are transaction scratch, valid until the next batch. Under
+// 2PL it S-locks every row, in order, then reads them all, and a dead slot
+// is the error it is for snapRead. Under mvcc it loads every row's shard
+// gate, reads them all, and resolves each row against its gate; a row whose
+// resolution refuses is read again through snapRead. Row by row the locks,
+// the resolutions and the page accesses are snapRead's: only the visits to
+// the buffer pool are fewer, one per batch where the pool can serve it.
+func (t *txn) snapReadAll(rel core.Relation, keys []uint64, rids []storage.RID, n int) (rows []byte, live []bool, err error) {
+	t.rows = slices.Grow(t.rows[:0], len(rids)*n)[:len(rids)*n]
+	t.live = slices.Grow(t.live[:0], len(rids))[:len(rids)]
+	rows, live = t.rows, t.live
+	h := t.d.heaps[rel]
+	if !t.d.ccMVCC {
+		for _, k := range keys {
+			if err := t.lockRow(rel, k, lock.Shared); err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := h.ReadRecords(rids, n, rows, live); err != nil {
+			return nil, nil, err
+		}
+		for i, l := range live {
+			if !l {
+				return nil, nil, h.NoRecord(rids[i])
+			}
+		}
+		return rows, live, nil
+	}
+	t.gateAll(rel, keys)
+	if err := h.ReadRecords(rids, n, rows, live); err != nil {
+		return nil, nil, err
+	}
+	return rows, live, t.resolveAll(rel, keys, rids, n, rows, live)
+}
+
+// gateAll loads the shard gate of each row of a batch into t.gates, as
+// snapRead loads one row's before it reads the heap.
+func (t *txn) gateAll(rel core.Relation, keys []uint64) {
+	t.gates = t.gates[:0]
+	for _, k := range keys {
+		t.gates = append(t.gates, t.d.mvcc.Gate(mvcc.Key{Table: uint32(rel), Row: k}))
+	}
+}
+
+// resolveAll resolves each row of a batch whose heap images are in rows and
+// live against its gate in t.gates, leaving the visible version's bytes and
+// liveness in their place; a row whose gate has moved is read again
+// through snapRead.
+func (t *txn) resolveAll(rel core.Relation, keys []uint64, rids []storage.RID, n int, rows []byte, live []bool) error {
+	for i, k := range keys {
+		row := rows[i*n : (i+1)*n]
+		l, ok := t.d.mvcc.Resolve(&t.mv, mvcc.Key{Table: uint32(rel), Row: k}, t.gates[i], live[i], row)
+		if !ok {
+			var err error
+			if l, err = t.snapRead(rel, k, rids[i], row); err != nil {
+				return err
+			}
+		}
+		live[i] = l
+	}
+	return nil
 }
 
 // heapImage reads the current heap image at rid into out, reporting false

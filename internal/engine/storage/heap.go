@@ -35,24 +35,37 @@ type Pinned struct {
 // Pager is the page-access interface HeapFile needs; the buffer manager
 // implements it (storage_test uses the store directly via a trivial
 // write-through adapter). Every access of a page is a Pin and an Unpin, or
-// one ReadRecord that stands for both; Peek is not an access.
+// one record of a ReadRecords batch, which stands for both; Peek is not an
+// access.
 type Pager interface {
 	// Pin fixes page id in memory and takes its content latch. The caller
 	// must Unpin exactly once and must not retain p.Data afterwards.
 	Pin(id PageID) (Pinned, error)
 	// Unpin releases a pinned page, marking it dirty when dirty is true.
 	Unpin(p Pinned, dirty bool)
-	// ReadRecord copies the len(out) bytes of page id at off into out when
-	// the byte at flagOff has flagBit set, and reports whether it had
-	// (live). It is one access of the page, as a Pin and an Unpin are. ok
-	// is false when the pager could not serve the read without waiting;
-	// then nothing has happened, and the caller pins the page instead.
-	ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool)
+	// ReadRecords reads a batch of records, placed on their pages by lay, in
+	// order: for rids[i] it sets live[i] to whether the record's live flag
+	// is set and, if it is, copies the record's first n bytes into
+	// out[i*n:]. Each record is one access of its page, as a Pin and an
+	// Unpin are. It returns how many records it served: it stops, having
+	// done nothing for it, at the first one it could not serve without
+	// waiting, and the caller pins that record's page instead.
+	ReadRecords(rids []RID, lay Layout, n int, out []byte, live []bool) int
 	// Peek copies page id's bytes at off into out when the pager can show
 	// them without an access, and reports whether it did.
 	Peek(id PageID, off int, out []byte) bool
 	// Allocate creates a new zeroed page (resident and dirty).
 	Allocate() (PageID, error)
+}
+
+// Layout places the records of a slotted page: slot s's live flag is bit
+// s%8 of byte Flags+s/8, and its bytes start at Data+s*Stride.
+type Layout struct{ Flags, Data, Stride int }
+
+// Slot returns where slot s is: its live flag's byte and bit, and the
+// offset of its bytes.
+func (l Layout) Slot(s int) (flag int, bit byte, off int) {
+	return l.Flags + s>>3, 1 << (s & 7), l.Data + s*l.Stride
 }
 
 // Slotted-page layout for fixed-length records:
@@ -80,14 +93,8 @@ func SlotsPerPage(pageSize, recLen int) int {
 	return n
 }
 
-// bitmapBit locates slot's occupancy bit: the byte offset and the mask.
-func bitmapBit(slot int) (off int, bit byte) {
-	return heapHeader + slot/8, 1 << uint(slot%8)
-}
-
 func bitmapGet(page []byte, slot int) bool {
-	off, bit := bitmapBit(slot)
-	return page[off]&bit != 0
+	return page[heapHeader+slot/8]&(1<<uint(slot%8)) != 0
 }
 
 func bitmapSet(page []byte, slot int, v bool) {
@@ -109,6 +116,7 @@ type HeapFile struct {
 	recLen   int
 	slots    int // per page
 	pageSize int
+	lay      Layout
 
 	mu sync.Mutex
 	// pages lists the file's pages in allocation order and pageIdx maps
@@ -142,6 +150,7 @@ func NewHeapFile(name string, pager Pager, pageSize, recLen int) (*HeapFile, err
 	return &HeapFile{
 		name: name, pager: pager, recLen: recLen,
 		slots: slots, pageSize: pageSize,
+		lay:     Layout{Flags: heapHeader, Data: slotOffset(slots, recLen, 0), Stride: recLen},
 		pageIdx: make(map[PageID]int),
 		held:    make(map[RID]struct{}),
 	}, nil
@@ -323,32 +332,91 @@ func (h *HeapFile) AttachPages(ids []PageID) error {
 // any 1 <= len(out) <= RecordLen: the buffer's length is the projection, so
 // a statement that needs only a record's leading fields copies only those.
 // Nothing past len(out) is written, whatever out's capacity. The read is one
-// access of the page however many bytes it copies.
+// access of the page however many bytes it copies: a ReadRecords of one
+// record, whose one-record scratch is borrowed from a pool so that Read
+// allocates nothing.
 func (h *HeapFile) Read(rid RID, out []byte) error {
-	if len(out) == 0 || len(out) > h.recLen {
-		return fmt.Errorf("storage: %s: read buffer is %d bytes, want 1..%d: %w", h.name, len(out), h.recLen, ErrInvalidArgument)
+	one := oneRead.Get().(*readOne)
+	one.rid[0] = rid
+	err := h.ReadRecords(one.rid[:], len(out), out, one.live[:])
+	live := one.live[0]
+	oneRead.Put(one)
+	if err == nil && !live {
+		err = h.NoRecord(rid)
 	}
-	live, done := false, false
-	if int(rid.Slot) < h.slots {
-		flagOff, flagBit := bitmapBit(int(rid.Slot))
-		live, done = h.pager.ReadRecord(rid.Page, flagOff, flagBit, slotOffset(h.slots, h.recLen, int(rid.Slot)), out)
+	return err
+}
+
+// readOne is Read's batch of one.
+type readOne struct {
+	rid  [1]RID
+	live [1]bool
+}
+
+var oneRead = sync.Pool{New: func() any { return new(readOne) }}
+
+// NoRecord is the error of a read that found no record at rid.
+func (h *HeapFile) NoRecord(rid RID) error {
+	return fmt.Errorf("storage: %s: no record at %s: %w", h.name, rid, ErrNoRecord)
+}
+
+// ReadRecords reads the first n bytes of each record rids names, for any
+// 1 <= n <= RecordLen, into consecutive n-byte slots of out — rids[i]'s into
+// out[i*n:(i+1)*n] — and sets live[i] to whether rids[i] holds a record; a
+// dead slot's bytes in out are left alone. Each record is one access of its
+// page, made in order: the pager serves what it can in one visit, a record
+// it declines is read through a Pin of its page, and the pager is then asked
+// for the rest. An n out of range, or an out or live too short for rids, is
+// ErrInvalidArgument before any access; any other error is a pin's, with
+// the records before it read.
+func (h *HeapFile) ReadRecords(rids []RID, n int, out []byte, live []bool) error {
+	if n <= 0 || n > h.recLen || len(out) < len(rids)*n || len(live) < len(rids) {
+		return h.badBatch(len(rids), n, len(out), len(live))
 	}
-	if !done {
-		p, err := h.pager.Pin(rid.Page)
-		if err != nil {
+	// rids[i:end] name slots that lie on their pages, which is what the
+	// pager may be handed; a slot past the page is read through a pin, as
+	// a declined one is, and is not live.
+	for i, end := 0, 0; i < len(rids); i++ {
+		if end <= i {
+			for end = i; end < len(rids) && int(rids[end].Slot) < h.slots; end++ {
+			}
+		}
+		if i < end {
+			if i += h.pager.ReadRecords(rids[i:end], h.lay, n, out[i*n:], live[i:]); i == len(rids) {
+				break
+			}
+		}
+		var err error
+		if live[i], err = h.pinRead(rids[i], out[i*n:i*n+n]); err != nil {
 			return err
 		}
-		if int(rid.Slot) < h.slots && bitmapGet(p.Data, int(rid.Slot)) {
-			live = true
-			off := slotOffset(h.slots, h.recLen, int(rid.Slot))
-			copy(out, p.Data[off:off+len(out)])
-		}
-		h.pager.Unpin(p, false)
-	}
-	if !live {
-		return fmt.Errorf("storage: %s: no record at %s: %w", h.name, rid, ErrNoRecord)
 	}
 	return nil
+}
+
+// badBatch is the error of a ReadRecords call whose buffers do not fit.
+func (h *HeapFile) badBatch(records, n, outLen, liveLen int) error {
+	if n <= 0 || n > h.recLen {
+		return fmt.Errorf("storage: %s: read buffer is %d bytes, want 1..%d: %w", h.name, n, h.recLen, ErrInvalidArgument)
+	}
+	return fmt.Errorf("storage: %s: %d records need %d bytes and %d flags, have %d and %d: %w",
+		h.name, records, records*n, records, outLen, liveLen, ErrInvalidArgument)
+}
+
+// pinRead copies the first len(out) bytes of the record at rid into out
+// through a pin of its page, and reports whether there was one.
+func (h *HeapFile) pinRead(rid RID, out []byte) (bool, error) {
+	p, err := h.pager.Pin(rid.Page)
+	if err != nil {
+		return false, err
+	}
+	live := int(rid.Slot) < h.slots && bitmapGet(p.Data, int(rid.Slot))
+	if live {
+		off := slotOffset(h.slots, h.recLen, int(rid.Slot))
+		copy(out, p.Data[off:off+len(out)])
+	}
+	h.pager.Unpin(p, false)
+	return live, nil
 }
 
 // Peek copies the slot at rid into out (len RecordLen) when the pager can
@@ -379,7 +447,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) error {
 	}
 	h.pager.Unpin(p, live)
 	if !live {
-		return fmt.Errorf("storage: %s: no record at %s: %w", h.name, rid, ErrNoRecord)
+		return h.NoRecord(rid)
 	}
 	return nil
 }
@@ -410,7 +478,7 @@ func (h *HeapFile) DeleteHeld(rid RID) error {
 	}
 	h.pager.Unpin(p, live)
 	if !live {
-		return fmt.Errorf("storage: %s: no record at %s: %w", h.name, rid, ErrNoRecord)
+		return h.NoRecord(rid)
 	}
 	h.mu.Lock()
 	h.liveCount--

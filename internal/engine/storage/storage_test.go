@@ -31,7 +31,7 @@ func mustAlloc(t testing.TB, s *Store) PageID {
 }
 
 // directPager is a write-through Pager over the store, for testing the
-// heap layer without a buffer manager. It has no resident pages: ReadRecord
+// heap layer without a buffer manager. It has no resident pages: ReadRecords
 // and Peek always decline, so Read takes its pin fallback. pins counts Pin
 // calls.
 type directPager struct {
@@ -60,36 +60,44 @@ func (p *directPager) Unpin(pg Pinned, dirty bool) {
 	}
 }
 
-func (p *directPager) ReadRecord(PageID, int, byte, int, []byte) (live, ok bool) {
-	return false, false
-}
+func (p *directPager) ReadRecords([]RID, Layout, int, []byte, []bool) int { return 0 }
 
 func (p *directPager) Peek(PageID, int, []byte) bool { return false }
 
 func (p *directPager) Allocate() (PageID, error) { return p.store.Allocate() }
 
 // residentPager is a directPager whose pages all count as resident: it
-// serves every ReadRecord in one visit, copying as the buffer manager does,
-// so Read never pins. visits counts the ReadRecords it served.
+// serves every record of a ReadRecords batch, copying as the buffer manager
+// does, so Read never pins. visits counts the records it served.
 type residentPager struct {
 	*directPager
 	page   []byte
 	visits int
+	// serve, when positive, is how many records one ReadRecords call
+	// serves before it declines the next, as the pool declines a page it
+	// cannot show without waiting.
+	serve int
 }
 
 func newResidentPager(s *Store) *residentPager {
 	return &residentPager{directPager: newDirectPager(s), page: make([]byte, s.PageSize())}
 }
 
-func (p *residentPager) ReadRecord(id PageID, flagOff int, flagBit byte, off int, out []byte) (live, ok bool) {
-	if err := p.store.Read(id, p.page); err != nil {
-		return false, false
+func (p *residentPager) ReadRecords(rids []RID, lay Layout, n int, out []byte, live []bool) int {
+	for i, rid := range rids {
+		if p.serve > 0 && i == p.serve {
+			return i
+		}
+		if err := p.store.Read(rid.Page, p.page); err != nil {
+			return i
+		}
+		p.visits++
+		flag, bit, off := lay.Slot(int(rid.Slot))
+		if live[i] = p.page[flag]&bit != 0; live[i] {
+			copy(out[i*n:i*n+n], p.page[off:])
+		}
 	}
-	p.visits++
-	if live = p.page[flagOff]&flagBit != 0; live {
-		copy(out, p.page[off:])
-	}
-	return live, true
+	return len(rids)
 }
 
 func TestStoreReadWrite(t *testing.T) {
@@ -209,7 +217,7 @@ func TestHeapInsertReadUpdateDelete(t *testing.T) {
 	}
 }
 
-// TestHeapReadPinsWhenPagerDeclines: a pager that cannot serve ReadRecord
+// TestHeapReadPinsWhenPagerDeclines: a pager that cannot serve ReadRecords
 // (nothing resident) gets one Pin per Read instead, live or not, and a Peek
 // it cannot serve reports false and leaves out alone.
 func TestHeapReadPinsWhenPagerDeclines(t *testing.T) {
@@ -249,7 +257,7 @@ func TestHeapReadPinsWhenPagerDeclines(t *testing.T) {
 }
 
 // TestHeapReadCopiesPrefix pins Read's prefix contract on both of its
-// paths, the one-visit ReadRecord and the pin fallback: for every len(out)
+// paths, the one-visit ReadRecords and the pin fallback: for every len(out)
 // in 1..RecordLen it copies exactly the record's first len(out) bytes and
 // writes nothing past them in out's backing array; an empty or over-long
 // buffer is ErrInvalidArgument before any page access, and a dead slot is
@@ -327,6 +335,73 @@ func TestHeapReadCopiesPrefix(t *testing.T) {
 				t.Error("Peek accepted a buffer that is not RecordLen bytes")
 			}
 		})
+	}
+}
+
+// TestHeapReadRecordsMatchesRead: a batch read gives each record what Read
+// gives it, into its own n-byte slot of out, with dead slots — a deleted
+// record, a slot past the page — reported and left alone. A pager that
+// declines a record in the middle of a batch gets that record as a Pin and
+// the rest as another batch, so every record is one access.
+func TestHeapReadRecordsMatchesRead(t *testing.T) {
+	const recLen, n = 100, 7
+	s := mustStore(t, 512)
+	rp := newResidentPager(s)
+	h, err := NewHeapFile("t", rp, 512, recLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	for i := range 3 * h.Slots() {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte(i + 1)}, recLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := h.Delete(rids[4]); err != nil {
+		t.Fatal(err)
+	}
+	batch := []RID{rids[0], rids[4], rids[9], {Page: rids[0].Page, Slot: uint16(h.Slots())}, rids[2], rids[2], rids[11]}
+	for _, serve := range []int{0, 1, 2, 3} {
+		rp.serve = serve
+		out := bytes.Repeat([]byte{0xee}, len(batch)*n+1)
+		live := make([]bool, len(batch))
+		visits, pins := rp.visits, rp.pins
+		if err := h.ReadRecords(batch, n, out[:len(batch)*n], live); err != nil {
+			t.Fatal(err)
+		}
+		if got := rp.visits - visits + rp.pins - pins; got != len(batch) {
+			t.Errorf("serve %d: %d accesses for %d records", serve, got, len(batch))
+		}
+		if serve > 0 && rp.pins == pins {
+			t.Errorf("serve %d: a declined record was not pinned", serve)
+		}
+		for i, rid := range batch {
+			want := bytes.Repeat([]byte{0xee}, n)
+			err := h.Read(rid, want)
+			if (err == nil) != live[i] || err != nil && !errors.Is(err, ErrNoRecord) {
+				t.Fatalf("serve %d: record %d (%s) live %v, Read says %v", serve, i, rid, live[i], err)
+			}
+			if got := out[i*n : (i+1)*n]; !bytes.Equal(got, want) {
+				t.Fatalf("serve %d: record %d (%s) read %x, Read reads %x", serve, i, rid, got, want)
+			}
+		}
+		if out[len(batch)*n] != 0xee {
+			t.Fatalf("serve %d: the batch wrote past its last slot", serve)
+		}
+	}
+	live := make([]bool, 2)
+	for _, c := range []struct {
+		n   int
+		out []byte
+	}{{0, nil}, {recLen + 1, make([]byte, 2*recLen+2)}, {n, make([]byte, 2*n-1)}} {
+		if err := h.ReadRecords(rids[:2], c.n, c.out, live); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("ReadRecords of %d bytes into %d = %v, want ErrInvalidArgument", c.n, len(c.out), err)
+		}
+	}
+	if err := h.ReadRecords(rids[:2], n, make([]byte, 2*n), live[:1]); !errors.Is(err, ErrInvalidArgument) {
+		t.Errorf("ReadRecords with one live flag for two records = %v, want ErrInvalidArgument", err)
 	}
 }
 
